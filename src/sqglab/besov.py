@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profiles import SmoothStep
-from .spectral import FrequencyLattice, SpectralField
+from .spectral import FrequencyLattice, SpectralField, _hermitian_parts, _real_synthesis
 
 __all__ = [
     "BesovIndex",
@@ -93,6 +93,7 @@ class DyadicPartition:
         self.j_min = int(j_min)
         self.j_max = int(j_max)
         self._ring_cache: dict[int, np.ndarray] = {}
+        self._coverage: np.ndarray | None = None
 
     @property
     def shells(self) -> range:
@@ -119,9 +120,16 @@ class DyadicPartition:
         return (self.step.t1 / 2.0 * 2.0**j, self.step.t0 * 2.0**j)
 
     def coverage(self) -> np.ndarray:
-        """Telescoped ring sum over the window, evaluated in closed form."""
-        r = self.lattice.radius
-        return self.step(r * 2.0 ** (-self.j_max)) - self.step(r * 2.0 ** (1 - self.j_min))
+        """Telescoped ring sum over the window, evaluated in closed form.
+
+        Computed once per partition and returned as the same read-only array.
+        """
+        if self._coverage is None:
+            r = self.lattice.radius
+            cov = self.step(r * 2.0 ** (-self.j_max)) - self.step(r * 2.0 ** (1 - self.j_min))
+            cov.flags.writeable = False
+            self._coverage = cov
+        return self._coverage
 
     def window_defect(self, field: SpectralField) -> float:
         """Fraction of squared coefficient mass outside the covered window."""
@@ -211,20 +219,32 @@ def shell_profile(
 ) -> list[tuple[int, float]]:
     """Per-shell weighted norms ``(j, 2**(s j) * ||phi_j * f||_p)``.
 
+    Each shell is synthesized on the lattice's own m x m grid with a
+    real-to-complex inverse transform of its k2 >= 0 half.  The rings are
+    real and radial, so a real field has real shells.  A field whose
+    anti-Hermitian part exceeds rounding level (1e-12 of its largest
+    coefficient component) is split by linearity into its real and
+    imaginary physical parts, and the shell's modulus is the ``hypot`` of
+    their two syntheses.
+
     Zero shells are reported as exact zeros without a transform.
     """
     if field.rank != 0:
         raise ValueError("shell profiles are defined for scalar fields")
     _check_mean_zero(field)
     out: list[tuple[int, float]] = []
+    m = field.lattice.m
     area = field.lattice.quadrature_weight
+    parts = _hermitian_parts(field.coeffs)
     for j in partition.shells:
-        proj = field.coeffs * partition.ring_values(j)
-        if not proj.any():
+        ring = partition.ring_values(j)
+        projs = [part * ring for part in parts]
+        if not any(proj.any() for proj in projs):
             out.append((j, 0.0))
             continue
-        samples = SpectralField(field.lattice, proj).physical()
-        out.append((j, 2.0 ** (s * j) * lp_norm(samples, p, area)))
+        samples = [_real_synthesis(proj, m) for proj in projs]
+        mags = samples[0] if len(samples) == 1 else np.hypot(*samples)
+        out.append((j, 2.0 ** (s * j) * lp_norm(mags, p, area)))
     return out
 
 

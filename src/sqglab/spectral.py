@@ -15,6 +15,7 @@ axis), which is also the layout of the on-disk snapshot format (see
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -231,10 +232,7 @@ class SpectralField:
     def hermitian_defect(self) -> float:
         """Max |c(-xi) - conj(c(xi))| over the lattice."""
         c = self.coeffs
-        mirrored = c
-        for ax in (-2, -1):
-            mirrored = np.roll(np.flip(mirrored, axis=ax), 1, axis=ax)
-        return float(np.max(np.abs(mirrored - np.conj(c))))
+        return float(np.max(np.abs(_reflect(c) - np.conj(c))))
 
     def mean_coefficient(self) -> complex:
         idx = (0,) * self.rank + (0, 0)
@@ -454,29 +452,6 @@ def dyadic_rescale(
 # ---------------------------------------------------------------------------
 
 
-def _pad_coeffs(c: np.ndarray, m: int, p: int) -> np.ndarray:
-    """Embed FFT-ordered (m, m) coefficients into a (p, p) FFT-ordered array."""
-    half = m // 2
-    out = np.zeros(c.shape[:-2] + (p, p), dtype=np.complex128)
-    # copy the four FFT-order corner blocks
-    out[..., :half, :half] = c[..., :half, :half]
-    out[..., :half, p - half :] = c[..., :half, half:]
-    out[..., p - half :, :half] = c[..., half:, :half]
-    out[..., p - half :, p - half :] = c[..., half:, half:]
-    return out
-
-
-def _crop_coeffs(c: np.ndarray, m: int) -> np.ndarray:
-    half = m // 2
-    p = c.shape[-1]
-    out = np.empty(c.shape[:-2] + (m, m), dtype=np.complex128)
-    out[..., :half, :half] = c[..., :half, :half]
-    out[..., :half, half:] = c[..., :half, p - half :]
-    out[..., half:, :half] = c[..., p - half :, :half]
-    out[..., half:, half:] = c[..., p - half :, p - half :]
-    return out
-
-
 def strip_unpaired_edge(c: np.ndarray) -> np.ndarray:
     """Zero the k = -m/2 row and column in place, returning the array.
 
@@ -490,47 +465,155 @@ def strip_unpaired_edge(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def multiply(f: SpectralField, g: SpectralField, pad_factor: int = 2) -> SpectralField:
-    """Pointwise physical product via zero-padded transforms.
+# Relative size of an anti-Hermitian part still read as rounding.  Sources
+# and products here are exactly Hermitian; fields assembled elsewhere may
+# carry their rounding, about 1e-16 of their scale.
+_REAL_TOL = 1e-12
 
-    With ``pad_factor >= 2`` the padded grid holds the full linear
-    convolution of the two spectra, so the retained coefficients are the
-    exact (plane-truncated) convolution sum: no aliased energy lands on any
-    retained mode.  Scalar*scalar and scalar*vector are supported; the zero
-    mode of the product is retained.
 
-    The retained box is the symmetric one: the unpaired k = -m/2 edge is
-    dropped from the output, so products of real fields stay real.  Inputs
-    are expected to keep that edge empty as well (every mode constructor
-    and sampler here does); edge energy in an input would break Hermitian
-    symmetry at interior output modes, which no cropping can repair.
+def _reflect(c: np.ndarray) -> np.ndarray:
+    """``c(-k)`` in FFT index order over the last two axes."""
+    return np.roll(np.flip(c, axis=(-2, -1)), 1, axis=(-2, -1))
+
+
+def _hermitian_parts(c: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Hermitian coefficients of the real and imaginary physical parts of ``c``.
+
+    Returns ``(c,)`` when ``c`` is a real field to rounding: no real or
+    imaginary component of ``c(k) - conj(c(-k))`` exceeds ``_REAL_TOL``
+    times the largest component of ``c``.  Otherwise returns ``(a, b)``
+    with ``c = a + 1j * b`` and both ``a`` and ``b`` Hermitian.
+    """
+    h = c.shape[-1] // 2
+    # each pair (k, -k) once: interior rows 1..m/2 against their mirrors,
+    # then row 0 and column 0, which mirror onto themselves
+    pairs = (
+        (c[..., 1 : h + 1, 1:], c[..., : h - 1 : -1, :0:-1]),
+        (c[..., :1, 1:], c[..., :1, :0:-1]),
+        (c[..., 1:, :1], c[..., :0:-1, :1]),
+        (c[..., :1, :1], c[..., :1, :1]),
+    )
+    worst = 0.0
+    for a, b in pairs:
+        d = np.conj(b)
+        d -= a
+        d = d.view(np.float64)
+        worst = max(worst, d.max(), -d.min())
+    v = np.ascontiguousarray(c).view(np.float64)
+    if worst <= _REAL_TOL * max(v.max(), -v.min()):
+        return (c,)
+    mirror = np.conj(_reflect(c))
+    return 0.5 * (c + mirror), -0.5j * (c - mirror)
+
+
+def _real_synthesis(c: np.ndarray, grid: int) -> np.ndarray:
+    """Real samples on a ``grid x grid`` mesh of Hermitian coefficients ``c``.
+
+    ``c`` is in the (..., m, m) FFT layout.  Only its k2 >= 0 half is read
+    and handed to ``irfft2``, which supplies the conjugate half.  On a
+    padded grid (``grid > m``) the half is copied straight into a
+    (grid, grid/2 + 1) array and the unpaired k = -m/2 row and column are
+    left out, since the padded grid has no partner for them.  At
+    ``grid == m`` that edge is the grid's own Nyquist mode and is kept.
+    """
+    m = c.shape[-1]
+    h = m // 2
+    if grid == m:
+        half = c[..., : h + 1]
+    else:
+        half = np.zeros(c.shape[:-2] + (grid, grid // 2 + 1), dtype=np.complex128)
+        half[..., :h, :h] = c[..., :h, :h]
+        half[..., grid - h + 1 :, :h] = c[..., h + 1 :, :h]
+    return scipy.fft.irfft2(
+        half, s=(grid, grid), norm="forward", workers=_FFT_WORKERS, overwrite_x=grid > m
+    )
+
+
+def _real_analysis(samples: np.ndarray, m: int) -> np.ndarray:
+    """Coefficients of real samples, cropped to the (..., m, m) FFT layout.
+
+    ``rfft2`` gives the k2 >= 0 half; the crop keeps its symmetric box.
+    The k2 < 0 half and the k1 < 0 end of the k2 = 0 column are rebuilt
+    from the conjugates ``c(-k)`` and the zero mode is made real, so the
+    result is exactly Hermitian: differences of nearly equal products then
+    stay real fields instead of showing their rounding as an imaginary
+    part.  The unpaired k = -m/2 row and column are zero.
+    """
+    grid = samples.shape[-1]
+    spec = scipy.fft.rfft2(samples, norm="forward", workers=_FFT_WORKERS, overwrite_x=True)
+    h = m // 2
+    out = np.empty(samples.shape[:-2] + (m, m), dtype=np.complex128)
+    out[..., :h, :h] = spec[..., :h, :h]
+    out[..., h + 1 :, :h] = spec[..., grid - h + 1 :, :h]
+    out[..., h, :] = 0.0
+    out[..., :, h] = 0.0
+    out[..., h + 1 :, 0] = np.conj(out[..., h - 1 : 0 : -1, 0])
+    out[..., 0, 0] = out[..., 0, 0].real
+    neg_rows = -np.arange(m) % m
+    out[..., :, h + 1 :] = np.conj(out[..., neg_rows, h - 1 : 0 : -1])
+    return out
+
+
+def multiply(f: SpectralField, g: SpectralField, pad_factor: float = 1.5) -> SpectralField:
+    """Pointwise physical product via zero-padded real transforms.
+
+    Both factors are synthesized on a ``pad_factor * m`` grid, multiplied
+    there and analysed back.  Padding to 3m/2 already keeps every aliased
+    contribution of the quadratic product off the retained modes
+    (Orszag, "On the elimination of aliasing in finite-difference schemes
+    by filtering high-wavenumber components", J. Atmos. Sci. 28, 1971), so
+    the retained coefficients are the exact (plane-truncated) convolution
+    sum.  Scalar*scalar and scalar*vector are supported; the zero mode of
+    the product is retained.
+
+    The transforms are real-to-complex: only the k2 >= 0 half of each
+    spectrum is padded and transformed.  A factor whose anti-Hermitian
+    part is at rounding level (1e-12 of its largest component) is taken
+    as real.  Any other factor is split by linearity into its real and
+    imaginary physical parts, each Hermitian, so a complex product costs
+    up to four real ones and the result is the same convolution sum.
+
+    The product lives on the symmetric box: the unpaired k = -m/2 edge is
+    ignored in the inputs (every mode constructor and sampler here keeps
+    it empty) and zero in the output, so products of real fields stay
+    real.
     """
     if f.lattice != g.lattice:
         raise ValueError(f"incompatible lattices: {f.lattice} vs {g.lattice}")
-    if pad_factor < 2:
-        raise ValueError("pad_factor must be at least 2 for exact dealiasing")
+    if pad_factor < 1.5:
+        raise ValueError("pad_factor must be at least 3/2 for exact dealiasing")
     if f.rank > g.rank:
         f, g = g, f
     if f.rank != 0:
         raise ValueError("one factor must be scalar")
     m = f.lattice.m
-    p = pad_factor * m
-    # padded arrays are throwaways, so the transforms may scribble on them
-    # and the product happens in place; at large m the peak working set is
-    # what decides whether this runs at all
-    fp = _ifft2(_pad_coeffs(f.coeffs, m, p), overwrite=True)
+    grid = 2 * math.ceil(pad_factor * m / 2)
+    fp = [_real_synthesis(part, grid) for part in _hermitian_parts(f.coeffs)]
     if g.rank == 0:
-        gp = _ifft2(_pad_coeffs(g.coeffs, m, p), overwrite=True)
-        gp *= fp
-        out = _crop_coeffs(_fft2(gp, overwrite=True), m)
+        out = _padded_product(fp, g.coeffs, grid)
     else:
-        comps = []
-        for idx in np.ndindex(*g.coeffs.shape[:-2]):
-            gp = _ifft2(_pad_coeffs(g.coeffs[idx], m, p), overwrite=True)
-            gp *= fp
-            comps.append(_crop_coeffs(_fft2(gp, overwrite=True), m))
-        out = np.stack(comps).reshape(g.coeffs.shape)
-    return SpectralField(f.lattice, strip_unpaired_edge(out))
+        out = np.stack(
+            [_padded_product(fp, g.coeffs[idx], grid) for idx in np.ndindex(*g.coeffs.shape[:-2])]
+        ).reshape(g.coeffs.shape)
+    return SpectralField(f.lattice, out)
+
+
+def _padded_product(fp: list[np.ndarray], gc: np.ndarray, grid: int) -> np.ndarray:
+    """Coefficients of ``f * g`` from f's padded physical parts and g's coefficients.
+
+    Real factors take one padded product, done in place on the throwaway
+    padded array: at large m the peak working set is what decides whether
+    this runs at all.  Otherwise ``(fr + i fi) * (gr + i gi)`` is expanded
+    into real products, an absent imaginary part counting as zero.
+    """
+    m = gc.shape[-1]
+    gp = [_real_synthesis(part, grid) for part in _hermitian_parts(gc)]
+    if len(fp) == len(gp) == 1:
+        gp[0] *= fp[0]
+        return _real_analysis(gp[0], m)
+    fr, fi = fp if len(fp) == 2 else (fp[0], 0.0)
+    gr, gi = gp if len(gp) == 2 else (gp[0], 0.0)
+    return _real_analysis(fr * gr - fi * gi, m) + 1j * _real_analysis(fr * gi + fi * gr, m)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,68 @@ def test_indices():
     assert idx.s == pytest.approx(-0.5)
 
 
+def reference_shell_profile(field, s, p, partition):
+    """One full complex inverse transform per shell, then the L^p sum."""
+    out = []
+    area = field.lattice.quadrature_weight
+    for j in partition.shells:
+        proj = field.coeffs * partition.ring_values(j)
+        if not proj.any():
+            out.append((j, 0.0))
+            continue
+        samples = SpectralField(field.lattice, proj).physical()
+        out.append((j, 2.0 ** (s * j) * lp_norm(samples, p, area)))
+    return out
+
+
+def complex_mean_zero_field(lattice, rng):
+    m = lattice.m
+    c = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    c[0, 0] = 0.0
+    return SpectralField(lattice, c / (1.0 + lattice.radius) ** 2)
+
+
+@pytest.mark.parametrize("p", [4.0, 8.0, math.inf])
+@pytest.mark.parametrize("hermitian", [True, False])
+def test_shell_profile_matches_complex_transform_loop(lattice128, partition128, p, hermitian):
+    rng = np.random.default_rng(27)
+    if hermitian:
+        f = random_mean_zero_field(lattice128, rng)
+    else:
+        f = complex_mean_zero_field(lattice128, rng)
+        assert f.hermitian_defect() > 1e-3
+    s = -0.5
+    got = shell_profile(f, s, p, partition128)
+    want = reference_shell_profile(f, s, p, partition128)
+    assert [j for j, _ in got] == [j for j, _ in want]
+    for (_, a), (_, b) in zip(got, want):
+        assert abs(a - b) <= 1e-13 * max(abs(a), abs(b))
+    for q in (2.0, math.inf):
+        vals = [v for _, v in want]
+        ref = max(vals) if math.isinf(q) else math.fsum(v**q for v in vals) ** (1.0 / q)
+        norm = besov_norm(f, BesovIndex(s, p, q), partition128)
+        assert norm == pytest.approx(ref, rel=1e-13)
+
+
+def test_coverage_is_computed_once(lattice128):
+    narrow = build_partition(lattice128, j_min=0, j_max=2)
+    cov = narrow.coverage()
+    assert narrow.coverage() is cov
+    assert not cov.flags.writeable
+    r = lattice128.radius
+    fresh = narrow.step(r * 2.0 ** (-narrow.j_max)) - narrow.step(r * 2.0 ** (1 - narrow.j_min))
+    assert np.array_equal(cov, fresh)
+    # window_defect against the closed form rebuilt from scratch, twice so
+    # the second call reads the cached coverage
+    rng = np.random.default_rng(28)
+    f = random_mean_zero_field(lattice128, rng)
+    mass = np.abs(f.coeffs) ** 2
+    mass[0, 0] = 0.0
+    want = float(mass[fresh < 1.0 - 1e-9].sum()) / float(mass.sum())
+    assert narrow.window_defect(f) == want
+    assert narrow.window_defect(f) == want
+
+
 def test_partition_of_unity(lattice128, partition128):
     cov = partition128.coverage()
     r = lattice128.radius

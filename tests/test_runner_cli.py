@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from sqglab import spectral
 from sqglab.cli import main
 from sqglab.reports import ExperimentReport, Table, Verdict, emit_report, format_value
 from sqglab.runner import ExperimentConfig, config_from_dict, load_config, run_experiment
@@ -153,6 +154,22 @@ def test_solve_pipeline_small():
     cfg = config_from_dict({"experiment": "solve", "m": 32, "samples": 50})
     rep = run_experiment(cfg, write=False)
     assert rep.passed, [v.line() for v in rep.verdicts]
+
+
+def test_solve_report_bytes_independent_of_fft_workers(tmp_path):
+    workers = spectral._FFT_WORKERS
+    emitted = []
+    try:
+        for n in (1, 2):
+            spectral.set_fft_workers(n)
+            out = tmp_path / f"workers{n}"
+            run_experiment(config_from_dict(
+                {"experiment": "solve", "m": 32, "samples": 50, "out_dir": str(out)}
+            ))
+            emitted.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    finally:
+        spectral.set_fft_workers(workers)
+    assert emitted[0] and emitted[0] == emitted[1]
 
 
 def test_pipeline_validation_errors():

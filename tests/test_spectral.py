@@ -4,6 +4,8 @@ dyadic rescaling, and field snapshots."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.signal import convolve2d
 
 from sqglab.sampling import random_mean_zero_field
@@ -18,6 +20,7 @@ from sqglab.spectral import (
     neg_laplacian,
     riesz_velocity,
     save_field,
+    strip_unpaired_edge,
 )
 
 
@@ -33,6 +36,17 @@ def direct_convolution(f: SpectralField, g: SpectralField) -> np.ndarray:
     box[0, :] = 0.0
     box[:, 0] = 0.0
     return np.fft.ifftshift(box)
+
+
+def box_field(lattice: FrequencyLattice, rng, hermitian: bool, rank: int = 0) -> SpectralField:
+    """Random complex coefficients on the symmetric box (unpaired edge empty),
+    symmetrized to a real field when ``hermitian``."""
+    shape = (2,) * rank + (lattice.m, lattice.m)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if hermitian:
+        mirror = np.roll(np.flip(c, axis=(-2, -1)), 1, axis=(-2, -1))
+        c = 0.5 * (c + np.conj(mirror))
+    return SpectralField(lattice, strip_unpaired_edge(c))
 
 
 # -- lattice -----------------------------------------------------------------
@@ -147,6 +161,43 @@ def test_multiply_matches_direct_convolution(m, seed):
     want = direct_convolution(f, g)
     scale = np.max(np.abs(want))
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.sampled_from([8, 16]),
+    seed=st.integers(0, 2**32 - 1),
+    f_real=st.booleans(),
+    g_real=st.booleans(),
+    vector=st.booleans(),
+)
+def test_multiply_matches_direct_convolution_property(m, seed, f_real, g_real, vector):
+    # real factors take the real-to-complex route, complex ones the split
+    # into real and imaginary parts; both must give the convolution sum
+    lat = FrequencyLattice(m=m, h_xi=0.5)
+    rng = np.random.default_rng(seed)
+    f = box_field(lat, rng, f_real)
+    g = box_field(lat, rng, g_real, rank=int(vector))
+    got = multiply(f, g).coeffs
+    for idx in np.ndindex(*g.coeffs.shape[:-2]):
+        want = direct_convolution(f, SpectralField(lat, g.coeffs[idx]))
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got[idx] - want)) <= 1e-12 * scale
+
+
+def test_multiply_of_real_fields_is_exactly_hermitian(field_pair):
+    f, g = field_pair
+    assert multiply(f, g).hermitian_defect() == 0.0
+
+
+def test_multiply_ignores_unpaired_input_edge(field_pair):
+    f, g = field_pair
+    c = f.coeffs.copy()
+    half = f.lattice.m // 2
+    c[half, 3] = 1.0 + 2.0j
+    c[5, half] = -0.5
+    edged = SpectralField(f.lattice, c)
+    assert np.array_equal(multiply(edged, g).coeffs, multiply(f, g).coeffs)
 
 
 def test_multiply_single_modes():
