@@ -93,6 +93,7 @@ class DyadicPartition:
         self.j_min = int(j_min)
         self.j_max = int(j_max)
         self._ring_cache: dict[int, np.ndarray] = {}
+        self._extent_cache: dict[int, int] = {}
         self._coverage: np.ndarray | None = None
 
     @property
@@ -110,6 +111,22 @@ class DyadicPartition:
         if len(self._ring_cache) < 32:
             self._ring_cache[j] = vals
         return vals
+
+    def ring_extent(self, j: int) -> int:
+        """Largest per-axis index ``|k|`` at which ``phi_j`` is non-zero.
+
+        Read from the lattice ring array itself, not from its support
+        interval, and cached beside it.
+        """
+        cached = self._extent_cache.get(j)
+        if cached is not None:
+            return cached
+        live = self.ring_values(j) != 0.0
+        k = np.abs(self.lattice.k1[:, 0])
+        extent = int(max(k[live.any(axis=1)].max(initial=0), k[live.any(axis=0)].max(initial=0)))
+        if len(self._extent_cache) < 32:
+            self._extent_cache[j] = extent
+        return extent
 
     def support_interval(self, j: int) -> tuple[float, float]:
         """Open radial interval on which ``phi_j`` can be nonzero."""
@@ -194,11 +211,66 @@ def shell_project(field: SpectralField, partition: DyadicPartition, j: int) -> S
 
 
 def lp_norm(samples: np.ndarray, p: float, cell_area: float) -> float:
-    """L^p quadrature norm of physical samples (sup norm for p = inf)."""
-    mags = np.abs(samples)
+    """L^p quadrature norm of physical samples (sup norm for p = inf).
+
+    Real samples and an even integer p take the power by repeated squaring
+    of ``samples**2``, which is exact to a few roundings and much cheaper
+    than a float ``pow`` per sample.
+    """
     if math.isinf(p):
-        return float(mags.max())
-    return float((cell_area * np.sum(mags**p)) ** (1.0 / p))
+        return float(np.abs(samples).max())
+    if p % 2 == 0 and not np.iscomplexobj(samples):
+        powered = _even_power(samples, int(p))
+    else:
+        powered = np.abs(samples) ** p
+    return float((cell_area * np.sum(powered)) ** (1.0 / p))
+
+
+def _even_power(x: np.ndarray, p: int) -> np.ndarray:
+    """``x**p`` for even ``p >= 2``, by binary powering of ``x * x``."""
+    base = x * x
+    n = p // 2
+    result = None
+    while True:
+        if n & 1:
+            result = base if result is None else result * base
+        n >>= 1
+        if not n:
+            return result
+        base = base * base
+
+
+def _ring_box(c: np.ndarray, ring: np.ndarray, n: int) -> np.ndarray:
+    """``ring * c`` on the ``|k| < n/2`` box, as an ``(n, n)`` array in the
+    FFT layout of ``c``; its k = -n/2 row and column are zero.
+
+    Only the box is read and multiplied; ``n`` equal to the lattice size
+    gives the whole product.
+    """
+    m = c.shape[-1]
+    if n == m:
+        return c * ring
+    h = n // 2
+    lo, hi = slice(0, h), slice(m - h + 1, m)
+    out = np.zeros((n, n), dtype=c.dtype)
+    for src1, dst1 in ((lo, lo), (hi, slice(h + 1, n))):
+        for src2, dst2 in ((lo, lo), (hi, slice(h + 1, n))):
+            np.multiply(c[src1, src2], ring[src1, src2], out=out[dst1, dst2])
+    return out
+
+
+def _shell_grid(extent: int, p: float, m: int) -> int:
+    """Grid size on which a shell of per-axis band ``extent`` is summed.
+
+    For an even integer ``p``: the smallest power of two above
+    ``p * extent``, at most ``m``.  Any other ``p``: ``m``.
+    """
+    if math.isinf(p) or p % 2:
+        return m
+    grid = 2
+    while grid <= p * extent and grid < m:
+        grid *= 2
+    return grid
 
 
 def _check_mean_zero(field: SpectralField) -> None:
@@ -219,11 +291,23 @@ def shell_profile(
 ) -> list[tuple[int, float]]:
     """Per-shell weighted norms ``(j, 2**(s j) * ||phi_j * f||_p)``.
 
-    Each shell is synthesized on the lattice's own m x m grid with a
-    real-to-complex inverse transform of its k2 >= 0 half.  The rings are
-    real and radial, so a real field has real shells.  A field whose
-    anti-Hermitian part exceeds rounding level (1e-12 of its largest
-    coefficient component) is split by linearity into its real and
+    Shell j is cropped to the box ``|k| <= K_j`` on which its ring lives
+    (:meth:`DyadicPartition.ring_extent`) and synthesized with a
+    real-to-complex inverse transform of its k2 >= 0 half on an
+    ``M_j x M_j`` grid, with quadrature weight ``(L/M_j)**2``.  For an even
+    integer p, ``M_j`` is the smallest power of two with
+    ``p * K_j < M_j <= m``; for any other p it is the lattice's own m.
+    That is exact, not an approximation: with g the shell,
+    ``|g|**p = (|g|**2)**(p/2)`` is a trigonometric polynomial of
+    per-axis band ``p * K_j``, so on any grid finer than that band no
+    non-zero mode aliases onto the zero mode, and the L^p sum equals
+    ``L**2`` times that mode (Parseval), i.e. the exact integral, on the
+    ``M_j`` grid and on the m grid alike.  Low shells of a large lattice
+    are thus summed on grids of a few dozen points.
+
+    The rings are real and radial, so a real field has real shells.  A
+    field whose anti-Hermitian part exceeds rounding level (1e-12 of its
+    largest coefficient component) is split by linearity into its real and
     imaginary physical parts, and the shell's modulus is the ``hypot`` of
     their two syntheses.
 
@@ -234,17 +318,19 @@ def shell_profile(
     _check_mean_zero(field)
     out: list[tuple[int, float]] = []
     m = field.lattice.m
-    area = field.lattice.quadrature_weight
     parts = _hermitian_parts(field.coeffs)
     for j in partition.shells:
+        extent = partition.ring_extent(j)
         ring = partition.ring_values(j)
-        projs = [part * ring for part in parts]
+        projs = [_ring_box(part, ring, min(2 * extent + 2, m)) for part in parts]
         if not any(proj.any() for proj in projs):
             out.append((j, 0.0))
             continue
-        samples = [_real_synthesis(proj, m) for proj in projs]
+        grid = _shell_grid(extent, p, m)
+        cell = field.lattice.box_length / grid
+        samples = [_real_synthesis(proj, grid) for proj in projs]
         mags = samples[0] if len(samples) == 1 else np.hypot(*samples)
-        out.append((j, 2.0 ** (s * j) * lp_norm(mags, p, area)))
+        out.append((j, 2.0 ** (s * j) * lp_norm(mags, p, cell * cell)))
     return out
 
 

@@ -135,13 +135,6 @@ class FrequencyLattice:
         return f"FrequencyLattice(m={self.m}, h_xi={self.h_xi})"
 
 
-def _as_readonly(a: np.ndarray) -> np.ndarray:
-    out = np.asarray(a, dtype=np.complex128)
-    out = out.copy()
-    out.flags.writeable = False
-    return out
-
-
 @dataclass(frozen=True)
 class SpectralField:
     """Immutable set of Fourier coefficients on a :class:`FrequencyLattice`.
@@ -157,13 +150,29 @@ class SpectralField:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        c = _as_readonly(self.coeffs)
+        # the caller may still hold (and later write to) the array it passed
+        self._freeze(np.array(self.coeffs, dtype=np.complex128))
+
+    @classmethod
+    def _adopt(cls, lattice: FrequencyLattice, coeffs: np.ndarray) -> "SpectralField":
+        """Wrap a fresh array that no caller holds, without copying it.
+
+        For operators that build their output array themselves; the array
+        is made read-only in place.
+        """
+        field = object.__new__(cls)
+        object.__setattr__(field, "lattice", lattice)
+        field._freeze(np.asarray(coeffs, dtype=np.complex128))
+        return field
+
+    def _freeze(self, c: np.ndarray) -> None:
         m = self.lattice.m
         if c.shape not in ((m, m), (2, m, m), (2, 2, m, m)):
             raise ValueError(
                 f"coefficient shape {c.shape} does not match lattice m={m} "
                 "(expected (m,m), (2,m,m) or (2,2,m,m))"
             )
+        c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
 
     # -- construction ------------------------------------------------------
@@ -253,19 +262,19 @@ class SpectralField:
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         self._check_compatible(other)
-        return SpectralField(self.lattice, self.coeffs + other.coeffs)
+        return SpectralField._adopt(self.lattice, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         self._check_compatible(other)
-        return SpectralField(self.lattice, self.coeffs - other.coeffs)
+        return SpectralField._adopt(self.lattice, self.coeffs - other.coeffs)
 
     def __mul__(self, scalar: complex) -> "SpectralField":
-        return SpectralField(self.lattice, self.coeffs * scalar)
+        return SpectralField._adopt(self.lattice, self.coeffs * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SpectralField":
-        return SpectralField(self.lattice, -self.coeffs)
+        return SpectralField._adopt(self.lattice, -self.coeffs)
 
     def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
         return SpectralField(self.lattice, coeffs)
@@ -367,7 +376,7 @@ def apply_symbol(field: SpectralField, multiplier: Multiplier) -> SpectralField:
             f"(alpha={multiplier.alpha}); lattice {field.lattice} cannot "
             "resolve this symbol"
         )
-    return SpectralField(field.lattice, out)
+    return SpectralField._adopt(field.lattice, out)
 
 
 def inverse_laplacian(field: SpectralField) -> SpectralField:
@@ -394,7 +403,7 @@ def divergence(vec: SpectralField) -> SpectralField:
         raise ValueError("divergence needs a vector field")
     lat = vec.lattice
     out = 1j * lat.xi1 * vec.coeffs[0] + 1j * lat.xi2 * vec.coeffs[1]
-    return SpectralField(lat, out)
+    return SpectralField._adopt(lat, out)
 
 
 # ---------------------------------------------------------------------------
@@ -417,14 +426,14 @@ def dyadic_rescale(
         raise ValueError("dyadic_rescale is defined for scalar fields")
     lam_pow = int(exponent)
     if lam_pow == 0:
-        return SpectralField(field.lattice, field.coeffs)
+        return field
     m = field.lattice.m
     half = m // 2
     c = field.coeffs
     idx1, idx2 = np.nonzero(c)
     out = np.zeros_like(c)
     if idx1.size == 0:
-        return SpectralField(field.lattice, out)
+        return SpectralField._adopt(field.lattice, out)
     k1 = np.where(idx1 < half, idx1, idx1 - m).astype(np.int64)
     k2 = np.where(idx2 < half, idx2, idx2 - m).astype(np.int64)
     if lam_pow >= 0:
@@ -444,7 +453,7 @@ def dyadic_rescale(
         )
     amp = 2.0 ** (lam_pow * amplitude_power)
     out[n1 % m, n2 % m] = amp * c[idx1, idx2]
-    return SpectralField(field.lattice, out)
+    return SpectralField._adopt(field.lattice, out)
 
 
 # ---------------------------------------------------------------------------
@@ -595,7 +604,7 @@ def multiply(f: SpectralField, g: SpectralField, pad_factor: float = 1.5) -> Spe
         out = np.stack(
             [_padded_product(fp, g.coeffs[idx], grid) for idx in np.ndindex(*g.coeffs.shape[:-2])]
         ).reshape(g.coeffs.shape)
-    return SpectralField(f.lattice, out)
+    return SpectralField._adopt(f.lattice, out)
 
 
 def _padded_product(fp: list[np.ndarray], gc: np.ndarray, grid: int) -> np.ndarray:

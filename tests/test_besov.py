@@ -8,6 +8,7 @@ import pytest
 from sqglab.besov import (
     BesovIndex,
     WindowCoverageWarning,
+    _shell_grid,
     besov_norm,
     bony_split,
     build_partition,
@@ -49,26 +50,62 @@ def complex_mean_zero_field(lattice, rng):
     return SpectralField(lattice, c / (1.0 + lattice.radius) ** 2)
 
 
-@pytest.mark.parametrize("p", [4.0, 8.0, math.inf])
+@pytest.fixture(scope="module")
+def lattice256():
+    return FrequencyLattice(m=256, h_xi=0.125)
+
+
+@pytest.fixture(scope="module")
+def partition256(lattice256):
+    return build_partition(lattice256)
+
+
+@pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 6.0, 8.0, math.inf])
 @pytest.mark.parametrize("hermitian", [True, False])
-def test_shell_profile_matches_complex_transform_loop(lattice128, partition128, p, hermitian):
+def test_shell_profile_matches_complex_transform_loop(lattice256, partition256, p, hermitian):
+    # even p sums low shells on band-sized grids; p = 3 and inf stay on m x m
     rng = np.random.default_rng(27)
     if hermitian:
-        f = random_mean_zero_field(lattice128, rng)
+        f = random_mean_zero_field(lattice256, rng)
     else:
-        f = complex_mean_zero_field(lattice128, rng)
+        f = complex_mean_zero_field(lattice256, rng)
         assert f.hermitian_defect() > 1e-3
     s = -0.5
-    got = shell_profile(f, s, p, partition128)
-    want = reference_shell_profile(f, s, p, partition128)
+    got = shell_profile(f, s, p, partition256)
+    want = reference_shell_profile(f, s, p, partition256)
     assert [j for j, _ in got] == [j for j, _ in want]
     for (_, a), (_, b) in zip(got, want):
+        assert b > 0.0
         assert abs(a - b) <= 1e-13 * max(abs(a), abs(b))
     for q in (2.0, math.inf):
         vals = [v for _, v in want]
         ref = max(vals) if math.isinf(q) else math.fsum(v**q for v in vals) ** (1.0 / q)
-        norm = besov_norm(f, BesovIndex(s, p, q), partition128)
+        norm = besov_norm(f, BesovIndex(s, p, q), partition256)
         assert norm == pytest.approx(ref, rel=1e-13)
+
+
+def test_shell_grids_are_band_sized(lattice256, partition256):
+    extents = [partition256.ring_extent(j) for j in partition256.shells]
+    grids = [_shell_grid(k, 4.0, lattice256.m) for k in extents]
+    assert grids == [8, 16, 32, 64, 128, 256, 256, 256, 256]
+    assert [_shell_grid(k, 3.0, lattice256.m) for k in extents] == [256] * 9
+    assert [_shell_grid(k, math.inf, lattice256.m) for k in extents] == [256] * 9
+    # the band is read off the ring: nothing outside |k| <= K, something on it
+    k1, k2 = lattice256.k1, lattice256.k2
+    for j, extent in zip(partition256.shells, extents):
+        ring = partition256.ring_values(j)
+        reach = np.maximum(np.abs(k1), np.abs(k2))
+        assert not ring[reach > extent].any()
+        assert ring[reach == extent].any()
+
+
+@pytest.mark.parametrize("p", [2, 4, 6, 8])
+def test_lp_norm_even_powers_match_float_pow(p):
+    rng = np.random.default_rng(30)
+    x = rng.standard_normal((64, 64)) * 3.0
+    assert (x < 0).any()
+    want = float((0.5 * np.sum(np.abs(x) ** float(p))) ** (1.0 / p))
+    assert lp_norm(x, float(p), 0.5) == pytest.approx(want, rel=1e-14)
 
 
 def test_coverage_is_computed_once(lattice128):

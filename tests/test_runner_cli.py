@@ -172,6 +172,26 @@ def test_solve_report_bytes_independent_of_fft_workers(tmp_path):
     assert emitted[0] and emitted[0] == emitted[1]
 
 
+def test_step1_report_bytes_independent_of_fft_workers(tmp_path):
+    workers = spectral._FFT_WORKERS
+    emitted = []
+    try:
+        for n in (1, 2):
+            spectral.set_fft_workers(n)
+            out = tmp_path / f"workers{n}"
+            run_experiment(config_from_dict({
+                "experiment": "illpose-step1",
+                "m": 128,
+                "h_xi": 0.25,
+                "size_range": [4, 5],
+                "out_dir": str(out),
+            }))
+            emitted.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    finally:
+        spectral.set_fft_workers(workers)
+    assert emitted[0] and emitted[0] == emitted[1]
+
+
 def test_pipeline_validation_errors():
     with pytest.raises(ValueError, match="ball_fraction"):
         run_experiment(

@@ -7,15 +7,17 @@ import numpy as np
 import pytest
 
 from sqglab.besov import BesovIndex, besov_norm, build_partition
-from sqglab.bilinear import quadratic_diagonal
+from sqglab.bilinear import bilinear_block, quadratic_diagonal
+from sqglab.sampling import random_mean_zero_field
 from sqglab.solver import (
     ConstantsReport,
     SolveConfig,
+    _iterate,
     estimate_constants,
     perturbation_solve,
     picard_solve,
 )
-from sqglab.spectral import SpectralField
+from sqglab.spectral import SpectralField, inverse_laplacian, neg_laplacian
 
 
 def small_forcing(lattice, amplitude=0.01):
@@ -114,6 +116,70 @@ def test_perturbation_reassembles_the_fixed_point(lattice32, partition32):
     assert gap <= 1e-9 * ft.norms[-1]
     # the correction is quadratically small against the leading term
     assert besov_norm(tilde, cfg.index, partition32) < 0.01 * ft.norms[-1]
+
+
+def test_picard_trace_is_bitwise_the_recomputing_loop(lattice32, partition32):
+    # the carried quadratic term must give the very bits of a loop that
+    # evaluates B[theta, theta] afresh in both the step and the defect
+    f = small_forcing(lattice32, 0.2)
+    cfg = SolveConfig(tol=1e-12)
+    lf = inverse_laplacian(f)
+
+    def step(theta):
+        return lf - quadratic_diagonal(theta)
+
+    def pde_defect(theta):
+        defect = neg_laplacian(theta) + neg_laplacian(quadratic_diagonal(theta)) - f
+        return besov_norm(defect, cfg.data_index, partition32)
+
+    start = SpectralField.zeros(lattice32)
+    want_theta, want = _iterate(start, step, pde_defect, cfg, partition32)
+    got_theta, got = picard_solve(f, cfg, partition=partition32)
+    assert want.verdict == got.verdict == "converged"
+    assert got.iterations == want.iterations > 5
+    assert got.norms == want.norms
+    assert got.residuals == want.residuals
+    assert got.pde_residuals == want.pde_residuals
+    assert np.array_equal(got_theta.coeffs, want_theta.coeffs)
+
+
+def test_one_block_step_matches_block_plus_diagonal(lattice32):
+    rng = np.random.default_rng(42)
+    b = random_mean_zero_field(lattice32, rng, decay=1.0)
+    t = 0.1 * random_mean_zero_field(lattice32, rng, decay=1.0)
+    got = bilinear_block(2.0 * b + t, t).coeffs
+    want = (2.0 * bilinear_block(b, t) + quadratic_diagonal(t)).coeffs
+    scale = np.max(np.abs(want))
+    assert scale > 0.0
+    assert np.max(np.abs(got - want)) <= 1e-12 * scale
+
+
+def test_perturbation_keeps_verdict_and_iterations(lattice32, partition32):
+    # against the three-product step 2 B[base, t] + B[t, t]
+    f = small_forcing(lattice32, 0.2)
+    cfg = SolveConfig(tol=1e-12)
+    theta1 = inverse_laplacian(f)
+    theta2 = -1.0 * quadratic_diagonal(theta1)
+    base = theta1 + theta2
+    source = -1.0 * (2.0 * bilinear_block(theta1, theta2) + quadratic_diagonal(theta2))
+
+    def step(tilde):
+        return source - (2.0 * bilinear_block(base, tilde) + quadratic_diagonal(tilde))
+
+    def pde_defect(tilde):
+        total = base + tilde
+        defect = neg_laplacian(total) + neg_laplacian(quadratic_diagonal(total)) - f
+        return besov_norm(defect, cfg.data_index, partition32)
+
+    start = SpectralField.zeros(lattice32)
+    want_tilde, want = _iterate(start, step, pde_defect, cfg, partition32)
+    got_tilde, got = perturbation_solve(theta1, theta2, cfg, partition=partition32)
+    assert want.verdict == got.verdict == "converged"
+    assert got.iterations == want.iterations > 5
+    scale = besov_norm(want_tilde, cfg.index, partition32)
+    assert besov_norm(got_tilde - want_tilde, cfg.index, partition32) <= 1e-12 * scale
+    for a, b in zip(got.norms, want.norms):
+        assert a == pytest.approx(b, rel=1e-10)
 
 
 def test_constants_report_checks_thresholds():

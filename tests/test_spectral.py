@@ -103,6 +103,37 @@ def test_random_field_is_real_and_mean_zero(lattice32):
     f.physical_real()  # must not raise
 
 
+def test_constructor_copies_and_operator_outputs_are_frozen(lattice32):
+    rng = np.random.default_rng(2)
+    c = random_mean_zero_field(lattice32, rng).coeffs.copy()
+    f = SpectralField(lattice32, c)
+    before = f.coeffs.copy()
+    c[1, 2] = 7.0
+    assert np.array_equal(f.coeffs, before)
+    assert not f.coeffs.flags.writeable
+    g = random_mean_zero_field(lattice32, rng)
+    outputs = [
+        f + g,
+        f - g,
+        2.0 * f,
+        f * 2.0,
+        -f,
+        neg_laplacian(f),
+        riesz_velocity(f),
+        divergence(riesz_velocity(f)),
+        multiply(f, g),
+        multiply(f, riesz_velocity(g)),
+        dyadic_rescale(SpectralField.cosine(lattice32, (2, 4)), 1),
+        dyadic_rescale(SpectralField.cosine(lattice32, (2, 4)), -1),
+    ]
+    for out in outputs:
+        assert not out.coeffs.flags.writeable
+        assert out.coeffs.dtype == np.complex128
+    assert np.array_equal(f.coeffs, before)
+    with pytest.raises(ValueError, match="does not match lattice"):
+        SpectralField._adopt(lattice32, np.zeros((16, 16), dtype=np.complex128))
+
+
 def test_mismatched_lattice_rejected(lattice32):
     other = FrequencyLattice(m=64, h_xi=0.25)
     with pytest.raises(ValueError, match="incompatible lattices"):
