@@ -9,6 +9,7 @@ import pytest
 from sqglab.besov import BesovIndex, besov_norm, build_partition
 from sqglab.bilinear import bilinear_block, quadratic_diagonal
 from sqglab.sampling import random_mean_zero_field
+from sqglab import solver
 from sqglab.solver import (
     ConstantsReport,
     SolveConfig,
@@ -118,7 +119,7 @@ def test_perturbation_reassembles_the_fixed_point(lattice32, partition32):
     assert besov_norm(tilde, cfg.index, partition32) < 0.01 * ft.norms[-1]
 
 
-def test_picard_trace_is_bitwise_the_recomputing_loop(lattice32, partition32):
+def test_picard_trace_is_bitwise_the_recomputing_loop(lattice32, partition32, monkeypatch):
     # the carried quadratic term must give the very bits of a loop that
     # evaluates B[theta, theta] afresh in both the step and the defect
     f = small_forcing(lattice32, 0.2)
@@ -134,9 +135,17 @@ def test_picard_trace_is_bitwise_the_recomputing_loop(lattice32, partition32):
 
     start = SpectralField.zeros(lattice32)
     want_theta, want = _iterate(start, step, pde_defect, cfg, partition32)
+    evaluations = []
+
+    def counted(theta):
+        evaluations.append(theta)
+        return quadratic_diagonal(theta)
+
+    monkeypatch.setattr(solver, "quadratic_diagonal", counted)
     got_theta, got = picard_solve(f, cfg, partition=partition32)
     assert want.verdict == got.verdict == "converged"
     assert got.iterations == want.iterations > 5
+    assert len(evaluations) == got.iterations + 1
     assert got.norms == want.norms
     assert got.residuals == want.residuals
     assert got.pde_residuals == want.pde_residuals
