@@ -21,7 +21,6 @@ from .besov import (
     shell_project,
 )
 from .bilinear import (
-    BilinearForm,
     bilinear_block,
     bilinear_quadrature,
     coupling_tensor,
@@ -63,9 +62,7 @@ from .solver import (
 )
 from .spectral import (
     FrequencyLattice,
-    Multiplier,
     SpectralField,
-    divergence,
     dyadic_rescale,
     inverse_laplacian,
     load_field,
@@ -81,7 +78,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BesovIndex",
-    "BilinearForm",
     "ConstantsReport",
     "DyadicPartition",
     "EXPERIMENTS",
@@ -91,7 +87,6 @@ __all__ = [
     "FrequencyLattice",
     "InflationReport",
     "IterationTrace",
-    "Multiplier",
     "ProbeFunction",
     "SolveConfig",
     "SpectralField",
@@ -106,7 +101,6 @@ __all__ = [
     "build_probe",
     "calibrate_stride",
     "coupling_tensor",
-    "divergence",
     "dyadic_rescale",
     "estimate_constants",
     "hermitian_symmetrize",

@@ -7,10 +7,27 @@ quadratic map.  Three computational routes are kept side by side:
 * ``bilinear_quadrature``: the literal frequency quadrature, composing
   the coupling tensor with a double divergence.  O(m**4), small
   lattices only; this is the definitional oracle.
-* ``bilinear_block``: the symmetrized single-divergence form built from
-  dealiased products.  Works on any lattice and is the workhorse.
+* ``bilinear_block``: the symmetrized single-divergence form
+  (1/2) (-Delta)^{-1} div(f R^perp g + g R^perp f).  Works on any lattice
+  and is the workhorse.
 * ``quadratic_diagonal``: the single-divergence form for equal
-  arguments, one product cheaper than the block form.
+  arguments, one padded synthesis per velocity component cheaper than
+  the block form.
+
+Both fast forms run one fused kernel on the k2 >= 0 half-spectrum.  Each
+scalar factor and each Riesz-velocity component is padded straight from
+its half-spectrum to the 3m/2 grid, the velocity symbol applied during the
+padding copy, and synthesized with ``irfft2``.  The physical flux is formed
+one component at a time (for the block form the symmetrized sum is taken
+in physical space, so each component costs one ``rfft2``), analysed,
+contracted with ``i xi / |xi|^2`` on the half and accumulated; the
+Hermitian m x m output is rebuilt once.  At its peak the kernel holds
+three arrays of the padded size for the diagonal form (theta, the flux
+being formed, and the padded half feeding a transform or the transform's
+output) and five for the block form (f, g, the flux, one velocity
+component and its padded half).  Complex inputs are split by bilinearity
+into real and imaginary physical parts, each going through the same
+kernel.
 
 The three agree to rounding for mean-zero inputs; the test suite and
 the identity experiment hold them together.  Phase conventions (who
@@ -22,25 +39,22 @@ contraction carries the compensating factor of i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar
-
 import numpy as np
 
 from .spectral import (
     FrequencyLattice,
-    Multiplier,
     SpectralField,
-    apply_symbol,
-    divergence,
-    inverse_laplacian,
-    multiply,
+    _analysed_half,
+    _checked,
+    _hermitian_from_half,
+    _hermitian_parts,
+    _reciprocal,
+    _real_synthesis,
     riesz_velocity,
 )
 
 __all__ = [
     "QUADRATURE_SIZE_LIMIT",
-    "BilinearForm",
     "coupling_tensor",
     "bilinear_quadrature",
     "bilinear_block",
@@ -137,7 +151,8 @@ def bilinear_quadrature(f: SpectralField, g: SpectralField) -> SpectralField:
     symmetric in the arguments, mean-zero, and real for real inputs).
     """
     lat = _check_scalar_pair(f, g)
-    tensor = coupling_tensor(apply_symbol(f, Multiplier.power(-1.0)), riesz_velocity(g))
+    lift = SpectralField(lat, _reciprocal(lat.radius) * f.coeffs)
+    tensor = coupling_tensor(lift, riesz_velocity(g))
     t = tensor.coeffs
     contracted = (
         lat.xi1 * lat.xi1 * t[0, 0]
@@ -149,6 +164,75 @@ def bilinear_quadrature(f: SpectralField, g: SpectralField) -> SpectralField:
     return SpectralField(lat, 1j * weight * contracted)
 
 
+def _transport(fc: np.ndarray, gc: np.ndarray | None, lattice: FrequencyLattice) -> np.ndarray:
+    """Fused kernel: Hermitian coefficients of the quadratic form of real fields.
+
+    ``fc`` and ``gc`` are Hermitian (m, m) coefficient arrays.  With ``gc``
+    None this is (-Delta)^{-1} div(f R^perp f); otherwise
+    (1/2) (-Delta)^{-1} div(f R^perp g + g R^perp f), whose flux is summed
+    in physical space in an order that makes the result bitwise symmetric
+    in f and g.  Transforms: 3 ``irfft2`` + 2 ``rfft2`` for the diagonal,
+    6 + 2 for the block form.  Each flux array is freed before the next
+    one is made.  Non-finite values are left to the caller's check.
+    """
+    diagonal = gc is None
+    if diagonal:
+        gc = fc
+    m = lattice.m
+    h = m // 2
+    grid = 3 * h
+    xi = (lattice.xi1[:, :h], lattice.xi2[:, :h])
+    r = lattice.radius[:, :h]
+    lift = 1j * _reciprocal(r)
+    inv_r_sq = _reciprocal(r * r)
+    fp = _real_synthesis(fc, grid)
+    gp = fp if diagonal else _real_synthesis(gc, grid)
+    acc = np.zeros((m, h), dtype=np.complex128)
+    # Riesz velocity (-xi_2, xi_1) i / |xi|; component k of the flux is
+    # contracted with xi_k / |xi|^2 (the i goes on at the end)
+    for k, velocity in ((0, -xi[1]), (1, xi[0])):
+        symbol = lift * velocity
+        flux = _real_synthesis(gc, grid, symbol)
+        flux *= fp
+        if not diagonal:
+            u = _real_synthesis(fc, grid, symbol)
+            u *= gp
+            flux += u
+            del u
+        del symbol
+        acc += (xi[k] * inv_r_sq) * _analysed_half(flux, m)
+        del flux
+    acc *= 1j if diagonal else 0.5j
+    return _hermitian_from_half(acc)
+
+
+def _form(f: SpectralField, g: SpectralField | None) -> np.ndarray:
+    """Coefficients of B[f, g]; ``g`` None evaluates B[f, f] on the diagonal route.
+
+    Real inputs go straight through :func:`_transport`.  Complex ones are
+    split into Hermitian real and imaginary parts and combined by
+    bilinearity, B[a + ib, c + id] = B[a, c] - B[b, d] + i (B[a, d] + B[b, c]),
+    absent parts counting as zero; each sum is taken in an order symmetric
+    in f and g.
+    """
+    lat = f.lattice
+    fs = _hermitian_parts(f.coeffs)
+    gs = fs if g is None else _hermitian_parts(g.coeffs)
+
+    def real_form(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        return _transport(x, None if g is None and x is y else y, lat)
+
+    if len(fs) == len(gs) == 1:
+        return real_form(fs[0], gs[0])
+    a, b = (fs + (None,))[:2]
+    c, d = (gs + (None,))[:2]
+    out = real_form(a, c)
+    if b is not None and d is not None:
+        out -= real_form(b, d)
+    cross = [real_form(x, y) for x, y in ((a, d), (b, c)) if x is not None and y is not None]
+    return out + 1j * (cross[0] + cross[1] if len(cross) == 2 else cross[0])
+
+
 def bilinear_block(f: SpectralField, g: SpectralField) -> SpectralField:
     """Fast symmetrized single-divergence form, any lattice size.
 
@@ -156,45 +240,14 @@ def bilinear_block(f: SpectralField, g: SpectralField) -> SpectralField:
     + (grad^perp Lambda^{-1} f) g].  The underlying symbol identity does
     not use spectral localization, so this is a general fast path and
     not just a per-block one; the suite verifies that numerically
-    against the quadrature.
+    against the quadrature.  Symmetric in f and g bit for bit.
     """
-    _check_scalar_pair(f, g)
-    flux = multiply(f, riesz_velocity(g)) + multiply(g, riesz_velocity(f))
-    return inverse_laplacian(divergence(0.5 * flux))
+    lat = _check_scalar_pair(f, g)
+    return _checked(lat, _form(f, g), "bilinear_block")
 
 
 def quadratic_diagonal(theta: SpectralField) -> SpectralField:
     """(-Delta)^{-1} div(theta u) with u the Riesz velocity of theta."""
     if theta.rank != 0:
         raise ValueError("the bilinear form takes scalar fields")
-    flux = multiply(theta, riesz_velocity(theta))
-    return inverse_laplacian(divergence(flux))
-
-
-@dataclass(frozen=True)
-class BilinearForm:
-    """Pins which realization of the nonlinearity an experiment uses."""
-
-    lattice: FrequencyLattice
-    variant: str = "block-fast"
-
-    VARIANTS: ClassVar[tuple[str, ...]] = ("quadrature", "block-fast", "diagonal-fast")
-
-    def __post_init__(self) -> None:
-        if self.variant not in self.VARIANTS:
-            raise ValueError(f"unknown variant {self.variant!r}; pick one of {self.VARIANTS}")
-        if self.variant == "quadrature":
-            _check_quadrature_size(self.lattice)
-
-    def apply(self, f: SpectralField, g: SpectralField | None = None) -> SpectralField:
-        if f.lattice != self.lattice:
-            raise ValueError("field lattice does not match the form's lattice")
-        if self.variant == "diagonal-fast":
-            if g is not None and g is not f:
-                raise ValueError("the diagonal variant evaluates B[theta, theta] only")
-            return quadratic_diagonal(f)
-        if g is None:
-            g = f
-        if self.variant == "quadrature":
-            return bilinear_quadrature(f, g)
-        return bilinear_block(f, g)
+    return _checked(theta.lattice, _form(theta, None), "quadratic_diagonal")

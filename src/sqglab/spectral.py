@@ -25,12 +25,9 @@ import scipy.fft
 __all__ = [
     "FrequencyLattice",
     "SpectralField",
-    "Multiplier",
-    "apply_symbol",
     "inverse_laplacian",
     "neg_laplacian",
     "riesz_velocity",
-    "divergence",
     "dyadic_rescale",
     "multiply",
     "strip_unpaired_edge",
@@ -288,122 +285,57 @@ class SpectralField:
 # ---------------------------------------------------------------------------
 # Fourier multipliers
 # ---------------------------------------------------------------------------
+#
+# Homogeneous symbols are singular at the origin; their value at xi = 0 is
+# zero, which implements the mean-zero (quotient by constants) convention.
 
 
-@dataclass(frozen=True)
-class Multiplier:
-    """Symbol of a Fourier multiplier on the lattice.
+def _reciprocal(symbol: np.ndarray) -> np.ndarray:
+    """``1/symbol`` for a radial symbol such as ``|xi|`` or ``|xi|**2``, zero
+    at the origin.  Computed per call: caching it on the lattice would hold
+    one more m x m array for the rest of a run."""
+    return np.divide(1.0, symbol, out=np.zeros_like(symbol), where=symbol > 0.0)
 
-    Kinds: ``power`` is ``|xi|**alpha``, ``component`` is ``i*xi_axis``,
-    ``perp_gradient`` is the vector symbol ``i*(-xi_2, xi_1)`` (raises the
-    rank by one), ``product`` composes factors.  Homogeneous symbols are
-    singular at the origin; the value at ``xi = 0`` is defined to be zero,
-    which implements the mean-zero (quotient by constants) convention.
+
+def _checked(lattice: FrequencyLattice, out: np.ndarray, operator: str) -> SpectralField:
+    """Wrap an operator's fresh output, refusing non-finite amplitudes.
+
+    A non-finite amplitude means the operator blew up on this lattice
+    (a symbol against near-zero frequencies, or a product overflowing).
     """
-
-    kind: str
-    alpha: float = 0.0
-    axis: int = 0
-    factors: tuple["Multiplier", ...] = ()
-
-    @classmethod
-    def power(cls, alpha: float) -> "Multiplier":
-        return cls(kind="power", alpha=float(alpha))
-
-    @classmethod
-    def component(cls, axis: int) -> "Multiplier":
-        if axis not in (0, 1):
-            raise ValueError("axis must be 0 or 1")
-        return cls(kind="component", axis=axis)
-
-    @classmethod
-    def perp_gradient(cls) -> "Multiplier":
-        return cls(kind="perp_gradient")
-
-    @classmethod
-    def product(cls, *factors: "Multiplier") -> "Multiplier":
-        vec = sum(f.raises_rank for f in factors)
-        if vec > 1:
-            raise ValueError("at most one vector-valued factor in a product")
-        return cls(kind="product", factors=tuple(factors))
-
-    @property
-    def raises_rank(self) -> bool:
-        if self.kind == "perp_gradient":
-            return True
-        if self.kind == "product":
-            return any(f.raises_rank for f in self.factors)
-        return False
-
-    def values(self, lattice: FrequencyLattice) -> np.ndarray:
-        """Symbol values on the lattice; shape (m, m) or (2, m, m)."""
-        if self.kind == "power":
-            r = lattice.radius
-            with np.errstate(divide="ignore", invalid="ignore"):
-                v = np.where(r > 0, r**self.alpha, 0.0)
-            return v.astype(np.complex128)
-        if self.kind == "component":
-            xi = lattice.xi1 if self.axis == 0 else lattice.xi2
-            return 1j * xi.astype(np.complex128)
-        if self.kind == "perp_gradient":
-            return np.stack([-1j * lattice.xi2, 1j * lattice.xi1]).astype(np.complex128)
-        if self.kind == "product":
-            out: np.ndarray | None = None
-            for f in self.factors:
-                v = f.values(lattice)
-                out = v if out is None else out * v
-            assert out is not None
-            return out
-        raise ValueError(f"unknown multiplier kind {self.kind!r}")
-
-
-def apply_symbol(field: SpectralField, multiplier: Multiplier) -> SpectralField:
-    """Apply a Fourier multiplier; checks the output stayed finite.
-
-    A non-finite amplitude means the symbol blew up on this lattice
-    (typically a strongly negative power against near-zero frequencies).
-    """
-    v = multiplier.values(field.lattice)
-    if multiplier.raises_rank:
-        if field.rank != 0:
-            raise ValueError("vector symbols apply to scalar fields only")
-        out = v * field.coeffs[None, :, :]
-    else:
-        out = v * field.coeffs
     if not np.all(np.isfinite(out)):
         raise FloatingPointError(
-            f"multiplier {multiplier.kind} produced non-finite amplitudes "
-            f"(alpha={multiplier.alpha}); lattice {field.lattice} cannot "
-            "resolve this symbol"
+            f"{operator} produced non-finite amplitudes; lattice {lattice} "
+            "cannot resolve it"
         )
-    return SpectralField._adopt(field.lattice, out)
+    return SpectralField._adopt(lattice, out)
 
 
 def inverse_laplacian(field: SpectralField) -> SpectralField:
     """Coefficientwise division by |xi|^2, zero mode annihilated."""
-    return apply_symbol(field, Multiplier.power(-2.0))
+    r = field.lattice.radius
+    return _checked(field.lattice, _reciprocal(r * r) * field.coeffs, "inverse_laplacian")
 
 
 def neg_laplacian(field: SpectralField) -> SpectralField:
-    return apply_symbol(field, Multiplier.power(2.0))
+    r = field.lattice.radius
+    return _checked(field.lattice, (r * r) * field.coeffs, "neg_laplacian")
 
 
 def riesz_velocity(theta: SpectralField) -> SpectralField:
-    """Divergence-free velocity ``u = perp-grad (-Delta)^{-1/2} theta``.
+    """Divergence-free velocity ``u = perp-grad (-Delta)^{-1/2} theta``,
+    symbol ``i (-xi_2, xi_1) / |xi|``.
 
     Mode for mode an isometry: |u_hat(xi)| = |theta_hat(xi)| for xi != 0.
     """
-    return apply_symbol(
-        theta, Multiplier.product(Multiplier.perp_gradient(), Multiplier.power(-1.0))
-    )
-
-
-def divergence(vec: SpectralField) -> SpectralField:
-    if vec.rank != 1:
-        raise ValueError("divergence needs a vector field")
-    lat = vec.lattice
-    out = 1j * lat.xi1 * vec.coeffs[0] + 1j * lat.xi2 * vec.coeffs[1]
-    return SpectralField._adopt(lat, out)
+    if theta.rank != 0:
+        raise ValueError("the Riesz velocity is defined for scalar fields")
+    lat = theta.lattice
+    lifted = (1j * _reciprocal(lat.radius)) * theta.coeffs
+    out = np.empty((2,) + lifted.shape, dtype=np.complex128)
+    np.multiply(-lat.xi2, lifted, out=out[0])
+    np.multiply(lat.xi1, lifted, out=out[1])
+    return _checked(lat, out, "riesz_velocity")
 
 
 # ---------------------------------------------------------------------------
@@ -515,56 +447,91 @@ def _hermitian_parts(c: np.ndarray) -> tuple[np.ndarray, ...]:
     return 0.5 * (c + mirror), -0.5j * (c - mirror)
 
 
-def _real_synthesis(c: np.ndarray, grid: int) -> np.ndarray:
-    """Real samples on a ``grid x grid`` mesh of Hermitian coefficients ``c``.
+def _padded_half(c: np.ndarray, grid: int, symbol: np.ndarray | None = None) -> np.ndarray:
+    """The k2 >= 0 half of ``c``, zero-padded for a ``grid x grid`` real transform.
 
-    ``c`` is in the (..., m, m) FFT layout.  Only its k2 >= 0 half is read
-    and handed to ``irfft2``, which supplies the conjugate half.  On a
-    padded grid (``grid > m``) the half is copied straight into a
-    (grid, grid/2 + 1) array and the unpaired k = -m/2 row and column are
-    left out, since the padded grid has no partner for them.  At
-    ``grid == m`` that edge is the grid's own Nyquist mode and is kept.
+    ``c`` is in the (..., m, m) FFT layout; the result has shape
+    (..., grid, grid/2 + 1).  With ``symbol``, the (m, m/2) k2 >= 0 half of
+    a lattice symbol, each coefficient is multiplied by it during the copy.
+    The unpaired k = -m/2 row and column are left out.
     """
     m = c.shape[-1]
     h = m // 2
-    if grid == m:
-        half = c[..., : h + 1]
+    half = np.zeros(c.shape[:-2] + (grid, grid // 2 + 1), dtype=np.complex128)
+    for src, dst in ((slice(0, h), slice(0, h)), (slice(h + 1, m), slice(grid - h + 1, grid))):
+        if symbol is None:
+            half[..., dst, :h] = c[..., src, :h]
+        else:
+            np.multiply(c[..., src, :h], symbol[src], out=half[..., dst, :h])
+    return half
+
+
+def _real_synthesis(c: np.ndarray, grid: int, symbol: np.ndarray | None = None) -> np.ndarray:
+    """Real samples on a ``grid x grid`` mesh of Hermitian coefficients ``c``
+    (times ``symbol``, as in :func:`_padded_half`).
+
+    Only the k2 >= 0 half of ``c`` is read and handed to ``irfft2``, which
+    supplies the conjugate half.  On a padded grid (``grid > m``), or with a
+    symbol, the half goes through :func:`_padded_half`, which leaves out the
+    unpaired k = -m/2 row and column, since a padded grid has no partner
+    for them.  At ``grid == m`` without a symbol that edge is the grid's own
+    Nyquist mode and is kept.
+    """
+    m = c.shape[-1]
+    if grid == m and symbol is None:
+        half, scratch = c[..., : m // 2 + 1], False
     else:
-        half = np.zeros(c.shape[:-2] + (grid, grid // 2 + 1), dtype=np.complex128)
-        half[..., :h, :h] = c[..., :h, :h]
-        half[..., grid - h + 1 :, :h] = c[..., h + 1 :, :h]
+        half, scratch = _padded_half(c, grid, symbol), True
     return scipy.fft.irfft2(
-        half, s=(grid, grid), norm="forward", workers=_FFT_WORKERS, overwrite_x=grid > m
+        half, s=(grid, grid), norm="forward", workers=_FFT_WORKERS, overwrite_x=scratch
     )
 
 
-def _real_analysis(samples: np.ndarray, m: int) -> np.ndarray:
-    """Coefficients of real samples, cropped to the (..., m, m) FFT layout.
+def _analysed_half(samples: np.ndarray, m: int) -> np.ndarray:
+    """The k2 >= 0 half of the coefficients of real samples, on the symmetric box.
 
-    ``rfft2`` gives the k2 >= 0 half; the crop keeps its symmetric box.
-    The k2 < 0 half and the k1 < 0 end of the k2 = 0 column are rebuilt
-    from the conjugates ``c(-k)`` and the zero mode is made real, so the
-    result is exactly Hermitian: differences of nearly equal products then
-    stay real fields instead of showing their rounding as an imaginary
-    part.  The unpaired k = -m/2 row and column are zero.
+    ``rfft2`` gives the half; the result is its (..., m, m/2) crop in FFT
+    row order (k2 = 0 .. m/2 - 1), with the unpaired k1 = -m/2 row zero.
+    The samples are used as scratch space.
     """
     grid = samples.shape[-1]
     spec = scipy.fft.rfft2(samples, norm="forward", workers=_FFT_WORKERS, overwrite_x=True)
     h = m // 2
-    out = np.empty(samples.shape[:-2] + (m, m), dtype=np.complex128)
-    out[..., :h, :h] = spec[..., :h, :h]
-    out[..., h + 1 :, :h] = spec[..., grid - h + 1 :, :h]
-    out[..., h, :] = 0.0
-    out[..., :, h] = 0.0
-    out[..., h + 1 :, 0] = np.conj(out[..., h - 1 : 0 : -1, 0])
+    half = np.empty(samples.shape[:-2] + (m, h), dtype=np.complex128)
+    half[..., :h, :] = spec[..., :h, :h]
+    half[..., h, :] = 0.0
+    half[..., h + 1 :, :] = spec[..., grid - h + 1 :, :h]
+    return half
+
+
+def _hermitian_from_half(half: np.ndarray) -> np.ndarray:
+    """Exactly Hermitian (..., m, m) coefficients from their k2 >= 0 half.
+
+    ``half`` is laid out as :func:`_analysed_half` returns it.  The k2 < 0
+    half and the k1 < 0 end of the k2 = 0 column are rebuilt from the
+    conjugates ``c(-k)`` and the zero mode is made real, so differences of
+    nearly equal outputs stay real fields instead of showing their rounding
+    as an imaginary part.  The unpaired k = -m/2 row and column are zero.
+    """
+    m, h = half.shape[-2:]
+    out = np.empty(half.shape[:-2] + (m, m), dtype=np.complex128)
+    out[..., :h] = half
+    out[..., h] = 0.0
+    np.conjugate(out[..., h - 1 : 0 : -1, 0], out=out[..., h + 1 :, 0])
     out[..., 0, 0] = out[..., 0, 0].real
-    neg_rows = -np.arange(m) % m
-    out[..., :, h + 1 :] = np.conj(out[..., neg_rows, h - 1 : 0 : -1])
+    np.conjugate(out[..., :1, h - 1 : 0 : -1], out=out[..., :1, h + 1 :])
+    np.conjugate(out[..., :0:-1, h - 1 : 0 : -1], out=out[..., 1:, h + 1 :])
     return out
 
 
+def _real_analysis(samples: np.ndarray, m: int) -> np.ndarray:
+    """Exactly Hermitian (..., m, m) coefficients of real samples."""
+    return _hermitian_from_half(_analysed_half(samples, m))
+
+
 def multiply(f: SpectralField, g: SpectralField, pad_factor: float = 1.5) -> SpectralField:
-    """Pointwise physical product via zero-padded real transforms.
+    """Pointwise physical product of two scalar fields via zero-padded real
+    transforms.
 
     Both factors are synthesized on a ``pad_factor * m`` grid, multiplied
     there and analysed back.  Padding to 3m/2 already keeps every aliased
@@ -572,8 +539,7 @@ def multiply(f: SpectralField, g: SpectralField, pad_factor: float = 1.5) -> Spe
     (Orszag, "On the elimination of aliasing in finite-difference schemes
     by filtering high-wavenumber components", J. Atmos. Sci. 28, 1971), so
     the retained coefficients are the exact (plane-truncated) convolution
-    sum.  Scalar*scalar and scalar*vector are supported; the zero mode of
-    the product is retained.
+    sum.  The zero mode of the product is retained.
 
     The transforms are real-to-complex: only the k2 >= 0 half of each
     spectrum is padded and transformed.  A factor whose anti-Hermitian
@@ -591,38 +557,23 @@ def multiply(f: SpectralField, g: SpectralField, pad_factor: float = 1.5) -> Spe
         raise ValueError(f"incompatible lattices: {f.lattice} vs {g.lattice}")
     if pad_factor < 1.5:
         raise ValueError("pad_factor must be at least 3/2 for exact dealiasing")
-    if f.rank > g.rank:
-        f, g = g, f
-    if f.rank != 0:
-        raise ValueError("one factor must be scalar")
+    if f.rank != 0 or g.rank != 0:
+        raise ValueError("multiply takes scalar fields")
     m = f.lattice.m
     grid = 2 * math.ceil(pad_factor * m / 2)
     fp = [_real_synthesis(part, grid) for part in _hermitian_parts(f.coeffs)]
-    if g.rank == 0:
-        out = _padded_product(fp, g.coeffs, grid)
-    else:
-        out = np.stack(
-            [_padded_product(fp, g.coeffs[idx], grid) for idx in np.ndindex(*g.coeffs.shape[:-2])]
-        ).reshape(g.coeffs.shape)
-    return SpectralField._adopt(f.lattice, out)
-
-
-def _padded_product(fp: list[np.ndarray], gc: np.ndarray, grid: int) -> np.ndarray:
-    """Coefficients of ``f * g`` from f's padded physical parts and g's coefficients.
-
-    Real factors take one padded product, done in place on the throwaway
-    padded array: at large m the peak working set is what decides whether
-    this runs at all.  Otherwise ``(fr + i fi) * (gr + i gi)`` is expanded
-    into real products, an absent imaginary part counting as zero.
-    """
-    m = gc.shape[-1]
-    gp = [_real_synthesis(part, grid) for part in _hermitian_parts(gc)]
+    gp = [_real_synthesis(part, grid) for part in _hermitian_parts(g.coeffs)]
     if len(fp) == len(gp) == 1:
+        # in place on the throwaway padded array: at large m the peak
+        # working set decides whether this runs at all
         gp[0] *= fp[0]
-        return _real_analysis(gp[0], m)
-    fr, fi = fp if len(fp) == 2 else (fp[0], 0.0)
-    gr, gi = gp if len(gp) == 2 else (gp[0], 0.0)
-    return _real_analysis(fr * gr - fi * gi, m) + 1j * _real_analysis(fr * gi + fi * gr, m)
+        out = _real_analysis(gp[0], m)
+    else:
+        # (fr + i fi) * (gr + i gi), an absent imaginary part counting as zero
+        fr, fi = fp if len(fp) == 2 else (fp[0], 0.0)
+        gr, gi = gp if len(gp) == 2 else (gp[0], 0.0)
+        out = _real_analysis(fr * gr - fi * gi, m) + 1j * _real_analysis(fr * gi + fi * gr, m)
+    return SpectralField._adopt(f.lattice, out)
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sqglab.bilinear import (
     QUADRATURE_SIZE_LIMIT,
-    BilinearForm,
     bilinear_block,
     bilinear_quadrature,
     coupling_tensor,
@@ -99,8 +100,6 @@ def test_quadrature_size_limit():
     f = SpectralField.cosine(big, (4, 0))
     with pytest.raises(ValueError, match="limited to m <="):
         bilinear_quadrature(f, f)
-    with pytest.raises(ValueError, match="limited to m <="):
-        BilinearForm(big, "quadrature")
 
 
 def test_coupling_tensor_shape_checks(lattice32):
@@ -116,15 +115,54 @@ def test_lattice_mismatch_rejected(lattice32, lattice128):
         bilinear_block(f, g)
 
 
-def test_form_variant_dispatch(lattice32):
-    rng = np.random.default_rng(35)
-    f = band_limited(lattice32, rng)
-    g = band_limited(lattice32, rng)
-    with pytest.raises(ValueError, match="unknown variant"):
-        BilinearForm(lattice32, "fancy")
-    diag = BilinearForm(lattice32, "diagonal-fast")
-    with pytest.raises(ValueError, match="theta, theta"):
-        diag.apply(f, g)
-    assert np.array_equal(diag.apply(f).coeffs, quadratic_diagonal(f).coeffs)
-    block = BilinearForm(lattice32)
-    assert np.array_equal(block.apply(f, g).coeffs, bilinear_block(f, g).coeffs)
+@pytest.mark.parametrize(
+    "form", [quadratic_diagonal, lambda f: bilinear_block(f, f)], ids=["diagonal", "block"]
+)
+def test_non_finite_amplitudes_raise(lattice32, form):
+    theta = 1e200 * SpectralField.cosine(lattice32, (4, 0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(FloatingPointError, match="non-finite"):
+            form(theta)
+
+
+def drawn_field(lattice, rng, hermitian):
+    """Random mean-zero field; a complex physical field a + i b when not
+    ``hermitian``."""
+    f = random_mean_zero_field(lattice, rng)
+    if hermitian:
+        return f
+    return SpectralField(lattice, f.coeffs + 1j * random_mean_zero_field(lattice, rng).coeffs)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.sampled_from([8, 16]),
+    seed=st.integers(0, 2**32 - 1),
+    f_real=st.booleans(),
+    g_real=st.booleans(),
+    alpha=st.floats(-3.0, 3.0, allow_nan=False),
+)
+def test_quadratic_form_properties(m, seed, f_real, g_real, alpha):
+    # real inputs run the fused kernel directly, complex ones through the
+    # split into real and imaginary parts; the oracle is the quadrature
+    lat = FrequencyLattice(m=m, h_xi=0.5)
+    rng = np.random.default_rng(seed)
+    f = drawn_field(lat, rng, f_real)
+    g = drawn_field(lat, rng, g_real)
+    h = drawn_field(lat, rng, f_real)
+    fg = bilinear_block(f, g)
+    ff = quadratic_diagonal(f)
+
+    assert np.array_equal(fg.coeffs, bilinear_block(g, f).coeffs)
+
+    hg = bilinear_block(h, g)
+    combined = bilinear_block(alpha * f + h, g).coeffs
+    scale = max(np.max(np.abs(fg.coeffs)), np.max(np.abs(hg.coeffs)))
+    assert np.max(np.abs(combined - (alpha * fg.coeffs + hg.coeffs))) <= 1e-12 * scale
+
+    for out, want in ((fg, bilinear_quadrature(f, g)), (ff, bilinear_quadrature(f, f))):
+        assert out.mean_coefficient() == 0
+        if f_real and g_real:
+            assert out.hermitian_defect() == 0.0
+        scale = np.max(np.abs(want.coeffs))
+        assert np.max(np.abs(out.coeffs - want.coeffs)) <= 1e-10 * scale

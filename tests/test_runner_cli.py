@@ -156,39 +156,50 @@ def test_solve_pipeline_small():
     assert rep.passed, [v.line() for v in rep.verdicts]
 
 
-def test_solve_report_bytes_independent_of_fft_workers(tmp_path):
+def emitted_at_fft_workers(tmp_path, raw):
+    """Report files of one run per FFT worker count (1 and 2), by name."""
     workers = spectral._FFT_WORKERS
     emitted = []
     try:
         for n in (1, 2):
             spectral.set_fft_workers(n)
             out = tmp_path / f"workers{n}"
-            run_experiment(config_from_dict(
-                {"experiment": "solve", "m": 32, "samples": 50, "out_dir": str(out)}
-            ))
+            run_experiment(config_from_dict(dict(raw, out_dir=str(out))))
             emitted.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
     finally:
         spectral.set_fft_workers(workers)
+    return emitted
+
+
+def test_solve_report_bytes_independent_of_fft_workers(tmp_path):
+    emitted = emitted_at_fft_workers(
+        tmp_path, {"experiment": "solve", "m": 32, "samples": 50}
+    )
     assert emitted[0] and emitted[0] == emitted[1]
 
 
 def test_step1_report_bytes_independent_of_fft_workers(tmp_path):
-    workers = spectral._FFT_WORKERS
-    emitted = []
-    try:
-        for n in (1, 2):
-            spectral.set_fft_workers(n)
-            out = tmp_path / f"workers{n}"
-            run_experiment(config_from_dict({
-                "experiment": "illpose-step1",
-                "m": 128,
-                "h_xi": 0.25,
-                "size_range": [4, 5],
-                "out_dir": str(out),
-            }))
-            emitted.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-    finally:
-        spectral.set_fft_workers(workers)
+    emitted = emitted_at_fft_workers(tmp_path, {
+        "experiment": "illpose-step1",
+        "m": 128,
+        "h_xi": 0.25,
+        "size_range": [4, 5],
+    })
+    assert emitted[0] and emitted[0] == emitted[1]
+
+
+@pytest.mark.parametrize(
+    "raw",
+    [
+        # bilinear_block on white-spectrum pairs
+        {"experiment": "constants", "m": 64, "h_xi": 0.25},
+        # quadratic_diagonal on the padded grid of a larger lattice
+        {"experiment": "illpose-step2", "m": 256, "h_xi": 0.25, "size_range": [1, 2]},
+    ],
+    ids=lambda raw: raw["experiment"],
+)
+def test_report_bytes_independent_of_fft_workers(tmp_path, raw):
+    emitted = emitted_at_fft_workers(tmp_path, raw)
     assert emitted[0] and emitted[0] == emitted[1]
 
 
