@@ -14,7 +14,6 @@ from .besov import (
     DyadicPartition,
     ProbeFunction,
     besov_norm,
-    bony_split,
     build_partition,
     build_probe,
     lp_norm,
@@ -66,7 +65,6 @@ from .spectral import (
     dyadic_rescale,
     inverse_laplacian,
     load_field,
-    multiply,
     neg_laplacian,
     riesz_velocity,
     save_field,
@@ -96,7 +94,6 @@ __all__ = [
     "bilinear_quadrature",
     "bilinear_ratio",
     "block_envelope",
-    "bony_split",
     "build_partition",
     "build_probe",
     "calibrate_stride",
@@ -113,7 +110,6 @@ __all__ = [
     "low_frequency_profile",
     "lp_norm",
     "modulated_bump_force",
-    "multiply",
     "neg_laplacian",
     "perturbation_solve",
     "picard_solve",

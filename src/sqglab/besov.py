@@ -33,7 +33,6 @@ __all__ = [
     "besov_norm",
     "ProbeFunction",
     "build_probe",
-    "bony_split",
     "WindowCoverageWarning",
 ]
 
@@ -95,6 +94,7 @@ class DyadicPartition:
         self._ring_cache: dict[int, np.ndarray] = {}
         self._extent_cache: dict[int, int] = {}
         self._coverage: np.ndarray | None = None
+        self._outside: tuple[np.ndarray, ...] | None = None
 
     @property
     def shells(self) -> range:
@@ -140,28 +140,36 @@ class DyadicPartition:
         """Telescoped ring sum over the window, evaluated in closed form.
 
         Computed once per partition and returned as the same read-only array.
+        The modes it leaves uncovered are indexed at the same time; the
+        origin, where the sum is 0, is always one of them.
         """
         if self._coverage is None:
             r = self.lattice.radius
             cov = self.step(r * 2.0 ** (-self.j_max)) - self.step(r * 2.0 ** (1 - self.j_min))
             cov.flags.writeable = False
+            outside = np.nonzero(cov < 1.0 - 1e-9)
+            self._outside = outside if outside[0].size > 1 else None
             self._coverage = cov
         return self._coverage
 
     def window_defect(self, field: SpectralField) -> float:
-        """Fraction of squared coefficient mass outside the covered window."""
-        cov = self.coverage()
+        """Fraction of squared coefficient mass outside the covered window.
+
+        Zero without looking at the field when the window covers every
+        nonzero mode, as the automatic window does.
+        """
+        self.coverage()
+        if self._outside is None:
+            return 0.0
         c = field.coeffs
         mass = np.abs(c) ** 2
         if field.rank:
             mass = mass.sum(axis=tuple(range(field.rank)))
-        mass = mass.copy()
         mass[0, 0] = 0.0
         total = float(mass.sum())
         if total == 0.0:
             return 0.0
-        outside = float(mass[cov < 1.0 - 1e-9].sum())
-        return outside / total
+        return float(mass[self._outside].sum()) / total
 
     def __repr__(self) -> str:
         return (
@@ -466,60 +474,3 @@ def build_probe(
             "use a finer h_xi or a smaller gap"
         )
     return probe
-
-
-# ---------------------------------------------------------------------------
-# Paraproduct (Bony) splitting
-# ---------------------------------------------------------------------------
-
-
-def bony_split(
-    f: SpectralField,
-    g: SpectralField,
-    partition: DyadicPartition,
-    bilinear_op,
-) -> tuple[SpectralField, SpectralField, SpectralField]:
-    """Split ``B[f, g]`` into low-high, high-low and diagonal parts.
-
-    ``B1`` collects shell pairs ``(k, l)`` of (f, g) with ``k <= l - 3``,
-    ``B2`` the mirrored pairs, ``B3`` the near-diagonal band ``|k - l| <= 2``.
-    ``bilinear_op(a, b)`` must be bilinear; the low-pass sums are accumulated
-    so the cost stays linear in the number of shells.
-    """
-    js = list(partition.shells)
-    f_shells = {j: shell_project(f, partition, j) for j in js}
-    g_shells = {j: shell_project(g, partition, j) for j in js}
-    f_live = {j for j, fld in f_shells.items() if fld.coeffs.any()}
-    g_live = {j for j, fld in g_shells.items() if fld.coeffs.any()}
-
-    def lowhigh(a_shells, a_live, b_shells, b_live):
-        total = SpectralField.zeros(f.lattice)
-        running = SpectralField.zeros(f.lattice)
-        accumulated_to = js[0] - 1
-        for l in js:
-            if l not in b_live:
-                continue
-            while accumulated_to < l - 3:
-                accumulated_to += 1
-                if accumulated_to in a_live:
-                    running = running + a_shells[accumulated_to]
-            if running.coeffs.any():
-                total = total + bilinear_op(running, b_shells[l])
-        return total
-
-    b1 = lowhigh(f_shells, f_live, g_shells, g_live)
-    b2 = lowhigh(g_shells, g_live, f_shells, f_live)
-
-    b3 = SpectralField.zeros(f.lattice)
-    for k in js:
-        if k not in f_live:
-            continue
-        band = SpectralField.zeros(f.lattice)
-        have = False
-        for l in range(k - 2, k + 3):
-            if l in g_live:
-                band = band + g_shells[l]
-                have = True
-        if have:
-            b3 = b3 + bilinear_op(f_shells[k], band)
-    return b1, b2, b3

@@ -16,18 +16,19 @@ quadratic map.  Three computational routes are kept side by side:
 
 Both fast forms run one fused kernel on the k2 >= 0 half-spectrum.  Each
 scalar factor and each Riesz-velocity component is padded straight from
-its half-spectrum to the 3m/2 grid, the velocity symbol applied during the
-padding copy, and synthesized with ``irfft2``.  The physical flux is formed
-one component at a time (for the block form the symmetrized sum is taken
-in physical space, so each component costs one ``rfft2``), analysed,
-contracted with ``i xi / |xi|^2`` on the half and accumulated; the
-Hermitian m x m output is rebuilt once.  At its peak the kernel holds
-three arrays of the padded size for the diagonal form (theta, the flux
-being formed, and the padded half feeding a transform or the transform's
-output) and five for the block form (f, g, the flux, one velocity
-component and its padded half).  Complex inputs are split by bilinearity
-into real and imaginary physical parts, each going through the same
-kernel.
+its half-spectrum to the 3m/2 grid (the 3/2 rule of Orszag, J. Atmos. Sci.
+28, 1971, which keeps every aliased product mode off the retained box),
+the velocity symbol applied during the padding copy, and synthesized with
+``irfft2``.  The physical flux is formed one component at a time (for the
+block form the symmetrized sum is taken in physical space, so each
+component costs one ``rfft2``), analysed, contracted with
+``i xi / |xi|^2`` on the half and accumulated; the Hermitian m x m output
+is rebuilt once.  At its peak the kernel holds three arrays of the padded
+size for the diagonal form (theta, the flux being formed, and the padded
+half feeding a transform or the transform's output) and five for the
+block form (f, g, the flux, one velocity component and its padded half).
+Complex inputs are split by bilinearity into real and imaginary physical
+parts, each going through the same kernel.
 
 The three agree to rounding for mean-zero inputs; the test suite and
 the identity experiment hold them together.  Phase conventions (who
@@ -93,8 +94,8 @@ def coupling_tensor(scalar_part: SpectralField, vector_part: SpectralField) -> S
     with the eta = 0 and xi - eta = 0 terms omitted (mean-zero
     convention) and eta restricted so both factors sit inside the
     frequency box.  Output frequencies on the unpaired k = -m/2 edge are
-    dropped, matching the retained box of ``multiply``.  For real inputs
-    the output is anti-Hermitian: i times it is the physically real
+    dropped, matching the symmetric box the fast forms return.  For real
+    inputs the output is anti-Hermitian: i times it is the physically real
     tensor.
     """
     lat = scalar_part.lattice

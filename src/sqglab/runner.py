@@ -100,7 +100,6 @@ class ExperimentConfig:
     delta: float | None = None
     size_range: tuple[int, int] | None = None
     carrier_offset: int | None = None
-    probes: tuple[tuple[int, int], ...] | None = None
     q_list: tuple[float, ...] | None = None
     exponent_map: dict | None = None
     block_counts: tuple[int, ...] | None = None
@@ -127,10 +126,19 @@ def load_config(path: str | Path) -> ExperimentConfig:
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
+    """Build a config, rejecting keys that are not fields or that the verb never reads."""
     known = {f.name for f in fields(ExperimentConfig)}
     unknown = sorted(set(raw) - known)
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+    verb = raw.get("experiment")
+    if verb in _KEYS:
+        unread = sorted(set(raw) - set(_COMMON_KEYS) - set(_KEYS[verb]))
+        if unread:
+            raise ValueError(
+                f"config keys not read by {verb}: {', '.join(unread)}; it reads "
+                + ", ".join(_COMMON_KEYS + _KEYS[verb])
+            )
     kwargs = dict(raw)
     if "q_list" in kwargs and kwargs["q_list"] is not None:
         kwargs["q_list"] = tuple(
@@ -139,8 +147,6 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
     for key in ("size_range", "block_counts"):
         if kwargs.get(key) is not None:
             kwargs[key] = tuple(int(v) for v in kwargs[key])
-    if kwargs.get("probes") is not None:
-        kwargs["probes"] = tuple((int(a), int(b)) for a, b in kwargs["probes"])
     return ExperimentConfig(**kwargs)
 
 
@@ -673,6 +679,19 @@ _PIPELINES = {
     "illpose-step1": _run_illpose_step1,
     "illpose-step2": _run_illpose_step2,
     "illpose-step3": _run_illpose_step3,
+}
+
+# Config keys each pipeline reads; any other key is refused by config_from_dict.
+_COMMON_KEYS = ("experiment", "seed", "out_dir")
+_KEYS = {
+    "partition-check": ("m", "h_xi", "tolerance"),
+    "verify-identity": ("m", "h_xi", "samples", "tolerance"),
+    "constants": ("m", "h_xi", "samples", "p", "q"),
+    "solve": ("m", "h_xi", "samples", "p", "q", "solve_tol", "max_iter", "ball_fraction"),
+    "illpose-step1": ("m", "h_xi", "p", "q", "delta", "size_range", "carrier_offset"),
+    "illpose-step2": ("m", "h_xi", "delta", "size_range", "exponent_map"),
+    "illpose-step3": ("m", "h_xi", "delta", "block_counts", "q_list", "probe_gap",
+                      "equal_shell", "exponent_map"),
 }
 
 

@@ -15,7 +15,6 @@ axis), which is also the layout of the on-disk snapshot format (see
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -29,7 +28,6 @@ __all__ = [
     "neg_laplacian",
     "riesz_velocity",
     "dyadic_rescale",
-    "multiply",
     "strip_unpaired_edge",
     "save_field",
     "load_field",
@@ -523,57 +521,6 @@ def _hermitian_from_half(half: np.ndarray) -> np.ndarray:
     np.conjugate(out[..., :0:-1, h - 1 : 0 : -1], out=out[..., 1:, h + 1 :])
     return out
 
-
-def _real_analysis(samples: np.ndarray, m: int) -> np.ndarray:
-    """Exactly Hermitian (..., m, m) coefficients of real samples."""
-    return _hermitian_from_half(_analysed_half(samples, m))
-
-
-def multiply(f: SpectralField, g: SpectralField, pad_factor: float = 1.5) -> SpectralField:
-    """Pointwise physical product of two scalar fields via zero-padded real
-    transforms.
-
-    Both factors are synthesized on a ``pad_factor * m`` grid, multiplied
-    there and analysed back.  Padding to 3m/2 already keeps every aliased
-    contribution of the quadratic product off the retained modes
-    (Orszag, "On the elimination of aliasing in finite-difference schemes
-    by filtering high-wavenumber components", J. Atmos. Sci. 28, 1971), so
-    the retained coefficients are the exact (plane-truncated) convolution
-    sum.  The zero mode of the product is retained.
-
-    The transforms are real-to-complex: only the k2 >= 0 half of each
-    spectrum is padded and transformed.  A factor whose anti-Hermitian
-    part is at rounding level (1e-12 of its largest component) is taken
-    as real.  Any other factor is split by linearity into its real and
-    imaginary physical parts, each Hermitian, so a complex product costs
-    up to four real ones and the result is the same convolution sum.
-
-    The product lives on the symmetric box: the unpaired k = -m/2 edge is
-    ignored in the inputs (every mode constructor and sampler here keeps
-    it empty) and zero in the output, so products of real fields stay
-    real.
-    """
-    if f.lattice != g.lattice:
-        raise ValueError(f"incompatible lattices: {f.lattice} vs {g.lattice}")
-    if pad_factor < 1.5:
-        raise ValueError("pad_factor must be at least 3/2 for exact dealiasing")
-    if f.rank != 0 or g.rank != 0:
-        raise ValueError("multiply takes scalar fields")
-    m = f.lattice.m
-    grid = 2 * math.ceil(pad_factor * m / 2)
-    fp = [_real_synthesis(part, grid) for part in _hermitian_parts(f.coeffs)]
-    gp = [_real_synthesis(part, grid) for part in _hermitian_parts(g.coeffs)]
-    if len(fp) == len(gp) == 1:
-        # in place on the throwaway padded array: at large m the peak
-        # working set decides whether this runs at all
-        gp[0] *= fp[0]
-        out = _real_analysis(gp[0], m)
-    else:
-        # (fr + i fi) * (gr + i gi), an absent imaginary part counting as zero
-        fr, fi = fp if len(fp) == 2 else (fp[0], 0.0)
-        gr, gi = gp if len(gp) == 2 else (gp[0], 0.0)
-        out = _real_analysis(fr * gr - fi * gi, m) + 1j * _real_analysis(fr * gi + fi * gr, m)
-    return SpectralField._adopt(f.lattice, out)
 
 
 # ---------------------------------------------------------------------------

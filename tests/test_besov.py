@@ -1,4 +1,4 @@
-"""Dyadic rings, Besov norms, probes and the paraproduct split."""
+"""Dyadic rings, Besov norms and probes."""
 
 import math
 
@@ -10,14 +10,12 @@ from sqglab.besov import (
     WindowCoverageWarning,
     _shell_grid,
     besov_norm,
-    bony_split,
     build_partition,
     build_probe,
     lp_norm,
     shell_profile,
     shell_project,
 )
-from sqglab.bilinear import bilinear_block
 from sqglab.sampling import random_mean_zero_field, single_shell_field
 from sqglab.spectral import FrequencyLattice, SpectralField
 
@@ -125,6 +123,21 @@ def test_coverage_is_computed_once(lattice128):
     want = float(mass[fresh < 1.0 - 1e-9].sum()) / float(mass.sum())
     assert narrow.window_defect(f) == want
     assert narrow.window_defect(f) == want
+
+
+@pytest.mark.parametrize("m", [32, 128, 256])
+def test_auto_window_leaves_no_mode_outside(m):
+    # the automatic window covers every nonzero mode, so window_defect
+    # returns 0 without reading the field
+    lattice = FrequencyLattice(m=m, h_xi=0.25)
+    partition = build_partition(lattice)
+    cov = partition.coverage()
+    assert np.array_equal(np.argwhere(cov < 1.0 - 1e-9), [[0, 0]])
+    f = random_mean_zero_field(lattice, np.random.default_rng(m))
+    assert partition.window_defect(f) == 0.0
+    # a field that any look at would turn into nan
+    unread = SpectralField(lattice, np.full((m, m), np.nan, dtype=np.complex128))
+    assert partition.window_defect(unread) == 0.0
 
 
 def test_partition_of_unity(lattice128, partition128):
@@ -262,22 +275,3 @@ def test_probe_rejects_empty_support():
 def test_probe_rejects_small_gap(lattice128):
     with pytest.raises(ValueError, match="gap"):
         build_probe(lattice128, 2, gap=2)
-
-
-# -- paraproduct ---------------------------------------------------------
-
-
-def test_bony_split_sums_to_product(lattice32, partition32):
-    rng = np.random.default_rng(26)
-    f = random_mean_zero_field(lattice32, rng, decay=1.0)
-    g = random_mean_zero_field(lattice32, rng, decay=1.0)
-    band = lambda h: SpectralField(
-        lattice32,
-        np.where(lattice32.radius < lattice32.xi_max / 2, h.coeffs, 0.0),
-    )
-    f, g = band(f), band(g)
-    b1, b2, b3 = bony_split(f, g, partition32, bilinear_block)
-    total = (b1 + b2 + b3).coeffs
-    want = bilinear_block(f, g).coeffs
-    scale = np.max(np.abs(want))
-    assert np.max(np.abs(total - want)) <= 1e-10 * scale

@@ -115,6 +115,19 @@ def test_lattice_mismatch_rejected(lattice32, lattice128):
         bilinear_block(f, g)
 
 
+def test_quadratic_form_ignores_unpaired_input_edge(field_pair):
+    # energy on the k = -m/2 row and column has no conjugate partner; the
+    # padded syntheses leave it out, so both forms see the field without it
+    f, g = field_pair
+    c = f.coeffs.copy()
+    half = f.lattice.m // 2
+    c[half, 3] = 1.0 + 2.0j
+    c[5, half] = -0.5
+    edged = SpectralField(f.lattice, c)
+    assert np.array_equal(bilinear_block(edged, g).coeffs, bilinear_block(f, g).coeffs)
+    assert np.array_equal(quadratic_diagonal(edged).coeffs, quadratic_diagonal(f).coeffs)
+
+
 @pytest.mark.parametrize(
     "form", [quadratic_diagonal, lambda f: bilinear_block(f, f)], ids=["diagonal", "block"]
 )

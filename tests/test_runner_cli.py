@@ -1,11 +1,14 @@
 """Experiment configs, deterministic report emission, CLI exit codes."""
 
+import inspect
 import json
 import math
+import re
+from dataclasses import fields
 
 import pytest
 
-from sqglab import spectral
+from sqglab import runner, spectral
 from sqglab.cli import main
 from sqglab.reports import ExperimentReport, Table, Verdict, emit_report, format_value
 from sqglab.runner import ExperimentConfig, config_from_dict, load_config, run_experiment
@@ -30,14 +33,39 @@ def test_config_parses_inf_and_coerces_tuples():
             "experiment": "illpose-step3",
             "q_list": [1, 2, "inf"],
             "block_counts": [2.0, 4.0],
-            "size_range": [4, 7],
-            "probes": [[1, 1], [2, -1]],
         }
     )
     assert cfg.q_list == (1.0, 2.0, math.inf)
     assert cfg.block_counts == (2, 4)
+    cfg = config_from_dict({"experiment": "illpose-step1", "size_range": [4.0, 7]})
     assert cfg.size_range == (4, 7)
-    assert cfg.probes == ((1, 1), (2, -1))
+
+
+def test_config_rejects_keys_the_verb_does_not_read():
+    with pytest.raises(ValueError, match="not read by constants: block_counts, size_range"):
+        config_from_dict({"experiment": "constants", "block_counts": [2, 4], "size_range": None})
+    # every field is read by some verb, and every listed key is a field
+    listed = set(runner._COMMON_KEYS).union(*runner._KEYS.values())
+    assert listed == {f.name for f in fields(ExperimentConfig)}
+    assert set(runner._KEYS) == set(runner.EXPERIMENTS)
+
+
+def keys_read_by(fn):
+    """``cfg.<key>`` reads in a function's source and in the helpers it hands cfg to."""
+    source = inspect.getsource(fn)
+    keys = set(re.findall(r"\bcfg\.(\w+)", source))
+    for name in set(re.findall(r"(\w+)\(cfg\b", source)) - {fn.__name__}:
+        helper = getattr(runner, name, None)
+        if inspect.isfunction(helper) and helper.__module__ == runner.__name__:
+            keys |= keys_read_by(helper)
+    return keys
+
+
+@pytest.mark.parametrize("verb", runner.EXPERIMENTS)
+def test_listed_keys_are_the_keys_the_pipeline_reads(verb):
+    # a key missing from the list would refuse a config the verb uses
+    read = keys_read_by(runner._PIPELINES[verb])
+    assert read == {"experiment", "seed"} | set(runner._KEYS[verb])
 
 
 def test_load_config_roundtrip(tmp_path):
@@ -272,6 +300,18 @@ def test_cli_config_error_exit_codes(tmp_path, capsys):
     not_object.write_text("[1, 2]")
     assert main(["constants", "--config", str(not_object)]) == 2
     assert "must hold a JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("verb", runner.EXPERIMENTS)
+def test_cli_refuses_a_key_the_verb_does_not_read(tmp_path, capsys, verb):
+    # exit 2, naming the key, before any computation (nothing is written)
+    key = next(f.name for f in fields(ExperimentConfig)
+               if f.name not in runner._COMMON_KEYS + runner._KEYS[verb])
+    cfg = write_cfg(tmp_path, {key: [2, 4]})
+    out_dir = tmp_path / "runs"
+    assert main([verb, "--config", cfg, "--out", str(out_dir)]) == 2
+    assert f"not read by {verb}: {key};" in capsys.readouterr().err
+    assert not out_dir.exists()
 
 
 def test_cli_seed_override(tmp_path, capsys):

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from sqglab.besov import BesovIndex, besov_norm, build_partition
 from sqglab.bilinear import bilinear_block, quadratic_diagonal
+from sqglab.forcing import ForceSpec, modulated_bump_force
 from sqglab.sampling import random_mean_zero_field
 from sqglab import solver
 from sqglab.solver import (
@@ -126,12 +128,12 @@ def test_picard_trace_is_bitwise_the_recomputing_loop(lattice32, partition32, mo
     cfg = SolveConfig(tol=1e-12)
     lf = inverse_laplacian(f)
 
-    def step(theta):
+    def step(theta, _carried):
         return lf - quadratic_diagonal(theta)
 
     def pde_defect(theta):
         defect = neg_laplacian(theta) + neg_laplacian(quadratic_diagonal(theta)) - f
-        return besov_norm(defect, cfg.data_index, partition32)
+        return besov_norm(defect, cfg.data_index, partition32), None
 
     start = SpectralField.zeros(lattice32)
     want_theta, want = _iterate(start, step, pde_defect, cfg, partition32)
@@ -152,6 +154,29 @@ def test_picard_trace_is_bitwise_the_recomputing_loop(lattice32, partition32, mo
     assert np.array_equal(got_theta.coeffs, want_theta.coeffs)
 
 
+def test_iterate_hands_each_step_the_defects_term(lattice32, partition32):
+    # the first step gets the seed; every later step gets what the defect
+    # returned for the very iterate the step starts from
+    cfg = SolveConfig(max_iter=4)
+    seed = SpectralField.cosine(lattice32, (1, 0))
+    handed, returned = [], {}
+
+    def step(theta, carried):
+        handed.append((theta, carried))
+        return theta + SpectralField.cosine(lattice32, (2, 1))
+
+    def pde_defect(theta):
+        returned[id(theta)] = 0.5 * theta
+        return 0.0, returned[id(theta)]
+
+    start = SpectralField.zeros(lattice32)
+    _iterate(start, step, pde_defect, cfg, partition32, carried=seed)
+    assert len(handed) == 4
+    assert handed[0][0] is start and handed[0][1] is seed
+    for theta, carried in handed[1:]:
+        assert carried is returned[id(theta)]
+
+
 def test_one_block_step_matches_block_plus_diagonal(lattice32):
     rng = np.random.default_rng(42)
     b = random_mean_zero_field(lattice32, rng, decay=1.0)
@@ -163,25 +188,32 @@ def test_one_block_step_matches_block_plus_diagonal(lattice32):
     assert np.max(np.abs(got - want)) <= 1e-12 * scale
 
 
-def test_perturbation_keeps_verdict_and_iterations(lattice32, partition32):
-    # against the three-product step 2 B[base, t] + B[t, t]
-    f = small_forcing(lattice32, 0.2)
-    cfg = SolveConfig(tol=1e-12)
+def first_iterates(f):
     theta1 = inverse_laplacian(f)
-    theta2 = -1.0 * quadratic_diagonal(theta1)
+    return theta1, -1.0 * quadratic_diagonal(theta1)
+
+
+def three_product_loop(theta1, theta2, cfg, partition):
+    """perturbation_solve's equation stepped with 2 B[base, t] + B[t, t], nothing carried."""
     base = theta1 + theta2
     source = -1.0 * (2.0 * bilinear_block(theta1, theta2) + quadratic_diagonal(theta2))
+    f_equiv = neg_laplacian(theta1)
 
-    def step(tilde):
+    def step(tilde, _carried):
         return source - (2.0 * bilinear_block(base, tilde) + quadratic_diagonal(tilde))
 
     def pde_defect(tilde):
         total = base + tilde
-        defect = neg_laplacian(total) + neg_laplacian(quadratic_diagonal(total)) - f
-        return besov_norm(defect, cfg.data_index, partition32)
+        defect = neg_laplacian(total) + neg_laplacian(quadratic_diagonal(total)) - f_equiv
+        return besov_norm(defect, cfg.data_index, partition), None
 
-    start = SpectralField.zeros(lattice32)
-    want_tilde, want = _iterate(start, step, pde_defect, cfg, partition32)
+    return _iterate(SpectralField.zeros(theta1.lattice), step, pde_defect, cfg, partition)
+
+
+def test_perturbation_keeps_verdict_and_iterations(lattice32, partition32):
+    cfg = SolveConfig(tol=1e-12)
+    theta1, theta2 = first_iterates(small_forcing(lattice32, 0.2))
+    want_tilde, want = three_product_loop(theta1, theta2, cfg, partition32)
     got_tilde, got = perturbation_solve(theta1, theta2, cfg, partition=partition32)
     assert want.verdict == got.verdict == "converged"
     assert got.iterations == want.iterations > 5
@@ -189,6 +221,80 @@ def test_perturbation_keeps_verdict_and_iterations(lattice32, partition32):
     assert besov_norm(got_tilde - want_tilde, cfg.index, partition32) <= 1e-12 * scale
     for a, b in zip(got.norms, want.norms):
         assert a == pytest.approx(b, rel=1e-10)
+
+
+def test_perturbation_evaluates_one_form_per_iteration(lattice32, partition32, monkeypatch):
+    # the defect's B[base + tilde, base + tilde] is the step's quadratic
+    # term; besides it a solve evaluates B[theta2, theta2], B[base, base]
+    # and the block B[theta1, theta2] of the source, once each
+    theta1, theta2 = first_iterates(small_forcing(lattice32, 0.2))
+    counts = {"quadratic_diagonal": 0, "bilinear_block": 0}
+
+    def counted(name, form):
+        def evaluate(*args):
+            counts[name] += 1
+            return form(*args)
+
+        return evaluate
+
+    for name, form in (("quadratic_diagonal", quadratic_diagonal), ("bilinear_block", bilinear_block)):
+        monkeypatch.setattr(solver, name, counted(name, form))
+    _, trace = perturbation_solve(theta1, theta2, SolveConfig(tol=1e-12), partition=partition32)
+    assert trace.verdict == "converged"
+    assert trace.iterations > 5
+    assert counts["quadratic_diagonal"] == trace.iterations + 2
+    assert counts["bilinear_block"] <= 2
+
+
+def test_carried_step_keeps_the_three_product_loop(lattice128, partition128):
+    # the carried step subtracts B[base, base] from B[base + tilde, base +
+    # tilde], which cancels; at the largest carrier this lattice admits
+    # (2**3, Nyquist 16) the loss measured 5.8e-14 in the Besov norm of
+    # tilde and 2.2e-13 in its largest coefficient, so the bounds sit at
+    # about ten times that
+    cfg = SolveConfig()
+    spec = ForceSpec(variant="bump", delta=0.01, size=5, carrier_exponent=3)
+    theta1, theta2 = first_iterates(modulated_bump_force(lattice128, spec))
+    want_tilde, want = three_product_loop(theta1, theta2, cfg, partition128)
+    got_tilde, got = perturbation_solve(theta1, theta2, cfg, partition=partition128)
+    assert want.verdict == got.verdict == "converged"
+    assert got.iterations == want.iterations > 5
+    scale = besov_norm(want_tilde, cfg.index, partition128)
+    assert besov_norm(got_tilde - want_tilde, cfg.index, partition128) <= 1e-12 * scale
+    peak = np.max(np.abs(want_tilde.coeffs))
+    assert np.max(np.abs(got_tilde.coeffs - want_tilde.coeffs)) <= 2e-12 * peak
+    for a, b in zip(got.norms, want.norms):
+        assert a == pytest.approx(b, rel=1e-13)
+
+
+def test_perturbation_iteration_costs_five_padded_transforms(lattice32, partition32, monkeypatch):
+    # one quadratic form at the 3m/2 grid: 3 syntheses (theta and two
+    # velocity components) and 2 analyses (two flux components)
+    theta1, theta2 = first_iterates(small_forcing(lattice32, 0.2))
+    grid = 3 * lattice32.m // 2
+    calls = []
+
+    def counted(name, transform, shape_of):
+        def run(x, *args, **kwargs):
+            if shape_of(x, kwargs) == (grid, grid):
+                calls.append(name)
+            return transform(x, *args, **kwargs)
+
+        return run
+
+    monkeypatch.setattr(scipy.fft, "irfft2", counted("irfft2", scipy.fft.irfft2,
+                                                     lambda x, kw: tuple(kw["s"])))
+    monkeypatch.setattr(scipy.fft, "rfft2", counted("rfft2", scipy.fft.rfft2,
+                                                    lambda x, kw: x.shape[-2:]))
+    per_run = []
+    for max_iter in (1, 2):
+        calls.clear()
+        _, trace = perturbation_solve(theta1, theta2, SolveConfig(tol=1e-14, max_iter=max_iter),
+                                      partition=partition32)
+        assert trace.iterations == max_iter
+        per_run.append((calls.count("irfft2"), calls.count("rfft2")))
+    (inv1, fwd1), (inv2, fwd2) = per_run
+    assert (inv2 - inv1, fwd2 - fwd1) == (3, 2)
 
 
 def test_constants_report_checks_thresholds():

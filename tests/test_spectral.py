@@ -1,12 +1,8 @@
 """Core spectral layer: lattice validation, field construction, Fourier
-multipliers, the dealiased product against a direct convolution oracle,
-dyadic rescaling, and field snapshots."""
+multipliers, dyadic rescaling, and field snapshots."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from scipy.signal import convolve2d
 
 from sqglab.sampling import random_mean_zero_field
 from sqglab.spectral import (
@@ -15,37 +11,10 @@ from sqglab.spectral import (
     dyadic_rescale,
     inverse_laplacian,
     load_field,
-    multiply,
     neg_laplacian,
     riesz_velocity,
     save_field,
-    strip_unpaired_edge,
 )
-
-
-def direct_convolution(f: SpectralField, g: SpectralField) -> np.ndarray:
-    """O(m^4) convolution oracle: direct sums on centered index arrays,
-    cropped to the symmetric box with the unpaired edge dropped."""
-    m = f.lattice.m
-    a = np.fft.fftshift(f.coeffs)
-    b = np.fft.fftshift(g.coeffs)
-    full = convolve2d(a, b, mode="full")  # frequency zero sits at index m
-    lo = m - m // 2
-    box = full[lo : lo + m, lo : lo + m].copy()
-    box[0, :] = 0.0
-    box[:, 0] = 0.0
-    return np.fft.ifftshift(box)
-
-
-def box_field(lattice: FrequencyLattice, rng, hermitian: bool) -> SpectralField:
-    """Random complex coefficients on the symmetric box (unpaired edge empty),
-    symmetrized to a real field when ``hermitian``."""
-    shape = (lattice.m, lattice.m)
-    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    if hermitian:
-        mirror = np.roll(np.flip(c, axis=(-2, -1)), 1, axis=(-2, -1))
-        c = 0.5 * (c + np.conj(mirror))
-    return SpectralField(lattice, strip_unpaired_edge(c))
 
 
 # -- lattice -----------------------------------------------------------------
@@ -119,7 +88,6 @@ def test_constructor_copies_and_operator_outputs_are_frozen(lattice32):
         -f,
         neg_laplacian(f),
         riesz_velocity(f),
-        multiply(f, g),
         dyadic_rescale(SpectralField.cosine(lattice32, (2, 4)), 1),
         dyadic_rescale(SpectralField.cosine(lattice32, (2, 4)), -1),
     ]
@@ -175,81 +143,6 @@ def test_velocity_of_cosine():
     assert np.max(np.abs(u.component(0).physical_real())) < 1e-13
     want = -np.sin(x1)
     assert np.max(np.abs(u.component(1).physical_real() - want)) < 1e-12
-
-
-# -- dealiased product -------------------------------------------------------
-
-
-@pytest.mark.parametrize("m,seed", [(16, 0), (32, 1), (64, 2)])
-def test_multiply_matches_direct_convolution(m, seed):
-    lat = FrequencyLattice(m=m, h_xi=0.25)
-    rng = np.random.default_rng(seed)
-    f = random_mean_zero_field(lat, rng, decay=1.0)
-    g = random_mean_zero_field(lat, rng, decay=1.0)
-    got = multiply(f, g).coeffs
-    want = direct_convolution(f, g)
-    scale = np.max(np.abs(want))
-    assert np.max(np.abs(got - want)) <= 1e-12 * scale
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    m=st.sampled_from([8, 16]),
-    seed=st.integers(0, 2**32 - 1),
-    f_real=st.booleans(),
-    g_real=st.booleans(),
-)
-def test_multiply_matches_direct_convolution_property(m, seed, f_real, g_real):
-    # real factors take the real-to-complex route, complex ones the split
-    # into real and imaginary parts; both must give the convolution sum
-    lat = FrequencyLattice(m=m, h_xi=0.5)
-    rng = np.random.default_rng(seed)
-    f = box_field(lat, rng, f_real)
-    g = box_field(lat, rng, g_real)
-    got = multiply(f, g).coeffs
-    want = direct_convolution(f, g)
-    scale = np.max(np.abs(want))
-    assert np.max(np.abs(got - want)) <= 1e-12 * scale
-
-
-def test_multiply_of_real_fields_is_exactly_hermitian(field_pair):
-    f, g = field_pair
-    assert multiply(f, g).hermitian_defect() == 0.0
-
-
-def test_multiply_ignores_unpaired_input_edge(field_pair):
-    f, g = field_pair
-    c = f.coeffs.copy()
-    half = f.lattice.m // 2
-    c[half, 3] = 1.0 + 2.0j
-    c[5, half] = -0.5
-    edged = SpectralField(f.lattice, c)
-    assert np.array_equal(multiply(edged, g).coeffs, multiply(f, g).coeffs)
-
-
-def test_multiply_single_modes():
-    lat = FrequencyLattice(m=16, h_xi=0.25)
-    f = SpectralField.from_modes(lat, {(1, 2): 1.0}, hermitian=False)
-    g = SpectralField.from_modes(lat, {(3, -1): 1.0}, hermitian=False)
-    out = multiply(f, g).coeffs
-    assert out[4, 1] == pytest.approx(1.0, abs=1e-14)
-    masked = out.copy()
-    masked[4, 1] = 0.0
-    assert np.max(np.abs(masked)) < 1e-14
-
-
-def test_multiply_retains_mean(lattice32):
-    rng = np.random.default_rng(5)
-    f = random_mean_zero_field(lattice32, rng)
-    out = multiply(f, f)
-    # the product of a real field with itself has mass at frequency zero
-    assert abs(out.mean_coefficient()) > 0
-
-
-def test_multiply_rejects_small_padding(field_pair):
-    f, g = field_pair
-    with pytest.raises(ValueError, match="pad_factor"):
-        multiply(f, g, pad_factor=1)
 
 
 # -- dyadic rescaling --------------------------------------------------------
