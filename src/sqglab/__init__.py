@@ -64,10 +64,8 @@ from .spectral import (
     SpectralField,
     dyadic_rescale,
     inverse_laplacian,
-    load_field,
     neg_laplacian,
     riesz_velocity,
-    save_field,
     set_fft_workers,
     strip_unpaired_edge,
 )
@@ -105,7 +103,6 @@ __all__ = [
     "inverse_laplacian",
     "lacunary_force",
     "load_config",
-    "load_field",
     "low_frequency_floor",
     "low_frequency_profile",
     "lp_norm",
@@ -117,7 +114,6 @@ __all__ = [
     "random_mean_zero_field",
     "riesz_velocity",
     "run_experiment",
-    "save_field",
     "second_iterate_split",
     "set_fft_workers",
     "shell_project",

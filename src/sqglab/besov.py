@@ -91,8 +91,7 @@ class DyadicPartition:
         self.step = step
         self.j_min = int(j_min)
         self.j_max = int(j_max)
-        self._ring_cache: dict[int, np.ndarray] = {}
-        self._extent_cache: dict[int, int] = {}
+        self._quadrants: dict[int, np.ndarray] = {}
         self._coverage: np.ndarray | None = None
         self._outside: tuple[np.ndarray, ...] | None = None
 
@@ -100,33 +99,52 @@ class DyadicPartition:
     def shells(self) -> range:
         return range(self.j_min, self.j_max + 1)
 
-    def ring_values(self, j: int) -> np.ndarray:
-        """Values of ``phi_j`` on the lattice (real array)."""
-        cached = self._ring_cache.get(j)
+    def ring_quadrant(self, j: int) -> np.ndarray:
+        """``phi_j`` on the quadrant ``Q[a, b] = phi_j(h_xi a, h_xi b)``,
+        ``0 <= a, b <= K_j`` (read-only, cached).
+
+        The ring is radial, so this one quadrant holds every lattice value:
+        mode ``(k1, k2)`` reads ``Q[|k1|, |k2|]``, the unpaired ``k = -m/2``
+        edge as ``|k| = m/2``, and modes outside the box read 0.  The step
+        is evaluated on indices up to ``min(m/2, floor(t1 2**j / h_xi) + 1)``,
+        past which the ring vanishes, and cropped to its live extent ``K_j``.
+        Values are bitwise those of the full-lattice evaluation, since
+        ``hypot`` ignores signs.
+        """
+        cached = self._quadrants.get(j)
         if cached is not None:
             return cached
-        r = self.lattice.radius
+        lat = self.lattice
+        top = min(lat.m // 2, math.floor(self.step.t1 * 2.0**j / lat.h_xi) + 1)
+        xi = lat.h_xi * np.arange(top + 1, dtype=np.int64)
+        r = np.hypot(xi[:, None], xi[None, :])
         vals = self.step(r * 2.0 ** (-j)) - self.step(r * 2.0 ** (1 - j))
+        # symmetric in (a, b), so the live rows give the extent on both axes
+        extent = int(np.flatnonzero(vals.any(axis=1)).max(initial=0))
+        quadrant = vals[: extent + 1, : extent + 1].copy()
+        quadrant.flags.writeable = False
+        if len(self._quadrants) < 32:
+            self._quadrants[j] = quadrant
+        return quadrant
+
+    def ring_values(self, j: int) -> np.ndarray:
+        """Values of ``phi_j`` on the lattice (real, read-only ``(m, m)`` array).
+
+        Unfolded from :meth:`ring_quadrant` on every call and not cached, so
+        a partition never holds a full-lattice ring.
+        """
+        vals = _unfold_quadrant(self.ring_quadrant(j), self.lattice.m)
         vals.flags.writeable = False
-        if len(self._ring_cache) < 32:
-            self._ring_cache[j] = vals
         return vals
 
     def ring_extent(self, j: int) -> int:
-        """Largest per-axis index ``|k|`` at which ``phi_j`` is non-zero.
+        """Largest per-axis index ``|k|`` at which ``phi_j`` is non-zero
+        (``m/2`` when the ring reaches the ``k = -m/2`` edge).
 
-        Read from the lattice ring array itself, not from its support
-        interval, and cached beside it.
+        Read off the evaluated ring itself, not its support interval: it is
+        the size of :meth:`ring_quadrant` minus 1.
         """
-        cached = self._extent_cache.get(j)
-        if cached is not None:
-            return cached
-        live = self.ring_values(j) != 0.0
-        k = np.abs(self.lattice.k1[:, 0])
-        extent = int(max(k[live.any(axis=1)].max(initial=0), k[live.any(axis=0)].max(initial=0)))
-        if len(self._extent_cache) < 32:
-            self._extent_cache[j] = extent
-        return extent
+        return self.ring_quadrant(j).shape[0] - 1
 
     def support_interval(self, j: int) -> tuple[float, float]:
         """Open radial interval on which ``phi_j`` can be nonzero."""
@@ -140,26 +158,31 @@ class DyadicPartition:
         """Telescoped ring sum over the window, evaluated in closed form.
 
         Computed once per partition and returned as the same read-only array.
-        The modes it leaves uncovered are indexed at the same time; the
-        origin, where the sum is 0, is always one of them.
         """
         if self._coverage is None:
-            r = self.lattice.radius
-            cov = self.step(r * 2.0 ** (-self.j_max)) - self.step(r * 2.0 ** (1 - self.j_min))
-            cov.flags.writeable = False
-            outside = np.nonzero(cov < 1.0 - 1e-9)
-            self._outside = outside if outside[0].size > 1 else None
-            self._coverage = cov
+            self._coverage = self._telescoped()
         return self._coverage
+
+    def _telescoped(self) -> np.ndarray:
+        r = self.lattice.radius
+        cov = self.step(r * 2.0 ** (-self.j_max)) - self.step(r * 2.0 ** (1 - self.j_min))
+        cov.flags.writeable = False
+        return cov
 
     def window_defect(self, field: SpectralField) -> float:
         """Fraction of squared coefficient mass outside the covered window.
 
         Zero without looking at the field when the window covers every
-        nonzero mode, as the automatic window does.
+        nonzero mode, as the automatic window does.  The uncovered modes are
+        indexed on the first call; the telescoped sum they are read from is
+        not kept unless :meth:`coverage` was asked for it.
         """
-        self.coverage()
         if self._outside is None:
+            cov = self._coverage if self._coverage is not None else self._telescoped()
+            # the origin, where the sum is 0, is always outside
+            outside = np.nonzero(cov < 1.0 - 1e-9)
+            self._outside = outside if outside[0].size > 1 else ()
+        if not self._outside:
             return 0.0
         c = field.coeffs
         mass = np.abs(c) ** 2
@@ -248,22 +271,48 @@ def _even_power(x: np.ndarray, p: int) -> np.ndarray:
         base = base * base
 
 
-def _ring_box(c: np.ndarray, ring: np.ndarray, n: int) -> np.ndarray:
-    """``ring * c`` on the ``|k| < n/2`` box, as an ``(n, n)`` array in the
-    FFT layout of ``c``; its k = -n/2 row and column are zero.
+def _unfold_quadrant(quadrant: np.ndarray, m: int) -> np.ndarray:
+    """The ``(m, m)`` FFT-layout array of a radial quadrant, zero outside its box.
 
-    Only the box is read and multiplied; ``n`` equal to the lattice size
-    gives the whole product.
+    Mode ``(k1, k2)`` gets ``quadrant[|k1|, |k2|]``; the ``k = -m/2`` slot
+    gets the ``|k| = m/2`` entry when the quadrant reaches it.
     """
-    m = c.shape[-1]
-    if n == m:
-        return c * ring
-    h = n // 2
-    lo, hi = slice(0, h), slice(m - h + 1, m)
+    out = np.zeros((m, m))
+    pieces = _mirror_slices(quadrant.shape[0] - 1, m)
+    for dst1, src1 in pieces:
+        for dst2, src2 in pieces:
+            out[dst1, dst2] = quadrant[src1, src2]
+    return out
+
+
+def _mirror_slices(extent: int, n: int) -> list[tuple[slice, slice]]:
+    """``(destination, quadrant)`` slice pairs covering one axis of an ``n``-point
+    FFT layout with ``|k| <= extent``: ``k >= 0`` reads ``Q[:h]``, ``k < 0``
+    reads ``Q[h-1:0:-1]``, and the ``k = -n/2`` slot ``Q[n/2]``, if in reach."""
+    h = min(extent + 1, n // 2)
+    pieces = [(slice(0, h), slice(0, h)), (slice(n - h + 1, n), slice(h - 1, 0, -1))]
+    if extent == n // 2:
+        pieces.append((slice(h, h + 1), slice(h, h + 1)))
+    return pieces
+
+
+def _ring_box(c: np.ndarray, quadrant: np.ndarray, n: int) -> np.ndarray:
+    """``phi_j * c`` on the ``(n, n)`` box around the origin, in the FFT layout
+    of ``c``, for the ring's :meth:`~DyadicPartition.ring_quadrant`.
+
+    ``n`` is ``min(2 K_j + 2, m)``: the box holds every live mode, and at
+    ``n = m`` the ``k = -m/2`` row and column too.  Only the k2 >= 0
+    columns (through ``n/2``) that :func:`_real_synthesis` reads are
+    filled; the ring is read from the quadrant by slicing, no gather.
+    """
+    extent = quadrant.shape[0] - 1
+    box, lattice = _mirror_slices(extent, n), _mirror_slices(extent, c.shape[-1])
+    # k2 >= 0 columns: the non-negative piece and, at n = m, the -m/2 edge
+    cols = box[:1] + box[2:]
     out = np.zeros((n, n), dtype=c.dtype)
-    for src1, dst1 in ((lo, lo), (hi, slice(h + 1, n))):
-        for src2, dst2 in ((lo, lo), (hi, slice(h + 1, n))):
-            np.multiply(c[src1, src2], ring[src1, src2], out=out[dst1, dst2])
+    for (dst1, q1), (src1, _) in zip(box, lattice):
+        for dst2, q2 in cols:
+            np.multiply(c[src1, dst2], quadrant[q1, q2], out=out[dst1, dst2])
     return out
 
 
@@ -300,9 +349,10 @@ def shell_profile(
     """Per-shell weighted norms ``(j, 2**(s j) * ||phi_j * f||_p)``.
 
     Shell j is cropped to the box ``|k| <= K_j`` on which its ring lives
-    (:meth:`DyadicPartition.ring_extent`) and synthesized with a
-    real-to-complex inverse transform of its k2 >= 0 half on an
-    ``M_j x M_j`` grid, with quadrature weight ``(L/M_j)**2``.  For an even
+    (:meth:`DyadicPartition.ring_extent`), the ring read by slicing its
+    cached quadrant, and synthesized with a real-to-complex inverse
+    transform of its k2 >= 0 half on an ``M_j x M_j`` grid, with
+    quadrature weight ``(L/M_j)**2``.  For an even
     integer p, ``M_j`` is the smallest power of two with
     ``p * K_j < M_j <= m``; for any other p it is the lattice's own m.
     That is exact, not an approximation: with g the shell,
@@ -329,8 +379,8 @@ def shell_profile(
     parts = _hermitian_parts(field.coeffs)
     for j in partition.shells:
         extent = partition.ring_extent(j)
-        ring = partition.ring_values(j)
-        projs = [_ring_box(part, ring, min(2 * extent + 2, m)) for part in parts]
+        quadrant = partition.ring_quadrant(j)
+        projs = [_ring_box(part, quadrant, min(2 * extent + 2, m)) for part in parts]
         if not any(proj.any() for proj in projs):
             out.append((j, 0.0))
             continue

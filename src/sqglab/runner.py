@@ -115,6 +115,10 @@ class ExperimentConfig:
                 f"unknown experiment {self.experiment!r}; valid verbs: "
                 + ", ".join(EXPERIMENTS)
             )
+        _check_keys_read(
+            self.experiment,
+            [f.name for f in fields(self) if getattr(self, f.name) != f.default],
+        )
 
 
 def load_config(path: str | Path) -> ExperimentConfig:
@@ -133,12 +137,8 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
     verb = raw.get("experiment")
     if verb in _KEYS:
-        unread = sorted(set(raw) - set(_COMMON_KEYS) - set(_KEYS[verb]))
-        if unread:
-            raise ValueError(
-                f"config keys not read by {verb}: {', '.join(unread)}; it reads "
-                + ", ".join(_COMMON_KEYS + _KEYS[verb])
-            )
+        # before coercion, and so that an explicit null is refused as well
+        _check_keys_read(verb, raw)
     kwargs = dict(raw)
     if "q_list" in kwargs and kwargs["q_list"] is not None:
         kwargs["q_list"] = tuple(
@@ -148,6 +148,16 @@ def config_from_dict(raw: dict) -> ExperimentConfig:
         if kwargs.get(key) is not None:
             kwargs[key] = tuple(int(v) for v in kwargs[key])
     return ExperimentConfig(**kwargs)
+
+
+def _check_keys_read(verb: str, keys) -> None:
+    """Refuse, by name, any config key that ``verb``'s pipeline never reads."""
+    unread = sorted(set(keys) - set(_COMMON_KEYS) - set(_KEYS[verb]))
+    if unread:
+        raise ValueError(
+            f"config keys not read by {verb}: {', '.join(unread)}; it reads "
+            + ", ".join(_COMMON_KEYS + _KEYS[verb])
+        )
 
 
 def _pick(value, default):
@@ -508,8 +518,8 @@ def _run_illpose_step2(cfg: ExperimentConfig) -> ExperimentReport:
     norm_rows = []
     for q in (2.0, 4.0):
         norm_rows.append((q, besov_norm(f, BesovIndex.data_index(4.0, q), partition)))
-    floor = low_frequency_floor(theta2, partition)
     profile = low_frequency_profile(theta2, partition)
+    floor = max((value for _, value in profile), default=0.0)
 
     tables = [
         Table("terms", ("n", "carrier_exponent", "amplitude"),
@@ -615,6 +625,7 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
     common_carrier = max(min_carrier[count] for count in feasible) if feasible else None
     params["inflation_leg"]["carrier_exponent"] = common_carrier
 
+    partition = build_partition(lattice)
     infl_rows, ratio_by_count = [], {}
     for count in counts:
         if count in failures:
@@ -627,18 +638,13 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
                          carrier_exponent=carrier, probe_gap=gap,
                          stride=lattice.box_length / (2 * count))
         spec.validate(lattice)
-        # partitions are rebuilt around the padded transforms so the ring
-        # cache never carries half a gigabyte of shells through the peak
-        partition = build_partition(lattice)
         forcing = translated_block_force(lattice, spec, partition)[1]
-        del partition
         theta1 = inverse_laplacian(forcing)
         del forcing
         theta2 = -quadratic_diagonal(theta1)
         del theta1
-        partition = build_partition(lattice)
         report = inflation_profile(theta2, spec, partition, q_values=q_list)
-        del theta2, partition
+        del theta2
         l1 = report.aggregate(1.0)
         l2 = report.aggregate(2.0)
         ratio_by_count[count] = l1 / l2
@@ -681,7 +687,7 @@ _PIPELINES = {
     "illpose-step3": _run_illpose_step3,
 }
 
-# Config keys each pipeline reads; any other key is refused by config_from_dict.
+# Config keys each pipeline reads; ExperimentConfig and config_from_dict refuse any other.
 _COMMON_KEYS = ("experiment", "seed", "out_dir")
 _KEYS = {
     "partition-check": ("m", "h_xi", "tolerance"),

@@ -9,8 +9,7 @@ holds with the quadrature weight ``(L/m)**2`` per physical sample.
 
 Fields are immutable; every operation returns a new field.  Coefficient
 arrays are stored in FFT index order (0, 1, ..., m/2-1, -m/2, ..., -1 per
-axis), which is also the layout of the on-disk snapshot format (see
-``save_field``).
+axis).
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ __all__ = [
     "riesz_velocity",
     "dyadic_rescale",
     "strip_unpaired_edge",
-    "save_field",
-    "load_field",
     "set_fft_workers",
 ]
 
@@ -520,43 +517,3 @@ def _hermitian_from_half(half: np.ndarray) -> np.ndarray:
     np.conjugate(out[..., :1, h - 1 : 0 : -1], out=out[..., :1, h + 1 :])
     np.conjugate(out[..., :0:-1, h - 1 : 0 : -1], out=out[..., 1:, h + 1 :])
     return out
-
-
-
-# ---------------------------------------------------------------------------
-# Snapshots
-# ---------------------------------------------------------------------------
-
-_SNAPSHOT_FORMAT = "sqglab-field-v1"
-
-
-def save_field(field: SpectralField, path: str) -> None:
-    """Write a self-describing snapshot (.npz).
-
-    Layout (stable): ``format`` tag, ``m``, ``h_xi``, ``rank`` and
-    ``coeffs`` -- the complex coefficient array in row-major FFT index
-    order, exactly as held in memory.
-    """
-    np.savez(
-        path,
-        format=np.array(_SNAPSHOT_FORMAT),
-        m=np.array(field.lattice.m, dtype=np.int64),
-        h_xi=np.array(field.lattice.h_xi, dtype=np.float64),
-        rank=np.array(field.rank, dtype=np.int64),
-        coeffs=np.ascontiguousarray(field.coeffs),
-    )
-
-
-def load_field(path: str) -> SpectralField:
-    with np.load(path) as data:
-        tag = str(data["format"])
-        if tag != _SNAPSHOT_FORMAT:
-            raise ValueError(f"not a field snapshot (format tag {tag!r})")
-        lattice = FrequencyLattice(m=int(data["m"]), h_xi=float(data["h_xi"]))
-        coeffs = data["coeffs"]
-        rank = int(data["rank"])
-        if coeffs.ndim - 2 != rank:
-            raise ValueError(
-                f"snapshot rank field {rank} disagrees with array shape {coeffs.shape}"
-            )
-    return SpectralField(lattice, coeffs)

@@ -97,6 +97,66 @@ def test_shell_grids_are_band_sized(lattice256, partition256):
         assert ring[reach == extent].any()
 
 
+@pytest.mark.parametrize("m, h_xi", [(32, 0.25), (64, 1.0), (128, 0.125), (256, 0.125)])
+def test_ring_quadrants_unfold_to_the_closed_form_bitwise(m, h_xi):
+    lattice = FrequencyLattice(m=m, h_xi=h_xi)
+    partition = build_partition(lattice)
+    r = lattice.radius
+    # |k| per axis in FFT order, the unpaired -m/2 slot read as m/2
+    reach = np.maximum(np.abs(lattice.k1), np.abs(lattice.k2))
+    extents = []
+    for j in partition.shells:
+        want = partition.step(r * 2.0 ** (-j)) - partition.step(r * 2.0 ** (1 - j))
+        ring = partition.ring_values(j)
+        assert ring.shape == (m, m)
+        assert np.array_equal(ring, want)
+        extent = partition.ring_extent(j)
+        assert extent == int(reach[want != 0.0].max(initial=0))
+        assert partition.ring_quadrant(j).shape == (extent + 1, extent + 1)
+        extents.append(extent)
+    # the top shells reach the -m/2 edge
+    assert extents[-1] == m // 2
+
+
+def test_partition_holds_no_full_lattice_ring(lattice128):
+    partition = build_partition(lattice128)
+    f = random_mean_zero_field(lattice128, np.random.default_rng(31))
+    besov_norm(f, BesovIndex(s=-0.5, p=4.0, q=2.0), partition)
+    besov_norm(f, BesovIndex(s=-0.5, p=math.inf, q=2.0), partition)
+    for j in partition.shells:
+        shell_project(f, partition, j)
+        partition.ring_values(j)
+
+    def arrays(obj):
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, dict):
+            for value in obj.values():
+                yield from arrays(value)
+        elif isinstance(obj, (tuple, list)):
+            for value in obj:
+                yield from arrays(value)
+
+    # the lattice's own coordinate arrays are not the partition's storage
+    held = [a for key, value in vars(partition).items() if key != "lattice"
+            for a in arrays(value)]
+    m = lattice128.m
+    assert held and all(a.size < m * m for a in held)
+    budget = sum((partition.ring_extent(j) + 1) ** 2 for j in partition.shells)
+    assert sum(a.size for a in held) <= budget
+
+
+def test_ring_arrays_are_read_only(partition32):
+    ring = partition32.ring_values(1)
+    assert not ring.flags.writeable
+    with pytest.raises(ValueError):
+        ring[0, 1] = 2.0
+    assert not partition32.ring_quadrant(1).flags.writeable
+    # each call unfolds afresh; the values do not change
+    assert partition32.ring_values(1) is not ring
+    assert np.array_equal(partition32.ring_values(1), ring)
+
+
 @pytest.mark.parametrize("p", [2, 4, 6, 8])
 def test_lp_norm_even_powers_match_float_pow(p):
     rng = np.random.default_rng(30)

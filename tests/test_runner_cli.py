@@ -50,6 +50,15 @@ def test_config_rejects_keys_the_verb_does_not_read():
     assert set(runner._KEYS) == set(runner.EXPERIMENTS)
 
 
+def test_config_built_directly_refuses_keys_the_verb_does_not_read():
+    with pytest.raises(ValueError, match="not read by constants: block_counts;"):
+        ExperimentConfig("constants", m=32, samples=50, block_counts=(2, 4))
+    # the verb's own keys, the common keys and defaults are accepted
+    cfg = ExperimentConfig("constants", m=32, samples=50, seed=3, out_dir="elsewhere",
+                           block_counts=None)
+    assert cfg.block_counts is None
+
+
 def keys_read_by(fn):
     """``cfg.<key>`` reads in a function's source and in the helpers it hands cfg to."""
     source = inspect.getsource(fn)

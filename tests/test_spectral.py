@@ -1,5 +1,5 @@
 """Core spectral layer: lattice validation, field construction, Fourier
-multipliers, dyadic rescaling, and field snapshots."""
+multipliers and dyadic rescaling."""
 
 import numpy as np
 import pytest
@@ -10,10 +10,8 @@ from sqglab.spectral import (
     SpectralField,
     dyadic_rescale,
     inverse_laplacian,
-    load_field,
     neg_laplacian,
     riesz_velocity,
-    save_field,
 )
 
 
@@ -175,16 +173,3 @@ def test_rescale_moves_modes_with_amplitude():
     g = dyadic_rescale(f, 2, amplitude_power=3)
     assert g.coeffs[8, (-4) % 64] == pytest.approx(0.5 * 64.0)
     assert g.nonzero_modes() == 2
-
-
-# -- snapshots ---------------------------------------------------------------
-
-
-def test_snapshot_roundtrip(tmp_path, lattice32):
-    rng = np.random.default_rng(8)
-    f = random_mean_zero_field(lattice32, rng)
-    path = str(tmp_path / "field.npz")
-    save_field(f, path)
-    g = load_field(path)
-    assert g.lattice == f.lattice
-    assert np.array_equal(g.coeffs, f.coeffs)
