@@ -40,7 +40,6 @@ from .forcing import (
     calibrate_stride,
     lacunary_force,
     modulated_bump_force,
-    smooth_bump,
     translated_block_force,
 )
 from .runner import EXPERIMENTS, ExperimentConfig, load_config, run_experiment
@@ -118,7 +117,6 @@ __all__ = [
     "set_fft_workers",
     "shell_project",
     "single_shell_field",
-    "smooth_bump",
     "strip_unpaired_edge",
     "translated_block_force",
     "unit_normalize",

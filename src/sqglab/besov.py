@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .profiles import SmoothStep
-from .spectral import FrequencyLattice, SpectralField, _hermitian_parts, _real_synthesis
+from .spectral import FrequencyLattice, SpectralField, _half_synthesis, _hermitian_parts
 
 __all__ = [
     "BesovIndex",
@@ -296,20 +296,22 @@ def _mirror_slices(extent: int, n: int) -> list[tuple[slice, slice]]:
     return pieces
 
 
-def _ring_box(c: np.ndarray, quadrant: np.ndarray, n: int) -> np.ndarray:
-    """``phi_j * c`` on the ``(n, n)`` box around the origin, in the FFT layout
-    of ``c``, for the ring's :meth:`~DyadicPartition.ring_quadrant`.
+def _ring_box(c: np.ndarray, quadrant: np.ndarray, grid: int) -> np.ndarray:
+    """The k2 >= 0 half of ``phi_j * c`` laid out for a ``grid x grid`` real
+    transform, shape ``(grid, grid/2 + 1)``, for the ring's
+    :meth:`~DyadicPartition.ring_quadrant`.
 
-    ``n`` is ``min(2 K_j + 2, m)``: the box holds every live mode, and at
-    ``n = m`` the ``k = -m/2`` row and column too.  Only the k2 >= 0
-    columns (through ``n/2``) that :func:`_real_synthesis` reads are
-    filled; the ring is read from the quadrant by slicing, no gather.
+    ``grid`` is at least ``2 K_j + 2`` or equal to m, so it holds every live
+    mode, and at ``grid = m`` the ``k = -m/2`` row and column too.  The
+    live columns are ``K_j + 1`` (k2 = 0 .. K_j); the ring is read from the
+    quadrant by slicing, no gather, and the product is written straight
+    into the buffer :func:`_half_synthesis` transforms.
     """
     extent = quadrant.shape[0] - 1
-    box, lattice = _mirror_slices(extent, n), _mirror_slices(extent, c.shape[-1])
-    # k2 >= 0 columns: the non-negative piece and, at n = m, the -m/2 edge
+    box, lattice = _mirror_slices(extent, grid), _mirror_slices(extent, c.shape[-1])
+    # k2 >= 0 columns: the non-negative piece and, at grid = m, the -m/2 edge
     cols = box[:1] + box[2:]
-    out = np.zeros((n, n), dtype=c.dtype)
+    out = np.zeros((grid, grid // 2 + 1), dtype=c.dtype)
     for (dst1, q1), (src1, _) in zip(box, lattice):
         for dst2, q2 in cols:
             np.multiply(c[src1, dst2], quadrant[q1, q2], out=out[dst1, dst2])
@@ -350,9 +352,10 @@ def shell_profile(
 
     Shell j is cropped to the box ``|k| <= K_j`` on which its ring lives
     (:meth:`DyadicPartition.ring_extent`), the ring read by slicing its
-    cached quadrant, and synthesized with a real-to-complex inverse
-    transform of its k2 >= 0 half on an ``M_j x M_j`` grid, with
-    quadrature weight ``(L/M_j)**2``.  For an even
+    cached quadrant, and its k2 >= 0 half is written into an
+    ``M_j x M_j`` real-transform buffer and synthesized with the staged
+    inverse transform, whose column pass runs over the ``K_j + 1`` live
+    columns only; the quadrature weight is ``(L/M_j)**2``.  For an even
     integer p, ``M_j`` is the smallest power of two with
     ``p * K_j < M_j <= m``; for any other p it is the lattice's own m.
     That is exact, not an approximation: with g the shell,
@@ -379,14 +382,14 @@ def shell_profile(
     parts = _hermitian_parts(field.coeffs)
     for j in partition.shells:
         extent = partition.ring_extent(j)
+        grid = _shell_grid(extent, p, m)
         quadrant = partition.ring_quadrant(j)
-        projs = [_ring_box(part, quadrant, min(2 * extent + 2, m)) for part in parts]
+        projs = [_ring_box(part, quadrant, grid) for part in parts]
         if not any(proj.any() for proj in projs):
             out.append((j, 0.0))
             continue
-        grid = _shell_grid(extent, p, m)
         cell = field.lattice.box_length / grid
-        samples = [_real_synthesis(proj, grid) for proj in projs]
+        samples = [_half_synthesis(proj, extent + 1) for proj in projs]
         mags = samples[0] if len(samples) == 1 else np.hypot(*samples)
         out.append((j, 2.0 ** (s * j) * lp_norm(mags, p, cell * cell)))
     return out

@@ -18,15 +18,18 @@ Both fast forms run one fused kernel on the k2 >= 0 half-spectrum.  Each
 scalar factor and each Riesz-velocity component is padded straight from
 its half-spectrum to the 3m/2 grid (the 3/2 rule of Orszag, J. Atmos. Sci.
 28, 1971, which keeps every aliased product mode off the retained box),
-the velocity symbol applied during the padding copy, and synthesized with
-``irfft2``.  The physical flux is formed one component at a time (for the
-block form the symmetrized sum is taken in physical space, so each
-component costs one ``rfft2``), analysed, contracted with
-``i xi / |xi|^2`` on the half and accumulated; the Hermitian m x m output
-is rebuilt once.  At its peak the kernel holds three arrays of the padded
-size for the diagonal form (theta, the flux being formed, and the padded
-half feeding a transform or the transform's output) and five for the
-block form (f, g, the flux, one velocity component and its padded half).
+the velocity symbol applied during the padding copy, and synthesized.  The
+physical flux is formed one component at a time (for the block form the
+symmetrized sum is taken in physical space, so each component costs one
+analysis), analysed, contracted with ``i xi / |xi|^2`` on the half and
+accumulated; the Hermitian m x m output is rebuilt once.  The diagonal
+form costs 3 syntheses and 2 analyses, the block form 6 and 2.  Each
+synthesis and each analysis is two 1-D transform passes, and the column
+pass runs over the m/2 live columns only.  At its peak the kernel holds
+three arrays of the padded size for the diagonal form (theta, the flux
+being formed, and the padded half feeding a transform or the transform's
+output) and five for the block form (f, g, the flux, one velocity
+component and its padded half).
 Complex inputs are split by bilinearity into real and imaginary physical
 parts, each going through the same kernel.
 
@@ -172,9 +175,10 @@ def _transport(fc: np.ndarray, gc: np.ndarray | None, lattice: FrequencyLattice)
     None this is (-Delta)^{-1} div(f R^perp f); otherwise
     (1/2) (-Delta)^{-1} div(f R^perp g + g R^perp f), whose flux is summed
     in physical space in an order that makes the result bitwise symmetric
-    in f and g.  Transforms: 3 ``irfft2`` + 2 ``rfft2`` for the diagonal,
-    6 + 2 for the block form.  Each flux array is freed before the next
-    one is made.  Non-finite values are left to the caller's check.
+    in f and g.  Transforms: 3 syntheses + 2 analyses for the diagonal,
+    6 + 2 for the block form, each two 1-D passes over the live columns.
+    Each flux array is freed before the next one is made.  Non-finite
+    values are left to the caller's check.
     """
     diagonal = gc is None
     if diagonal:

@@ -12,6 +12,7 @@ every verdict passed, 1 when any failed, 2 on a rejected configuration.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import sys
 from pathlib import Path
@@ -49,7 +50,41 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap_pages() -> None:
+    """Let this process keep the heap pages it frees, up to glibc's own ceilings.
+
+    By default glibc returns the top of the heap to the kernel whenever
+    more than twice the current mmap threshold is free there.  The padded
+    transforms allocate and free arrays of about 1 MB many times per
+    iteration, so every call paid for freshly zeroed pages again: about
+    2,600 minor page faults per quadratic form at m=256.  This fixes the
+    mmap threshold at 32 MiB and the trim threshold at 64 MiB.  Those are
+    not tuned numbers: they are the ceilings glibc's dynamic rule reaches,
+    DEFAULT_MMAP_THRESHOLD_MAX on 64-bit and twice it.  Arrays above
+    32 MiB (the fields of the largest lattices and the padded grids of the
+    big sweeps) still come from mmap and go back to the kernel when freed,
+    so the big sweeps do not keep their peaks.
+
+    Only the command line does this, because it owns its process; importing
+    sqglab leaves a host process's allocator alone.  Where there is no
+    ``mallopt`` (not glibc), nothing happens.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 64 << 20)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_heap_pages()
     args = build_parser().parse_args(argv)
     raw: dict = {}
     if args.config is not None:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .besov import DyadicPartition, _lq_aggregate, build_probe, lp_norm, shell_project
+from .besov import DyadicPartition, _lq_aggregate, build_probe, lp_norm
 from .forcing import ForceSpec
 from .spectral import SpectralField
 
@@ -157,11 +157,16 @@ def low_frequency_profile(
     area = theta2.lattice.quadrature_weight
     profile = []
     for j in range(j_lo, j_hi + 1):
+        # unfolded once: the zero test and the projection read the same ring
         ring = partition.ring_values(j)
         if not np.any((ring > 0) & (theta2.coeffs != 0)):
             profile.append((j, 0.0))
             continue
-        piece = shell_project(theta2, partition, j)
+        if j > partition.j_max:
+            raise ValueError(
+                f"shell {j} outside the partition window [{partition.j_min}, {partition.j_max}]"
+            )
+        piece = SpectralField._adopt(theta2.lattice, theta2.coeffs * ring)
         value = 2.0 ** (-j) * lp_norm(np.abs(piece.physical()), math.inf, area)
         profile.append((j, value))
     return profile

@@ -34,7 +34,6 @@ from .spectral import FrequencyLattice, SpectralField, strip_unpaired_edge
 __all__ = [
     "ExponentMap",
     "ForceSpec",
-    "smooth_bump",
     "modulated_bump_force",
     "lacunary_force",
     "block_envelope",
@@ -248,22 +247,23 @@ class ForceSpec:
 _BUMP_PROFILE = SmoothStep(1.0, 2.0)
 
 
-def smooth_bump(lattice: FrequencyLattice) -> SpectralField:
-    """The radial envelope: spectrum 1 inside |xi| <= 1, 0 outside |xi| >= 2."""
-    if lattice.h_xi > 0.25:
-        raise ValueError(
-            f"lattice too coarse to resolve the unit bump: h_xi = "
-            f"{lattice.h_xi:g} > 1/4"
-        )
-    vals = _BUMP_PROFILE(lattice.radius)
-    return SpectralField(lattice, strip_unpaired_edge(vals.astype(np.complex128)))
-
-
 def _shifted_bump_pair(lattice: FrequencyLattice, carrier: float) -> np.ndarray:
-    """chi-hat(xi - c e1) + chi-hat(xi + c e1) on the lattice (real array)."""
-    r_minus = np.hypot(lattice.xi1 - carrier, lattice.xi2)
-    r_plus = np.hypot(lattice.xi1 + carrier, lattice.xi2)
-    return _BUMP_PROFILE(r_minus) + _BUMP_PROFILE(r_plus)
+    """chi-hat(xi - c e1) + chi-hat(xi + c e1) on the lattice (real array).
+
+    Each bump vanishes outside radius 2 of its centre, so it is evaluated
+    only on the box of rows and columns whose offset from the centre is
+    below 2, clipped to the lattice, and added into zeros.  The values are
+    bitwise those of the formula evaluated on every mode.
+    """
+    m = lattice.m
+    xi = lattice.h_xi * np.fft.fftfreq(m, d=1.0 / m).astype(np.int64)
+    cols = np.flatnonzero(np.abs(xi) < 2.0)
+    out = np.zeros((m, m))
+    for centre in (carrier, -carrier):
+        rows = np.flatnonzero(np.abs(xi - centre) < 2.0)
+        r = np.hypot(xi[rows, None] - centre, xi[None, cols])
+        out[np.ix_(rows, cols)] += _BUMP_PROFILE(r)
+    return out
 
 
 def modulated_bump_force(lattice: FrequencyLattice, spec: ForceSpec) -> SpectralField:

@@ -463,39 +463,54 @@ def _padded_half(c: np.ndarray, grid: int, symbol: np.ndarray | None = None) -> 
 
 def _real_synthesis(c: np.ndarray, grid: int, symbol: np.ndarray | None = None) -> np.ndarray:
     """Real samples on a ``grid x grid`` mesh of Hermitian coefficients ``c``
-    (times ``symbol``, as in :func:`_padded_half`).
+    (times ``symbol``), from their k2 >= 0 half as :func:`_padded_half`
+    lays it out, whose m/2 columns k2 = 0 .. m/2 - 1 are the live ones."""
+    return _half_synthesis(_padded_half(c, grid, symbol), c.shape[-1] // 2)
 
-    Only the k2 >= 0 half of ``c`` is read and handed to ``irfft2``, which
-    supplies the conjugate half.  On a padded grid (``grid > m``), or with a
-    symbol, the half goes through :func:`_padded_half`, which leaves out the
-    unpaired k = -m/2 row and column, since a padded grid has no partner
-    for them.  At ``grid == m`` without a symbol that edge is the grid's own
-    Nyquist mode and is kept.
+
+def _half_synthesis(half: np.ndarray, live: int) -> np.ndarray:
+    """Real samples on a ``grid x grid`` mesh from the writable k2 >= 0 half
+    ``half`` (shape (..., grid, grid/2 + 1)) whose columns from ``live`` on
+    are zero.
+
+    Two 1-D passes, as ``irfft2`` makes them: a complex transform down
+    axis -2 of the live columns only, in place, then real transforms of
+    length ``grid`` along axis -1, which supply the conjugate half.  The
+    result is bitwise ``irfft2`` of ``half``; the columns known to be zero
+    are not transformed, and no complex scratch array of the grid's size
+    is made.  ``half`` is overwritten.
     """
-    m = c.shape[-1]
-    if grid == m and symbol is None:
-        half, scratch = c[..., : m // 2 + 1], False
-    else:
-        half, scratch = _padded_half(c, grid, symbol), True
-    return scipy.fft.irfft2(
-        half, s=(grid, grid), norm="forward", workers=_FFT_WORKERS, overwrite_x=scratch
-    )
+    grid = half.shape[-2]
+    cols = half[..., :live]
+    out = scipy.fft.ifft(cols, axis=-2, norm="forward", workers=_FFT_WORKERS, overwrite_x=True)
+    if not np.shares_memory(out, half):
+        cols[...] = out
+    return scipy.fft.irfft(half, n=grid, axis=-1, norm="forward", workers=_FFT_WORKERS)
 
 
 def _analysed_half(samples: np.ndarray, m: int) -> np.ndarray:
     """The k2 >= 0 half of the coefficients of real samples, on the symmetric box.
 
-    ``rfft2`` gives the half; the result is its (..., m, m/2) crop in FFT
-    row order (k2 = 0 .. m/2 - 1), with the unpaired k1 = -m/2 row zero.
-    The samples are used as scratch space.
+    The result is the (..., m, m/2) crop of ``rfft2(samples, norm="forward")``
+    in FFT row order (k2 = 0 .. m/2 - 1), with the unpaired k1 = -m/2 row
+    zero, and bitwise equal to it.  It is made in two 1-D passes: real
+    transforms along axis -1, then, on the m/2 kept columns only, the
+    1/grid**2 factor and a complex transform down axis -2, in place.  The
+    factor goes on between the passes because that is where ``rfft2``
+    applies it; a forward-normalised pass on each axis would differ in the
+    last bits.
     """
     grid = samples.shape[-1]
-    spec = scipy.fft.rfft2(samples, norm="forward", workers=_FFT_WORKERS, overwrite_x=True)
     h = m // 2
+    spec = scipy.fft.rfft(samples, axis=-1, norm="backward", workers=_FFT_WORKERS)
+    cols = spec[..., :h]
+    scaled = cols.view(np.float64)
+    scaled *= 1.0 / (grid * grid)
+    out = scipy.fft.fft(cols, axis=-2, norm="backward", workers=_FFT_WORKERS, overwrite_x=True)
     half = np.empty(samples.shape[:-2] + (m, h), dtype=np.complex128)
-    half[..., :h, :] = spec[..., :h, :h]
+    half[..., :h, :] = out[..., :h, :]
     half[..., h, :] = 0.0
-    half[..., h + 1 :, :] = spec[..., grid - h + 1 :, :h]
+    half[..., h + 1 :, :] = out[..., grid - h + 1 :, :]
     return half
 
 

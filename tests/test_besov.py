@@ -4,10 +4,12 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from sqglab.besov import (
     BesovIndex,
     WindowCoverageWarning,
+    _ring_box,
     _shell_grid,
     besov_norm,
     build_partition,
@@ -80,6 +82,25 @@ def test_shell_profile_matches_complex_transform_loop(lattice256, partition256, 
         ref = max(vals) if math.isinf(q) else math.fsum(v**q for v in vals) ** (1.0 / q)
         norm = besov_norm(f, BesovIndex(s, p, q), partition256)
         assert norm == pytest.approx(ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("p", [4.0, math.inf])
+def test_shell_profile_is_bitwise_the_irfft2_route(lattice256, partition256, p):
+    # the staged synthesis transforms only each shell's K_j + 1 live
+    # columns; the two-axis route over the whole half is the oracle
+    f = random_mean_zero_field(lattice256, np.random.default_rng(5))
+    m = lattice256.m
+    want, narrower = [], 0
+    for j in partition256.shells:
+        extent = partition256.ring_extent(j)
+        grid = _shell_grid(extent, p, m)
+        narrower += 2 * extent + 2 < grid
+        half = _ring_box(f.coeffs, partition256.ring_quadrant(j), grid)
+        samples = scipy.fft.irfft2(half, s=(grid, grid), norm="forward")
+        cell = lattice256.box_length / grid
+        want.append((j, 2.0 ** (-0.5 * j) * lp_norm(samples, p, cell * cell)))
+    assert narrower > 0
+    assert shell_profile(f, -0.5, p, partition256) == want
 
 
 def test_shell_grids_are_band_sized(lattice256, partition256):

@@ -12,9 +12,9 @@ from sqglab.forcing import (
     calibrate_stride,
     lacunary_force,
     modulated_bump_force,
-    smooth_bump,
     translated_block_force,
 )
+from sqglab.profiles import SmoothStep
 from sqglab.spectral import FrequencyLattice
 
 
@@ -95,16 +95,66 @@ def test_force_spec_lattice_validation(lattice128):
         ).validate(lattice128)
 
 
-def test_smooth_bump_profile(lattice128):
-    bump = smooth_bump(lattice128)
-    vals = bump.coeffs.real
-    r = lattice128.radius
-    assert np.all(vals[r <= 1.0] == 1.0)
-    assert np.all(vals[r >= 2.0] == 0.0)
-    mid = (r > 1.0) & (r < 2.0)
-    assert np.all((vals[mid] > 0.0) & (vals[mid] < 1.0))
+def full_lattice_pair(lattice, carrier):
+    """The bump pair evaluated on every mode of the lattice."""
+    chi = SmoothStep(1.0, 2.0)
+    return chi(np.hypot(lattice.xi1 - carrier, lattice.xi2)) + chi(
+        np.hypot(lattice.xi1 + carrier, lattice.xi2)
+    )
+
+
+def edge_stripped(coeffs):
+    out = coeffs.astype(np.complex128)
+    out[out.shape[0] // 2, :] = 0.0
+    out[:, out.shape[1] // 2] = 0.0
+    return out
+
+
+@pytest.mark.parametrize(
+    "m, h_xi, size",
+    [(128, 0.25, 3), (256, 0.125, 2), (64, 0.1875, 2)],
+)
+def test_modulated_bump_box_is_bitwise_the_full_lattice(m, h_xi, size):
+    # each bump is evaluated on its box only; (64, 3/16) puts the box on
+    # the last row before the Nyquist row, at a spacing with inexact steps
+    lattice = FrequencyLattice(m=m, h_xi=h_xi)
+    f = modulated_bump_force(lattice, ForceSpec(variant="bump", size=size))
+    half_amp = 0.5 * 0.01 * 2.0 ** (2.5 * size)
+    want = edge_stripped(half_amp * full_lattice_pair(lattice, 2.0**size))
+    assert np.array_equal(f.coeffs, want)
+    if m == 64:
+        assert f.coeffs[m // 2 - 1].any() and f.coeffs[m // 2 + 1].any()
+    if h_xi == 0.25:
+        # the envelope: 1 inside radius 1, 0 from radius 2, strictly between
+        # (on finer lattices, radii within rounding of 1 or 2 read 1 or 0)
+        vals = f.coeffs.real / half_amp
+        d = np.minimum(
+            np.hypot(lattice.xi1 - 2.0**size, lattice.xi2),
+            np.hypot(lattice.xi1 + 2.0**size, lattice.xi2),
+        )
+        assert np.all(vals[d <= 1.0] == 1.0)
+        assert np.all(vals[d >= 2.0] == 0.0)
+        mid = (d > 1.0) & (d < 2.0)
+        assert mid.any() and np.all((vals[mid] > 0.0) & (vals[mid] < 1.0))
     with pytest.raises(ValueError, match="too coarse"):
-        smooth_bump(FrequencyLattice(m=32, h_xi=0.5))
+        modulated_bump_force(FrequencyLattice(m=m, h_xi=0.5), ForceSpec(variant="bump", size=2))
+
+
+@pytest.mark.parametrize("m, block_range", [(32, (1, 1)), (128, (1, 2))])
+def test_lacunary_boxes_are_bitwise_the_full_lattice(m, block_range):
+    # s(1) = 1: carrier 2, whose box at m=32 reaches the row before Nyquist
+    lattice = FrequencyLattice(m=m, h_xi=0.25)
+    spec = ForceSpec(variant="lacunary", size=2, block_range=block_range,
+                     exponents=ExponentMap.affine(2, -1))
+    want = np.zeros((m, m))
+    for n in spec.block_indices():
+        s = spec.exponents(n)
+        amp = spec.delta * 2.0 ** (2.5 * s) / (math.sqrt(n) * math.sqrt(math.log(spec.size)))
+        want += 0.5 * amp * full_lattice_pair(lattice, 2.0**s)
+    f = lacunary_force(lattice, spec)
+    assert np.array_equal(f.coeffs, edge_stripped(want))
+    if m == 32:
+        assert f.coeffs[m // 2 - 1].any()
 
 
 def test_modulated_bump_support_and_amplitude(lattice128):

@@ -1,13 +1,21 @@
 """Experiment configs, deterministic report emission, CLI exit codes."""
 
+import ctypes
 import inspect
 import json
 import math
+import mmap
+import os
+import platform
 import re
+import subprocess
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
+import sqglab
 from sqglab import runner, spectral
 from sqglab.cli import main
 from sqglab.reports import ExperimentReport, Table, Verdict, emit_report, format_value
@@ -333,3 +341,57 @@ def test_cli_seed_override(tmp_path, capsys):
     capsys.readouterr()
     payload = json.loads((out_dir / "constants_report.json").read_text())
     assert payload["config"]["seed"] == 3
+
+
+# -- heap retention -------------------------------------------------------------
+
+_HEAP_CHURN = """
+import resource
+
+import numpy as np
+{setup}
+
+def churn(rounds):
+    # five 1 MiB arrays, written (so every page is touched), freed together
+    for _ in range(rounds):
+        arrays = [np.full(1 << 17, 1.0) for _ in range(5)]
+        del arrays
+
+churn(3)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+churn({rounds})
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _has_mallopt() -> bool:
+    try:
+        ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return False
+    return platform.libc_ver()[0] == "glibc"
+
+
+def minor_faults_of_churn(setup: str, rounds: int, cwd: Path) -> int:
+    env = {k: v for k, v in os.environ.items()
+           if not k.startswith("MALLOC_") and k != "GLIBC_TUNABLES"}
+    env["PYTHONPATH"] = str(Path(sqglab.__file__).parents[1])
+    code = _HEAP_CHURN.format(setup=setup, rounds=rounds)
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          capture_output=True, text=True, check=True)
+    return int(done.stdout)
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="needs glibc's mallopt")
+def test_cli_process_keeps_its_freed_heap_pages(tmp_path):
+    # glibc trims the freed arrays off the heap and faults them in again on
+    # the next round; after the CLI has started (here it stops at a missing
+    # config) the pages stay.  Importing sqglab alone must leave the
+    # allocator as it was.
+    rounds = 40
+    touched = rounds * 5 * (1 << 20) // mmap.PAGESIZE
+    cli_start = "from sqglab.cli import main\nassert main(['constants', '--config', 'missing.json']) == 2"
+    kept = minor_faults_of_churn(cli_start, rounds, tmp_path)
+    imported = minor_faults_of_churn("import sqglab.cli", rounds, tmp_path)
+    assert kept < touched // 20
+    assert imported > touched // 2

@@ -269,7 +269,9 @@ def test_carried_step_keeps_the_three_product_loop(lattice128, partition128):
 
 def test_perturbation_iteration_costs_five_padded_transforms(lattice32, partition32, monkeypatch):
     # one quadratic form at the 3m/2 grid: 3 syntheses (theta and two
-    # velocity components) and 2 analyses (two flux components)
+    # velocity components) and 2 analyses (two flux components); each is
+    # counted by its row pass, a length-grid irfft or rfft on a
+    # (grid, .) array
     theta1, theta2 = first_iterates(small_forcing(lattice32, 0.2))
     grid = 3 * lattice32.m // 2
     calls = []
@@ -282,17 +284,17 @@ def test_perturbation_iteration_costs_five_padded_transforms(lattice32, partitio
 
         return run
 
-    monkeypatch.setattr(scipy.fft, "irfft2", counted("irfft2", scipy.fft.irfft2,
-                                                     lambda x, kw: tuple(kw["s"])))
-    monkeypatch.setattr(scipy.fft, "rfft2", counted("rfft2", scipy.fft.rfft2,
-                                                    lambda x, kw: x.shape[-2:]))
+    monkeypatch.setattr(scipy.fft, "irfft", counted("irfft", scipy.fft.irfft,
+                                                    lambda x, kw: (x.shape[-2], kw["n"])))
+    monkeypatch.setattr(scipy.fft, "rfft", counted("rfft", scipy.fft.rfft,
+                                                   lambda x, kw: x.shape[-2:]))
     per_run = []
     for max_iter in (1, 2):
         calls.clear()
         _, trace = perturbation_solve(theta1, theta2, SolveConfig(tol=1e-14, max_iter=max_iter),
                                       partition=partition32)
         assert trace.iterations == max_iter
-        per_run.append((calls.count("irfft2"), calls.count("rfft2")))
+        per_run.append((calls.count("irfft"), calls.count("rfft")))
     (inv1, fwd1), (inv2, fwd2) = per_run
     assert (inv2 - inv1, fwd2 - fwd1) == (3, 2)
 

@@ -3,11 +3,15 @@ multipliers and dyadic rescaling."""
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from sqglab.sampling import random_mean_zero_field
 from sqglab.spectral import (
     FrequencyLattice,
     SpectralField,
+    _analysed_half,
+    _padded_half,
+    _real_synthesis,
     dyadic_rescale,
     inverse_laplacian,
     neg_laplacian,
@@ -173,3 +177,38 @@ def test_rescale_moves_modes_with_amplitude():
     g = dyadic_rescale(f, 2, amplitude_power=3)
     assert g.coeffs[8, (-4) % 64] == pytest.approx(0.5 * 64.0)
     assert g.nonzero_modes() == 2
+
+
+# -- staged real transforms ----------------------------------------------------
+#
+# The two-axis transforms the staged passes replace stay here as oracles.
+
+
+@pytest.mark.parametrize("m", [8, 32, 128, 256])
+@pytest.mark.parametrize("padded", [False, True])
+@pytest.mark.parametrize("with_symbol", [False, True])
+def test_real_synthesis_is_bitwise_irfft2(m, padded, with_symbol):
+    lat = FrequencyLattice(m=m, h_xi=0.25)
+    rng = np.random.default_rng(m)
+    # irfft2 reads only the k2 >= 0 half, so c need not be Hermitian; every
+    # mode of the half is live here
+    c = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    grid = 3 * m // 2 if padded else m
+    symbol = None
+    if with_symbol:
+        symbol = (1j * lat.xi1 / np.maximum(lat.radius, lat.h_xi))[:, : m // 2]
+    want = scipy.fft.irfft2(_padded_half(c, grid, symbol), s=(grid, grid), norm="forward")
+    assert np.array_equal(_real_synthesis(c, grid, symbol), want)
+
+
+@pytest.mark.parametrize("m", [8, 32, 128, 256])
+@pytest.mark.parametrize("padded", [False, True])
+def test_analysed_half_is_bitwise_the_rfft2_crop(m, padded):
+    grid = 3 * m // 2 if padded else m
+    samples = np.random.default_rng(m).standard_normal((grid, grid))
+    spec = scipy.fft.rfft2(samples, norm="forward")
+    h = m // 2
+    want = np.concatenate([spec[:h, :h], np.zeros((1, h)), spec[grid - h + 1 :, :h]])
+    got = _analysed_half(samples.copy(), m)
+    assert got.shape == (m, h)
+    assert np.array_equal(got, want)
