@@ -17,11 +17,18 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .profiles import SmoothStep
-from .spectral import FrequencyLattice, SpectralField, _half_synthesis, _hermitian_parts
+from .spectral import (
+    FrequencyLattice,
+    SpectralField,
+    _half_synthesis,
+    _hermitian_parts,
+    _occupied_columns,
+)
 
 __all__ = [
     "BesovIndex",
@@ -30,6 +37,8 @@ __all__ = [
     "shell_project",
     "lp_norm",
     "shell_profile",
+    "lq_aggregate",
+    "besov_profile",
     "besov_norm",
     "ProbeFunction",
     "build_probe",
@@ -169,19 +178,38 @@ class DyadicPartition:
         cov.flags.writeable = False
         return cov
 
+    def _covers_lattice(self) -> bool:
+        """Whether the telescoped sum is 1 at every non-zero mode, judged at
+        the smallest non-zero and the corner radius, computed as
+        :attr:`FrequencyLattice.radius` computes them."""
+        lat = self.lattice
+        k1, k2 = np.array([1, lat.m // 2]), np.array([0, lat.m // 2])
+        r_lo, r_hi = np.hypot(lat.h_xi * k1, lat.h_xi * k2)
+        return bool(
+            self.step(r_lo * 2.0 ** (1 - self.j_min)) == 0.0
+            and self.step(r_hi * 2.0 ** (-self.j_max)) == 1.0
+        )
+
     def window_defect(self, field: SpectralField) -> float:
         """Fraction of squared coefficient mass outside the covered window.
 
         Zero without looking at the field when the window covers every
-        nonzero mode, as the automatic window does.  The uncovered modes are
-        indexed on the first call; the telescoped sum they are read from is
-        not kept unless :meth:`coverage` was asked for it.
+        nonzero mode, as the automatic window does.  That is decided from
+        the lattice's smallest non-zero radius and its corner radius alone
+        when the step is 0 at the first's bottom-shell argument and 1 at the
+        second's top-shell argument: the step is monotone, so every non-zero
+        mode then has telescoped sum exactly 1.  Otherwise the uncovered
+        modes are indexed on the first call; the telescoped sum they are
+        read from is not kept unless :meth:`coverage` was asked for it.
         """
         if self._outside is None:
-            cov = self._coverage if self._coverage is not None else self._telescoped()
-            # the origin, where the sum is 0, is always outside
-            outside = np.nonzero(cov < 1.0 - 1e-9)
-            self._outside = outside if outside[0].size > 1 else ()
+            if self._covers_lattice():
+                self._outside = ()
+            else:
+                cov = self._coverage if self._coverage is not None else self._telescoped()
+                # the origin, where the sum is 0, is always outside
+                outside = np.nonzero(cov < 1.0 - 1e-9)
+                self._outside = outside if outside[0].size > 1 else ()
         if not self._outside:
             return 0.0
         c = field.coeffs
@@ -347,15 +375,22 @@ def shell_profile(
     s: float,
     p: float,
     partition: DyadicPartition,
+    shells: Iterable[int] | None = None,
 ) -> list[tuple[int, float]]:
     """Per-shell weighted norms ``(j, 2**(s j) * ||phi_j * f||_p)``.
+
+    Over ``shells``, by default the partition's window; a shell above the
+    window, whose ring vanishes on the lattice, reads 0.  Every ring
+    vanishes at the origin, so the field's mean never enters.
 
     Shell j is cropped to the box ``|k| <= K_j`` on which its ring lives
     (:meth:`DyadicPartition.ring_extent`), the ring read by slicing its
     cached quadrant, and its k2 >= 0 half is written into an
     ``M_j x M_j`` real-transform buffer and synthesized with the staged
-    inverse transform, whose column pass runs over the ``K_j + 1`` live
-    columns only; the quadrature weight is ``(L/M_j)**2``.  For an even
+    inverse transform, whose column pass runs over the columns the shell
+    can occupy: the ``K_j + 1`` columns of its box, and no further than
+    the columns the field occupies; the quadrature weight is
+    ``(L/M_j)**2``.  For an even
     integer p, ``M_j`` is the smallest power of two with
     ``p * K_j < M_j <= m``; for any other p it is the lattice's own m.
     That is exact, not an approximation: with g the shell,
@@ -376,11 +411,16 @@ def shell_profile(
     """
     if field.rank != 0:
         raise ValueError("shell profiles are defined for scalar fields")
-    _check_mean_zero(field)
     out: list[tuple[int, float]] = []
     m = field.lattice.m
+    h = m // 2
     parts = _hermitian_parts(field.coeffs)
-    for j in partition.shells:
+    occupied = max(_occupied_columns(part, h) for part in parts)
+    # a shell reaching |k| = m/2 (grid m) also reads the unpaired k2 = -m/2
+    # column, index h; looked at only when the field stops short of it
+    if occupied == h or any(part[:, h].any() for part in parts):
+        occupied = h + 1
+    for j in partition.shells if shells is None else shells:
         extent = partition.ring_extent(j)
         grid = _shell_grid(extent, p, m)
         quadrant = partition.ring_quadrant(j)
@@ -389,31 +429,36 @@ def shell_profile(
             out.append((j, 0.0))
             continue
         cell = field.lattice.box_length / grid
-        samples = [_half_synthesis(proj, extent + 1) for proj in projs]
+        live = min(extent + 1, occupied)
+        samples = [_half_synthesis(proj, live) for proj in projs]
         mags = samples[0] if len(samples) == 1 else np.hypot(*samples)
         out.append((j, 2.0 ** (s * j) * lp_norm(mags, p, cell * cell)))
     return out
 
 
-def _lq_aggregate(entries: list[float], q: float) -> float:
-    vals = [e for e in entries]
+def lq_aggregate(entries: list[float], q: float) -> float:
+    """``l^q`` norm of non-negative per-shell entries (their max for q = inf)."""
     if math.isinf(q):
-        return max(vals) if vals else 0.0
+        return max(entries) if entries else 0.0
     # strongly graded sums: accumulate ascending in extended precision
-    powered = sorted(v**q for v in vals)
+    powered = sorted(v**q for v in entries)
     return math.fsum(powered) ** (1.0 / q)
 
 
-def besov_norm(
+def besov_profile(
     field: SpectralField,
-    index: BesovIndex,
+    s: float,
+    p: float,
     partition: DyadicPartition,
-) -> float:
-    """Homogeneous Besov norm by shellwise L^p quadrature and an l^q sum.
+) -> list[float]:
+    """The per-shell values a Besov norm of regularity s and integrability p
+    aggregates, one per shell of the window; every ``l^q`` norm of the
+    same (s, p) is :func:`lq_aggregate` of this one list.
 
-    Mass outside the partition window (possible only for explicitly narrowed
-    windows) triggers :class:`WindowCoverageWarning` rather than silent
-    truncation.
+    Homogeneous norms quotient out constants, so a field with a non-zero
+    mean is rejected rather than silently truncated.  Mass outside the
+    partition window (possible only for explicitly narrowed windows)
+    triggers :class:`WindowCoverageWarning`.
     """
     defect = partition.window_defect(field)
     if defect > 1e-12:
@@ -422,10 +467,20 @@ def besov_norm(
             f"shell window [{partition.j_min}, {partition.j_max}]; the norm "
             "only sees the covered part",
             WindowCoverageWarning,
-            stacklevel=2,
+            stacklevel=3,  # the caller of besov_norm
         )
-    profile = shell_profile(field, index.s, index.p, partition)
-    return _lq_aggregate([v for _, v in profile], index.q)
+    _check_mean_zero(field)
+    return [v for _, v in shell_profile(field, s, p, partition)]
+
+
+def besov_norm(
+    field: SpectralField,
+    index: BesovIndex,
+    partition: DyadicPartition,
+) -> float:
+    """Homogeneous Besov norm by shellwise L^p quadrature and an l^q sum
+    (:func:`besov_profile` and :func:`lq_aggregate`)."""
+    return lq_aggregate(besov_profile(field, index.s, index.p, partition), index.q)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,11 @@ symmetrized sum is taken in physical space, so each component costs one
 analysis), analysed, contracted with ``i xi / |xi|^2`` on the half and
 accumulated; the Hermitian m x m output is rebuilt once.  The diagonal
 form costs 3 syntheses and 2 analyses, the block form 6 and 2.  Each
-synthesis and each analysis is two 1-D transform passes, and the column
-pass runs over the m/2 live columns only.  At its peak the kernel holds
+synthesis and each analysis is two 1-D transform passes.  A synthesis's
+column pass runs only over the columns the input occupies (up to 1 + its
+largest k2 with a non-zero coefficient, at most m/2), which for a field
+narrow in k2, such as a modulated bump, is a few of the m/2; an analysis
+keeps all m/2.  At its peak the kernel holds
 three arrays of the padded size for the diagonal form (theta, the flux
 being formed, and the padded half feeding a transform or the transform's
 output) and five for the block form (f, g, the flux, one velocity
@@ -52,6 +55,7 @@ from .spectral import (
     _checked,
     _hermitian_from_half,
     _hermitian_parts,
+    _occupied_columns,
     _reciprocal,
     _real_synthesis,
     riesz_velocity,
@@ -176,7 +180,8 @@ def _transport(fc: np.ndarray, gc: np.ndarray | None, lattice: FrequencyLattice)
     (1/2) (-Delta)^{-1} div(f R^perp g + g R^perp f), whose flux is summed
     in physical space in an order that makes the result bitwise symmetric
     in f and g.  Transforms: 3 syntheses + 2 analyses for the diagonal,
-    6 + 2 for the block form, each two 1-D passes over the live columns.
+    6 + 2 for the block form, each two 1-D passes; a synthesis copies and
+    transforms only the columns its factor occupies.
     Each flux array is freed before the next one is made.  Non-finite
     values are left to the caller's check.
     """
@@ -190,17 +195,20 @@ def _transport(fc: np.ndarray, gc: np.ndarray | None, lattice: FrequencyLattice)
     r = lattice.radius[:, :h]
     lift = 1j * _reciprocal(r)
     inv_r_sq = _reciprocal(r * r)
-    fp = _real_synthesis(fc, grid)
-    gp = fp if diagonal else _real_synthesis(gc, grid)
+    # zero columns k2 >= w of a factor are neither copied nor transformed
+    wf = _occupied_columns(fc, h)
+    wg = wf if diagonal else _occupied_columns(gc, h)
+    fp = _real_synthesis(fc, grid, cols=wf)
+    gp = fp if diagonal else _real_synthesis(gc, grid, cols=wg)
     acc = np.zeros((m, h), dtype=np.complex128)
     # Riesz velocity (-xi_2, xi_1) i / |xi|; component k of the flux is
     # contracted with xi_k / |xi|^2 (the i goes on at the end)
     for k, velocity in ((0, -xi[1]), (1, xi[0])):
         symbol = lift * velocity
-        flux = _real_synthesis(gc, grid, symbol)
+        flux = _real_synthesis(gc, grid, symbol, wg)
         flux *= fp
         if not diagonal:
-            u = _real_synthesis(fc, grid, symbol)
+            u = _real_synthesis(fc, grid, symbol, wf)
             u *= gp
             flux += u
             del u

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .besov import DyadicPartition, _lq_aggregate, build_probe, lp_norm
+from .besov import DyadicPartition, build_probe, lp_norm, lq_aggregate, shell_profile
 from .forcing import ForceSpec
 from .spectral import SpectralField
 
@@ -137,7 +137,10 @@ def low_frequency_profile(
 
     The effective witness of the low-frequency floor is usually the top
     shell j = -1; the whole profile is reported so the drift across j is
-    visible.
+    visible.  Each shell is the real staged synthesis of
+    :func:`~sqglab.besov.shell_profile` at s = -1, p = inf, on the m x m
+    grid; shells above the partition window read 0, and a non-zero mean
+    is accepted, since every ring vanishes at the origin.
     """
     if j_range is None:
         j_range = (partition.j_min, -1)
@@ -154,22 +157,7 @@ def low_frequency_profile(
             f"shell range ends at {j_hi}; the low-frequency floor only "
             "looks at shells j <= -1"
         )
-    area = theta2.lattice.quadrature_weight
-    profile = []
-    for j in range(j_lo, j_hi + 1):
-        # unfolded once: the zero test and the projection read the same ring
-        ring = partition.ring_values(j)
-        if not np.any((ring > 0) & (theta2.coeffs != 0)):
-            profile.append((j, 0.0))
-            continue
-        if j > partition.j_max:
-            raise ValueError(
-                f"shell {j} outside the partition window [{partition.j_min}, {partition.j_max}]"
-            )
-        piece = SpectralField._adopt(theta2.lattice, theta2.coeffs * ring)
-        value = 2.0 ** (-j) * lp_norm(np.abs(piece.physical()), math.inf, area)
-        profile.append((j, value))
-    return profile
+    return shell_profile(theta2, -1.0, math.inf, partition, range(j_lo, j_hi + 1))
 
 
 def low_frequency_floor(
@@ -211,7 +199,7 @@ class InflationReport:
             raise ValueError(f"q_values must be strictly increasing, got {self.q_values}")
         values = [v for _, _, v in self.entries]
         for q, agg in zip(self.q_values, self.aggregates):
-            expected = _lq_aggregate(values, q)
+            expected = lq_aggregate(values, q)
             if not math.isclose(agg, expected, rel_tol=1e-9, abs_tol=1e-300):
                 raise ValueError(
                     f"aggregate for q = {_q_label(q)} is {agg!r}, inconsistent "
@@ -264,7 +252,7 @@ def inflation_profile(
         entries.append((n, shell, value))
     values = [v for _, _, v in entries]
     qs = tuple(float(q) for q in q_values)
-    aggregates = tuple(_lq_aggregate(values, q) for q in qs)
+    aggregates = tuple(lq_aggregate(values, q) for q in qs)
     return InflationReport(
         force=spec.describe(),
         entries=tuple(entries),

@@ -36,6 +36,7 @@ __all__ = [
     "ForceSpec",
     "modulated_bump_force",
     "lacunary_force",
+    "shared_annulus_modes",
     "block_envelope",
     "translated_block_force",
     "calibrate_stride",
@@ -247,23 +248,55 @@ class ForceSpec:
 _BUMP_PROFILE = SmoothStep(1.0, 2.0)
 
 
-def _shifted_bump_pair(lattice: FrequencyLattice, carrier: float) -> np.ndarray:
-    """chi-hat(xi - c e1) + chi-hat(xi + c e1) on the lattice (real array).
+def _bump_boxes(lattice: FrequencyLattice, carrier: float):
+    """For each bump chi-hat(xi -+ c e1): the rows and columns of its box,
+    those whose offset from its centre is below 2, clipped to the lattice,
+    and the offset radius |xi -+ c e1| on the box.
 
-    Each bump vanishes outside radius 2 of its centre, so it is evaluated
-    only on the box of rows and columns whose offset from the centre is
-    below 2, clipped to the lattice, and added into zeros.  The values are
-    bitwise those of the formula evaluated on every mode.
+    A bump vanishes from radius 2 on, so its box holds every mode it can
+    touch; the radii are bitwise those evaluated on the whole lattice.
     """
     m = lattice.m
     xi = lattice.h_xi * np.fft.fftfreq(m, d=1.0 / m).astype(np.int64)
     cols = np.flatnonzero(np.abs(xi) < 2.0)
-    out = np.zeros((m, m))
     for centre in (carrier, -carrier):
         rows = np.flatnonzero(np.abs(xi - centre) < 2.0)
-        r = np.hypot(xi[rows, None] - centre, xi[None, cols])
+        yield rows, cols, np.hypot(xi[rows, None] - centre, xi[None, cols])
+
+
+def _shifted_bump_pair(lattice: FrequencyLattice, carrier: float) -> np.ndarray:
+    """chi-hat(xi - c e1) + chi-hat(xi + c e1) on the lattice (real array).
+
+    Each bump is evaluated only on its box (:func:`_bump_boxes`) and added
+    into zeros; the values are bitwise those of the formula evaluated on
+    every mode.
+    """
+    m = lattice.m
+    out = np.zeros((m, m))
+    for rows, cols, r in _bump_boxes(lattice, carrier):
         out[np.ix_(rows, cols)] += _BUMP_PROFILE(r)
     return out
+
+
+def shared_annulus_modes(lattice: FrequencyLattice, exponents: list[int]) -> int:
+    """Lattice modes that two carrier annuli share, summed over the pairs.
+
+    Annulus s holds the modes within (open) radius 2 of +-2**s e1, the
+    support of a lacunary term.  Each is collected on its bumps' boxes,
+    so the count is exactly that of full-lattice masks at a box's cost.
+    """
+    m = lattice.m
+    annuli = []
+    for s in exponents:
+        plus, minus = (
+            (rows[:, None] * m + cols)[r < 2.0] for rows, cols, r in _bump_boxes(lattice, 2.0**s)
+        )
+        annuli.append(np.union1d(plus, minus))
+    return sum(
+        np.intersect1d(a, b, assume_unique=True).size
+        for i, a in enumerate(annuli)
+        for b in annuli[i + 1 :]
+    )
 
 
 def modulated_bump_force(lattice: FrequencyLattice, spec: ForceSpec) -> SpectralField:
@@ -282,7 +315,7 @@ def modulated_bump_force(lattice: FrequencyLattice, spec: ForceSpec) -> Spectral
     c = spec.carrier
     amp = spec.delta * 2.0 ** (2.5 * c)
     coeffs = 0.5 * amp * _shifted_bump_pair(lattice, 2.0**c)
-    return SpectralField(lattice, strip_unpaired_edge(coeffs.astype(np.complex128)))
+    return SpectralField._adopt(lattice, strip_unpaired_edge(coeffs.astype(np.complex128)))
 
 
 def lacunary_force(lattice: FrequencyLattice, spec: ForceSpec) -> SpectralField:
@@ -305,7 +338,7 @@ def lacunary_force(lattice: FrequencyLattice, spec: ForceSpec) -> SpectralField:
         s = spec.exponents(n)
         amp = spec.delta * 2.0 ** (2.5 * s) / (math.sqrt(n) * log_weight)
         coeffs += 0.5 * amp * _shifted_bump_pair(lattice, 2.0**s)
-    return SpectralField(lattice, strip_unpaired_edge(coeffs.astype(np.complex128)))
+    return SpectralField._adopt(lattice, strip_unpaired_edge(coeffs.astype(np.complex128)))
 
 
 def _translate_coeffs(coeffs: np.ndarray, lattice: FrequencyLattice, shift: float) -> np.ndarray:

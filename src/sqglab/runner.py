@@ -39,7 +39,9 @@ from .besov import (
     build_partition,
     build_probe,
     besov_norm,
+    besov_profile,
     lp_norm,
+    lq_aggregate,
     shell_project,
 )
 from .bilinear import (
@@ -60,6 +62,7 @@ from .forcing import (
     calibrate_stride,
     lacunary_force,
     modulated_bump_force,
+    shared_annulus_modes,
     translated_block_force,
 )
 from .reports import ExperimentReport, Table, Verdict, emit_report
@@ -162,6 +165,15 @@ def _check_keys_read(verb: str, keys) -> None:
 
 def _pick(value, default):
     return default if value is None else value
+
+
+def _final_norm(theta: SpectralField, trace, index: BesovIndex, partition) -> float:
+    """Monitoring norm of the iterate a fixed-point loop returned.
+
+    The loop recorded it last, on every exit; only a run whose first step
+    went non-finite, returning its start unrecorded, has it computed here.
+    """
+    return trace.norms[-1] if trace.norms else besov_norm(theta, index, partition)
 
 
 def _exponent_map(cfg: ExperimentConfig, default: ExponentMap) -> ExponentMap:
@@ -345,7 +357,7 @@ def _run_solve(cfg: ExperimentConfig) -> ExperimentReport:
     theta, trace = picard_solve(f, solve_cfg, partition=partition)
     lf = inverse_laplacian(f)
     theta_b, trace_b = picard_solve(f, solve_cfg, theta0=lf, partition=partition)
-    theta_norm = besov_norm(theta, solution_index, partition)
+    theta_norm = _final_norm(theta, trace, solution_index, partition)
     start_gap = besov_norm(theta - theta_b, solution_index, partition) / theta_norm
 
     fixed_point = theta - (lf + solve_cfg.quadratic_sign * quadratic_diagonal(theta))
@@ -430,7 +442,7 @@ def _run_illpose_step1(cfg: ExperimentConfig) -> ExperimentReport:
         floor = low_frequency_floor(theta2, partition)
         tilde, trace = perturbation_solve(theta1, theta2, solve_cfg,
                                           partition=partition)
-        tilde_norm = besov_norm(tilde, solve_cfg.index, partition)
+        tilde_norm = _final_norm(tilde, trace, solve_cfg.index, partition)
         second_norm = besov_norm(theta2, solve_cfg.index, partition)
         rows.append((spec.size, spec.carrier, data_norm, floor / delta**2,
                      second_norm, tilde_norm, tilde_norm / second_norm,
@@ -503,21 +515,11 @@ def _run_illpose_step2(cfg: ExperimentConfig) -> ExperimentReport:
     scale2 = float(np.abs(theta2.coeffs).max())
     homogeneity = homogeneity / scale2 if scale2 else 0.0
 
-    # pairwise disjointness of the carrier annuli
-    masks = []
-    for n in spec.block_indices():
-        s = spec.exponents(n)
-        r_minus = np.hypot(lattice.xi1 - 2.0**s, lattice.xi2)
-        r_plus = np.hypot(lattice.xi1 + 2.0**s, lattice.xi2)
-        masks.append((r_minus < 2.0) | (r_plus < 2.0))
-    overlap = 0
-    for i in range(len(masks)):
-        for k in range(i + 1, len(masks)):
-            overlap += int(np.count_nonzero(masks[i] & masks[k]))
-
-    norm_rows = []
-    for q in (2.0, 4.0):
-        norm_rows.append((q, besov_norm(f, BesovIndex.data_index(4.0, q), partition)))
+    overlap = shared_annulus_modes(lattice, spec.block_exponents())
+    # both data norms aggregate one profile: s = 2/p - 3 does not depend on q
+    data_index = BesovIndex.data_index(4.0, 2.0)
+    shells = besov_profile(f, data_index.s, data_index.p, partition)
+    norm_rows = [(q, lq_aggregate(shells, q)) for q in (2.0, 4.0)]
     profile = low_frequency_profile(theta2, partition)
     floor = max((value for _, value in profile), default=0.0)
 

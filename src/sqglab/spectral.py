@@ -442,30 +442,55 @@ def _hermitian_parts(c: np.ndarray) -> tuple[np.ndarray, ...]:
     return 0.5 * (c + mirror), -0.5j * (c - mirror)
 
 
-def _padded_half(c: np.ndarray, grid: int, symbol: np.ndarray | None = None) -> np.ndarray:
+def _occupied_columns(c: np.ndarray, width: int) -> int:
+    """1 + the largest column index below ``width`` at which ``c`` (..., m, m)
+    holds a non-zero coefficient; 0 when those columns are all zero.
+
+    In FFT layout column ``k2`` (0 <= k2 < m/2) is that frequency and column
+    m/2 is the unpaired k2 = -m/2.  The last column is tested first, so a
+    field that fills it costs one column read.
+    """
+    for k in range(width - 1, -1, -1):
+        if c[..., k].any():
+            return k + 1
+    return 0
+
+
+def _padded_half(
+    c: np.ndarray, grid: int, symbol: np.ndarray | None = None, cols: int | None = None
+) -> np.ndarray:
     """The k2 >= 0 half of ``c``, zero-padded for a ``grid x grid`` real transform.
 
     ``c`` is in the (..., m, m) FFT layout; the result has shape
     (..., grid, grid/2 + 1).  With ``symbol``, the (m, m/2) k2 >= 0 half of
     a lattice symbol, each coefficient is multiplied by it during the copy.
-    The unpaired k = -m/2 row and column are left out.
+    Only the first ``cols`` columns (default m/2) are copied, the rest left
+    zero; the unpaired k = -m/2 row and column are left out.
     """
     m = c.shape[-1]
     h = m // 2
+    w = h if cols is None else cols
     half = np.zeros(c.shape[:-2] + (grid, grid // 2 + 1), dtype=np.complex128)
     for src, dst in ((slice(0, h), slice(0, h)), (slice(h + 1, m), slice(grid - h + 1, grid))):
         if symbol is None:
-            half[..., dst, :h] = c[..., src, :h]
+            half[..., dst, :w] = c[..., src, :w]
         else:
-            np.multiply(c[..., src, :h], symbol[src], out=half[..., dst, :h])
+            np.multiply(c[..., src, :w], symbol[src, :w], out=half[..., dst, :w])
     return half
 
 
-def _real_synthesis(c: np.ndarray, grid: int, symbol: np.ndarray | None = None) -> np.ndarray:
+def _real_synthesis(
+    c: np.ndarray, grid: int, symbol: np.ndarray | None = None, cols: int | None = None
+) -> np.ndarray:
     """Real samples on a ``grid x grid`` mesh of Hermitian coefficients ``c``
     (times ``symbol``), from their k2 >= 0 half as :func:`_padded_half`
-    lays it out, whose m/2 columns k2 = 0 .. m/2 - 1 are the live ones."""
-    return _half_synthesis(_padded_half(c, grid, symbol), c.shape[-1] // 2)
+    lays it out.  ``cols`` is the number of leading columns k2 = 0, 1, ...
+    that may be non-zero, :func:`_occupied_columns` of ``c`` below m/2; the
+    default m/2 takes them all.  Only those are copied and transformed down
+    axis -2, and the result is bitwise the same for any ``cols`` that
+    covers every non-zero column."""
+    live = c.shape[-1] // 2 if cols is None else cols
+    return _half_synthesis(_padded_half(c, grid, symbol, live), live)
 
 
 def _half_synthesis(half: np.ndarray, live: int) -> np.ndarray:

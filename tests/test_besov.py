@@ -8,6 +8,7 @@ import scipy.fft
 
 from sqglab.besov import (
     BesovIndex,
+    DyadicPartition,
     WindowCoverageWarning,
     _ring_box,
     _shell_grid,
@@ -84,23 +85,61 @@ def test_shell_profile_matches_complex_transform_loop(lattice256, partition256, 
         assert norm == pytest.approx(ref, rel=1e-13)
 
 
+def irfft2_profile(f, s, p, partition):
+    """Each shell's whole k2 >= 0 half through the two-axis ``irfft2``."""
+    m = f.lattice.m
+    out = []
+    for j in partition.shells:
+        grid = _shell_grid(partition.ring_extent(j), p, m)
+        half = _ring_box(f.coeffs, partition.ring_quadrant(j), grid)
+        samples = scipy.fft.irfft2(half, s=(grid, grid), norm="forward")
+        cell = f.lattice.box_length / grid
+        out.append((j, 2.0 ** (s * j) * lp_norm(samples, p, cell * cell)))
+    return out
+
+
 @pytest.mark.parametrize("p", [4.0, math.inf])
 def test_shell_profile_is_bitwise_the_irfft2_route(lattice256, partition256, p):
     # the staged synthesis transforms only each shell's K_j + 1 live
     # columns; the two-axis route over the whole half is the oracle
     f = random_mean_zero_field(lattice256, np.random.default_rng(5))
     m = lattice256.m
-    want, narrower = [], 0
-    for j in partition256.shells:
-        extent = partition256.ring_extent(j)
-        grid = _shell_grid(extent, p, m)
-        narrower += 2 * extent + 2 < grid
-        half = _ring_box(f.coeffs, partition256.ring_quadrant(j), grid)
-        samples = scipy.fft.irfft2(half, s=(grid, grid), norm="forward")
-        cell = lattice256.box_length / grid
-        want.append((j, 2.0 ** (-0.5 * j) * lp_norm(samples, p, cell * cell)))
-    assert narrower > 0
-    assert shell_profile(f, -0.5, p, partition256) == want
+    extents = [partition256.ring_extent(j) for j in partition256.shells]
+    assert any(2 * k + 2 < _shell_grid(k, p, m) for k in extents)
+    assert shell_profile(f, -0.5, p, partition256) == irfft2_profile(f, -0.5, p, partition256)
+
+
+def narrow_field(lattice, columns, edge, seed):
+    """Hermitian field on the k2 = +-k columns listed; with ``edge``, also on
+    the unpaired k2 = -m/2 column, which a shell reaching |k| = m/2 reads."""
+    m = lattice.m
+    f = random_mean_zero_field(lattice, np.random.default_rng(seed))
+    c = np.where(np.isin(np.abs(lattice.k2), columns), f.coeffs, 0.0)
+    if edge:
+        v = np.random.default_rng(seed + 1).standard_normal(m)
+        c[:, m // 2] = v + v[-np.arange(m)]  # real and even in k1: Hermitian
+    return SpectralField(lattice, c)
+
+
+@pytest.mark.parametrize("p", [4.0, math.inf])
+@pytest.mark.parametrize(
+    "columns, edge",
+    [([0, 1, 2], False), ([0, 1, 2], True), ([], True), ([], False), ([127], False),
+     ([5], True)],
+)
+def test_shell_profile_over_occupied_columns_is_bitwise(
+    lattice256, partition256, p, columns, edge
+):
+    f = narrow_field(lattice256, columns, edge, seed=len(columns) + 10 * edge)
+    assert f.hermitian_defect() == 0.0
+    top = partition256.j_max
+    assert partition256.ring_extent(top) == lattice256.m // 2
+    got = shell_profile(f, -0.5, p, partition256)
+    assert got == irfft2_profile(f, -0.5, p, partition256)
+    if edge:
+        # the top shell sees the edge column, and only the staged route's
+        # count of it makes the two agree
+        assert dict(got)[top] > 0.0
 
 
 def test_shell_grids_are_band_sized(lattice256, partition256):
@@ -219,6 +258,26 @@ def test_auto_window_leaves_no_mode_outside(m):
     # a field that any look at would turn into nan
     unread = SpectralField(lattice, np.full((m, m), np.nan, dtype=np.complex128))
     assert partition.window_defect(unread) == 0.0
+
+
+@pytest.mark.parametrize("transition", [(1.25, 1.75), (1.3, 1.6), (1.5, 1.75)])
+def test_auto_window_is_judged_without_the_telescoped_sum(transition, monkeypatch):
+    # the automatic window covers every nonzero mode by construction, and
+    # window_defect sees that from two radii, not from an m x m sum
+    for m in (8, 32, 256, 1024):
+        for h_xi in (1.0 / 256.0, 0.1, 0.125, 0.25, 0.3, 1.0):
+            lattice = FrequencyLattice(m=m, h_xi=h_xi)
+            partition = build_partition(lattice, transition)
+            if m <= 256:
+                cov = partition._telescoped()
+                assert np.array_equal(np.argwhere(cov < 1.0), [[0, 0]])
+            with monkeypatch.context() as patch:
+                def refuse(self):
+                    raise AssertionError("the telescoped sum was evaluated")
+
+                patch.setattr(DyadicPartition, "_telescoped", refuse)
+                f = SpectralField.cosine(lattice, (1, 0))
+                assert partition.window_defect(f) == 0.0
 
 
 def test_partition_of_unity(lattice128, partition128):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sqglab import bilinear
 from sqglab.bilinear import (
     QUADRATURE_SIZE_LIMIT,
     bilinear_block,
@@ -12,8 +13,9 @@ from sqglab.bilinear import (
     coupling_tensor,
     quadratic_diagonal,
 )
+from sqglab.forcing import ForceSpec, modulated_bump_force
 from sqglab.sampling import random_mean_zero_field
-from sqglab.spectral import FrequencyLattice, SpectralField, riesz_velocity
+from sqglab.spectral import FrequencyLattice, SpectralField, inverse_laplacian, riesz_velocity
 
 
 def band_limited(lattice, rng, decay=1.0):
@@ -179,3 +181,58 @@ def test_quadratic_form_properties(m, seed, f_real, g_real, alpha):
             assert out.hermitian_defect() == 0.0
         scale = np.max(np.abs(want.coeffs))
         assert np.max(np.abs(out.coeffs - want.coeffs)) <= 1e-10 * scale
+
+
+# -- syntheses over the occupied columns ---------------------------------------
+#
+# The route that synthesizes all m/2 columns of every factor is the oracle:
+# skipping only zero columns must leave every bit of the form unchanged.
+
+
+def in_columns(lattice, rng, columns, real=True):
+    """Random mean-zero field that occupies only the k2 = +-k columns listed."""
+    f = random_mean_zero_field(lattice, rng)
+    keep = np.isin(np.abs(lattice.k2), columns)
+    c = np.where(keep, f.coeffs, 0.0)
+    if not real:
+        c = c + 1j * np.where(keep, random_mean_zero_field(lattice, rng).coeffs, 0.0)
+    return SpectralField(lattice, c)
+
+
+def kernel_inputs():
+    lat = FrequencyLattice(m=64, h_xi=0.25)
+    rng = np.random.default_rng(37)
+    bump = inverse_laplacian(modulated_bump_force(lat, ForceSpec(variant="bump", size=2)))
+    return lat, {
+        "bump": bump,
+        "narrow": in_columns(lat, rng, [0, 1, 2, 5]),
+        "zero": SpectralField.zeros(lat),
+        "last-column": in_columns(lat, rng, [31]),
+        "full": in_columns(lat, rng, list(range(32))),
+        "narrow-complex": in_columns(lat, rng, [0, 3], real=False),
+        "last-column-complex": in_columns(lat, rng, [31], real=False),
+    }
+
+
+def test_kernel_inputs_are_as_named():
+    lat, fields = kernel_inputs()
+    h = lat.m // 2
+    widths = {name: bilinear._occupied_columns(f.coeffs, h) for name, f in fields.items()}
+    assert widths == {"bump": 8, "narrow": 6, "zero": 0, "last-column": 32, "full": 32,
+                      "narrow-complex": 4, "last-column-complex": 32}
+    for name, f in fields.items():
+        assert (f.hermitian_defect() > 1e-3) == name.endswith("complex")
+
+
+@pytest.mark.parametrize("first", ["bump", "narrow", "zero", "last-column", "narrow-complex",
+                                   "last-column-complex"])
+def test_occupied_column_kernel_is_bitwise_the_full_column_route(first, monkeypatch):
+    lat, fields = kernel_inputs()
+    f = fields[first]
+    got = [quadratic_diagonal(f)] + [bilinear_block(f, g) for g in fields.values()]
+    monkeypatch.setattr(bilinear, "_occupied_columns", lambda c, width: width)
+    want = [quadratic_diagonal(f)] + [bilinear_block(f, g) for g in fields.values()]
+    for a, b in zip(got, want):
+        assert np.array_equal(a.coeffs, b.coeffs)
+    if first != "zero":
+        assert np.abs(got[0].coeffs).max() > 0

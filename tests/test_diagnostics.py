@@ -54,19 +54,46 @@ def test_split_probe_validation(carrier_setup):
     assert second_iterate_split(theta1, [(8, 0)], xi_bound=4.0)
 
 
+def complex_route_profile(theta2, partition, shells):
+    """2**(-j) sup |phi_j theta2| through the complex m x m synthesis."""
+    out = []
+    for j in shells:
+        piece = SpectralField(theta2.lattice, theta2.coeffs * partition.ring_values(j))
+        out.append((j, 2.0 ** (-j) * float(np.max(np.abs(piece.physical())))))
+    return out
+
+
 def test_low_frequency_profile_values(carrier_setup):
     lat, _, theta2 = carrier_setup
     partition = build_partition(lat)
     profile = low_frequency_profile(theta2, partition)
     assert [j for j, _ in profile] == list(range(partition.j_min, 0))
     values = dict(profile)
-    area = lat.quadrature_weight
-    for j, value in profile:
-        ring = partition.ring_values(j)
-        piece = SpectralField(lat, theta2.coeffs * ring)
-        want = 2.0 ** (-j) * float(np.max(np.abs(piece.physical())))
-        assert value == pytest.approx(want, rel=1e-12)
+    for (j, value), (_, want) in zip(profile, complex_route_profile(theta2, partition, values)):
+        assert want > 0.0
+        assert abs(value - want) <= 1e-14 * want
     assert low_frequency_floor(theta2, partition) == max(values.values())
+
+
+def test_low_frequency_profile_above_the_window_and_with_a_mean():
+    # at m = 8, h_xi = 1/256 the window stops below shell -1; the shells
+    # above it read 0, and the mean, on which every ring vanishes, is no error
+    lat = FrequencyLattice(m=8, h_xi=1.0 / 256.0)
+    partition = build_partition(lat)
+    assert partition.j_max < -1
+    rng = np.random.default_rng(3)
+    c = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    field = SpectralField(lat, c)
+    profile = low_frequency_profile(field, partition)
+    values = dict(profile)
+    assert list(values) == list(range(partition.j_min, 0))
+    assert all(values[j] == 0.0 for j in range(partition.j_max + 1, 0))
+    live = range(partition.j_min, partition.j_max + 1)
+    for j, want in complex_route_profile(field, partition, live):
+        assert want > 0.0
+        assert abs(values[j] - want) <= 1e-14 * want
+    meanless = SpectralField(lat, np.where(lat.radius > 0, c, 0.0))
+    assert low_frequency_profile(meanless, partition) == profile
 
 
 def test_low_frequency_profile_range_checks(carrier_setup):

@@ -12,6 +12,7 @@ from sqglab.forcing import (
     calibrate_stride,
     lacunary_force,
     modulated_bump_force,
+    shared_annulus_modes,
     translated_block_force,
 )
 from sqglab.profiles import SmoothStep
@@ -200,6 +201,34 @@ def test_lacunary_terms_are_disjoint_and_weighted(lattice128):
         0.01 * 2.0**7.5 / (2.0 * math.sqrt(2.0) * root_log), rel=1e-15
     )
     assert f.mean_coefficient() == 0.0
+
+
+def mask_overlap(lattice, exponents):
+    """Shared modes of the carrier annuli, from full-lattice masks."""
+    masks = [
+        (np.hypot(lattice.xi1 - 2.0**s, lattice.xi2) < 2.0)
+        | (np.hypot(lattice.xi1 + 2.0**s, lattice.xi2) < 2.0)
+        for s in exponents
+    ]
+    return sum(
+        int(np.count_nonzero(a & b)) for i, a in enumerate(masks) for b in masks[i + 1 :]
+    )
+
+
+@pytest.mark.parametrize("m", [32, 128])
+@pytest.mark.parametrize("h_xi", [0.25, 0.3])
+@pytest.mark.parametrize(
+    "exponents, colliding",
+    # [1, 2] and [1, 2, 3] break the shell separation a ForceSpec enforces:
+    # the annuli around 2, 4 and 8 overlap
+    [([1, 3], False), ([1, 3, 5], False), ([1, 2], True), ([1, 2, 3], True), ([2, 2], True)],
+)
+def test_shared_annulus_modes_counts_the_full_lattice_masks(m, h_xi, exponents, colliding):
+    # at m = 32 the larger carriers lie partly or wholly beyond the lattice
+    lattice = FrequencyLattice(m=m, h_xi=h_xi)
+    want = mask_overlap(lattice, exponents)
+    assert (want > 0) == colliding
+    assert shared_annulus_modes(lattice, exponents) == want
 
 
 def blocks_spec(stride=None, equal_shell=None):

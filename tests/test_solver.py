@@ -79,6 +79,49 @@ def test_picard_divergence_is_a_verdict(lattice32, partition32):
     assert np.isfinite(theta.coeffs).all()  # last finite iterate is returned
 
 
+def test_trace_ends_with_the_norm_of_the_returned_iterate(lattice32, partition32):
+    # solve's solution norm and illpose-step1's perturbation norm are read
+    # from the trace instead of being recomputed: bitwise the same number
+    from sqglab.runner import _final_norm
+
+    cfg = SolveConfig()
+    f = small_forcing(lattice32)
+    theta1 = inverse_laplacian(f)
+    runs = {
+        "converged": picard_solve(f, cfg, partition=partition32),
+        "max_iter": picard_solve(f, SolveConfig(max_iter=3), partition=partition32),
+        "perturbation": perturbation_solve(theta1, -quadratic_diagonal(theta1), cfg,
+                                           partition=partition32),
+        # the norm overflows: the overflowing iterate is returned
+        "diverged": picard_solve(small_forcing(lattice32, 200.0), partition=partition32),
+    }
+
+    # the step goes non-finite: the iterate before it is returned
+    def step(theta, carried):
+        steps.append(theta)
+        c = 2.0 * theta.coeffs + f.coeffs
+        with np.errstate(invalid="ignore"):
+            return SpectralField(lattice32, c * np.inf if len(steps) == last else c)
+
+    for last in (3, 1):
+        steps = []
+        runs[f"non-finite at {last}"] = _iterate(
+            f, step, lambda theta: (0.0, None), cfg, partition32
+        )
+    verdicts = {name: trace.verdict for name, (_, trace) in runs.items()}
+    assert verdicts == {"converged": "converged", "max_iter": "max_iter",
+                        "perturbation": "converged", "diverged": "diverged",
+                        "non-finite at 3": "diverged", "non-finite at 1": "diverged"}
+    assert math.isinf(runs["diverged"][1].norms[-1])
+    assert runs["non-finite at 1"][1].norms == []
+    with np.errstate(over="ignore"):
+        for name, (theta, trace) in runs.items():
+            want = besov_norm(theta, cfg.index, partition32)
+            assert _final_norm(theta, trace, cfg.index, partition32) == want, name
+            if trace.norms:
+                assert trace.norms[-1] == want, name
+
+
 def test_quadratic_sign_is_pinned_by_the_pde(lattice32, partition32):
     # the stationary defect of a converged run vanishes only for the
     # physical sign; the flipped sign still converges (same smallness)

@@ -10,6 +10,7 @@ from sqglab.spectral import (
     FrequencyLattice,
     SpectralField,
     _analysed_half,
+    _occupied_columns,
     _padded_half,
     _real_synthesis,
     dyadic_rescale,
@@ -212,3 +213,51 @@ def test_analysed_half_is_bitwise_the_rfft2_crop(m, padded):
     got = _analysed_half(samples.copy(), m)
     assert got.shape == (m, h)
     assert np.array_equal(got, want)
+
+
+def column_field(m, columns, seed):
+    """Random coefficients, zero outside the listed k2 >= 0 columns and
+    their k2 < 0 mirrors."""
+    rng = np.random.default_rng(seed)
+    c = np.zeros((m, m), dtype=np.complex128)
+    for k in columns:
+        for col in {k, (-k) % m}:
+            c[:, col] = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+    return c
+
+
+@pytest.mark.parametrize(
+    "m, columns, occupied",
+    [
+        (64, [0, 1, 3], 4),  # narrow in k2, as a modulated bump along e1
+        (64, [], 0),  # the zero field
+        (64, [31], 32),  # only the last column below m/2
+        (64, [2, 32], 3),  # the unpaired k2 = -m/2 column is not read
+        (8, [0, 3], 4),
+    ],
+)
+@pytest.mark.parametrize("with_symbol", [False, True])
+def test_occupied_column_synthesis_is_bitwise_the_full_route(m, columns, occupied, with_symbol):
+    c = column_field(m, columns, seed=m + len(columns))
+    h = m // 2
+    assert _occupied_columns(c, h) == occupied
+    lat = FrequencyLattice(m=m, h_xi=0.25)
+    symbol = (1j * lat.xi1 / np.maximum(lat.radius, lat.h_xi))[:, :h] if with_symbol else None
+    for grid in (m, 3 * m // 2):
+        full = _real_synthesis(c, grid, symbol)
+        oracle = scipy.fft.irfft2(_padded_half(c, grid, symbol), s=(grid, grid), norm="forward")
+        assert np.array_equal(full, oracle)
+        assert np.array_equal(_real_synthesis(c, grid, symbol, occupied), full)
+
+
+def test_occupied_columns_reads_one_column_of_a_full_band_field():
+    class Counting(np.ndarray):
+        reads = 0
+
+        def __getitem__(self, key):
+            Counting.reads += 1
+            return super().__getitem__(key)
+
+    c = column_field(32, range(16), seed=3).view(Counting)
+    assert _occupied_columns(c, 16) == 16
+    assert Counting.reads == 1
