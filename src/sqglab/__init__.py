@@ -42,7 +42,7 @@ from .forcing import (
     modulated_bump_force,
     translated_block_force,
 )
-from .runner import EXPERIMENTS, ExperimentConfig, load_config, run_experiment
+from .runner import EXPERIMENTS, ExperimentConfig, run_experiment
 from .sampling import (
     hermitian_symmetrize,
     random_mean_zero_field,
@@ -101,7 +101,6 @@ __all__ = [
     "inflation_profile",
     "inverse_laplacian",
     "lacunary_force",
-    "load_config",
     "low_frequency_floor",
     "low_frequency_profile",
     "lp_norm",

@@ -5,7 +5,8 @@ Usage::
     sqglab <experiment> [--config FILE] [--out DIR] [--seed N] [--threads N]
 
 Parameters come from the JSON config file when given; the command verb,
-``--out`` and ``--seed`` flags override the file.  Exit status is 0 when
+``--out`` and ``--seed`` flags override the file.  ``sqglab <experiment>
+--help`` lists the experiment's config keys and their defaults.  Exit status is 0 when
 every verdict passed, 1 when any failed, 2 on a rejected configuration.
 """
 
@@ -17,18 +18,25 @@ import json
 import sys
 from pathlib import Path
 
-from .runner import EXPERIMENTS, config_from_dict, run_experiment
+from .runner import VERBS, Verb, config_from_dict, run_experiment
 from .spectral import set_fft_workers
 
-_HELP = {
-    "partition-check": "dyadic ring invariants: support, plateau, sum to one",
-    "verify-identity": "three-way agreement of the bilinear form routes",
-    "constants": "sample operator constants and smallness thresholds",
-    "solve": "Picard contraction, uniqueness and Lipschitz checks",
-    "illpose-step1": "modulated bump sweep: data norms vs low-frequency floor",
-    "illpose-step2": "lacunary forcing: disjoint annuli and homogeneity",
-    "illpose-step3": "translated blocks: L4 additivity and inflation growth",
-}
+
+def _as_config_value(default) -> str:
+    """A default as a JSON config file would spell it."""
+    if hasattr(default, "describe"):
+        default = default.describe()
+    elif isinstance(default, tuple):
+        default = ["inf" if v == float("inf") else v for v in default]
+    return json.dumps(default)
+
+
+def _config_keys(verb: Verb) -> str:
+    width = max(map(len, verb.defaults))
+    return "config keys (--config FILE) and their defaults:\n" + "\n".join(
+        f"  {key:<{width}}  {_as_config_value(default)}"
+        for key, default in verb.defaults.items()
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -37,8 +45,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="spectral experiments for the stationary advection fixed point",
     )
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="experiment")
-    for name in EXPERIMENTS:
-        cmd = sub.add_parser(name, help=_HELP[name])
+    for name, verb in VERBS.items():
+        cmd = sub.add_parser(name, help=verb.help, description=verb.help,
+                             epilog=_config_keys(verb),
+                             formatter_class=argparse.RawDescriptionHelpFormatter)
         cmd.add_argument("--config", type=Path, default=None,
                          help="JSON file of experiment parameters")
         cmd.add_argument("--out", default=None,

@@ -62,6 +62,14 @@ class ExponentMap:
             raise ValueError(f"unknown exponent map kind {self.kind!r}")
         if self.kind == "table" and not self.entries:
             raise ValueError("table exponent map needs entries")
+        numbers = (self.scale, self.shift, *(v for entry in self.entries for v in entry))
+        if not all(isinstance(v, int) and not isinstance(v, bool) for v in numbers):
+            raise ValueError(f"exponent map scale, shift and entries must be integers, "
+                             f"got {self.scale!r}, {self.shift!r} and {self.entries!r}")
+        if self.kind != "affine" and (self.scale, self.shift) != (2, 0):
+            raise ValueError(f"scale and shift apply to the affine kind, not {self.kind!r}")
+        if self.kind != "table" and self.entries:
+            raise ValueError(f"entries apply to the table kind, not {self.kind!r}")
 
     def __call__(self, n: int) -> int:
         if self.kind == "square":

@@ -1,10 +1,11 @@
 """Named experiment pipelines over the library.
 
-Each pipeline resolves its parameters (config value or the experiment's
-documented default), validates every module precondition it is about to
-rely on, computes, and returns an :class:`ExperimentReport` whose config
-echo shows the resolved values.  ``run_experiment`` adds wall-clock
-timing and writes the artifacts.
+Each pipeline is registered with its verb's parameter table, ``{key:
+default}`` in echo order: the config check, the resolved defaults, the
+report's config echo and the CLI help all come from it.  A pipeline
+validates every module precondition it is about to rely on, computes,
+and returns an :class:`ExperimentReport`.  ``run_experiment`` adds
+wall-clock timing and writes the artifacts.
 
 The experiment names are the command verbs:
 
@@ -26,11 +27,11 @@ The experiment names are the command verbs:
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from dataclasses import dataclass, fields
-from pathlib import Path
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,101 +71,133 @@ from .sampling import random_mean_zero_field, unit_normalize
 from .solver import SolveConfig, estimate_constants, picard_solve, perturbation_solve
 from .spectral import FrequencyLattice, SpectralField, inverse_laplacian
 
-EXPERIMENTS = (
-    "partition-check",
-    "verify-identity",
-    "constants",
-    "solve",
-    "illpose-step1",
-    "illpose-step2",
-    "illpose-step3",
-)
+__all__ = ["EXPERIMENTS", "VERBS", "ExperimentConfig", "Verb", "run_experiment"]
 
-__all__ = ["EXPERIMENTS", "ExperimentConfig", "load_config", "run_experiment"]
+
+class IntRange(NamedTuple):
+    """Inclusive integer range, given in a config as the pair ``[lo, hi]``."""
+
+    lo: int
+    hi: int
+
+
+@dataclass(frozen=True)
+class Verb:
+    """A command verb: help line, pipeline, and ``{key: default}`` in echo order."""
+
+    help: str
+    run: Callable[[ExperimentConfig], ExperimentReport]
+    defaults: dict[str, object]
+
+
+VERBS: dict[str, Verb] = {}
+
+
+def _verb(name: str, help: str, **defaults):
+    """Register the decorated pipeline as verb ``name`` with its parameter table."""
+    def register(run):
+        VERBS[name] = Verb(help, run, defaults)
+        return run
+    return register
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment invocation.  ``None`` means the experiment default.
+    """One experiment invocation, checked and resolved against its verb's table.
 
-    ``q_list`` accepts the string "inf"; ``exponent_map`` is the dict form
-    of :class:`ExponentMap` (``{"kind": "affine", "scale": 2, "shift": -4}``).
+    ``params`` may hold any of the verb's keys, ``None`` meaning the
+    default; construction replaces it by every key of the table, in echo
+    order.
     """
 
     experiment: str
-    m: int | None = None
-    h_xi: float | None = None
-    seed: int = 0
+    params: dict[str, object] = field(default_factory=dict)
     out_dir: str = "runs"
-    samples: int | None = None
-    p: float | None = None
-    q: float | None = None
-    tolerance: float | None = None
-    delta: float | None = None
-    size_range: tuple[int, int] | None = None
-    carrier_offset: int | None = None
-    q_list: tuple[float, ...] | None = None
-    exponent_map: dict | None = None
-    block_counts: tuple[int, ...] | None = None
-    equal_shell: int | None = None
-    probe_gap: int | None = None
-    max_iter: int | None = None
-    solve_tol: float | None = None
-    ball_fraction: float | None = None
 
     def __post_init__(self) -> None:
-        if self.experiment not in EXPERIMENTS:
-            raise ValueError(
-                f"unknown experiment {self.experiment!r}; valid verbs: "
-                + ", ".join(EXPERIMENTS)
-            )
-        _check_keys_read(
-            self.experiment,
-            [f.name for f in fields(self) if getattr(self, f.name) != f.default],
-        )
+        object.__setattr__(self, "params", _resolve(self.experiment, self.params))
 
+    def __getitem__(self, key: str):
+        return self.params[key]
 
-def load_config(path: str | Path) -> ExperimentConfig:
-    """Parse a JSON config file, rejecting unknown keys outright."""
-    raw = json.loads(Path(path).read_text())
-    if not isinstance(raw, dict):
-        raise ValueError(f"config {path} must hold a JSON object")
-    return config_from_dict(raw)
+    def echo(self) -> dict:
+        """The report's config block: the verb, then every resolved value."""
+        return {"experiment": self.experiment,
+                **{k: list(v) if isinstance(v, tuple) else v
+                   for k, v in self.params.items()}}
 
 
 def config_from_dict(raw: dict) -> ExperimentConfig:
-    """Build a config, rejecting keys that are not fields or that the verb never reads."""
-    known = {f.name for f in fields(ExperimentConfig)}
-    unknown = sorted(set(raw) - known)
+    """Build a config from a parsed JSON object (``experiment``, ``out_dir`` and the verb's keys)."""
+    params = dict(raw)
+    verb = params.pop("experiment", None)
+    out_dir = params.pop("out_dir", None)
+    if not isinstance(out_dir, (str, type(None))):
+        raise ValueError(f"config key out_dir must be a string, got {out_dir!r}")
+    return ExperimentConfig(verb, params, out_dir or "runs")
+
+
+def _resolve(verb: str, params: dict) -> dict:
+    """Every key of ``verb``'s table: the given value, type-checked, or the default."""
+    if verb not in VERBS:
+        raise ValueError(f"unknown experiment {verb!r}; valid verbs: " + ", ".join(VERBS))
+    defaults = VERBS[verb].defaults
+    unknown = sorted(set(params).difference(*(v.defaults for v in VERBS.values())))
     if unknown:
         raise ValueError(f"unknown config keys: {', '.join(unknown)}")
-    verb = raw.get("experiment")
-    if verb in _KEYS:
-        # before coercion, and so that an explicit null is refused as well
-        _check_keys_read(verb, raw)
-    kwargs = dict(raw)
-    if "q_list" in kwargs and kwargs["q_list"] is not None:
-        kwargs["q_list"] = tuple(
-            math.inf if q == "inf" else float(q) for q in kwargs["q_list"]
-        )
-    for key in ("size_range", "block_counts"):
-        if kwargs.get(key) is not None:
-            kwargs[key] = tuple(int(v) for v in kwargs[key])
-    return ExperimentConfig(**kwargs)
-
-
-def _check_keys_read(verb: str, keys) -> None:
-    """Refuse, by name, any config key that ``verb``'s pipeline never reads."""
-    unread = sorted(set(keys) - set(_COMMON_KEYS) - set(_KEYS[verb]))
+    unread = sorted(set(params) - set(defaults))  # an explicit null included
     if unread:
         raise ValueError(
             f"config keys not read by {verb}: {', '.join(unread)}; it reads "
-            + ", ".join(_COMMON_KEYS + _KEYS[verb])
+            + ", ".join(["experiment", "out_dir", *defaults])
         )
+    return {key: default if params.get(key) is None else _checked(key, params[key], default)
+            for key, default in defaults.items()}
 
 
-def _pick(value, default):
-    return default if value is None else value
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _checked(key: str, value, default):
+    """``value`` checked against the type of ``default``.
+
+    A JSON int passes for a float and is kept as given.  Lists become
+    tuples of ints (integral floats allowed) or of floats ("inf" allowed);
+    an :class:`IntRange` must be a pair.
+    """
+    if isinstance(default, ExponentMap):
+        return _exponent_map(value)
+    if isinstance(default, tuple) and isinstance(value, (list, tuple)):
+        items = None
+        if isinstance(default[0], float):
+            if all(_is_number(v) or v == "inf" for v in value):
+                items = tuple(math.inf if v == "inf" else float(v) for v in value)
+        elif all(_is_number(v) and float(v).is_integer() for v in value):
+            items = tuple(int(v) for v in value)
+        if items is not None and not isinstance(default, IntRange):
+            return items
+        if items is not None and len(items) == 2:
+            return IntRange(*items)
+    elif not isinstance(default, tuple) and _is_number(value) and (
+            isinstance(value, int) or isinstance(default, float)):
+        return value
+    like = list(default) if isinstance(default, tuple) else default
+    raise ValueError(f"config key {key} must be like its default {like!r}, got {value!r}")
+
+
+def _exponent_map(spec) -> ExponentMap:
+    """The map a config's ``exponent_map`` object describes, or an error naming the key."""
+    try:
+        spec = dict(spec)
+        if spec.get("kind") == "table":
+            entries = spec.pop("entries", ())
+            if set(spec) != {"kind"}:
+                raise TypeError(f"a table map takes only kind and entries, got {sorted(spec)}")
+            return ExponentMap.from_table(dict(entries))
+        return ExponentMap(**spec)
+    except (TypeError, ValueError) as err:
+        raise ValueError(f"config key exponent_map: {err}") from None
 
 
 def _final_norm(theta: SpectralField, trace, index: BesovIndex, partition) -> float:
@@ -174,18 +207,6 @@ def _final_norm(theta: SpectralField, trace, index: BesovIndex, partition) -> fl
     went non-finite, returning its start unrecorded, has it computed here.
     """
     return trace.norms[-1] if trace.norms else besov_norm(theta, index, partition)
-
-
-def _exponent_map(cfg: ExperimentConfig, default: ExponentMap) -> ExponentMap:
-    if cfg.exponent_map is None:
-        return default
-    spec = dict(cfg.exponent_map)
-    kind = spec.pop("kind", "square")
-    if kind == "table":
-        return ExponentMap.from_table({int(k): int(v) for k, v in spec["entries"]})
-    if kind == "affine":
-        return ExponentMap.affine(int(spec.get("scale", 2)), int(spec.get("shift", 0)))
-    return ExponentMap()
 
 
 def _band_limited_field(lattice: FrequencyLattice, rng, radius: float) -> SpectralField:
@@ -199,14 +220,12 @@ def _band_limited_field(lattice: FrequencyLattice, rng, radius: float) -> Spectr
 # ---------------------------------------------------------------------------
 
 
+@_verb("partition-check", "dyadic ring invariants: support, plateau, sum to one",
+       m=1024, h_xi=0.125, seed=0, tolerance=1e-12)
 def _run_partition_check(cfg: ExperimentConfig) -> ExperimentReport:
-    m = _pick(cfg.m, 1024)
-    h_xi = _pick(cfg.h_xi, 0.125)
-    tol = _pick(cfg.tolerance, 1e-12)
-    lattice = FrequencyLattice(m=m, h_xi=h_xi)
+    tol = cfg["tolerance"]
+    lattice = FrequencyLattice(m=cfg["m"], h_xi=cfg["h_xi"])
     partition = build_partition(lattice)
-    params = {"experiment": cfg.experiment, "m": m, "h_xi": h_xi, "seed": cfg.seed,
-              "tolerance": tol}
 
     rows = []
     r = lattice.radius
@@ -224,7 +243,7 @@ def _run_partition_check(cfg: ExperimentConfig) -> ExperimentReport:
     coverage = partition.coverage()
     worst_cover = float(np.abs(coverage[r > 0] - 1.0).max())
 
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg["seed"])
     band = _band_limited_field(lattice, rng, radius=lattice.xi_max / 2.0)
     total = SpectralField.zeros(lattice)
     for j in partition.shells:
@@ -257,23 +276,20 @@ def _run_partition_check(cfg: ExperimentConfig) -> ExperimentReport:
         Verdict("reconstruction", recon_err <= tol,
                 f"{recon_err:.3e}", f"sum of shell projections rebuilds band-limited field to {tol:g}"),
     ]
-    return ExperimentReport(cfg.experiment, params, tables, verdicts)
+    return ExperimentReport(cfg.experiment, cfg.echo(), tables, verdicts)
 
 
+@_verb("verify-identity", "three-way agreement of the bilinear form routes",
+       m=32, h_xi=0.25, samples=50, seed=0, tolerance=1e-10)
 def _run_verify_identity(cfg: ExperimentConfig) -> ExperimentReport:
-    m = _pick(cfg.m, 32)
-    h_xi = _pick(cfg.h_xi, 0.25)
-    samples = _pick(cfg.samples, 50)
-    tol = _pick(cfg.tolerance, 1e-10)
+    m, samples, tol = cfg["m"], cfg["samples"], cfg["tolerance"]
     if m > QUADRATURE_SIZE_LIMIT:
         raise ValueError(
             f"verify-identity runs the direct quadrature, which is "
             f"O(m^4): m = {m} exceeds the size limit {QUADRATURE_SIZE_LIMIT}"
         )
-    lattice = FrequencyLattice(m=m, h_xi=h_xi)
-    params = {"experiment": cfg.experiment, "m": m, "h_xi": h_xi,
-              "samples": samples, "seed": cfg.seed, "tolerance": tol}
-    rng = np.random.default_rng(cfg.seed)
+    lattice = FrequencyLattice(m=m, h_xi=cfg["h_xi"])
+    rng = np.random.default_rng(cfg["seed"])
     rows = []
     worst = 0.0
     for i in range(samples):
@@ -295,19 +311,15 @@ def _run_verify_identity(cfg: ExperimentConfig) -> ExperimentReport:
         "three-way-identity", worst <= tol, f"{worst:.3e}",
         f"pairwise relative L2 discrepancy <= {tol:g} over {samples} random fields",
     )]
-    return ExperimentReport(cfg.experiment, params, tables, verdicts)
+    return ExperimentReport(cfg.experiment, cfg.echo(), tables, verdicts)
 
 
+@_verb("constants", "sample operator constants and smallness thresholds",
+       m=128, h_xi=0.25, samples=64, p=4.0, q=2.0, seed=0)
 def _run_constants(cfg: ExperimentConfig) -> ExperimentReport:
-    m = _pick(cfg.m, 128)
-    h_xi = _pick(cfg.h_xi, 0.25)
-    samples = _pick(cfg.samples, 64)
-    p = _pick(cfg.p, 4.0)
-    q = _pick(cfg.q, 2.0)
-    lattice = FrequencyLattice(m=m, h_xi=h_xi)
-    params = {"experiment": cfg.experiment, "m": m, "h_xi": h_xi,
-              "samples": samples, "p": p, "q": q, "seed": cfg.seed}
-    report = estimate_constants(lattice, samples=samples, p=p, q=q, seed=cfg.seed)
+    lattice = FrequencyLattice(m=cfg["m"], h_xi=cfg["h_xi"])
+    report = estimate_constants(lattice, samples=cfg["samples"], p=cfg["p"], q=cfg["q"],
+                                seed=cfg["seed"])
     tables = [Table(
         "constants",
         ("c0", "c1", "delta0", "epsilon0"),
@@ -324,32 +336,25 @@ def _run_constants(cfg: ExperimentConfig) -> ExperimentReport:
         Verdict("constants-positive", report.c0 > 0 and report.c1 > 0,
                 f"c0={report.c0:.6g}, c1={report.c1:.6g}", "both sampled constants > 0"),
     ]
-    return ExperimentReport(cfg.experiment, params, tables, verdicts)
+    return ExperimentReport(cfg.experiment, cfg.echo(), tables, verdicts)
 
 
+@_verb("solve", "Picard contraction, uniqueness and Lipschitz checks",
+       m=128, h_xi=0.25, samples=50, p=4.0, q=2.0, solve_tol=1e-10, max_iter=64,
+       ball_fraction=0.5, seed=0)
 def _run_solve(cfg: ExperimentConfig) -> ExperimentReport:
-    m = _pick(cfg.m, 128)
-    h_xi = _pick(cfg.h_xi, 0.25)
-    samples = _pick(cfg.samples, 50)
-    p = _pick(cfg.p, 4.0)
-    q = _pick(cfg.q, 2.0)
-    tol = _pick(cfg.solve_tol, 1e-10)
-    max_iter = _pick(cfg.max_iter, 64)
-    fraction = _pick(cfg.ball_fraction, 0.5)
+    p, q, max_iter, fraction = cfg["p"], cfg["q"], cfg["max_iter"], cfg["ball_fraction"]
     if not 0 < fraction <= 1.0:
         raise ValueError(f"ball_fraction must lie in (0, 1], got {fraction}")
-    lattice = FrequencyLattice(m=m, h_xi=h_xi)
+    lattice = FrequencyLattice(m=cfg["m"], h_xi=cfg["h_xi"])
     partition = build_partition(lattice)
     solution_index = BesovIndex.solution_index(p, q)
     data_index = BesovIndex.data_index(p, q)
-    solve_cfg = SolveConfig(index=solution_index, tol=tol, max_iter=max_iter)
-    params = {"experiment": cfg.experiment, "m": m, "h_xi": h_xi, "samples": samples,
-              "p": p, "q": q, "solve_tol": tol, "max_iter": max_iter,
-              "ball_fraction": fraction, "seed": cfg.seed}
+    solve_cfg = SolveConfig(index=solution_index, tol=cfg["solve_tol"], max_iter=max_iter)
 
-    constants = estimate_constants(lattice, samples=samples, p=p, q=q, seed=cfg.seed,
-                                   partition=partition)
-    rng = np.random.default_rng(cfg.seed + 1)
+    constants = estimate_constants(lattice, samples=cfg["samples"], p=p, q=q,
+                                   seed=cfg["seed"], partition=partition)
+    rng = np.random.default_rng(cfg["seed"] + 1)
     f = random_mean_zero_field(lattice, rng, decay=2.0)
     f = unit_normalize(f, data_index, partition) * (fraction * constants.delta0)
     f_norm = besov_norm(f, data_index, partition)
@@ -399,38 +404,33 @@ def _run_solve(cfg: ExperimentConfig) -> ExperimentReport:
         Verdict("lipschitz", lhs <= 1.5 * rhs, f"{lhs:.4g} vs {1.5 * rhs:.4g}",
                 "solution gap <= 1.5 * (2 c0) * data gap"),
     ]
-    return ExperimentReport(cfg.experiment, params, tables, verdicts)
+    return ExperimentReport(cfg.experiment, cfg.echo(), tables, verdicts)
 
 
+@_verb("illpose-step1", "modulated bump sweep: data norms vs low-frequency floor",
+       m=1024, h_xi=0.125, p=8.0, q=2.0, delta=0.01, size_range=IntRange(4, 7),
+       carrier_offset=-2, seed=0)
 def _run_illpose_step1(cfg: ExperimentConfig) -> ExperimentReport:
-    m = _pick(cfg.m, 1024)
-    h_xi = _pick(cfg.h_xi, 0.125)
-    p = _pick(cfg.p, 8.0)
-    q = _pick(cfg.q, 2.0)
-    delta = _pick(cfg.delta, 0.01)
-    lo, hi = _pick(cfg.size_range, (4, 7))
-    offset = _pick(cfg.carrier_offset, -2)
-    lattice = FrequencyLattice(m=m, h_xi=h_xi)
-    partition = build_partition(lattice)
-    data_index = BesovIndex.data_index(p, q)
-    # the data-norm trend runs at the requested (p, q); the perturbation
-    # equation is monitored at the endpoint index the solver defaults to
-    solve_cfg = SolveConfig()
-    params = {"experiment": cfg.experiment, "m": m, "h_xi": h_xi, "p": p, "q": q,
-              "delta": delta, "size_range": [lo, hi], "carrier_offset": offset,
-              "seed": cfg.seed}
-
+    p, delta = cfg["p"], cfg["delta"]
+    lo, hi = cfg["size_range"]
     if hi <= lo:
         raise ValueError(
             f"size_range {(lo, hi)} must span at least two sizes; the slope "
             "and floor verdicts compare across the sweep"
         )
+    lattice = FrequencyLattice(m=cfg["m"], h_xi=cfg["h_xi"])
     specs = [
-        ForceSpec(variant="bump", delta=delta, size=n, carrier_exponent=n + offset)
+        ForceSpec(variant="bump", delta=delta, size=n,
+                  carrier_exponent=n + cfg["carrier_offset"])
         for n in range(lo, hi + 1)
     ]
     for spec in specs:
         spec.validate(lattice)
+    partition = build_partition(lattice)
+    data_index = BesovIndex.data_index(p, cfg["q"])
+    # the data-norm trend runs at the requested (p, q); the perturbation
+    # equation is monitored at the endpoint index the solver defaults to
+    solve_cfg = SolveConfig()
 
     rows = []
     norms, floors, tilde_norms, second_norms = [], [], [], []
@@ -486,28 +486,26 @@ def _run_illpose_step1(cfg: ExperimentConfig) -> ExperimentReport:
                 "sweep perturbation norm <= second-iterate norm / 5 at the "
                 "endpoint monitoring index"),
     ]
-    return ExperimentReport(cfg.experiment, params, tables, verdicts)
+    return ExperimentReport(cfg.experiment, cfg.echo(), tables, verdicts)
 
 
+@_verb("illpose-step2", "lacunary forcing: disjoint annuli and homogeneity",
+       m=2048, h_xi=0.125, delta=0.01, size_range=IntRange(1, 3),
+       exponent_map=ExponentMap.affine(2, 0), seed=0)
 def _run_illpose_step2(cfg: ExperimentConfig) -> ExperimentReport:
-    m = _pick(cfg.m, 2048)
-    h_xi = _pick(cfg.h_xi, 0.125)
-    delta = _pick(cfg.delta, 0.01)
-    k_lo, k_hi = _pick(cfg.size_range, (1, 3))
-    exponents = _exponent_map(cfg, ExponentMap.affine(2, 0))
-    lattice = FrequencyLattice(m=m, h_xi=h_xi)
-    partition = build_partition(lattice)
+    delta = cfg["delta"]
+    k_lo, k_hi = cfg["size_range"]
+    lattice = FrequencyLattice(m=cfg["m"], h_xi=cfg["h_xi"])
     spec = ForceSpec(variant="lacunary", delta=delta, size=k_hi,
-                     block_range=(k_lo, k_hi), exponents=exponents)
+                     block_range=(k_lo, k_hi), exponents=cfg["exponent_map"])
     spec.validate(lattice)
-    params = {"experiment": cfg.experiment, "m": m, "h_xi": h_xi, "delta": delta,
-              "term_range": [k_lo, k_hi], "exponent_map": exponents.describe(),
-              "seed": cfg.seed}
+    partition = build_partition(lattice)
+    params = {"experiment": cfg.experiment, "m": cfg["m"], "h_xi": cfg["h_xi"],
+              "delta": delta, "term_range": [k_lo, k_hi],
+              "exponent_map": spec.exponents.describe(), "seed": cfg["seed"]}
 
     f = lacunary_force(lattice, spec)
-    half_spec = ForceSpec(variant="lacunary", delta=delta / 2.0, size=k_hi,
-                          block_range=(k_lo, k_hi), exponents=exponents)
-    f_half = lacunary_force(lattice, half_spec)
+    f_half = lacunary_force(lattice, replace(spec, delta=delta / 2.0))
     theta1 = inverse_laplacian(f)
     theta2 = -quadratic_diagonal(theta1)
     theta2_half = -quadratic_diagonal(inverse_laplacian(f_half))
@@ -546,33 +544,34 @@ def _run_illpose_step2(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(cfg.experiment, params, tables, verdicts)
 
 
+# ksi_max = 128 admits the 4-block band 2**6 + 2**5 of the inflation leg with
+# room, while h = 1/16 keeps its lowest probe shell populated.
+@_verb("illpose-step3", "translated blocks: L4 additivity and inflation growth",
+       delta=0.01, block_counts=(2, 4, 8), probe_gap=3, q_list=(1.0, 2.0, math.inf),
+       equal_shell=3, m=4096, h_xi=1.0 / 16.0, exponent_map=ExponentMap.affine(2, -4),
+       seed=0)
 def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
-    delta = _pick(cfg.delta, 0.01)
-    counts = _pick(cfg.block_counts, (2, 4, 8))
-    gap = _pick(cfg.probe_gap, 3)
-    q_list = _pick(cfg.q_list, (1.0, 2.0, math.inf))
+    delta, counts, gap, q_list = (cfg["delta"], cfg["block_counts"], cfg["probe_gap"],
+                                  cfg["q_list"])
     if not {1.0, 2.0} <= set(q_list):
         raise ValueError(
             f"q_list {q_list} must contain 1 and 2; the growth verdict "
             "compares those two aggregates"
         )
-    if len(counts) < 2 or any(b <= a for a, b in zip(counts, counts[1:])):
-        raise ValueError(f"block_counts {counts} must be increasing, length >= 2")
+    if len(counts) < 2 or counts[0] < 2 or any(b <= a for a, b in zip(counts, counts[1:])):
+        raise ValueError(f"block_counts {counts} must be increasing from at least 2, "
+                         "length >= 2")
 
     # L4 additivity leg: equal-shape blocks on a small lattice.
     l4_m = 1024
     l4_h = 0.125
-    equal_shell = _pick(cfg.equal_shell, 3)
+    equal_shell = cfg["equal_shell"]
     l4_lattice = FrequencyLattice(m=l4_m, h_xi=l4_h)
     l4_partition = build_partition(l4_lattice)
     l4_map = ExponentMap.affine(2, 0)
 
     # Inflation leg: one shell per block, probed at its own frequency.
-    # ksi_max = 128 admits the 4-block band 2**6 + 2**5 with room while
-    # h = 1/16 keeps the lowest probe shell populated.
-    m = _pick(cfg.m, 4096)
-    h_xi = _pick(cfg.h_xi, 1.0 / 16.0)
-    infl_map = _exponent_map(cfg, ExponentMap.affine(2, -4))
+    m, h_xi, infl_map = cfg["m"], cfg["h_xi"], cfg["exponent_map"]
     lattice = FrequencyLattice(m=m, h_xi=h_xi)
     params = {"experiment": cfg.experiment, "delta": delta,
               "block_counts": list(counts), "probe_gap": gap,
@@ -581,7 +580,7 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
                          "exponent_map": l4_map.describe()},
               "inflation_leg": {"m": m, "h_xi": h_xi,
                                 "exponent_map": infl_map.describe()},
-              "seed": cfg.seed}
+              "seed": cfg["seed"]}
 
     area4 = l4_lattice.quadrature_weight
     l4_rows, l4_values = [], {}
@@ -590,9 +589,7 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
                          block_range=(1, count), exponents=l4_map,
                          equal_shell=equal_shell, probe_gap=gap)
         stride = calibrate_stride(l4_lattice, spec, l4_partition)
-        spec = ForceSpec(variant="blocks", delta=delta, size=count,
-                         block_range=(1, count), exponents=l4_map,
-                         equal_shell=equal_shell, probe_gap=gap, stride=stride)
+        spec = replace(spec, stride=stride)
         envelope = block_envelope(l4_lattice, spec, l4_partition)
         l4 = lp_norm(envelope.physical_real(), 4.0, area4)
         l4_values[count] = l4
@@ -607,15 +604,14 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
     # sweep itself runs at one shared carrier (the largest of the feasible
     # minima).  Letting the carrier move with the count would fold a
     # modulation effect into what should be a pure block-count comparison.
-    min_carrier, failures = {}, {}
+    min_specs, failures = {}, {}
     partial = False
     for count in counts:
         exps = [infl_map(k) for k in range(1, count + 1)]
-        min_carrier[count] = max(exps) + 2
-        spec = ForceSpec(variant="blocks", delta=delta, size=count,
-                         block_range=(1, count), exponents=infl_map,
-                         carrier_exponent=min_carrier[count], probe_gap=gap,
-                         stride=lattice.box_length / (2 * count))
+        spec = min_specs[count] = ForceSpec(
+            variant="blocks", delta=delta, size=count, block_range=(1, count),
+            exponents=infl_map, carrier_exponent=max(exps) + 2, probe_gap=gap,
+            stride=lattice.box_length / (2 * count))
         try:
             spec.validate(lattice)
             for shell in spec.block_shells():
@@ -624,21 +620,18 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
             failures[count] = str(err)
             partial = True
     feasible = [count for count in counts if count not in failures]
-    common_carrier = max(min_carrier[count] for count in feasible) if feasible else None
+    common_carrier = max(min_specs[count].carrier for count in feasible) if feasible else None
     params["inflation_leg"]["carrier_exponent"] = common_carrier
 
     partition = build_partition(lattice)
     infl_rows, ratio_by_count = [], {}
     for count in counts:
         if count in failures:
-            infl_rows.append((count, min_carrier[count], "", "", "",
+            infl_rows.append((count, min_specs[count].carrier, "", "", "",
                               f"infeasible: {failures[count]}"))
             continue
         carrier = common_carrier
-        spec = ForceSpec(variant="blocks", delta=delta, size=count,
-                         block_range=(1, count), exponents=infl_map,
-                         carrier_exponent=carrier, probe_gap=gap,
-                         stride=lattice.box_length / (2 * count))
+        spec = replace(min_specs[count], carrier_exponent=carrier)
         spec.validate(lattice)
         forcing = translated_block_force(lattice, spec, partition)[1]
         theta1 = inverse_laplacian(forcing)
@@ -679,34 +672,13 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(cfg.experiment, params, tables, verdicts, partial=partial)
 
 
-_PIPELINES = {
-    "partition-check": _run_partition_check,
-    "verify-identity": _run_verify_identity,
-    "constants": _run_constants,
-    "solve": _run_solve,
-    "illpose-step1": _run_illpose_step1,
-    "illpose-step2": _run_illpose_step2,
-    "illpose-step3": _run_illpose_step3,
-}
-
-# Config keys each pipeline reads; ExperimentConfig and config_from_dict refuse any other.
-_COMMON_KEYS = ("experiment", "seed", "out_dir")
-_KEYS = {
-    "partition-check": ("m", "h_xi", "tolerance"),
-    "verify-identity": ("m", "h_xi", "samples", "tolerance"),
-    "constants": ("m", "h_xi", "samples", "p", "q"),
-    "solve": ("m", "h_xi", "samples", "p", "q", "solve_tol", "max_iter", "ball_fraction"),
-    "illpose-step1": ("m", "h_xi", "p", "q", "delta", "size_range", "carrier_offset"),
-    "illpose-step2": ("m", "h_xi", "delta", "size_range", "exponent_map"),
-    "illpose-step3": ("m", "h_xi", "delta", "block_counts", "q_list", "probe_gap",
-                      "equal_shell", "exponent_map"),
-}
+EXPERIMENTS = tuple(VERBS)
 
 
 def run_experiment(cfg: ExperimentConfig, write: bool = True) -> ExperimentReport:
     """Execute the named pipeline; optionally write CSV/JSON artifacts."""
     start = time.perf_counter()
-    report = _PIPELINES[cfg.experiment](cfg)
+    report = VERBS[cfg.experiment].run(cfg)
     report.wall_seconds = time.perf_counter() - start
     if write:
         emit_report(report, cfg.out_dir)

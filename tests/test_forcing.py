@@ -32,6 +32,15 @@ def test_exponent_maps():
         ExponentMap(kind="cubic")
     with pytest.raises(ValueError, match="needs entries"):
         ExponentMap(kind="table")
+    # a field the kind does not use, or a non-integer step, is refused
+    with pytest.raises(ValueError, match="must be integers"):
+        ExponentMap.affine(2.5)
+    with pytest.raises(ValueError, match="must be integers"):
+        ExponentMap.from_table({1: 2.5})
+    with pytest.raises(ValueError, match="apply to the affine kind"):
+        ExponentMap(scale=3)
+    with pytest.raises(ValueError, match="apply to the table kind"):
+        ExponentMap(kind="affine", entries=((1, 2),))
 
 
 def test_force_spec_field_validation():

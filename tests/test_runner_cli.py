@@ -10,7 +10,6 @@ import platform
 import re
 import subprocess
 import sys
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -19,7 +18,7 @@ import sqglab
 from sqglab import runner, spectral
 from sqglab.cli import main
 from sqglab.reports import ExperimentReport, Table, Verdict, emit_report, format_value
-from sqglab.runner import ExperimentConfig, config_from_dict, load_config, run_experiment
+from sqglab.runner import ExperimentConfig, config_from_dict, run_experiment
 
 
 # -- configuration ---------------------------------------------------------
@@ -28,6 +27,11 @@ from sqglab.runner import ExperimentConfig, config_from_dict, load_config, run_e
 def test_config_rejects_unknown_keys():
     with pytest.raises(ValueError, match="unknown config keys: bogus"):
         config_from_dict({"experiment": "solve", "bogus": 1})
+
+
+def test_config_rejects_a_mistyped_out_dir():
+    with pytest.raises(ValueError, match="config key out_dir must be a string"):
+        config_from_dict({"experiment": "constants", "out_dir": 5})
 
 
 def test_config_rejects_unknown_experiment():
@@ -43,34 +47,37 @@ def test_config_parses_inf_and_coerces_tuples():
             "block_counts": [2.0, 4.0],
         }
     )
-    assert cfg.q_list == (1.0, 2.0, math.inf)
-    assert cfg.block_counts == (2, 4)
+    assert cfg["q_list"] == (1.0, 2.0, math.inf)
+    assert cfg["block_counts"] == (2, 4)
     cfg = config_from_dict({"experiment": "illpose-step1", "size_range": [4.0, 7]})
-    assert cfg.size_range == (4, 7)
+    assert cfg["size_range"] == (4, 7)
+    # a JSON int is a valid float and is echoed as given; null means default
+    cfg = config_from_dict({"experiment": "illpose-step1", "p": 8, "q": None})
+    assert type(cfg["p"]) is int and cfg.echo()["p"] == 8
+    assert cfg["q"] == 2.0
 
 
 def test_config_rejects_keys_the_verb_does_not_read():
     with pytest.raises(ValueError, match="not read by constants: block_counts, size_range"):
         config_from_dict({"experiment": "constants", "block_counts": [2, 4], "size_range": None})
-    # every field is read by some verb, and every listed key is a field
-    listed = set(runner._COMMON_KEYS).union(*runner._KEYS.values())
-    assert listed == {f.name for f in fields(ExperimentConfig)}
-    assert set(runner._KEYS) == set(runner.EXPERIMENTS)
+    assert runner.EXPERIMENTS == tuple(runner.VERBS)
+    assert all("seed" in verb.defaults for verb in runner.VERBS.values())
 
 
 def test_config_built_directly_refuses_keys_the_verb_does_not_read():
     with pytest.raises(ValueError, match="not read by constants: block_counts;"):
-        ExperimentConfig("constants", m=32, samples=50, block_counts=(2, 4))
-    # the verb's own keys, the common keys and defaults are accepted
-    cfg = ExperimentConfig("constants", m=32, samples=50, seed=3, out_dir="elsewhere",
-                           block_counts=None)
-    assert cfg.block_counts is None
+        ExperimentConfig("constants", {"m": 32, "samples": 50, "block_counts": (2, 4)})
+    # the verb's own keys are accepted, and the rest take their defaults
+    cfg = ExperimentConfig("constants", {"m": 32, "samples": 50, "seed": 3},
+                           out_dir="elsewhere")
+    assert cfg.params == {"m": 32, "h_xi": 0.25, "samples": 50, "p": 4.0, "q": 2.0,
+                          "seed": 3}
 
 
 def keys_read_by(fn):
-    """``cfg.<key>`` reads in a function's source and in the helpers it hands cfg to."""
+    """``cfg["<key>"]`` reads in a function's source and in the helpers it hands cfg to."""
     source = inspect.getsource(fn)
-    keys = set(re.findall(r"\bcfg\.(\w+)", source))
+    keys = set(re.findall(r"\bcfg\[\"(\w+)\"\]", source))
     for name in set(re.findall(r"(\w+)\(cfg\b", source)) - {fn.__name__}:
         helper = getattr(runner, name, None)
         if inspect.isfunction(helper) and helper.__module__ == runner.__name__:
@@ -80,20 +87,11 @@ def keys_read_by(fn):
 
 @pytest.mark.parametrize("verb", runner.EXPERIMENTS)
 def test_listed_keys_are_the_keys_the_pipeline_reads(verb):
-    # a key missing from the list would refuse a config the verb uses
-    read = keys_read_by(runner._PIPELINES[verb])
-    assert read == {"experiment", "seed"} | set(runner._KEYS[verb])
-
-
-def test_load_config_roundtrip(tmp_path):
-    path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({"experiment": "constants", "m": 32, "samples": 50}))
-    cfg = load_config(path)
-    assert cfg.experiment == "constants"
-    assert cfg.m == 32
-    path.write_text(json.dumps([1, 2]))
-    with pytest.raises(ValueError, match="JSON object"):
-        load_config(path)
+    # a key the pipeline reads but its table lacks would raise KeyError, and
+    # a listed key it never reads would be a default that changes nothing;
+    # every verb takes --seed and echoes it, though step1 never draws from it
+    read = keys_read_by(runner.VERBS[verb].run)
+    assert read | {"seed"} == set(runner.VERBS[verb].defaults)
 
 
 # -- report containers -----------------------------------------------------
@@ -163,6 +161,8 @@ def test_partition_check_pipeline():
     cfg = config_from_dict({"experiment": "partition-check", "m": 64, "h_xi": 0.25})
     rep = run_experiment(cfg, write=False)
     assert rep.passed
+    assert rep.config == {"experiment": "partition-check", "m": 64, "h_xi": 0.25, "seed": 0,
+                          "tolerance": 1e-12}
     assert {v.name for v in rep.verdicts} == {
         "partition-of-unity", "support", "plateau", "reconstruction",
     }
@@ -173,6 +173,8 @@ def test_verify_identity_pipeline():
     cfg = config_from_dict({"experiment": "verify-identity", "m": 16, "samples": 3})
     rep = run_experiment(cfg, write=False)
     assert rep.passed
+    assert rep.config == {"experiment": "verify-identity", "m": 16, "h_xi": 0.25,
+                          "samples": 3, "seed": 0, "tolerance": 1e-10}
     assert len(rep.tables[0].rows) == 3
     big = config_from_dict({"experiment": "verify-identity", "m": 128})
     with pytest.raises(ValueError, match="size limit"):
@@ -184,6 +186,8 @@ def test_constants_pipeline_determinism(tmp_path):
            "out_dir": str(tmp_path / "one")}
     rep = run_experiment(config_from_dict(raw))
     assert rep.passed
+    assert rep.config == {"experiment": "constants", "m": 32, "h_xi": 0.25, "samples": 50,
+                          "p": 4.0, "q": 2.0, "seed": 0}
     raw2 = dict(raw, out_dir=str(tmp_path / "two"))
     run_experiment(config_from_dict(raw2))
     a = (tmp_path / "one" / "constants_report.json").read_bytes()
@@ -199,6 +203,9 @@ def test_solve_pipeline_small():
     cfg = config_from_dict({"experiment": "solve", "m": 32, "samples": 50})
     rep = run_experiment(cfg, write=False)
     assert rep.passed, [v.line() for v in rep.verdicts]
+    assert rep.config == {"experiment": "solve", "m": 32, "h_xi": 0.25, "samples": 50,
+                          "p": 4.0, "q": 2.0, "solve_tol": 1e-10, "max_iter": 64,
+                          "ball_fraction": 0.5, "seed": 0}
 
 
 def emitted_at_fft_workers(tmp_path, raw):
@@ -231,21 +238,32 @@ def test_step1_report_bytes_independent_of_fft_workers(tmp_path):
         "size_range": [4, 5],
     })
     assert emitted[0] and emitted[0] == emitted[1]
+    echo = json.loads(emitted[0]["illpose-step1_report.json"])["config"]
+    assert echo == {"experiment": "illpose-step1", "m": 128, "h_xi": 0.25, "p": 8.0,
+                    "q": 2.0, "delta": 0.01, "size_range": [4, 5], "carrier_offset": -2,
+                    "seed": 0}
 
 
 @pytest.mark.parametrize(
-    "raw",
+    "raw, echo",
     [
         # bilinear_block on white-spectrum pairs
-        {"experiment": "constants", "m": 64, "h_xi": 0.25},
+        ({"experiment": "constants", "m": 64, "h_xi": 0.25},
+         {"experiment": "constants", "m": 64, "h_xi": 0.25, "samples": 64, "p": 4.0,
+          "q": 2.0, "seed": 0}),
         # quadratic_diagonal on the padded grid of a larger lattice
-        {"experiment": "illpose-step2", "m": 256, "h_xi": 0.25, "size_range": [1, 2]},
+        ({"experiment": "illpose-step2", "m": 256, "h_xi": 0.25, "size_range": [1, 2]},
+         {"experiment": "illpose-step2", "m": 256, "h_xi": 0.25, "delta": 0.01,
+          "term_range": [1, 2], "exponent_map": {"kind": "affine", "scale": 2, "shift": 0},
+          "seed": 0}),
     ],
-    ids=lambda raw: raw["experiment"],
+    ids=["constants", "illpose-step2"],
 )
-def test_report_bytes_independent_of_fft_workers(tmp_path, raw):
+def test_report_bytes_independent_of_fft_workers(tmp_path, raw, echo):
     emitted = emitted_at_fft_workers(tmp_path, raw)
     assert emitted[0] and emitted[0] == emitted[1]
+    report = emitted[0][f"{raw['experiment']}_report.json"]
+    assert json.loads(report)["config"] == echo
 
 
 def test_pipeline_validation_errors():
@@ -262,6 +280,11 @@ def test_pipeline_validation_errors():
     with pytest.raises(ValueError, match="must be increasing"):
         run_experiment(
             config_from_dict({"experiment": "illpose-step3", "block_counts": [4, 2]}),
+            write=False,
+        )
+    with pytest.raises(ValueError, match="from at least 2"):
+        run_experiment(
+            config_from_dict({"experiment": "illpose-step3", "block_counts": [1, 2]}),
             write=False,
         )
     with pytest.raises(ValueError, match="span at least two sizes"):
@@ -322,13 +345,50 @@ def test_cli_config_error_exit_codes(tmp_path, capsys):
 @pytest.mark.parametrize("verb", runner.EXPERIMENTS)
 def test_cli_refuses_a_key_the_verb_does_not_read(tmp_path, capsys, verb):
     # exit 2, naming the key, before any computation (nothing is written)
-    key = next(f.name for f in fields(ExperimentConfig)
-               if f.name not in runner._COMMON_KEYS + runner._KEYS[verb])
+    reads = runner.VERBS[verb].defaults
+    key = next(k for other in runner.VERBS.values() for k in other.defaults
+               if k not in reads)
     cfg = write_cfg(tmp_path, {key: [2, 4]})
     out_dir = tmp_path / "runs"
     assert main([verb, "--config", cfg, "--out", str(out_dir)]) == 2
     assert f"not read by {verb}: {key};" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "verb, payload, key",
+    [
+        ("solve", {"max_iter": "5"}, "max_iter"),
+        ("solve", {"m": 64.0}, "m"),
+        ("constants", {"p": True}, "p"),
+        ("illpose-step1", {"size_range": [4]}, "size_range"),
+        ("illpose-step3", {"q_list": [1, 2, "infinity"]}, "q_list"),
+        ("illpose-step2", {"exponent_map": {"kind": "afine"}}, "exponent_map"),
+        ("illpose-step2", {"exponent_map": {"kind": "affine", "scael": 3}}, "exponent_map"),
+        ("illpose-step3", {"exponent_map": {"kind": "affine", "scale": 2.5}}, "exponent_map"),
+        ("illpose-step3", {"exponent_map": {"scale": 3}}, "exponent_map"),
+        ("illpose-step2", {"exponent_map": {"kind": "table", "entries": [[1, 2], [2, 4.5]]}},
+         "exponent_map"),
+    ],
+    ids=lambda value: value if isinstance(value, str) else json.dumps(value),
+)
+def test_cli_refuses_a_mistyped_value_by_name(tmp_path, capsys, verb, payload, key):
+    # exit 2, naming the key, before anything is computed or written
+    cfg = write_cfg(tmp_path, payload)
+    out_dir = tmp_path / "runs"
+    assert main([verb, "--config", cfg, "--out", str(out_dir)]) == 2
+    assert f"config key {key}" in capsys.readouterr().err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("verb", runner.EXPERIMENTS)
+def test_cli_help_lists_the_verbs_keys_and_defaults(capsys, verb):
+    with pytest.raises(SystemExit) as done:
+        main([verb, "--help"])
+    assert done.value.code == 0
+    out = capsys.readouterr().out
+    listed = out.split("and their defaults:\n", 1)[1].splitlines()
+    assert [line.split()[0] for line in listed] == list(runner.VERBS[verb].defaults)
 
 
 def test_cli_seed_override(tmp_path, capsys):
