@@ -56,7 +56,8 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--seed", type=int, default=None,
                          help="random seed (default: 0)")
         cmd.add_argument("--threads", type=int, default=None,
-                         help="FFT worker thread count")
+                         help="FFT worker thread count; -1 all cores (default), "
+                              "-2 all but one, ...")
     return parser
 
 
@@ -96,6 +97,12 @@ def _keep_freed_heap_pages() -> None:
 def main(argv: list[str] | None = None) -> int:
     _keep_freed_heap_pages()
     args = build_parser().parse_args(argv)
+    if args.threads is not None:
+        try:
+            set_fft_workers(args.threads)
+        except ValueError as err:
+            print(f"error: --threads: {err}", file=sys.stderr)
+            return 2
     raw: dict = {}
     if args.config is not None:
         try:
@@ -119,9 +126,6 @@ def main(argv: list[str] | None = None) -> int:
         raw["seed"] = args.seed
     if args.out is not None:
         raw["out_dir"] = args.out
-    if args.threads is not None:
-        set_fft_workers(args.threads)
-
     try:
         cfg = config_from_dict(raw)
         report = run_experiment(cfg)

@@ -159,13 +159,23 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+# Keys that count something; zero or a negative count would run nothing
+# and pass vacuously.
+_COUNT_KEYS = frozenset({"samples", "max_iter"})
+
+
 def _checked(key: str, value, default):
     """``value`` checked against the type of ``default``.
 
-    A JSON int passes for a float and is kept as given.  Lists become
-    tuples of ints (integral floats allowed) or of floats ("inf" allowed);
-    an :class:`IntRange` must be a pair.
+    A JSON int passes for a float and is kept as given; a count key must
+    be a positive int.  Lists become tuples of ints (integral floats
+    allowed) or of floats ("inf" allowed); an :class:`IntRange` must be a
+    pair.
     """
+    if key in _COUNT_KEYS:
+        if isinstance(value, int) and not isinstance(value, bool) and value >= 1:
+            return value
+        raise ValueError(f"config key {key} must be a positive integer, got {value!r}")
     if isinstance(default, ExponentMap):
         return _exponent_map(value)
     if isinstance(default, tuple) and isinstance(value, (list, tuple)):

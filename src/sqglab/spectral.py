@@ -14,11 +14,14 @@ axis).
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
-import scipy.fft
 
 __all__ = [
     "FrequencyLattice",
@@ -31,21 +34,75 @@ __all__ = [
     "set_fft_workers",
 ]
 
-_FFT_WORKERS = -1
+
+def _load_pocketfft():
+    """scipy's compiled pocketfft binding, loaded without ``import scipy.fft``.
+
+    ``scipy.fft`` is only a Python layer over this binding, but importing
+    it also imports ``scipy.special`` and scipy's array-API support (with
+    ``numpy.testing`` and ``numpy.f2py``), which no transform here uses
+    and which took more than half of a run's start-up time (README,
+    "Start-up").  ``find_spec`` locates scipy without importing it.  The
+    binding's module and call signature are the same since scipy 1.4.
+    """
+    scipy_spec = importlib.util.find_spec("scipy")
+    name = "scipy.fft._pocketfft.pypocketfft"
+    if scipy_spec is not None and scipy_spec.submodule_search_locations:
+        directory = Path(scipy_spec.submodule_search_locations[0], "fft", "_pocketfft")
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = directory / f"pypocketfft{suffix}"
+            if path.is_file():
+                loader = importlib.machinery.ExtensionFileLoader(name, str(path))
+                spec = importlib.util.spec_from_file_location(name, path, loader=loader)
+                module = importlib.util.module_from_spec(spec)
+                loader.exec_module(module)
+                return module
+    raise ImportError(
+        "sqglab needs scipy>=1.10 for its compiled pocketfft binding "
+        f"({name}), which was not found"
+    )
+
+
+# Its calls, with the arguments scipy.fft passes them:
+#   c2c(a, axes, forward, inorm, out, nthreads)
+#   r2c(a, axes, forward, inorm, out, nthreads)
+#   c2r(a, axes, lastsize, forward, inorm, out, nthreads)
+# where inorm 0 leaves a transform unscaled and 2 divides it by the number
+# of points: scipy's norm="forward" on a forward transform, or
+# norm="backward" on an inverse one.  With ``out`` the result is written
+# into that array, which may be the (strided) input itself.
+_pocketfft = _load_pocketfft()
+_UNSCALED, _SCALED = 0, 2
+
+_FFT_WORKERS = os.cpu_count() or 1  # -1: every core
 
 
 def set_fft_workers(n: int) -> None:
-    """Set the worker count passed to every scipy.fft call (-1 = all cores)."""
+    """Set the thread count of every transform, resolved as ``scipy.fft``
+    resolves ``workers``: -1 is all cores, -2 all but one, and so on.
+
+    Raises ``ValueError`` for 0 or for a count below minus the core count.
+    """
     global _FFT_WORKERS
-    _FFT_WORKERS = int(n)
+    n = int(n)
+    cores = os.cpu_count() or 1
+    if n == 0:
+        raise ValueError("the FFT worker count must not be zero")
+    if n < -cores:
+        raise ValueError(
+            f"FFT worker count {n} is out of range; it must not be less than {-cores}"
+        )
+    _FFT_WORKERS = n + 1 + cores if n < 0 else n
 
 
-def _fft2(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    return scipy.fft.fft2(a, norm="forward", workers=_FFT_WORKERS, overwrite_x=overwrite)
+def _fft2(a: np.ndarray) -> np.ndarray:
+    axes = (a.ndim - 2, a.ndim - 1)
+    return _pocketfft.c2c(a, axes, True, _SCALED, None, _FFT_WORKERS)
 
 
-def _ifft2(a: np.ndarray, overwrite: bool = False) -> np.ndarray:
-    return scipy.fft.ifft2(a, norm="forward", workers=_FFT_WORKERS, overwrite_x=overwrite)
+def _ifft2(a: np.ndarray) -> np.ndarray:
+    axes = (a.ndim - 2, a.ndim - 1)
+    return _pocketfft.c2c(a, axes, False, _UNSCALED, None, _FFT_WORKERS)
 
 
 @dataclass(frozen=True)
@@ -505,12 +562,9 @@ def _half_synthesis(half: np.ndarray, live: int) -> np.ndarray:
     are not transformed, and no complex scratch array of the grid's size
     is made.  ``half`` is overwritten.
     """
-    grid = half.shape[-2]
     cols = half[..., :live]
-    out = scipy.fft.ifft(cols, axis=-2, norm="forward", workers=_FFT_WORKERS, overwrite_x=True)
-    if not np.shares_memory(out, half):
-        cols[...] = out
-    return scipy.fft.irfft(half, n=grid, axis=-1, norm="forward", workers=_FFT_WORKERS)
+    _pocketfft.c2c(cols, (-2,), False, _UNSCALED, cols, _FFT_WORKERS)
+    return _pocketfft.c2r(half, (-1,), half.shape[-2], False, _UNSCALED, None, _FFT_WORKERS)
 
 
 def _analysed_half(samples: np.ndarray, m: int) -> np.ndarray:
@@ -527,15 +581,15 @@ def _analysed_half(samples: np.ndarray, m: int) -> np.ndarray:
     """
     grid = samples.shape[-1]
     h = m // 2
-    spec = scipy.fft.rfft(samples, axis=-1, norm="backward", workers=_FFT_WORKERS)
+    spec = _pocketfft.r2c(samples, (-1,), True, _UNSCALED, None, _FFT_WORKERS)
     cols = spec[..., :h]
     scaled = cols.view(np.float64)
     scaled *= 1.0 / (grid * grid)
-    out = scipy.fft.fft(cols, axis=-2, norm="backward", workers=_FFT_WORKERS, overwrite_x=True)
+    _pocketfft.c2c(cols, (-2,), True, _UNSCALED, cols, _FFT_WORKERS)
     half = np.empty(samples.shape[:-2] + (m, h), dtype=np.complex128)
-    half[..., :h, :] = out[..., :h, :]
+    half[..., :h, :] = cols[..., :h, :]
     half[..., h, :] = 0.0
-    half[..., h + 1 :, :] = out[..., grid - h + 1 :, :]
+    half[..., h + 1 :, :] = cols[..., grid - h + 1 :, :]
     return half
 
 

@@ -359,6 +359,10 @@ def test_cli_refuses_a_key_the_verb_does_not_read(tmp_path, capsys, verb):
     "verb, payload, key",
     [
         ("solve", {"max_iter": "5"}, "max_iter"),
+        ("solve", {"max_iter": 0}, "max_iter"),
+        ("verify-identity", {"samples": 0}, "samples"),
+        ("verify-identity", {"samples": -3}, "samples"),
+        ("constants", {"samples": 0}, "samples"),
         ("solve", {"m": 64.0}, "m"),
         ("constants", {"p": True}, "p"),
         ("illpose-step1", {"size_range": [4]}, "size_range"),
@@ -381,6 +385,19 @@ def test_cli_refuses_a_mistyped_value_by_name(tmp_path, capsys, verb, payload, k
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("verb", ["partition-check", "solve"])
+@pytest.mark.parametrize("threads", [0, -(os.cpu_count() or 1) - 1], ids=["zero", "below-cores"])
+def test_cli_refuses_a_bad_thread_count(tmp_path, capsys, verb, threads):
+    # exit 2, naming the flag, before anything is computed or written; the
+    # worker count in force is kept
+    workers = spectral._FFT_WORKERS
+    out_dir = tmp_path / "runs"
+    assert main([verb, "--threads", str(threads), "--out", str(out_dir)]) == 2
+    assert "--threads" in capsys.readouterr().err
+    assert not out_dir.exists()
+    assert spectral._FFT_WORKERS == workers
+
+
 @pytest.mark.parametrize("verb", runner.EXPERIMENTS)
 def test_cli_help_lists_the_verbs_keys_and_defaults(capsys, verb):
     with pytest.raises(SystemExit) as done:
@@ -401,6 +418,18 @@ def test_cli_seed_override(tmp_path, capsys):
     capsys.readouterr()
     payload = json.loads((out_dir / "constants_report.json").read_text())
     assert payload["config"]["seed"] == 3
+
+
+def test_cli_import_leaves_scipy_fft_unloaded(tmp_path):
+    # the transforms call scipy's compiled pocketfft binding; importing
+    # scipy.fft would also load scipy.special and scipy's array-API layer
+    code = ("import sys, sqglab.cli\n"
+            "print(' '.join(sorted(n for n in ('scipy.fft', 'scipy.special', "
+            "'scipy._lib._array_api') if n in sys.modules)))")
+    env = dict(os.environ, PYTHONPATH=str(Path(sqglab.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == []
 
 
 # -- heap retention -------------------------------------------------------------

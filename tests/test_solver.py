@@ -2,16 +2,16 @@
 
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
-import scipy.fft
 
 from sqglab.besov import BesovIndex, besov_norm, build_partition
 from sqglab.bilinear import bilinear_block, quadratic_diagonal
 from sqglab.forcing import ForceSpec, modulated_bump_force
 from sqglab.sampling import random_mean_zero_field
-from sqglab import solver
+from sqglab import solver, spectral
 from sqglab.solver import (
     ConstantsReport,
     SolveConfig,
@@ -313,31 +313,36 @@ def test_carried_step_keeps_the_three_product_loop(lattice128, partition128):
 def test_perturbation_iteration_costs_five_padded_transforms(lattice32, partition32, monkeypatch):
     # one quadratic form at the 3m/2 grid: 3 syntheses (theta and two
     # velocity components) and 2 analyses (two flux components); each is
-    # counted by its row pass, a length-grid irfft or rfft on a
-    # (grid, .) array
+    # counted by its row pass, a length-grid c2r or r2c call of the
+    # pocketfft binding on a (grid, .) array
     theta1, theta2 = first_iterates(small_forcing(lattice32, 0.2))
     grid = 3 * lattice32.m // 2
+    binding = spectral._pocketfft
     calls = []
 
-    def counted(name, transform, shape_of):
-        def run(x, *args, **kwargs):
-            if shape_of(x, kwargs) == (grid, grid):
+    def counted(name, shape_of):
+        transform = getattr(binding, name)
+
+        def run(a, *args):
+            if shape_of(a, args) == (grid, grid):
                 calls.append(name)
-            return transform(x, *args, **kwargs)
+            return transform(a, *args)
 
         return run
 
-    monkeypatch.setattr(scipy.fft, "irfft", counted("irfft", scipy.fft.irfft,
-                                                    lambda x, kw: (x.shape[-2], kw["n"])))
-    monkeypatch.setattr(scipy.fft, "rfft", counted("rfft", scipy.fft.rfft,
-                                                   lambda x, kw: x.shape[-2:]))
+    # c2r(a, axes, lastsize, ...) and r2c(a, axes, ...)
+    monkeypatch.setattr(spectral, "_pocketfft", SimpleNamespace(
+        c2c=binding.c2c,
+        c2r=counted("c2r", lambda a, args: (a.shape[-2], args[1])),
+        r2c=counted("r2c", lambda a, args: a.shape[-2:]),
+    ))
     per_run = []
     for max_iter in (1, 2):
         calls.clear()
         _, trace = perturbation_solve(theta1, theta2, SolveConfig(tol=1e-14, max_iter=max_iter),
                                       partition=partition32)
         assert trace.iterations == max_iter
-        per_run.append((calls.count("irfft"), calls.count("rfft")))
+        per_run.append((calls.count("c2r"), calls.count("r2c")))
     (inv1, fwd1), (inv2, fwd2) = per_run
     assert (inv2 - inv1, fwd2 - fwd1) == (3, 2)
 

@@ -1,10 +1,14 @@
 """Core spectral layer: lattice validation, field construction, Fourier
 multipliers and dyadic rescaling."""
 
+import os
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 import scipy.fft
 
+from sqglab import spectral
 from sqglab.sampling import random_mean_zero_field
 from sqglab.spectral import (
     FrequencyLattice,
@@ -180,8 +184,58 @@ def test_rescale_moves_modes_with_amplitude():
     assert g.nonzero_modes() == 2
 
 
-# -- staged real transforms ----------------------------------------------------
+# -- transforms ----------------------------------------------------------------
 #
+# sqglab calls scipy's compiled pocketfft binding directly; the public
+# scipy.fft functions, at the same worker count, are the oracles.  Each
+# check runs at one worker, two, and all cores, on a single array and on a
+# stack of two.
+
+WORKERS = (1, 2, -1)
+LEADING = ((), (2,))
+
+
+@contextmanager
+def fft_workers(n):
+    saved = spectral._FFT_WORKERS
+    spectral.set_fft_workers(n)
+    try:
+        yield
+    finally:
+        spectral.set_fft_workers(saved)
+
+
+@pytest.mark.parametrize("rank", [0, 1, 2])
+def test_physical_and_from_physical_are_bitwise_scipy_fft2(lattice32, rank):
+    rng = np.random.default_rng(rank)
+    shape = (2,) * rank + (32, 32)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    f = SpectralField(lattice32, c)
+    samples = rng.standard_normal(shape)
+    for workers in WORKERS:
+        with fft_workers(workers):
+            physical = f.physical()
+            analysed = SpectralField.from_physical(lattice32, samples).coeffs
+        assert np.array_equal(physical, scipy.fft.ifft2(c, norm="forward", workers=workers))
+        want = scipy.fft.fft2(samples.astype(np.complex128), norm="forward", workers=workers)
+        assert np.array_equal(analysed, want)
+
+
+def test_set_fft_workers_resolves_counts_as_scipy_does():
+    cores = os.cpu_count()
+    with fft_workers(-1):
+        assert spectral._FFT_WORKERS == cores
+    with fft_workers(-cores):
+        assert spectral._FFT_WORKERS == 1
+    with fft_workers(3):
+        assert spectral._FFT_WORKERS == 3
+    saved = spectral._FFT_WORKERS
+    for bad in (0, -cores - 1):
+        with pytest.raises(ValueError, match="worker count"):
+            spectral.set_fft_workers(bad)
+        assert spectral._FFT_WORKERS == saved
+
+
 # The two-axis transforms the staged passes replace stay here as oracles.
 
 
@@ -191,28 +245,40 @@ def test_rescale_moves_modes_with_amplitude():
 def test_real_synthesis_is_bitwise_irfft2(m, padded, with_symbol):
     lat = FrequencyLattice(m=m, h_xi=0.25)
     rng = np.random.default_rng(m)
-    # irfft2 reads only the k2 >= 0 half, so c need not be Hermitian; every
-    # mode of the half is live here
-    c = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     grid = 3 * m // 2 if padded else m
     symbol = None
     if with_symbol:
         symbol = (1j * lat.xi1 / np.maximum(lat.radius, lat.h_xi))[:, : m // 2]
-    want = scipy.fft.irfft2(_padded_half(c, grid, symbol), s=(grid, grid), norm="forward")
-    assert np.array_equal(_real_synthesis(c, grid, symbol), want)
+    for lead in LEADING:
+        # irfft2 reads only the k2 >= 0 half, so c need not be Hermitian;
+        # every mode of the half is live here, and the column pass runs on
+        # the strided view of the first m/2 columns
+        c = rng.standard_normal(lead + (m, m)) + 1j * rng.standard_normal(lead + (m, m))
+        for workers in WORKERS:
+            want = scipy.fft.irfft2(_padded_half(c, grid, symbol), s=(grid, grid),
+                                    norm="forward", workers=workers)
+            with fft_workers(workers):
+                assert np.array_equal(_real_synthesis(c, grid, symbol), want)
 
 
 @pytest.mark.parametrize("m", [8, 32, 128, 256])
 @pytest.mark.parametrize("padded", [False, True])
 def test_analysed_half_is_bitwise_the_rfft2_crop(m, padded):
     grid = 3 * m // 2 if padded else m
-    samples = np.random.default_rng(m).standard_normal((grid, grid))
-    spec = scipy.fft.rfft2(samples, norm="forward")
+    rng = np.random.default_rng(m)
     h = m // 2
-    want = np.concatenate([spec[:h, :h], np.zeros((1, h)), spec[grid - h + 1 :, :h]])
-    got = _analysed_half(samples.copy(), m)
-    assert got.shape == (m, h)
-    assert np.array_equal(got, want)
+    for lead in LEADING:
+        samples = rng.standard_normal(lead + (grid, grid))
+        zero_row = np.zeros(lead + (1, h))
+        for workers in WORKERS:
+            spec = scipy.fft.rfft2(samples, norm="forward", workers=workers)
+            want = np.concatenate(
+                [spec[..., :h, :h], zero_row, spec[..., grid - h + 1 :, :h]], axis=-2
+            )
+            with fft_workers(workers):
+                got = _analysed_half(samples.copy(), m)
+            assert got.shape == lead + (m, h)
+            assert np.array_equal(got, want)
 
 
 def column_field(m, columns, seed):
@@ -244,10 +310,14 @@ def test_occupied_column_synthesis_is_bitwise_the_full_route(m, columns, occupie
     lat = FrequencyLattice(m=m, h_xi=0.25)
     symbol = (1j * lat.xi1 / np.maximum(lat.radius, lat.h_xi))[:, :h] if with_symbol else None
     for grid in (m, 3 * m // 2):
-        full = _real_synthesis(c, grid, symbol)
-        oracle = scipy.fft.irfft2(_padded_half(c, grid, symbol), s=(grid, grid), norm="forward")
-        assert np.array_equal(full, oracle)
-        assert np.array_equal(_real_synthesis(c, grid, symbol, occupied), full)
+        for workers in WORKERS:
+            with fft_workers(workers):
+                full = _real_synthesis(c, grid, symbol)
+                narrow = _real_synthesis(c, grid, symbol, occupied)
+            oracle = scipy.fft.irfft2(_padded_half(c, grid, symbol), s=(grid, grid),
+                                      norm="forward", workers=workers)
+            assert np.array_equal(full, oracle)
+            assert np.array_equal(narrow, full)
 
 
 def test_occupied_columns_reads_one_column_of_a_full_band_field():
