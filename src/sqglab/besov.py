@@ -74,9 +74,6 @@ class BesovIndex:
         """Critical regularity for solutions: s = 2/p - 1."""
         return cls(2.0 / p - 1.0, p, q)
 
-    def label(self) -> str:
-        return f"B^{self.s:g}_({self.p:g},{self.q:g})"
-
 
 class DyadicPartition:
     """Lattice realization of the dyadic ring system.
@@ -488,9 +485,13 @@ def besov_norm(
 # ---------------------------------------------------------------------------
 
 
+# The profile of every probe; a probe's centre is 2**j * DIAGONAL.
+_PROBE_STEP = SmoothStep(1.25, 1.75)
+
+
 @dataclass(frozen=True)
 class ProbeFunction:
-    """Small bump at ``2**j * a`` that the ring ``phi_j`` reproduces.
+    """Small bump at ``2**j * DIAGONAL`` that the ring ``phi_j`` reproduces.
 
     ``gap`` controls the radius ``~2**(j-gap)``; at least 3 keeps the support
     inside the plateau of shell ``j``, which is what makes the probe satisfy
@@ -500,9 +501,6 @@ class ProbeFunction:
     lattice: FrequencyLattice
     j: int
     gap: int = 3
-    direction: tuple[float, float] = DIAGONAL
-    t0: float = 1.25
-    t1: float = 1.75
 
     def __post_init__(self) -> None:
         if self.gap < 3:
@@ -510,45 +508,22 @@ class ProbeFunction:
                 f"probe gap {self.gap} < 3 cannot keep the bump inside the "
                 "ring plateau"
             )
-        norm = math.hypot(*self.direction)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"direction must be a unit vector, |a| = {norm}")
 
     @property
     def center(self) -> tuple[float, float]:
         scale = 2.0**self.j
-        return (scale * self.direction[0], scale * self.direction[1])
+        return (scale * DIAGONAL[0], scale * DIAGONAL[1])
 
     @property
     def radius(self) -> float:
         """Radius outside of which the symbol vanishes."""
-        return self.t1 * 2.0 ** (self.j - self.gap - 1)
-
-    def _offset_radius(self, xi1: np.ndarray, xi2: np.ndarray) -> np.ndarray:
-        cx, cy = self.center
-        return np.hypot(xi1 - cx, xi2 - cy)
+        return _PROBE_STEP.t1 * 2.0 ** (self.j - self.gap - 1)
 
     def symbol(self, xi1: np.ndarray, xi2: np.ndarray) -> np.ndarray:
         """Closed-form symbol: the step profile at the rescaled offset."""
-        step = SmoothStep(self.t0, self.t1)
-        return step(self._offset_radius(xi1, xi2) * 2.0 ** (self.gap + 1 - self.j))
-
-    def symbol_from_rings(self, xi1: np.ndarray, xi2: np.ndarray) -> np.ndarray:
-        """Definitional symbol: 1 minus the ring sum from shell j-gap up.
-
-        The tail is summed until the rings vanish on the given points, so
-        this is the literal construction rather than its closed form.
-        """
-        step = SmoothStep(self.t0, self.t1)
-        rho = self._offset_radius(xi1, xi2)
-        r_top = float(np.max(rho))
-        k_top = self.j - self.gap
-        while self.t0 / 2.0 * 2.0**k_top < r_top:
-            k_top += 1
-        total = np.zeros_like(rho)
-        for k in range(self.j - self.gap, k_top + 1):
-            total = total + (step(rho * 2.0 ** (-k)) - step(rho * 2.0 ** (1 - k)))
-        return 1.0 - total
+        cx, cy = self.center
+        rho = np.hypot(xi1 - cx, xi2 - cy)
+        return _PROBE_STEP(rho * 2.0 ** (self.gap + 1 - self.j))
 
     def values(self) -> np.ndarray:
         lat = self.lattice
@@ -559,22 +534,14 @@ class ProbeFunction:
         return SpectralField(field.lattice, field.coeffs * self.values())
 
 
-def build_probe(
-    lattice: FrequencyLattice,
-    j: int,
-    gap: int = 3,
-    direction: tuple[float, float] = DIAGONAL,
-    transition: tuple[float, float] = (1.25, 1.75),
-) -> ProbeFunction:
+def build_probe(lattice: FrequencyLattice, j: int, gap: int = 3) -> ProbeFunction:
     """Build a probe, rejecting shells the lattice cannot see.
 
     An empty support means the bump of radius ``~2**(j-gap)`` around
-    ``2**j * a`` misses every lattice point; a finer ``h_xi`` or a smaller
-    gap (not below 3) fixes that.
+    ``2**j * DIAGONAL`` misses every lattice point; a finer ``h_xi`` or a
+    smaller gap (not below 3) fixes that.
     """
-    probe = ProbeFunction(
-        lattice, j, gap=gap, direction=direction, t0=transition[0], t1=transition[1]
-    )
+    probe = ProbeFunction(lattice, j, gap=gap)
     if not probe.values().any():
         raise ValueError(
             f"probe at shell {j} (gap {gap}) has empty support on {lattice!r}: "

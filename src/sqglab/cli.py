@@ -26,8 +26,6 @@ def _as_config_value(default) -> str:
     """A default as a JSON config file would spell it."""
     if hasattr(default, "describe"):
         default = default.describe()
-    elif isinstance(default, tuple):
-        default = ["inf" if v == float("inf") else v for v in default]
     return json.dumps(default)
 
 

@@ -4,7 +4,8 @@ Everything here interrogates the second Picard iterate theta2 =
 B[theta1, theta1] of a carrier-band forcing: the three-way split of its
 coefficient at a low probe frequency, the low-frequency floor that
 witnesses mass appearing far below the forcing band, and the per-shell
-inflation profile with its little-ell-q aggregates.
+inflation profile, whose plain ``(n, shell, value)`` entries a caller
+aggregates with :func:`~sqglab.besov.lq_aggregate`.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .besov import DyadicPartition, build_probe, lp_norm, lq_aggregate, shell_profile
+from .besov import DyadicPartition, build_probe, lp_norm, shell_profile
 from .forcing import ForceSpec
 from .spectral import SpectralField
 
@@ -24,7 +25,6 @@ __all__ = [
     "second_iterate_split",
     "low_frequency_profile",
     "low_frequency_floor",
-    "InflationReport",
     "inflation_profile",
 ]
 
@@ -70,7 +70,6 @@ def _aligned_mirror(arr: np.ndarray, a: int, b: int) -> np.ndarray:
 def second_iterate_split(
     theta1: SpectralField,
     probes: Sequence[tuple[int, int]],
-    xi_bound: float = 1.0,
 ) -> list[SplitSample]:
     """Direct-quadrature split of B[theta1, theta1] at each probe frequency.
 
@@ -81,14 +80,11 @@ def second_iterate_split(
     half-plane restriction doubles, which is exact because the kernel is
     even under eta -> xi - eta.
 
-    ``xi_bound`` is the admissible probe radius: 1 for forcing supported
-    on a single carrier band, the bottom of the envelope band for
-    translated-block forcing.
+    A probe is admissible up to radius 1, the low-frequency side of a
+    forcing supported on a single carrier band.
     """
     lat = theta1.lattice
     m, half = lat.m, lat.m // 2
-    if not xi_bound > 0:
-        raise ValueError(f"xi_bound must be positive, got {xi_bound}")
 
     g_raw = np.fft.fftshift(theta1.coeffs)
     r_eta = np.fft.fftshift(lat.radius)
@@ -109,10 +105,10 @@ def second_iterate_split(
         rho_sq = x1 * x1 + x2 * x2
         if rho_sq == 0.0:
             raise ValueError("probe at frequency zero is not admissible (the split divides by |xi|^2)")
-        if math.sqrt(rho_sq) > xi_bound * (1.0 + 1e-12):
+        if math.sqrt(rho_sq) > 1.0 + 1e-12:
             raise ValueError(
                 f"probe {(a, b)} at radius {math.sqrt(rho_sq):g} exceeds the "
-                f"admissible bound {xi_bound:g}"
+                "admissible bound 1"
             )
         mirror_g = _aligned_mirror(g_neg, a, b)
         mirror_r = _aligned_mirror(r_eta, a, b)
@@ -131,9 +127,8 @@ def second_iterate_split(
 def low_frequency_profile(
     theta2: SpectralField,
     partition: DyadicPartition,
-    j_range: tuple[int, int] | None = None,
 ) -> list[tuple[int, float]]:
-    """Per-shell values 2**(-j) sup |phi_j theta2| over the negative shells.
+    """Per-shell values 2**(-j) sup |phi_j theta2| over the shells j_min .. -1.
 
     The effective witness of the low-frequency floor is usually the top
     shell j = -1; the whole profile is reported so the drift across j is
@@ -142,100 +137,26 @@ def low_frequency_profile(
     grid; shells above the partition window read 0, and a non-zero mean
     is accepted, since every ring vanishes at the origin.
     """
-    if j_range is None:
-        j_range = (partition.j_min, -1)
-    j_lo, j_hi = j_range
-    if j_lo > j_hi:
-        raise ValueError(f"empty shell range {j_range}")
-    if j_lo < partition.j_min:
+    if partition.j_min > -1:
         raise ValueError(
-            f"shell range starts at {j_lo}, below the partition window "
-            f"(j_min = {partition.j_min})"
+            f"the partition window starts at shell {partition.j_min}; the "
+            "low-frequency floor looks at shells j <= -1, and there are none"
         )
-    if j_hi > -1:
-        raise ValueError(
-            f"shell range ends at {j_hi}; the low-frequency floor only "
-            "looks at shells j <= -1"
-        )
-    return shell_profile(theta2, -1.0, math.inf, partition, range(j_lo, j_hi + 1))
+    return shell_profile(theta2, -1.0, math.inf, partition, range(partition.j_min, 0))
 
 
-def low_frequency_floor(
-    theta2: SpectralField,
-    partition: DyadicPartition,
-    j_range: tuple[int, int] | None = None,
-) -> float:
+def low_frequency_floor(theta2: SpectralField, partition: DyadicPartition) -> float:
     """Sup over low shells of 2**(-j) sup |phi_j theta2| (zero field gives 0)."""
-    profile = low_frequency_profile(theta2, partition, j_range)
+    profile = low_frequency_profile(theta2, partition)
     return max((value for _, value in profile), default=0.0)
-
-
-def _q_label(q: float) -> str:
-    return "inf" if math.isinf(q) else f"{q:g}"
-
-
-@dataclass(frozen=True)
-class InflationReport:
-    """Per-shell inflation measurements and their little-ell-q aggregates.
-
-    ``entries`` rows are (n, shell, 2**(-shell/2) L4-norm of the probe
-    projection of theta2).  ``aggregates`` pairs with ``q_values``;
-    construction recomputes every aggregate from the entries and rejects
-    inconsistency, which also enforces the monotone ordering l1 >= l2 >=
-    l-infinity.
-    """
-
-    force: dict
-    entries: tuple[tuple[int, int, float], ...]
-    q_values: tuple[float, ...]
-    aggregates: tuple[float, ...]
-    data_norm: float | None = None
-    low_floor: float | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.q_values) != len(self.aggregates):
-            raise ValueError("aggregates and q_values must pair up")
-        if any(b <= a for a, b in zip(self.q_values, self.q_values[1:])):
-            raise ValueError(f"q_values must be strictly increasing, got {self.q_values}")
-        values = [v for _, _, v in self.entries]
-        for q, agg in zip(self.q_values, self.aggregates):
-            expected = lq_aggregate(values, q)
-            if not math.isclose(agg, expected, rel_tol=1e-9, abs_tol=1e-300):
-                raise ValueError(
-                    f"aggregate for q = {_q_label(q)} is {agg!r}, inconsistent "
-                    f"with the entries (expected {expected!r})"
-                )
-
-    def aggregate(self, q: float) -> float:
-        for known, value in zip(self.q_values, self.aggregates):
-            if known == q or (math.isinf(known) and math.isinf(q)):
-                return value
-        raise KeyError(f"no aggregate recorded for q = {_q_label(q)}")
-
-    def to_jsonable(self) -> dict:
-        return {
-            "force": self.force,
-            "entries": [
-                {"n": n, "shell": shell, "value": value} for n, shell, value in self.entries
-            ],
-            "aggregates": [
-                {"q": _q_label(q), "value": value}
-                for q, value in zip(self.q_values, self.aggregates)
-            ],
-            "data_norm": self.data_norm,
-            "low_floor": self.low_floor,
-        }
 
 
 def inflation_profile(
     theta2: SpectralField,
     spec: ForceSpec,
     partition: DyadicPartition,
-    q_values: Sequence[float] = (1.0, 2.0, math.inf),
-    data_norm: float | None = None,
-    low_floor: float | None = None,
-) -> InflationReport:
-    """Probe theta2 at every block shell and aggregate across shells.
+) -> list[tuple[int, int, float]]:
+    """Probe theta2 at every block shell: one ``(n, shell, value)`` entry per block.
 
     Entry for block n at shell j is 2**(-j/2) times the L4 norm of the
     probe projection of theta2; a shell whose probe has empty lattice
@@ -250,14 +171,4 @@ def inflation_profile(
         piece = probe.project(theta2)
         value = 2.0 ** (-0.5 * shell) * lp_norm(np.abs(piece.physical()), 4.0, area)
         entries.append((n, shell, value))
-    values = [v for _, _, v in entries]
-    qs = tuple(float(q) for q in q_values)
-    aggregates = tuple(lq_aggregate(values, q) for q in qs)
-    return InflationReport(
-        force=spec.describe(),
-        entries=tuple(entries),
-        q_values=qs,
-        aggregates=aggregates,
-        data_norm=data_norm,
-        low_floor=low_floor,
-    )
+    return entries

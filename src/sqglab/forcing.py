@@ -16,14 +16,14 @@ n**2) that motivates the constructions outruns any feasible lattice almost
 immediately, so desk-scale runs use gentler maps while keeping the
 structural invariants: exponent sequences strictly increasing with gaps of
 at least 2, carriers separated from envelope bands, every generated
-frequency inside the lattice.  Reports embed the full ForceSpec so a run
-records exactly which parameterization produced it.
+frequency inside the lattice.  Reports echo the exponent maps they ran
+with (:meth:`ExponentMap.describe`).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -167,19 +167,6 @@ class ForceSpec:
         if self.equal_shell is not None:
             return [self.equal_shell] * len(self.block_indices())
         return self.block_exponents()
-
-    def describe(self) -> dict:
-        return {
-            "variant": self.variant,
-            "delta": self.delta,
-            "size": self.size,
-            "carrier_exponent": self.carrier,
-            "exponent_map": self.exponents.describe(),
-            "block_range": list(self.block_range) if self.block_range else None,
-            "stride": self.stride,
-            "equal_shell": self.equal_shell,
-            "probe_gap": self.probe_gap,
-        }
 
     # -- validation ----------------------------------------------------------
 
@@ -350,8 +337,12 @@ def lacunary_force(lattice: FrequencyLattice, spec: ForceSpec) -> SpectralField:
 
 
 def _translate_coeffs(coeffs: np.ndarray, lattice: FrequencyLattice, shift: float) -> np.ndarray:
-    """Coefficients of f(. - shift e1): phase twist exp(-i xi1 shift)."""
-    return coeffs * np.exp(-1j * lattice.xi1 * shift)
+    """Coefficients of f(. - shift e1): phase twist exp(-i xi1 shift).
+
+    The phase depends on k1 alone, so it is one (m, 1) column broadcast
+    along axis 1.
+    """
+    return coeffs * np.exp(-1j * lattice.xi1[:, :1] * shift)
 
 
 def _check_translations(lattice: FrequencyLattice, stride: float, exps: list[int]) -> None:
@@ -451,13 +442,12 @@ def calibrate_stride(
     lattice: FrequencyLattice,
     spec: ForceSpec,
     partition: DyadicPartition,
-    slack: float = 0.05,
 ) -> float:
     """Smallest doubling-search stride giving near-disjoint block L4 masses.
 
     Doubles the stride from one grid cell until the envelope's L4 norm to
     the fourth power agrees with the sum of the isolated blocks' fourth
-    powers to within ``slack`` on both sides; raises when no stride inside
+    powers to within 5% on both sides; raises when no stride inside
     the box achieves that (blocks too wide for the geometry).  The bound
     must be two-sided: overlapping blocks add coherently, so a tiny stride
     exceeds the disjoint sum by orders of magnitude and only genuine
@@ -488,21 +478,10 @@ def calibrate_stride(
         except ValueError:
             stride *= 2.0
             continue
-        candidate = ForceSpec(
-            variant="blocks",
-            delta=spec.delta,
-            size=spec.size,
-            carrier_exponent=spec.carrier_exponent,
-            exponents=spec.exponents,
-            block_range=spec.block_range,
-            stride=stride,
-            equal_shell=spec.equal_shell,
-            probe_gap=spec.probe_gap,
-        )
-        env = block_envelope(lattice, candidate, partition)
+        env = block_envelope(lattice, replace(spec, stride=stride), partition)
         samples = np.abs(env.physical())
         mass = float(area * np.sum(samples**4))
-        if abs(mass - target) <= slack * target:
+        if abs(mass - target) <= 0.05 * target:
             return stride
         stride *= 2.0
     raise ValueError(

@@ -68,10 +68,16 @@ from .forcing import (
 )
 from .reports import ExperimentReport, Table, Verdict, emit_report
 from .sampling import random_mean_zero_field, unit_normalize
-from .solver import SolveConfig, estimate_constants, picard_solve, perturbation_solve
+from .solver import (
+    QUADRATIC_SIGN,
+    SolveConfig,
+    estimate_constants,
+    perturbation_solve,
+    picard_solve,
+)
 from .spectral import FrequencyLattice, SpectralField, inverse_laplacian
 
-__all__ = ["EXPERIMENTS", "VERBS", "ExperimentConfig", "Verb", "run_experiment"]
+__all__ = ["VERBS", "ExperimentConfig", "Verb", "run_experiment"]
 
 
 class IntRange(NamedTuple):
@@ -169,8 +175,7 @@ def _checked(key: str, value, default):
 
     A JSON int passes for a float and is kept as given; a count key must
     be a positive int.  Lists become tuples of ints (integral floats
-    allowed) or of floats ("inf" allowed); an :class:`IntRange` must be a
-    pair.
+    allowed); an :class:`IntRange` must be a pair.
     """
     if key in _COUNT_KEYS:
         if isinstance(value, int) and not isinstance(value, bool) and value >= 1:
@@ -179,16 +184,12 @@ def _checked(key: str, value, default):
     if isinstance(default, ExponentMap):
         return _exponent_map(value)
     if isinstance(default, tuple) and isinstance(value, (list, tuple)):
-        items = None
-        if isinstance(default[0], float):
-            if all(_is_number(v) or v == "inf" for v in value):
-                items = tuple(math.inf if v == "inf" else float(v) for v in value)
-        elif all(_is_number(v) and float(v).is_integer() for v in value):
+        if all(_is_number(v) and float(v).is_integer() for v in value):
             items = tuple(int(v) for v in value)
-        if items is not None and not isinstance(default, IntRange):
-            return items
-        if items is not None and len(items) == 2:
-            return IntRange(*items)
+            if not isinstance(default, IntRange):
+                return items
+            if len(items) == 2:
+                return IntRange(*items)
     elif not isinstance(default, tuple) and _is_number(value) and (
             isinstance(value, int) or isinstance(default, float)):
         return value
@@ -375,7 +376,7 @@ def _run_solve(cfg: ExperimentConfig) -> ExperimentReport:
     theta_norm = _final_norm(theta, trace, solution_index, partition)
     start_gap = besov_norm(theta - theta_b, solution_index, partition) / theta_norm
 
-    fixed_point = theta - (lf + solve_cfg.quadratic_sign * quadratic_diagonal(theta))
+    fixed_point = theta - (lf + QUADRATIC_SIGN * quadratic_diagonal(theta))
     fp_residual = besov_norm(fixed_point, solution_index, partition) / theta_norm
     pde_residual = trace.pde_residuals[-1] / f_norm
     worst_ratio = trace.worst_ratio(skip=1)
@@ -447,7 +448,7 @@ def _run_illpose_step1(cfg: ExperimentConfig) -> ExperimentReport:
     for spec in specs:
         f = modulated_bump_force(lattice, spec)
         theta1 = inverse_laplacian(f)
-        theta2 = solve_cfg.quadratic_sign * quadratic_diagonal(theta1)
+        theta2 = QUADRATIC_SIGN * quadratic_diagonal(theta1)
         data_norm = besov_norm(f, data_index, partition)
         floor = low_frequency_floor(theta2, partition)
         tilde, trace = perturbation_solve(theta1, theta2, solve_cfg,
@@ -557,17 +558,13 @@ def _run_illpose_step2(cfg: ExperimentConfig) -> ExperimentReport:
 # ksi_max = 128 admits the 4-block band 2**6 + 2**5 of the inflation leg with
 # room, while h = 1/16 keeps its lowest probe shell populated.
 @_verb("illpose-step3", "translated blocks: L4 additivity and inflation growth",
-       delta=0.01, block_counts=(2, 4, 8), probe_gap=3, q_list=(1.0, 2.0, math.inf),
-       equal_shell=3, m=4096, h_xi=1.0 / 16.0, exponent_map=ExponentMap.affine(2, -4),
-       seed=0)
+       delta=0.01, block_counts=(2, 4, 8), probe_gap=3, equal_shell=3, m=4096,
+       h_xi=1.0 / 16.0, exponent_map=ExponentMap.affine(2, -4), seed=0)
 def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
-    delta, counts, gap, q_list = (cfg["delta"], cfg["block_counts"], cfg["probe_gap"],
-                                  cfg["q_list"])
-    if not {1.0, 2.0} <= set(q_list):
-        raise ValueError(
-            f"q_list {q_list} must contain 1 and 2; the growth verdict "
-            "compares those two aggregates"
-        )
+    delta, counts, gap = cfg["delta"], cfg["block_counts"], cfg["probe_gap"]
+    if gap < 3:
+        raise ValueError(f"config key probe_gap must be at least 3, got {gap}: a probe "
+                         "closer to its ring cannot stay inside the ring's plateau")
     if len(counts) < 2 or counts[0] < 2 or any(b <= a for a, b in zip(counts, counts[1:])):
         raise ValueError(f"block_counts {counts} must be increasing from at least 2, "
                          "length >= 2")
@@ -578,6 +575,11 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
     equal_shell = cfg["equal_shell"]
     l4_lattice = FrequencyLattice(m=l4_m, h_xi=l4_h)
     l4_partition = build_partition(l4_lattice)
+    if not l4_partition.j_min <= equal_shell <= l4_partition.j_max:
+        raise ValueError(
+            f"config key equal_shell: shell {equal_shell} falls outside the L4 leg's "
+            f"partition window [{l4_partition.j_min}, {l4_partition.j_max}]"
+        )
     l4_map = ExponentMap.affine(2, 0)
 
     # Inflation leg: one shell per block, probed at its own frequency.
@@ -585,7 +587,6 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
     lattice = FrequencyLattice(m=m, h_xi=h_xi)
     params = {"experiment": cfg.experiment, "delta": delta,
               "block_counts": list(counts), "probe_gap": gap,
-              "q_list": list(q_list),
               "l4_leg": {"m": l4_m, "h_xi": l4_h, "equal_shell": equal_shell,
                          "exponent_map": l4_map.describe()},
               "inflation_leg": {"m": m, "h_xi": h_xi,
@@ -648,10 +649,10 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
         del forcing
         theta2 = -quadratic_diagonal(theta1)
         del theta1
-        report = inflation_profile(theta2, spec, partition, q_values=q_list)
+        values = [value for _, _, value in inflation_profile(theta2, spec, partition)]
         del theta2
-        l1 = report.aggregate(1.0)
-        l2 = report.aggregate(2.0)
+        l1 = lq_aggregate(values, 1.0)
+        l2 = lq_aggregate(values, 2.0)
         ratio_by_count[count] = l1 / l2
         infl_rows.append((count, carrier, l1, l2, l1 / l2, ""))
     growth_errs = []
@@ -680,9 +681,6 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
                 "for every requested block count"),
     ]
     return ExperimentReport(cfg.experiment, params, tables, verdicts, partial=partial)
-
-
-EXPERIMENTS = tuple(VERBS)
 
 
 def run_experiment(cfg: ExperimentConfig, write: bool = True) -> ExperimentReport:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .besov import BesovIndex, DyadicPartition, besov_norm
-from .spectral import FrequencyLattice, SpectralField, strip_unpaired_edge
+from .spectral import FrequencyLattice, SpectralField, _reflect, strip_unpaired_edge
 
 __all__ = [
     "hermitian_symmetrize",
@@ -24,10 +24,7 @@ __all__ = [
 
 def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
     """Average an FFT-ordered coefficient array with its mirrored conjugate."""
-    mirrored = coeffs
-    for ax in (-2, -1):
-        mirrored = np.roll(np.flip(mirrored, axis=ax), 1, axis=ax)
-    return 0.5 * (coeffs + np.conj(mirrored))
+    return 0.5 * (coeffs + np.conj(_reflect(coeffs)))
 
 
 def random_mean_zero_field(

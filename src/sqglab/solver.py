@@ -9,15 +9,14 @@ Sign convention: the physically consistent fixed point is
 
     theta_{n+1} = Lf - (-Delta)^{-1} div(theta_n u_n)
 
-i.e. ``quadratic_sign = -1``; with that choice the stationary residual
--Delta(theta) + u.grad(theta) - f of a converged iterate vanishes.  The
-flag is kept explicit (and tested) rather than folded silently into the
-bilinear form.
+i.e. the module constant ``QUADRATIC_SIGN = -1``; with that choice the
+stationary residual -Delta(theta) + u.grad(theta) - f of a converged
+iterate vanishes.  The sign is kept explicit (and tested) rather than
+folded silently into the bilinear form.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -35,6 +34,7 @@ from .spectral import (
 )
 
 __all__ = [
+    "QUADRATIC_SIGN",
     "SolveConfig",
     "IterationTrace",
     "ConstantsReport",
@@ -45,6 +45,10 @@ __all__ = [
 ]
 
 _TINY = 1e-300
+
+# Sign of the quadratic term in theta = Lf + sign * B[theta, theta]; the
+# PDE defect of every iterate pins it (see the module docstring).
+QUADRATIC_SIGN = -1
 
 
 @dataclass(frozen=True)
@@ -60,15 +64,12 @@ class SolveConfig:
     index: BesovIndex = BesovIndex(-0.5, 4.0, 2.0)
     tol: float = 1e-10
     max_iter: int = 64
-    quadratic_sign: int = -1
 
     def __post_init__(self) -> None:
         if not self.tol > 0:
             raise ValueError(f"tol must be positive, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.quadratic_sign not in (-1, 1):
-            raise ValueError(f"quadratic_sign must be -1 or +1, got {self.quadratic_sign}")
 
     @property
     def data_index(self) -> BesovIndex:
@@ -106,16 +107,6 @@ class IterationTrace:
         """Largest contraction ratio after discarding the first ``skip``."""
         tail = self.ratios[skip:]
         return max(tail) if tail else 0.0
-
-    def to_csv(self) -> str:
-        lines = ["iteration,norm,residual,ratio,pde_residual"]
-        ratios = [""] + ["%.17g" % r for r in self.ratios]
-        for n in range(self.iterations):
-            lines.append(
-                "%d,%.17g,%.17g,%s,%.17g"
-                % (n + 1, self.norms[n], self.residuals[n], ratios[n], self.pde_residuals[n])
-            )
-        return "\n".join(lines) + "\n"
 
 
 def _finite(f: SpectralField) -> bool:
@@ -187,7 +178,7 @@ def picard_solve(
     if partition is None:
         partition = build_partition(f.lattice)
     lf = inverse_laplacian(f)
-    sign = float(cfg.quadratic_sign)
+    sign = float(QUADRATIC_SIGN)
 
     def step(theta: SpectralField, quad: SpectralField | None) -> SpectralField:
         if quad is None:
@@ -246,7 +237,7 @@ def perturbation_solve(
     """
     if partition is None:
         partition = build_partition(theta1.lattice)
-    sign = float(cfg.quadratic_sign)
+    sign = float(QUADRATIC_SIGN)
     base = theta1 + theta2
     base_quad = quadratic_diagonal(base)
     source = sign * (2.0 * bilinear_block(theta1, theta2) + quadratic_diagonal(theta2))
@@ -283,7 +274,6 @@ class ConstantsReport:
     c1: float
     delta0: float
     epsilon0: float
-    metadata: dict
 
     def __post_init__(self) -> None:
         if not (self.c0 > 0 and self.c1 > 0):
@@ -292,16 +282,6 @@ class ConstantsReport:
             raise ValueError("delta0 is not 1/(8 c0 c1)")
         if not math.isclose(self.epsilon0, 1.0 / (4.0 * self.c1), rel_tol=1e-12):
             raise ValueError("epsilon0 is not 1/(4 c1)")
-
-    def to_json(self) -> str:
-        payload = {
-            "c0": self.c0,
-            "c1": self.c1,
-            "delta0": self.delta0,
-            "epsilon0": self.epsilon0,
-            "metadata": self.metadata,
-        }
-        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def bilinear_ratio(
@@ -399,18 +379,9 @@ def estimate_constants(
             continue
         c1 = max(c1, bilinear_ratio(f, g, sol, partition))
 
-    meta = {
-        "m": lattice.m,
-        "h_xi": lattice.h_xi,
-        "samples": samples,
-        "seed": seed,
-        "p": p,
-        "q": q,
-    }
     return ConstantsReport(
         c0=c0,
         c1=c1,
         delta0=1.0 / (8.0 * c0 * c1),
         epsilon0=1.0 / (4.0 * c1),
-        metadata=meta,
     )

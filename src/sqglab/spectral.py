@@ -67,12 +67,11 @@ def _load_pocketfft():
 #   c2c(a, axes, forward, inorm, out, nthreads)
 #   r2c(a, axes, forward, inorm, out, nthreads)
 #   c2r(a, axes, lastsize, forward, inorm, out, nthreads)
-# where inorm 0 leaves a transform unscaled and 2 divides it by the number
-# of points: scipy's norm="forward" on a forward transform, or
-# norm="backward" on an inverse one.  With ``out`` the result is written
-# into that array, which may be the (strided) input itself.
+# where inorm 0 leaves a transform unscaled: scipy's norm="forward" on an
+# inverse transform, or norm="backward" on a forward one.  With ``out`` the
+# result is written into that array, which may be the (strided) input itself.
 _pocketfft = _load_pocketfft()
-_UNSCALED, _SCALED = 0, 2
+_UNSCALED = 0
 
 _FFT_WORKERS = os.cpu_count() or 1  # -1: every core
 
@@ -93,11 +92,6 @@ def set_fft_workers(n: int) -> None:
             f"FFT worker count {n} is out of range; it must not be less than {-cores}"
         )
     _FFT_WORKERS = n + 1 + cores if n < 0 else n
-
-
-def _fft2(a: np.ndarray) -> np.ndarray:
-    axes = (a.ndim - 2, a.ndim - 1)
-    return _pocketfft.c2c(a, axes, True, _SCALED, None, _FFT_WORKERS)
 
 
 def _ifft2(a: np.ndarray) -> np.ndarray:
@@ -174,12 +168,6 @@ class FrequencyLattice:
     def radius_sq(self) -> np.ndarray:
         return self.xi1 * self.xi1 + self.xi2 * self.xi2
 
-    def physical_coordinates(self) -> tuple[np.ndarray, np.ndarray]:
-        x = self.dx * np.arange(self.m)
-        return np.broadcast_to(x[:, None], (self.m, self.m)), np.broadcast_to(
-            x[None, :], (self.m, self.m)
-        )
-
     def __repr__(self) -> str:  # keep reports compact
         return f"FrequencyLattice(m={self.m}, h_xi={self.h_xi})"
 
@@ -191,8 +179,8 @@ class SpectralField:
     ``coeffs`` has shape ``(m, m)`` for scalars, ``(2, m, m)`` for vector
     fields and ``(2, 2, m, m)`` for rank-2 tensors, always in FFT index
     order.  Real-valued physical fields correspond to Hermitian-symmetric
-    coefficients; nothing enforces that on construction, but
-    :meth:`hermitian_defect` measures it and the operator layer preserves it.
+    coefficients; nothing enforces that on construction, but the operator
+    layer preserves it.
     """
 
     lattice: FrequencyLattice
@@ -230,11 +218,6 @@ class SpectralField:
     def zeros(cls, lattice: FrequencyLattice, rank: int = 0) -> "SpectralField":
         shape = (2,) * rank + (lattice.m, lattice.m)
         return cls(lattice, np.zeros(shape, dtype=np.complex128))
-
-    @classmethod
-    def from_physical(cls, lattice: FrequencyLattice, samples: np.ndarray) -> "SpectralField":
-        samples = np.asarray(samples)
-        return cls(lattice, _fft2(samples.astype(np.complex128)))
 
     @classmethod
     def from_modes(
@@ -287,11 +270,6 @@ class SpectralField:
             raise ValueError(f"field is not real: max imag {imag:.3e} vs scale {scale:.3e}")
         return p.real
 
-    def hermitian_defect(self) -> float:
-        """Max |c(-xi) - conj(c(xi))| over the lattice."""
-        c = self.coeffs
-        return float(np.max(np.abs(_reflect(c) - np.conj(c))))
-
     def mean_coefficient(self) -> complex:
         idx = (0,) * self.rank + (0, 0)
         return complex(self.coeffs[idx])
@@ -324,14 +302,6 @@ class SpectralField:
 
     def __neg__(self) -> "SpectralField":
         return SpectralField._adopt(self.lattice, -self.coeffs)
-
-    def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
-        return SpectralField(self.lattice, coeffs)
-
-    def component(self, *idx: int) -> "SpectralField":
-        if len(idx) != self.rank:
-            raise ValueError(f"need {self.rank} component indices, got {len(idx)}")
-        return SpectralField(self.lattice, self.coeffs[idx]) if idx else self
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,39 @@
+"""Test-only oracles: literal constructions that the package computes another way."""
+
+import numpy as np
+
+from sqglab.profiles import SmoothStep
+
+
+def physical_coordinates(lattice):
+    """Physical sample points ``(x1, x2)`` of the ``m x m`` grid, each ``(m, m)``."""
+    x = lattice.dx * np.arange(lattice.m)
+    m = lattice.m
+    return np.broadcast_to(x[:, None], (m, m)), np.broadcast_to(x[None, :], (m, m))
+
+
+def hermitian_defect(field):
+    """Max |c(-xi) - conj(c(xi))| over the lattice: 0 for a real field."""
+    c = field.coeffs
+    reflected = np.roll(np.flip(c, axis=(-2, -1)), 1, axis=(-2, -1))
+    return float(np.max(np.abs(reflected - np.conj(c))))
+
+
+def probe_symbol_from_rings(probe, xi1, xi2):
+    """Definitional probe symbol: 1 minus the ring sum from shell j - gap up.
+
+    The tail is summed until the rings vanish on the given points, so this
+    is the literal construction rather than the closed form
+    :meth:`~sqglab.besov.ProbeFunction.symbol` evaluates.
+    """
+    step = SmoothStep(1.25, 1.75)
+    cx, cy = probe.center
+    rho = np.hypot(xi1 - cx, xi2 - cy)
+    r_top = float(np.max(rho))
+    k_top = probe.j - probe.gap
+    while step.t0 / 2.0 * 2.0**k_top < r_top:
+        k_top += 1
+    total = np.zeros_like(rho)
+    for k in range(probe.j - probe.gap, k_top + 1):
+        total = total + (step(rho * 2.0 ** (-k)) - step(rho * 2.0 ** (1 - k)))
+    return 1.0 - total

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import hermitian_defect, physical_coordinates
 from sqglab.forcing import (
     ExponentMap,
     ForceSpec,
@@ -180,7 +181,7 @@ def test_modulated_bump_support_and_amplitude(lattice128):
     # exact peak value delta * 2**(5c/2) / 2 at the carrier itself
     k = int(round(8.0 / lattice128.h_xi))
     assert f.coeffs[k, 0] == pytest.approx(0.5 * 0.01 * 2.0**7.5, rel=1e-15)
-    assert f.hermitian_defect() == 0.0
+    assert hermitian_defect(f) == 0.0
     f.physical_real()
     with pytest.raises(ValueError, match="expected a bump spec"):
         modulated_bump_force(
@@ -284,7 +285,7 @@ def test_modulation_is_exact_cosine(lattice128, partition128):
     spec = blocks_spec(stride=2.0)
     envelope, forcing = translated_block_force(lattice128, spec, partition128)
     amp = 0.01 * 2.0 ** (2.5 * 3) / (2.0**0.25 * math.log(2.0))
-    x1 = lattice128.physical_coordinates()[0]
+    x1 = physical_coordinates(lattice128)[0]
     want = amp * envelope.physical_real() * np.cos(8.0 * x1)
     got = forcing.physical_real()
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

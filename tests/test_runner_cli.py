@@ -40,14 +40,7 @@ def test_config_rejects_unknown_experiment():
 
 
 def test_config_parses_inf_and_coerces_tuples():
-    cfg = config_from_dict(
-        {
-            "experiment": "illpose-step3",
-            "q_list": [1, 2, "inf"],
-            "block_counts": [2.0, 4.0],
-        }
-    )
-    assert cfg["q_list"] == (1.0, 2.0, math.inf)
+    cfg = config_from_dict({"experiment": "illpose-step3", "block_counts": [2.0, 4.0]})
     assert cfg["block_counts"] == (2, 4)
     cfg = config_from_dict({"experiment": "illpose-step1", "size_range": [4.0, 7]})
     assert cfg["size_range"] == (4, 7)
@@ -60,7 +53,6 @@ def test_config_parses_inf_and_coerces_tuples():
 def test_config_rejects_keys_the_verb_does_not_read():
     with pytest.raises(ValueError, match="not read by constants: block_counts, size_range"):
         config_from_dict({"experiment": "constants", "block_counts": [2, 4], "size_range": None})
-    assert runner.EXPERIMENTS == tuple(runner.VERBS)
     assert all("seed" in verb.defaults for verb in runner.VERBS.values())
 
 
@@ -85,7 +77,7 @@ def keys_read_by(fn):
     return keys
 
 
-@pytest.mark.parametrize("verb", runner.EXPERIMENTS)
+@pytest.mark.parametrize("verb", runner.VERBS)
 def test_listed_keys_are_the_keys_the_pipeline_reads(verb):
     # a key the pipeline reads but its table lacks would raise KeyError, and
     # a listed key it never reads would be a default that changes nothing;
@@ -244,6 +236,29 @@ def test_step1_report_bytes_independent_of_fft_workers(tmp_path):
                     "seed": 0}
 
 
+def test_step3_report_bytes_independent_of_fft_workers(tmp_path):
+    # both legs at desk scale: S=2 is computed, S=4's band exceeds Nyquist
+    emitted = emitted_at_fft_workers(tmp_path, {
+        "experiment": "illpose-step3",
+        "m": 256,
+        "h_xi": 0.0625,
+        "block_counts": [2, 4],
+    })
+    assert emitted[0] and emitted[0] == emitted[1]
+    report = json.loads(emitted[0]["illpose-step3_report.json"])
+    assert report["config"] == {
+        "experiment": "illpose-step3", "delta": 0.01, "block_counts": [2, 4], "probe_gap": 3,
+        "l4_leg": {"m": 1024, "h_xi": 0.125, "equal_shell": 3,
+                   "exponent_map": {"kind": "affine", "scale": 2, "shift": 0}},
+        "inflation_leg": {"m": 256, "h_xi": 0.0625,
+                          "exponent_map": {"kind": "affine", "scale": 2, "shift": -4},
+                          "carrier_exponent": 2},
+        "seed": 0,
+    }
+    notes = [row[-1] for row in report["tables"][1]["rows"]]
+    assert notes[0] == "" and notes[1].startswith("infeasible: modulated band")
+
+
 @pytest.mark.parametrize(
     "raw, echo",
     [
@@ -270,11 +285,6 @@ def test_pipeline_validation_errors():
     with pytest.raises(ValueError, match="ball_fraction"):
         run_experiment(
             config_from_dict({"experiment": "solve", "ball_fraction": 0.0}),
-            write=False,
-        )
-    with pytest.raises(ValueError, match="must contain 1 and 2"):
-        run_experiment(
-            config_from_dict({"experiment": "illpose-step3", "q_list": [2, "inf"]}),
             write=False,
         )
     with pytest.raises(ValueError, match="must be increasing"):
@@ -342,7 +352,7 @@ def test_cli_config_error_exit_codes(tmp_path, capsys):
     assert "must hold a JSON object" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("verb", runner.EXPERIMENTS)
+@pytest.mark.parametrize("verb", runner.VERBS)
 def test_cli_refuses_a_key_the_verb_does_not_read(tmp_path, capsys, verb):
     # exit 2, naming the key, before any computation (nothing is written)
     reads = runner.VERBS[verb].defaults
@@ -366,7 +376,9 @@ def test_cli_refuses_a_key_the_verb_does_not_read(tmp_path, capsys, verb):
         ("solve", {"m": 64.0}, "m"),
         ("constants", {"p": True}, "p"),
         ("illpose-step1", {"size_range": [4]}, "size_range"),
-        ("illpose-step3", {"q_list": [1, 2, "infinity"]}, "q_list"),
+        ("illpose-step3", {"m": 256, "h_xi": 0.0625, "block_counts": [2, 4], "probe_gap": 2},
+         "probe_gap"),
+        ("illpose-step3", {"equal_shell": 40}, "equal_shell"),
         ("illpose-step2", {"exponent_map": {"kind": "afine"}}, "exponent_map"),
         ("illpose-step2", {"exponent_map": {"kind": "affine", "scael": 3}}, "exponent_map"),
         ("illpose-step3", {"exponent_map": {"kind": "affine", "scale": 2.5}}, "exponent_map"),
@@ -398,7 +410,7 @@ def test_cli_refuses_a_bad_thread_count(tmp_path, capsys, verb, threads):
     assert spectral._FFT_WORKERS == workers
 
 
-@pytest.mark.parametrize("verb", runner.EXPERIMENTS)
+@pytest.mark.parametrize("verb", runner.VERBS)
 def test_cli_help_lists_the_verbs_keys_and_defaults(capsys, verb):
     with pytest.raises(SystemExit) as done:
         main([verb, "--help"])

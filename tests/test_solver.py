@@ -1,6 +1,5 @@
 """Fixed-point iteration, the correction equation, and sampled constants."""
 
-import json
 import math
 from types import SimpleNamespace
 
@@ -10,6 +9,7 @@ import pytest
 from sqglab.besov import BesovIndex, besov_norm, build_partition
 from sqglab.bilinear import bilinear_block, quadratic_diagonal
 from sqglab.forcing import ForceSpec, modulated_bump_force
+from sqglab.runner import config_from_dict, run_experiment
 from sqglab.sampling import random_mean_zero_field
 from sqglab import solver, spectral
 from sqglab.solver import (
@@ -34,8 +34,6 @@ def test_config_validation():
         SolveConfig(tol=0.0)
     with pytest.raises(ValueError, match="max_iter"):
         SolveConfig(max_iter=0)
-    with pytest.raises(ValueError, match="quadratic_sign"):
-        SolveConfig(quadratic_sign=2)
     cfg = SolveConfig()
     assert cfg.data_index.s == cfg.index.s - 2.0
 
@@ -122,27 +120,30 @@ def test_trace_ends_with_the_norm_of_the_returned_iterate(lattice32, partition32
                 assert trace.norms[-1] == want, name
 
 
-def test_quadratic_sign_is_pinned_by_the_pde(lattice32, partition32):
+def test_quadratic_sign_is_pinned_by_the_pde(lattice32, partition32, monkeypatch):
     # the stationary defect of a converged run vanishes only for the
     # physical sign; the flipped sign still converges (same smallness)
     # but to a field that does not solve the equation
     f = small_forcing(lattice32)
-    _, good = picard_solve(f, SolveConfig(quadratic_sign=-1), partition=partition32)
-    _, bad = picard_solve(f, SolveConfig(quadratic_sign=1), partition=partition32)
+    assert solver.QUADRATIC_SIGN == -1
+    _, good = picard_solve(f, partition=partition32)
+    monkeypatch.setattr(solver, "QUADRATIC_SIGN", 1)
+    _, bad = picard_solve(f, partition=partition32)
     assert good.verdict == bad.verdict == "converged"
     assert good.pde_residuals[-1] <= 1e-9 * good.norms[-1]
     assert bad.pde_residuals[-1] > 1e-3 * bad.norms[-1]
 
 
-def test_trace_csv_layout(lattice32, partition32):
-    _, trace = picard_solve(small_forcing(lattice32), partition=partition32)
-    lines = trace.to_csv().strip().split("\n")
+def test_trace_csv_layout():
+    # the solve pipeline writes the trace as its iterations table
+    cfg = config_from_dict({"experiment": "solve", "m": 32, "samples": 50})
+    table = run_experiment(cfg, write=False).tables[1]
+    lines = table.to_csv().strip().split("\n")
     assert lines[0] == "iteration,norm,residual,ratio,pde_residual"
-    first = lines[1].split(",")
-    assert first[0] == "1"
-    assert first[3] == ""  # no ratio before the second residual
-    assert len(lines) == trace.iterations + 1
-    assert float(lines[2].split(",")[3]) == pytest.approx(trace.ratios[0])
+    rows = [line.split(",") for line in lines[1:]]
+    assert [row[0] for row in rows] == [str(n) for n in range(1, len(rows) + 1)]
+    assert rows[0][3] == ""  # no ratio before the second residual
+    assert float(rows[1][3]) == float(rows[1][2]) / float(rows[0][2])
 
 
 def test_perturbation_reassembles_the_fixed_point(lattice32, partition32):
@@ -349,15 +350,11 @@ def test_perturbation_iteration_costs_five_padded_transforms(lattice32, partitio
 
 def test_constants_report_checks_thresholds():
     with pytest.raises(ValueError, match="delta0"):
-        ConstantsReport(c0=1.0, c1=2.0, delta0=1.0, epsilon0=0.125, metadata={})
+        ConstantsReport(c0=1.0, c1=2.0, delta0=1.0, epsilon0=0.125)
     with pytest.raises(ValueError, match="epsilon0"):
-        ConstantsReport(c0=1.0, c1=2.0, delta0=1.0 / 16.0, epsilon0=1.0, metadata={})
-    rep = ConstantsReport(
-        c0=2.0, c1=0.5, delta0=1.0 / 8.0, epsilon0=0.5, metadata={"m": 32}
-    )
-    payload = json.loads(rep.to_json())
-    assert payload["c0"] == 2.0
-    assert payload["metadata"] == {"m": 32}
+        ConstantsReport(c0=1.0, c1=2.0, delta0=1.0 / 16.0, epsilon0=1.0)
+    rep = ConstantsReport(c0=2.0, c1=0.5, delta0=1.0 / 8.0, epsilon0=0.5)
+    assert (rep.c0, rep.c1, rep.delta0, rep.epsilon0) == (2.0, 0.5, 0.125, 0.5)
 
 
 def test_estimate_constants_sample_floor(lattice32):
