@@ -3,19 +3,20 @@
 The ring system is the classical one: a radial profile ``phi0`` supported in
 ``{1/2 <= |xi| <= 2}``, equal to 1 on ``{7/8 <= |xi| <= 5/4}``, with
 ``phi_j(xi) = phi0(2**-j xi)`` summing to 1 away from the origin.  We build
-``phi0(xi) = step(|xi|) - step(2|xi|)`` from a :class:`~sqglab.profiles.SmoothStep`
-whose transition interval is configurable (default ``(5/4, 7/4)``); the
-telescoping structure makes ring sums collapse to two step evaluations, which is
-what the partition-of-unity and window-coverage checks lean on.
+``phi0(xi) = step(|xi|) - step(2|xi|)`` from one fixed
+:class:`~sqglab.profiles.SmoothStep` with transition interval ``(5/4, 7/4)``,
+which also shapes the probes; the telescoping structure makes ring sums
+collapse to two step evaluations, which is what the partition-of-unity and
+lattice-coverage checks lean on.
 
 Norms follow the homogeneous convention: the zero mode is quotiented out, so
-a non-mean-zero input is rejected rather than silently truncated.
+a non-mean-zero input is rejected rather than silently truncated.  They take
+real fields only.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -25,8 +26,8 @@ from .profiles import SmoothStep
 from .spectral import (
     FrequencyLattice,
     SpectralField,
+    _check_real,
     _half_synthesis,
-    _hermitian_parts,
     _occupied_columns,
 )
 
@@ -42,14 +43,14 @@ __all__ = [
     "besov_norm",
     "ProbeFunction",
     "build_probe",
-    "WindowCoverageWarning",
 ]
 
 DIAGONAL = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
 
-
-class WindowCoverageWarning(UserWarning):
-    """Spectral mass sits outside the partition's shell window."""
+# The profile of every ring and every probe.  Its transition interval sits
+# inside [5/4, 7/4], so the three ring constraints (support in the annulus
+# [1/2, 2], plateau covering [7/8, 5/4], values in [0, 1]) hold together.
+_STEP = SmoothStep(1.25, 1.75)
 
 
 @dataclass(frozen=True)
@@ -78,28 +79,26 @@ class BesovIndex:
 class DyadicPartition:
     """Lattice realization of the dyadic ring system.
 
-    ``j_min``/``j_max`` span every ring whose (open) support interval meets a
-    nonzero lattice radius, so the window covers the whole lattice and the
-    telescoped ring sum equals 1 at every nonzero mode.  Narrower windows can
-    be requested explicitly; norms then report the dropped mass.
+    The window ``j_min .. j_max`` spans every ring whose (open) support
+    interval meets a non-zero lattice radius, so the telescoped ring sum
+    equals 1 at every non-zero mode.
     """
 
-    def __init__(
-        self,
-        lattice: FrequencyLattice,
-        step: SmoothStep,
-        j_min: int,
-        j_max: int,
-    ) -> None:
-        if j_max < j_min:
-            raise ValueError(f"empty shell window: j_max {j_max} < j_min {j_min}")
+    def __init__(self, lattice: FrequencyLattice) -> None:
+        t0, t1 = _STEP.t0, _STEP.t1
+        r_lo = lattice.h_xi
+        r_hi = lattice.h_xi * (lattice.m / 2.0) * math.sqrt(2.0)
+        j_min = math.ceil(math.log2(r_lo / t1))
+        # smallest j whose open support (t0/2 * 2^j, t1 * 2^j) reaches r_lo
+        while t1 * 2.0**j_min <= r_lo:
+            j_min += 1
+        j_max = math.floor(math.log2(2.0 * r_hi / t0))
+        while t0 / 2.0 * 2.0**j_max >= r_hi:
+            j_max -= 1
         self.lattice = lattice
-        self.step = step
-        self.j_min = int(j_min)
-        self.j_max = int(j_max)
+        self.j_min = j_min
+        self.j_max = j_max
         self._quadrants: dict[int, np.ndarray] = {}
-        self._coverage: np.ndarray | None = None
-        self._outside: tuple[np.ndarray, ...] | None = None
 
     @property
     def shells(self) -> range:
@@ -121,10 +120,10 @@ class DyadicPartition:
         if cached is not None:
             return cached
         lat = self.lattice
-        top = min(lat.m // 2, math.floor(self.step.t1 * 2.0**j / lat.h_xi) + 1)
+        top = min(lat.m // 2, math.floor(_STEP.t1 * 2.0**j / lat.h_xi) + 1)
         xi = lat.h_xi * np.arange(top + 1, dtype=np.int64)
         r = np.hypot(xi[:, None], xi[None, :])
-        vals = self.step(r * 2.0 ** (-j)) - self.step(r * 2.0 ** (1 - j))
+        vals = _STEP(r * 2.0 ** (-j)) - _STEP(r * 2.0 ** (1 - j))
         # symmetric in (a, b), so the live rows give the extent on both axes
         extent = int(np.flatnonzero(vals.any(axis=1)).max(initial=0))
         quadrant = vals[: extent + 1, : extent + 1].copy()
@@ -154,107 +153,51 @@ class DyadicPartition:
 
     def support_interval(self, j: int) -> tuple[float, float]:
         """Open radial interval on which ``phi_j`` can be nonzero."""
-        return (self.step.t0 / 2.0 * 2.0**j, self.step.t1 * 2.0**j)
+        return (_STEP.t0 / 2.0 * 2.0**j, _STEP.t1 * 2.0**j)
 
     def plateau_interval(self, j: int) -> tuple[float, float]:
         """Closed radial interval on which ``phi_j`` equals 1 exactly."""
-        return (self.step.t1 / 2.0 * 2.0**j, self.step.t0 * 2.0**j)
+        return (_STEP.t1 / 2.0 * 2.0**j, _STEP.t0 * 2.0**j)
 
     def coverage(self) -> np.ndarray:
-        """Telescoped ring sum over the window, evaluated in closed form.
-
-        Computed once per partition and returned as the same read-only array.
-        """
-        if self._coverage is None:
-            self._coverage = self._telescoped()
-        return self._coverage
-
-    def _telescoped(self) -> np.ndarray:
+        """Telescoped ring sum over the window on the lattice, in closed
+        form (read-only ``(m, m)`` array, evaluated on every call)."""
         r = self.lattice.radius
-        cov = self.step(r * 2.0 ** (-self.j_max)) - self.step(r * 2.0 ** (1 - self.j_min))
+        cov = _STEP(r * 2.0 ** (-self.j_max)) - _STEP(r * 2.0 ** (1 - self.j_min))
         cov.flags.writeable = False
         return cov
 
     def _covers_lattice(self) -> bool:
         """Whether the telescoped sum is 1 at every non-zero mode, judged at
         the smallest non-zero and the corner radius, computed as
-        :attr:`FrequencyLattice.radius` computes them."""
+        :attr:`FrequencyLattice.radius` computes them: the step is monotone,
+        so it is 0 at the first's bottom-shell argument and 1 at the
+        second's top-shell argument exactly when every non-zero mode is
+        covered."""
         lat = self.lattice
         k1, k2 = np.array([1, lat.m // 2]), np.array([0, lat.m // 2])
         r_lo, r_hi = np.hypot(lat.h_xi * k1, lat.h_xi * k2)
         return bool(
-            self.step(r_lo * 2.0 ** (1 - self.j_min)) == 0.0
-            and self.step(r_hi * 2.0 ** (-self.j_max)) == 1.0
+            _STEP(r_lo * 2.0 ** (1 - self.j_min)) == 0.0
+            and _STEP(r_hi * 2.0 ** (-self.j_max)) == 1.0
         )
-
-    def window_defect(self, field: SpectralField) -> float:
-        """Fraction of squared coefficient mass outside the covered window.
-
-        Zero without looking at the field when the window covers every
-        nonzero mode, as the automatic window does.  That is decided from
-        the lattice's smallest non-zero radius and its corner radius alone
-        when the step is 0 at the first's bottom-shell argument and 1 at the
-        second's top-shell argument: the step is monotone, so every non-zero
-        mode then has telescoped sum exactly 1.  Otherwise the uncovered
-        modes are indexed on the first call; the telescoped sum they are
-        read from is not kept unless :meth:`coverage` was asked for it.
-        """
-        if self._outside is None:
-            if self._covers_lattice():
-                self._outside = ()
-            else:
-                cov = self._coverage if self._coverage is not None else self._telescoped()
-                # the origin, where the sum is 0, is always outside
-                outside = np.nonzero(cov < 1.0 - 1e-9)
-                self._outside = outside if outside[0].size > 1 else ()
-        if not self._outside:
-            return 0.0
-        c = field.coeffs
-        mass = np.abs(c) ** 2
-        if field.rank:
-            mass = mass.sum(axis=tuple(range(field.rank)))
-        mass[0, 0] = 0.0
-        total = float(mass.sum())
-        if total == 0.0:
-            return 0.0
-        return float(mass[self._outside].sum()) / total
 
     def __repr__(self) -> str:
         return (
             f"DyadicPartition(lattice={self.lattice!r}, "
-            f"transition=({self.step.t0}, {self.step.t1}), "
             f"j_min={self.j_min}, j_max={self.j_max})"
         )
 
 
-def build_partition(
-    lattice: FrequencyLattice,
-    transition: tuple[float, float] = (1.25, 1.75),
-    j_min: int | None = None,
-    j_max: int | None = None,
-) -> DyadicPartition:
-    """Construct the ring system on a lattice.
-
-    The transition interval must sit inside ``[5/4, 7/4]`` so the three ring
-    constraints (support in the annulus ``[1/2, 2]``, plateau covering
-    ``[7/8, 5/4]``, values in ``[0, 1]``) hold simultaneously.
-    """
-    t0, t1 = transition
-    if not (1.25 <= t0 < t1 <= 1.75):
+def build_partition(lattice: FrequencyLattice) -> DyadicPartition:
+    """The ring system on a lattice, checked to cover every non-zero mode."""
+    partition = DyadicPartition(lattice)
+    if not partition._covers_lattice():
         raise ValueError(
-            f"transition interval {transition} must satisfy 5/4 <= t0 < t1 <= 7/4"
+            f"the shell window [{partition.j_min}, {partition.j_max}] does not "
+            f"cover every non-zero mode of {lattice!r}"
         )
-    step = SmoothStep(t0, t1)
-    r_lo = lattice.h_xi
-    r_hi = lattice.h_xi * (lattice.m / 2.0) * math.sqrt(2.0)
-    auto_min = math.ceil(math.log2(r_lo / t1)) if j_min is None else j_min
-    # smallest j whose open support (t0/2 * 2^j, t1 * 2^j) reaches r_lo
-    while j_min is None and t1 * 2.0**auto_min <= r_lo:
-        auto_min += 1
-    auto_max = math.floor(math.log2(2.0 * r_hi / t0)) if j_max is None else j_max
-    while j_max is None and t0 / 2.0 * 2.0**auto_max >= r_hi:
-        auto_max -= 1
-    return DyadicPartition(lattice, step, auto_min, auto_max)
+    return partition
 
 
 def shell_project(field: SpectralField, partition: DyadicPartition, j: int) -> SpectralField:
@@ -398,38 +341,47 @@ def shell_profile(
     ``M_j`` grid and on the m grid alike.  Low shells of a large lattice
     are thus summed on grids of a few dozen points.
 
-    The rings are real and radial, so a real field has real shells.  A
-    field whose anti-Hermitian part exceeds rounding level (1e-12 of its
-    largest coefficient component) is split by linearity into its real and
-    imaginary physical parts, and the shell's modulus is the ``hypot`` of
-    their two syntheses.
+    The rings are real and radial, so a real field has real shells and
+    each is one real synthesis.  A field that is not real to rounding
+    (its anti-Hermitian part above 1e-12 of its largest coefficient
+    component) raises ``ValueError``.
 
     Zero shells are reported as exact zeros without a transform.
     """
+    return _shell_norms(field, s, p, partition, shells, "shell_profile")
+
+
+def _shell_norms(
+    field: SpectralField,
+    s: float,
+    p: float,
+    partition: DyadicPartition,
+    shells: Iterable[int] | None,
+    operator: str,
+) -> list[tuple[int, float]]:
+    """:func:`shell_profile`, refusing a complex field in the name of ``operator``."""
     if field.rank != 0:
         raise ValueError("shell profiles are defined for scalar fields")
+    c = field.coeffs
+    _check_real(c, operator)
     out: list[tuple[int, float]] = []
     m = field.lattice.m
     h = m // 2
-    parts = _hermitian_parts(field.coeffs)
-    occupied = max(_occupied_columns(part, h) for part in parts)
+    occupied = _occupied_columns(c, h)
     # a shell reaching |k| = m/2 (grid m) also reads the unpaired k2 = -m/2
     # column, index h; looked at only when the field stops short of it
-    if occupied == h or any(part[:, h].any() for part in parts):
+    if occupied == h or c[:, h].any():
         occupied = h + 1
     for j in partition.shells if shells is None else shells:
         extent = partition.ring_extent(j)
         grid = _shell_grid(extent, p, m)
-        quadrant = partition.ring_quadrant(j)
-        projs = [_ring_box(part, quadrant, grid) for part in parts]
-        if not any(proj.any() for proj in projs):
+        proj = _ring_box(c, partition.ring_quadrant(j), grid)
+        if not proj.any():
             out.append((j, 0.0))
             continue
         cell = field.lattice.box_length / grid
-        live = min(extent + 1, occupied)
-        samples = [_half_synthesis(proj, live) for proj in projs]
-        mags = samples[0] if len(samples) == 1 else np.hypot(*samples)
-        out.append((j, 2.0 ** (s * j) * lp_norm(mags, p, cell * cell)))
+        samples = _half_synthesis(proj, min(extent + 1, occupied))
+        out.append((j, 2.0 ** (s * j) * lp_norm(samples, p, cell * cell)))
     return out
 
 
@@ -453,21 +405,11 @@ def besov_profile(
     same (s, p) is :func:`lq_aggregate` of this one list.
 
     Homogeneous norms quotient out constants, so a field with a non-zero
-    mean is rejected rather than silently truncated.  Mass outside the
-    partition window (possible only for explicitly narrowed windows)
-    triggers :class:`WindowCoverageWarning`.
+    mean is rejected rather than silently truncated; so is a field that is
+    not real, in the name of :func:`besov_norm`, which this profile serves.
     """
-    defect = partition.window_defect(field)
-    if defect > 1e-12:
-        warnings.warn(
-            f"{defect:.2e} of the squared spectral mass lies outside the "
-            f"shell window [{partition.j_min}, {partition.j_max}]; the norm "
-            "only sees the covered part",
-            WindowCoverageWarning,
-            stacklevel=3,  # the caller of besov_norm
-        )
     _check_mean_zero(field)
-    return [v for _, v in shell_profile(field, s, p, partition)]
+    return [v for _, v in _shell_norms(field, s, p, partition, None, "besov_norm")]
 
 
 def besov_norm(
@@ -483,10 +425,6 @@ def besov_norm(
 # ---------------------------------------------------------------------------
 # Probe bumps
 # ---------------------------------------------------------------------------
-
-
-# The profile of every probe; a probe's centre is 2**j * DIAGONAL.
-_PROBE_STEP = SmoothStep(1.25, 1.75)
 
 
 @dataclass(frozen=True)
@@ -517,13 +455,13 @@ class ProbeFunction:
     @property
     def radius(self) -> float:
         """Radius outside of which the symbol vanishes."""
-        return _PROBE_STEP.t1 * 2.0 ** (self.j - self.gap - 1)
+        return _STEP.t1 * 2.0 ** (self.j - self.gap - 1)
 
     def symbol(self, xi1: np.ndarray, xi2: np.ndarray) -> np.ndarray:
         """Closed-form symbol: the step profile at the rescaled offset."""
         cx, cy = self.center
         rho = np.hypot(xi1 - cx, xi2 - cy)
-        return _PROBE_STEP(rho * 2.0 ** (self.gap + 1 - self.j))
+        return _STEP(rho * 2.0 ** (self.gap + 1 - self.j))
 
     def values(self) -> np.ndarray:
         lat = self.lattice

@@ -33,8 +33,8 @@ three arrays of the padded size for the diagonal form (theta, the flux
 being formed, and the padded half feeding a transform or the transform's
 output) and five for the block form (f, g, the flux, one velocity
 component and its padded half).
-Complex inputs are split by bilinearity into real and imaginary physical
-parts, each going through the same kernel.
+Both fast forms take real fields only: a complex input raises
+``ValueError``.
 
 The three agree to rounding for mean-zero inputs; the test suite and
 the identity experiment hold them together.  Phase conventions (who
@@ -53,8 +53,8 @@ from .spectral import (
     SpectralField,
     _analysed_half,
     _checked,
+    _check_real,
     _hermitian_from_half,
-    _hermitian_parts,
     _occupied_columns,
     _reciprocal,
     _real_synthesis,
@@ -219,31 +219,17 @@ def _transport(fc: np.ndarray, gc: np.ndarray | None, lattice: FrequencyLattice)
     return _hermitian_from_half(acc)
 
 
-def _form(f: SpectralField, g: SpectralField | None) -> np.ndarray:
-    """Coefficients of B[f, g]; ``g`` None evaluates B[f, f] on the diagonal route.
+def _form(f: SpectralField, g: SpectralField | None, operator: str) -> SpectralField:
+    """B[f, g]; ``g`` None evaluates B[f, f] on the diagonal route.
 
-    Real inputs go straight through :func:`_transport`.  Complex ones are
-    split into Hermitian real and imaginary parts and combined by
-    bilinearity, B[a + ib, c + id] = B[a, c] - B[b, d] + i (B[a, d] + B[b, c]),
-    absent parts counting as zero; each sum is taken in an order symmetric
-    in f and g.
+    Both inputs must be real fields; a complex one, or a non-finite
+    output, raises naming ``operator``.
     """
-    lat = f.lattice
-    fs = _hermitian_parts(f.coeffs)
-    gs = fs if g is None else _hermitian_parts(g.coeffs)
-
-    def real_form(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return _transport(x, None if g is None and x is y else y, lat)
-
-    if len(fs) == len(gs) == 1:
-        return real_form(fs[0], gs[0])
-    a, b = (fs + (None,))[:2]
-    c, d = (gs + (None,))[:2]
-    out = real_form(a, c)
-    if b is not None and d is not None:
-        out -= real_form(b, d)
-    cross = [real_form(x, y) for x, y in ((a, d), (b, c)) if x is not None and y is not None]
-    return out + 1j * (cross[0] + cross[1] if len(cross) == 2 else cross[0])
+    _check_real(f.coeffs, operator)
+    if g is not None:
+        _check_real(g.coeffs, operator)
+    out = _transport(f.coeffs, None if g is None else g.coeffs, f.lattice)
+    return _checked(f.lattice, out, operator)
 
 
 def bilinear_block(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -255,12 +241,12 @@ def bilinear_block(f: SpectralField, g: SpectralField) -> SpectralField:
     not just a per-block one; the suite verifies that numerically
     against the quadrature.  Symmetric in f and g bit for bit.
     """
-    lat = _check_scalar_pair(f, g)
-    return _checked(lat, _form(f, g), "bilinear_block")
+    _check_scalar_pair(f, g)
+    return _form(f, g, "bilinear_block")
 
 
 def quadratic_diagonal(theta: SpectralField) -> SpectralField:
     """(-Delta)^{-1} div(theta u) with u the Riesz velocity of theta."""
     if theta.rank != 0:
         raise ValueError("the bilinear form takes scalar fields")
-    return _checked(theta.lattice, _form(theta, None), "quadratic_diagonal")
+    return _form(theta, None, "quadratic_diagonal")

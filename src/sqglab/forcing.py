@@ -463,7 +463,8 @@ def calibrate_stride(
                 f"block shell {j} falls outside the partition window "
                 f"[{partition.j_min}, {partition.j_max}]"
             )
-        ring = partition.ring_values(j).astype(np.complex128)
+        # as block_envelope builds it: without the unpaired k = -m/2 edge
+        ring = strip_unpaired_edge(partition.ring_values(j).astype(np.complex128))
         block = SpectralField(lattice, 2.0 ** (-1.5 * j) * ring)
         samples = np.abs(block.physical())
         target += float(area * np.sum(samples**4))

@@ -273,8 +273,8 @@ def _run_partition_check(cfg: ExperimentConfig) -> ExperimentReport:
         ),
         Table(
             "summary",
-            ("partition_deviation", "reconstruction_error", "window_defect"),
-            ((worst_cover, recon_err, partition.window_defect(band)),),
+            ("partition_deviation", "reconstruction_error"),
+            ((worst_cover, recon_err),),
         ),
     ]
     verdicts = [
@@ -599,7 +599,15 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
         spec = ForceSpec(variant="blocks", delta=delta, size=count,
                          block_range=(1, count), exponents=l4_map,
                          equal_shell=equal_shell, probe_gap=gap)
-        stride = calibrate_stride(l4_lattice, spec, l4_partition)
+        try:
+            stride = calibrate_stride(l4_lattice, spec, l4_partition)
+        except ValueError:
+            raise ValueError(
+                f"config keys equal_shell and block_counts: {count} blocks at shell "
+                f"{equal_shell} cannot be placed near-disjointly in the L4 leg's box "
+                f"(fixed lattice m={l4_m}, h_xi={l4_h}); use a larger equal_shell, "
+                "whose blocks are narrower, or fewer blocks"
+            ) from None
         spec = replace(spec, stride=stride)
         envelope = block_envelope(l4_lattice, spec, l4_partition)
         l4 = lp_norm(envelope.physical_real(), 4.0, area4)

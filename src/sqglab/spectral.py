@@ -180,7 +180,8 @@ class SpectralField:
     fields and ``(2, 2, m, m)`` for rank-2 tensors, always in FFT index
     order.  Real-valued physical fields correspond to Hermitian-symmetric
     coefficients; nothing enforces that on construction, but the operator
-    layer preserves it.
+    layer takes real fields only, refuses others where a product or a
+    Besov shell would misread them, and returns real fields.
     """
 
     lattice: FrequencyLattice
@@ -221,15 +222,12 @@ class SpectralField:
 
     @classmethod
     def from_modes(
-        cls,
-        lattice: FrequencyLattice,
-        modes: dict[tuple[int, int], complex],
-        hermitian: bool = True,
+        cls, lattice: FrequencyLattice, modes: dict[tuple[int, int], complex]
     ) -> "SpectralField":
-        """Field with prescribed coefficients at integer lattice indices.
+        """Real field with prescribed coefficients at integer lattice indices.
 
-        With ``hermitian=True`` the conjugate coefficient is installed at
-        ``-k`` as well, so real amplitudes build ``2*amp*cos(x.xi)``.
+        The conjugate coefficient is installed at ``-k`` as well, so real
+        amplitudes build ``2*amp*cos(x.xi)``.
         """
         c = np.zeros((lattice.m, lattice.m), dtype=np.complex128)
         half = lattice.m // 2
@@ -240,8 +238,7 @@ class SpectralField:
                     f"the k = -{half} edge has no conjugate partner on this lattice"
                 )
             c[a % lattice.m, b % lattice.m] += amp
-            if hermitian:
-                c[(-a) % lattice.m, (-b) % lattice.m] += np.conj(amp)
+            c[(-a) % lattice.m, (-b) % lattice.m] += np.conj(amp)
         return cls(lattice, c)
 
     @classmethod
@@ -262,11 +259,13 @@ class SpectralField:
         vanishing imaginary part up to rounding)."""
         return _ifft2(self.coeffs)
 
-    def physical_real(self, tol: float = 1e-10) -> np.ndarray:
+    def physical_real(self) -> np.ndarray:
+        """Real part of :meth:`physical`, refusing an imaginary part above
+        1e-10 of the samples' largest modulus."""
         p = self.physical()
         scale = np.max(np.abs(p)) or 1.0
         imag = np.max(np.abs(p.imag))
-        if imag > tol * scale:
+        if imag > 1e-10 * scale:
             raise ValueError(f"field is not real: max imag {imag:.3e} vs scale {scale:.3e}")
         return p.real
 
@@ -439,13 +438,12 @@ def _reflect(c: np.ndarray) -> np.ndarray:
     return np.roll(np.flip(c, axis=(-2, -1)), 1, axis=(-2, -1))
 
 
-def _hermitian_parts(c: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Hermitian coefficients of the real and imaginary physical parts of ``c``.
+def _check_real(c: np.ndarray, operator: str) -> None:
+    """Refuse coefficients ``c`` that are not a real field to rounding.
 
-    Returns ``(c,)`` when ``c`` is a real field to rounding: no real or
-    imaginary component of ``c(k) - conj(c(-k))`` exceeds ``_REAL_TOL``
-    times the largest component of ``c``.  Otherwise returns ``(a, b)``
-    with ``c = a + 1j * b`` and both ``a`` and ``b`` Hermitian.
+    ``c`` is real when no real or imaginary component of
+    ``c(k) - conj(c(-k))`` exceeds ``_REAL_TOL`` times the largest
+    component of ``c``; otherwise ``ValueError`` names ``operator``.
     """
     h = c.shape[-1] // 2
     # each pair (k, -k) once: interior rows 1..m/2 against their mirrors,
@@ -463,10 +461,12 @@ def _hermitian_parts(c: np.ndarray) -> tuple[np.ndarray, ...]:
         d = d.view(np.float64)
         worst = max(worst, d.max(), -d.min())
     v = np.ascontiguousarray(c).view(np.float64)
-    if worst <= _REAL_TOL * max(v.max(), -v.min()):
-        return (c,)
-    mirror = np.conj(_reflect(c))
-    return 0.5 * (c + mirror), -0.5j * (c - mirror)
+    scale = max(v.max(), -v.min())
+    if worst > _REAL_TOL * scale:
+        raise ValueError(
+            f"{operator} takes real fields; this one's coefficients differ from "
+            f"their mirrored conjugates by {worst:.3e} at scale {scale:.3e}"
+        )
 
 
 def _occupied_columns(c: np.ndarray, width: int) -> int:

@@ -8,9 +8,9 @@ import scipy.fft
 
 from oracles import hermitian_defect, probe_symbol_from_rings
 from sqglab.besov import (
+    _STEP,
     BesovIndex,
     DyadicPartition,
-    WindowCoverageWarning,
     _ring_box,
     _shell_grid,
     besov_norm,
@@ -65,14 +65,19 @@ def partition256(lattice256):
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 6.0, 8.0, math.inf])
 @pytest.mark.parametrize("hermitian", [True, False])
 def test_shell_profile_matches_complex_transform_loop(lattice256, partition256, p, hermitian):
-    # even p sums low shells on band-sized grids; p = 3 and inf stay on m x m
+    # even p sums low shells on band-sized grids; p = 3 and inf stay on m x m.
+    # A field that is not real is refused, by the profile and by the norm
     rng = np.random.default_rng(27)
-    if hermitian:
-        f = random_mean_zero_field(lattice256, rng)
-    else:
+    s = -0.5
+    if not hermitian:
         f = complex_mean_zero_field(lattice256, rng)
         assert hermitian_defect(f) > 1e-3
-    s = -0.5
+        with pytest.raises(ValueError, match="shell_profile takes real fields"):
+            shell_profile(f, s, p, partition256)
+        with pytest.raises(ValueError, match="besov_norm takes real fields"):
+            besov_norm(f, BesovIndex(s, p, 2.0), partition256)
+        return
+    f = random_mean_zero_field(lattice256, rng)
     got = shell_profile(f, s, p, partition256)
     want = reference_shell_profile(f, s, p, partition256)
     assert [j for j, _ in got] == [j for j, _ in want]
@@ -167,7 +172,7 @@ def test_ring_quadrants_unfold_to_the_closed_form_bitwise(m, h_xi):
     reach = np.maximum(np.abs(lattice.k1), np.abs(lattice.k2))
     extents = []
     for j in partition.shells:
-        want = partition.step(r * 2.0 ** (-j)) - partition.step(r * 2.0 ** (1 - j))
+        want = _STEP(r * 2.0 ** (-j)) - _STEP(r * 2.0 ** (1 - j))
         ring = partition.ring_values(j)
         assert ring.shape == (m, m)
         assert np.array_equal(ring, want)
@@ -227,58 +232,50 @@ def test_lp_norm_even_powers_match_float_pow(p):
     assert lp_norm(x, float(p), 0.5) == pytest.approx(want, rel=1e-14)
 
 
-def test_coverage_is_computed_once(lattice128):
-    narrow = build_partition(lattice128, j_min=0, j_max=2)
-    cov = narrow.coverage()
-    assert narrow.coverage() is cov
+def test_coverage_is_the_telescoped_closed_form(lattice128, partition128):
+    cov = partition128.coverage()
     assert not cov.flags.writeable
     r = lattice128.radius
-    fresh = narrow.step(r * 2.0 ** (-narrow.j_max)) - narrow.step(r * 2.0 ** (1 - narrow.j_min))
-    assert np.array_equal(cov, fresh)
-    # window_defect against the closed form rebuilt from scratch, twice so
-    # the second call reads the cached coverage
-    rng = np.random.default_rng(28)
-    f = random_mean_zero_field(lattice128, rng)
-    mass = np.abs(f.coeffs) ** 2
-    mass[0, 0] = 0.0
-    want = float(mass[fresh < 1.0 - 1e-9].sum()) / float(mass.sum())
-    assert narrow.window_defect(f) == want
-    assert narrow.window_defect(f) == want
+    j_min, j_max = partition128.j_min, partition128.j_max
+    assert np.array_equal(cov, _STEP(r * 2.0 ** (-j_max)) - _STEP(r * 2.0 ** (1 - j_min)))
+    # the window is the one ring system: every ring that meets a non-zero
+    # lattice radius, and no other
+    total = sum(partition128.ring_values(j) for j in partition128.shells)
+    assert np.max(np.abs(total - cov)) <= 1e-15
+    for j in (j_min - 1, j_max + 1):
+        lo, hi = partition128.support_interval(j)
+        assert not ((r > lo) & (r < hi) & (r > 0)).any()
 
 
 @pytest.mark.parametrize("m", [32, 128, 256])
 def test_auto_window_leaves_no_mode_outside(m):
-    # the automatic window covers every nonzero mode, so window_defect
-    # returns 0 without reading the field
+    # the window covers every nonzero mode: the telescoped sum is 1 except
+    # at the origin, and the two-radius judgement agrees
     lattice = FrequencyLattice(m=m, h_xi=0.25)
     partition = build_partition(lattice)
     cov = partition.coverage()
     assert np.array_equal(np.argwhere(cov < 1.0 - 1e-9), [[0, 0]])
-    f = random_mean_zero_field(lattice, np.random.default_rng(m))
-    assert partition.window_defect(f) == 0.0
-    # a field that any look at would turn into nan
-    unread = SpectralField(lattice, np.full((m, m), np.nan, dtype=np.complex128))
-    assert partition.window_defect(unread) == 0.0
+    assert partition._covers_lattice()
 
 
-@pytest.mark.parametrize("transition", [(1.25, 1.75), (1.3, 1.6), (1.5, 1.75)])
-def test_auto_window_is_judged_without_the_telescoped_sum(transition, monkeypatch):
-    # the automatic window covers every nonzero mode by construction, and
-    # window_defect sees that from two radii, not from an m x m sum
+def test_auto_window_is_judged_without_the_telescoped_sum(monkeypatch):
+    # build_partition checks that its window covers every nonzero mode
+    # from two radii, not from an m x m sum, and the two agree
     for m in (8, 32, 256, 1024):
         for h_xi in (1.0 / 256.0, 0.1, 0.125, 0.25, 0.3, 1.0):
             lattice = FrequencyLattice(m=m, h_xi=h_xi)
-            partition = build_partition(lattice, transition)
-            if m <= 256:
-                cov = partition._telescoped()
-                assert np.array_equal(np.argwhere(cov < 1.0), [[0, 0]])
             with monkeypatch.context() as patch:
                 def refuse(self):
                     raise AssertionError("the telescoped sum was evaluated")
 
-                patch.setattr(DyadicPartition, "_telescoped", refuse)
-                f = SpectralField.cosine(lattice, (1, 0))
-                assert partition.window_defect(f) == 0.0
+                patch.setattr(DyadicPartition, "coverage", refuse)
+                partition = build_partition(lattice)
+            if m <= 256:
+                cov = partition.coverage()
+                assert np.array_equal(np.argwhere(cov < 1.0), [[0, 0]])
+    monkeypatch.setattr(DyadicPartition, "_covers_lattice", lambda self: False)
+    with pytest.raises(ValueError, match="does not cover every non-zero mode"):
+        build_partition(FrequencyLattice(m=32, h_xi=0.25))
 
 
 def test_partition_of_unity(lattice128, partition128):
@@ -365,17 +362,9 @@ def test_besov_norm_monotone_in_q(lattice128, partition128):
 
 
 def test_besov_norm_requires_mean_zero(lattice32, partition32):
-    f = SpectralField.from_modes(lattice32, {(0, 0): 1.0}, hermitian=False)
+    f = SpectralField.from_modes(lattice32, {(0, 0): 0.5})
     with pytest.raises(ValueError, match="mean-zero"):
         besov_norm(f, BesovIndex(s=-0.5, p=4.0, q=2.0), partition32)
-
-
-def test_window_defect_warns_on_narrow_window(lattice128):
-    narrow = build_partition(lattice128, j_min=0, j_max=2)
-    rng = np.random.default_rng(24)
-    f = random_mean_zero_field(lattice128, rng)
-    with pytest.warns(WindowCoverageWarning):
-        besov_norm(f, BesovIndex(s=-0.5, p=4.0, q=2.0), narrow)
 
 
 def test_shell_profile_reports_zero_shells(lattice128, partition128):

@@ -16,7 +16,13 @@ from sqglab.bilinear import (
 )
 from sqglab.forcing import ForceSpec, modulated_bump_force
 from sqglab.sampling import random_mean_zero_field
-from sqglab.spectral import FrequencyLattice, SpectralField, inverse_laplacian, riesz_velocity
+from sqglab.spectral import (
+    FrequencyLattice,
+    SpectralField,
+    _check_real,
+    inverse_laplacian,
+    riesz_velocity,
+)
 
 
 def band_limited(lattice, rng, decay=1.0):
@@ -121,12 +127,18 @@ def test_lattice_mismatch_rejected(lattice32, lattice128):
 
 def test_quadratic_form_ignores_unpaired_input_edge(field_pair):
     # energy on the k = -m/2 row and column has no conjugate partner; the
-    # padded syntheses leave it out, so both forms see the field without it
+    # padded syntheses leave it out, so both forms see the field without it.
+    # Mirrored along the edge it passes the realness check; unmirrored it
+    # is refused
     f, g = field_pair
     c = f.coeffs.copy()
     half = f.lattice.m // 2
     c[half, 3] = 1.0 + 2.0j
     c[5, half] = -0.5
+    with pytest.raises(ValueError, match="bilinear_block takes real fields"):
+        bilinear_block(SpectralField(f.lattice, c), g)
+    c[half, -3] = 1.0 - 2.0j
+    c[-5, half] = -0.5
     edged = SpectralField(f.lattice, c)
     assert np.array_equal(bilinear_block(edged, g).coeffs, bilinear_block(f, g).coeffs)
     assert np.array_equal(quadratic_diagonal(edged).coeffs, quadratic_diagonal(f).coeffs)
@@ -142,31 +154,31 @@ def test_non_finite_amplitudes_raise(lattice32, form):
             form(theta)
 
 
-def drawn_field(lattice, rng, hermitian):
-    """Random mean-zero field; a complex physical field a + i b when not
-    ``hermitian``."""
-    f = random_mean_zero_field(lattice, rng)
-    if hermitian:
-        return f
-    return SpectralField(lattice, f.coeffs + 1j * random_mean_zero_field(lattice, rng).coeffs)
+@pytest.mark.parametrize("position", ["first", "second"])
+def test_complex_inputs_are_refused(lattice32, position):
+    # the forms take real fields; a complex one is refused by name, in
+    # either argument, before any transform
+    rng = np.random.default_rng(35)
+    real = random_mean_zero_field(lattice32, rng)
+    complex_ = SpectralField(lattice32, 1j * real.coeffs)
+    pair = (complex_, real) if position == "first" else (real, complex_)
+    with pytest.raises(ValueError, match="bilinear_block takes real fields"):
+        bilinear_block(*pair)
+    with pytest.raises(ValueError, match="quadratic_diagonal takes real fields"):
+        quadratic_diagonal(pair[0] if position == "first" else pair[1])
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     m=st.sampled_from([8, 16]),
     seed=st.integers(0, 2**32 - 1),
-    f_real=st.booleans(),
-    g_real=st.booleans(),
     alpha=st.floats(-3.0, 3.0, allow_nan=False),
 )
-def test_quadratic_form_properties(m, seed, f_real, g_real, alpha):
-    # real inputs run the fused kernel directly, complex ones through the
-    # split into real and imaginary parts; the oracle is the quadrature
+def test_quadratic_form_properties(m, seed, alpha):
+    # the fused kernel against the quadrature oracle, on real fields
     lat = FrequencyLattice(m=m, h_xi=0.5)
     rng = np.random.default_rng(seed)
-    f = drawn_field(lat, rng, f_real)
-    g = drawn_field(lat, rng, g_real)
-    h = drawn_field(lat, rng, f_real)
+    f, g, h = (random_mean_zero_field(lat, rng) for _ in range(3))
     fg = bilinear_block(f, g)
     ff = quadratic_diagonal(f)
 
@@ -179,8 +191,7 @@ def test_quadratic_form_properties(m, seed, f_real, g_real, alpha):
 
     for out, want in ((fg, bilinear_quadrature(f, g)), (ff, bilinear_quadrature(f, f))):
         assert out.mean_coefficient() == 0
-        if f_real and g_real:
-            assert hermitian_defect(out) == 0.0
+        assert hermitian_defect(out) == 0.0
         scale = np.max(np.abs(want.coeffs))
         assert np.max(np.abs(out.coeffs - want.coeffs)) <= 1e-10 * scale
 
@@ -191,14 +202,11 @@ def test_quadratic_form_properties(m, seed, f_real, g_real, alpha):
 # skipping only zero columns must leave every bit of the form unchanged.
 
 
-def in_columns(lattice, rng, columns, real=True):
+def in_columns(lattice, rng, columns):
     """Random mean-zero field that occupies only the k2 = +-k columns listed."""
     f = random_mean_zero_field(lattice, rng)
     keep = np.isin(np.abs(lattice.k2), columns)
-    c = np.where(keep, f.coeffs, 0.0)
-    if not real:
-        c = c + 1j * np.where(keep, random_mean_zero_field(lattice, rng).coeffs, 0.0)
-    return SpectralField(lattice, c)
+    return SpectralField(lattice, np.where(keep, f.coeffs, 0.0))
 
 
 def kernel_inputs():
@@ -211,8 +219,6 @@ def kernel_inputs():
         "zero": SpectralField.zeros(lat),
         "last-column": in_columns(lat, rng, [31]),
         "full": in_columns(lat, rng, list(range(32))),
-        "narrow-complex": in_columns(lat, rng, [0, 3], real=False),
-        "last-column-complex": in_columns(lat, rng, [31], real=False),
     }
 
 
@@ -220,14 +226,12 @@ def test_kernel_inputs_are_as_named():
     lat, fields = kernel_inputs()
     h = lat.m // 2
     widths = {name: bilinear._occupied_columns(f.coeffs, h) for name, f in fields.items()}
-    assert widths == {"bump": 8, "narrow": 6, "zero": 0, "last-column": 32, "full": 32,
-                      "narrow-complex": 4, "last-column-complex": 32}
+    assert widths == {"bump": 8, "narrow": 6, "zero": 0, "last-column": 32, "full": 32}
     for name, f in fields.items():
-        assert (hermitian_defect(f) > 1e-3) == name.endswith("complex")
+        _check_real(f.coeffs, name)
 
 
-@pytest.mark.parametrize("first", ["bump", "narrow", "zero", "last-column", "narrow-complex",
-                                   "last-column-complex"])
+@pytest.mark.parametrize("first", ["bump", "narrow", "zero", "last-column"])
 def test_occupied_column_kernel_is_bitwise_the_full_column_route(first, monkeypatch):
     lat, fields = kernel_inputs()
     f = fields[first]

@@ -14,6 +14,7 @@ from sqglab.diagnostics import (
     second_iterate_split,
 )
 from sqglab.forcing import ExponentMap, ForceSpec, modulated_bump_force, translated_block_force
+from sqglab.sampling import hermitian_symmetrize
 from sqglab.spectral import FrequencyLattice, SpectralField, inverse_laplacian
 
 
@@ -79,7 +80,8 @@ def test_low_frequency_profile_above_the_window_and_with_a_mean():
     partition = build_partition(lat)
     assert partition.j_max < -1
     rng = np.random.default_rng(3)
-    c = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+    c = hermitian_symmetrize(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
+    assert c[0, 0] != 0.0
     field = SpectralField(lat, c)
     profile = low_frequency_profile(field, partition)
     values = dict(profile)

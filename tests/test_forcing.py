@@ -330,6 +330,20 @@ def test_calibrated_stride_is_two_sided():
     assert l4_mass(spec_at(lat.dx)) > 4.0 * target
 
 
+def test_calibrate_stride_measures_blocks_as_the_envelope_builds_them():
+    # on the L4 leg's lattice the shell-7 ring reaches the unpaired k = -m/2
+    # edge, which the envelope strips: a target that kept it would differ
+    # from the one block's own mass by 21% and no stride would pass
+    from sqglab.besov import build_partition
+
+    lat = FrequencyLattice(m=1024, h_xi=0.125)
+    part = build_partition(lat)
+    assert part.ring_extent(7) == lat.m // 2
+    spec = ForceSpec(variant="blocks", size=2, block_range=(1, 1),
+                     exponents=ExponentMap.affine(2, 0), equal_shell=7)
+    assert calibrate_stride(lat, spec, part) == lat.dx
+
+
 def test_calibrate_stride_reports_impossible_geometry(lattice128, partition128):
     # shell -2 blocks span a quarter of the m=128 box; no translation
     # separates their tails to 5 percent

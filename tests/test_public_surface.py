@@ -6,10 +6,16 @@ name, an attribute or an imported name, outside its own definition.  So
 must every public method and property of a class listed there, as an
 attribute.  Docstrings and the ``__all__`` lists themselves are strings
 and never count.
+
+Every class method the benchmark's tracer patches must be defined on its
+class, so that deleting one fails here rather than in a traced run.
 """
 
 import ast
+import importlib
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "sqglab"
@@ -119,3 +125,20 @@ def test_the_root_package_exports_only_its_version():
     assert _exported(tree) in ([], ["__version__"])
     assert not any(isinstance(node, (ast.Import, ast.ImportFrom)) for node in tree.body)
 
+
+
+def _traced_methods() -> tuple[tuple[str, str, str], ...]:
+    """``METHODS`` of the benchmark's tracer, read without importing it."""
+    for node in _parsed(ROOT / "perfbench" / "tracing.py").body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "METHODS" for t in node.targets)):
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracing.py defines no METHODS")
+
+
+@pytest.mark.parametrize("layer, cls_name, method", _traced_methods())
+def test_every_traced_method_is_defined_on_its_class(layer, cls_name, method):
+    # the tracer patches each one through ``cls.__dict__[method]``, so one
+    # that is deleted or only inherited would stop every traced run
+    cls = getattr(importlib.import_module(f"sqglab.{layer}"), cls_name)
+    assert method in cls.__dict__

@@ -397,6 +397,19 @@ def test_cli_refuses_a_mistyped_value_by_name(tmp_path, capsys, verb, payload, k
     assert not out_dir.exists()
 
 
+def test_cli_names_the_keys_of_an_l4_leg_without_a_stride(tmp_path, capsys):
+    # shell -3 blocks are too wide for the L4 leg's fixed box: exit 2 naming
+    # the keys that choose them and that lattice, which no key sets
+    cfg = write_cfg(tmp_path, {"equal_shell": -3, "block_counts": [2, 4]})
+    out_dir = tmp_path / "runs"
+    assert main(["illpose-step3", "--config", cfg, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "config keys equal_shell and block_counts" in err
+    assert "m=1024, h_xi=0.125" in err
+    assert "smaller h_xi" not in err
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("verb", ["partition-check", "solve"])
 @pytest.mark.parametrize("threads", [0, -(os.cpu_count() or 1) - 1], ids=["zero", "below-cores"])
 def test_cli_refuses_a_bad_thread_count(tmp_path, capsys, verb, threads):
