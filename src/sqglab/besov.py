@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -26,8 +27,10 @@ from .profiles import SmoothStep
 from .spectral import (
     FrequencyLattice,
     SpectralField,
+    _ball_box,
     _check_real,
     _half_synthesis,
+    _ifft2,
     _occupied_columns,
 )
 
@@ -37,6 +40,7 @@ __all__ = [
     "build_partition",
     "shell_project",
     "lp_norm",
+    "box_lp_norm",
     "shell_profile",
     "lq_aggregate",
     "besov_profile",
@@ -300,6 +304,22 @@ def _shell_grid(extent: int, p: float, m: int) -> int:
     return grid
 
 
+def box_lp_norm(coeffs: np.ndarray, lattice: FrequencyLattice, p: float) -> float:
+    """L^p norm of the field whose only non-zero coefficients, possibly
+    complex, are ``coeffs``: entry ``[a, b]`` at mode ``k0 + (a, b)``.
+
+    The box is laid from the origin (``|g|`` ignores the unimodular factor
+    ``exp(-i h_xi k0.x)``) of the grid :func:`_shell_grid` picks for the
+    half-width ``max(n1, n2) // 2``, and synthesized there with one complex
+    transform: exact for even p, by the argument of :func:`shell_profile`.
+    """
+    grid = _shell_grid(max(coeffs.shape) // 2, p, lattice.m)
+    laid = np.zeros((grid, grid), dtype=np.complex128)
+    laid[: coeffs.shape[0], : coeffs.shape[1]] = coeffs
+    cell = lattice.box_length / grid
+    return lp_norm(np.abs(_ifft2(laid)), p, cell * cell)
+
+
 def _check_mean_zero(field: SpectralField) -> None:
     c0 = abs(field.mean_coefficient())
     scale = float(np.max(np.abs(field.coeffs)))
@@ -457,19 +477,18 @@ class ProbeFunction:
         """Radius outside of which the symbol vanishes."""
         return _STEP.t1 * 2.0 ** (self.j - self.gap - 1)
 
-    def symbol(self, xi1: np.ndarray, xi2: np.ndarray) -> np.ndarray:
-        """Closed-form symbol: the step profile at the rescaled offset."""
-        cx, cy = self.center
-        rho = np.hypot(xi1 - cx, xi2 - cy)
+    def symbol(self, rho: np.ndarray) -> np.ndarray:
+        """Closed-form symbol: the step profile at the offset ``rho = |xi - center|``, rescaled."""
         return _STEP(rho * 2.0 ** (self.gap + 1 - self.j))
 
-    def values(self) -> np.ndarray:
-        lat = self.lattice
-        return self.symbol(lat.xi1, lat.xi2)
-
-    def project(self, field: SpectralField) -> SpectralField:
-        """Convolution with the probe = coefficientwise multiplication."""
-        return SpectralField(field.lattice, field.coeffs * self.values())
+    @cached_property
+    def box(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and :meth:`symbol` values of the probe's ball box
+        (:func:`~sqglab.spectral._ball_box`), zero at every other mode.  The
+        radius is below the centre's coordinates, so the rows and columns
+        are consecutive modes k > 0, as :func:`box_lp_norm` reads them."""
+        rows, cols, rho = _ball_box(self.lattice, self.center, self.radius)
+        return rows, cols, self.symbol(rho)
 
 
 def build_probe(lattice: FrequencyLattice, j: int, gap: int = 3) -> ProbeFunction:
@@ -480,7 +499,7 @@ def build_probe(lattice: FrequencyLattice, j: int, gap: int = 3) -> ProbeFunctio
     smaller gap (not below 3) fixes that.
     """
     probe = ProbeFunction(lattice, j, gap=gap)
-    if not probe.values().any():
+    if not probe.box[2].any():
         raise ValueError(
             f"probe at shell {j} (gap {gap}) has empty support on {lattice!r}: "
             f"no lattice point within {probe.radius:.3e} of {probe.center}; "

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .besov import DyadicPartition, build_probe, lp_norm, shell_profile
+from .besov import DyadicPartition, box_lp_norm, build_probe, shell_profile
 from .forcing import ForceSpec
 from .spectral import SpectralField
 
@@ -161,14 +161,13 @@ def inflation_profile(
     Entry for block n at shell j is 2**(-j/2) times the L4 norm of the
     probe projection of theta2; a shell whose probe has empty lattice
     support raises (the probe ball shrinks like 2**(j - gap), so shells
-    too close to the lattice floor cannot be probed).
+    too close to the lattice floor cannot be probed).  The projection lives
+    on the probe's box and is normed there (:func:`~sqglab.besov.box_lp_norm`).
     """
     lat = theta2.lattice
-    area = lat.quadrature_weight
     entries = []
     for n, shell in zip(spec.block_indices(), spec.block_shells()):
-        probe = build_probe(lat, shell, gap=spec.probe_gap)
-        piece = probe.project(theta2)
-        value = 2.0 ** (-0.5 * shell) * lp_norm(np.abs(piece.physical()), 4.0, area)
-        entries.append((n, shell, value))
+        rows, cols, values = build_probe(lat, shell, gap=spec.probe_gap).box
+        piece = theta2.coeffs[np.ix_(rows, cols)] * values
+        entries.append((n, shell, 2.0 ** (-0.5 * shell) * box_lp_norm(piece, lat, 4.0)))
     return entries

@@ -27,9 +27,9 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .besov import DyadicPartition
+from .besov import DyadicPartition, box_lp_norm
 from .profiles import SmoothStep
-from .spectral import FrequencyLattice, SpectralField, strip_unpaired_edge
+from .spectral import FrequencyLattice, SpectralField, _ball_box, strip_unpaired_edge
 
 __all__ = [
     "ExponentMap",
@@ -39,6 +39,7 @@ __all__ = [
     "shared_annulus_modes",
     "block_envelope",
     "translated_block_force",
+    "envelope_l4_norm",
     "calibrate_stride",
 ]
 
@@ -243,32 +244,17 @@ class ForceSpec:
 _BUMP_PROFILE = SmoothStep(1.0, 2.0)
 
 
-def _bump_boxes(lattice: FrequencyLattice, carrier: float):
-    """For each bump chi-hat(xi -+ c e1): the rows and columns of its box,
-    those whose offset from its centre is below 2, clipped to the lattice,
-    and the offset radius |xi -+ c e1| on the box.
-
-    A bump vanishes from radius 2 on, so its box holds every mode it can
-    touch; the radii are bitwise those evaluated on the whole lattice.
-    """
-    m = lattice.m
-    xi = lattice.h_xi * np.fft.fftfreq(m, d=1.0 / m).astype(np.int64)
-    cols = np.flatnonzero(np.abs(xi) < 2.0)
-    for centre in (carrier, -carrier):
-        rows = np.flatnonzero(np.abs(xi - centre) < 2.0)
-        yield rows, cols, np.hypot(xi[rows, None] - centre, xi[None, cols])
-
-
 def _shifted_bump_pair(lattice: FrequencyLattice, carrier: float) -> np.ndarray:
     """chi-hat(xi - c e1) + chi-hat(xi + c e1) on the lattice (real array).
 
-    Each bump is evaluated only on its box (:func:`_bump_boxes`) and added
-    into zeros; the values are bitwise those of the formula evaluated on
-    every mode.
+    A bump vanishes from radius 2 on, so each is evaluated only on its
+    ball's box (:func:`~sqglab.spectral._ball_box`) and added into zeros;
+    the values are bitwise those of the formula evaluated on every mode.
     """
     m = lattice.m
     out = np.zeros((m, m))
-    for rows, cols, r in _bump_boxes(lattice, carrier):
+    for centre in (carrier, -carrier):
+        rows, cols, r = _ball_box(lattice, (centre, 0.0), 2.0)
         out[np.ix_(rows, cols)] += _BUMP_PROFILE(r)
     return out
 
@@ -283,10 +269,8 @@ def shared_annulus_modes(lattice: FrequencyLattice, exponents: list[int]) -> int
     m = lattice.m
     annuli = []
     for s in exponents:
-        plus, minus = (
-            (rows[:, None] * m + cols)[r < 2.0] for rows, cols, r in _bump_boxes(lattice, 2.0**s)
-        )
-        annuli.append(np.union1d(plus, minus))
+        boxes = (_ball_box(lattice, (c, 0.0), 2.0) for c in (2.0**s, -(2.0**s)))
+        annuli.append(np.union1d(*((rows[:, None] * m + cols)[r < 2.0] for rows, cols, r in boxes)))
     return sum(
         np.intersect1d(a, b, assume_unique=True).size
         for i, a in enumerate(annuli)
@@ -438,6 +422,17 @@ def translated_block_force(
     return envelope, forcing
 
 
+def envelope_l4_norm(lattice: FrequencyLattice, spec: ForceSpec,
+                     partition: DyadicPartition) -> float:
+    """L4 norm of the :func:`block_envelope` of ``spec``, summed by
+    :func:`~sqglab.besov.box_lp_norm` on the box of its widest ring, short
+    of the unpaired k = -m/2 edge that the envelope strips."""
+    envelope = block_envelope(lattice, spec, partition).coeffs
+    extent = min(max(partition.ring_extent(j) for j in spec.block_shells()), lattice.m // 2 - 1)
+    modes = np.arange(-extent, extent + 1) % lattice.m
+    return box_lp_norm(envelope[np.ix_(modes, modes)], lattice, 4.0)
+
+
 def calibrate_stride(
     lattice: FrequencyLattice,
     spec: ForceSpec,
@@ -451,23 +446,18 @@ def calibrate_stride(
     the box achieves that (blocks too wide for the geometry).  The bound
     must be two-sided: overlapping blocks add coherently, so a tiny stride
     exceeds the disjoint sum by orders of magnitude and only genuine
-    separation brings the mass back down to it.
+    separation brings the mass back down to it.  Masses are
+    :func:`envelope_l4_norm`, a lone block's once per distinct shell.
     """
     if spec.variant != "blocks":
         raise ValueError(f"expected a blocks spec, got variant {spec.variant!r}")
-    area = lattice.quadrature_weight
+    masses: dict[int, float] = {}
     target = 0.0
-    for j in spec.block_shells():
-        if not (partition.j_min <= j <= partition.j_max):
-            raise ValueError(
-                f"block shell {j} falls outside the partition window "
-                f"[{partition.j_min}, {partition.j_max}]"
-            )
-        # as block_envelope builds it: without the unpaired k = -m/2 edge
-        ring = strip_unpaired_edge(partition.ring_values(j).astype(np.complex128))
-        block = SpectralField(lattice, 2.0 ** (-1.5 * j) * ring)
-        samples = np.abs(block.physical())
-        target += float(area * np.sum(samples**4))
+    for n, j in zip(spec.block_indices(), spec.block_shells()):
+        if j not in masses:
+            one = replace(spec, block_range=(n, n), stride=lattice.dx)
+            masses[j] = envelope_l4_norm(lattice, one, partition) ** 4
+        target += masses[j]
 
     stride = lattice.dx
     box = lattice.box_length
@@ -479,9 +469,7 @@ def calibrate_stride(
         except ValueError:
             stride *= 2.0
             continue
-        env = block_envelope(lattice, replace(spec, stride=stride), partition)
-        samples = np.abs(env.physical())
-        mass = float(area * np.sum(samples**4))
+        mass = envelope_l4_norm(lattice, replace(spec, stride=stride), partition) ** 4
         if abs(mass - target) <= 0.05 * target:
             return stride
         stride *= 2.0

@@ -41,7 +41,6 @@ from .besov import (
     build_probe,
     besov_norm,
     besov_profile,
-    lp_norm,
     lq_aggregate,
     shell_project,
 )
@@ -59,8 +58,8 @@ from .diagnostics import (
 from .forcing import (
     ExponentMap,
     ForceSpec,
-    block_envelope,
     calibrate_stride,
+    envelope_l4_norm,
     lacunary_force,
     modulated_bump_force,
     shared_annulus_modes,
@@ -593,7 +592,6 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
                                 "exponent_map": infl_map.describe()},
               "seed": cfg["seed"]}
 
-    area4 = l4_lattice.quadrature_weight
     l4_rows, l4_values = [], {}
     for count in counts:
         spec = ForceSpec(variant="blocks", delta=delta, size=count,
@@ -608,9 +606,7 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
                 f"(fixed lattice m={l4_m}, h_xi={l4_h}); use a larger equal_shell, "
                 "whose blocks are narrower, or fewer blocks"
             ) from None
-        spec = replace(spec, stride=stride)
-        envelope = block_envelope(l4_lattice, spec, l4_partition)
-        l4 = lp_norm(envelope.physical_real(), 4.0, area4)
+        l4 = envelope_l4_norm(l4_lattice, replace(spec, stride=stride), l4_partition)
         l4_values[count] = l4
         l4_rows.append((count, stride, l4, l4 / count**0.25))
     l4_ratios = [

@@ -2,10 +2,11 @@
 
 Everything downstream works on a square lattice of frequencies
 ``xi = h_xi * (k1, k2)`` with integer indices ``k_i in [-m/2, m/2)``.  The
-physical box is the torus of side ``L = 2*pi/h_xi`` sampled at ``m`` points
-per axis, so synthesis/analysis are plain FFTs with the "forward"
-normalization: a coefficient is the amplitude of ``exp(i x.xi)`` and Parseval
-holds with the quadrature weight ``(L/m)**2`` per physical sample.
+physical box is the torus of side ``L = 2*pi/h_xi``.  A coefficient is the
+amplitude of ``exp(i x.xi)``, so an unscaled inverse transform onto any
+``M x M`` grid holding the modes samples the field (quadrature weight
+``(L/M)**2``): the quadratic form on its padded 3m/2 grid, a Besov shell or
+a local object on the smallest grid that resolves the band of ``|g|**p``.
 
 Fields are immutable; every operation returns a new field.  Coefficient
 arrays are stored in FFT index order (0, 1, ..., m/2-1, -m/2, ..., -1 per
@@ -135,11 +136,6 @@ class FrequencyLattice:
     def dx(self) -> float:
         return self.box_length / self.m
 
-    @property
-    def quadrature_weight(self) -> float:
-        """Physical cell area ``(L/m)**2`` used by all L^p sums."""
-        return self.dx * self.dx
-
     @cached_property
     def k1(self) -> np.ndarray:
         """Integer index along axis 0, FFT order, broadcast to (m, m)."""
@@ -172,6 +168,20 @@ class FrequencyLattice:
         return f"FrequencyLattice(m={self.m}, h_xi={self.h_xi})"
 
 
+def _ball_box(
+    lattice: FrequencyLattice, centre: tuple[float, float], radius: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows and columns (FFT indices) whose frequency lies within ``radius``
+    of ``centre`` on that axis, and the offset radius ``|xi - centre|`` on
+    that box, bitwise as on the whole lattice: a symbol of the offset radius
+    that vanishes from ``radius`` on is zero off the box."""
+    xi = lattice.h_xi * lattice.k1[:, 0]
+    c1, c2 = centre
+    rows = np.flatnonzero(np.abs(xi - c1) < radius)
+    cols = np.flatnonzero(np.abs(xi - c2) < radius)
+    return rows, cols, np.hypot(xi[rows, None] - c1, xi[None, cols] - c2)
+
+
 @dataclass(frozen=True)
 class SpectralField:
     """Immutable set of Fourier coefficients on a :class:`FrequencyLattice`.
@@ -181,7 +191,8 @@ class SpectralField:
     order.  Real-valued physical fields correspond to Hermitian-symmetric
     coefficients; nothing enforces that on construction, but the operator
     layer takes real fields only, refuses others where a product or a
-    Besov shell would misread them, and returns real fields.
+    Besov shell would misread them, and returns real fields.  A field has
+    no m x m physical view (module docstring).
     """
 
     lattice: FrequencyLattice
@@ -253,21 +264,6 @@ class SpectralField:
     @property
     def rank(self) -> int:
         return self.coeffs.ndim - 2
-
-    def physical(self) -> np.ndarray:
-        """Physical samples on the ``m x m`` grid (complex; real fields have
-        vanishing imaginary part up to rounding)."""
-        return _ifft2(self.coeffs)
-
-    def physical_real(self) -> np.ndarray:
-        """Real part of :meth:`physical`, refusing an imaginary part above
-        1e-10 of the samples' largest modulus."""
-        p = self.physical()
-        scale = np.max(np.abs(p)) or 1.0
-        imag = np.max(np.abs(p.imag))
-        if imag > 1e-10 * scale:
-            raise ValueError(f"field is not real: max imag {imag:.3e} vs scale {scale:.3e}")
-        return p.real
 
     def mean_coefficient(self) -> complex:
         idx = (0,) * self.rank + (0, 0)

@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from sqglab import spectral
 from sqglab.besov import build_partition
 from sqglab.sampling import random_mean_zero_field
 from sqglab.spectral import FrequencyLattice
@@ -32,3 +35,22 @@ def field_pair(lattice32):
     f = random_mean_zero_field(lattice32, rng, decay=1.0)
     g = random_mean_zero_field(lattice32, rng, decay=1.0)
     return f, g
+
+
+@pytest.fixture
+def transform_sizes(monkeypatch):
+    """The largest axis of every array the pocketfft binding transforms, one
+    entry per call, while the test runs."""
+    binding = spectral._pocketfft
+    sizes = []
+
+    def counted(transform):
+        def run(a, *args):
+            sizes.append(max(a.shape))
+            return transform(a, *args)
+
+        return run
+
+    monkeypatch.setattr(spectral, "_pocketfft", SimpleNamespace(
+        c2c=counted(binding.c2c), r2c=counted(binding.r2c), c2r=counted(binding.c2r)))
+    return sizes

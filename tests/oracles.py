@@ -5,6 +5,23 @@ import numpy as np
 from sqglab.profiles import SmoothStep
 
 
+def physical(field):
+    """Literal full-lattice synthesis: the complex samples of ``field`` on its
+    ``m x m`` grid, the sum of ``c(k) exp(i x.xi)`` over every mode."""
+    return np.fft.ifft2(field.coeffs, norm="forward")
+
+
+def physical_real(field):
+    """Real part of :func:`physical`, refusing an imaginary part above 1e-10
+    of the samples' largest modulus."""
+    p = physical(field)
+    scale = np.max(np.abs(p)) or 1.0
+    imag = np.max(np.abs(p.imag))
+    if imag > 1e-10 * scale:
+        raise ValueError(f"field is not real: max imag {imag:.3e} vs scale {scale:.3e}")
+    return p.real
+
+
 def physical_coordinates(lattice):
     """Physical sample points ``(x1, x2)`` of the ``m x m`` grid, each ``(m, m)``."""
     x = lattice.dx * np.arange(lattice.m)

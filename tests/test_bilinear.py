@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import hermitian_defect, physical_coordinates
+from oracles import hermitian_defect, physical_coordinates, physical_real
 from sqglab import bilinear
 from sqglab.bilinear import (
     QUADRATURE_SIZE_LIMIT,
@@ -52,7 +52,7 @@ def test_closed_form_velocity(lattice32):
     theta = SpectralField.cosine(lattice32, (4, 0))
     u = riesz_velocity(theta)
     x1 = physical_coordinates(lattice32)[0]
-    u1, u2 = (SpectralField(lattice32, c).physical_real() for c in u.coeffs)
+    u1, u2 = (physical_real(SpectralField(lattice32, c)) for c in u.coeffs)
     assert np.max(np.abs(u1)) <= 1e-13
     assert np.max(np.abs(u2 + np.sin(x1))) <= 1e-13
 
@@ -102,7 +102,7 @@ def test_output_is_mean_zero_and_real(lattice32):
     assert out.mean_coefficient() == 0.0
     scale = np.max(np.abs(out.coeffs))
     assert hermitian_defect(out) <= 1e-13 * scale
-    out.physical_real()  # must not raise
+    physical_real(out)  # must not raise
 
 
 def test_quadrature_size_limit():

@@ -1,11 +1,14 @@
 """Probing the second iterate: splits, floors, inflation profiles."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from sqglab.besov import build_partition, build_probe, lp_norm, lq_aggregate
+from oracles import physical
+from sqglab import besov
+from sqglab.besov import ProbeFunction, build_partition, build_probe, lp_norm, lq_aggregate
 from sqglab.bilinear import quadratic_diagonal
 from sqglab.diagnostics import (
     inflation_profile,
@@ -57,7 +60,7 @@ def complex_route_profile(theta2, partition, shells):
     out = []
     for j in shells:
         piece = SpectralField(theta2.lattice, theta2.coeffs * partition.ring_values(j))
-        out.append((j, 2.0 ** (-j) * float(np.max(np.abs(piece.physical())))))
+        out.append((j, 2.0 ** (-j) * float(np.max(np.abs(physical(piece))))))
     return out
 
 
@@ -139,10 +142,80 @@ def test_inflation_profile_entries_and_aggregates():
     assert all(v > 0 for v in values)
     # recompute one entry by hand: probe projection, weighted L4 norm
     probe = build_probe(lat, 0, gap=spec.probe_gap)
-    piece = probe.project(theta2)
-    want = lp_norm(np.abs(piece.physical()), 4.0, lat.quadrature_weight)
+    cx, cy = probe.center
+    symbol = probe.symbol(np.hypot(lat.xi1 - cx, lat.xi2 - cy))
+    piece = SpectralField(lat, theta2.coeffs * symbol)
+    want = lp_norm(np.abs(physical(piece)), 4.0, lat.dx ** 2)
     assert values[0] == pytest.approx(want, rel=1e-12)  # 2**(-0/2) = 1
 
     l1, l2, sup = (lq_aggregate(values, q) for q in (1.0, 2.0, math.inf))
     assert l1 >= l2 >= sup == max(values)
 
+
+
+@pytest.fixture(scope="module")
+def desk_step3():
+    """illpose-step3's inflation leg at m=256, h_xi=1/16 and block counts
+    [2, 4]: only 2 blocks fit, at carrier 2, and theta2 is built as the
+    pipeline builds it."""
+    lat = FrequencyLattice(m=256, h_xi=1.0 / 16.0)
+    partition = build_partition(lat)
+    spec = ForceSpec(variant="blocks", delta=0.01, size=2, block_range=(1, 2),
+                     exponents=ExponentMap.affine(2, -4), carrier_exponent=2,
+                     stride=lat.box_length / 4.0)
+    forcing = translated_block_force(lat, spec, partition)[1]
+    return lat, partition, spec, -quadratic_diagonal(inverse_laplacian(forcing))
+
+
+@pytest.mark.parametrize("gap, feasible", [(3, [-2, 0, 2]), (4, [0, 2])])
+def test_probe_boxes_match_the_full_lattice(desk_step3, gap, feasible):
+    # the shells -2, 0, 2 and 4 of block counts 2 and 4; a shell is
+    # feasible exactly when the closed form touches a lattice mode
+    lat, partition, spec, theta2 = desk_step3
+    seen = []
+    for n in range(1, 5):
+        shell = spec.exponents(n)
+        probe = ProbeFunction(lat, shell, gap=gap)
+        cx, cy = probe.center
+        full = probe.symbol(np.hypot(lat.xi1 - cx, lat.xi2 - cy))
+        if not full.any():
+            with pytest.raises(ValueError, match="empty support"):
+                build_probe(lat, shell, gap=gap)
+            continue
+        seen.append(shell)
+        rows, cols, values = build_probe(lat, shell, gap=gap).box
+        assert np.count_nonzero(values) == np.count_nonzero(full)
+        on_box = np.zeros_like(full)
+        on_box[np.ix_(rows, cols)] = values
+        assert np.array_equal(on_box, full)
+        single = replace(spec, block_range=(n, n), probe_gap=gap)
+        [(_, _, got)] = inflation_profile(theta2, single, partition)
+        piece = SpectralField(lat, theta2.coeffs * full)
+        want = 2.0 ** (-0.5 * shell) * lp_norm(np.abs(physical(piece)), 4.0, lat.dx ** 2)
+        assert want > 0.0
+        assert abs(got - want) <= 1e-13 * want
+    assert seen == feasible
+
+
+def test_probes_run_no_lattice_sized_transform(desk_step3, transform_sizes, monkeypatch):
+    lat, partition, spec, theta2 = desk_step3
+    spec = replace(spec, block_range=(1, 3))  # shells -2, 0 and 2
+    points = []
+    profile = besov._STEP
+
+    def step(r):
+        points.append(np.size(r))
+        return profile(r)
+
+    step.t0, step.t1 = profile.t0, profile.t1
+    monkeypatch.setattr(besov, "_STEP", step)
+    probes = [build_probe(lat, shell, gap=spec.probe_gap) for shell in spec.block_shells()]
+    boxes = sum(len(p.box[0]) * len(p.box[1]) for p in probes)
+    assert transform_sizes == []
+    assert sum(points) <= boxes < 1e-2 * lat.m**2
+    points.clear()
+    inflation_profile(theta2, spec, partition)
+    # one complex transform per probe, on a grid below the lattice's
+    assert len(transform_sizes) == len(probes)
+    assert max(transform_sizes) < lat.m
+    assert sum(points) <= boxes

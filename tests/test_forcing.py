@@ -1,16 +1,20 @@
 """Forcing families: envelopes, modulation, lacunary sums, stride calibration."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oracles import hermitian_defect, physical_coordinates
+from oracles import hermitian_defect, physical, physical_coordinates, physical_real
+from sqglab import forcing
+from sqglab.besov import build_partition, lp_norm
 from sqglab.forcing import (
     ExponentMap,
     ForceSpec,
     block_envelope,
     calibrate_stride,
+    envelope_l4_norm,
     lacunary_force,
     modulated_bump_force,
     shared_annulus_modes,
@@ -182,7 +186,7 @@ def test_modulated_bump_support_and_amplitude(lattice128):
     k = int(round(8.0 / lattice128.h_xi))
     assert f.coeffs[k, 0] == pytest.approx(0.5 * 0.01 * 2.0**7.5, rel=1e-15)
     assert hermitian_defect(f) == 0.0
-    f.physical_real()
+    physical_real(f)
     with pytest.raises(ValueError, match="expected a bump spec"):
         modulated_bump_force(
             lattice128, ForceSpec(variant="lacunary", block_range=(1, 2))
@@ -286,8 +290,8 @@ def test_modulation_is_exact_cosine(lattice128, partition128):
     envelope, forcing = translated_block_force(lattice128, spec, partition128)
     amp = 0.01 * 2.0 ** (2.5 * 3) / (2.0**0.25 * math.log(2.0))
     x1 = physical_coordinates(lattice128)[0]
-    want = amp * envelope.physical_real() * np.cos(8.0 * x1)
-    got = forcing.physical_real()
+    want = amp * physical_real(envelope) * np.cos(8.0 * x1)
+    got = physical_real(forcing)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert forcing.mean_coefficient() == 0.0
 
@@ -295,12 +299,11 @@ def test_modulation_is_exact_cosine(lattice128, partition128):
 def test_calibrated_stride_is_two_sided():
     # shell-0 blocks are too wide for the m=128 box (the search correctly
     # reports that); shell-2 blocks on a 256 lattice do separate
-    from sqglab.besov import build_partition
     from sqglab.spectral import SpectralField
 
     lat = FrequencyLattice(m=256, h_xi=0.25)
     part = build_partition(lat)
-    area = lat.quadrature_weight
+    area = lat.dx ** 2
 
     def spec_at(stride=None):
         return ForceSpec(
@@ -316,12 +319,12 @@ def test_calibrated_stride_is_two_sided():
 
     def l4_mass(spec):
         env = block_envelope(lat, spec, part)
-        return float(area * np.sum(np.abs(env.physical()) ** 4))
+        return float(area * np.sum(np.abs(physical(env)) ** 4))
 
     # target: what perfectly separated blocks would add up to
     ring = part.ring_values(2).astype(np.complex128)
     block = SpectralField(lat, 2.0 ** (-1.5 * 2) * ring)
-    target = 2.0 * float(area * np.sum(np.abs(block.physical()) ** 4))
+    target = 2.0 * float(area * np.sum(np.abs(physical(block)) ** 4))
 
     stride = calibrate_stride(lat, spec_at(), part)
     assert abs(l4_mass(spec_at(stride)) - target) <= 0.05 * target
@@ -334,8 +337,6 @@ def test_calibrate_stride_measures_blocks_as_the_envelope_builds_them():
     # on the L4 leg's lattice the shell-7 ring reaches the unpaired k = -m/2
     # edge, which the envelope strips: a target that kept it would differ
     # from the one block's own mass by 21% and no stride would pass
-    from sqglab.besov import build_partition
-
     lat = FrequencyLattice(m=1024, h_xi=0.125)
     part = build_partition(lat)
     assert part.ring_extent(7) == lat.m // 2
@@ -356,3 +357,48 @@ def test_calibrate_stride_rejects_wrong_variant(lattice128, partition128):
         calibrate_stride(
             lattice128, ForceSpec(variant="bump", size=3), partition128
         )
+
+
+@pytest.fixture(scope="module")
+def l4_leg():
+    """The lattice and partition of illpose-step3's L4 leg."""
+    lat = FrequencyLattice(m=1024, h_xi=0.125)
+    return lat, build_partition(lat)
+
+
+def l4_spec(count):
+    return ForceSpec(variant="blocks", size=count, block_range=(1, count),
+                     exponents=ExponentMap.affine(2, 0), equal_shell=3)
+
+
+@pytest.mark.parametrize("count", [2, 4, 8])
+def test_envelope_l4_norm_matches_the_full_lattice(l4_leg, count):
+    lat, part = l4_leg
+    stride = calibrate_stride(lat, l4_spec(count), part)
+    assert stride == math.pi / 2.0
+    spec = replace(l4_spec(count), stride=stride)
+    got = envelope_l4_norm(lat, spec, part)
+    want = lp_norm(physical_real(block_envelope(lat, spec, part)), 4.0, lat.dx ** 2)
+    assert abs(got - want) <= 1e-13 * want
+
+
+def test_calibrate_stride_runs_no_lattice_sized_transform(transform_sizes, monkeypatch):
+    # four shell-2 blocks at m=256: the target is one lone block's mass,
+    # evaluated once for the one distinct shell, and every mass is summed
+    # with one transform below m
+    lat = FrequencyLattice(m=256, h_xi=0.25)
+    part = build_partition(lat)
+    spec = ForceSpec(variant="blocks", size=4, block_range=(1, 4),
+                     exponents=ExponentMap.affine(2, -4), equal_shell=2)
+    calls = []
+
+    def counted(lattice, spec, partition):
+        calls.append(spec)
+        return envelope_l4_norm(lattice, spec, partition)
+
+    monkeypatch.setattr(forcing, "envelope_l4_norm", counted)
+    stride = calibrate_stride(lat, spec, part)
+    assert [s.block_range for s in calls] == [(1, 1)] + [(1, 4)] * (len(calls) - 1)
+    assert calls[-1].stride == stride
+    assert len(transform_sizes) == len(calls)
+    assert max(transform_sizes) < lat.m
