@@ -199,7 +199,7 @@ def fft_workers(n):
 
 
 @pytest.mark.parametrize("rank", [0, 1, 2])
-def test_ifft2_is_bitwise_scipy_ifft2(rank):
+def test_physical_is_bitwise_scipy_ifft2(rank):
     rng = np.random.default_rng(rank)
     shape = (2,) * rank + (32, 32)
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
