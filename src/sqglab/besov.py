@@ -31,6 +31,7 @@ from .spectral import (
     _check_real,
     _half_synthesis,
     _ifft2,
+    _mirror_slices,
     _occupied_columns,
 )
 
@@ -115,18 +116,18 @@ class DyadicPartition:
         The ring is radial, so this one quadrant holds every lattice value:
         mode ``(k1, k2)`` reads ``Q[|k1|, |k2|]``, the unpaired ``k = -m/2``
         edge as ``|k| = m/2``, and modes outside the box read 0.  The step
-        is evaluated on indices up to ``min(m/2, floor(t1 2**j / h_xi) + 1)``,
-        past which the ring vanishes, and cropped to its live extent ``K_j``.
-        Values are bitwise those of the full-lattice evaluation, since
-        ``hypot`` ignores signs.
+        is evaluated on the lattice's radius quadrant up to index
+        ``min(m/2, floor(t1 2**j / h_xi) + 1)``, past which the ring
+        vanishes, and cropped to its live extent ``K_j``.  Values are
+        bitwise those of the full-lattice evaluation, since ``hypot``
+        ignores signs.
         """
         cached = self._quadrants.get(j)
         if cached is not None:
             return cached
         lat = self.lattice
         top = min(lat.m // 2, math.floor(_STEP.t1 * 2.0**j / lat.h_xi) + 1)
-        xi = lat.h_xi * np.arange(top + 1, dtype=np.int64)
-        r = np.hypot(xi[:, None], xi[None, :])
+        r = lat.radius_quadrant[: top + 1, : top + 1]
         vals = _STEP(r * 2.0 ** (-j)) - _STEP(r * 2.0 ** (1 - j))
         # symmetric in (a, b), so the live rows give the extent on both axes
         extent = int(np.flatnonzero(vals.any(axis=1)).max(initial=0))
@@ -255,17 +256,6 @@ def _unfold_quadrant(quadrant: np.ndarray, m: int) -> np.ndarray:
         for dst2, src2 in pieces:
             out[dst1, dst2] = quadrant[src1, src2]
     return out
-
-
-def _mirror_slices(extent: int, n: int) -> list[tuple[slice, slice]]:
-    """``(destination, quadrant)`` slice pairs covering one axis of an ``n``-point
-    FFT layout with ``|k| <= extent``: ``k >= 0`` reads ``Q[:h]``, ``k < 0``
-    reads ``Q[h-1:0:-1]``, and the ``k = -n/2`` slot ``Q[n/2]``, if in reach."""
-    h = min(extent + 1, n // 2)
-    pieces = [(slice(0, h), slice(0, h)), (slice(n - h + 1, n), slice(h - 1, 0, -1))]
-    if extent == n // 2:
-        pieces.append((slice(h, h + 1), slice(h, h + 1)))
-    return pieces
 
 
 def _ring_box(c: np.ndarray, quadrant: np.ndarray, grid: int) -> np.ndarray:

@@ -28,11 +28,18 @@ synthesis and each analysis is two 1-D transform passes.  A synthesis's
 column pass runs only over the columns the input occupies (up to 1 + its
 largest k2 with a non-zero coefficient, at most m/2), which for a field
 narrow in k2, such as a modulated bump, is a few of the m/2; an analysis
-keeps all m/2.  At its peak the kernel holds
-three arrays of the padded size for the diagonal form (theta, the flux
-being formed, and the padded half feeding a transform or the transform's
-output) and five for the block form (f, g, the flux, one velocity
-component and its padded half).
+keeps all m/2.  Every transform runs in place in its padded half-spectrum
+buffer, of shape (3m/2, 3m/4 + 1) complex: the column pass down the live
+columns, then the real pass, which writes each row's 3m/2 samples over
+the first half of that row's doubles (the in-place real-transform layout
+of FFTW and pocketfft).  The flux is analysed back into the same buffer,
+and the contraction reads the lattice's rows straight from it.  At its
+peak the kernel therefore holds two arrays of the padded size for the
+diagonal form (theta and the flux) and four for the block form (f, g,
+the flux and one velocity factor), besides (m, m/2) arrays: the
+accumulator and one velocity symbol.  The radial factors come from the
+lattice's radius quadrant a row block at a time and the coordinate
+factors from its 1-D frequency axis, so no m x m symbol is made.
 Both fast forms take real fields only: a complex input raises
 ``ValueError``.
 
@@ -54,8 +61,11 @@ from .spectral import (
     _analysed_half,
     _checked,
     _check_real,
+    _half_synthesis,
     _hermitian_from_half,
     _occupied_columns,
+    _padded_half,
+    _padded_rows,
     _reciprocal,
     _real_synthesis,
     riesz_velocity,
@@ -181,9 +191,11 @@ def _transport(fc: np.ndarray, gc: np.ndarray | None, lattice: FrequencyLattice)
     in physical space in an order that makes the result bitwise symmetric
     in f and g.  Transforms: 3 syntheses + 2 analyses for the diagonal,
     6 + 2 for the block form, each two 1-D passes; a synthesis copies and
-    transforms only the columns its factor occupies.
-    Each flux array is freed before the next one is made.  Non-finite
-    values are left to the caller's check.
+    transforms only the columns its factor occupies.  Every transform
+    runs in place in its padded half-spectrum buffer, the flux's analysis
+    included, and the contraction is accumulated straight from that
+    buffer's lattice rows.  Each flux buffer is freed before the next one
+    is made.  Non-finite values are left to the caller's check.
     """
     diagonal = gc is None
     if diagonal:
@@ -191,30 +203,41 @@ def _transport(fc: np.ndarray, gc: np.ndarray | None, lattice: FrequencyLattice)
     m = lattice.m
     h = m // 2
     grid = 3 * h
-    xi = (lattice.xi1[:, :h], lattice.xi2[:, :h])
-    r = lattice.radius[:, :h]
-    lift = 1j * _reciprocal(r)
-    inv_r_sq = _reciprocal(r * r)
+    xi = lattice.xi_axis
+    r = lattice.radius_quadrant[:, :h]  # |xi| at (|k1|, k2), k2 < m/2
+    rows = _padded_rows(m, grid)
     # zero columns k2 >= w of a factor are neither copied nor transformed
     wf = _occupied_columns(fc, h)
     wg = wf if diagonal else _occupied_columns(gc, h)
+    w = max(wf, wg)
     fp = _real_synthesis(fc, grid, cols=wf)
     gp = fp if diagonal else _real_synthesis(gc, grid, cols=wg)
     acc = np.zeros((m, h), dtype=np.complex128)
     # Riesz velocity (-xi_2, xi_1) i / |xi|; component k of the flux is
-    # contracted with xi_k / |xi|^2 (the i goes on at the end)
-    for k, velocity in ((0, -xi[1]), (1, xi[0])):
-        symbol = lift * velocity
-        flux = _real_synthesis(gc, grid, symbol, wg)
+    # contracted with xi_k / |xi|^2 (the i goes on at the end).  The
+    # radial factors are taken from the quadrant a row block at a time.
+    for xi_k, velocity in ((xi[:, None], -xi[None, :h]), (xi[None, :h], xi[:, None])):
+        velocity = np.broadcast_to(velocity, (m, h))
+        xi_k = np.broadcast_to(xi_k, (m, h))
+        symbol = np.empty((m, w), dtype=np.complex128)  # row m/2 is not read
+        for lat, _, quad in rows:
+            np.multiply(1j * _reciprocal(r[quad, :w]), velocity[lat, :w], out=symbol[lat])
+        buf = _padded_half(gc, grid, symbol, wg)
+        flux = _half_synthesis(buf, wg)
         flux *= fp
         if not diagonal:
             u = _real_synthesis(fc, grid, symbol, wf)
             u *= gp
             flux += u
             del u
-        del symbol
-        acc += (xi[k] * inv_r_sq) * _analysed_half(flux, m)
-        del flux
+        del symbol, flux
+        cols = _analysed_half(buf, m)
+        for lat, sub, quad in rows:
+            rq = r[quad]
+            np.multiply(xi_k[lat] * _reciprocal(rq * rq), cols[sub], out=cols[sub])
+            acc[lat] += cols[sub]
+        del cols, buf
+    del fp, gp
     acc *= 1j if diagonal else 0.5j
     return _hermitian_from_half(acc)
 

@@ -323,10 +323,10 @@ def lacunary_force(lattice: FrequencyLattice, spec: ForceSpec) -> SpectralField:
 def _translate_coeffs(coeffs: np.ndarray, lattice: FrequencyLattice, shift: float) -> np.ndarray:
     """Coefficients of f(. - shift e1): phase twist exp(-i xi1 shift).
 
-    The phase depends on k1 alone, so it is one (m, 1) column broadcast
-    along axis 1.
+    The phase depends on k1 alone, so it is one (m, 1) column of the
+    lattice's frequency axis, broadcast along axis 1.
     """
-    return coeffs * np.exp(-1j * lattice.xi1[:, :1] * shift)
+    return coeffs * np.exp(-1j * lattice.xi_axis[:, None] * shift)
 
 
 def _check_translations(lattice: FrequencyLattice, stride: float, exps: list[int]) -> None:
@@ -381,21 +381,32 @@ def _carrier_shift_indices(lattice: FrequencyLattice, carrier_exponent: int) -> 
     return int(round(steps))
 
 
-def _shift_spectrum(coeffs: np.ndarray, steps: int) -> np.ndarray:
-    """Relocate the whole spectrum by ``steps`` lattice cells along axis 0.
+def _carrier_pair(coeffs: np.ndarray, steps: int) -> np.ndarray:
+    """The spectrum relocated by ``steps`` lattice cells along axis 0 plus
+    the spectrum relocated by ``-steps``, as one new array.
 
-    Plane shift with zero fill (no wrap): frequencies pushed past the box
+    Plane shifts with zero fill (no wrap): frequencies pushed past the box
     edge are dropped, which the force-spec validation has already ruled
-    out for admissible parameters.
+    out for admissible parameters.  Both relocations are added into one
+    zero array in FFT row order, a run of rows at a time, so no shifted
+    copy of the lattice is made.  The result is bitwise the sum of the two
+    separately shifted arrays, up to the sign of a zero where both land a
+    negative zero; an envelope, built by sums into zeros, holds none.
     """
-    m = coeffs.shape[-1]
-    centered = np.fft.fftshift(coeffs)
-    out = np.zeros_like(centered)
-    if steps >= 0:
-        out[steps:, :] = centered[: m - steps, :]
-    else:
-        out[:steps, :] = centered[-steps:, :]
-    return np.fft.ifftshift(out)
+    m = coeffs.shape[-2]
+    h = m // 2
+    out = np.zeros_like(coeffs)
+    for shift in (steps, -steps):
+        # source rows k in [lo, hi) land on k + shift; split the run where
+        # k or k + shift changes sign, so each piece is one slice per side
+        lo, hi = max(-h, -h - shift), min(h, h - shift)
+        if lo >= hi:
+            continue
+        cuts = sorted({lo, hi} | {c for c in (0, -shift) if lo < c < hi})
+        for a, b in zip(cuts, cuts[1:]):
+            src, dst = a % m, (a + shift) % m
+            out[dst : dst + b - a] += coeffs[src : src + b - a]
+    return out
 
 
 def translated_block_force(
@@ -414,11 +425,9 @@ def translated_block_force(
     envelope = block_envelope(lattice, spec, partition)
     c = spec.carrier
     amp = spec.delta * 2.0 ** (2.5 * c) / (spec.size**0.25 * math.log(spec.size))
-    steps = _carrier_shift_indices(lattice, c)
-    shifted = _shift_spectrum(envelope.coeffs, steps) + _shift_spectrum(
-        envelope.coeffs, -steps
-    )
-    forcing = SpectralField(lattice, strip_unpaired_edge(0.5 * amp * shifted))
+    shifted = _carrier_pair(envelope.coeffs, _carrier_shift_indices(lattice, c))
+    shifted *= 0.5 * amp
+    forcing = SpectralField._adopt(lattice, strip_unpaired_edge(shifted))
     return envelope, forcing
 
 

@@ -514,20 +514,28 @@ def _run_illpose_step2(cfg: ExperimentConfig) -> ExperimentReport:
               "delta": delta, "term_range": [k_lo, k_hi],
               "exponent_map": spec.exponents.describe(), "seed": cfg["seed"]}
 
+    # Each m x m field is dropped after its last use, so at most three are
+    # held at once (tests/test_memory.py): f serves its data norms and then
+    # theta2, the delta/2 forcing only its own form, theta2_half only the
+    # homogeneity check.
     f = lacunary_force(lattice, spec)
-    f_half = lacunary_force(lattice, replace(spec, delta=delta / 2.0))
-    theta1 = inverse_laplacian(f)
-    theta2 = -quadratic_diagonal(theta1)
-    theta2_half = -quadratic_diagonal(inverse_laplacian(f_half))
-    homogeneity = float(np.abs(theta2_half.coeffs * 4.0 - theta2.coeffs).max())
-    scale2 = float(np.abs(theta2.coeffs).max())
-    homogeneity = homogeneity / scale2 if scale2 else 0.0
-
-    overlap = shared_annulus_modes(lattice, spec.block_exponents())
     # both data norms aggregate one profile: s = 2/p - 3 does not depend on q
     data_index = BesovIndex.data_index(4.0, 2.0)
     shells = besov_profile(f, data_index.s, data_index.p, partition)
     norm_rows = [(q, lq_aggregate(shells, q)) for q in (2.0, 4.0)]
+    theta2 = -quadratic_diagonal(inverse_laplacian(f))
+    del f
+    theta2_half = -quadratic_diagonal(
+        inverse_laplacian(lacunary_force(lattice, replace(spec, delta=delta / 2.0))))
+    defect = theta2_half.coeffs * 4.0
+    del theta2_half
+    defect -= theta2.coeffs
+    homogeneity = float(np.abs(defect).max())
+    del defect
+    scale2 = float(np.abs(theta2.coeffs).max())
+    homogeneity = homogeneity / scale2 if scale2 else 0.0
+
+    overlap = shared_annulus_modes(lattice, spec.block_exponents())
     profile = low_frequency_profile(theta2, partition)
     floor = max((value for _, value in profile), default=0.0)
 

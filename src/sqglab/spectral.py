@@ -148,6 +148,29 @@ class FrequencyLattice:
         return np.broadcast_to(k[None, :], (self.m, self.m))
 
     @cached_property
+    def xi_axis(self) -> np.ndarray:
+        """Frequencies ``h_xi * k`` of one axis, FFT order, shape (m,).
+
+        Every coordinate symbol's values, bitwise: ``xi1[k1, k2]`` is
+        ``xi_axis[k1]`` and ``xi2[k1, k2]`` is ``xi_axis[k2]``.
+        """
+        return self.h_xi * self.k1[:, 0]
+
+    @cached_property
+    def radius_quadrant(self) -> np.ndarray:
+        """``|xi|`` on the quadrant ``R[a, b] = hypot(h_xi a, h_xi b)``,
+        ``0 <= a, b <= m/2`` (read-only, shape (m/2 + 1, m/2 + 1)).
+
+        Mode ``(k1, k2)`` reads ``R[|k1|, |k2|]``, bitwise :attr:`radius`,
+        since ``hypot`` ignores signs.  A quarter of the lattice's size;
+        radial symbols are applied from it through :func:`_mirror_slices`.
+        """
+        xi = self.h_xi * np.arange(self.m // 2 + 1, dtype=np.int64)
+        r = np.hypot(xi[:, None], xi[None, :])
+        r.flags.writeable = False
+        return r
+
+    @cached_property
     def xi1(self) -> np.ndarray:
         return self.h_xi * self.k1
 
@@ -175,7 +198,7 @@ def _ball_box(
     of ``centre`` on that axis, and the offset radius ``|xi - centre|`` on
     that box, bitwise as on the whole lattice: a symbol of the offset radius
     that vanishes from ``radius`` on is zero off the box."""
-    xi = lattice.h_xi * lattice.k1[:, 0]
+    xi = lattice.xi_axis
     c1, c2 = centre
     rows = np.flatnonzero(np.abs(xi - c1) < radius)
     cols = np.flatnonzero(np.abs(xi - c2) < radius)
@@ -328,15 +351,41 @@ def _checked(lattice: FrequencyLattice, out: np.ndarray, operator: str) -> Spect
     return SpectralField._adopt(lattice, out)
 
 
+def _mirror_slices(extent: int, n: int) -> list[tuple[slice, slice]]:
+    """``(destination, quadrant)`` slice pairs covering one axis of an ``n``-point
+    FFT layout with ``|k| <= extent``: ``k >= 0`` reads ``Q[:h]``, ``k < 0``
+    reads ``Q[h-1:0:-1]``, and the ``k = -n/2`` slot ``Q[n/2]``, if in reach."""
+    h = min(extent + 1, n // 2)
+    pieces = [(slice(0, h), slice(0, h)), (slice(n - h + 1, n), slice(h - 1, 0, -1))]
+    if extent == n // 2:
+        pieces.append((slice(h, h + 1), slice(h, h + 1)))
+    return pieces
+
+
+def _radial_multiply(symbol: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """``symbol * c`` for a radial symbol given on the whole quadrant
+    (shape (m/2 + 1, m/2 + 1), as :attr:`FrequencyLattice.radius_quadrant`)
+    and coefficients ``c`` (..., m, m): each mode reads the quadrant at
+    ``(|k1|, |k2|)`` through mirrored slices, so no m x m symbol is made.
+    Bitwise the product with the unfolded symbol."""
+    out = np.empty_like(c)
+    pieces = _mirror_slices(symbol.shape[0] - 1, c.shape[-1])
+    for dst1, src1 in pieces:
+        for dst2, src2 in pieces:
+            np.multiply(symbol[src1, src2], c[..., dst1, dst2], out=out[..., dst1, dst2])
+    return out
+
+
 def inverse_laplacian(field: SpectralField) -> SpectralField:
     """Coefficientwise division by |xi|^2, zero mode annihilated."""
-    r = field.lattice.radius
-    return _checked(field.lattice, _reciprocal(r * r) * field.coeffs, "inverse_laplacian")
+    r = field.lattice.radius_quadrant
+    out = _radial_multiply(_reciprocal(r * r), field.coeffs)
+    return _checked(field.lattice, out, "inverse_laplacian")
 
 
 def neg_laplacian(field: SpectralField) -> SpectralField:
-    r = field.lattice.radius
-    return _checked(field.lattice, (r * r) * field.coeffs, "neg_laplacian")
+    r = field.lattice.radius_quadrant
+    return _checked(field.lattice, _radial_multiply(r * r, field.coeffs), "neg_laplacian")
 
 
 def riesz_velocity(theta: SpectralField) -> SpectralField:
@@ -479,22 +528,34 @@ def _occupied_columns(c: np.ndarray, width: int) -> int:
     return 0
 
 
+def _padded_rows(m: int, grid: int) -> tuple[tuple[slice, slice, slice], ...]:
+    """``(lattice rows, grid rows, quadrant rows)`` of the two row blocks a
+    lattice of ``m`` modes shares with a ``grid``-point transform, in FFT
+    order: k1 = 0 .. m/2 - 1, then k1 = -(m/2 - 1) .. -1, whose ``|k1|``
+    are the quadrant rows.  The unpaired k1 = -m/2 row is in neither."""
+    h = m // 2
+    return (
+        (slice(0, h), slice(0, h), slice(0, h)),
+        (slice(h + 1, m), slice(grid - h + 1, grid), slice(h - 1, 0, -1)),
+    )
+
+
 def _padded_half(
     c: np.ndarray, grid: int, symbol: np.ndarray | None = None, cols: int | None = None
 ) -> np.ndarray:
     """The k2 >= 0 half of ``c``, zero-padded for a ``grid x grid`` real transform.
 
     ``c`` is in the (..., m, m) FFT layout; the result has shape
-    (..., grid, grid/2 + 1).  With ``symbol``, the (m, m/2) k2 >= 0 half of
-    a lattice symbol, each coefficient is multiplied by it during the copy.
-    Only the first ``cols`` columns (default m/2) are copied, the rest left
-    zero; the unpaired k = -m/2 row and column are left out.
+    (..., grid, grid/2 + 1).  With ``symbol``, the k2 >= 0 half of a
+    lattice symbol, shape (m, w) for some w >= ``cols`` (its row m/2 is not
+    read), each coefficient is multiplied by it during the copy.  Only the
+    first ``cols`` columns (default m/2) are copied, the rest left zero;
+    the unpaired k = -m/2 row and column are left out.
     """
     m = c.shape[-1]
-    h = m // 2
-    w = h if cols is None else cols
+    w = m // 2 if cols is None else cols
     half = np.zeros(c.shape[:-2] + (grid, grid // 2 + 1), dtype=np.complex128)
-    for src, dst in ((slice(0, h), slice(0, h)), (slice(h + 1, m), slice(grid - h + 1, grid))):
+    for src, dst, _ in _padded_rows(m, grid):
         if symbol is None:
             half[..., dst, :w] = c[..., src, :w]
         else:
@@ -507,66 +568,75 @@ def _real_synthesis(
 ) -> np.ndarray:
     """Real samples on a ``grid x grid`` mesh of Hermitian coefficients ``c``
     (times ``symbol``), from their k2 >= 0 half as :func:`_padded_half`
-    lays it out.  ``cols`` is the number of leading columns k2 = 0, 1, ...
-    that may be non-zero, :func:`_occupied_columns` of ``c`` below m/2; the
-    default m/2 takes them all.  Only those are copied and transformed down
-    axis -2, and the result is bitwise the same for any ``cols`` that
-    covers every non-zero column."""
+    lays it out, returned as :func:`_half_synthesis` returns them: a view
+    into that half.  ``cols`` is the number of leading columns k2 = 0, 1,
+    ... that may be non-zero, :func:`_occupied_columns` of ``c`` below
+    m/2; the default m/2 takes them all.  Only those are copied and
+    transformed down axis -2, and the result is bitwise the same for any
+    ``cols`` that covers every non-zero column."""
     live = c.shape[-1] // 2 if cols is None else cols
     return _half_synthesis(_padded_half(c, grid, symbol, live), live)
 
 
 def _half_synthesis(half: np.ndarray, live: int) -> np.ndarray:
-    """Real samples on a ``grid x grid`` mesh from the writable k2 >= 0 half
-    ``half`` (shape (..., grid, grid/2 + 1)) whose columns from ``live`` on
-    are zero.
+    """Real samples on a ``grid x grid`` mesh from the writable, C-contiguous
+    k2 >= 0 half ``half`` (shape (..., grid, grid/2 + 1)) whose columns
+    from ``live`` on are zero, computed in place.
 
     Two 1-D passes, as ``irfft2`` makes them: a complex transform down
-    axis -2 of the live columns only, in place, then real transforms of
-    length ``grid`` along axis -1, which supply the conjugate half.  The
-    result is bitwise ``irfft2`` of ``half``; the columns known to be zero
-    are not transformed, and no complex scratch array of the grid's size
-    is made.  ``half`` is overwritten.
+    axis -2 of the live columns only, then real transforms of length
+    ``grid`` along axis -1, which supply the conjugate half.  Both write
+    into ``half``: the real pass in the in-place layout of FFTW and
+    pocketfft, where row i's ``grid`` samples overwrite the first ``grid``
+    of that row's ``grid + 2`` doubles.  The result is that strided view,
+    ``half.view(float64)[..., :grid]``, and bitwise ``irfft2`` of
+    ``half``; the columns known to be zero are not transformed, and no
+    array of the grid's size is made.  A sum over the samples must be
+    taken over a contiguous array (the view's elementwise powers are
+    one), since numpy sums a strided view in another order.
     """
     cols = half[..., :live]
     _pocketfft.c2c(cols, (-2,), False, _UNSCALED, cols, _FFT_WORKERS)
-    return _pocketfft.c2r(half, (-1,), half.shape[-2], False, _UNSCALED, None, _FFT_WORKERS)
+    grid = half.shape[-2]
+    samples = half.view(np.float64)[..., :grid]
+    return _pocketfft.c2r(half, (-1,), grid, False, _UNSCALED, samples, _FFT_WORKERS)
 
 
-def _analysed_half(samples: np.ndarray, m: int) -> np.ndarray:
-    """The k2 >= 0 half of the coefficients of real samples, on the symmetric box.
+def _analysed_half(half: np.ndarray, m: int) -> np.ndarray:
+    """The k2 = 0 .. m/2 - 1 columns of the coefficients of the real samples
+    held in the real view ``half.view(float64)[..., :grid]`` of the
+    C-contiguous (..., grid, grid/2 + 1) complex buffer ``half``, as
+    :func:`_half_synthesis` leaves them, analysed in place into ``half``.
 
-    The result is the (..., m, m/2) crop of ``rfft2(samples, norm="forward")``
-    in FFT row order (k2 = 0 .. m/2 - 1), with the unpaired k1 = -m/2 row
-    zero, and bitwise equal to it.  It is made in two 1-D passes: real
-    transforms along axis -1, then, on the m/2 kept columns only, the
-    1/grid**2 factor and a complex transform down axis -2, in place.  The
-    factor goes on between the passes because that is where ``rfft2``
-    applies it; a forward-normalised pass on each axis would differ in the
-    last bits.
+    The result is a (..., grid, m/2) view of ``half``: the column crop of
+    ``rfft2(samples, norm="forward")``, every grid row, bitwise equal to
+    it; :func:`_padded_rows` picks the lattice's rows from it.  It is made
+    in two 1-D passes: real transforms along axis -1, written back into
+    ``half`` in the in-place layout, then, on the m/2 kept columns only,
+    the 1/grid**2 factor and a complex transform down axis -2.  The factor
+    goes on between the passes because that is where ``rfft2`` applies
+    it; a forward-normalised pass on each axis would differ in the last
+    bits.
     """
-    grid = samples.shape[-1]
-    h = m // 2
-    spec = _pocketfft.r2c(samples, (-1,), True, _UNSCALED, None, _FFT_WORKERS)
-    cols = spec[..., :h]
+    grid = half.shape[-2]
+    samples = half.view(np.float64)[..., :grid]
+    _pocketfft.r2c(samples, (-1,), True, _UNSCALED, half, _FFT_WORKERS)
+    cols = half[..., : m // 2]
     scaled = cols.view(np.float64)
     scaled *= 1.0 / (grid * grid)
     _pocketfft.c2c(cols, (-2,), True, _UNSCALED, cols, _FFT_WORKERS)
-    half = np.empty(samples.shape[:-2] + (m, h), dtype=np.complex128)
-    half[..., :h, :] = cols[..., :h, :]
-    half[..., h, :] = 0.0
-    half[..., h + 1 :, :] = cols[..., grid - h + 1 :, :]
-    return half
+    return cols
 
 
 def _hermitian_from_half(half: np.ndarray) -> np.ndarray:
     """Exactly Hermitian (..., m, m) coefficients from their k2 >= 0 half.
 
-    ``half`` is laid out as :func:`_analysed_half` returns it.  The k2 < 0
-    half and the k1 < 0 end of the k2 = 0 column are rebuilt from the
-    conjugates ``c(-k)`` and the zero mode is made real, so differences of
-    nearly equal outputs stay real fields instead of showing their rounding
-    as an imaginary part.  The unpaired k = -m/2 row and column are zero.
+    ``half`` has shape (..., m, m/2): the k2 = 0 .. m/2 - 1 columns in FFT
+    row order, its k1 = -m/2 row zero.  The k2 < 0 half and the k1 < 0 end
+    of the k2 = 0 column are rebuilt from the conjugates ``c(-k)`` and the
+    zero mode is made real, so differences of nearly equal outputs stay
+    real fields instead of showing their rounding as an imaginary part.
+    The unpaired k = -m/2 row and column are zero.
     """
     m, h = half.shape[-2:]
     out = np.empty(half.shape[:-2] + (m, m), dtype=np.complex128)

@@ -54,3 +54,16 @@ def probe_symbol_from_rings(probe, xi1, xi2):
     for k in range(probe.j - probe.gap, k_top + 1):
         total = total + (step(rho * 2.0 ** (-k)) - step(rho * 2.0 ** (1 - k)))
     return 1.0 - total
+
+
+def shift_spectrum(coeffs, steps):
+    """Literal relocation of a spectrum by ``steps`` cells along axis 0, zero
+    filled: centre it, shift the rows, and move it back to FFT order."""
+    m = coeffs.shape[-1]
+    centered = np.fft.fftshift(coeffs)
+    out = np.zeros_like(centered)
+    if steps >= 0:
+        out[steps:, :] = centered[: m - steps, :]
+    else:
+        out[:steps, :] = centered[-steps:, :]
+    return np.fft.ifftshift(out)

@@ -6,7 +6,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import hermitian_defect, physical, physical_coordinates, physical_real
+from oracles import (
+    hermitian_defect,
+    physical,
+    physical_coordinates,
+    physical_real,
+    shift_spectrum,
+)
 from sqglab import forcing
 from sqglab.besov import build_partition, lp_norm
 from sqglab.forcing import (
@@ -294,6 +300,23 @@ def test_modulation_is_exact_cosine(lattice128, partition128):
     got = physical_real(forcing)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert forcing.mean_coefficient() == 0.0
+
+
+@pytest.mark.parametrize("m", [8, 32, 128])
+def test_carrier_pair_is_bitwise_the_two_shifted_spectra(m):
+    rng = np.random.default_rng(m)
+    c = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    for steps in (0, 1, 3, m // 4, m // 2 - 1, m // 2, m - 1, m):
+        want = shift_spectrum(c, steps) + shift_spectrum(c, -steps)
+        assert forcing._carrier_pair(c, steps).tobytes() == want.tobytes()
+
+
+def test_translation_phase_is_bitwise_the_lattice_column(lattice128):
+    rng = np.random.default_rng(5)
+    c = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
+    for shift in (0.3, 7.0, -19.5):
+        want = c * np.exp(-1j * lattice128.xi1[:, :1] * shift)
+        assert forcing._translate_coeffs(c, lattice128, shift).tobytes() == want.tobytes()
 
 
 def test_calibrated_stride_is_two_sided():

@@ -15,9 +15,11 @@ from sqglab.spectral import (
     FrequencyLattice,
     SpectralField,
     _analysed_half,
+    _half_synthesis,
     _occupied_columns,
     _padded_half,
     _real_synthesis,
+    _reciprocal,
     dyadic_rescale,
     inverse_laplacian,
     neg_laplacian,
@@ -116,6 +118,29 @@ def test_inverse_laplacian_per_coefficient(lattice32):
     want = np.divide(f.coeffs, rsq, out=np.zeros_like(f.coeffs), where=rsq > 0)
     scale = np.max(np.abs(want))
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+def test_coordinate_axis_and_quadrant_are_the_lattice_arrays_bitwise():
+    lat = FrequencyLattice(m=64, h_xi=0.3)
+    assert np.array_equal(lat.xi_axis, lat.xi1[:, 0])
+    assert np.array_equal(lat.xi_axis, lat.xi2[0, :])
+    q = lat.radius_quadrant
+    assert q.shape == (33, 33) and not q.flags.writeable
+    k = np.abs(lat.k1[:, 0])
+    assert lat.radius.tobytes() == q[np.ix_(k, k)].tobytes()
+
+
+@pytest.mark.parametrize("m", [8, 32, 128])
+@pytest.mark.parametrize("rank", [0, 1])
+def test_laplacians_from_the_quadrant_are_bitwise_the_full_lattice_symbols(m, rank):
+    lat = FrequencyLattice(m=m, h_xi=0.25)
+    rng = np.random.default_rng(m)
+    shape = (2,) * rank + (m, m)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    f = SpectralField(lat, c)
+    r = lat.radius  # the full-lattice symbols are the oracle
+    assert inverse_laplacian(f).coeffs.tobytes() == (_reciprocal(r * r) * c).tobytes()
+    assert neg_laplacian(f).coeffs.tobytes() == ((r * r) * c).tobytes()
 
 
 def test_neg_laplacian_inverts(lattice32):
@@ -249,6 +274,14 @@ def test_real_synthesis_is_bitwise_irfft2(m, padded, with_symbol):
                 assert np.array_equal(_real_synthesis(c, grid, symbol), want)
 
 
+def holding(samples):
+    """A complex buffer in the in-place layout whose real view holds ``samples``."""
+    grid = samples.shape[-1]
+    half = np.empty(samples.shape[:-1] + (grid // 2 + 1,), dtype=np.complex128)
+    half.view(np.float64)[..., :grid] = samples
+    return half
+
+
 @pytest.mark.parametrize("m", [8, 32, 128, 256])
 @pytest.mark.parametrize("padded", [False, True])
 def test_analysed_half_is_bitwise_the_rfft2_crop(m, padded):
@@ -257,16 +290,53 @@ def test_analysed_half_is_bitwise_the_rfft2_crop(m, padded):
     h = m // 2
     for lead in LEADING:
         samples = rng.standard_normal(lead + (grid, grid))
-        zero_row = np.zeros(lead + (1, h))
         for workers in WORKERS:
-            spec = scipy.fft.rfft2(samples, norm="forward", workers=workers)
-            want = np.concatenate(
-                [spec[..., :h, :h], zero_row, spec[..., grid - h + 1 :, :h]], axis=-2
-            )
+            want = scipy.fft.rfft2(samples, norm="forward", workers=workers)[..., :h]
+            half = holding(samples)
             with fft_workers(workers):
-                got = _analysed_half(samples.copy(), m)
-            assert got.shape == lead + (m, h)
+                got = _analysed_half(half, m)
+            assert got.shape == lead + (grid, h)
+            assert np.shares_memory(got, half)
             assert np.array_equal(got, want)
+
+
+# Padded grids of m = 32, 128 and 256, in the in-place layout: a
+# (..., grid, grid/2 + 1) complex buffer whose real view holds the samples.
+
+
+@pytest.mark.parametrize("grid", [48, 192, 384])
+def test_in_place_synthesis_is_bitwise_irfft2(grid):
+    rng = np.random.default_rng(grid)
+    shape = (2, grid, grid // 2 + 1)  # a leading stack axis, every column live
+    half = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    for workers in (1, 2):
+        want = scipy.fft.irfft2(half, s=(grid, grid), norm="forward", workers=workers)
+        buf = half.copy()
+        with fft_workers(workers):
+            got = _half_synthesis(buf, grid // 2 + 1)
+        assert np.shares_memory(got, buf)
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("grid", [48, 192, 384])
+def test_synthesis_then_analysis_in_one_buffer(grid):
+    """The kernel's round trip: synthesize, scale the samples in place and
+    analyse them back, the rows' two spare doubles left as the synthesis
+    left them."""
+    m = 2 * grid // 3
+    lat = FrequencyLattice(m=m, h_xi=0.25)
+    c = random_mean_zero_field(lat, np.random.default_rng(grid)).coeffs
+    for workers in (1, 2):
+        want = scipy.fft.irfft2(_padded_half(c, grid), s=(grid, grid), norm="forward",
+                                workers=workers)
+        with fft_workers(workers):
+            half = _padded_half(c, grid)
+            samples = _half_synthesis(half, m // 2)
+            assert np.array_equal(samples, want)
+            samples *= 3.0
+            got = _analysed_half(half, m)
+        want = scipy.fft.rfft2(3.0 * want, norm="forward", workers=workers)
+        assert np.array_equal(got, want[..., : m // 2])
 
 
 def column_field(m, columns, seed):
