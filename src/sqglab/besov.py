@@ -10,8 +10,9 @@ collapse to two step evaluations, which is what the partition-of-unity and
 lattice-coverage checks lean on.
 
 Norms follow the homogeneous convention: the zero mode is quotiented out, so
-a non-mean-zero input is rejected rather than silently truncated.  They take
-real fields only.
+a non-mean-zero input is rejected rather than silently truncated.  Fields are
+real, stored as their k2 >= 0 half (:class:`~sqglab.spectral.SpectralField`),
+and every shell is synthesized from that half.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .spectral import (
     FrequencyLattice,
     SpectralField,
     _ball_box,
-    _check_real,
     _half_synthesis,
     _ifft2,
     _mirror_slices,
@@ -138,12 +138,20 @@ class DyadicPartition:
         return quadrant
 
     def ring_values(self, j: int) -> np.ndarray:
-        """Values of ``phi_j`` on the lattice (real, read-only ``(m, m)`` array).
+        """Values of ``phi_j`` on the k2 >= 0 half of the lattice, the layout
+        of a field's coefficients (real, read-only ``(m, m/2)`` array): mode
+        ``(k1, k2)`` reads :meth:`ring_quadrant` at ``(|k1|, k2)``, zero
+        outside its box.
 
-        Unfolded from :meth:`ring_quadrant` on every call and not cached, so
-        a partition never holds a full-lattice ring.
+        Unfolded on every call and not cached, so a partition never holds a
+        lattice-sized ring.
         """
-        vals = _unfold_quadrant(self.ring_quadrant(j), self.lattice.m)
+        quadrant, m = self.ring_quadrant(j), self.lattice.m
+        vals = np.zeros((m, m // 2))
+        rows = _mirror_slices(quadrant.shape[0] - 1, m)
+        cols, quadrant_cols = rows[0]  # k2 >= 0
+        for dst, src in rows:
+            vals[dst, cols] = quadrant[src, quadrant_cols]
         vals.flags.writeable = False
         return vals
 
@@ -211,7 +219,7 @@ def shell_project(field: SpectralField, partition: DyadicPartition, j: int) -> S
         raise ValueError(
             f"shell {j} outside the partition window [{partition.j_min}, {partition.j_max}]"
         )
-    return SpectralField(field.lattice, field.coeffs * partition.ring_values(j))
+    return SpectralField._adopt(field.lattice, field.coeffs * partition.ring_values(j))
 
 
 def lp_norm(samples: np.ndarray, p: float, cell_area: float) -> float:
@@ -244,39 +252,23 @@ def _even_power(x: np.ndarray, p: int) -> np.ndarray:
         base = base * base
 
 
-def _unfold_quadrant(quadrant: np.ndarray, m: int) -> np.ndarray:
-    """The ``(m, m)`` FFT-layout array of a radial quadrant, zero outside its box.
-
-    Mode ``(k1, k2)`` gets ``quadrant[|k1|, |k2|]``; the ``k = -m/2`` slot
-    gets the ``|k| = m/2`` entry when the quadrant reaches it.
-    """
-    out = np.zeros((m, m))
-    pieces = _mirror_slices(quadrant.shape[0] - 1, m)
-    for dst1, src1 in pieces:
-        for dst2, src2 in pieces:
-            out[dst1, dst2] = quadrant[src1, src2]
-    return out
-
-
 def _ring_box(c: np.ndarray, quadrant: np.ndarray, grid: int) -> np.ndarray:
     """The k2 >= 0 half of ``phi_j * c`` laid out for a ``grid x grid`` real
     transform, shape ``(grid, grid/2 + 1)``, for the ring's
-    :meth:`~DyadicPartition.ring_quadrant`.
+    :meth:`~DyadicPartition.ring_quadrant` and a field's half spectrum
+    ``c`` (m, m/2).
 
     ``grid`` is at least ``2 K_j + 2`` or equal to m, so it holds every live
-    mode, and at ``grid = m`` the ``k = -m/2`` row and column too.  The
-    live columns are ``K_j + 1`` (k2 = 0 .. K_j); the ring is read from the
-    quadrant by slicing, no gather, and the product is written straight
-    into the buffer :func:`_half_synthesis` transforms.
+    mode.  The live columns are at most ``K_j + 1`` (k2 = 0 .. K_j); the
+    ring is read from the quadrant by slicing, no gather, and the product
+    is written straight into the buffer :func:`_half_synthesis` transforms.
     """
     extent = quadrant.shape[0] - 1
-    box, lattice = _mirror_slices(extent, grid), _mirror_slices(extent, c.shape[-1])
-    # k2 >= 0 columns: the non-negative piece and, at grid = m, the -m/2 edge
-    cols = box[:1] + box[2:]
+    box, lattice = _mirror_slices(extent, grid), _mirror_slices(extent, c.shape[-2])
+    dst2, q2 = box[0]
     out = np.zeros((grid, grid // 2 + 1), dtype=c.dtype)
     for (dst1, q1), (src1, _) in zip(box, lattice):
-        for dst2, q2 in cols:
-            np.multiply(c[src1, dst2], quadrant[q1, q2], out=out[dst1, dst2])
+        np.multiply(c[src1, dst2], quadrant[q1, q2], out=out[dst1, dst2])
     return out
 
 
@@ -352,36 +344,18 @@ def shell_profile(
     are thus summed on grids of a few dozen points.
 
     The rings are real and radial, so a real field has real shells and
-    each is one real synthesis.  A field that is not real to rounding
-    (its anti-Hermitian part above 1e-12 of its largest coefficient
-    component) raises ``ValueError``.
+    each is one real synthesis of the stored half.  No field holds anything
+    on the unpaired k = -m/2 row or column (:class:`SpectralField`), so a
+    shell reaching ``|k| = m/2`` reads nothing there.
 
     Zero shells are reported as exact zeros without a transform.
     """
-    return _shell_norms(field, s, p, partition, shells, "shell_profile")
-
-
-def _shell_norms(
-    field: SpectralField,
-    s: float,
-    p: float,
-    partition: DyadicPartition,
-    shells: Iterable[int] | None,
-    operator: str,
-) -> list[tuple[int, float]]:
-    """:func:`shell_profile`, refusing a complex field in the name of ``operator``."""
     if field.rank != 0:
         raise ValueError("shell profiles are defined for scalar fields")
     c = field.coeffs
-    _check_real(c, operator)
     out: list[tuple[int, float]] = []
     m = field.lattice.m
-    h = m // 2
-    occupied = _occupied_columns(c, h)
-    # a shell reaching |k| = m/2 (grid m) also reads the unpaired k2 = -m/2
-    # column, index h; looked at only when the field stops short of it
-    if occupied == h or c[:, h].any():
-        occupied = h + 1
+    occupied = _occupied_columns(c, m // 2)
     for j in partition.shells if shells is None else shells:
         extent = partition.ring_extent(j)
         grid = _shell_grid(extent, p, m)
@@ -415,11 +389,10 @@ def besov_profile(
     same (s, p) is :func:`lq_aggregate` of this one list.
 
     Homogeneous norms quotient out constants, so a field with a non-zero
-    mean is rejected rather than silently truncated; so is a field that is
-    not real, in the name of :func:`besov_norm`, which this profile serves.
+    mean is rejected rather than silently truncated.
     """
     _check_mean_zero(field)
-    return [v for _, v in _shell_norms(field, s, p, partition, None, "besov_norm")]
+    return [v for _, v in shell_profile(field, s, p, partition)]
 
 
 def besov_norm(

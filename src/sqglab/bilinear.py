@@ -22,7 +22,8 @@ the velocity symbol applied during the padding copy, and synthesized.  The
 physical flux is formed one component at a time (for the block form the
 symmetrized sum is taken in physical space, so each component costs one
 analysis), analysed, contracted with ``i xi / |xi|^2`` on the half and
-accumulated; the Hermitian m x m output is rebuilt once.  The diagonal
+accumulated into an (m, m/2) array that becomes the output field: fields
+store their k2 >= 0 half (``spectral.SpectralField``).  The diagonal
 form costs 3 syntheses and 2 analyses, the block form 6 and 2.  Each
 synthesis and each analysis is two 1-D transform passes.  A synthesis's
 column pass runs only over the columns the input occupies (up to 1 + its
@@ -37,11 +38,10 @@ and the contraction reads the lattice's rows straight from it.  At its
 peak the kernel therefore holds two arrays of the padded size for the
 diagonal form (theta and the flux) and four for the block form (f, g,
 the flux and one velocity factor), besides (m, m/2) arrays: the
-accumulator and one velocity symbol.  The radial factors come from the
-lattice's radius quadrant a row block at a time and the coordinate
-factors from its 1-D frequency axis, so no m x m symbol is made.
-Both fast forms take real fields only: a complex input raises
-``ValueError``.
+accumulator, which is the output, and one velocity symbol.  The radial
+factors come from the lattice's radius quadrant a row block at a time and
+the coordinate factors from its 1-D frequency axis, so no m x m symbol is
+made.  Every field is real by construction, so the forms check nothing.
 
 The three agree to rounding for mean-zero inputs; the test suite and
 the identity experiment hold them together.  Phase conventions (who
@@ -60,14 +60,14 @@ from .spectral import (
     SpectralField,
     _analysed_half,
     _checked,
-    _check_real,
     _half_synthesis,
-    _hermitian_from_half,
     _occupied_columns,
     _padded_half,
     _padded_rows,
+    _radial_multiply,
     _reciprocal,
     _real_synthesis,
+    _unfold,
     riesz_velocity,
 )
 
@@ -101,8 +101,9 @@ def _check_scalar_pair(f: SpectralField, g: SpectralField) -> FrequencyLattice:
     return f.lattice
 
 
-def coupling_tensor(scalar_part: SpectralField, vector_part: SpectralField) -> SpectralField:
-    """Direct frequency quadrature of the coupling tensor.
+def coupling_tensor(scalar_part: SpectralField, vector_part: SpectralField) -> np.ndarray:
+    """Direct frequency quadrature of the coupling tensor, as full (2, 2, m, m)
+    coefficients in FFT order.
 
     Entry (k, l) at output frequency xi is the lattice sum over eta of
 
@@ -111,9 +112,10 @@ def coupling_tensor(scalar_part: SpectralField, vector_part: SpectralField) -> S
     with the eta = 0 and xi - eta = 0 terms omitted (mean-zero
     convention) and eta restricted so both factors sit inside the
     frequency box.  Output frequencies on the unpaired k = -m/2 edge are
-    dropped, matching the symmetric box the fast forms return.  For real
-    inputs the output is anti-Hermitian: i times it is the physically real
-    tensor.
+    dropped, matching the symmetric box the fast forms return.  The inputs
+    are unfolded to the whole lattice.  For real inputs the output is
+    anti-Hermitian, which is why it is an array and not a field: i times it
+    is the physically real tensor.
     """
     lat = scalar_part.lattice
     _check_quadrature_size(lat)
@@ -125,8 +127,8 @@ def coupling_tensor(scalar_part: SpectralField, vector_part: SpectralField) -> S
     m = lat.m
     h = m // 2
     # centered layout: index i holds wavenumber i - h
-    a = np.fft.fftshift(scalar_part.coeffs).copy()
-    v = np.fft.fftshift(vector_part.coeffs, axes=(-2, -1)).copy()
+    a = np.fft.fftshift(_unfold(scalar_part.coeffs))
+    v = np.fft.fftshift(_unfold(vector_part.coeffs), axes=(-2, -1))
     a[h, h] = 0.0
     v[:, h, h] = 0.0
 
@@ -157,7 +159,23 @@ def coupling_tensor(scalar_part: SpectralField, vector_part: SpectralField) -> S
             prod = a_slice * v
             out[:, :, i1, i2] = np.einsum("kij,lij->kl", sym, prod)
 
-    return SpectralField(lat, np.fft.ifftshift(out, axes=(-2, -1)))
+    return np.fft.ifftshift(out, axes=(-2, -1))
+
+
+def _quadrature_coeffs(f: SpectralField, g: SpectralField) -> np.ndarray:
+    """The full (m, m) coefficients of :func:`bilinear_quadrature`, as the
+    quadrature computes them: Hermitian to rounding, not exactly."""
+    lat = _check_scalar_pair(f, g)
+    lift = _radial_multiply(_reciprocal(lat.radius_quadrant), f.coeffs)
+    t = coupling_tensor(SpectralField._adopt(lat, lift), riesz_velocity(g))
+    contracted = (
+        lat.xi1 * lat.xi1 * t[0, 0]
+        + lat.xi1 * lat.xi2 * (t[0, 1] + t[1, 0])
+        + lat.xi2 * lat.xi2 * t[1, 1]
+    )
+    weight = np.zeros((m := lat.m, m))
+    np.divide(1.0, lat.radius_sq, out=weight, where=lat.radius_sq > 0.0)
+    return 1j * weight * contracted
 
 
 def bilinear_quadrature(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -168,24 +186,13 @@ def bilinear_quadrature(f: SpectralField, g: SpectralField) -> SpectralField:
     result agrees with the divergence forms (which also makes it
     symmetric in the arguments, mean-zero, and real for real inputs).
     """
-    lat = _check_scalar_pair(f, g)
-    lift = SpectralField(lat, _reciprocal(lat.radius) * f.coeffs)
-    tensor = coupling_tensor(lift, riesz_velocity(g))
-    t = tensor.coeffs
-    contracted = (
-        lat.xi1 * lat.xi1 * t[0, 0]
-        + lat.xi1 * lat.xi2 * (t[0, 1] + t[1, 0])
-        + lat.xi2 * lat.xi2 * t[1, 1]
-    )
-    weight = np.zeros((m := lat.m, m))
-    np.divide(1.0, lat.radius_sq, out=weight, where=lat.radius_sq > 0.0)
-    return SpectralField(lat, 1j * weight * contracted)
+    return SpectralField(f.lattice, _quadrature_coeffs(f, g))
 
 
 def _transport(fc: np.ndarray, gc: np.ndarray | None, lattice: FrequencyLattice) -> np.ndarray:
-    """Fused kernel: Hermitian coefficients of the quadratic form of real fields.
+    """Fused kernel: the half spectrum of the quadratic form of real fields.
 
-    ``fc`` and ``gc`` are Hermitian (m, m) coefficient arrays.  With ``gc``
+    ``fc`` and ``gc`` are half spectra (m, m/2) of real fields.  With ``gc``
     None this is (-Delta)^{-1} div(f R^perp f); otherwise
     (1/2) (-Delta)^{-1} div(f R^perp g + g R^perp f), whose flux is summed
     in physical space in an order that makes the result bitwise symmetric
@@ -195,7 +202,11 @@ def _transport(fc: np.ndarray, gc: np.ndarray | None, lattice: FrequencyLattice)
     runs in place in its padded half-spectrum buffer, the flux's analysis
     included, and the contraction is accumulated straight from that
     buffer's lattice rows.  Each flux buffer is freed before the next one
-    is made.  Non-finite values are left to the caller's check.
+    is made.  The accumulator is returned as the output, its column k2 = 0
+    made exactly Hermitian and its zero mode real in place, so that
+    differences of nearly equal outputs stay real fields instead of showing
+    their rounding as an imaginary part.  Non-finite values are left to the
+    caller's check.
     """
     diagonal = gc is None
     if diagonal:
@@ -239,20 +250,9 @@ def _transport(fc: np.ndarray, gc: np.ndarray | None, lattice: FrequencyLattice)
         del cols, buf
     del fp, gp
     acc *= 1j if diagonal else 0.5j
-    return _hermitian_from_half(acc)
-
-
-def _form(f: SpectralField, g: SpectralField | None, operator: str) -> SpectralField:
-    """B[f, g]; ``g`` None evaluates B[f, f] on the diagonal route.
-
-    Both inputs must be real fields; a complex one, or a non-finite
-    output, raises naming ``operator``.
-    """
-    _check_real(f.coeffs, operator)
-    if g is not None:
-        _check_real(g.coeffs, operator)
-    out = _transport(f.coeffs, None if g is None else g.coeffs, f.lattice)
-    return _checked(f.lattice, out, operator)
+    np.conjugate(acc[h - 1 : 0 : -1, 0], out=acc[h + 1 :, 0])
+    acc[0, 0] = acc[0, 0].real
+    return acc
 
 
 def bilinear_block(f: SpectralField, g: SpectralField) -> SpectralField:
@@ -264,12 +264,13 @@ def bilinear_block(f: SpectralField, g: SpectralField) -> SpectralField:
     not just a per-block one; the suite verifies that numerically
     against the quadrature.  Symmetric in f and g bit for bit.
     """
-    _check_scalar_pair(f, g)
-    return _form(f, g, "bilinear_block")
+    lattice = _check_scalar_pair(f, g)
+    return _checked(lattice, _transport(f.coeffs, g.coeffs, lattice), "bilinear_block")
 
 
 def quadratic_diagonal(theta: SpectralField) -> SpectralField:
     """(-Delta)^{-1} div(theta u) with u the Riesz velocity of theta."""
     if theta.rank != 0:
         raise ValueError("the bilinear form takes scalar fields")
-    return _form(theta, None, "quadratic_diagonal")
+    out = _transport(theta.coeffs, None, theta.lattice)
+    return _checked(theta.lattice, out, "quadratic_diagonal")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .besov import DyadicPartition, box_lp_norm, build_probe, shell_profile
 from .forcing import ForceSpec
-from .spectral import SpectralField
+from .spectral import SpectralField, _unfold
 
 __all__ = [
     "SplitSample",
@@ -81,12 +81,13 @@ def second_iterate_split(
     even under eta -> xi - eta.
 
     A probe is admissible up to radius 1, the low-frequency side of a
-    forcing supported on a single carrier band.
+    forcing supported on a single carrier band.  The sums run over the
+    whole lattice, so theta1 is unfolded from its stored half.
     """
     lat = theta1.lattice
     m, half = lat.m, lat.m // 2
 
-    g_raw = np.fft.fftshift(theta1.coeffs)
+    g_raw = np.fft.fftshift(_unfold(theta1.coeffs))
     r_eta = np.fft.fftshift(lat.radius)
     eta1 = np.fft.fftshift(lat.xi1)
     eta2 = np.fft.fftshift(lat.xi2)

@@ -244,19 +244,21 @@ class ForceSpec:
 _BUMP_PROFILE = SmoothStep(1.0, 2.0)
 
 
-def _shifted_bump_pair(lattice: FrequencyLattice, carrier: float) -> np.ndarray:
-    """chi-hat(xi - c e1) + chi-hat(xi + c e1) on the lattice (real array).
+def _add_bump_pair(out: np.ndarray, lattice: FrequencyLattice, carrier: float,
+                   amp: float) -> None:
+    """Add amp [chi-hat(xi - c e1) + chi-hat(xi + c e1)] into the half
+    spectrum ``out`` (m, m/2).
 
-    A bump vanishes from radius 2 on, so each is evaluated only on its
-    ball's box (:func:`~sqglab.spectral._ball_box`) and added into zeros;
-    the values are bitwise those of the formula evaluated on every mode.
+    A bump vanishes from radius 2 on, so each is evaluated only on the
+    k2 >= 0 columns of its ball's box (:func:`~sqglab.spectral._ball_box`),
+    which the spec's validation keeps disjoint; the values are bitwise
+    those of the formula evaluated on every mode, scaled and added.
     """
-    m = lattice.m
-    out = np.zeros((m, m))
+    h = lattice.m // 2
     for centre in (carrier, -carrier):
         rows, cols, r = _ball_box(lattice, (centre, 0.0), 2.0)
-        out[np.ix_(rows, cols)] += _BUMP_PROFILE(r)
-    return out
+        keep = cols < h
+        out[np.ix_(rows, cols[keep])] += amp * _BUMP_PROFILE(r[:, keep])
 
 
 def shared_annulus_modes(lattice: FrequencyLattice, exponents: list[int]) -> int:
@@ -293,8 +295,9 @@ def modulated_bump_force(lattice: FrequencyLattice, spec: ForceSpec) -> Spectral
         )
     c = spec.carrier
     amp = spec.delta * 2.0 ** (2.5 * c)
-    coeffs = 0.5 * amp * _shifted_bump_pair(lattice, 2.0**c)
-    return SpectralField._adopt(lattice, strip_unpaired_edge(coeffs.astype(np.complex128)))
+    coeffs = np.zeros((lattice.m, lattice.m // 2), dtype=np.complex128)
+    _add_bump_pair(coeffs, lattice, 2.0**c, 0.5 * amp)
+    return SpectralField._adopt(lattice, strip_unpaired_edge(coeffs))
 
 
 def lacunary_force(lattice: FrequencyLattice, spec: ForceSpec) -> SpectralField:
@@ -312,12 +315,12 @@ def lacunary_force(lattice: FrequencyLattice, spec: ForceSpec) -> SpectralField:
             f"lattice too coarse to resolve the unit bump: h_xi = {lattice.h_xi:g} > 1/4"
         )
     log_weight = math.sqrt(math.log(spec.size))
-    coeffs = np.zeros((lattice.m, lattice.m))
+    coeffs = np.zeros((lattice.m, lattice.m // 2), dtype=np.complex128)
     for n in spec.block_indices():
         s = spec.exponents(n)
         amp = spec.delta * 2.0 ** (2.5 * s) / (math.sqrt(n) * log_weight)
-        coeffs += 0.5 * amp * _shifted_bump_pair(lattice, 2.0**s)
-    return SpectralField._adopt(lattice, strip_unpaired_edge(coeffs.astype(np.complex128)))
+        _add_bump_pair(coeffs, lattice, 2.0**s, 0.5 * amp)
+    return SpectralField._adopt(lattice, strip_unpaired_edge(coeffs))
 
 
 def _translate_coeffs(coeffs: np.ndarray, lattice: FrequencyLattice, shift: float) -> np.ndarray:
@@ -363,7 +366,7 @@ def block_envelope(
     if spec.stride is None:
         raise ValueError("block envelope needs a stride; run calibrate_stride first")
     _check_translations(lattice, spec.stride, spec.block_exponents())
-    coeffs = np.zeros((lattice.m, lattice.m), dtype=np.complex128)
+    coeffs = np.zeros((lattice.m, lattice.m // 2), dtype=np.complex128)
     for s, j in zip(spec.block_exponents(), spec.block_shells()):
         if not (partition.j_min <= j <= partition.j_max):
             raise ValueError(
@@ -373,7 +376,7 @@ def block_envelope(
         ring = partition.ring_values(j).astype(np.complex128)
         shift = spec.stride * s
         coeffs += 2.0 ** (-1.5 * j) * _translate_coeffs(ring, lattice, shift)
-    return SpectralField(lattice, strip_unpaired_edge(coeffs))
+    return SpectralField._adopt(lattice, strip_unpaired_edge(coeffs))
 
 
 def _carrier_shift_indices(lattice: FrequencyLattice, carrier_exponent: int) -> int:
@@ -383,7 +386,8 @@ def _carrier_shift_indices(lattice: FrequencyLattice, carrier_exponent: int) -> 
 
 def _carrier_pair(coeffs: np.ndarray, steps: int) -> np.ndarray:
     """The spectrum relocated by ``steps`` lattice cells along axis 0 plus
-    the spectrum relocated by ``-steps``, as one new array.
+    the spectrum relocated by ``-steps``, as one new array; a half spectrum
+    relocates to the half spectrum of the relocated field.
 
     Plane shifts with zero fill (no wrap): frequencies pushed past the box
     edge are dropped, which the force-spec validation has already ruled
@@ -435,11 +439,14 @@ def envelope_l4_norm(lattice: FrequencyLattice, spec: ForceSpec,
                      partition: DyadicPartition) -> float:
     """L4 norm of the :func:`block_envelope` of ``spec``, summed by
     :func:`~sqglab.besov.box_lp_norm` on the box of its widest ring, short
-    of the unpaired k = -m/2 edge that the envelope strips."""
+    of the unpaired k = -m/2 edge that the envelope strips.  The box's
+    k2 < 0 columns are the conjugates of the stored ``c(-k)``."""
     envelope = block_envelope(lattice, spec, partition).coeffs
     extent = min(max(partition.ring_extent(j) for j in spec.block_shells()), lattice.m // 2 - 1)
-    modes = np.arange(-extent, extent + 1) % lattice.m
-    return box_lp_norm(envelope[np.ix_(modes, modes)], lattice, 4.0)
+    k = np.arange(-extent, extent + 1)
+    box = np.concatenate((np.conj(envelope[np.ix_(-k % lattice.m, -k[:extent])]),
+                          envelope[np.ix_(k % lattice.m, k[extent:])]), axis=1)
+    return box_lp_norm(box, lattice, 4.0)
 
 
 def calibrate_stride(

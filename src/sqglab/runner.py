@@ -46,8 +46,8 @@ from .besov import (
 )
 from .bilinear import (
     QUADRATURE_SIZE_LIMIT,
+    _quadrature_coeffs,
     bilinear_block,
-    bilinear_quadrature,
     quadratic_diagonal,
 )
 from .diagnostics import (
@@ -74,7 +74,7 @@ from .solver import (
     perturbation_solve,
     picard_solve,
 )
-from .spectral import FrequencyLattice, SpectralField, inverse_laplacian
+from .spectral import FrequencyLattice, SpectralField, _radial_multiply, _unfold, inverse_laplacian
 
 __all__ = ["VERBS", "ExperimentConfig", "Verb", "run_experiment"]
 
@@ -221,8 +221,8 @@ def _final_norm(theta: SpectralField, trace, index: BesovIndex, partition) -> fl
 
 def _band_limited_field(lattice: FrequencyLattice, rng, radius: float) -> SpectralField:
     field = random_mean_zero_field(lattice, rng)
-    mask = lattice.radius <= radius
-    return SpectralField(lattice, field.coeffs * mask)
+    mask = lattice.radius_quadrant <= radius
+    return SpectralField._adopt(lattice, _radial_multiply(mask, field.coeffs))
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +237,13 @@ def _run_partition_check(cfg: ExperimentConfig) -> ExperimentReport:
     lattice = FrequencyLattice(m=cfg["m"], h_xi=cfg["h_xi"])
     partition = build_partition(lattice)
 
+    # a radial ring on the radius quadrant holds every lattice value
     rows = []
-    r = lattice.radius
+    r = lattice.radius_quadrant
     for j in partition.shells:
-        ring = partition.ring_values(j)
+        quadrant = partition.ring_quadrant(j)
+        ring = np.zeros_like(r)
+        ring[: quadrant.shape[0], : quadrant.shape[1]] = quadrant
         lo, hi = partition.support_interval(j)
         p_lo, p_hi = partition.plateau_interval(j)
         outside = ring[(r <= lo) | (r >= hi)]
@@ -251,7 +254,7 @@ def _run_partition_check(cfg: ExperimentConfig) -> ExperimentReport:
     # the auto window spans every ring meeting a nonzero radius, so the
     # telescoped sum must be 1 at every mode except the origin
     coverage = partition.coverage()
-    worst_cover = float(np.abs(coverage[r > 0] - 1.0).max())
+    worst_cover = float(np.abs(coverage[lattice.radius > 0] - 1.0).max())
 
     rng = np.random.default_rng(cfg["seed"])
     band = _band_limited_field(lattice, rng, radius=lattice.xi_max / 2.0)
@@ -304,13 +307,14 @@ def _run_verify_identity(cfg: ExperimentConfig) -> ExperimentReport:
     worst = 0.0
     for i in range(samples):
         theta = random_mean_zero_field(lattice, rng)
-        a = bilinear_quadrature(theta, theta)
-        b = bilinear_block(theta, theta)
-        c = quadratic_diagonal(theta)
-        scale = float(np.linalg.norm(c.coeffs))
-        d_ab = float(np.linalg.norm(a.coeffs - b.coeffs)) / scale
-        d_ac = float(np.linalg.norm(a.coeffs - c.coeffs)) / scale
-        d_bc = float(np.linalg.norm(b.coeffs - c.coeffs)) / scale
+        # whole-lattice norms: the quadrature's own coefficients, the fast forms unfolded
+        a = _quadrature_coeffs(theta, theta)
+        b = _unfold(bilinear_block(theta, theta).coeffs)
+        c = _unfold(quadratic_diagonal(theta).coeffs)
+        scale = float(np.linalg.norm(c))
+        d_ab = float(np.linalg.norm(a - b)) / scale
+        d_ac = float(np.linalg.norm(a - c)) / scale
+        d_bc = float(np.linalg.norm(b - c)) / scale
         sample_worst = max(d_ab, d_ac, d_bc)
         worst = max(worst, sample_worst)
         rows.append((i, d_ab, d_ac, d_bc))
@@ -514,8 +518,8 @@ def _run_illpose_step2(cfg: ExperimentConfig) -> ExperimentReport:
               "delta": delta, "term_range": [k_lo, k_hi],
               "exponent_map": spec.exponents.describe(), "seed": cfg["seed"]}
 
-    # Each m x m field is dropped after its last use, so at most three are
-    # held at once (tests/test_memory.py): f serves its data norms and then
+    # Each field is dropped after its last use, so at most three are held
+    # at once (tests/test_memory.py): f serves its data norms and then
     # theta2, the delta/2 forcing only its own form, theta2_half only the
     # homogeneity check.
     f = lacunary_force(lattice, spec)
@@ -523,9 +527,11 @@ def _run_illpose_step2(cfg: ExperimentConfig) -> ExperimentReport:
     data_index = BesovIndex.data_index(4.0, 2.0)
     shells = besov_profile(f, data_index.s, data_index.p, partition)
     norm_rows = [(q, lq_aggregate(shells, q)) for q in (2.0, 4.0)]
-    theta2 = -quadratic_diagonal(inverse_laplacian(f))
+    # theta2 is the second iterate -B[Lf, Lf] without its sign: negation is
+    # exact, and the homogeneity defect and the floor read magnitudes only
+    theta2 = quadratic_diagonal(inverse_laplacian(f))
     del f
-    theta2_half = -quadratic_diagonal(
+    theta2_half = quadratic_diagonal(
         inverse_laplacian(lacunary_force(lattice, replace(spec, delta=delta / 2.0))))
     defect = theta2_half.coeffs * 4.0
     del theta2_half
@@ -659,7 +665,8 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
         forcing = translated_block_force(lattice, spec, partition)[1]
         theta1 = inverse_laplacian(forcing)
         del forcing
-        theta2 = -quadratic_diagonal(theta1)
+        # the second iterate up to its sign: the probes read |theta2| only
+        theta2 = quadratic_diagonal(theta1)
         del theta1
         values = [value for _, _, value in inflation_profile(theta2, spec, partition)]
         del theta2

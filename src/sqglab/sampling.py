@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .besov import BesovIndex, DyadicPartition, besov_norm
-from .spectral import FrequencyLattice, SpectralField, _reflect, strip_unpaired_edge
+from .spectral import FrequencyLattice, SpectralField, _radial_multiply, strip_unpaired_edge
 
 __all__ = [
     "hermitian_symmetrize",
@@ -23,8 +23,19 @@ __all__ = [
 
 
 def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
-    """Average an FFT-ordered coefficient array with its mirrored conjugate."""
-    return 0.5 * (coeffs + np.conj(_reflect(coeffs)))
+    """The k2 >= 0 half (m, m/2) of the average of an FFT-ordered (m, m)
+    coefficient array with its mirrored conjugate, ``(c(k) + conj(c(-k))) / 2``."""
+    m = coeffs.shape[-1]
+    mirror = -np.arange(m) % m
+    return 0.5 * (coeffs[:, : m // 2] + np.conj(coeffs[np.ix_(mirror, mirror[: m // 2])]))
+
+
+def _real_field(lattice: FrequencyLattice, coeffs: np.ndarray) -> SpectralField:
+    """The real field of :func:`hermitian_symmetrize` of ``coeffs``, with its
+    mean and its unpaired k1 = -m/2 row removed."""
+    half = hermitian_symmetrize(coeffs)
+    half[0, 0] = 0.0
+    return SpectralField._adopt(lattice, strip_unpaired_edge(half))
 
 
 def random_mean_zero_field(
@@ -36,15 +47,16 @@ def random_mean_zero_field(
 
     ``decay`` > 0 damps amplitudes by (1 + |xi|^2)^(-decay/2), giving
     smoother samples when the test at hand wants them; the default white
-    spectrum is the rough generic case.
+    spectrum is the rough generic case.  The damping is applied from a
+    quadrant of ``|xi|^2``, so no lattice-sized coordinate array is made.
     """
     m = lattice.m
     c = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     if decay:
-        c = c * (1.0 + lattice.radius_sq) ** (-decay / 2.0)
-    c = hermitian_symmetrize(c)
-    c[0, 0] = 0.0
-    return SpectralField(lattice, strip_unpaired_edge(c))
+        xi = lattice.h_xi * np.arange(m // 2 + 1)
+        radius_sq = xi[:, None] * xi[:, None] + xi[None, :] * xi[None, :]
+        c = _radial_multiply((1.0 + radius_sq) ** (-decay / 2.0), c)
+    return _real_field(lattice, c)
 
 
 def single_shell_field(
@@ -54,11 +66,10 @@ def single_shell_field(
     rng: np.random.Generator,
 ) -> SpectralField:
     """Random real field spectrally supported in the ring of shell ``j``."""
-    ring = partition.ring_values(j)
-    if not ring.any():
+    if not partition.ring_quadrant(j).any():
         raise ValueError(f"shell {j} has no lattice support on {lattice!r}")
     base = random_mean_zero_field(lattice, rng)
-    return SpectralField(lattice, base.coeffs * ring)
+    return SpectralField._adopt(lattice, base.coeffs * partition.ring_values(j))
 
 
 def unit_normalize(

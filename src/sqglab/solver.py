@@ -24,13 +24,13 @@ import numpy as np
 
 from .besov import BesovIndex, DyadicPartition, besov_norm, build_partition
 from .bilinear import bilinear_block, quadratic_diagonal
-from .sampling import hermitian_symmetrize, random_mean_zero_field, single_shell_field
+from .sampling import _real_field, random_mean_zero_field, single_shell_field
 from .spectral import (
     FrequencyLattice,
     SpectralField,
+    _radial_multiply,
     inverse_laplacian,
     neg_laplacian,
-    strip_unpaired_edge,
 )
 
 __all__ = [
@@ -307,15 +307,15 @@ def _inner_edge_field(
     Mass just above 0.875 * 2**j maximizes the per-mode gain (2**j / |xi|)**2
     of the inverse Laplacian within a single shell, so these fields push the
     sampled c0 toward the true supremum instead of its in-shell average.
+    The radial mask is applied from the lattice's radius quadrant.
     """
-    r = lattice.radius
+    r = lattice.radius_quadrant
     mask = (r > 0.875 * 2.0**j) & (r < 0.95 * 2.0**j)
     if not mask.any():
         return SpectralField.zeros(lattice)
-    c = (rng.standard_normal(r.shape) + 1j * rng.standard_normal(r.shape)) * mask
-    c = hermitian_symmetrize(c)
-    c[0, 0] = 0.0
-    return SpectralField(lattice, strip_unpaired_edge(c))
+    shape = (lattice.m, lattice.m)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return _real_field(lattice, _radial_multiply(mask, c))
 
 
 def estimate_constants(

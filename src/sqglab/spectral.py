@@ -8,9 +8,10 @@ amplitude of ``exp(i x.xi)``, so an unscaled inverse transform onto any
 ``(L/M)**2``): the quadratic form on its padded 3m/2 grid, a Besov shell or
 a local object on the smallest grid that resolves the band of ``|g|**p``.
 
-Fields are immutable; every operation returns a new field.  Coefficient
-arrays are stored in FFT index order (0, 1, ..., m/2-1, -m/2, ..., -1 per
-axis).
+Fields are immutable; every operation returns a new field.  Fields are
+real, so a field stores only the k2 >= 0 half of its Hermitian coefficients
+(:class:`SpectralField`), rows in FFT index order (0, 1, ..., m/2-1, -m/2,
+..., -1).
 """
 
 from __future__ import annotations
@@ -205,44 +206,80 @@ def _ball_box(
     return rows, cols, np.hypot(xi[rows, None] - c1, xi[None, cols] - c2)
 
 
+# Relative size of an anti-Hermitian part still read as rounding.  Sources
+# and products here are exactly Hermitian; arrays assembled elsewhere may
+# carry their rounding, about 1e-16 of their scale.
+_REAL_TOL = 1e-12
+
+
 @dataclass(frozen=True)
 class SpectralField:
-    """Immutable set of Fourier coefficients on a :class:`FrequencyLattice`.
+    """Immutable real field on a :class:`FrequencyLattice`, stored as its
+    k2 >= 0 half spectrum.
 
-    ``coeffs`` has shape ``(m, m)`` for scalars, ``(2, m, m)`` for vector
-    fields and ``(2, 2, m, m)`` for rank-2 tensors, always in FFT index
-    order.  Real-valued physical fields correspond to Hermitian-symmetric
-    coefficients; nothing enforces that on construction, but the operator
-    layer takes real fields only, refuses others where a product or a
-    Besov shell would misread them, and returns real fields.  A field has
-    no m x m physical view (module docstring).
+    A real field's coefficients are Hermitian, ``c(-k) = conj(c(k))``, so
+    the columns k2 = 0 .. m/2 - 1 hold them all: ``coeffs`` has shape
+    (m, m/2), or (2, m, m/2) for a vector field, rows in FFT order, the
+    layout of a real transform's half without its last column.  Column
+    k2 = 0 holds both ``c(k1, 0)`` and its conjugate ``c(-k1, 0)``, and the
+    zero mode is real.  The unpaired k = -m/2 row and column have no
+    partner inside the box: the row is zero and the column has no slot.
+
+    ``SpectralField(lattice, full)`` takes the full (m, m) or (2, m, m)
+    coefficients, checks once that they are a real field (an anti-Hermitian
+    part of at most 1e-12 of their largest component, nothing on the
+    unpaired edge; anything else raises ``ValueError``) and keeps the half.
+    Operators adopt the halves they build, so realness holds by
+    construction; routes that need the whole lattice unfold a half with
+    :func:`_unfold`.  A field has no m x m physical view (module docstring).
     """
 
     lattice: FrequencyLattice
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        # the caller may still hold (and later write to) the array it passed
-        self._freeze(np.array(self.coeffs, dtype=np.complex128))
+        m = self.lattice.m
+        h = m // 2
+        c = np.asarray(self.coeffs, dtype=np.complex128)
+        if c.shape not in ((m, m), (2, m, m)):
+            raise ValueError(
+                f"coefficient shape {c.shape} does not match lattice m={m} "
+                "(expected the full (m,m) or (2,m,m) coefficients)"
+            )
+        if c[..., h, :].any() or c[..., :, h].any():
+            raise ValueError(
+                f"coefficients on the unpaired k = -{h} row or column have no "
+                "conjugate partner in the box; strip_unpaired_edge removes them"
+            )
+        d = c - np.conj(np.roll(np.flip(c, axis=(-2, -1)), 1, axis=(-2, -1)))  # c(-k)
+        worst = max(np.abs(d.real).max(), np.abs(d.imag).max())
+        scale = max(np.abs(c.real).max(), np.abs(c.imag).max())
+        if worst > _REAL_TOL * scale:
+            raise ValueError(
+                f"SpectralField takes real fields; these coefficients differ from "
+                f"their mirrored conjugates by {worst:.3e} at scale {scale:.3e}"
+            )
+        # a copy: the caller may still hold (and later write to) its array
+        self._freeze(np.array(c[..., :h]))
 
     @classmethod
-    def _adopt(cls, lattice: FrequencyLattice, coeffs: np.ndarray) -> "SpectralField":
-        """Wrap a fresh array that no caller holds, without copying it.
+    def _adopt(cls, lattice: FrequencyLattice, half: np.ndarray) -> "SpectralField":
+        """Wrap a fresh half spectrum that no caller holds, without copying it.
 
-        For operators that build their output array themselves; the array
-        is made read-only in place.
+        For operators that build their output array themselves, in the
+        layout of the class docstring; the array is made read-only in place.
         """
         field = object.__new__(cls)
         object.__setattr__(field, "lattice", lattice)
-        field._freeze(np.asarray(coeffs, dtype=np.complex128))
+        field._freeze(np.asarray(half, dtype=np.complex128))
         return field
 
     def _freeze(self, c: np.ndarray) -> None:
         m = self.lattice.m
-        if c.shape not in ((m, m), (2, m, m), (2, 2, m, m)):
+        if c.shape not in ((m, m // 2), (2, m, m // 2)):
             raise ValueError(
-                f"coefficient shape {c.shape} does not match lattice m={m} "
-                "(expected (m,m), (2,m,m) or (2,2,m,m))"
+                f"half-spectrum shape {c.shape} does not match lattice m={m} "
+                "(expected (m,m/2) or (2,m,m/2))"
             )
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
@@ -250,9 +287,8 @@ class SpectralField:
     # -- construction ------------------------------------------------------
 
     @classmethod
-    def zeros(cls, lattice: FrequencyLattice, rank: int = 0) -> "SpectralField":
-        shape = (2,) * rank + (lattice.m, lattice.m)
-        return cls(lattice, np.zeros(shape, dtype=np.complex128))
+    def zeros(cls, lattice: FrequencyLattice) -> "SpectralField":
+        return cls._adopt(lattice, np.zeros((lattice.m, lattice.m // 2), dtype=np.complex128))
 
     @classmethod
     def from_modes(
@@ -293,6 +329,7 @@ class SpectralField:
         return complex(self.coeffs[idx])
 
     def nonzero_modes(self) -> int:
+        """Non-zero coefficients of the stored k2 >= 0 half."""
         return int(np.count_nonzero(self.coeffs))
 
     # -- algebra -----------------------------------------------------------
@@ -313,13 +350,28 @@ class SpectralField:
         self._check_compatible(other)
         return SpectralField._adopt(self.lattice, self.coeffs - other.coeffs)
 
-    def __mul__(self, scalar: complex) -> "SpectralField":
-        return SpectralField._adopt(self.lattice, self.coeffs * scalar)
+    def __mul__(self, scalar: float) -> "SpectralField":
+        if np.iscomplexobj(scalar):
+            raise TypeError("a field times a complex number is not a real field")
+        return SpectralField._adopt(self.lattice, self.coeffs * float(scalar))
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SpectralField":
         return SpectralField._adopt(self.lattice, -self.coeffs)
+
+
+def _unfold(half: np.ndarray) -> np.ndarray:
+    """The full (..., m, m) Hermitian coefficients of a stored half (..., m,
+    m/2): the k2 < 0 columns are the conjugates ``c(-k)`` of the stored ones
+    and the unpaired k2 = -m/2 column is zero."""
+    m, h = half.shape[-2:]
+    out = np.empty(half.shape[:-2] + (m, m), dtype=np.complex128)
+    out[..., :h] = half
+    out[..., h] = 0.0
+    np.conjugate(half[..., :1, h - 1 : 0 : -1], out=out[..., :1, h + 1 :])
+    np.conjugate(half[..., :0:-1, h - 1 : 0 : -1], out=out[..., 1:, h + 1 :])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -365,13 +417,15 @@ def _mirror_slices(extent: int, n: int) -> list[tuple[slice, slice]]:
 def _radial_multiply(symbol: np.ndarray, c: np.ndarray) -> np.ndarray:
     """``symbol * c`` for a radial symbol given on the whole quadrant
     (shape (m/2 + 1, m/2 + 1), as :attr:`FrequencyLattice.radius_quadrant`)
-    and coefficients ``c`` (..., m, m): each mode reads the quadrant at
-    ``(|k1|, |k2|)`` through mirrored slices, so no m x m symbol is made.
-    Bitwise the product with the unfolded symbol."""
+    and coefficients ``c``, a half spectrum (..., m, m/2) or a full
+    (..., m, m) array: each mode reads the quadrant at ``(|k1|, |k2|)``
+    through mirrored slices, so no m x m symbol is made.  Bitwise the
+    product with the unfolded symbol."""
     out = np.empty_like(c)
-    pieces = _mirror_slices(symbol.shape[0] - 1, c.shape[-1])
-    for dst1, src1 in pieces:
-        for dst2, src2 in pieces:
+    rows = _mirror_slices(symbol.shape[0] - 1, c.shape[-2])
+    cols = rows if c.shape[-1] == c.shape[-2] else rows[:1]
+    for dst1, src1 in rows:
+        for dst2, src2 in cols:
             np.multiply(symbol[src1, src2], c[..., dst1, dst2], out=out[..., dst1, dst2])
     return out
 
@@ -397,10 +451,11 @@ def riesz_velocity(theta: SpectralField) -> SpectralField:
     if theta.rank != 0:
         raise ValueError("the Riesz velocity is defined for scalar fields")
     lat = theta.lattice
-    lifted = (1j * _reciprocal(lat.radius)) * theta.coeffs
+    xi = lat.xi_axis
+    lifted = _radial_multiply(1j * _reciprocal(lat.radius_quadrant), theta.coeffs)
     out = np.empty((2,) + lifted.shape, dtype=np.complex128)
-    np.multiply(-lat.xi2, lifted, out=out[0])
-    np.multiply(lat.xi1, lifted, out=out[1])
+    np.multiply(-xi[None, : lat.m // 2], lifted, out=out[0])
+    np.multiply(xi[:, None], lifted, out=out[1])
     return _checked(lat, out, "riesz_velocity")
 
 
@@ -432,8 +487,9 @@ def dyadic_rescale(
     out = np.zeros_like(c)
     if idx1.size == 0:
         return SpectralField._adopt(field.lattice, out)
+    # the stored columns are k2 = 0 .. m/2 - 1, and a rescale keeps k2 >= 0
     k1 = np.where(idx1 < half, idx1, idx1 - m).astype(np.int64)
-    k2 = np.where(idx2 < half, idx2, idx2 - m).astype(np.int64)
+    k2 = idx2.astype(np.int64)
     if lam_pow >= 0:
         n1, n2 = k1 << lam_pow, k2 << lam_pow
     else:
@@ -450,7 +506,7 @@ def dyadic_rescale(
             f"max index {max(np.max(np.abs(n1)), np.max(np.abs(n2)))} vs {half - 1}"
         )
     amp = 2.0 ** (lam_pow * amplitude_power)
-    out[n1 % m, n2 % m] = amp * c[idx1, idx2]
+    out[n1 % m, n2] = amp * c[idx1, idx2]
     return SpectralField._adopt(field.lattice, out)
 
 
@@ -460,67 +516,26 @@ def dyadic_rescale(
 
 
 def strip_unpaired_edge(c: np.ndarray) -> np.ndarray:
-    """Zero the k = -m/2 row and column in place, returning the array.
+    """Zero the k = -m/2 row, and the k2 = -m/2 column of a full array, in
+    place, returning the array.
 
     Those frequencies have no conjugate partner inside the box, so energy
-    there cannot belong to a real field together with its mirror; product
-    operations drop them from their output.
+    there cannot belong to a real field together with its mirror; a field
+    holds none (:class:`SpectralField`), and sources strip them.
     """
-    half = c.shape[-1] // 2
+    half = c.shape[-2] // 2
     c[..., half, :] = 0.0
-    c[..., :, half] = 0.0
+    if c.shape[-1] == c.shape[-2]:
+        c[..., :, half] = 0.0
     return c
 
 
-# Relative size of an anti-Hermitian part still read as rounding.  Sources
-# and products here are exactly Hermitian; fields assembled elsewhere may
-# carry their rounding, about 1e-16 of their scale.
-_REAL_TOL = 1e-12
-
-
-def _reflect(c: np.ndarray) -> np.ndarray:
-    """``c(-k)`` in FFT index order over the last two axes."""
-    return np.roll(np.flip(c, axis=(-2, -1)), 1, axis=(-2, -1))
-
-
-def _check_real(c: np.ndarray, operator: str) -> None:
-    """Refuse coefficients ``c`` that are not a real field to rounding.
-
-    ``c`` is real when no real or imaginary component of
-    ``c(k) - conj(c(-k))`` exceeds ``_REAL_TOL`` times the largest
-    component of ``c``; otherwise ``ValueError`` names ``operator``.
-    """
-    h = c.shape[-1] // 2
-    # each pair (k, -k) once: interior rows 1..m/2 against their mirrors,
-    # then row 0 and column 0, which mirror onto themselves
-    pairs = (
-        (c[..., 1 : h + 1, 1:], c[..., : h - 1 : -1, :0:-1]),
-        (c[..., :1, 1:], c[..., :1, :0:-1]),
-        (c[..., 1:, :1], c[..., :0:-1, :1]),
-        (c[..., :1, :1], c[..., :1, :1]),
-    )
-    worst = 0.0
-    for a, b in pairs:
-        d = np.conj(b)
-        d -= a
-        d = d.view(np.float64)
-        worst = max(worst, d.max(), -d.min())
-    v = np.ascontiguousarray(c).view(np.float64)
-    scale = max(v.max(), -v.min())
-    if worst > _REAL_TOL * scale:
-        raise ValueError(
-            f"{operator} takes real fields; this one's coefficients differ from "
-            f"their mirrored conjugates by {worst:.3e} at scale {scale:.3e}"
-        )
-
-
 def _occupied_columns(c: np.ndarray, width: int) -> int:
-    """1 + the largest column index below ``width`` at which ``c`` (..., m, m)
-    holds a non-zero coefficient; 0 when those columns are all zero.
+    """1 + the largest column index below ``width`` at which ``c`` (..., m,
+    m/2) holds a non-zero coefficient; 0 when those columns are all zero.
 
-    In FFT layout column ``k2`` (0 <= k2 < m/2) is that frequency and column
-    m/2 is the unpaired k2 = -m/2.  The last column is tested first, so a
-    field that fills it costs one column read.
+    Column ``k2`` of a half spectrum is that frequency.  The last column is
+    tested first, so a field that fills it costs one column read.
     """
     for k in range(width - 1, -1, -1):
         if c[..., k].any():
@@ -545,14 +560,15 @@ def _padded_half(
 ) -> np.ndarray:
     """The k2 >= 0 half of ``c``, zero-padded for a ``grid x grid`` real transform.
 
-    ``c`` is in the (..., m, m) FFT layout; the result has shape
+    ``c`` is a half spectrum (..., m, m/2), or a full (..., m, m) array
+    whose first m/2 columns are read; the result has shape
     (..., grid, grid/2 + 1).  With ``symbol``, the k2 >= 0 half of a
     lattice symbol, shape (m, w) for some w >= ``cols`` (its row m/2 is not
     read), each coefficient is multiplied by it during the copy.  Only the
     first ``cols`` columns (default m/2) are copied, the rest left zero;
     the unpaired k = -m/2 row and column are left out.
     """
-    m = c.shape[-1]
+    m = c.shape[-2]
     w = m // 2 if cols is None else cols
     half = np.zeros(c.shape[:-2] + (grid, grid // 2 + 1), dtype=np.complex128)
     for src, dst, _ in _padded_rows(m, grid):
@@ -574,7 +590,7 @@ def _real_synthesis(
     m/2; the default m/2 takes them all.  Only those are copied and
     transformed down axis -2, and the result is bitwise the same for any
     ``cols`` that covers every non-zero column."""
-    live = c.shape[-1] // 2 if cols is None else cols
+    live = c.shape[-2] // 2 if cols is None else cols
     return _half_synthesis(_padded_half(c, grid, symbol, live), live)
 
 
@@ -626,24 +642,3 @@ def _analysed_half(half: np.ndarray, m: int) -> np.ndarray:
     scaled *= 1.0 / (grid * grid)
     _pocketfft.c2c(cols, (-2,), True, _UNSCALED, cols, _FFT_WORKERS)
     return cols
-
-
-def _hermitian_from_half(half: np.ndarray) -> np.ndarray:
-    """Exactly Hermitian (..., m, m) coefficients from their k2 >= 0 half.
-
-    ``half`` has shape (..., m, m/2): the k2 = 0 .. m/2 - 1 columns in FFT
-    row order, its k1 = -m/2 row zero.  The k2 < 0 half and the k1 < 0 end
-    of the k2 = 0 column are rebuilt from the conjugates ``c(-k)`` and the
-    zero mode is made real, so differences of nearly equal outputs stay
-    real fields instead of showing their rounding as an imaginary part.
-    The unpaired k = -m/2 row and column are zero.
-    """
-    m, h = half.shape[-2:]
-    out = np.empty(half.shape[:-2] + (m, m), dtype=np.complex128)
-    out[..., :h] = half
-    out[..., h] = 0.0
-    np.conjugate(out[..., h - 1 : 0 : -1, 0], out=out[..., h + 1 :, 0])
-    out[..., 0, 0] = out[..., 0, 0].real
-    np.conjugate(out[..., :1, h - 1 : 0 : -1], out=out[..., :1, h + 1 :])
-    np.conjugate(out[..., :0:-1, h - 1 : 0 : -1], out=out[..., 1:, h + 1 :])
-    return out

@@ -3,12 +3,19 @@
 import numpy as np
 
 from sqglab.profiles import SmoothStep
+from sqglab.spectral import _unfold
+
+
+def full(field):
+    """The whole lattice's coefficients of ``field``, (m, m) or (2, m, m) in
+    FFT order, unfolded from the k2 >= 0 half it stores."""
+    return _unfold(field.coeffs)
 
 
 def physical(field):
     """Literal full-lattice synthesis: the complex samples of ``field`` on its
     ``m x m`` grid, the sum of ``c(k) exp(i x.xi)`` over every mode."""
-    return np.fft.ifft2(field.coeffs, norm="forward")
+    return np.fft.ifft2(full(field), norm="forward")
 
 
 def physical_real(field):
@@ -30,8 +37,10 @@ def physical_coordinates(lattice):
 
 
 def hermitian_defect(field):
-    """Max |c(-xi) - conj(c(xi))| over the lattice: 0 for a real field."""
-    c = field.coeffs
+    """Max |c(-xi) - conj(c(xi))| over the unfolded lattice: 0 for a real
+    field.  Only column k2 = 0 and the zero mode can contribute, since the
+    unfolding mirrors every other stored coefficient exactly."""
+    c = full(field)
     reflected = np.roll(np.flip(c, axis=(-2, -1)), 1, axis=(-2, -1))
     return float(np.max(np.abs(reflected - np.conj(c))))
 

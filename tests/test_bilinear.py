@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import hermitian_defect, physical_coordinates, physical_real
+from oracles import full, hermitian_defect, physical_coordinates, physical_real
 from sqglab import bilinear
 from sqglab.bilinear import (
     QUADRATURE_SIZE_LIMIT,
@@ -19,16 +19,16 @@ from sqglab.sampling import random_mean_zero_field
 from sqglab.spectral import (
     FrequencyLattice,
     SpectralField,
-    _check_real,
     inverse_laplacian,
     riesz_velocity,
+    strip_unpaired_edge,
 )
 
 
 def band_limited(lattice, rng, decay=1.0):
     f = random_mean_zero_field(lattice, rng, decay=decay)
     keep = lattice.radius < lattice.xi_max / 2
-    return SpectralField(lattice, np.where(keep, f.coeffs, 0.0))
+    return SpectralField(lattice, np.where(keep, full(f), 0.0))
 
 
 def test_closed_form_cosine_pair(lattice32):
@@ -52,7 +52,7 @@ def test_closed_form_velocity(lattice32):
     theta = SpectralField.cosine(lattice32, (4, 0))
     u = riesz_velocity(theta)
     x1 = physical_coordinates(lattice32)[0]
-    u1, u2 = (physical_real(SpectralField(lattice32, c)) for c in u.coeffs)
+    u1, u2 = (physical_real(SpectralField._adopt(lattice32, c.copy())) for c in u.coeffs)
     assert np.max(np.abs(u1)) <= 1e-13
     assert np.max(np.abs(u2 + np.sin(x1))) <= 1e-13
 
@@ -126,22 +126,24 @@ def test_lattice_mismatch_rejected(lattice32, lattice128):
 
 
 def test_quadratic_form_ignores_unpaired_input_edge(field_pair):
-    # energy on the k = -m/2 row and column has no conjugate partner; the
-    # padded syntheses leave it out, so both forms see the field without it.
-    # Mirrored along the edge it passes the realness check; unmirrored it
-    # is refused
+    # energy on the k = -m/2 row and column has no conjugate partner, and a
+    # field has no slot for it: construction refuses it, mirrored along the
+    # edge or not, so no form ever sees it.  Stripped, the array is the
+    # field without it again
     f, g = field_pair
-    c = f.coeffs.copy()
+    c = full(f)
     half = f.lattice.m // 2
     c[half, 3] = 1.0 + 2.0j
     c[5, half] = -0.5
-    with pytest.raises(ValueError, match="bilinear_block takes real fields"):
-        bilinear_block(SpectralField(f.lattice, c), g)
+    with pytest.raises(ValueError, match="unpaired k = -16 row or column"):
+        SpectralField(f.lattice, c)
     c[half, -3] = 1.0 - 2.0j
     c[-5, half] = -0.5
-    edged = SpectralField(f.lattice, c)
-    assert np.array_equal(bilinear_block(edged, g).coeffs, bilinear_block(f, g).coeffs)
-    assert np.array_equal(quadratic_diagonal(edged).coeffs, quadratic_diagonal(f).coeffs)
+    with pytest.raises(ValueError, match="unpaired k = -16 row or column"):
+        SpectralField(f.lattice, c)
+    stripped = SpectralField(f.lattice, strip_unpaired_edge(c))
+    assert np.array_equal(bilinear_block(stripped, g).coeffs, bilinear_block(f, g).coeffs)
+    assert np.array_equal(quadratic_diagonal(stripped).coeffs, quadratic_diagonal(f).coeffs)
 
 
 @pytest.mark.parametrize(
@@ -156,16 +158,20 @@ def test_non_finite_amplitudes_raise(lattice32, form):
 
 @pytest.mark.parametrize("position", ["first", "second"])
 def test_complex_inputs_are_refused(lattice32, position):
-    # the forms take real fields; a complex one is refused by name, in
-    # either argument, before any transform
+    # the forms take real fields, and a complex one cannot be built: its
+    # construction is refused, whichever argument it was meant for, and a
+    # real field scaled by i is refused too
     rng = np.random.default_rng(35)
     real = random_mean_zero_field(lattice32, rng)
-    complex_ = SpectralField(lattice32, 1j * real.coeffs)
-    pair = (complex_, real) if position == "first" else (real, complex_)
-    with pytest.raises(ValueError, match="bilinear_block takes real fields"):
-        bilinear_block(*pair)
-    with pytest.raises(ValueError, match="quadratic_diagonal takes real fields"):
-        quadratic_diagonal(pair[0] if position == "first" else pair[1])
+    c = full(real)
+    if position == "second":
+        c[1, 2] += 1e-3 * np.abs(c).max()  # unmatched at (-1, -2)
+    else:
+        c = 1j * c
+    with pytest.raises(ValueError, match="SpectralField takes real fields"):
+        SpectralField(lattice32, c)
+    with pytest.raises(TypeError):
+        1j * real
 
 
 @settings(max_examples=40, deadline=None)
@@ -206,7 +212,7 @@ def in_columns(lattice, rng, columns):
     """Random mean-zero field that occupies only the k2 = +-k columns listed."""
     f = random_mean_zero_field(lattice, rng)
     keep = np.isin(np.abs(lattice.k2), columns)
-    return SpectralField(lattice, np.where(keep, f.coeffs, 0.0))
+    return SpectralField(lattice, np.where(keep, full(f), 0.0))
 
 
 def kernel_inputs():
@@ -228,7 +234,7 @@ def test_kernel_inputs_are_as_named():
     widths = {name: bilinear._occupied_columns(f.coeffs, h) for name, f in fields.items()}
     assert widths == {"bump": 8, "narrow": 6, "zero": 0, "last-column": 32, "full": 32}
     for name, f in fields.items():
-        _check_real(f.coeffs, name)
+        assert hermitian_defect(f) == 0.0, name
 
 
 @pytest.mark.parametrize("first", ["bump", "narrow", "zero", "last-column"])

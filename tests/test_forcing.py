@@ -125,9 +125,9 @@ def full_lattice_pair(lattice, carrier):
 
 
 def edge_stripped(coeffs):
-    out = coeffs.astype(np.complex128)
+    """The k2 >= 0 half a field stores of a full real array, edge stripped."""
+    out = coeffs[:, : coeffs.shape[1] // 2].astype(np.complex128)
     out[out.shape[0] // 2, :] = 0.0
-    out[:, out.shape[1] // 2] = 0.0
     return out
 
 
@@ -152,7 +152,7 @@ def test_modulated_bump_box_is_bitwise_the_full_lattice(m, h_xi, size):
         d = np.minimum(
             np.hypot(lattice.xi1 - 2.0**size, lattice.xi2),
             np.hypot(lattice.xi1 + 2.0**size, lattice.xi2),
-        )
+        )[:, : m // 2]
         assert np.all(vals[d <= 1.0] == 1.0)
         assert np.all(vals[d >= 2.0] == 0.0)
         mid = (d > 1.0) & (d < 2.0)
@@ -185,7 +185,7 @@ def test_modulated_bump_support_and_amplitude(lattice128):
     d = np.minimum(
         np.hypot(lattice128.xi1 - 8.0, lattice128.xi2),
         np.hypot(lattice128.xi1 + 8.0, lattice128.xi2),
-    )
+    )[:, :64]
     assert np.all(f.coeffs[d >= 2.0] == 0.0)
     assert f.mean_coefficient() == 0.0
     # exact peak value delta * 2**(5c/2) / 2 at the carrier itself
@@ -346,7 +346,7 @@ def test_calibrated_stride_is_two_sided():
 
     # target: what perfectly separated blocks would add up to
     ring = part.ring_values(2).astype(np.complex128)
-    block = SpectralField(lat, 2.0 ** (-1.5 * 2) * ring)
+    block = SpectralField._adopt(lat, 2.0 ** (-1.5 * 2) * ring)
     target = 2.0 * float(area * np.sum(np.abs(physical(block)) ** 4))
 
     stride = calibrate_stride(lat, spec_at(), part)

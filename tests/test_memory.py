@@ -1,12 +1,14 @@
-"""Deterministic memory guards for the quadratic form and ``illpose-step2``.
+"""Deterministic memory guards for the quadratic form, one perturbation
+iteration and ``illpose-step2``.
 
-Sizes are counted in three units, at lattice size m:
+Sizes are counted in two units, at lattice size m:
 
 * a padded array: the (3m/2, 3m/4 + 1) complex half-spectrum buffer in
   which the kernel synthesizes a factor or a flux and analyses the flux
   back, in place (``spectral._half_synthesis``, ``_analysed_half``);
-* an (m, m/2) complex array, 8 m**2 bytes;
-* an m x m field, 16 m**2 bytes, two of the previous unit.
+* an (m, m/2) complex array, 8 m**2 bytes: what every field stores, its
+  k2 >= 0 half spectrum (``spectral.SpectralField``).  A field that stored
+  all m x m coefficients would be two of these units.
 
 Peaks are read with ``tracemalloc``, which numpy reports its array buffers
 to, so they count every array allocated while the measured call runs
@@ -19,15 +21,31 @@ import weakref
 import numpy as np
 import pytest
 
-from sqglab.bilinear import bilinear_block, quadratic_diagonal
+from sqglab import solver
+from sqglab.besov import build_partition, shell_project
+from sqglab.bilinear import bilinear_block, bilinear_quadrature, quadratic_diagonal
+from sqglab.forcing import (
+    ExponentMap,
+    ForceSpec,
+    lacunary_force,
+    modulated_bump_force,
+    translated_block_force,
+)
 from sqglab.runner import config_from_dict, run_experiment
-from sqglab.sampling import random_mean_zero_field
-from sqglab.spectral import FrequencyLattice, SpectralField
+from sqglab.sampling import random_mean_zero_field, single_shell_field
+from sqglab.solver import SolveConfig, _inner_edge_field, perturbation_solve
+from sqglab.spectral import (
+    FrequencyLattice,
+    SpectralField,
+    dyadic_rescale,
+    inverse_laplacian,
+    neg_laplacian,
+    riesz_velocity,
+)
 
 M = 256
 PADDED = (3 * M // 2) * (3 * M // 4 + 1) * 16
 HALF = M * (M // 2) * 16
-FIELD = M * M * 16
 
 # (m, m/2)-sized working set of one form call, besides its padded arrays:
 # the accumulator of the contracted flux (1), the velocity symbol on the
@@ -112,19 +130,103 @@ def test_step2_holds_at_most_three_fields(monkeypatch):
 
 def test_step2_peak_is_three_fields_and_one_form():
     """At its peak step2 is inside a quadratic form, holding the form's
-    input and one other field; the third field's worth covers the form's
-    output and the partition's cached ring quadrants.  Measured at this
-    config: 1.3 (m, m/2) units below the bound."""
+    input and one other field, two half fields; the form's output is its
+    accumulator, inside the form's allowance, and one more unit covers the
+    partition's cached ring quadrants.  Measured at this config: 0.95 units
+    below the bound.  Fields storing all m x m coefficients hold more: the
+    code before the half-spectrum layout measured 1.05 units over it."""
     peak = traced_peak(lambda: run_experiment(config_from_dict(STEP2_DESK), write=False))
-    bound = 3 * FIELD + 2 * PADDED + FORM_ALLOWANCE
+    bound = 3 * HALF + 2 * PADDED + FORM_ALLOWANCE
     assert peak <= bound, f"{(peak - bound) / HALF:.2f} units over"
 
 
-def test_step2_builds_no_full_lattice_coordinate_array(monkeypatch):
+def test_perturbation_iteration_working_set(monkeypatch):
+    """Two iterations of ``perturbation_solve`` at m = 256, measured from the
+    loop's entry, so the solve's set-up (its base, base form, source and
+    forcing, four fields) is not counted.  At its peak the second iteration
+    is inside the quadratic form of the defect, holding the previous
+    iterate, the new one and the reassembled field: three half fields, one
+    form.  Measured: 0.6 units below the bound; fields storing all m x m
+    coefficients hold three more units (the code before the half-spectrum
+    layout measured 3.5 units over it)."""
+    theta1, theta2 = (0.01 * f for f in full_band_pair(M))
+    partition = build_partition(theta1.lattice)
+    perturbation_solve(theta1, theta2, SolveConfig(max_iter=2), partition)  # warm caches
+    iterate, peaks = solver._iterate, []
+
+    def measured(*args, **kwargs):
+        out = []
+        peaks.append(traced_peak(lambda: out.append(iterate(*args, **kwargs))))
+        return out[0]
+
+    monkeypatch.setattr(solver, "_iterate", measured)
+    _, trace = perturbation_solve(theta1, theta2, SolveConfig(max_iter=2), partition)
+    assert trace.iterations == 2
+    bound = 3 * HALF + 2 * PADDED + FORM_ALLOWANCE
+    assert peaks[0] <= bound, f"{(peaks[0] - bound) / HALF:.2f} units over"
+
+
+def operator_outputs(lattice):
+    """Every way the package makes a scalar field, by name, on ``lattice``."""
+    rng = np.random.default_rng(1)
+    partition = build_partition(lattice)
+    f, g = random_mean_zero_field(lattice, rng), random_mean_zero_field(lattice, rng, decay=1.0)
+    blocks = ForceSpec(variant="blocks", size=2, block_range=(1, 2),
+                       exponents=ExponentMap.affine(2, -4), carrier_exponent=2, stride=3.0)
+    envelope, forcing = translated_block_force(lattice, blocks, partition)
+    lacunary = ForceSpec(variant="lacunary", size=2, block_range=(1, 1),
+                         exponents=ExponentMap.affine(2, 0))
+    return {
+        "constructor": SpectralField(lattice, np.zeros((lattice.m, lattice.m))),
+        "zeros": SpectralField.zeros(lattice),
+        "cosine": SpectralField.cosine(lattice, (2, 3)),
+        "sum": f + g, "difference": f - g, "multiple": 2.0 * f, "negation": -f,
+        "inverse_laplacian": inverse_laplacian(f),
+        "neg_laplacian": neg_laplacian(f),
+        "dyadic_rescale": dyadic_rescale(SpectralField.cosine(lattice, (2, 3)), 1),
+        "quadratic_diagonal": quadratic_diagonal(f),
+        "bilinear_block": bilinear_block(f, g),
+        "shell_project": shell_project(f, partition, 0),
+        "single_shell_field": single_shell_field(lattice, partition, 0, rng),
+        "inner_edge_field": _inner_edge_field(lattice, 1, rng),
+        "modulated_bump_force": modulated_bump_force(lattice, ForceSpec(variant="bump", size=2)),
+        "lacunary_force": lacunary_force(lattice, lacunary),
+        "block_envelope": envelope,
+        "translated_block_force": forcing,
+    }
+
+
+def test_every_operator_output_stores_the_half_spectrum():
+    lattice = FrequencyLattice(m=64, h_xi=0.25)
+    half = (lattice.m, lattice.m // 2)
+    for name, field in operator_outputs(lattice).items():
+        assert field.coeffs.shape == half, name
+        assert field.coeffs.nbytes == 8 * lattice.m**2, name
+    assert riesz_velocity(SpectralField.cosine(lattice, (2, 3))).coeffs.shape == (2,) + half
+    small = FrequencyLattice(m=16, h_xi=0.5)
+    f = SpectralField.cosine(small, (1, 2))
+    assert bilinear_quadrature(f, f).coeffs.shape == (16, 8)
+
+
+SOLVE_DESK = {"experiment": "solve", "m": 64, "h_xi": 0.25, "samples": 50, "max_iter": 8}
+
+
+def refuse_coordinate_arrays(monkeypatch):
+    """Make every m x m coordinate array of a lattice raise when built; k1
+    and k2 stay, as broadcast views of one axis."""
     def refuse(lattice):
         raise AssertionError("an m x m coordinate array was built")
 
-    # k1 and k2 stay: they are broadcast views of one axis
     for name in ("xi1", "xi2", "radius", "radius_sq"):
         monkeypatch.setattr(FrequencyLattice, name, property(refuse))
+
+
+def test_step2_builds_no_full_lattice_coordinate_array(monkeypatch):
+    refuse_coordinate_arrays(monkeypatch)
     run_experiment(config_from_dict(STEP2_DESK), write=False)
+
+
+def test_solve_builds_no_full_lattice_coordinate_array(monkeypatch):
+    # the samplers of the constants read the radius quadrant
+    refuse_coordinate_arrays(monkeypatch)
+    run_experiment(config_from_dict(SOLVE_DESK), write=False)

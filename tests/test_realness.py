@@ -1,8 +1,12 @@
 """Real fields in, real fields out.
 
-The quadratic forms and the Besov shells take real fields only and refuse
-others with ``spectral._check_real``.  Every operator and source that feeds
-them must therefore return fields that this check accepts.
+A field stores the k2 >= 0 half of a real field's Hermitian coefficients,
+and its full-array constructor refuses anything that is not a real field.
+The half holds one redundancy, column k2 = 0, whose k1 < 0 end mirrors its
+k1 > 0 end, and the zero mode is real; the k1 = -m/2 row is zero.  Every
+operator and source must return halves for which these hold, which is
+checked here by unfolding each output and constructing it again: the
+constructor must accept it and keep the same half, bit for bit.
 """
 
 import numpy as np
@@ -18,10 +22,10 @@ from sqglab.forcing import (
     translated_block_force,
 )
 from sqglab.sampling import random_mean_zero_field, single_shell_field
+from oracles import full
 from sqglab.spectral import (
     FrequencyLattice,
     SpectralField,
-    _check_real,
     dyadic_rescale,
     inverse_laplacian,
     neg_laplacian,
@@ -41,16 +45,20 @@ def drawn(lattice, seed, decay=0.0):
     return random_mean_zero_field(lattice, np.random.default_rng(seed), decay=decay)
 
 
+def check_real(field, source):
+    """The field's unfolded coefficients construct it again, half unchanged."""
+    again = SpectralField(field.lattice, full(field))
+    assert again.coeffs.tobytes() == field.coeffs.tobytes(), source
+
+
 @settings(max_examples=30, deadline=None)
 @given(lattice=lattices, seed=seeds, decay=st.sampled_from([0.0, 1.0, 2.5]))
 def test_multipliers_return_real_fields(lattice, seed, decay):
     theta = drawn(lattice, seed, decay)
-    _check_real(theta.coeffs, "random_mean_zero_field")
-    _check_real(inverse_laplacian(theta).coeffs, "inverse_laplacian")
-    _check_real(neg_laplacian(theta).coeffs, "neg_laplacian")
-    u = riesz_velocity(theta)
-    _check_real(u.coeffs[0], "riesz_velocity, first component")
-    _check_real(u.coeffs[1], "riesz_velocity, second component")
+    check_real(theta, "random_mean_zero_field")
+    check_real(inverse_laplacian(theta), "inverse_laplacian")
+    check_real(neg_laplacian(theta), "neg_laplacian")
+    check_real(riesz_velocity(theta), "riesz_velocity")
 
 
 @settings(max_examples=30, deadline=None)
@@ -59,9 +67,9 @@ def test_shell_pieces_are_real_fields(lattice, seed, data):
     partition = build_partition(lattice)
     live = [j for j in partition.shells if partition.ring_quadrant(j).any()]
     j = data.draw(st.sampled_from(live), label="shell")
-    _check_real(shell_project(drawn(lattice, seed), partition, j).coeffs, "shell_project")
+    check_real(shell_project(drawn(lattice, seed), partition, j), "shell_project")
     field = single_shell_field(lattice, partition, j, np.random.default_rng(seed))
-    _check_real(field.coeffs, "single_shell_field")
+    check_real(field, "single_shell_field")
 
 
 # The forcings need the lattice to hold their carriers: at m = 64 and
@@ -75,7 +83,7 @@ FORCING_LATTICE = FrequencyLattice(m=64, h_xi=0.25)
 @given(delta=deltas)
 def test_modulated_bump_force_is_real(delta):
     spec = ForceSpec(variant="bump", delta=delta, size=2)
-    _check_real(modulated_bump_force(FORCING_LATTICE, spec).coeffs, "modulated_bump_force")
+    check_real(modulated_bump_force(FORCING_LATTICE, spec), "modulated_bump_force")
 
 
 @settings(max_examples=20, deadline=None)
@@ -83,7 +91,7 @@ def test_modulated_bump_force_is_real(delta):
 def test_lacunary_force_is_real(delta, shift, size):
     spec = ForceSpec(variant="lacunary", delta=delta, size=size, block_range=(1, 1),
                      exponents=ExponentMap.affine(2, shift))
-    _check_real(lacunary_force(FORCING_LATTICE, spec).coeffs, "lacunary_force")
+    check_real(lacunary_force(FORCING_LATTICE, spec), "lacunary_force")
 
 
 @settings(max_examples=20, deadline=None)
@@ -99,8 +107,8 @@ def test_translated_block_force_is_real(delta, stride, blocks, equal_shell):
                      stride=stride, equal_shell=equal_shell)
     partition = build_partition(FORCING_LATTICE)
     envelope, forcing = translated_block_force(FORCING_LATTICE, spec, partition)
-    _check_real(envelope.coeffs, "block_envelope")
-    _check_real(forcing.coeffs, "translated_block_force")
+    check_real(envelope, "block_envelope")
+    check_real(forcing, "translated_block_force")
 
 
 @settings(max_examples=30, deadline=None)
@@ -116,14 +124,14 @@ def test_dyadic_rescale_round_trips(m, seed, exponent, amplitude_power):
     reach = np.maximum(np.abs(lattice.k1), np.abs(lattice.k2))
     # up then down: a spectrum inside |k| < m / 2**(exponent + 1) fits the
     # finer scale and comes back bit for bit
-    low = SpectralField(lattice, np.where(reach < m >> (exponent + 1), f.coeffs, 0.0))
+    low = SpectralField(lattice, np.where(reach < m >> (exponent + 1), full(f), 0.0))
     up = dyadic_rescale(low, exponent, amplitude_power)
-    _check_real(up.coeffs, "dyadic_rescale")
+    check_real(up, "dyadic_rescale")
     assert np.array_equal(dyadic_rescale(up, -exponent, amplitude_power).coeffs, low.coeffs)
     # down then up: a spectrum on the 2**exponent-coarser sublattice
     q = 1 << exponent
     coarse = (lattice.k1 % q == 0) & (lattice.k2 % q == 0)
-    sub = SpectralField(lattice, np.where(coarse, f.coeffs, 0.0))
+    sub = SpectralField(lattice, np.where(coarse, full(f), 0.0))
     down = dyadic_rescale(sub, -exponent, amplitude_power)
-    _check_real(down.coeffs, "dyadic_rescale")
+    check_real(down, "dyadic_rescale")
     assert np.array_equal(dyadic_rescale(down, exponent, amplitude_power).coeffs, sub.coeffs)

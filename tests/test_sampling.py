@@ -11,19 +11,28 @@ from sqglab.sampling import (
     single_shell_field,
     unit_normalize,
 )
-from sqglab.spectral import SpectralField
+from sqglab.solver import _inner_edge_field
+from sqglab.spectral import FrequencyLattice, SpectralField, _unfold, strip_unpaired_edge
+
+
+def mirrored(c):
+    """c(-k) in FFT order."""
+    for ax in (-2, -1):
+        c = np.roll(np.flip(c, axis=ax), 1, axis=ax)
+    return c
 
 
 def test_hermitian_symmetrize_is_a_projection():
     rng = np.random.default_rng(51)
     c = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
     sym = hermitian_symmetrize(c)
-    assert np.allclose(hermitian_symmetrize(sym), sym)
-    # fixed point of conjugate mirroring: c(-k) == conj(c(k))
-    mirrored = sym
-    for ax in (-2, -1):
-        mirrored = np.roll(np.flip(mirrored, axis=ax), 1, axis=ax)
-    assert np.allclose(np.conj(mirrored), sym)
+    # the k2 >= 0 half of the average with the mirrored conjugate
+    assert sym.shape == (8, 4)
+    assert np.array_equal(sym, (0.5 * (c + np.conj(mirrored(c))))[:, :4])
+    # a fixed point of conjugate mirroring: its unfolding symmetrizes to itself
+    whole = _unfold(sym)
+    assert np.allclose(np.conj(mirrored(whole)), whole)
+    assert np.allclose(hermitian_symmetrize(whole), sym)
 
 
 def test_random_field_is_admissible(lattice32):
@@ -31,9 +40,10 @@ def test_random_field_is_admissible(lattice32):
     f = random_mean_zero_field(lattice32, rng)
     assert f.mean_coefficient() == 0.0
     assert hermitian_defect(f) <= 1e-14 * np.max(np.abs(f.coeffs))
-    # the unpaired edge is stripped
+    # the unpaired edge is stripped: the k1 = -m/2 row is zero, and the
+    # k2 = -m/2 column has no slot
     assert not f.coeffs[lattice32.m // 2, :].any()
-    assert not f.coeffs[:, lattice32.m // 2].any()
+    assert f.coeffs.shape == (lattice32.m, lattice32.m // 2)
     physical_real(f)
 
 
@@ -41,7 +51,7 @@ def test_random_field_decay_damps_high_modes(lattice32):
     rng = np.random.default_rng(53)
     rough = random_mean_zero_field(lattice32, rng)
     smooth = random_mean_zero_field(lattice32, np.random.default_rng(53), decay=4.0)
-    r = lattice32.radius
+    r = lattice32.radius[:, :16]
     outer = r > lattice32.xi_max / 2
     ratio = np.abs(smooth.coeffs[outer]).mean() / np.abs(rough.coeffs[outer]).mean()
     assert ratio < 0.1
@@ -71,3 +81,36 @@ def test_unit_normalize(lattice32, partition32):
     assert besov_norm(g, idx, partition32) == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ValueError, match="zero field"):
         unit_normalize(SpectralField.zeros(lattice32), idx, partition32)
+
+
+def full_lattice_sample(lattice, c, weight):
+    """The samplers' construction on the whole lattice, as an oracle: the
+    draws times a full-lattice weight, symmetrized, mean and edge removed."""
+    c = c * weight
+    c = 0.5 * (c + np.conj(mirrored(c)))
+    c[0, 0] = 0.0
+    return strip_unpaired_edge(c)[:, : lattice.m // 2]
+
+
+@pytest.mark.parametrize("m, h_xi", [(32, 0.25), (64, 0.3)])
+@pytest.mark.parametrize("decay", [0.0, 2.0])
+def test_random_field_is_bitwise_the_full_lattice_construction(m, h_xi, decay):
+    # the decay is read from a quadrant of |xi|**2, with the same draws
+    lattice = FrequencyLattice(m=m, h_xi=h_xi)
+    got = random_mean_zero_field(lattice, np.random.default_rng(57), decay=decay)
+    rng = np.random.default_rng(57)
+    c = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    weight = (1.0 + lattice.radius_sq) ** (-decay / 2.0) if decay else 1.0
+    assert got.coeffs.tobytes() == full_lattice_sample(lattice, c, weight).tobytes()
+
+
+@pytest.mark.parametrize("j", [0, 2, 3])
+def test_inner_edge_field_is_bitwise_the_full_lattice_construction(j):
+    lattice = FrequencyLattice(m=64, h_xi=0.25)
+    got = _inner_edge_field(lattice, j, np.random.default_rng(58))
+    rng = np.random.default_rng(58)
+    r = lattice.radius
+    mask = (r > 0.875 * 2.0**j) & (r < 0.95 * 2.0**j)
+    assert mask.any()
+    c = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
+    assert got.coeffs.tobytes() == full_lattice_sample(lattice, c, mask).tobytes()

@@ -99,7 +99,7 @@ def test_trace_ends_with_the_norm_of_the_returned_iterate(lattice32, partition32
         steps.append(theta)
         c = 2.0 * theta.coeffs + f.coeffs
         with np.errstate(invalid="ignore"):
-            return SpectralField(lattice32, c * np.inf if len(steps) == last else c)
+            return SpectralField._adopt(lattice32, c * np.inf if len(steps) == last else c)
 
     for last in (3, 1):
         steps = []

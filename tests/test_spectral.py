@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from oracles import hermitian_defect, physical_coordinates, physical_real
+from oracles import full, hermitian_defect, physical_coordinates, physical_real
 from sqglab import spectral
 from sqglab.sampling import random_mean_zero_field
 from sqglab.spectral import (
@@ -20,6 +20,7 @@ from sqglab.spectral import (
     _padded_half,
     _real_synthesis,
     _reciprocal,
+    _unfold,
     dyadic_rescale,
     inverse_laplacian,
     neg_laplacian,
@@ -73,9 +74,53 @@ def test_random_field_is_real_and_mean_zero(lattice32):
     physical_real(f)  # must not raise
 
 
+def test_constructor_keeps_the_half_and_unfolding_restores_the_array(lattice32):
+    rng = np.random.default_rng(5)
+    c = full(random_mean_zero_field(lattice32, rng))
+    f = SpectralField(lattice32, c)
+    assert f.coeffs.shape == (32, 16)
+    assert np.array_equal(f.coeffs, c[:, :16])
+    assert np.array_equal(_unfold(f.coeffs), c)
+    u = riesz_velocity(f)
+    assert u.coeffs.shape == (2, 32, 16)
+    assert np.array_equal(SpectralField(lattice32, _unfold(u.coeffs)).coeffs, u.coeffs)
+
+
+def test_constructor_refuses_a_complex_field(lattice32):
+    # the realness check of the whole lattice runs once, at construction
+    rng = np.random.default_rng(6)
+    c = full(random_mean_zero_field(lattice32, rng))
+    with pytest.raises(ValueError, match="SpectralField takes real fields"):
+        SpectralField(lattice32, 1j * c)
+    # rounding of an assembled array passes, up to 1e-12 of its scale
+    scale = np.abs(c.view(np.float64)).max()
+    nudged = c.copy()
+    nudged[3, 5] += 0.9e-12 * scale
+    SpectralField(lattice32, nudged)
+    nudged[3, 5] += 0.2e-12 * scale
+    with pytest.raises(ValueError, match="SpectralField takes real fields"):
+        SpectralField(lattice32, nudged)
+    for factor in (1j, np.complex128(1.0)):
+        with pytest.raises(TypeError, match="not a real field"):
+            SpectralField.cosine(lattice32, (1, 0)) * factor
+
+
+def test_constructor_refuses_the_unpaired_edge(lattice32):
+    # the half has no slot for the k2 = -m/2 column, and its k1 = -m/2 row
+    # is zero: energy there is refused even where it mirrors onto itself
+    c = np.zeros((32, 32), dtype=np.complex128)
+    c[16, 3] = c[16, -3] = 1.0
+    with pytest.raises(ValueError, match="unpaired k = -16 row or column"):
+        SpectralField(lattice32, c)
+    with pytest.raises(ValueError, match="unpaired k = -16 row or column"):
+        SpectralField(lattice32, c.T)
+    with pytest.raises(ValueError, match="expected the full"):
+        SpectralField(lattice32, c[:, :16])
+
+
 def test_constructor_copies_and_operator_outputs_are_frozen(lattice32):
     rng = np.random.default_rng(2)
-    c = random_mean_zero_field(lattice32, rng).coeffs.copy()
+    c = full(random_mean_zero_field(lattice32, rng))
     f = SpectralField(lattice32, c)
     before = f.coeffs.copy()
     c[1, 2] = 7.0
@@ -114,7 +159,7 @@ def test_inverse_laplacian_per_coefficient(lattice32):
     rng = np.random.default_rng(2)
     f = random_mean_zero_field(lattice32, rng)
     got = inverse_laplacian(f).coeffs
-    rsq = lattice32.radius_sq
+    rsq = lattice32.radius_sq[:, :16]
     want = np.divide(f.coeffs, rsq, out=np.zeros_like(f.coeffs), where=rsq > 0)
     scale = np.max(np.abs(want))
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
@@ -135,10 +180,11 @@ def test_coordinate_axis_and_quadrant_are_the_lattice_arrays_bitwise():
 def test_laplacians_from_the_quadrant_are_bitwise_the_full_lattice_symbols(m, rank):
     lat = FrequencyLattice(m=m, h_xi=0.25)
     rng = np.random.default_rng(m)
-    shape = (2,) * rank + (m, m)
+    # the symbols act mode by mode, so any half spectrum will do
+    shape = (2,) * rank + (m, m // 2)
     c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    f = SpectralField(lat, c)
-    r = lat.radius  # the full-lattice symbols are the oracle
+    f = SpectralField._adopt(lat, c.copy())
+    r = lat.radius[:, : m // 2]  # the full-lattice symbols are the oracle
     assert inverse_laplacian(f).coeffs.tobytes() == (_reciprocal(r * r) * c).tobytes()
     assert neg_laplacian(f).coeffs.tobytes() == ((r * r) * c).tobytes()
 
@@ -154,7 +200,7 @@ def test_velocity_is_divergence_free(lattice32):
     rng = np.random.default_rng(4)
     theta = random_mean_zero_field(lattice32, rng)
     u = riesz_velocity(theta).coeffs
-    div = lattice32.xi1 * u[0] + lattice32.xi2 * u[1]
+    div = lattice32.xi1[:, :16] * u[0] + lattice32.xi2[:, :16] * u[1]
     assert np.max(np.abs(div)) < 1e-13
 
 
@@ -165,9 +211,9 @@ def test_velocity_of_cosine():
     theta = SpectralField.cosine(lat, (4, 0))
     u = riesz_velocity(theta)
     x1, _ = physical_coordinates(lat)
-    assert np.max(np.abs(physical_real(SpectralField(lat, u.coeffs[0])))) < 1e-13
-    want = -np.sin(x1)
-    assert np.max(np.abs(physical_real(SpectralField(lat, u.coeffs[1])) - want)) < 1e-12
+    u1, u2 = (physical_real(SpectralField._adopt(lat, c.copy())) for c in u.coeffs)
+    assert np.max(np.abs(u1)) < 1e-13
+    assert np.max(np.abs(u2 + np.sin(x1))) < 1e-12
 
 
 # -- dyadic rescaling --------------------------------------------------------
@@ -198,8 +244,10 @@ def test_rescale_moves_modes_with_amplitude():
     lat = FrequencyLattice(m=64, h_xi=0.25)
     f = SpectralField.from_modes(lat, {(2, -1): 0.5})
     g = dyadic_rescale(f, 2, amplitude_power=3)
-    assert g.coeffs[8, (-4) % 64] == pytest.approx(0.5 * 64.0)
-    assert g.nonzero_modes() == 2
+    # mode (8, -4) is stored as its conjugate partner (-8, 4)
+    assert full(g)[8, (-4) % 64] == pytest.approx(0.5 * 64.0)
+    assert g.coeffs[(-8) % 64, 4] == pytest.approx(0.5 * 64.0)
+    assert g.nonzero_modes() == 1
 
 
 # -- transforms ----------------------------------------------------------------
