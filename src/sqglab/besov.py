@@ -173,9 +173,11 @@ class DyadicPartition:
         return (_STEP.t1 / 2.0 * 2.0**j, _STEP.t0 * 2.0**j)
 
     def coverage(self) -> np.ndarray:
-        """Telescoped ring sum over the window on the lattice, in closed
-        form (read-only ``(m, m)`` array, evaluated on every call)."""
-        r = self.lattice.radius
+        """Telescoped ring sum over the window, in closed form, on the
+        lattice's :attr:`~FrequencyLattice.radius_quadrant`: mode
+        ``(k1, k2)`` reads ``[|k1|, |k2|]`` (read-only ``(m/2 + 1, m/2 + 1)``
+        array, evaluated on every call)."""
+        r = self.lattice.radius_quadrant
         cov = _STEP(r * 2.0 ** (-self.j_max)) - _STEP(r * 2.0 ** (1 - self.j_min))
         cov.flags.writeable = False
         return cov

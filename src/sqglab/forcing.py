@@ -1,15 +1,20 @@
 """Forcing families that drive the inflation experiments.
 
-All three families modulate one radial envelope (a smooth bump equal to 1
-inside the unit ball, vanishing outside radius 2) up to high carrier
-frequencies along e1:
+All three families modulate an envelope up to high carrier frequencies
+along e1:
 
-* ``modulated_bump_force``: a single modulated bump, spectrum in the
-  annulus of width 2 around the carrier;
+* ``modulated_bump_force``: a single modulated bump (a smooth radial bump
+  equal to 1 inside the unit ball, vanishing outside radius 2), spectrum
+  in the annulus of width 2 around the carrier;
 * ``lacunary_force``: a sum of modulated bumps on widely separated
   carriers with 1/sqrt(n) weights;
 * ``translated_block_force``: a sum of translated partition blocks as the
   envelope, modulated by a single carrier.
+
+Every envelope exists only on its box, which is added into one zero
+(m, m/2) half spectrum: a bump on its ball's box, the block envelope on
+the box of its widest ring (``_envelope_box``), placed at the rows of +-the
+carrier.  ``envelope_l4_norm`` sums the block envelope on that box.
 
 Exponent maps are configurable.  The quadratic map (carrier exponents
 n**2) that motivates the constructions outruns any feasible lattice almost
@@ -37,7 +42,6 @@ __all__ = [
     "modulated_bump_force",
     "lacunary_force",
     "shared_annulus_modes",
-    "block_envelope",
     "translated_block_force",
     "envelope_l4_norm",
     "calibrate_stride",
@@ -323,15 +327,6 @@ def lacunary_force(lattice: FrequencyLattice, spec: ForceSpec) -> SpectralField:
     return SpectralField._adopt(lattice, strip_unpaired_edge(coeffs))
 
 
-def _translate_coeffs(coeffs: np.ndarray, lattice: FrequencyLattice, shift: float) -> np.ndarray:
-    """Coefficients of f(. - shift e1): phase twist exp(-i xi1 shift).
-
-    The phase depends on k1 alone, so it is one (m, 1) column of the
-    lattice's frequency axis, broadcast along axis 1.
-    """
-    return coeffs * np.exp(-1j * lattice.xi_axis[:, None] * shift)
-
-
 def _check_translations(lattice: FrequencyLattice, stride: float, exps: list[int]) -> None:
     if not stride > 0:
         raise ValueError(f"stride must be positive, got {stride}")
@@ -347,106 +342,92 @@ def _check_translations(lattice: FrequencyLattice, stride: float, exps: list[int
                 )
 
 
-def block_envelope(
-    lattice: FrequencyLattice,
-    spec: ForceSpec,
-    partition: DyadicPartition,
-) -> SpectralField:
-    """Sum of translated partition blocks, 2**(-3 j(k)/2) phi_{j(k)}(x - stride*s(k) e1).
+def _envelope_box(lattice: FrequencyLattice, spec: ForceSpec,
+                  partition: DyadicPartition) -> np.ndarray:
+    """The block envelope sum_k 2**(-3 j(k)/2) phi_{j(k)}(x - stride*s(k) e1)
+    on its box: complex (2K+1, K+1), entry ``[K + k1, k2]`` the coefficient
+    at mode (k1, k2), rows k1 = -K .. K and columns k2 = 0 .. K, with K the
+    widest ring's extent short of the unpaired k = -m/2 edge.
 
     The shell j(k) is the exponent s(k), or the shared ``equal_shell``
     when set; the weight makes every block carry the same L4 mass (the
     block at shell j scales like 2**(2j) in height and 2**(-j) in width).
-    The envelope itself never touches the carrier, so only the stride
-    geometry and the shell window are checked here; the carrier checks
-    belong to :func:`translated_block_force`.
+    Each block is its :meth:`~DyadicPartition.ring_quadrant` mirrored onto
+    its rows, cast to complex, twisted by the translation phase exp(-i xi1
+    stride s) and added in block order: the per-mode operations of the
+    same sum taken over the whole lattice.  The envelope never touches the
+    carrier, so only the stride geometry and the shell window are checked
+    here; the carrier checks belong to :func:`translated_block_force`.
     """
     if spec.variant != "blocks":
         raise ValueError(f"expected a blocks spec, got variant {spec.variant!r}")
     if spec.stride is None:
         raise ValueError("block envelope needs a stride; run calibrate_stride first")
     _check_translations(lattice, spec.stride, spec.block_exponents())
-    coeffs = np.zeros((lattice.m, lattice.m // 2), dtype=np.complex128)
-    for s, j in zip(spec.block_exponents(), spec.block_shells()):
+    shells = spec.block_shells()
+    for j in shells:
         if not (partition.j_min <= j <= partition.j_max):
             raise ValueError(
                 f"block shell {j} falls outside the partition window "
                 f"[{partition.j_min}, {partition.j_max}]"
             )
-        ring = partition.ring_values(j).astype(np.complex128)
-        shift = spec.stride * s
-        coeffs += 2.0 ** (-1.5 * j) * _translate_coeffs(ring, lattice, shift)
-    return SpectralField._adopt(lattice, strip_unpaired_edge(coeffs))
+    extent = min(max(partition.ring_extent(j) for j in shells), lattice.m // 2 - 1)
+    box = np.zeros((2 * extent + 1, extent + 1), dtype=np.complex128)
+    for s, j in zip(spec.block_exponents(), shells):
+        k = min(partition.ring_extent(j), extent)
+        quadrant = partition.ring_quadrant(j)[: k + 1, : k + 1]
+        ring = np.concatenate((quadrant[:0:-1], quadrant)).astype(np.complex128)
+        xi = lattice.xi_axis[np.arange(-k, k + 1) % lattice.m]
+        box[extent - k : extent + k + 1, : k + 1] += 2.0 ** (-1.5 * j) * (
+            ring * np.exp(-1j * xi[:, None] * (spec.stride * s)))
+    return box
 
 
-def _carrier_shift_indices(lattice: FrequencyLattice, carrier_exponent: int) -> int:
-    steps = 2.0**carrier_exponent / lattice.h_xi
-    return int(round(steps))
+def translated_block_force(lattice: FrequencyLattice, spec: ForceSpec,
+                           partition: DyadicPartition) -> SpectralField:
+    """The block envelope modulated by the carrier: amp * envelope(x)
+    cos(2**c x1), with amp = delta 2**(5c/2) / (size**(1/4) ln(size)).
 
-
-def _carrier_pair(coeffs: np.ndarray, steps: int) -> np.ndarray:
-    """The spectrum relocated by ``steps`` lattice cells along axis 0 plus
-    the spectrum relocated by ``-steps``, as one new array; a half spectrum
-    relocates to the half spectrum of the relocated field.
-
-    Plane shifts with zero fill (no wrap): frequencies pushed past the box
-    edge are dropped, which the force-spec validation has already ruled
-    out for admissible parameters.  Both relocations are added into one
-    zero array in FFT row order, a run of rows at a time, so no shifted
-    copy of the lattice is made.  The result is bitwise the sum of the two
-    separately shifted arrays, up to the sign of a zero where both land a
-    negative zero; an envelope, built by sums into zeros, holds none.
-    """
-    m = coeffs.shape[-2]
-    h = m // 2
-    out = np.zeros_like(coeffs)
-    for shift in (steps, -steps):
-        # source rows k in [lo, hi) land on k + shift; split the run where
-        # k or k + shift changes sign, so each piece is one slice per side
-        lo, hi = max(-h, -h - shift), min(h, h - shift)
-        if lo >= hi:
-            continue
-        cuts = sorted({lo, hi} | {c for c in (0, -shift) if lo < c < hi})
-        for a, b in zip(cuts, cuts[1:]):
-            src, dst = a % m, (a + shift) % m
-            out[dst : dst + b - a] += coeffs[src : src + b - a]
-    return out
-
-
-def translated_block_force(
-    lattice: FrequencyLattice,
-    spec: ForceSpec,
-    partition: DyadicPartition,
-) -> tuple[SpectralField, SpectralField]:
-    """Envelope and its carrier-modulated forcing, as a pair.
-
-    The forcing is amp * envelope(x) cos(2**c x1) with amp = delta
-    2**(5c/2) / (size**(1/4) ln(size)); the modulation is performed as an
-    exact spectral shift, so the forcing's band [2**c - B, 2**c + B]
-    (B the envelope bandwidth) is exact.
+    The modulation is an exact spectral shift: the envelope's box
+    (:func:`_envelope_box`) is added into a zero half spectrum at rows
+    +-S, S = 2**c / h_xi carrier steps, so the forcing's band
+    [2**c - B, 2**c + B] (B the envelope bandwidth) is exact.  The box's
+    extent K is that of a ring at shell at most ``top`` (the top block
+    shell), which vanishes from radius 1.75 * 2**top on, so
+    K h_xi < 1.75 * 2**top.  :meth:`ForceSpec.validate` asks c >= top + 2
+    and 2**c + 2**(top + 1) <= xi_max = h_xi m/2.  Hence (S + K) h_xi <
+    2**c + 2**(top + 1) <= xi_max, so every row stays strictly inside
+    +-m/2, and (S - K) h_xi > 4 * 2**top - 1.75 * 2**top > 0, so the copy
+    at +S lies in rows > 0 and the one at -S in rows < 0: the two never
+    overlap.  Rows that would cross are refused, never wrapped.
     """
     spec.validate(lattice)
-    envelope = block_envelope(lattice, spec, partition)
-    c = spec.carrier
-    amp = spec.delta * 2.0 ** (2.5 * c) / (spec.size**0.25 * math.log(spec.size))
-    shifted = _carrier_pair(envelope.coeffs, _carrier_shift_indices(lattice, c))
-    shifted *= 0.5 * amp
-    forcing = SpectralField._adopt(lattice, strip_unpaired_edge(shifted))
-    return envelope, forcing
+    box = _envelope_box(lattice, spec, partition)
+    extent = box.shape[1] - 1
+    steps = int(round(2.0**spec.carrier / lattice.h_xi))
+    if not extent < steps < lattice.m // 2 - extent:
+        raise ValueError(
+            f"envelope rows {steps} +- {extent} cross the origin or the "
+            f"k = -{lattice.m // 2} edge"
+        )
+    amp = spec.delta * 2.0 ** (2.5 * spec.carrier) / (spec.size**0.25 * math.log(spec.size))
+    box *= 0.5 * amp
+    out = np.zeros((lattice.m, lattice.m // 2), dtype=np.complex128)
+    for centre in (steps, lattice.m - steps):  # rows +S and -S in FFT order
+        out[centre - extent : centre + extent + 1, : extent + 1] += box
+    return SpectralField._adopt(lattice, strip_unpaired_edge(out))
 
 
 def envelope_l4_norm(lattice: FrequencyLattice, spec: ForceSpec,
                      partition: DyadicPartition) -> float:
-    """L4 norm of the :func:`block_envelope` of ``spec``, summed by
-    :func:`~sqglab.besov.box_lp_norm` on the box of its widest ring, short
-    of the unpaired k = -m/2 edge that the envelope strips.  The box's
-    k2 < 0 columns are the conjugates of the stored ``c(-k)``."""
-    envelope = block_envelope(lattice, spec, partition).coeffs
-    extent = min(max(partition.ring_extent(j) for j in spec.block_shells()), lattice.m // 2 - 1)
-    k = np.arange(-extent, extent + 1)
-    box = np.concatenate((np.conj(envelope[np.ix_(-k % lattice.m, -k[:extent])]),
-                          envelope[np.ix_(k % lattice.m, k[extent:])]), axis=1)
-    return box_lp_norm(box, lattice, 4.0)
+    """L4 norm of the block envelope of ``spec``, summed by
+    :func:`~sqglab.besov.box_lp_norm` on its box (:func:`_envelope_box`),
+    completed with the k2 < 0 columns, the conjugates of the stored
+    ``c(-k)``."""
+    box = _envelope_box(lattice, spec, partition)
+    extent = box.shape[1] - 1
+    return box_lp_norm(np.concatenate((np.conj(box[::-1, extent:0:-1]), box), axis=1),
+                       lattice, 4.0)
 
 
 def calibrate_stride(

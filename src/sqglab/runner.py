@@ -254,7 +254,7 @@ def _run_partition_check(cfg: ExperimentConfig) -> ExperimentReport:
     # the auto window spans every ring meeting a nonzero radius, so the
     # telescoped sum must be 1 at every mode except the origin
     coverage = partition.coverage()
-    worst_cover = float(np.abs(coverage[lattice.radius > 0] - 1.0).max())
+    worst_cover = float(np.abs(coverage[r > 0] - 1.0).max())
 
     rng = np.random.default_rng(cfg["seed"])
     band = _band_limited_field(lattice, rng, radius=lattice.xi_max / 2.0)
@@ -662,7 +662,7 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
         carrier = common_carrier
         spec = replace(min_specs[count], carrier_exponent=carrier)
         spec.validate(lattice)
-        forcing = translated_block_force(lattice, spec, partition)[1]
+        forcing = translated_block_force(lattice, spec, partition)
         theta1 = inverse_laplacian(forcing)
         del forcing
         # the second iterate up to its sign: the probes read |theta2| only

@@ -212,7 +212,7 @@ def _ball_box(
 _REAL_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpectralField:
     """Immutable real field on a :class:`FrequencyLattice`, stored as its
     k2 >= 0 half spectrum.
@@ -232,6 +232,8 @@ class SpectralField:
     Operators adopt the halves they build, so realness holds by
     construction; routes that need the whole lattice unfold a half with
     :func:`_unfold`.  A field has no m x m physical view (module docstring).
+    Fields compare and hash by identity: an array has no single truth
+    value, so equality of coefficients is not what ``==`` could report.
     """
 
     lattice: FrequencyLattice

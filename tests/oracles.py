@@ -1,9 +1,12 @@
 """Test-only oracles: literal constructions that the package computes another way."""
 
+import math
+
 import numpy as np
 
+from sqglab.besov import _STEP
 from sqglab.profiles import SmoothStep
-from sqglab.spectral import _unfold
+from sqglab.spectral import SpectralField, _unfold, strip_unpaired_edge
 
 
 def full(field):
@@ -76,3 +79,28 @@ def shift_spectrum(coeffs, steps):
     else:
         out[:steps, :] = centered[-steps:, :]
     return np.fft.ifftshift(out)
+
+
+def block_envelope(lattice, spec):
+    """Literal full-lattice block envelope: each block's ring evaluated on the
+    whole lattice radius, cast to complex, twisted by exp(-i xi1 stride s),
+    weighted 2**(-3j/2) and added in block order into the (m, m) sum, whose
+    unpaired edge is stripped."""
+    r = lattice.radius
+    coeffs = np.zeros((lattice.m, lattice.m), dtype=np.complex128)
+    for s, j in zip(spec.block_exponents(), spec.block_shells()):
+        ring = (_STEP(r * 2.0 ** (-j)) - _STEP(r * 2.0 ** (1 - j))).astype(np.complex128)
+        coeffs += 2.0 ** (-1.5 * j) * (ring * np.exp(-1j * lattice.xi1[:, :1] * (spec.stride * s)))
+    return SpectralField(lattice, strip_unpaired_edge(coeffs))
+
+
+def translated_block_force(lattice, spec):
+    """Literal modulated block forcing: the full :func:`block_envelope`
+    shifted by +-2**c / h_xi rows with :func:`shift_spectrum`, added, scaled
+    by amp / 2 and stripped of its unpaired edge."""
+    envelope = full(block_envelope(lattice, spec))
+    steps = round(2.0**spec.carrier / lattice.h_xi)
+    amp = spec.delta * 2.0 ** (2.5 * spec.carrier) / (spec.size**0.25 * math.log(spec.size))
+    shifted = shift_spectrum(envelope, steps) + shift_spectrum(envelope, -steps)
+    shifted *= 0.5 * amp
+    return SpectralField(lattice, strip_unpaired_edge(shifted))

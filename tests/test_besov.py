@@ -236,13 +236,20 @@ def test_lp_norm_even_powers_match_float_pow(p):
 def test_coverage_is_the_telescoped_closed_form(lattice128, partition128):
     cov = partition128.coverage()
     assert not cov.flags.writeable
-    r = lattice128.radius
+    assert cov.shape == (65, 65)
     j_min, j_max = partition128.j_min, partition128.j_max
-    assert np.array_equal(cov, _STEP(r * 2.0 ** (-j_max)) - _STEP(r * 2.0 ** (1 - j_min)))
+    # on the radius quadrant, mode (k1, k2) reading [|k1|, |k2|] is the
+    # closed form on the whole lattice, bit for bit
+    r = lattice128.radius
+    whole = _STEP(r * 2.0 ** (-j_max)) - _STEP(r * 2.0 ** (1 - j_min))
+    assert np.array_equal(cov[np.abs(lattice128.k1), np.abs(lattice128.k2)], whole)
     # the window is the one ring system: every ring that meets a non-zero
     # lattice radius, and no other
-    total = sum(partition128.ring_values(j) for j in partition128.shells)
-    assert np.max(np.abs(total - cov[:, :64])) <= 1e-15
+    total = np.zeros_like(cov)
+    for j in partition128.shells:
+        quadrant = partition128.ring_quadrant(j)
+        total[: quadrant.shape[0], : quadrant.shape[1]] += quadrant
+    assert np.max(np.abs(total - cov)) <= 1e-15
     for j in (j_min - 1, j_max + 1):
         lo, hi = partition128.support_interval(j)
         assert not ((r > lo) & (r < hi) & (r > 0)).any()
@@ -251,7 +258,8 @@ def test_coverage_is_the_telescoped_closed_form(lattice128, partition128):
 @pytest.mark.parametrize("m", [32, 128, 256])
 def test_auto_window_leaves_no_mode_outside(m):
     # the window covers every nonzero mode: the telescoped sum is 1 except
-    # at the origin, and the two-radius judgement agrees
+    # at the origin, entry [0, 0] of the radius quadrant, and the
+    # two-radius judgement agrees
     lattice = FrequencyLattice(m=m, h_xi=0.25)
     partition = build_partition(lattice)
     cov = partition.coverage()
@@ -281,7 +289,7 @@ def test_auto_window_is_judged_without_the_telescoped_sum(monkeypatch):
 
 def test_partition_of_unity(lattice128, partition128):
     cov = partition128.coverage()
-    r = lattice128.radius
+    r = lattice128.radius_quadrant
     assert np.max(np.abs(cov[r > 0] - 1.0)) <= 1e-12
 
 

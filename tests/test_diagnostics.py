@@ -136,7 +136,7 @@ def blocks_setup():
         stride=lat.box_length / 4.0,
     )
     spec.validate(lat)
-    _, forcing = translated_block_force(lat, spec, partition)
+    forcing = translated_block_force(lat, spec, partition)
     theta2 = -1.0 * quadratic_diagonal(inverse_laplacian(forcing))
     return lat, partition, spec, theta2
 
@@ -171,7 +171,7 @@ def desk_step3():
     spec = ForceSpec(variant="blocks", delta=0.01, size=2, block_range=(1, 2),
                      exponents=ExponentMap.affine(2, -4), carrier_exponent=2,
                      stride=lat.box_length / 4.0)
-    forcing = translated_block_force(lat, spec, partition)[1]
+    forcing = translated_block_force(lat, spec, partition)
     return lat, partition, spec, -quadratic_diagonal(inverse_laplacian(forcing))
 
 

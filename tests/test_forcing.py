@@ -6,19 +6,18 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import oracles
 from oracles import (
     hermitian_defect,
     physical,
     physical_coordinates,
     physical_real,
-    shift_spectrum,
 )
 from sqglab import forcing
-from sqglab.besov import build_partition, lp_norm
+from sqglab.besov import box_lp_norm, build_partition, lp_norm
 from sqglab.forcing import (
     ExponentMap,
     ForceSpec,
-    block_envelope,
     calibrate_stride,
     envelope_l4_norm,
     lacunary_force,
@@ -266,7 +265,9 @@ def blocks_spec(stride=None, equal_shell=None):
 
 def test_block_envelope_checks(lattice128, partition128):
     with pytest.raises(ValueError, match="needs a stride"):
-        block_envelope(lattice128, blocks_spec(), partition128)
+        envelope_l4_norm(lattice128, blocks_spec(), partition128)
+    with pytest.raises(ValueError, match="expected a blocks spec"):
+        envelope_l4_norm(lattice128, ForceSpec(variant="bump", size=3), partition128)
     sick = ForceSpec(
         variant="blocks",
         size=2,
@@ -276,54 +277,94 @@ def test_block_envelope_checks(lattice128, partition128):
         stride=1.0,
     )
     with pytest.raises(ValueError, match="outside the partition window"):
-        block_envelope(lattice128, sick, partition128)
+        envelope_l4_norm(lattice128, sick, partition128)
 
 
 def test_equal_shell_reuses_one_ring(lattice128, partition128):
     spec = blocks_spec(stride=2.0, equal_shell=0)
     assert spec.block_shells() == [0, 0]
-    env = block_envelope(lattice128, spec, partition128)
-    # both blocks are copies of the shell-0 ring, so the spectrum support
-    # is exactly that ring's support
-    ring = partition128.ring_values(0)
-    assert np.all((env.coeffs != 0) <= (ring > 0))
+    box = forcing._envelope_box(lattice128, spec, partition128)
+    # both blocks are copies of the shell-0 ring, so the box is that ring's
+    # box and its support is exactly the ring's support
+    quadrant = partition128.ring_quadrant(0)
+    extent = quadrant.shape[0] - 1
+    assert box.shape == (2 * extent + 1, extent + 1)
+    ring = np.concatenate((quadrant[:0:-1], quadrant))
+    assert np.all((box != 0) <= (ring > 0))
 
 
 def test_modulation_is_exact_cosine(lattice128, partition128):
     # a fixed stride is fine here: the cosine identity does not require
     # the blocks to be well separated, only the band checks to pass
     spec = blocks_spec(stride=2.0)
-    envelope, forcing = translated_block_force(lattice128, spec, partition128)
+    forcing = translated_block_force(lattice128, spec, partition128)
     amp = 0.01 * 2.0 ** (2.5 * 3) / (2.0**0.25 * math.log(2.0))
     x1 = physical_coordinates(lattice128)[0]
-    want = amp * physical_real(envelope) * np.cos(8.0 * x1)
+    want = amp * physical_real(oracles.block_envelope(lattice128, spec)) * np.cos(8.0 * x1)
     got = physical_real(forcing)
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
     assert forcing.mean_coefficient() == 0.0
 
 
-@pytest.mark.parametrize("m", [8, 32, 128])
-def test_carrier_pair_is_bitwise_the_two_shifted_spectra(m):
-    rng = np.random.default_rng(m)
-    c = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    for steps in (0, 1, 3, m // 4, m // 2 - 1, m // 2, m - 1, m):
-        want = shift_spectrum(c, steps) + shift_spectrum(c, -steps)
-        assert forcing._carrier_pair(c, steps).tobytes() == want.tobytes()
+# (m, h_xi, exponent map, block range, equal shell): the inflation leg's
+# family at its carrier 2**(top + 2), from h_xi = 1/4 down to 1/16, with and
+# without a shared shell; the last case, the L4 leg's shell-3 blocks at
+# m = 128, has a ring reaching the unpaired edge and no room for a carrier
+FORCE_CASES = [
+    (128, 0.25, ExponentMap.affine(2, -4), (1, 2), None),
+    (256, 0.125, ExponentMap.affine(2, -4), (1, 3), 0),
+    (1024, 0.0625, ExponentMap.affine(2, -4), (1, 2), None),
+]
+BOX_CASES = FORCE_CASES + [(128, 0.125, ExponentMap.affine(2, 0), (1, 2), 3)]
 
 
-def test_translation_phase_is_bitwise_the_lattice_column(lattice128):
-    rng = np.random.default_rng(5)
-    c = rng.standard_normal((128, 128)) + 1j * rng.standard_normal((128, 128))
-    for shift in (0.3, 7.0, -19.5):
-        want = c * np.exp(-1j * lattice128.xi1[:, :1] * shift)
-        assert forcing._translate_coeffs(c, lattice128, shift).tobytes() == want.tobytes()
+def box_case(m, h_xi, exponents, block_range, equal_shell):
+    lat = FrequencyLattice(m=m, h_xi=h_xi)
+    spec = ForceSpec(variant="blocks", delta=0.01, size=block_range[1], block_range=block_range,
+                     exponents=exponents, equal_shell=equal_shell,
+                     stride=lat.box_length / (2 * block_range[1]) + 0.37)
+    top = max(spec.block_shells())
+    return lat, build_partition(lat), replace(spec, carrier_exponent=top + 2)
+
+
+@pytest.mark.parametrize("case", BOX_CASES)
+def test_envelope_box_is_bitwise_the_full_lattice_oracle(case):
+    lat, part, spec = box_case(*case)
+    box = forcing._envelope_box(lat, spec, part)
+    extent = box.shape[1] - 1
+    assert extent == min(max(map(part.ring_extent, spec.block_shells())), lat.m // 2 - 1)
+    want = oracles.block_envelope(lat, spec).coeffs
+    k = np.arange(-extent, extent + 1)
+    assert box.tobytes() == want[np.ix_(k % lat.m, k[extent:])].tobytes()
+    outside = want.copy()
+    outside[np.ix_(k % lat.m, k[extent:])] = 0.0
+    assert not outside.any()
+    # the L4 norm is that of the oracle cropped to the box, bit for bit
+    crop = np.concatenate((np.conj(want[np.ix_(-k % lat.m, -k[:extent])]),
+                           want[np.ix_(k % lat.m, k[extent:])]), axis=1)
+    assert envelope_l4_norm(lat, spec, part) == box_lp_norm(crop, lat, 4.0)
+
+
+@pytest.mark.parametrize("case", FORCE_CASES)
+def test_block_force_is_bitwise_the_two_shifted_spectra(case):
+    lat, part, spec = box_case(*case)
+    got = translated_block_force(lat, spec, part)
+    assert got.coeffs.tobytes() == oracles.translated_block_force(lat, spec).coeffs.tobytes()
+
+
+def test_block_force_refuses_rows_that_would_wrap(lattice128, partition128, monkeypatch):
+    # ForceSpec.validate rules these carriers out; past it, the shift must
+    # raise rather than wrap the envelope round the box
+    monkeypatch.setattr(ForceSpec, "validate", lambda self, lattice: None)
+    for carrier in (-2, 6):  # rows across the origin, rows past +-m/2
+        with pytest.raises(ValueError, match="cross the origin or the k = -64 edge"):
+            translated_block_force(lattice128, replace(blocks_spec(stride=2.0),
+                                                       carrier_exponent=carrier), partition128)
 
 
 def test_calibrated_stride_is_two_sided():
     # shell-0 blocks are too wide for the m=128 box (the search correctly
     # reports that); shell-2 blocks on a 256 lattice do separate
-    from sqglab.spectral import SpectralField
-
     lat = FrequencyLattice(m=256, h_xi=0.25)
     part = build_partition(lat)
     area = lat.dx ** 2
@@ -341,12 +382,11 @@ def test_calibrated_stride_is_two_sided():
         )
 
     def l4_mass(spec):
-        env = block_envelope(lat, spec, part)
+        env = oracles.block_envelope(lat, spec)
         return float(area * np.sum(np.abs(physical(env)) ** 4))
 
     # target: what perfectly separated blocks would add up to
-    ring = part.ring_values(2).astype(np.complex128)
-    block = SpectralField._adopt(lat, 2.0 ** (-1.5 * 2) * ring)
+    block = oracles.block_envelope(lat, replace(spec_at(lat.dx), block_range=(1, 1)))
     target = 2.0 * float(area * np.sum(np.abs(physical(block)) ** 4))
 
     stride = calibrate_stride(lat, spec_at(), part)
@@ -401,7 +441,7 @@ def test_envelope_l4_norm_matches_the_full_lattice(l4_leg, count):
     assert stride == math.pi / 2.0
     spec = replace(l4_spec(count), stride=stride)
     got = envelope_l4_norm(lat, spec, part)
-    want = lp_norm(physical_real(block_envelope(lat, spec, part)), 4.0, lat.dx ** 2)
+    want = lp_norm(physical_real(oracles.block_envelope(lat, spec)), 4.0, lat.dx ** 2)
     assert abs(got - want) <= 1e-13 * want
 
 

@@ -1,5 +1,5 @@
 """Deterministic memory guards for the quadratic form, one perturbation
-iteration and ``illpose-step2``.
+iteration, ``illpose-step2`` and the translated-block forcing.
 
 Sizes are counted in two units, at lattice size m:
 
@@ -22,11 +22,12 @@ import numpy as np
 import pytest
 
 from sqglab import solver
-from sqglab.besov import build_partition, shell_project
+from sqglab.besov import DyadicPartition, build_partition, shell_project
 from sqglab.bilinear import bilinear_block, bilinear_quadrature, quadratic_diagonal
 from sqglab.forcing import (
     ExponentMap,
     ForceSpec,
+    envelope_l4_norm,
     lacunary_force,
     modulated_bump_force,
     translated_block_force,
@@ -173,7 +174,6 @@ def operator_outputs(lattice):
     f, g = random_mean_zero_field(lattice, rng), random_mean_zero_field(lattice, rng, decay=1.0)
     blocks = ForceSpec(variant="blocks", size=2, block_range=(1, 2),
                        exponents=ExponentMap.affine(2, -4), carrier_exponent=2, stride=3.0)
-    envelope, forcing = translated_block_force(lattice, blocks, partition)
     lacunary = ForceSpec(variant="lacunary", size=2, block_range=(1, 1),
                          exponents=ExponentMap.affine(2, 0))
     return {
@@ -191,8 +191,7 @@ def operator_outputs(lattice):
         "inner_edge_field": _inner_edge_field(lattice, 1, rng),
         "modulated_bump_force": modulated_bump_force(lattice, ForceSpec(variant="bump", size=2)),
         "lacunary_force": lacunary_force(lattice, lacunary),
-        "block_envelope": envelope,
-        "translated_block_force": forcing,
+        "translated_block_force": translated_block_force(lattice, blocks, partition),
     }
 
 
@@ -230,3 +229,48 @@ def test_solve_builds_no_full_lattice_coordinate_array(monkeypatch):
     # the samplers of the constants read the radius quadrant
     refuse_coordinate_arrays(monkeypatch)
     run_experiment(config_from_dict(SOLVE_DESK), write=False)
+
+
+def test_partition_check_builds_no_full_lattice_coordinate_array(monkeypatch):
+    # the rings and the telescoped sum are read on the radius quadrant
+    refuse_coordinate_arrays(monkeypatch)
+    run_experiment(config_from_dict({"experiment": "partition-check", "m": 256}), write=False)
+
+
+@pytest.fixture
+def step3_blocks(monkeypatch):
+    """Two blocks of illpose-step3's inflation leg at m = 1024, h_xi = 1/16
+    (shells -2 and 0, carrier 2**2), with the full-lattice ring unfolding
+    made to raise.  The lattice's radius quadrant, a quarter unit that the
+    first ring read of any route caches, is built before the measurement."""
+    def refuse(self, j):
+        raise AssertionError("a ring was unfolded onto the lattice")
+
+    monkeypatch.setattr(DyadicPartition, "ring_values", refuse)
+    lattice = FrequencyLattice(m=1024, h_xi=1.0 / 16.0)
+    spec = ForceSpec(variant="blocks", size=2, block_range=(1, 2),
+                     exponents=ExponentMap.affine(2, -4), carrier_exponent=2,
+                     stride=lattice.box_length / 4.0)
+    lattice.radius_quadrant
+    return lattice, spec, build_partition(lattice)
+
+
+def test_translated_block_force_peak_is_its_output(step3_blocks):
+    """The forcing is its one (m, m/2) output; the envelope lives on the box
+    of its widest ring (57 x 29 here), so a quarter unit covers it, the
+    ring quadrants and the lattice's axis.  Measured: 1.0 units.  An
+    envelope built on the whole lattice and shifted as a second array
+    measured 3.5."""
+    lattice, spec, partition = step3_blocks
+    unit = lattice.m * (lattice.m // 2) * 16
+    peak = traced_peak(lambda: translated_block_force(lattice, spec, partition))
+    assert peak <= 1.25 * unit, f"{peak / unit:.2f} units"
+
+
+def test_envelope_l4_norm_allocates_no_lattice_sized_array(step3_blocks):
+    # the envelope's box, completed to its k2 < 0 columns, and the small
+    # grid box_lp_norm sums it on; a full-lattice envelope measured 28 MiB
+    lattice, spec, partition = step3_blocks
+    unit = lattice.m * (lattice.m // 2) * 16
+    peak = traced_peak(lambda: envelope_l4_norm(lattice, spec, partition))
+    assert peak < unit, f"{peak / unit:.2f} units"

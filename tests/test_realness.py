@@ -106,9 +106,7 @@ def test_translated_block_force_is_real(delta, stride, blocks, equal_shell):
                      exponents=ExponentMap.affine(2, -4), carrier_exponent=2,
                      stride=stride, equal_shell=equal_shell)
     partition = build_partition(FORCING_LATTICE)
-    envelope, forcing = translated_block_force(FORCING_LATTICE, spec, partition)
-    check_real(envelope, "block_envelope")
-    check_real(forcing, "translated_block_force")
+    check_real(translated_block_force(FORCING_LATTICE, spec, partition), "translated_block_force")
 
 
 @settings(max_examples=30, deadline=None)

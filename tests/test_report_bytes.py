@@ -1,13 +1,19 @@
-"""Report bytes of the three benchmark configurations, pinned.
+"""Report bytes of the three benchmark configurations and two desk runs, pinned.
 
-Each configuration is the one a ``perfbench`` workload runs; every file
-its report emits is compared byte for byte with the copy committed under
-``tests/data/report_bytes/<verb>/``.  Those copies were recorded with the
-code as it stood before fields were stored as (m, m/2) half spectra, from
-the command line (``sqglab <verb> --config FILE --seed 0 --threads 1 --out
-DIR``), and every change since has kept them.  A change that moves any
-reported value, even in its last printed digit, fails here; if it is meant
-to, re-record the copies and say so in CHANGES.md.
+The first three configurations are the ones the ``perfbench`` workloads
+run.  ``illpose-step3`` at m = 1024 runs the L4 leg's stride calibration
+and norms for 2 and 4 blocks and one translated-block forcing (4 blocks
+are reported infeasible at this lattice's Nyquist frequency);
+``partition-check`` at m = 256 reads every ring and the telescoped sum.
+Every file a report emits is compared byte for byte with the copy
+committed under ``tests/data/report_bytes/<verb>/``.  The copies of the
+benchmark configurations were recorded with the code as it stood before
+fields were stored as (m, m/2) half spectra, and those of the two desk
+runs with the code as it stood before the block envelope was built on its
+box; all from the command line (``sqglab <verb> --config FILE --seed 0
+--threads 1 --out DIR``), and every change since has kept them.  A change
+that moves any reported value, even in its last printed digit, fails here;
+if it is meant to, re-record the copies and say so in CHANGES.md.
 """
 
 from pathlib import Path
@@ -22,6 +28,8 @@ CONFIGS = {
     "solve": {"seed": 0},
     "illpose-step1": {"m": 256, "size_range": [4, 5]},
     "illpose-step2": {"m": 1024, "h_xi": 0.25},
+    "illpose-step3": {"m": 1024, "block_counts": [2, 4]},
+    "partition-check": {"m": 256},
 }
 
 

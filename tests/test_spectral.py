@@ -146,6 +146,17 @@ def test_constructor_copies_and_operator_outputs_are_frozen(lattice32):
         SpectralField._adopt(lattice32, np.zeros((16, 16), dtype=np.complex128))
 
 
+def test_fields_compare_and_hash_by_identity(lattice32):
+    # equal coefficients, distinct fields: == must not ask an array for a
+    # truth value, and a field must be usable as a key
+    f, g = SpectralField.cosine(lattice32, (1, 2)), SpectralField.cosine(lattice32, (1, 2))
+    assert np.array_equal(f.coeffs, g.coeffs)
+    assert f != g
+    assert f == f
+    assert hash(f) == hash(f)
+    assert {f: 1, g: 2}[f] == 1
+
+
 def test_mismatched_lattice_rejected(lattice32):
     other = FrequencyLattice(m=64, h_xi=0.25)
     with pytest.raises(ValueError, match="incompatible lattices"):
