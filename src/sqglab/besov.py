@@ -185,9 +185,9 @@ class DyadicPartition:
     def _covers_lattice(self) -> bool:
         """Whether the telescoped sum is 1 at every non-zero mode, judged at
         the smallest non-zero and the corner radius, computed as
-        :attr:`FrequencyLattice.radius` computes them: the step is monotone,
-        so it is 0 at the first's bottom-shell argument and 1 at the
-        second's top-shell argument exactly when every non-zero mode is
+        :attr:`FrequencyLattice.radius_quadrant` computes them: the step is
+        monotone, so it is 0 at the first's bottom-shell argument and 1 at
+        the second's top-shell argument exactly when every non-zero mode is
         covered."""
         lat = self.lattice
         k1, k2 = np.array([1, lat.m // 2]), np.array([0, lat.m // 2])
@@ -352,8 +352,6 @@ def shell_profile(
 
     Zero shells are reported as exact zeros without a transform.
     """
-    if field.rank != 0:
-        raise ValueError("shell profiles are defined for scalar fields")
     c = field.coeffs
     out: list[tuple[int, float]] = []
     m = field.lattice.m

@@ -59,6 +59,7 @@ from .spectral import (
     FrequencyLattice,
     SpectralField,
     _analysed_half,
+    _centred_coordinates,
     _checked,
     _half_synthesis,
     _occupied_columns,
@@ -93,15 +94,16 @@ def _check_quadrature_size(lattice: FrequencyLattice) -> None:
         )
 
 
-def _check_scalar_pair(f: SpectralField, g: SpectralField) -> FrequencyLattice:
-    if f.rank != 0 or g.rank != 0:
-        raise ValueError("the bilinear form takes scalar fields")
-    if f.lattice != g.lattice:
+def _shared_lattice(*fields: SpectralField) -> FrequencyLattice:
+    lattice = fields[0].lattice
+    if any(f.lattice != lattice for f in fields[1:]):
         raise ValueError("operands live on different lattices")
-    return f.lattice
+    return lattice
 
 
-def coupling_tensor(scalar_part: SpectralField, vector_part: SpectralField) -> np.ndarray:
+def coupling_tensor(
+    scalar_part: SpectralField, velocity: tuple[SpectralField, SpectralField]
+) -> np.ndarray:
     """Direct frequency quadrature of the coupling tensor, as full (2, 2, m, m)
     coefficients in FFT order.
 
@@ -109,33 +111,28 @@ def coupling_tensor(scalar_part: SpectralField, vector_part: SpectralField) -> n
 
         (xi - 2 eta)_k / (2 (|eta| + |xi - eta|)) * a_hat(xi - eta) * v_hat_l(eta)
 
-    with the eta = 0 and xi - eta = 0 terms omitted (mean-zero
-    convention) and eta restricted so both factors sit inside the
-    frequency box.  Output frequencies on the unpaired k = -m/2 edge are
-    dropped, matching the symmetric box the fast forms return.  The inputs
-    are unfolded to the whole lattice.  For real inputs the output is
-    anti-Hermitian, which is why it is an array and not a field: i times it
-    is the physically real tensor.
+    with a the scalar part and v_l the l-th of the two velocity components
+    (real fields, as :func:`~sqglab.spectral.riesz_velocity` returns them),
+    the eta = 0 and xi - eta = 0 terms omitted (mean-zero convention) and
+    eta restricted so both factors sit inside the frequency box.  Output
+    frequencies on the unpaired k = -m/2 edge are dropped, matching the
+    symmetric box the fast forms return.  The inputs are unfolded to the
+    whole lattice, the two components stacked.  For real inputs the output
+    is anti-Hermitian, which is why it is an array and not a field: i times
+    it is the physically real tensor.
     """
-    lat = scalar_part.lattice
+    lat = _shared_lattice(scalar_part, *velocity)
     _check_quadrature_size(lat)
-    if scalar_part.rank != 0 or vector_part.rank != 1:
-        raise ValueError("expected a scalar first argument and a 2-vector second")
-    if vector_part.lattice != lat:
-        raise ValueError("operands live on different lattices")
 
     m = lat.m
     h = m // 2
     # centered layout: index i holds wavenumber i - h
     a = np.fft.fftshift(_unfold(scalar_part.coeffs))
-    v = np.fft.fftshift(_unfold(vector_part.coeffs), axes=(-2, -1))
+    v = np.fft.fftshift(_unfold(np.stack([u.coeffs for u in velocity])), axes=(-2, -1))
     a[h, h] = 0.0
     v[:, h, h] = 0.0
 
-    wave = (np.arange(m) - h) * lat.h_xi
-    eta1 = np.broadcast_to(wave[:, None], (m, m))
-    eta2 = np.broadcast_to(wave[None, :], (m, m))
-    r_eta = np.hypot(eta1, eta2)
+    eta1, eta2, r_eta = _centred_coordinates(lat)
 
     # 3m-wide zero frame so the xi - eta lookup is a reversed slice
     big_a = np.zeros((3 * m, 3 * m), dtype=np.complex128)
@@ -146,10 +143,10 @@ def coupling_tensor(scalar_part: SpectralField, vector_part: SpectralField) -> n
     out = np.zeros((2, 2, m, m), dtype=np.complex128)
     # centered index 0 is the unpaired k = -m/2 edge, excluded from the output
     for i1 in range(1, m):
-        xi1 = wave[i1]
+        xi1 = eta1[i1, 0]
         s1 = i1 + h + 1
         for i2 in range(1, m):
-            xi2 = wave[i2]
+            xi2 = eta2[0, i2]
             s2 = i2 + h + 1
             a_slice = big_a[s1 : s1 + m, s2 : s2 + m][::-1, ::-1]
             r_slice = big_r[s1 : s1 + m, s2 : s2 + m][::-1, ::-1]
@@ -165,16 +162,14 @@ def coupling_tensor(scalar_part: SpectralField, vector_part: SpectralField) -> n
 def _quadrature_coeffs(f: SpectralField, g: SpectralField) -> np.ndarray:
     """The full (m, m) coefficients of :func:`bilinear_quadrature`, as the
     quadrature computes them: Hermitian to rounding, not exactly."""
-    lat = _check_scalar_pair(f, g)
+    lat = _shared_lattice(f, g)
     lift = _radial_multiply(_reciprocal(lat.radius_quadrant), f.coeffs)
     t = coupling_tensor(SpectralField._adopt(lat, lift), riesz_velocity(g))
-    contracted = (
-        lat.xi1 * lat.xi1 * t[0, 0]
-        + lat.xi1 * lat.xi2 * (t[0, 1] + t[1, 0])
-        + lat.xi2 * lat.xi2 * t[1, 1]
-    )
-    weight = np.zeros((m := lat.m, m))
-    np.divide(1.0, lat.radius_sq, out=weight, where=lat.radius_sq > 0.0)
+    xi1, xi2 = lat.xi_axis[:, None], lat.xi_axis[None, :]
+    contracted = xi1 * xi1 * t[0, 0] + xi1 * xi2 * (t[0, 1] + t[1, 0]) + xi2 * xi2 * t[1, 1]
+    radius_sq = xi1 * xi1 + xi2 * xi2
+    weight = np.zeros(radius_sq.shape)
+    np.divide(1.0, radius_sq, out=weight, where=radius_sq > 0.0)
     return 1j * weight * contracted
 
 
@@ -264,13 +259,11 @@ def bilinear_block(f: SpectralField, g: SpectralField) -> SpectralField:
     not just a per-block one; the suite verifies that numerically
     against the quadrature.  Symmetric in f and g bit for bit.
     """
-    lattice = _check_scalar_pair(f, g)
+    lattice = _shared_lattice(f, g)
     return _checked(lattice, _transport(f.coeffs, g.coeffs, lattice), "bilinear_block")
 
 
 def quadratic_diagonal(theta: SpectralField) -> SpectralField:
     """(-Delta)^{-1} div(theta u) with u the Riesz velocity of theta."""
-    if theta.rank != 0:
-        raise ValueError("the bilinear form takes scalar fields")
     out = _transport(theta.coeffs, None, theta.lattice)
     return _checked(theta.lattice, out, "quadratic_diagonal")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .besov import DyadicPartition, box_lp_norm, build_probe, shell_profile
 from .forcing import ForceSpec
-from .spectral import SpectralField, _unfold
+from .spectral import SpectralField, _centred_coordinates, _unfold
 
 __all__ = [
     "SplitSample",
@@ -88,9 +88,7 @@ def second_iterate_split(
     m, half = lat.m, lat.m // 2
 
     g_raw = np.fft.fftshift(_unfold(theta1.coeffs))
-    r_eta = np.fft.fftshift(lat.radius)
-    eta1 = np.fft.fftshift(lat.xi1)
-    eta2 = np.fft.fftshift(lat.xi2)
+    eta1, eta2, r_eta = _centred_coordinates(lat)
     g = np.divide(g_raw, r_eta, out=np.zeros_like(g_raw), where=r_eta > 0)
     g_pos = np.where(eta1 > 0, g, 0.0)
     g_neg = np.where(eta1 < 0, g, 0.0)

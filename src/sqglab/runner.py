@@ -168,13 +168,19 @@ def _is_number(value) -> bool:
 # and pass vacuously.
 _COUNT_KEYS = frozenset({"samples", "max_iter"})
 
+# Besov exponents, where +inf (sup over the points or over the shells) is a
+# value the theory allows; every other number must be finite.
+_EXPONENT_KEYS = frozenset({"p", "q"})
+
 
 def _checked(key: str, value, default):
     """``value`` checked against the type of ``default``.
 
     A JSON int passes for a float and is kept as given; a count key must
-    be a positive int.  Lists become tuples of ints (integral floats
-    allowed); an :class:`IntRange` must be a pair.
+    be a positive int.  A number must be finite (JSON's ``NaN`` and
+    ``Infinity`` parse as floats), except +inf for the Besov exponents.
+    Lists become tuples of ints (integral floats allowed); an
+    :class:`IntRange` must be a pair.
     """
     if key in _COUNT_KEYS:
         if isinstance(value, int) and not isinstance(value, bool) and value >= 1:
@@ -191,7 +197,10 @@ def _checked(key: str, value, default):
                 return IntRange(*items)
     elif not isinstance(default, tuple) and _is_number(value) and (
             isinstance(value, int) or isinstance(default, float)):
-        return value
+        if math.isfinite(value) or (key in _EXPONENT_KEYS and value == math.inf):
+            return value
+        allowed = "finite or +inf" if key in _EXPONENT_KEYS else "finite"
+        raise ValueError(f"config key {key} must be {allowed}, got {value!r}")
     like = list(default) if isinstance(default, tuple) else default
     raise ValueError(f"config key {key} must be like its default {like!r}, got {value!r}")
 

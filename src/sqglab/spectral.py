@@ -152,8 +152,10 @@ class FrequencyLattice:
     def xi_axis(self) -> np.ndarray:
         """Frequencies ``h_xi * k`` of one axis, FFT order, shape (m,).
 
-        Every coordinate symbol's values, bitwise: ``xi1[k1, k2]`` is
-        ``xi_axis[k1]`` and ``xi2[k1, k2]`` is ``xi_axis[k2]``.
+        Mode ``(k1, k2)`` has coordinates ``(xi_axis[k1], xi_axis[k2])``;
+        a coordinate symbol is applied through the broadcasts
+        ``xi_axis[:, None]`` and ``xi_axis[None, :]``, so the lattice holds
+        no m x m coordinate array.
         """
         return self.h_xi * self.k1[:, 0]
 
@@ -162,34 +164,34 @@ class FrequencyLattice:
         """``|xi|`` on the quadrant ``R[a, b] = hypot(h_xi a, h_xi b)``,
         ``0 <= a, b <= m/2`` (read-only, shape (m/2 + 1, m/2 + 1)).
 
-        Mode ``(k1, k2)`` reads ``R[|k1|, |k2|]``, bitwise :attr:`radius`,
-        since ``hypot`` ignores signs.  A quarter of the lattice's size;
-        radial symbols are applied from it through :func:`_mirror_slices`.
+        Mode ``(k1, k2)`` reads ``R[|k1|, |k2|]``, bitwise
+        ``hypot(xi_axis[k1], xi_axis[k2])``, since ``hypot`` ignores signs.
+        A quarter of the lattice's size; radial symbols are applied from it
+        through :func:`_mirror_slices`.
         """
         xi = self.h_xi * np.arange(self.m // 2 + 1, dtype=np.int64)
         r = np.hypot(xi[:, None], xi[None, :])
         r.flags.writeable = False
         return r
 
-    @cached_property
-    def xi1(self) -> np.ndarray:
-        return self.h_xi * self.k1
-
-    @cached_property
-    def xi2(self) -> np.ndarray:
-        return self.h_xi * self.k2
-
-    @cached_property
-    def radius(self) -> np.ndarray:
-        """|xi| on the lattice."""
-        return np.hypot(self.xi1, self.xi2)
-
-    @cached_property
-    def radius_sq(self) -> np.ndarray:
-        return self.xi1 * self.xi1 + self.xi2 * self.xi2
-
     def __repr__(self) -> str:  # keep reports compact
         return f"FrequencyLattice(m={self.m}, h_xi={self.h_xi})"
+
+
+def _centred_coordinates(
+    lattice: FrequencyLattice,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(eta1, eta2, |eta|)`` on the whole lattice in centred order, index i
+    holding wavenumber i - m/2: the coordinates as (m, m) broadcasts of one
+    axis, the radius as an (m, m) array.  Only the two whole-lattice
+    quadratures (``bilinear.coupling_tensor`` and
+    ``diagnostics.second_iterate_split``) call it; every other route reads
+    :attr:`FrequencyLattice.xi_axis` and the radius quadrant."""
+    m = lattice.m
+    wave = (np.arange(m) - m // 2) * lattice.h_xi
+    eta1 = np.broadcast_to(wave[:, None], (m, m))
+    eta2 = np.broadcast_to(wave[None, :], (m, m))
+    return eta1, eta2, np.hypot(eta1, eta2)
 
 
 def _ball_box(
@@ -219,16 +221,18 @@ class SpectralField:
 
     A real field's coefficients are Hermitian, ``c(-k) = conj(c(k))``, so
     the columns k2 = 0 .. m/2 - 1 hold them all: ``coeffs`` has shape
-    (m, m/2), or (2, m, m/2) for a vector field, rows in FFT order, the
-    layout of a real transform's half without its last column.  Column
-    k2 = 0 holds both ``c(k1, 0)`` and its conjugate ``c(-k1, 0)``, and the
-    zero mode is real.  The unpaired k = -m/2 row and column have no
-    partner inside the box: the row is zero and the column has no slot.
+    (m, m/2), rows in FFT order, the layout of a real transform's half
+    without its last column.  Column k2 = 0 holds both ``c(k1, 0)`` and its
+    conjugate ``c(-k1, 0)``, and the zero mode is real.  The unpaired
+    k = -m/2 row and column have no partner inside the box: the row is zero
+    and the column has no slot.  Every field is a scalar, as the unknown,
+    the forcing and the quadratic form are; a velocity is a pair of fields
+    (:func:`riesz_velocity`).
 
-    ``SpectralField(lattice, full)`` takes the full (m, m) or (2, m, m)
-    coefficients, checks once that they are a real field (an anti-Hermitian
-    part of at most 1e-12 of their largest component, nothing on the
-    unpaired edge; anything else raises ``ValueError``) and keeps the half.
+    ``SpectralField(lattice, full)`` takes the full (m, m) coefficients,
+    checks once that they are a real field (an anti-Hermitian part of at
+    most 1e-12 of their largest component, nothing on the unpaired edge;
+    anything else raises ``ValueError``) and keeps the half.
     Operators adopt the halves they build, so realness holds by
     construction; routes that need the whole lattice unfold a half with
     :func:`_unfold`.  A field has no m x m physical view (module docstring).
@@ -243,17 +247,17 @@ class SpectralField:
         m = self.lattice.m
         h = m // 2
         c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape not in ((m, m), (2, m, m)):
+        if c.shape != (m, m):
             raise ValueError(
                 f"coefficient shape {c.shape} does not match lattice m={m} "
-                "(expected the full (m,m) or (2,m,m) coefficients)"
+                "(expected the full (m,m) coefficients)"
             )
-        if c[..., h, :].any() or c[..., :, h].any():
+        if c[h, :].any() or c[:, h].any():
             raise ValueError(
                 f"coefficients on the unpaired k = -{h} row or column have no "
                 "conjugate partner in the box; strip_unpaired_edge removes them"
             )
-        d = c - np.conj(np.roll(np.flip(c, axis=(-2, -1)), 1, axis=(-2, -1)))  # c(-k)
+        d = c - np.conj(np.roll(np.flip(c), 1, axis=(0, 1)))  # c(-k)
         worst = max(np.abs(d.real).max(), np.abs(d.imag).max())
         scale = max(np.abs(c.real).max(), np.abs(c.imag).max())
         if worst > _REAL_TOL * scale:
@@ -262,7 +266,7 @@ class SpectralField:
                 f"their mirrored conjugates by {worst:.3e} at scale {scale:.3e}"
             )
         # a copy: the caller may still hold (and later write to) its array
-        self._freeze(np.array(c[..., :h]))
+        self._freeze(np.array(c[:, :h]))
 
     @classmethod
     def _adopt(cls, lattice: FrequencyLattice, half: np.ndarray) -> "SpectralField":
@@ -278,10 +282,10 @@ class SpectralField:
 
     def _freeze(self, c: np.ndarray) -> None:
         m = self.lattice.m
-        if c.shape not in ((m, m // 2), (2, m, m // 2)):
+        if c.shape != (m, m // 2):
             raise ValueError(
                 f"half-spectrum shape {c.shape} does not match lattice m={m} "
-                "(expected (m,m/2) or (2,m,m/2))"
+                "(expected (m,m/2))"
             )
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
@@ -322,13 +326,8 @@ class SpectralField:
 
     # -- basic queries -----------------------------------------------------
 
-    @property
-    def rank(self) -> int:
-        return self.coeffs.ndim - 2
-
     def mean_coefficient(self) -> complex:
-        idx = (0,) * self.rank + (0, 0)
-        return complex(self.coeffs[idx])
+        return complex(self.coeffs[0, 0])
 
     def nonzero_modes(self) -> int:
         """Non-zero coefficients of the stored k2 >= 0 half."""
@@ -341,8 +340,6 @@ class SpectralField:
             raise ValueError(
                 f"incompatible lattices: {self.lattice} vs {other.lattice}"
             )
-        if other.rank != self.rank:
-            raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         self._check_compatible(other)
@@ -444,21 +441,18 @@ def neg_laplacian(field: SpectralField) -> SpectralField:
     return _checked(field.lattice, _radial_multiply(r * r, field.coeffs), "neg_laplacian")
 
 
-def riesz_velocity(theta: SpectralField) -> SpectralField:
+def riesz_velocity(theta: SpectralField) -> tuple[SpectralField, SpectralField]:
     """Divergence-free velocity ``u = perp-grad (-Delta)^{-1/2} theta``,
-    symbol ``i (-xi_2, xi_1) / |xi|``.
+    symbol ``i (-xi_2, xi_1) / |xi|``, as its two components ``(u1, u2)``.
 
+    The symbol is odd and imaginary, so each component is a real field.
     Mode for mode an isometry: |u_hat(xi)| = |theta_hat(xi)| for xi != 0.
     """
-    if theta.rank != 0:
-        raise ValueError("the Riesz velocity is defined for scalar fields")
     lat = theta.lattice
     xi = lat.xi_axis
     lifted = _radial_multiply(1j * _reciprocal(lat.radius_quadrant), theta.coeffs)
-    out = np.empty((2,) + lifted.shape, dtype=np.complex128)
-    np.multiply(-xi[None, : lat.m // 2], lifted, out=out[0])
-    np.multiply(xi[:, None], lifted, out=out[1])
-    return _checked(lat, out, "riesz_velocity")
+    u1 = _checked(lat, -xi[None, : lat.m // 2] * lifted, "riesz_velocity")
+    return u1, _checked(lat, xi[:, None] * lifted, "riesz_velocity")
 
 
 # ---------------------------------------------------------------------------
@@ -477,8 +471,6 @@ def dyadic_rescale(
     active mode to sit on the coarser sublattice; anything else would land
     off-lattice and raises.
     """
-    if field.rank != 0:
-        raise ValueError("dyadic_rescale is defined for scalar fields")
     lam_pow = int(exponent)
     if lam_pow == 0:
         return field

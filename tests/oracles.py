@@ -1,6 +1,8 @@
 """Test-only oracles: literal constructions that the package computes another way."""
 
+import functools
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -10,9 +12,31 @@ from sqglab.spectral import SpectralField, _unfold, strip_unpaired_edge
 
 
 def full(field):
-    """The whole lattice's coefficients of ``field``, (m, m) or (2, m, m) in
-    FFT order, unfolded from the k2 >= 0 half it stores."""
+    """The whole lattice's coefficients of ``field``, (m, m) in FFT order,
+    unfolded from the k2 >= 0 half it stores."""
     return _unfold(field.coeffs)
+
+
+class Coordinates(NamedTuple):
+    xi1: np.ndarray
+    xi2: np.ndarray
+    radius: np.ndarray
+    radius_sq: np.ndarray
+
+
+@functools.lru_cache(maxsize=4)
+def coordinates(lattice):
+    """Reference coordinates: the whole lattice's (m, m) arrays of ``xi1``,
+    ``xi2``, ``|xi|`` and ``|xi|**2`` in FFT order (read-only), built by the
+    literal formulas ``h_xi * k1``, ``h_xi * k2``, ``hypot(xi1, xi2)`` and
+    ``xi1 * xi1 + xi2 * xi2``.  The package holds one frequency axis and a
+    radius quadrant instead, and must agree with these bitwise."""
+    xi1 = lattice.h_xi * lattice.k1
+    xi2 = lattice.h_xi * lattice.k2
+    arrays = Coordinates(xi1, xi2, np.hypot(xi1, xi2), xi1 * xi1 + xi2 * xi2)
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 def physical(field):
@@ -86,11 +110,11 @@ def block_envelope(lattice, spec):
     whole lattice radius, cast to complex, twisted by exp(-i xi1 stride s),
     weighted 2**(-3j/2) and added in block order into the (m, m) sum, whose
     unpaired edge is stripped."""
-    r = lattice.radius
+    xi1, _, r, _ = coordinates(lattice)
     coeffs = np.zeros((lattice.m, lattice.m), dtype=np.complex128)
     for s, j in zip(spec.block_exponents(), spec.block_shells()):
         ring = (_STEP(r * 2.0 ** (-j)) - _STEP(r * 2.0 ** (1 - j))).astype(np.complex128)
-        coeffs += 2.0 ** (-1.5 * j) * (ring * np.exp(-1j * lattice.xi1[:, :1] * (spec.stride * s)))
+        coeffs += 2.0 ** (-1.5 * j) * (ring * np.exp(-1j * xi1[:, :1] * (spec.stride * s)))
     return SpectralField(lattice, strip_unpaired_edge(coeffs))
 
 

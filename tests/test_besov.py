@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from oracles import full, hermitian_defect, physical, physical_real, probe_symbol_from_rings
+from oracles import (
+    coordinates,
+    full,
+    hermitian_defect,
+    physical,
+    physical_real,
+    probe_symbol_from_rings,
+)
 from sqglab.besov import (
     _STEP,
     BesovIndex,
@@ -49,7 +56,7 @@ def complex_mean_zero_field(lattice, rng):
     m = lattice.m
     c = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     c[0, 0] = 0.0
-    return SpectralField(lattice, strip_unpaired_edge(c / (1.0 + lattice.radius) ** 2))
+    return SpectralField(lattice, strip_unpaired_edge(c / (1.0 + coordinates(lattice).radius) ** 2))
 
 
 @pytest.fixture(scope="module")
@@ -168,7 +175,7 @@ def test_shell_grids_are_band_sized(lattice256, partition256):
 def test_ring_quadrants_unfold_to_the_closed_form_bitwise(m, h_xi):
     lattice = FrequencyLattice(m=m, h_xi=h_xi)
     partition = build_partition(lattice)
-    r = lattice.radius
+    r = coordinates(lattice).radius
     # |k| per axis in FFT order, the unpaired -m/2 slot read as m/2
     reach = np.maximum(np.abs(lattice.k1), np.abs(lattice.k2))
     extents = []
@@ -240,7 +247,7 @@ def test_coverage_is_the_telescoped_closed_form(lattice128, partition128):
     j_min, j_max = partition128.j_min, partition128.j_max
     # on the radius quadrant, mode (k1, k2) reading [|k1|, |k2|] is the
     # closed form on the whole lattice, bit for bit
-    r = lattice128.radius
+    r = coordinates(lattice128).radius
     whole = _STEP(r * 2.0 ** (-j_max)) - _STEP(r * 2.0 ** (1 - j_min))
     assert np.array_equal(cov[np.abs(lattice128.k1), np.abs(lattice128.k2)], whole)
     # the window is the one ring system: every ring that meets a non-zero
@@ -294,7 +301,7 @@ def test_partition_of_unity(lattice128, partition128):
 
 
 def test_ring_support_is_exact(lattice128, partition128):
-    r = lattice128.radius[:, :64]
+    r = coordinates(lattice128).radius[:, :64]
     for j in partition128.shells:
         lo, hi = partition128.support_interval(j)
         ring = partition128.ring_values(j)
@@ -303,7 +310,7 @@ def test_ring_support_is_exact(lattice128, partition128):
 
 
 def test_ring_plateau_is_one(lattice128, partition128):
-    r = lattice128.radius[:, :64]
+    r = coordinates(lattice128).radius[:, :64]
     for j in partition128.shells:
         lo, hi = partition128.plateau_interval(j)
         sel = (r >= lo) & (r <= hi)
@@ -315,7 +322,7 @@ def test_shell_reconstruction(lattice128, partition128):
     rng = np.random.default_rng(21)
     f = random_mean_zero_field(lattice128, rng)
     # band-limit to half the Nyquist radius so every active mode is covered
-    band = np.where(lattice128.radius < lattice128.xi_max / 2, full(f), 0.0)
+    band = np.where(coordinates(lattice128).radius < lattice128.xi_max / 2, full(f), 0.0)
     f = SpectralField(lattice128, band)
     total = SpectralField.zeros(lattice128)
     for j in partition128.shells:
@@ -347,7 +354,7 @@ def test_besov_norm_single_shell_closed_form(lattice128, partition128):
     lo, hi = partition128.plateau_interval(j)
     rng = np.random.default_rng(22)
     base = random_mean_zero_field(lattice128, rng)
-    r = lattice128.radius
+    r = coordinates(lattice128).radius
     f = SpectralField(lattice128, np.where((r >= lo) & (r <= hi), full(base), 0.0))
     assert f.nonzero_modes() > 0
     for p, q in ((4.0, 2.0), (8.0, 2.0), (math.inf, math.inf)):
@@ -361,7 +368,7 @@ def test_besov_norm_single_shell_closed_form(lattice128, partition128):
 def test_besov_norm_monotone_in_q(lattice128, partition128):
     rng = np.random.default_rng(23)
     f = random_mean_zero_field(lattice128, rng, decay=2.0)
-    band = np.where(lattice128.radius < lattice128.xi_max / 2, full(f), 0.0)
+    band = np.where(coordinates(lattice128).radius < lattice128.xi_max / 2, full(f), 0.0)
     f = SpectralField(lattice128, band)
     idx = lambda q: BesovIndex(s=-0.5, p=4.0, q=q)
     n1 = besov_norm(f, idx(1.0), partition128)
@@ -400,8 +407,9 @@ def test_probe_reproducing_property(lattice128, partition128):
 def test_probe_closed_form_matches_ring_construction(lattice128):
     probe = build_probe(lattice128, 1)
     cx, cy = probe.center
-    a = probe.symbol(np.hypot(lattice128.xi1 - cx, lattice128.xi2 - cy))
-    b = probe_symbol_from_rings(probe, lattice128.xi1, lattice128.xi2)
+    xi1, xi2, *_ = coordinates(lattice128)
+    a = probe.symbol(np.hypot(xi1 - cx, xi2 - cy))
+    b = probe_symbol_from_rings(probe, xi1, xi2)
     assert np.max(np.abs(a - b)) <= 1e-12
 
 

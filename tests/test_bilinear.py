@@ -5,13 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import full, hermitian_defect, physical_coordinates, physical_real
+from oracles import coordinates, full, hermitian_defect, physical_coordinates, physical_real
 from sqglab import bilinear
 from sqglab.bilinear import (
     QUADRATURE_SIZE_LIMIT,
     bilinear_block,
     bilinear_quadrature,
-    coupling_tensor,
     quadratic_diagonal,
 )
 from sqglab.forcing import ForceSpec, modulated_bump_force
@@ -27,7 +26,7 @@ from sqglab.spectral import (
 
 def band_limited(lattice, rng, decay=1.0):
     f = random_mean_zero_field(lattice, rng, decay=decay)
-    keep = lattice.radius < lattice.xi_max / 2
+    keep = coordinates(lattice).radius < lattice.xi_max / 2
     return SpectralField(lattice, np.where(keep, full(f), 0.0))
 
 
@@ -50,9 +49,8 @@ def test_closed_form_cosine_pair(lattice32):
 
 def test_closed_form_velocity(lattice32):
     theta = SpectralField.cosine(lattice32, (4, 0))
-    u = riesz_velocity(theta)
     x1 = physical_coordinates(lattice32)[0]
-    u1, u2 = (physical_real(SpectralField._adopt(lattice32, c.copy())) for c in u.coeffs)
+    u1, u2 = (physical_real(u) for u in riesz_velocity(theta))
     assert np.max(np.abs(u1)) <= 1e-13
     assert np.max(np.abs(u2 + np.sin(x1))) <= 1e-13
 
@@ -110,12 +108,6 @@ def test_quadrature_size_limit():
     f = SpectralField.cosine(big, (4, 0))
     with pytest.raises(ValueError, match="limited to m <="):
         bilinear_quadrature(f, f)
-
-
-def test_coupling_tensor_shape_checks(lattice32):
-    f = SpectralField.cosine(lattice32, (4, 0))
-    with pytest.raises(ValueError, match="scalar first argument"):
-        coupling_tensor(f, f)
 
 
 def test_lattice_mismatch_rejected(lattice32, lattice128):

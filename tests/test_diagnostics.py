@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import full, physical
+from oracles import coordinates, full, physical
 from sqglab import besov
 from sqglab.besov import ProbeFunction, build_partition, build_probe, lp_norm, lq_aggregate
 from sqglab.bilinear import quadratic_diagonal
@@ -101,7 +101,7 @@ def test_low_frequency_profile_above_the_window_and_with_a_mean():
     assert any(want > 0.0 for _, want in wants)
     for j, want in wants:
         assert abs(values[j] - want) <= 1e-14 * want
-    meanless = SpectralField._adopt(lat, np.where(lat.radius[:, :4] > 0, c, 0.0))
+    meanless = SpectralField._adopt(lat, np.where(coordinates(lat).radius[:, :4] > 0, c, 0.0))
     assert low_frequency_profile(meanless, partition) == profile
 
 
@@ -150,7 +150,8 @@ def test_inflation_profile_entries_and_aggregates():
     # recompute one entry by hand: probe projection, weighted L4 norm
     probe = build_probe(lat, 0, gap=spec.probe_gap)
     cx, cy = probe.center
-    symbol = probe.symbol(np.hypot(lat.xi1 - cx, lat.xi2 - cy))
+    xi1, xi2, *_ = coordinates(lat)
+    symbol = probe.symbol(np.hypot(xi1 - cx, xi2 - cy))
     # the probe projection is a complex field: synthesized from its full array
     piece = np.fft.ifft2(full(theta2) * symbol, norm="forward")
     want = lp_norm(np.abs(piece), 4.0, lat.dx ** 2)
@@ -185,7 +186,8 @@ def test_probe_boxes_match_the_full_lattice(desk_step3, gap, feasible):
         shell = spec.exponents(n)
         probe = ProbeFunction(lat, shell, gap=gap)
         cx, cy = probe.center
-        closed = probe.symbol(np.hypot(lat.xi1 - cx, lat.xi2 - cy))
+        xi1, xi2, *_ = coordinates(lat)
+        closed = probe.symbol(np.hypot(xi1 - cx, xi2 - cy))
         if not closed.any():
             with pytest.raises(ValueError, match="empty support"):
                 build_probe(lat, shell, gap=gap)

@@ -8,6 +8,7 @@ import pytest
 
 import oracles
 from oracles import (
+    coordinates,
     hermitian_defect,
     physical,
     physical_coordinates,
@@ -118,9 +119,8 @@ def test_force_spec_lattice_validation(lattice128):
 def full_lattice_pair(lattice, carrier):
     """The bump pair evaluated on every mode of the lattice."""
     chi = SmoothStep(1.0, 2.0)
-    return chi(np.hypot(lattice.xi1 - carrier, lattice.xi2)) + chi(
-        np.hypot(lattice.xi1 + carrier, lattice.xi2)
-    )
+    xi1, xi2, *_ = coordinates(lattice)
+    return chi(np.hypot(xi1 - carrier, xi2)) + chi(np.hypot(xi1 + carrier, xi2))
 
 
 def edge_stripped(coeffs):
@@ -148,9 +148,9 @@ def test_modulated_bump_box_is_bitwise_the_full_lattice(m, h_xi, size):
         # the envelope: 1 inside radius 1, 0 from radius 2, strictly between
         # (on finer lattices, radii within rounding of 1 or 2 read 1 or 0)
         vals = f.coeffs.real / half_amp
+        xi1, xi2, *_ = coordinates(lattice)
         d = np.minimum(
-            np.hypot(lattice.xi1 - 2.0**size, lattice.xi2),
-            np.hypot(lattice.xi1 + 2.0**size, lattice.xi2),
+            np.hypot(xi1 - 2.0**size, xi2), np.hypot(xi1 + 2.0**size, xi2)
         )[:, : m // 2]
         assert np.all(vals[d <= 1.0] == 1.0)
         assert np.all(vals[d >= 2.0] == 0.0)
@@ -181,10 +181,8 @@ def test_modulated_bump_support_and_amplitude(lattice128):
     spec = ForceSpec(variant="bump", delta=0.01, size=3)
     f = modulated_bump_force(lattice128, spec)
     # support is the pair of annuli of radius 2 around +-(2**3, 0)
-    d = np.minimum(
-        np.hypot(lattice128.xi1 - 8.0, lattice128.xi2),
-        np.hypot(lattice128.xi1 + 8.0, lattice128.xi2),
-    )[:, :64]
+    xi1, xi2, *_ = coordinates(lattice128)
+    d = np.minimum(np.hypot(xi1 - 8.0, xi2), np.hypot(xi1 + 8.0, xi2))[:, :64]
     assert np.all(f.coeffs[d >= 2.0] == 0.0)
     assert f.mean_coefficient() == 0.0
     # exact peak value delta * 2**(5c/2) / 2 at the carrier itself
@@ -224,9 +222,9 @@ def test_lacunary_terms_are_disjoint_and_weighted(lattice128):
 
 def mask_overlap(lattice, exponents):
     """Shared modes of the carrier annuli, from full-lattice masks."""
+    xi1, xi2, *_ = coordinates(lattice)
     masks = [
-        (np.hypot(lattice.xi1 - 2.0**s, lattice.xi2) < 2.0)
-        | (np.hypot(lattice.xi1 + 2.0**s, lattice.xi2) < 2.0)
+        (np.hypot(xi1 - 2.0**s, xi2) < 2.0) | (np.hypot(xi1 + 2.0**s, xi2) < 2.0)
         for s in exponents
     ]
     return sum(

@@ -17,11 +17,12 @@ to, so they count every array allocated while the measured call runs
 
 import tracemalloc
 import weakref
+from functools import cached_property
 
 import numpy as np
 import pytest
 
-from sqglab import solver
+from sqglab import bilinear, diagnostics, solver
 from sqglab.besov import DyadicPartition, build_partition, shell_project
 from sqglab.bilinear import bilinear_block, bilinear_quadrature, quadratic_diagonal
 from sqglab.forcing import (
@@ -176,6 +177,7 @@ def operator_outputs(lattice):
                        exponents=ExponentMap.affine(2, -4), carrier_exponent=2, stride=3.0)
     lacunary = ForceSpec(variant="lacunary", size=2, block_range=(1, 1),
                          exponents=ExponentMap.affine(2, 0))
+    u1, u2 = riesz_velocity(f)
     return {
         "constructor": SpectralField(lattice, np.zeros((lattice.m, lattice.m))),
         "zeros": SpectralField.zeros(lattice),
@@ -183,6 +185,7 @@ def operator_outputs(lattice):
         "sum": f + g, "difference": f - g, "multiple": 2.0 * f, "negation": -f,
         "inverse_laplacian": inverse_laplacian(f),
         "neg_laplacian": neg_laplacian(f),
+        "riesz_velocity_1": u1, "riesz_velocity_2": u2,
         "dyadic_rescale": dyadic_rescale(SpectralField.cosine(lattice, (2, 3)), 1),
         "quadratic_diagonal": quadratic_diagonal(f),
         "bilinear_block": bilinear_block(f, g),
@@ -201,7 +204,6 @@ def test_every_operator_output_stores_the_half_spectrum():
     for name, field in operator_outputs(lattice).items():
         assert field.coeffs.shape == half, name
         assert field.coeffs.nbytes == 8 * lattice.m**2, name
-    assert riesz_velocity(SpectralField.cosine(lattice, (2, 3))).coeffs.shape == (2,) + half
     small = FrequencyLattice(m=16, h_xi=0.5)
     f = SpectralField.cosine(small, (1, 2))
     assert bilinear_quadrature(f, f).coeffs.shape == (16, 8)
@@ -210,14 +212,34 @@ def test_every_operator_output_stores_the_half_spectrum():
 SOLVE_DESK = {"experiment": "solve", "m": 64, "h_xi": 0.25, "samples": 50, "max_iter": 8}
 
 
-def refuse_coordinate_arrays(monkeypatch):
-    """Make every m x m coordinate array of a lattice raise when built; k1
-    and k2 stay, as broadcast views of one axis."""
-    def refuse(lattice):
-        raise AssertionError("an m x m coordinate array was built")
+def owned_elements(array: np.ndarray) -> int:
+    """Elements of the buffer ``array`` is a view of: one axis for a broadcast."""
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array.size
 
-    for name in ("xi1", "xi2", "radius", "radius_sq"):
-        monkeypatch.setattr(FrequencyLattice, name, property(refuse))
+
+def test_lattice_caches_no_array_larger_than_its_radius_quadrant():
+    # the coordinates are one frequency axis (with k1 and k2 broadcast from
+    # it) and the radius quadrant; no cached array owns m x m elements
+    lattice = FrequencyLattice(m=64, h_xi=0.25)
+    cached = [name for name, attr in vars(FrequencyLattice).items()
+              if isinstance(attr, cached_property)]
+    assert {"k1", "k2", "xi_axis", "radius_quadrant"} <= set(cached)
+    for name in cached:
+        value = getattr(lattice, name)
+        assert owned_elements(value) <= (lattice.m // 2 + 1) ** 2, name
+
+
+def refuse_coordinate_arrays(monkeypatch):
+    """Make the whole lattice's centred coordinates raise when built, where
+    the two whole-lattice quadratures look them up; every other route reads
+    the lattice's frequency axis and radius quadrant."""
+    def refuse(lattice):
+        raise AssertionError("the m x m coordinates of a quadrature were built")
+
+    for module in (bilinear, diagnostics):
+        monkeypatch.setattr(module, "_centred_coordinates", refuse)
 
 
 def test_step2_builds_no_full_lattice_coordinate_array(monkeypatch):

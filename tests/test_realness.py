@@ -58,7 +58,8 @@ def test_multipliers_return_real_fields(lattice, seed, decay):
     check_real(theta, "random_mean_zero_field")
     check_real(inverse_laplacian(theta), "inverse_laplacian")
     check_real(neg_laplacian(theta), "neg_laplacian")
-    check_real(riesz_velocity(theta), "riesz_velocity")
+    for u in riesz_velocity(theta):
+        check_real(u, "riesz_velocity")
 
 
 @settings(max_examples=30, deadline=None)

@@ -1,17 +1,24 @@
-"""Report bytes of the three benchmark configurations and two desk runs, pinned.
+"""Report bytes of the three benchmark configurations and four desk runs, pinned.
 
 The first three configurations are the ones the ``perfbench`` workloads
 run.  ``illpose-step3`` at m = 1024 runs the L4 leg's stride calibration
 and norms for 2 and 4 blocks and one translated-block forcing (4 blocks
 are reported infeasible at this lattice's Nyquist frequency);
-``partition-check`` at m = 256 reads every ring and the telescoped sum.
-Every file a report emits is compared byte for byte with the copy
-committed under ``tests/data/report_bytes/<verb>/``.  The copies of the
-benchmark configurations were recorded with the code as it stood before
-fields were stored as (m, m/2) half spectra, and those of the two desk
-runs with the code as it stood before the block envelope was built on its
-box; all from the command line (``sqglab <verb> --config FILE --seed 0
---threads 1 --out DIR``), and every change since has kept them.  A change
+``partition-check`` at m = 256 reads every ring and the telescoped sum;
+``verify-identity`` with 5 samples runs the direct quadrature (the
+coupling tensor, the Riesz velocity and its contraction) against both
+fast forms; ``constants`` at its defaults runs the samplers, the single
+shell fields and the Besov norms.  Every file a report emits is compared
+byte for byte with the copy committed under
+``tests/data/report_bytes/<verb>/``.  The copies of the benchmark
+configurations were recorded with the code as it stood before fields were
+stored as (m, m/2) half spectra, those of ``illpose-step3`` and
+``partition-check`` with the code as it stood before the block envelope
+was built on its box, and those of ``verify-identity`` and ``constants``
+with the code as it stood before fields became scalar-only and the
+lattice dropped its m x m coordinate arrays; all from the command line
+(``sqglab <verb> --config FILE --seed 0 --threads 1 --out DIR``), and
+every change since has kept them.  A change
 that moves any reported value, even in its last printed digit, fails here;
 if it is meant to, re-record the copies and say so in CHANGES.md.
 """
@@ -30,6 +37,8 @@ CONFIGS = {
     "illpose-step2": {"m": 1024, "h_xi": 0.25},
     "illpose-step3": {"m": 1024, "block_counts": [2, 4]},
     "partition-check": {"m": 256},
+    "verify-identity": {"samples": 5},
+    "constants": {},
 }
 
 

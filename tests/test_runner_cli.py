@@ -385,6 +385,15 @@ def test_cli_refuses_a_key_the_verb_does_not_read(tmp_path, capsys, verb):
         ("illpose-step3", {"exponent_map": {"scale": 3}}, "exponent_map"),
         ("illpose-step2", {"exponent_map": {"kind": "table", "entries": [[1, 2], [2, 4.5]]}},
          "exponent_map"),
+        # JSON's Infinity and NaN parse as floats; only p and q may be +inf
+        ("partition-check", {"m": 64, "h_xi": math.inf}, "h_xi"),
+        ("partition-check", {"tolerance": math.nan}, "tolerance"),
+        ("illpose-step1", {"m": 256, "size_range": [4, 5], "delta": math.inf}, "delta"),
+        ("illpose-step1", {"delta": math.nan}, "delta"),
+        ("solve", {"solve_tol": math.nan}, "solve_tol"),
+        ("solve", {"ball_fraction": -math.inf}, "ball_fraction"),
+        ("constants", {"p": math.nan}, "p"),
+        ("constants", {"q": -math.inf}, "q"),
     ],
     ids=lambda value: value if isinstance(value, str) else json.dumps(value),
 )
@@ -395,6 +404,15 @@ def test_cli_refuses_a_mistyped_value_by_name(tmp_path, capsys, verb, payload, k
     assert main([verb, "--config", cfg, "--out", str(out_dir)]) == 2
     assert f"config key {key}" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+def test_cli_runs_a_besov_exponent_of_infinity(tmp_path):
+    # +inf is a Besov exponent (a sup over the shells), echoed as "inf"
+    cfg = write_cfg(tmp_path, {"m": 32, "q": math.inf})
+    out_dir = tmp_path / "runs"
+    assert main(["constants", "--config", cfg, "--out", str(out_dir)]) == 0
+    report = json.loads((out_dir / "constants_report.json").read_text())
+    assert report["config"]["q"] == "inf"
 
 
 def test_cli_names_the_keys_of_an_l4_leg_without_a_stride(tmp_path, capsys):
