@@ -8,6 +8,12 @@ Parameters come from the JSON config file when given; the command verb,
 ``--out`` and ``--seed`` flags override the file.  ``sqglab <experiment>
 --help`` lists the experiment's config keys and their defaults.  Exit status is 0 when
 every verdict passed, 1 when any failed, 2 on a rejected configuration.
+
+The command owns its process and sets it up: importing this module
+before numpy holds OpenBLAS to one thread (``OPENBLAS_NUM_THREADS=1``
+unless the variable is already set), and :func:`main` keeps freed heap
+pages (:func:`_keep_freed_heap_pages`).  Importing any other sqglab
+module does neither.
 """
 
 from __future__ import annotations
@@ -15,11 +21,22 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
+import os
 import sys
 from pathlib import Path
 
-from .runner import VERBS, Verb, config_from_dict, run_experiment
-from .spectral import set_fft_workers
+# No verb's computation needs a BLAS thread pool (the one BLAS caller,
+# verify-identity's np.linalg.norm, reads at most 64 x 64 arrays), yet by
+# default OpenBLAS starts a worker per further core while numpy imports:
+# about 70 ms of every run's set-up on a 2-vCPU VM.  OpenBLAS reads the
+# variable once, when numpy loads it, so it is set before the first import
+# of numpy, and not at all once a host process has loaded numpy; a value
+# the user set wins.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from .runner import VERBS, Verb, config_from_dict, run_experiment  # noqa: E402
+from .spectral import set_fft_workers  # noqa: E402
 
 
 def _as_config_value(default) -> str:
@@ -55,7 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="random seed (default: 0)")
         cmd.add_argument("--threads", type=int, default=None,
                          help="FFT worker thread count; -1 all cores (default), "
-                              "-2 all but one, ...")
+                              "-2 all but one, ...; BLAS runs on one thread "
+                              "unless OPENBLAS_NUM_THREADS is set")
     return parser
 
 

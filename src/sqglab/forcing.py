@@ -271,12 +271,19 @@ def shared_annulus_modes(lattice: FrequencyLattice, exponents: list[int]) -> int
     Annulus s holds the modes within (open) radius 2 of +-2**s e1, the
     support of a lacunary term.  Each is collected on its bumps' boxes,
     so the count is exactly that of full-lattice masks at a box's cost.
+    The two balls of an annulus are disjoint once their centres are 4
+    apart (s >= 1), and only nearer ones are deduplicated: ``np.unique``
+    (behind ``np.union1d``) would import ``numpy.ma`` into the run.
     """
     m = lattice.m
     annuli = []
     for s in exponents:
-        boxes = (_ball_box(lattice, (c, 0.0), 2.0) for c in (2.0**s, -(2.0**s)))
-        annuli.append(np.union1d(*((rows[:, None] * m + cols)[r < 2.0] for rows, cols, r in boxes)))
+        c = 2.0**s
+        plus, minus = ((rows[:, None] * m + cols)[r < 2.0]
+                       for rows, cols, r in (_ball_box(lattice, (x, 0.0), 2.0) for x in (c, -c)))
+        if c < 2.0:
+            minus = np.setdiff1d(minus, plus, assume_unique=True)
+        annuli.append(np.concatenate((plus, minus)))
     return sum(
         np.intersect1d(a, b, assume_unique=True).size
         for i, a in enumerate(annuli)

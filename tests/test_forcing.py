@@ -1,7 +1,11 @@
 """Forcing families: envelopes, modulation, lacunary sums, stride calibration."""
 
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,6 +250,29 @@ def test_shared_annulus_modes_counts_the_full_lattice_masks(m, h_xi, exponents, 
     want = mask_overlap(lattice, exponents)
     assert (want > 0) == colliding
     assert shared_annulus_modes(lattice, exponents) == want
+
+
+@pytest.mark.parametrize("exponents", [[0, 2], [-1, 1], [0, 0]])
+def test_shared_annulus_modes_counts_meeting_balls_once(exponents):
+    # below s = 1 the two balls of one annulus overlap, and a mode in both
+    # belongs to the annulus once
+    lattice = FrequencyLattice(m=64, h_xi=0.25)
+    assert shared_annulus_modes(lattice, exponents) == mask_overlap(lattice, exponents)
+
+
+def test_shared_annulus_modes_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique imports numpy.ma on its first call, 15-22 ms inside step2
+    code = ("import sys\n"
+            "from sqglab.forcing import shared_annulus_modes\n"
+            "from sqglab.spectral import FrequencyLattice\n"
+            "lattice = FrequencyLattice(m=64, h_xi=0.25)\n"
+            "shared_annulus_modes(lattice, [1, 3, 5])\n"
+            "shared_annulus_modes(lattice, [0, 2])\n"
+            "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(forcing.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False"]
 
 
 def blocks_spec(stride=None, equal_shell=None):

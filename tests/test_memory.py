@@ -23,7 +23,7 @@ import numpy as np
 import pytest
 
 from sqglab import bilinear, diagnostics, solver
-from sqglab.besov import DyadicPartition, build_partition, shell_project
+from sqglab.besov import DyadicPartition, _check_mean_zero, build_partition, shell_project
 from sqglab.bilinear import bilinear_block, bilinear_quadrature, quadratic_diagonal
 from sqglab.forcing import (
     ExponentMap,
@@ -296,3 +296,14 @@ def test_envelope_l4_norm_allocates_no_lattice_sized_array(step3_blocks):
     unit = lattice.m * (lattice.m // 2) * 16
     peak = traced_peak(lambda: envelope_l4_norm(lattice, spec, partition))
     assert peak < unit, f"{peak / unit:.2f} units"
+
+
+def test_mean_zero_check_allocates_no_half_sized_temporary():
+    # the check reads its scale by reductions over the real and imaginary
+    # views; np.abs over the half would allocate an (m, m/2) float array,
+    # half a unit (measured: about 1.2 kB here)
+    lattice = FrequencyLattice(m=512, h_xi=0.25)
+    field = random_mean_zero_field(lattice, np.random.default_rng(0))
+    unit = lattice.m * (lattice.m // 2) * 16
+    peak = traced_peak(lambda: _check_mean_zero(field))
+    assert peak < 0.01 * unit, f"{peak / unit:.4f} units"

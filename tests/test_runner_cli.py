@@ -463,16 +463,57 @@ def test_cli_seed_override(tmp_path, capsys):
     assert payload["config"]["seed"] == 3
 
 
+def _fresh_python(code: str, cwd: Path, **env_vars: str) -> str:
+    """Standard output of ``code`` run in a fresh interpreter that imports
+    sqglab from this checkout, with ``OPENBLAS_NUM_THREADS`` unset unless
+    given."""
+    env = dict(os.environ, PYTHONPATH=str(Path(sqglab.__file__).parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(env_vars)
+    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=cwd,
+                          capture_output=True, text=True, check=True)
+    return done.stdout
+
+
 def test_cli_import_leaves_scipy_fft_unloaded(tmp_path):
     # the transforms call scipy's compiled pocketfft binding; importing
-    # scipy.fft would also load scipy.special and scipy's array-API layer
+    # scipy.fft would also load scipy.special and scipy's array-API layer;
+    # numpy.ma comes in through np.unique, which no run calls
     code = ("import sys, sqglab.cli\n"
             "print(' '.join(sorted(n for n in ('scipy.fft', 'scipy.special', "
-            "'scipy._lib._array_api') if n in sys.modules)))")
-    env = dict(os.environ, PYTHONPATH=str(Path(sqglab.__file__).parents[1]))
-    done = subprocess.run([sys.executable, "-c", code], env=env, cwd=tmp_path,
-                          capture_output=True, text=True, check=True)
-    assert done.stdout.split() == []
+            "'scipy._lib._array_api', 'numpy.ma') if n in sys.modules)))")
+    assert _fresh_python(code, tmp_path).split() == []
+
+
+_READ_PIN = "import os, sqglab.cli\nprint(os.environ.get('OPENBLAS_NUM_THREADS'))\n"
+
+
+def test_cli_import_holds_openblas_to_one_thread(tmp_path):
+    # OpenBLAS starts one worker thread per further core while numpy loads,
+    # unless the variable was set before; with it, the process runs one thread
+    code = _READ_PIN + (
+        "from pathlib import Path\n"
+        "status = Path('/proc/self/status')\n"
+        "if status.exists():\n"
+        "    print(next(line.split()[1] for line in status.read_text().splitlines()\n"
+        "               if line.startswith('Threads:')))\n"
+    )
+    pin, *threads = _fresh_python(code, tmp_path).split()
+    assert pin == "1"
+    if not threads:
+        pytest.skip("no /proc/self/status to count threads in")
+    assert threads == ["1"]
+
+
+def test_cli_import_keeps_the_users_openblas_thread_count(tmp_path):
+    assert _fresh_python(_READ_PIN, tmp_path, OPENBLAS_NUM_THREADS="2").split() == ["2"]
+
+
+def test_cli_import_after_numpy_leaves_openblas_unset(tmp_path):
+    # numpy already loaded OpenBLAS, which read the variable then; setting it
+    # now would only mislead the host process and its children
+    code = "import numpy\n" + _READ_PIN
+    assert _fresh_python(code, tmp_path).split() == ["None"]
 
 
 # -- heap retention -------------------------------------------------------------
