@@ -11,37 +11,40 @@ quadratic map.  Three computational routes are kept side by side:
   (1/2) (-Delta)^{-1} div(f R^perp g + g R^perp f).  Works on any lattice
   and is the workhorse.
 * ``quadratic_diagonal``: the single-divergence form for equal
-  arguments, one padded synthesis per velocity component cheaper than
-  the block form.
+  arguments, with half the syntheses of the block form.
 
-Both fast forms run one fused kernel on the k2 >= 0 half-spectrum.  Each
-scalar factor and each Riesz-velocity component is padded straight from
-its half-spectrum to the 3m/2 grid (the 3/2 rule of Orszag, J. Atmos. Sci.
-28, 1971, which keeps every aliased product mode off the retained box),
-the velocity symbol applied during the padding copy, and synthesized.  The
-physical flux is formed one component at a time (for the block form the
-symmetrized sum is taken in physical space, so each component costs one
-analysis), analysed, contracted with ``i xi / |xi|^2`` on the half and
-accumulated into an (m, m/2) array that becomes the output field: fields
-store their k2 >= 0 half (``spectral.SpectralField``).  The diagonal
-form costs 3 syntheses and 2 analyses, the block form 6 and 2.  Each
-synthesis and each analysis is two 1-D transform passes.  A synthesis's
-column pass runs only over the columns the input occupies (up to 1 + its
-largest k2 with a non-zero coefficient, at most m/2), which for a field
-narrow in k2, such as a modulated bump, is a few of the m/2; an analysis
-keeps all m/2.  Every transform runs in place in its padded half-spectrum
-buffer, of shape (3m/2, 3m/4 + 1) complex: the column pass down the live
-columns, then the real pass, which writes each row's 3m/2 samples over
-the first half of that row's doubles (the in-place real-transform layout
-of FFTW and pocketfft).  The flux is analysed back into the same buffer,
-and the contraction reads the lattice's rows straight from it.  At its
-peak the kernel therefore holds two arrays of the padded size for the
-diagonal form (theta and the flux) and four for the block form (f, g,
-the flux and one velocity factor), besides (m, m/2) arrays: the
-accumulator, which is the output, and one velocity symbol.  The radial
-factors come from the lattice's radius quadrant a row block at a time and
-the coordinate factors from its 1-D frequency axis, so no m x m symbol is
-made.  Every field is real by construction, so the forms check nothing.
+Both fast forms run one fused kernel on the k2 >= 0 half-spectrum, on a
+grid of 3m/2 points per axis (the 3/2 rule of Orszag, J. Atmos. Sci. 28,
+1971, which keeps every aliased product mode off the retained box), and
+make no array of that grid's size.  A real transform there is two 1-D
+passes: a column pass down the k2 columns, then a row pass along each of
+the 3m/2 rows.  Each scalar factor and each Riesz-velocity component gets
+its column pass once, into a (3m/2, w) column array of the w columns it
+occupies (up to 1 + its largest k2 with a non-zero coefficient, at most
+m/2, and a few of them for a field narrow in k2, such as a modulated
+bump), the velocity symbol applied while the factor is copied in.  The
+physical flux is formed one velocity component at a time (for the block
+form the symmetrized sum is taken in physical space, so each component
+costs one analysis), 64 grid rows at a time: each factor's row pass, the
+product and the flux's row analysis run in one slab of scratch, and the
+slab's m/2 kept columns are written into a single (3m/2, m/2) flux
+spectrum, which is a velocity factor's own column array when that is m/2
+wide.  The flux spectrum then gets its column pass, is contracted with
+``i xi / |xi|^2`` and accumulated into an (m, m/2) array that becomes the
+output field (fields store their k2 >= 0 half, ``spectral.SpectralField``)
+before the next component starts.  So a scalar factor's row pass runs once
+per component: per form, the diagonal makes 4 row syntheses and 2 row
+analyses over the whole grid, the block form 8 and 2.  In units of one
+(3m/2, m/2) complex column array, 1.5 m^2 complex numbers (the padded
+(3m/2, 3m/4 + 1) array of a whole real transform is 1.5 of them), the
+diagonal form holds 2 for a full-band input (theta and one velocity
+factor) and about 1 for a narrow one (the flux spectrum), and the block
+form 4 (f, g and their velocity factors), besides the slab scratch, a few
+64-row slabs, and (m, m/2) arrays: the accumulator, which is the output.
+The radial factors come from the lattice's radius quadrant and the
+coordinate factors from its 1-D frequency axis, a run of 64 lattice rows
+at a time, so no m x m symbol is made.  Every field is real by
+construction, so the forms check nothing.
 
 The three agree to rounding for mean-zero inputs; the test suite and
 the identity experiment hold them together.  Phase conventions (who
@@ -56,18 +59,18 @@ from __future__ import annotations
 import numpy as np
 
 from .spectral import (
+    _SLAB_ROWS,
     FrequencyLattice,
     SpectralField,
-    _analysed_half,
     _centred_coordinates,
     _checked,
-    _half_synthesis,
+    _column_analysis,
+    _column_synthesis,
     _occupied_columns,
-    _padded_half,
     _padded_rows,
     _radial_multiply,
     _reciprocal,
-    _real_synthesis,
+    _RowPasses,
     _unfold,
     riesz_velocity,
 )
@@ -191,16 +194,39 @@ def _transport(fc: np.ndarray, gc: np.ndarray | None, lattice: FrequencyLattice)
     None this is (-Delta)^{-1} div(f R^perp f); otherwise
     (1/2) (-Delta)^{-1} div(f R^perp g + g R^perp f), whose flux is summed
     in physical space in an order that makes the result bitwise symmetric
-    in f and g.  Transforms: 3 syntheses + 2 analyses for the diagonal,
-    6 + 2 for the block form, each two 1-D passes; a synthesis copies and
-    transforms only the columns its factor occupies.  Every transform
-    runs in place in its padded half-spectrum buffer, the flux's analysis
-    included, and the contraction is accumulated straight from that
-    buffer's lattice rows.  Each flux buffer is freed before the next one
-    is made.  The accumulator is returned as the output, its column k2 = 0
-    made exactly Hermitian and its zero mode real in place, so that
-    differences of nearly equal outputs stay real fields instead of showing
-    their rounding as an imaginary part.  Non-finite values are left to the
+    in f and g.
+
+    Passes, on the 3m/2 grid: each scalar factor gets its column pass once
+    (:func:`_column_synthesis`, over the columns it occupies), and each
+    velocity component of each factor gets one, the symbol applied during
+    the copy.  The row passes run a slab of ``_SLAB_ROWS`` grid rows at a
+    time (:class:`_RowPasses`): per velocity component, the row pass of
+    every factor and velocity factor, the physical flux, and the flux's
+    row analysis into one (3m/2, m/2) flux spectrum.  So the row pass of a
+    scalar factor runs once per component: the diagonal form makes 4
+    ``c2r`` and 2 ``r2c`` row passes over the whole grid, the block form 8
+    and 2.  The flux spectrum then gets its column pass and is contracted
+    into the accumulator before the next component starts.
+
+    Working set, in (3m/2, m/2) complex column arrays: a factor's column
+    array is (3m/2, w) for its w occupied columns, and the flux spectrum
+    is a velocity factor's own column array when that is m/2 wide (its
+    slab's rows are read before the flux's are written).  So the diagonal
+    form holds 2 for a full-band input (theta and a velocity factor) and
+    about 1 for a narrow one (the flux spectrum), the block form 4 for
+    full-band inputs (f, g and their velocity factors).  Besides these:
+    the (m, m/2) accumulator, which is the output, the slab scratch, made
+    for each component once its velocity factors are, and the velocity
+    symbol on a run of ``_SLAB_ROWS`` lattice rows while those are made.
+    No array of the padded size (3m/2, 3m/4 + 1) is made.  The radial
+    factors are taken from the lattice's radius quadrant and the
+    coordinate factors from its 1-D frequency axis, a run of rows at a
+    time, so no m x m symbol is made.
+
+    The accumulator is returned as the output, its column k2 = 0 made
+    exactly Hermitian and its zero mode real in place, so that differences
+    of nearly equal outputs stay real fields instead of showing their
+    rounding as an imaginary part.  Non-finite values are left to the
     caller's check.
     """
     diagonal = gc is None
@@ -211,43 +237,70 @@ def _transport(fc: np.ndarray, gc: np.ndarray | None, lattice: FrequencyLattice)
     grid = 3 * h
     xi = lattice.xi_axis
     r = lattice.radius_quadrant[:, :h]  # |xi| at (|k1|, k2), k2 < m/2
-    rows = _padded_rows(m, grid)
     # zero columns k2 >= w of a factor are neither copied nor transformed
     wf = _occupied_columns(fc, h)
     wg = wf if diagonal else _occupied_columns(gc, h)
     w = max(wf, wg)
-    fp = _real_synthesis(fc, grid, cols=wf)
-    gp = fp if diagonal else _real_synthesis(gc, grid, cols=wg)
+    scalars = ((fc, wf),) if diagonal else ((fc, wf), (gc, wg))
+    columns = _column_synthesis(scalars, grid)
+    f, g = columns[0], columns[-1]
+    del columns
     acc = np.zeros((m, h), dtype=np.complex128)
     # Riesz velocity (-xi_2, xi_1) i / |xi|; component k of the flux is
     # contracted with xi_k / |xi|^2 (the i goes on at the end).  The
-    # radial factors are taken from the quadrant a row block at a time.
+    # radial factors are taken from the quadrant a run of rows at a time.
     for xi_k, velocity in ((xi[:, None], -xi[None, :h]), (xi[None, :h], xi[:, None])):
         velocity = np.broadcast_to(velocity, (m, h))
         xi_k = np.broadcast_to(xi_k, (m, h))
-        symbol = np.empty((m, w), dtype=np.complex128)  # row m/2 is not read
-        for lat, _, quad in rows:
-            np.multiply(1j * _reciprocal(r[quad, :w]), velocity[lat, :w], out=symbol[lat])
-        buf = _padded_half(gc, grid, symbol, wg)
-        flux = _half_synthesis(buf, wg)
-        flux *= fp
-        if not diagonal:
-            u = _real_synthesis(fc, grid, symbol, wf)
-            u *= gp
-            flux += u
-            del u
-        del symbol, flux
-        cols = _analysed_half(buf, m)
-        for lat, sub, quad in rows:
+
+        def symbol(lat, quad, velocity=velocity):
+            return np.multiply(1j * _reciprocal(r[quad, :w]), velocity[lat, :w])
+
+        columns = _column_synthesis(scalars[::-1], grid, symbol)
+        ug, uf = columns[0], columns[-1]  # R^perp g, R^perp f
+        del columns
+        if wg == h or wf == h:
+            flux = ug if wg == h else uf
+        else:
+            # rows padded to an odd length, as _column_synthesis pads them
+            flux = np.empty((grid, h | 1), dtype=np.complex128)[:, :h]
+        _flux_spectrum(((f, ug),) if diagonal else ((f, ug), (g, uf)), flux)
+        del ug, uf
+        _column_analysis(flux)
+        for lat, sub, quad in _padded_rows(m, grid, _SLAB_ROWS):
             rq = r[quad]
-            np.multiply(xi_k[lat] * _reciprocal(rq * rq), cols[sub], out=cols[sub])
-            acc[lat] += cols[sub]
-        del cols, buf
-    del fp, gp
+            np.multiply(xi_k[lat] * _reciprocal(rq * rq), flux[sub], out=flux[sub])
+            acc[lat] += flux[sub]
+        del flux
     acc *= 1j if diagonal else 0.5j
     np.conjugate(acc[h - 1 : 0 : -1, 0], out=acc[h + 1 :, 0])
     acc[0, 0] = acc[0, 0].real
     return acc
+
+
+def _flux_spectrum(pairs: tuple[tuple[np.ndarray, np.ndarray], ...], flux: np.ndarray) -> None:
+    """The row analysis of one flux component into ``flux`` (grid, m/2).
+
+    Each pair holds the column arrays of a scalar factor and a velocity
+    factor (:func:`_column_synthesis`).  A slab of ``_SLAB_ROWS`` grid rows
+    at a time, each pair's factors are synthesized and multiplied, the
+    products are summed in pair order, and the sum is analysed into the
+    slab's rows of ``flux``, which may be a velocity factor's own array:
+    a slab's rows are read before they are written.
+    """
+    grid = flux.shape[0]
+    last = len(pairs)
+    passes = _RowPasses(grid, last + 1)
+    for top in range(0, grid, _SLAB_ROWS):
+        slab = slice(top, top + _SLAB_ROWS)
+        for i, (a, u) in enumerate(pairs):
+            product = passes.synthesis(a[slab], i)
+            product *= passes.synthesis(u[slab], last)
+            if i:
+                total += product
+            else:
+                total = product
+        passes.analysis(0, flux[slab])
 
 
 def bilinear_block(f: SpectralField, g: SpectralField) -> SpectralField:

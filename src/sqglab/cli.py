@@ -86,16 +86,17 @@ def _keep_freed_heap_pages() -> None:
     """Let this process keep the heap pages it frees, up to glibc's own ceilings.
 
     By default glibc returns the top of the heap to the kernel whenever
-    more than twice the current mmap threshold is free there.  The padded
-    transforms allocate and free arrays of about 1 MB many times per
+    more than twice the current mmap threshold is free there.  The
+    quadratic form allocates and frees arrays of about 1 MB many times per
     iteration, so every call paid for freshly zeroed pages again: about
-    2,600 minor page faults per quadratic form at m=256.  This fixes the
-    mmap threshold at 32 MiB and the trim threshold at 64 MiB.  Those are
-    not tuned numbers: they are the ceilings glibc's dynamic rule reaches,
+    2,600 minor page faults per quadratic form at m=256, measured when it
+    still transformed whole padded arrays.  This fixes the mmap threshold
+    at 32 MiB and the trim threshold at 64 MiB.  Those are not tuned
+    numbers: they are the ceilings glibc's dynamic rule reaches,
     DEFAULT_MMAP_THRESHOLD_MAX on 64-bit and twice it.  Arrays above
-    32 MiB (the fields of the largest lattices and the padded grids of the
-    big sweeps) still come from mmap and go back to the kernel when freed,
-    so the big sweeps do not keep their peaks.
+    32 MiB (the fields of the largest lattices and the quadratic form's
+    column arrays in the big sweeps) still come from mmap and go back to
+    the kernel when freed, so the big sweeps do not keep their peaks.
 
     Only the command line does this, because it owns its process; importing
     sqglab leaves a host process's allocator alone.  Where there is no

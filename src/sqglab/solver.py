@@ -222,8 +222,9 @@ def perturbation_solve(
     that evaluation is carried into the step from the same tilde, which
     subtracts B[base, base] (evaluated once per solve; the first step, from
     tilde = 0, gets it as its carried term, so its coupled term is exactly
-    zero).  An iteration thus evaluates the quadratic form once, 5 padded
-    transforms.
+    zero).  An iteration thus evaluates the quadratic form once: 3 column
+    syntheses and 2 column analyses at the 3m/2 grid, and row passes over
+    4 + 2 grids (``bilinear._transport``).
 
     The subtraction cancels: its rounding is about eps |B[base, base]|,
     against a coupled term of about 2 |B[base, tilde]|.  Measured against

@@ -6,9 +6,18 @@ from typing import NamedTuple
 
 import numpy as np
 
+from sqglab import spectral
 from sqglab.besov import _STEP
 from sqglab.profiles import SmoothStep
-from sqglab.spectral import SpectralField, _unfold, strip_unpaired_edge
+from sqglab.spectral import (
+    SpectralField,
+    _half_synthesis,
+    _occupied_columns,
+    _padded_rows,
+    _reciprocal,
+    _unfold,
+    strip_unpaired_edge,
+)
 
 
 def full(field):
@@ -128,3 +137,108 @@ def translated_block_force(lattice, spec):
     shifted = shift_spectrum(envelope, steps) + shift_spectrum(envelope, -steps)
     shifted *= 0.5 * amp
     return SpectralField(lattice, strip_unpaired_edge(shifted))
+
+
+# -- the quadratic form on whole padded grids ----------------------------------
+#
+# The kernel ``bilinear._transport`` runs its row passes a slab of rows at
+# a time and never makes an array of the padded size.  Its predecessor,
+# below, transformed every factor and flux in a whole (grid, grid/2 + 1)
+# half-spectrum buffer; the slab kernel must agree with it bit for bit.
+
+
+def padded_half(c, grid, symbol=None, cols=None):
+    """The k2 >= 0 half of ``c``, zero-padded for a ``grid x grid`` real transform.
+
+    ``c`` is a half spectrum (..., m, m/2), or a full (..., m, m) array
+    whose first m/2 columns are read; the result has shape
+    (..., grid, grid/2 + 1).  With ``symbol``, the k2 >= 0 half of a
+    lattice symbol, shape (m, w) for some w >= ``cols`` (its row m/2 is not
+    read), each coefficient is multiplied by it during the copy.  Only the
+    first ``cols`` columns (default m/2) are copied, the rest left zero;
+    the unpaired k = -m/2 row and column are left out.
+    """
+    m = c.shape[-2]
+    w = m // 2 if cols is None else cols
+    half = np.zeros(c.shape[:-2] + (grid, grid // 2 + 1), dtype=np.complex128)
+    for src, dst, _ in _padded_rows(m, grid):
+        if symbol is None:
+            half[..., dst, :w] = c[..., src, :w]
+        else:
+            np.multiply(c[..., src, :w], symbol[src, :w], out=half[..., dst, :w])
+    return half
+
+
+def real_synthesis(c, grid, symbol=None, cols=None):
+    """Real samples on a ``grid x grid`` mesh of Hermitian coefficients ``c``
+    (times ``symbol``), from their k2 >= 0 half as :func:`padded_half`
+    lays it out, returned as ``spectral._half_synthesis`` returns them: a
+    view into that half.  ``cols`` is the number of leading columns that
+    may be non-zero (default all m/2); only those are copied and
+    transformed down axis -2."""
+    live = c.shape[-2] // 2 if cols is None else cols
+    return _half_synthesis(padded_half(c, grid, symbol, live), live)
+
+
+def analysed_half(half, m):
+    """The k2 = 0 .. m/2 - 1 columns of the coefficients of the real samples
+    held in the real view ``half.view(float64)[..., :grid]`` of the
+    C-contiguous (..., grid, grid/2 + 1) complex buffer ``half``, analysed
+    in place into ``half`` and returned as a (..., grid, m/2) view of it:
+    the column crop of ``rfft2(samples, norm="forward")``.  Two 1-D passes,
+    real transforms along axis -1, then, on the kept columns only, the
+    1/grid**2 factor and a complex transform down axis -2."""
+    grid = half.shape[-2]
+    samples = half.view(np.float64)[..., :grid]
+    workers = spectral._FFT_WORKERS
+    spectral._pocketfft.r2c(samples, (-1,), True, spectral._UNSCALED, half, workers)
+    cols = half[..., : m // 2]
+    scaled = cols.view(np.float64)
+    scaled *= 1.0 / (grid * grid)
+    spectral._pocketfft.c2c(cols, (-2,), True, spectral._UNSCALED, cols, workers)
+    return cols
+
+
+def padded_transport(fc, gc, lattice):
+    """The half spectrum of the quadratic form as the padded kernel made it:
+    ``bilinear._transport``'s contract, with every synthesis and analysis
+    run in place in a whole (3m/2, 3m/4 + 1) buffer.  Transforms: 3
+    syntheses + 2 analyses for the diagonal (``gc`` None), 6 + 2 for the
+    block form, each synthesis over the columns its factor occupies."""
+    diagonal = gc is None
+    if diagonal:
+        gc = fc
+    m = lattice.m
+    h = m // 2
+    grid = 3 * h
+    xi = lattice.xi_axis
+    r = lattice.radius_quadrant[:, :h]
+    rows = _padded_rows(m, grid)
+    wf = _occupied_columns(fc, h)
+    wg = wf if diagonal else _occupied_columns(gc, h)
+    w = max(wf, wg)
+    fp = real_synthesis(fc, grid, cols=wf)
+    gp = fp if diagonal else real_synthesis(gc, grid, cols=wg)
+    acc = np.zeros((m, h), dtype=np.complex128)
+    for xi_k, velocity in ((xi[:, None], -xi[None, :h]), (xi[None, :h], xi[:, None])):
+        velocity = np.broadcast_to(velocity, (m, h))
+        xi_k = np.broadcast_to(xi_k, (m, h))
+        symbol = np.empty((m, w), dtype=np.complex128)
+        for lat, _, quad in rows:
+            np.multiply(1j * _reciprocal(r[quad, :w]), velocity[lat, :w], out=symbol[lat])
+        buf = padded_half(gc, grid, symbol, wg)
+        flux = _half_synthesis(buf, wg)
+        flux *= fp
+        if not diagonal:
+            u = real_synthesis(fc, grid, symbol, wf)
+            u *= gp
+            flux += u
+        cols = analysed_half(buf, m)
+        for lat, sub, quad in rows:
+            rq = r[quad]
+            np.multiply(xi_k[lat] * _reciprocal(rq * rq), cols[sub], out=cols[sub])
+            acc[lat] += cols[sub]
+    acc *= 1j if diagonal else 0.5j
+    np.conjugate(acc[h - 1 : 0 : -1, 0], out=acc[h + 1 :, 0])
+    acc[0, 0] = acc[0, 0].real
+    return acc

@@ -5,8 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import coordinates, full, hermitian_defect, physical_coordinates, physical_real
-from sqglab import bilinear
+from oracles import (
+    coordinates,
+    full,
+    hermitian_defect,
+    padded_transport,
+    physical_coordinates,
+    physical_real,
+)
+from sqglab import bilinear, spectral
 from sqglab.bilinear import (
     QUADRATURE_SIZE_LIMIT,
     bilinear_block,
@@ -240,3 +247,46 @@ def test_occupied_column_kernel_is_bitwise_the_full_column_route(first, monkeypa
         assert np.array_equal(a.coeffs, b.coeffs)
     if first != "zero":
         assert np.abs(got[0].coeffs).max() > 0
+
+
+# -- the slab kernel against the padded kernel ---------------------------------
+#
+# oracles.padded_transport is the kernel as it was before its row passes
+# ran in slabs of 64 rows: every factor and flux synthesized and analysed
+# in a whole (3m/2, 3m/4 + 1) buffer.  The arithmetic of each coefficient
+# is the same, so the slab kernel must agree with it bit for bit, on
+# full-band and narrow inputs, with one FFT worker and with two.  The grid
+# of m = 64 has 96 rows, one full slab and one partial one.
+
+
+def slab_kernel_inputs(m):
+    lat = FrequencyLattice(m=m, h_xi=0.25)
+    rng = np.random.default_rng(m)
+    full_band = random_mean_zero_field(lat, rng)
+    other = random_mean_zero_field(lat, rng, decay=1.0)
+    if m >= 64:
+        narrow = inverse_laplacian(modulated_bump_force(lat, ForceSpec(variant="bump", size=2)))
+    else:
+        # the bump's carrier does not fit below m = 64; a field as narrow
+        # in k2 stands in for it
+        narrow = in_columns(lat, rng, [0, 1])
+    return lat, {
+        "diagonal full-band": (full_band, None),
+        "diagonal narrow": (narrow, None),
+        "block full-band": (full_band, other),
+        "block narrow, full-band": (narrow, full_band),
+        "block full-band, narrow": (full_band, narrow),
+        "block narrow": (narrow, narrow),
+    }
+
+
+@pytest.mark.parametrize("m", [8, 16, 32, 64, 128, 256])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_slab_kernel_is_bitwise_the_padded_kernel(m, workers, monkeypatch):
+    monkeypatch.setattr(spectral, "_FFT_WORKERS", workers)
+    lat, cases = slab_kernel_inputs(m)
+    for name, (f, g) in cases.items():
+        gc = None if g is None else g.coeffs
+        got = bilinear._transport(f.coeffs, gc, lat)
+        assert np.array_equal(got, padded_transport(f.coeffs, gc, lat)), name
+        assert np.abs(got).max() > 0, name

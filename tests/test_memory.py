@@ -3,9 +3,12 @@ iteration, ``illpose-step2`` and the translated-block forcing.
 
 Sizes are counted in two units, at lattice size m:
 
-* a padded array: the (3m/2, 3m/4 + 1) complex half-spectrum buffer in
-  which the kernel synthesizes a factor or a flux and analyses the flux
-  back, in place (``spectral._half_synthesis``, ``_analysed_half``);
+* a column array: (3m/2, m/2) complex, 12 m**2 bytes, in which the form
+  holds a factor after the column pass of its synthesis
+  (``spectral._column_synthesis``, as wide as the factor's occupied
+  columns) or a flux component after its row analysis; the padded
+  (3m/2, 3m/4 + 1) array of a whole real transform, which the form no
+  longer makes, is 1.5 of these;
 * an (m, m/2) complex array, 8 m**2 bytes: what every field stores, its
   k2 >= 0 half spectrum (``spectral.SpectralField``).  A field that stored
   all m x m coefficients would be two of these units.
@@ -18,11 +21,12 @@ to, so they count every array allocated while the measured call runs
 import tracemalloc
 import weakref
 from functools import cached_property
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sqglab import bilinear, diagnostics, solver
+from sqglab import bilinear, diagnostics, solver, spectral
 from sqglab.besov import DyadicPartition, _check_mean_zero, build_partition, shell_project
 from sqglab.bilinear import bilinear_block, bilinear_quadrature, quadratic_diagonal
 from sqglab.forcing import (
@@ -46,17 +50,23 @@ from sqglab.spectral import (
 )
 
 M = 256
-PADDED = (3 * M // 2) * (3 * M // 4 + 1) * 16
+COLUMN = (3 * M // 2) * (M // 2) * 16
 HALF = M * (M // 2) * 16
 
-# (m, m/2)-sized working set of one form call, besides its padded arrays:
-# the accumulator of the contracted flux (1), the velocity symbol on the
-# columns the input occupies (at most 1), and one more unit for what is
-# quadrant-sized: the lattice's cached radius quadrant on first use (about
-# 1/4), the row-block radial factors (at most 1/4 each, two at a time) and
-# interpreter overhead.  Measured at m = 256 on a full-band field, about
-# 2.8 of these units on a fresh lattice.  Moving one more padded array
-# into the peak adds 2.25 units and fails the guard.
+# (m, m/2)-sized working set of one form call, besides its column arrays:
+# the accumulator of the contracted flux (1); the row passes' slab scratch,
+# one complex slab of spectra and two slabs of samples for the diagonal
+# form, three for the block form, each 64 rows of 3m/4 + 1 complex, 0.38
+# of these units at m = 256 (1.1 and 1.5 together); and half a unit for the
+# lattice's radius quadrant, cached on first use (1/4), and the velocity
+# symbol on a run of 64 lattice rows with its temporaries.  Measured at
+# m = 256 on a fresh lattice: 2.43 of these units for the diagonal form and
+# 2.83 for the block form on full-band fields, 2.62 for the diagonal form
+# on a modulated bump.  The velocity symbol on the whole lattice, held
+# while a velocity factor is copied, would add 1 unit and fail the block
+# form's guard; a padded array in place of a column array adds 0.76 and
+# fails the diagonal form's guards.  The padded kernel measured 1.16
+# units over the diagonal form's bound and 2.69 over the block form's.
 FORM_ALLOWANCE = 3 * HALF
 
 STEP2_DESK = {"experiment": "illpose-step2", "m": M, "h_xi": 0.25, "size_range": [1, 2]}
@@ -95,18 +105,73 @@ def warm_pair():
     return full_band_pair(M)
 
 
-def test_quadratic_diagonal_peak_is_two_padded_arrays(warm_pair):
-    # theta's synthesis and the flux being formed and analysed
+def units_over(peak, bound):
+    return f"{(peak - bound) / HALF:.2f} units over"
+
+
+def test_quadratic_diagonal_peak_is_two_column_arrays(warm_pair):
+    # theta's column array and a velocity factor's, which the flux
+    # spectrum overwrites as its slabs are analysed
     f, _ = warm_pair
     peak = traced_peak(lambda: quadratic_diagonal(f))
-    assert peak <= 2 * PADDED + FORM_ALLOWANCE, f"{(peak - 2 * PADDED) / HALF:.2f} units over"
+    bound = 2 * COLUMN + FORM_ALLOWANCE
+    assert peak <= bound, units_over(peak, bound)
 
 
-def test_bilinear_block_peak_is_four_padded_arrays(warm_pair):
-    # f's and g's syntheses, the flux being formed and one velocity factor
+def test_bilinear_block_peak_is_four_column_arrays(warm_pair):
+    # f's and g's column arrays and their velocity factors', one of which
+    # the flux spectrum overwrites
     f, g = warm_pair
     peak = traced_peak(lambda: bilinear_block(f, g))
-    assert peak <= 4 * PADDED + FORM_ALLOWANCE, f"{(peak - 4 * PADDED) / HALF:.2f} units over"
+    bound = 4 * COLUMN + FORM_ALLOWANCE
+    assert peak <= bound, units_over(peak, bound)
+
+
+def test_narrow_quadratic_diagonal_peak_is_one_column_array(warm_pair):
+    """A modulated bump occupies 8 of the 128 columns here: theta's and the
+    velocity factors' column arrays are 8 wide, so the flux spectrum is the
+    one column array.  Measured: 0.38 units below the bound.  The padded
+    kernel held two padded arrays, theta's and the flux's, at any width, and
+    measured 2.29 units over it."""
+    lattice = warm_pair[0].lattice
+    bump = modulated_bump_force(lattice, ForceSpec(variant="bump", size=2))
+    assert bilinear._occupied_columns(bump.coeffs, M // 2) == 8
+    peak = traced_peak(lambda: quadratic_diagonal(bump))
+    bound = COLUMN + FORM_ALLOWANCE
+    assert peak <= bound, units_over(peak, bound)
+
+
+@pytest.mark.parametrize("form", ["diagonal", "block"])
+def test_forms_transform_no_padded_array(form, monkeypatch):
+    """Every array the forms hand to a transform, at m = 64 (a 96-row grid):
+    column passes over (grid, w) arrays, w <= m/2, and row passes over
+    slabs of at most 64 rows; none has the padded shape (grid, grid/2 + 1)."""
+    m = 64
+    grid = 3 * m // 2
+    f, g = full_band_pair(m)
+    binding = spectral._pocketfft
+    shapes = []
+
+    def recorded(transform):
+        def run(a, axes, *args):
+            shapes.append((transform.__name__, axes, a.shape))
+            return transform(a, axes, *args)
+
+        return run
+
+    monkeypatch.setattr(spectral, "_pocketfft", SimpleNamespace(
+        c2c=recorded(binding.c2c), r2c=recorded(binding.r2c), c2r=recorded(binding.c2r)))
+    if form == "diagonal":
+        quadratic_diagonal(f)
+    else:
+        bilinear_block(f, g)
+    assert shapes
+    for name, axes, shape in shapes:
+        if axes == (0,):
+            assert name == "c2c" and shape[0] == grid and shape[1] <= m // 2, shape
+        else:
+            assert name in ("c2r", "r2c") and shape[0] <= 64, shape
+        assert shape != (grid, grid // 2 + 1)
 
 
 def test_step2_holds_at_most_three_fields(monkeypatch):
@@ -131,15 +196,18 @@ def test_step2_holds_at_most_three_fields(monkeypatch):
 
 
 def test_step2_peak_is_three_fields_and_one_form():
-    """At its peak step2 is inside a quadratic form, holding the form's
-    input and one other field, two half fields; the form's output is its
-    accumulator, inside the form's allowance, and one more unit covers the
-    partition's cached ring quadrants.  Measured at this config: 0.95 units
-    below the bound.  Fields storing all m x m coefficients hold more: the
-    code before the half-spectrum layout measured 1.05 units over it."""
+    """At its peak step2 is inside a quadratic form of a narrow input (the
+    forcing's inverse Laplacian), holding the form's input and one other
+    field, two half fields, and the partition's cached ring quadrants, one
+    more unit.  The form holds one column array, its flux spectrum, since
+    its factors occupy a few columns, and its allowance, which covers its
+    accumulator (the output).  Measured at this config: 0.36 units below
+    the bound as the first run in a process, 0.6 after the tests above.
+    The padded kernel held two padded arrays, 2 column arrays more, and
+    measured 2.31 and 2.07 units over it."""
     peak = traced_peak(lambda: run_experiment(config_from_dict(STEP2_DESK), write=False))
-    bound = 3 * HALF + 2 * PADDED + FORM_ALLOWANCE
-    assert peak <= bound, f"{(peak - bound) / HALF:.2f} units over"
+    bound = 3 * HALF + COLUMN + FORM_ALLOWANCE
+    assert peak <= bound, units_over(peak, bound)
 
 
 def test_perturbation_iteration_working_set(monkeypatch):
@@ -148,9 +216,9 @@ def test_perturbation_iteration_working_set(monkeypatch):
     forcing, four fields) is not counted.  At its peak the second iteration
     is inside the quadratic form of the defect, holding the previous
     iterate, the new one and the reassembled field: three half fields, one
-    form.  Measured: 0.6 units below the bound; fields storing all m x m
-    coefficients hold three more units (the code before the half-spectrum
-    layout measured 3.5 units over it)."""
+    diagonal form of a full-band field (two column arrays).  Measured: 0.83
+    units below the bound; fields storing all m x m coefficients hold three
+    more units."""
     theta1, theta2 = (0.01 * f for f in full_band_pair(M))
     partition = build_partition(theta1.lattice)
     perturbation_solve(theta1, theta2, SolveConfig(max_iter=2), partition)  # warm caches
@@ -164,8 +232,8 @@ def test_perturbation_iteration_working_set(monkeypatch):
     monkeypatch.setattr(solver, "_iterate", measured)
     _, trace = perturbation_solve(theta1, theta2, SolveConfig(max_iter=2), partition)
     assert trace.iterations == 2
-    bound = 3 * HALF + 2 * PADDED + FORM_ALLOWANCE
-    assert peaks[0] <= bound, f"{(peaks[0] - bound) / HALF:.2f} units over"
+    bound = 3 * HALF + 2 * COLUMN + FORM_ALLOWANCE
+    assert peaks[0] <= bound, units_over(peaks[0], bound)
 
 
 def operator_outputs(lattice):

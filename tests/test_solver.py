@@ -311,22 +311,26 @@ def test_carried_step_keeps_the_three_product_loop(lattice128, partition128):
         assert a == pytest.approx(b, rel=1e-13)
 
 
-def test_perturbation_iteration_costs_five_padded_transforms(lattice32, partition32, monkeypatch):
-    # one quadratic form at the 3m/2 grid: 3 syntheses (theta and two
-    # velocity components) and 2 analyses (two flux components); each is
-    # counted by its row pass, a length-grid c2r or r2c call of the
-    # pocketfft binding on a (grid, .) array
+def test_perturbation_iteration_row_passes_cover_four_plus_two_grids(
+    lattice32, partition32, monkeypatch
+):
+    # one quadratic form at the 3m/2 grid.  Its row passes run a slab of
+    # rows at a time, so they are counted in points, rows x length over
+    # every c2r and r2c call of length grid: per velocity component, the
+    # row passes of theta and of the velocity factor (c2r) and of the flux
+    # (r2c), each over the whole grid once.  The padded kernel made 3 + 2:
+    # theta's row pass ran once, over a whole grid of samples.
     theta1, theta2 = first_iterates(small_forcing(lattice32, 0.2))
     grid = 3 * lattice32.m // 2
     binding = spectral._pocketfft
-    calls = []
+    points = {"c2r": 0, "r2c": 0}
 
-    def counted(name, shape_of):
+    def counted(name, length_of):
         transform = getattr(binding, name)
 
         def run(a, *args):
-            if shape_of(a, args) == (grid, grid):
-                calls.append(name)
+            if length_of(a, args) == grid:
+                points[name] += a.shape[-2] * grid
             return transform(a, *args)
 
         return run
@@ -334,18 +338,18 @@ def test_perturbation_iteration_costs_five_padded_transforms(lattice32, partitio
     # c2r(a, axes, lastsize, ...) and r2c(a, axes, ...)
     monkeypatch.setattr(spectral, "_pocketfft", SimpleNamespace(
         c2c=binding.c2c,
-        c2r=counted("c2r", lambda a, args: (a.shape[-2], args[1])),
-        r2c=counted("r2c", lambda a, args: a.shape[-2:]),
+        c2r=counted("c2r", lambda a, args: args[1]),
+        r2c=counted("r2c", lambda a, args: a.shape[-1]),
     ))
     per_run = []
     for max_iter in (1, 2):
-        calls.clear()
+        points.update(c2r=0, r2c=0)
         _, trace = perturbation_solve(theta1, theta2, SolveConfig(tol=1e-14, max_iter=max_iter),
                                       partition=partition32)
         assert trace.iterations == max_iter
-        per_run.append((calls.count("c2r"), calls.count("r2c")))
+        per_run.append((points["c2r"], points["r2c"]))
     (inv1, fwd1), (inv2, fwd2) = per_run
-    assert (inv2 - inv1, fwd2 - fwd1) == (3, 2)
+    assert (inv2 - inv1, fwd2 - fwd1) == (4 * grid * grid, 2 * grid * grid)
 
 
 def test_constants_report_checks_thresholds():

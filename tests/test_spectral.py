@@ -8,18 +8,27 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from oracles import coordinates, full, hermitian_defect, physical_coordinates, physical_real
+from oracles import (
+    analysed_half,
+    coordinates,
+    full,
+    hermitian_defect,
+    padded_half,
+    physical_coordinates,
+    physical_real,
+    real_synthesis,
+)
 from sqglab import spectral
 from sqglab.sampling import random_mean_zero_field
 from sqglab.spectral import (
     FrequencyLattice,
     SpectralField,
-    _analysed_half,
+    _column_analysis,
+    _column_synthesis,
     _half_synthesis,
     _occupied_columns,
-    _padded_half,
-    _real_synthesis,
     _reciprocal,
+    _RowPasses,
     _unfold,
     dyadic_rescale,
     inverse_laplacian,
@@ -307,7 +316,9 @@ def test_set_fft_workers_resolves_counts_as_scipy_does():
         assert spectral._FFT_WORKERS == saved
 
 
-# The two-axis transforms the staged passes replace stay here as oracles.
+# The two-axis transforms the staged passes replace stay here as oracles,
+# and so do the whole-grid passes of oracles.py, which the slab passes
+# of the quadratic form replace.
 
 
 @pytest.mark.parametrize("m", [8, 32, 128, 256])
@@ -327,10 +338,10 @@ def test_real_synthesis_is_bitwise_irfft2(m, padded, with_symbol):
         # the strided view of the first m/2 columns
         c = rng.standard_normal(lead + (m, m)) + 1j * rng.standard_normal(lead + (m, m))
         for workers in WORKERS:
-            want = scipy.fft.irfft2(_padded_half(c, grid, symbol), s=(grid, grid),
+            want = scipy.fft.irfft2(padded_half(c, grid, symbol), s=(grid, grid),
                                     norm="forward", workers=workers)
             with fft_workers(workers):
-                assert np.array_equal(_real_synthesis(c, grid, symbol), want)
+                assert np.array_equal(real_synthesis(c, grid, symbol), want)
 
 
 def holding(samples):
@@ -353,7 +364,7 @@ def test_analysed_half_is_bitwise_the_rfft2_crop(m, padded):
             want = scipy.fft.rfft2(samples, norm="forward", workers=workers)[..., :h]
             half = holding(samples)
             with fft_workers(workers):
-                got = _analysed_half(half, m)
+                got = analysed_half(half, m)
             assert got.shape == lead + (grid, h)
             assert np.shares_memory(got, half)
             assert np.array_equal(got, want)
@@ -386,14 +397,14 @@ def test_synthesis_then_analysis_in_one_buffer(grid):
     lat = FrequencyLattice(m=m, h_xi=0.25)
     c = random_mean_zero_field(lat, np.random.default_rng(grid)).coeffs
     for workers in (1, 2):
-        want = scipy.fft.irfft2(_padded_half(c, grid), s=(grid, grid), norm="forward",
+        want = scipy.fft.irfft2(padded_half(c, grid), s=(grid, grid), norm="forward",
                                 workers=workers)
         with fft_workers(workers):
-            half = _padded_half(c, grid)
+            half = padded_half(c, grid)
             samples = _half_synthesis(half, m // 2)
             assert np.array_equal(samples, want)
             samples *= 3.0
-            got = _analysed_half(half, m)
+            got = analysed_half(half, m)
         want = scipy.fft.rfft2(3.0 * want, norm="forward", workers=workers)
         assert np.array_equal(got, want[..., : m // 2])
 
@@ -430,9 +441,9 @@ def test_occupied_column_synthesis_is_bitwise_the_full_route(m, columns, occupie
     for grid in (m, 3 * m // 2):
         for workers in WORKERS:
             with fft_workers(workers):
-                full = _real_synthesis(c, grid, symbol)
-                narrow = _real_synthesis(c, grid, symbol, occupied)
-            oracle = scipy.fft.irfft2(_padded_half(c, grid, symbol), s=(grid, grid),
+                full = real_synthesis(c, grid, symbol)
+                narrow = real_synthesis(c, grid, symbol, occupied)
+            oracle = scipy.fft.irfft2(padded_half(c, grid, symbol), s=(grid, grid),
                                       norm="forward", workers=workers)
             assert np.array_equal(full, oracle)
             assert np.array_equal(narrow, full)
@@ -449,3 +460,70 @@ def test_occupied_columns_reads_one_column_of_a_full_band_field():
     c = column_field(32, range(16), seed=3).view(Counting)
     assert _occupied_columns(c, 16) == 16
     assert Counting.reads == 1
+
+
+# The quadratic form's slab passes: a column pass over whole columns, then
+# row passes a slab of at most 64 rows at a time, in one scratch object.
+# irfft2 and rfft2 on the whole grid are the oracles.  m = 64 has a 96-row
+# grid, one full slab and one partial one; m = 256 has six full slabs.
+
+
+def slab_syntheses(columns, passes):
+    """The samples of the column arrays ``columns``, synthesized slab by
+    slab in turn through the one ``passes`` and stacked."""
+    grid = passes.grid
+    out = [np.empty((grid, grid)) for _ in columns]
+    for top in range(0, grid, 64):
+        for a, samples in zip(columns, out):
+            rows = passes.synthesis(a[top : top + 64], 0)
+            samples[top : top + 64] = rows[:, :grid]
+            assert not rows[:, grid:].any()
+    return out
+
+
+@pytest.mark.parametrize("m", [8, 32, 64, 256])
+@pytest.mark.parametrize("with_symbol", [False, True])
+def test_column_and_slab_row_passes_are_bitwise_irfft2(m, with_symbol):
+    lat = FrequencyLattice(m=m, h_xi=0.25)
+    h, grid = m // 2, 3 * m // 2
+    rng = np.random.default_rng(m)
+    wide = rng.standard_normal((m, h)) + 1j * rng.standard_normal((m, h))
+    narrow = np.zeros_like(wide)
+    narrow[:, :3] = wide[:, :3]
+    symbol = None
+    if with_symbol:
+        xi1, _, r, _ = coordinates(lat)
+        values = (1j * xi1 / np.maximum(r, lat.h_xi))[:, :h]
+
+        def symbol(rows, quadrant_rows):
+            assert rows.stop - rows.start <= 64
+            return values[rows]
+
+    for workers in (1, 2):
+        with fft_workers(workers):
+            # the narrow rows follow the wide ones through the same scratch
+            columns = _column_synthesis(((wide, h), (narrow, 3)), grid, symbol)
+            assert [a.shape for a in columns] == [(grid, h), (grid, 3)]
+            got = slab_syntheses(columns, _RowPasses(grid, 1))
+        for c, samples in zip((wide, narrow), got):
+            want = scipy.fft.irfft2(padded_half(c, grid, values if with_symbol else None),
+                                    s=(grid, grid), norm="forward", workers=workers)
+            assert np.array_equal(samples, want)
+
+
+@pytest.mark.parametrize("m", [8, 32, 64, 256])
+def test_slab_row_analysis_and_column_pass_are_bitwise_the_rfft2_crop(m):
+    h, grid = m // 2, 3 * m // 2
+    samples = np.random.default_rng(m).standard_normal((grid, grid))
+    for workers in (1, 2):
+        want = scipy.fft.rfft2(samples, norm="forward", workers=workers)[:, :h]
+        passes = _RowPasses(grid, 2)
+        got = np.empty((grid, h + 1), dtype=np.complex128)[:, :h]  # as the form lays it out
+        with fft_workers(workers):
+            for top in range(0, grid, 64):
+                rows = passes.slots[1][: min(64, grid - top)]
+                rows[:, :grid] = samples[top : top + 64]
+                passes.analysis(1, got[top : top + 64])
+                assert not rows[:, grid:].any()
+            _column_analysis(got)
+        assert np.array_equal(got, want)
