@@ -295,7 +295,8 @@ def box_lp_norm(coeffs: np.ndarray, lattice: FrequencyLattice, p: float) -> floa
     The box is laid from the origin (``|g|`` ignores the unimodular factor
     ``exp(-i h_xi k0.x)``) of the grid :func:`_shell_grid` picks for the
     half-width ``max(n1, n2) // 2``, and synthesized there with one complex
-    transform: exact for even p, by the argument of :func:`shell_profile`.
+    transform: exact for even p below the grid's cap at m, by the argument
+    of :func:`shell_profile`, and the lattice quadrature at the cap.
     """
     grid = _shell_grid(max(coeffs.shape) // 2, p, lattice.m)
     laid = np.zeros((grid, grid), dtype=np.complex128)
@@ -338,15 +339,19 @@ def shell_profile(
     can occupy: the ``K_j + 1`` columns of its box, and no further than
     the columns the field occupies; the quadrature weight is
     ``(L/M_j)**2``.  For an even
-    integer p, ``M_j`` is the smallest power of two with
-    ``p * K_j < M_j <= m``; for any other p it is the lattice's own m.
-    That is exact, not an approximation: with g the shell,
+    integer p, ``M_j`` is the smallest power of two above ``p * K_j``,
+    capped at m; for any other p it is the lattice's own m.  Below the cap
+    that is exact, not an approximation: with g the shell,
     ``|g|**p = (|g|**2)**(p/2)`` is a trigonometric polynomial of
     per-axis band ``p * K_j``, so on any grid finer than that band no
     non-zero mode aliases onto the zero mode, and the L^p sum equals
-    ``L**2`` times that mode (Parseval), i.e. the exact integral, on the
-    ``M_j`` grid and on the m grid alike.  Low shells of a large lattice
-    are thus summed on grids of a few dozen points.
+    ``L**2`` times that mode (Parseval), i.e. the exact integral.  At the
+    cap, where ``p * K_j >= m``, it is not: non-zero modes of ``|g|**p``
+    can fold onto the zero mode, and the sum is the quadrature on the
+    lattice's own m grid (ROADMAP item 13: +7.8% in illpose-step1's
+    largest p = 8 data norm at its defaults).  :func:`_norm_bounds` is
+    proven for that quadrature, not for the integral.  Low shells of a
+    large lattice are summed on grids of a few dozen points.
 
     The rings are real and radial, so a real field has real shells and
     each is one real synthesis of the stored half.  No field holds anything
@@ -406,6 +411,156 @@ def besov_norm(
     """Homogeneous Besov norm by shellwise L^p quadrature and an l^q sum
     (:func:`besov_profile` and :func:`lq_aggregate`)."""
     return lq_aggregate(besov_profile(field, index.s, index.p, partition), index.q)
+
+
+# ---------------------------------------------------------------------------
+# Certified bounds without a transform
+# ---------------------------------------------------------------------------
+
+# Rows per run of the coefficient sums below, so that their temporaries are
+# a few runs of rows, never a field's size.
+_SUM_ROWS = 64
+
+# Binary exponent that no power, sum or l^q term of a bounded quadrature may
+# reach (the largest double is just below 2**1024, the smallest normal one
+# 2**-1022): room for the rounding of every bounded step.
+_EXPONENT_ROOM = 960
+
+# Relative widening of the bounds, for the rounding of the quadrature they
+# enclose.  A transform of G**2 samples errs by about eps log2(G) relative
+# to their root mean square, and for p >= 2 the L^p norm is at least that
+# mean (Hoelder), so the quadrature errs by at most G eps log2(G) relative:
+# below 1e-10 up to G = 4096.
+_ROUNDING_ROOM = 1e-6
+
+
+def _full_sums(c: np.ndarray, weight: np.ndarray | None = None) -> tuple[float, float]:
+    """``(sum |w c|, sum |w c|**2)`` over the whole lattice of the half
+    spectrum ``c`` (rows, width) times a real, non-negative ``weight`` of the
+    same shape (1 if None), a run of rows at a time.
+
+    A k2 > 0 column stands for its conjugate mirror too, so it counts twice;
+    column k2 = 0 holds both halves of its mirror pairs itself.
+    """
+    s1 = s2 = 0.0
+    run = np.empty((min(_SUM_ROWS, c.shape[0]), c.shape[1]))
+    for lo in range(0, c.shape[0], _SUM_ROWS):
+        rows = c[lo : lo + _SUM_ROWS]
+        amp = np.abs(rows, out=run[: rows.shape[0]])
+        if weight is not None:
+            amp *= weight[lo : lo + _SUM_ROWS]
+        s1 += 2.0 * float(amp.sum()) - float(amp[:, 0].sum())
+        with np.errstate(over="ignore"):  # read as a non-finite sum
+            amp *= amp
+        s2 += 2.0 * float(amp.sum()) - float(amp[:, 0].sum())
+    return s1, s2
+
+
+def _ring_sums(c: np.ndarray, quadrant: np.ndarray) -> tuple[float, float]:
+    """:func:`_full_sums` of ``phi_j c`` for the ring's
+    :meth:`~DyadicPartition.ring_quadrant`, over its box only: the rows
+    ``k1 = 0 .. e`` and ``k1 = -1 .. -e``, read bottom-up so that row a of
+    either block meets quadrant row a, and the columns ``0 .. e``, with
+    ``e`` the ring's extent cut to the stored columns (the unpaired
+    ``k1 = -m/2`` row is zero in every field)."""
+    m, width = c.shape
+    e = min(quadrant.shape[0], width) - 1
+    ring = quadrant[: e + 1, : e + 1]
+    top = _full_sums(c[: e + 1, : e + 1], ring)
+    if e == 0:
+        return top
+    bottom = _full_sums(c[m - 1 : m - e - 1 : -1, : e + 1], ring[1:])
+    return top[0] + bottom[0], top[1] + bottom[1]
+
+
+def _quadrature_fits(l1: float, index: BesovIndex, partition: DyadicPartition) -> bool:
+    """Whether :func:`besov_norm` of any field on the partition's lattice
+    whose coefficients sum in modulus to at most ``l1`` (over the whole
+    lattice) stays clear of overflow in every step: its samples, their p-th
+    powers and their sum, the weighted shell values and their ``l^q`` terms.
+
+    Every sample is at most the coefficients' absolute sum, so each step is
+    bounded by a power of ``l1``; its binary exponent must stay below
+    :data:`_EXPONENT_ROOM`.  A NaN or infinite ``l1`` fits nothing.
+    """
+    if l1 == 0.0:
+        return True
+    if not math.isfinite(l1):
+        return False
+    lattice = partition.lattice
+    p, q = index.p, index.q
+    exponent = math.log2(l1)
+    log_area = 2.0 * math.log2(lattice.box_length)
+    if not math.isinf(p):
+        if p * exponent + max(2.0 * math.log2(lattice.m), log_area) >= _EXPONENT_ROOM:
+            return False
+        exponent += log_area / p
+    exponent += max(index.s * j for j in partition.shells)
+    if math.isinf(q):
+        return exponent < _EXPONENT_ROOM
+    return q * exponent + math.log2(len(partition.shells)) < _EXPONENT_ROOM
+
+
+def _absolute_sum(field: SpectralField) -> float:
+    """``sum |c|`` over the whole lattice (:func:`_full_sums`): the bound
+    that :func:`_quadrature_fits` reads."""
+    return _full_sums(field.coeffs)[0]
+
+
+def _norm_bounds(
+    field: SpectralField,
+    index: BesovIndex,
+    partition: DyadicPartition,
+) -> tuple[float, float]:
+    """Certified ``(lower, upper)`` bounds of ``besov_norm(field, index,
+    partition)`` from per-shell coefficient sums, without a transform.
+
+    Shell j's samples g are summed on a grid of G x G points, weight
+    ``(L/G)**2``, total mass ``A = L**2``, on which its modes are distinct
+    (:func:`shell_profile`).  With ``S1 = sum |phi_j c|`` and
+    ``S2 = sum |phi_j c|**2`` over the whole lattice (:func:`_ring_sums`),
+    Parseval on that discrete measure gives ``sum |g|**2 (L/G)**2 = A S2``,
+    and every sample is at most ``S1``.  So for p >= 2 Hoelder bounds the
+    quadrature's L^p norm below by ``A**(1/p - 1/2) sqrt(A S2)`` and above
+    by ``(S1**(p - 2) A S2)**(1/p)`` (``sqrt(S2)`` and ``S1`` at p = inf).
+    These hold for the quadrature itself, so also where it aliases
+    (ROADMAP item 13).  The shells are weighted by ``2**(s j)`` and
+    combined with :func:`lq_aggregate`, which is monotone, after a
+    relative widening by :data:`_ROUNDING_ROOM`.  A shell whose quadrature
+    could underflow has lower bound 0, and one whose ``S2`` could have
+    underflowed the upper bound ``A**(1/p) S1``.
+
+    For p < 2, or when :func:`_quadrature_fits` cannot rule out an
+    overflow of the quadrature or ``S2`` overflows, the pair is
+    ``(0, inf)``, which encloses anything.  A field with a non-zero mean is
+    refused as :func:`besov_profile` refuses it.
+    """
+    _check_mean_zero(field)
+    p = index.p
+    if p < 2.0:
+        return 0.0, math.inf
+    sums = [(j, *_ring_sums(field.coeffs, partition.ring_quadrant(j))) for j in partition.shells]
+    if not (
+        _quadrature_fits(max(s1 for _, s1, _ in sums), index, partition)
+        and all(math.isfinite(s2) for _, _, s2 in sums)
+    ):
+        return 0.0, math.inf
+    scale = 1.0 if math.isinf(p) else field.lattice.box_length ** (2.0 / p)
+    half_p = 0.5 if math.isinf(p) else 0.5 * p
+    lows, highs = [], []
+    for j, s1, s2 in sums:
+        weight = 2.0 ** (index.s * j) * scale
+        if s2 > 0.0 and half_p * math.log2(s2) > -_EXPONENT_ROOM:
+            lows.append(weight * math.sqrt(s2) * (1.0 - _ROUNDING_ROOM))
+        else:
+            lows.append(0.0)
+        # S2 is a sum of squares that may have underflowed below 2**-960;
+        # the sup bound alone needs none
+        high = s1
+        if not math.isinf(p) and s2 > 2.0**-_EXPONENT_ROOM:
+            high = s1 ** (1.0 - 2.0 / p) * s2 ** (1.0 / p)
+        highs.append(weight * high * (1.0 + _ROUNDING_ROOM))
+    return lq_aggregate(lows, index.q), lq_aggregate(highs, index.q)
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,9 @@ from typing import NamedTuple
 import numpy as np
 
 from sqglab import spectral
-from sqglab.besov import _STEP
+from sqglab.besov import _STEP, besov_norm
 from sqglab.profiles import SmoothStep
+from sqglab.solver import _TINY, IterationTrace, _finite
 from sqglab.spectral import (
     SpectralField,
     _half_synthesis,
@@ -242,3 +243,37 @@ def padded_transport(fc, gc, lattice):
     np.conjugate(acc[h - 1 : 0 : -1, 0], out=acc[h + 1 :, 0])
     acc[0, 0] = acc[0, 0].real
     return acc
+
+
+def eager_iterate(start, step, quad_term, defect_norm, cfg, partition, carried=None):
+    """The fixed-point loop that takes every norm: the iterate's, the
+    update's and the defect's, on every iteration, with the arguments of
+    ``solver._iterate``.  ``perturbation_solve``'s loop, which takes them
+    only where its stopping test needs them, must end as this one does,
+    bit for bit."""
+    trace = IterationTrace()
+    theta = start
+    for _ in range(cfg.max_iter):
+        theta_next = step(theta, carried)
+        carried = None  # free it before the defect evaluates the next one
+        if not _finite(theta_next):
+            trace.verdict = "diverged"
+            return theta, trace
+        # norms of a blowing-up iterate overflow to inf; that is the
+        # divergence signal, not an error condition
+        with np.errstate(over="ignore"):
+            norm = besov_norm(theta_next, cfg.index, partition)
+            update = besov_norm(theta_next - theta, cfg.index, partition)
+            trace.norms.append(norm)
+            trace.residuals.append(update)
+            carried = quad_term(theta_next)
+            trace.pde_residuals.append(defect_norm(theta_next, carried))
+        theta = theta_next
+        if not math.isfinite(norm):
+            trace.verdict = "diverged"
+            return theta, trace
+        if update <= cfg.tol * max(norm, _TINY) or (norm == 0.0 and update == 0.0):
+            trace.verdict = "converged"
+            return theta, trace
+    trace.verdict = "max_iter"
+    return theta, trace

@@ -18,6 +18,9 @@ from sqglab.besov import (
     _STEP,
     BesovIndex,
     DyadicPartition,
+    _absolute_sum,
+    _norm_bounds,
+    _quadrature_fits,
     _ring_box,
     _shell_grid,
     besov_norm,
@@ -27,6 +30,7 @@ from sqglab.besov import (
     shell_profile,
     shell_project,
 )
+from sqglab.forcing import ForceSpec, modulated_bump_force
 from sqglab.sampling import random_mean_zero_field, single_shell_field
 from sqglab.spectral import FrequencyLattice, SpectralField, strip_unpaired_edge
 
@@ -422,3 +426,85 @@ def test_probe_rejects_empty_support():
 def test_probe_rejects_small_gap(lattice128):
     with pytest.raises(ValueError, match="gap"):
         build_probe(lattice128, 2, gap=2)
+
+
+# ---------------------------------------------------------------------------
+# Certified bounds without a transform
+# ---------------------------------------------------------------------------
+
+BOUND_INDICES = [
+    BesovIndex(-0.5, 4.0, 2.0),
+    BesovIndex(-2.5, 4.0, 2.0),
+    BesovIndex(0.0, 2.0, 2.0),
+    BesovIndex(-0.5, 8.0, 4.0),
+    BesovIndex(0.0, math.inf, math.inf),
+]
+
+
+def bound_fields(lattice, partition):
+    """Fields of every shape the bounds must enclose, by name."""
+    rng = np.random.default_rng(31)
+    fields = {
+        "full band": random_mean_zero_field(lattice, rng),
+        "decaying": random_mean_zero_field(lattice, rng, decay=1.5),
+        "bottom shell": single_shell_field(lattice, partition, partition.j_min, rng),
+        "top shell": single_shell_field(lattice, partition, partition.j_max, rng),
+    }
+    for size, carrier in ((4, 2), (5, 3)):
+        spec = ForceSpec(variant="bump", delta=0.01, size=size, carrier_exponent=carrier)
+        fields[f"bump {size}"] = modulated_bump_force(lattice, spec)
+    return fields
+
+
+def test_the_capped_bump_is_summed_on_an_aliasing_grid(lattice128, partition128):
+    # the carrier 2**3 sits 32 lattice steps out on this lattice, so the
+    # bump's top shells reach p K >= m at p = 8 and are summed on the m grid
+    # itself, where harmonics of |g|**8 fold onto the zero mode (ROADMAP
+    # item 13): the bounds must hold for that discrete quadrature too
+    bump = bound_fields(lattice128, partition128)["bump 5"]
+    live = [j for j, v in shell_profile(bump, 0.0, 8.0, partition128) if v > 0.0]
+    capped = [j for j in live if 8 * partition128.ring_extent(j) >= lattice128.m]
+    assert capped and all(_shell_grid(partition128.ring_extent(j), 8.0, 128) == 128
+                          for j in capped)
+
+
+@pytest.mark.parametrize("index", BOUND_INDICES, ids=str)
+def test_norm_bounds_enclose_the_norm(lattice128, partition128, index):
+    for name, field in bound_fields(lattice128, partition128).items():
+        lower, upper = _norm_bounds(field, index, partition128)
+        norm = besov_norm(field, index, partition128)
+        assert 0.0 < lower <= norm <= upper < math.inf, name
+        if index.p == 2.0:  # Parseval: both bounds are the norm itself
+            assert upper <= norm * (1.0 + 1e-5) and lower >= norm * (1.0 - 1e-5), name
+
+
+def test_norm_bounds_need_p_at_least_two(lattice32, partition32):
+    field = random_mean_zero_field(lattice32, np.random.default_rng(3))
+    assert _norm_bounds(field, BesovIndex(0.0, 1.5, 2.0), partition32) == (0.0, math.inf)
+
+
+def test_norm_bounds_refuse_a_mean_as_the_norm_does(lattice32, partition32):
+    f = SpectralField.from_modes(lattice32, {(0, 0): 0.5, (1, 2): 1.0})
+    index = BesovIndex(-0.5, 4.0, 2.0)
+    with pytest.raises(ValueError, match="mean-zero") as refused:
+        _norm_bounds(f, index, partition32)
+    with pytest.raises(ValueError, match="mean-zero") as reference:
+        besov_norm(f, index, partition32)
+    assert str(refused.value) == str(reference.value)
+
+
+def test_norm_bounds_hold_at_the_ends_of_the_float_range(lattice32, partition32):
+    # every sample is at most the coefficients' absolute sum; past 2**(960/p)
+    # no bound is claimed, so a skipped norm cannot hide an overflow
+    index = BesovIndex(-0.5, 4.0, 2.0)
+    field = random_mean_zero_field(lattice32, np.random.default_rng(5))
+    assert _quadrature_fits(_absolute_sum(field), index, partition32)
+    huge = 1e80 * field
+    assert not _quadrature_fits(_absolute_sum(huge), index, partition32)
+    assert _norm_bounds(huge, index, partition32) == (0.0, math.inf)
+    # where the p-th powers or the squares underflow, the quadrature reads
+    # less than the integral, down to 0; the bounds still enclose it
+    for scale in (1e-100, 1e-200):
+        tiny = scale * field
+        lower, upper = _norm_bounds(tiny, index, partition32)
+        assert lower == 0.0 <= besov_norm(tiny, index, partition32) <= upper < math.inf

@@ -27,7 +27,14 @@ import numpy as np
 import pytest
 
 from sqglab import bilinear, diagnostics, solver, spectral
-from sqglab.besov import DyadicPartition, _check_mean_zero, build_partition, shell_project
+from sqglab.besov import (
+    DyadicPartition,
+    _absolute_sum,
+    _check_mean_zero,
+    _norm_bounds,
+    build_partition,
+    shell_project,
+)
 from sqglab.bilinear import bilinear_block, bilinear_quadrature, quadratic_diagonal
 from sqglab.forcing import (
     ExponentMap,
@@ -375,3 +382,20 @@ def test_mean_zero_check_allocates_no_half_sized_temporary():
     unit = lattice.m * (lattice.m // 2) * 16
     peak = traced_peak(lambda: _check_mean_zero(field))
     assert peak < 0.01 * unit, f"{peak / unit:.4f} units"
+
+
+def test_norm_bounds_allocate_no_half_sized_temporary():
+    # the coefficient sums run 64 rows at a time into one reused buffer; an
+    # (m, m/2) float array of moduli would be half a unit.  Measured: 0.06
+    # units for the run buffer, plus numpy's fixed-size ufunc buffer for
+    # strided operands (8192 elements), 0.06 units at this size
+    lattice = FrequencyLattice(m=512, h_xi=0.25)
+    partition = build_partition(lattice)
+    field = random_mean_zero_field(lattice, np.random.default_rng(0))
+    unit = lattice.m * (lattice.m // 2) * 16
+    index = SolveConfig().index
+    _norm_bounds(field, index, partition)  # cache the rings
+    for name, call in (("bounds", lambda: _norm_bounds(field, index, partition)),
+                       ("absolute sum", lambda: _absolute_sum(field))):
+        peak = traced_peak(call)
+        assert peak < 0.2 * unit, f"{name}: {peak / unit:.2f} units"

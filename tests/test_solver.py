@@ -6,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from oracles import eager_iterate
 from sqglab.besov import BesovIndex, besov_norm, build_partition
 from sqglab.bilinear import bilinear_block, quadratic_diagonal
 from sqglab.forcing import ForceSpec, modulated_bump_force
@@ -101,17 +102,27 @@ def test_trace_ends_with_the_norm_of_the_returned_iterate(lattice32, partition32
         with np.errstate(invalid="ignore"):
             return SpectralField._adopt(lattice32, c * np.inf if len(steps) == last else c)
 
+    # on the route that takes norms only where the stopping test needs
+    # them, the returned iterate's entries are completed at that exit
     for last in (3, 1):
-        steps = []
-        runs[f"non-finite at {last}"] = _iterate(
-            f, step, lambda theta: (0.0, None), cfg, partition32
-        )
+        for every_iteration in (True, False):
+            steps = []
+            runs[f"non-finite at {last}, {every_iteration}"] = _iterate(
+                f, step, lambda theta: None, lambda theta, quad: 0.0, cfg, partition32,
+                every_iteration=every_iteration,
+            )
     verdicts = {name: trace.verdict for name, (_, trace) in runs.items()}
     assert verdicts == {"converged": "converged", "max_iter": "max_iter",
                         "perturbation": "converged", "diverged": "diverged",
-                        "non-finite at 3": "diverged", "non-finite at 1": "diverged"}
+                        **{f"non-finite at {last}, {every}": "diverged"
+                           for last in (3, 1) for every in (True, False)}}
     assert math.isinf(runs["diverged"][1].norms[-1])
-    assert runs["non-finite at 1"][1].norms == []
+    assert all(runs[f"non-finite at 1, {every}"][1].norms == [] for every in (True, False))
+    # the perturbation route filled its last entries and skipped earlier ones
+    perturbation = runs["perturbation"][1]
+    assert math.isnan(perturbation.norms[0]) and math.isnan(perturbation.pde_residuals[-2])
+    lazy = runs["non-finite at 3, False"][1]
+    assert math.isnan(lazy.norms[0]) and not math.isnan(lazy.residuals[-1])
     with np.errstate(over="ignore"):
         for name, (theta, trace) in runs.items():
             want = besov_norm(theta, cfg.index, partition32)
@@ -175,12 +186,12 @@ def test_picard_trace_is_bitwise_the_recomputing_loop(lattice32, partition32, mo
     def step(theta, _carried):
         return lf - quadratic_diagonal(theta)
 
-    def pde_defect(theta):
+    def defect_norm(theta, _quad):
         defect = neg_laplacian(theta) + neg_laplacian(quadratic_diagonal(theta)) - f
-        return besov_norm(defect, cfg.data_index, partition32), None
+        return besov_norm(defect, cfg.data_index, partition32)
 
     start = SpectralField.zeros(lattice32)
-    want_theta, want = _iterate(start, step, pde_defect, cfg, partition32)
+    want_theta, want = _iterate(start, step, lambda theta: None, defect_norm, cfg, partition32)
     evaluations = []
 
     def counted(theta):
@@ -209,12 +220,12 @@ def test_iterate_hands_each_step_the_defects_term(lattice32, partition32):
         handed.append((theta, carried))
         return theta + SpectralField.cosine(lattice32, (2, 1))
 
-    def pde_defect(theta):
+    def quad_term(theta):
         returned[id(theta)] = 0.5 * theta
-        return 0.0, returned[id(theta)]
+        return returned[id(theta)]
 
     start = SpectralField.zeros(lattice32)
-    _iterate(start, step, pde_defect, cfg, partition32, carried=seed)
+    _iterate(start, step, quad_term, lambda theta, quad: 0.0, cfg, partition32, carried=seed)
     assert len(handed) == 4
     assert handed[0][0] is start and handed[0][1] is seed
     for theta, carried in handed[1:]:
@@ -246,12 +257,24 @@ def three_product_loop(theta1, theta2, cfg, partition):
     def step(tilde, _carried):
         return source - (2.0 * bilinear_block(base, tilde) + quadratic_diagonal(tilde))
 
-    def pde_defect(tilde):
+    def defect_norm(tilde, _quad):
         total = base + tilde
         defect = neg_laplacian(total) + neg_laplacian(quadratic_diagonal(total)) - f_equiv
-        return besov_norm(defect, cfg.data_index, partition), None
+        return besov_norm(defect, cfg.data_index, partition)
 
-    return _iterate(SpectralField.zeros(theta1.lattice), step, pde_defect, cfg, partition)
+    return _iterate(SpectralField.zeros(theta1.lattice), step, lambda tilde: None, defect_norm,
+                    cfg, partition)
+
+
+def assert_filled_norms_close(got, want, rel):
+    """Every norm the perturbation route filled (it leaves NaN where it
+    took none) is close to the every-entry loop's; the last entry of each
+    column is always filled."""
+    for column in (got.norms, got.residuals, got.pde_residuals):
+        assert len(column) == want.iterations and not math.isnan(column[-1])
+    for a, b in zip(got.norms, want.norms):
+        if not math.isnan(a):
+            assert a == pytest.approx(b, rel=rel, abs=0.0)
 
 
 def test_perturbation_keeps_verdict_and_iterations(lattice32, partition32):
@@ -263,8 +286,7 @@ def test_perturbation_keeps_verdict_and_iterations(lattice32, partition32):
     assert got.iterations == want.iterations > 5
     scale = besov_norm(want_tilde, cfg.index, partition32)
     assert besov_norm(got_tilde - want_tilde, cfg.index, partition32) <= 1e-12 * scale
-    for a, b in zip(got.norms, want.norms):
-        assert a == pytest.approx(b, rel=1e-10)
+    assert_filled_norms_close(got, want, rel=1e-10)
 
 
 def test_perturbation_evaluates_one_form_per_iteration(lattice32, partition32, monkeypatch):
@@ -290,6 +312,92 @@ def test_perturbation_evaluates_one_form_per_iteration(lattice32, partition32, m
     assert counts["bilinear_block"] <= 2
 
 
+def same_bits(a, b):
+    return np.array_equal(np.array([a]).view(np.int64), np.array([b]).view(np.int64))
+
+
+def lazy_and_eager(theta1, theta2, cfg, partition, monkeypatch):
+    """``perturbation_solve`` with its ``besov_norm`` calls counted, and the
+    very closures it hands its loop run through the eager loop
+    (``oracles.eager_iterate``)."""
+    loops, calls = [], []
+    lazy, norm = solver._iterate, solver.besov_norm
+
+    def recording(*args, **kwargs):
+        loops.append((args, kwargs))
+        return lazy(*args, **kwargs)
+
+    def counted(*args):
+        calls.append(args)
+        return norm(*args)
+
+    monkeypatch.setattr(solver, "_iterate", recording)
+    monkeypatch.setattr(solver, "besov_norm", counted)
+    got = perturbation_solve(theta1, theta2, cfg, partition=partition)
+    taken = len(calls)
+    monkeypatch.undo()
+    (args, kwargs), = loops
+    args = args[:6]  # start, step, quad_term, defect_norm, cfg, partition
+    return got, eager_iterate(*args, carried=kwargs["carried"]), taken
+
+
+def bump_iterates(lattice, size, carrier_exponent):
+    spec = ForceSpec(variant="bump", delta=0.01, size=size, carrier_exponent=carrier_exponent)
+    return first_iterates(modulated_bump_force(lattice, spec))
+
+
+@pytest.mark.parametrize("case, cfg, verdict", [
+    ("bump 4", SolveConfig(), "converged"),
+    ("bump 5", SolveConfig(), "converged"),
+    ("bump 4", SolveConfig(tol=1e-14), "converged"),
+    ("bump 5", SolveConfig(tol=1e-14), "max_iter"),
+    ("bump 5", SolveConfig(max_iter=5), "max_iter"),
+    ("large forcing", SolveConfig(), "diverged"),
+], ids=lambda v: str(v).replace(" ", "-") if isinstance(v, str) else None)
+def test_perturbation_loop_ends_bitwise_as_the_eager_loop(
+    lattice128, partition128, monkeypatch, case, cfg, verdict
+):
+    # illpose-step1's bumps (carrier 2**(size - 2)) on a desk lattice, and a
+    # forcing large enough that the iterate's norm overflows.  The route
+    # that takes norms only where its stopping test needs them ends as the
+    # loop that takes all three every iteration: same verdict, iteration
+    # count and iterate, and the same bits in the last entry of each column
+    if case == "large forcing":
+        theta1, theta2 = first_iterates(1000.0 * small_forcing(lattice128))
+    else:
+        size = int(case.split()[1])
+        theta1, theta2 = bump_iterates(lattice128, size, size - 2)
+    (got_tilde, got), (want_tilde, want), calls = lazy_and_eager(
+        theta1, theta2, cfg, partition128, monkeypatch)
+    assert got.verdict == want.verdict == verdict
+    assert got.iterations == want.iterations
+    assert np.array_equal(got_tilde.coeffs, want_tilde.coeffs)
+    for have, full in ((got.norms, want.norms), (got.residuals, want.residuals),
+                       (got.pde_residuals, want.pde_residuals)):
+        assert len(have) == len(full) and same_bits(have[-1], full[-1])
+        # every entry the route filled is the eager loop's
+        assert all(same_bits(a, b) for a, b in zip(have, full) if not math.isnan(a))
+    # the eager loop takes 3 norms per iteration; this one 3 at its exit
+    # and a few where the bounds could not decide
+    assert calls <= 3 + got.iterations // 3, (calls, got.iterations)
+
+
+def test_perturbation_takes_exact_norms_only_near_its_exit(
+    lattice128, partition128, monkeypatch
+):
+    # step1's size-4 bump: 12 iterations and 5 norms, where the eager loop
+    # takes 36: the iterate's and the update's in the last two iterations,
+    # and the defect at the exit
+    theta1, theta2 = bump_iterates(lattice128, 4, 2)
+    (_, got), (_, want), calls = lazy_and_eager(
+        theta1, theta2, SolveConfig(), partition128, monkeypatch)
+    assert got.iterations == want.iterations == 12
+    assert calls == 5
+    taken = [n for n, v in enumerate(got.norms) if not math.isnan(v)]
+    assert taken == [10, 11]
+    assert [math.isnan(v) for v in got.pde_residuals] == [True] * 11 + [False]
+
+
 def test_carried_step_keeps_the_three_product_loop(lattice128, partition128):
     # the carried step subtracts B[base, base] from B[base + tilde, base +
     # tilde], which cancels; at the largest carrier this lattice admits
@@ -307,8 +415,7 @@ def test_carried_step_keeps_the_three_product_loop(lattice128, partition128):
     assert besov_norm(got_tilde - want_tilde, cfg.index, partition128) <= 1e-12 * scale
     peak = np.max(np.abs(want_tilde.coeffs))
     assert np.max(np.abs(got_tilde.coeffs - want_tilde.coeffs)) <= 2e-12 * peak
-    for a, b in zip(got.norms, want.norms):
-        assert a == pytest.approx(b, rel=1e-13)
+    assert_filled_norms_close(got, want, rel=1e-13)
 
 
 def test_perturbation_iteration_row_passes_cover_four_plus_two_grids(
