@@ -378,12 +378,20 @@ def shell_profile(
 
 
 def lq_aggregate(entries: list[float], q: float) -> float:
-    """``l^q`` norm of non-negative per-shell entries (their max for q = inf)."""
+    """``l^q`` norm of non-negative per-shell entries (their max for q = inf).
+
+    inf when a q-th power or their sum leaves the float range, as a shell
+    quadrature that overflows reads inf: the fixed-point loops take an
+    infinite norm as their divergence signal.
+    """
     if math.isinf(q):
         return max(entries) if entries else 0.0
     # strongly graded sums: accumulate ascending in extended precision
-    powered = sorted(v**q for v in entries)
-    return math.fsum(powered) ** (1.0 / q)
+    try:
+        powered = sorted(v**q for v in entries)
+        return math.fsum(powered) ** (1.0 / q)
+    except OverflowError:  # float ** and fsum raise where numpy would give inf
+        return math.inf
 
 
 def besov_profile(

@@ -13,34 +13,43 @@ quadratic map.  Three computational routes are kept side by side:
 * ``quadratic_diagonal``: the single-divergence form for equal
   arguments, with half the syntheses of the block form.
 
-Both fast forms run one fused kernel on the k2 >= 0 half-spectrum, on a
-grid of 3m/2 points per axis (the 3/2 rule of Orszag, J. Atmos. Sci. 28,
-1971, which keeps every aliased product mode off the retained box), and
-make no array of that grid's size.  A real transform there is two 1-D
-passes: a column pass down the k2 columns, then a row pass along each of
-the 3m/2 rows.  Each scalar factor and each Riesz-velocity component gets
-its column pass once, into a (3m/2, w) column array of the w columns it
-occupies (up to 1 + its largest k2 with a non-zero coefficient, at most
-m/2, and a few of them for a field narrow in k2, such as a modulated
-bump), the velocity symbol applied while the factor is copied in.  The
-physical flux is formed one velocity component at a time (for the block
-form the symmetrized sum is taken in physical space, so each component
-costs one analysis), 64 grid rows at a time: each factor's row pass, the
-product and the flux's row analysis run in one slab of scratch, and the
-slab's m/2 kept columns are written into a single (3m/2, m/2) flux
-spectrum, which is a velocity factor's own column array when that is m/2
-wide.  The flux spectrum then gets its column pass, is contracted with
-``i xi / |xi|^2`` and accumulated into an (m, m/2) array that becomes the
-output field (fields store their k2 >= 0 half, ``spectral.SpectralField``)
-before the next component starts.  So a scalar factor's row pass runs once
-per component: per form, the diagonal makes 4 row syntheses and 2 row
-analyses over the whole grid, the block form 8 and 2.  In units of one
-(3m/2, m/2) complex column array, 1.5 m^2 complex numbers (the padded
+Both fast forms run one fused kernel on the k2 >= 0 half-spectrum and make
+no array of the size of its grid.  The grid has 3m/2 rows (the 3/2 rule of
+Orszag, J. Atmos. Sci. 28, 1971, which keeps every aliased product mode
+off the retained box) and rows of G2 points, sized by the k2 band of the
+product: if the factors occupy wf and wg columns (up to 1 + their largest
+k2 with a non-zero coefficient, at most m/2), the product reaches
+|k2| <= band = (wf - 1) + (wg - 1), the output keeps its
+wo = min(band + 1, m/2) columns, and G2 is the smallest even 2^a 3^b of
+at least band + wo, at most 3m/2, so that no product mode folds onto a
+kept column.  Full-band factors get G2 = 3m/2, the square grid; every
+ill-posedness construction is an envelope times cos(N x1), narrow in k2
+whatever its carrier, and gets rows a few times its envelope's width.  A
+real transform there is two 1-D passes: a column pass down the k2
+columns, then a row pass along each of the 3m/2 rows.  Each scalar factor
+and each Riesz-velocity component gets its column pass once, into a
+(3m/2, w) column array of the w columns it occupies, the velocity symbol
+applied while the factor is copied in.  The physical flux is formed one
+velocity component at a time (for the block form the symmetrized sum is
+taken in physical space, so each component costs one analysis), 64 grid
+rows at a time: each factor's row pass, the product and the flux's row
+analysis run in one slab of scratch, and the slab's wo kept columns are
+written into a single (3m/2, wo) flux spectrum, the wider velocity
+factor's own column array, made wo wide for it.  The flux spectrum then
+gets its column pass, is contracted with ``i xi / |xi|^2`` and accumulated
+into the first wo columns of an (m, m/2) array that becomes the output
+field (fields store their k2 >= 0 half, ``spectral.SpectralField``)
+before the next component starts; its other columns stay exact zeros.
+So a scalar factor's row pass runs once per component: per form, the
+diagonal makes 4 row syntheses and 2 row analyses over the whole
+(3m/2, G2) grid, the block form 8 and 2.  In units of one (3m/2, m/2)
+complex column array, 1.5 m^2 complex numbers (the padded
 (3m/2, 3m/4 + 1) array of a whole real transform is 1.5 of them), the
 diagonal form holds 2 for a full-band input (theta and one velocity
-factor) and about 1 for a narrow one (the flux spectrum), and the block
-form 4 (f, g and their velocity factors), besides the slab scratch, a few
-64-row slabs, and (m, m/2) arrays: the accumulator, which is the output.
+factor) and (w + wo) / (m/2) for a narrow one, a few hundredths for a
+modulated bump, and the block form 4 for full-band inputs (f, g and their
+velocity factors), besides the slab scratch, a few 64-row slabs of G2
+points, and (m, m/2) arrays: the accumulator, which is the output.
 The radial factors come from the lattice's radius quadrant and the
 coordinate factors from its 1-D frequency axis, a run of 64 lattice rows
 at a time, so no m x m symbol is made.  Every field is real by
@@ -187,6 +196,35 @@ def bilinear_quadrature(f: SpectralField, g: SpectralField) -> SpectralField:
     return SpectralField(f.lattice, _quadrature_coeffs(f, g))
 
 
+def _flux_band(wf: int, wg: int, h: int) -> tuple[int, int]:
+    """``(wo, length)`` for factors occupying ``wf`` and ``wg`` columns of an
+    (m, m/2) half spectrum, h = m/2: the flux's kept output columns and the
+    length of its row passes.
+
+    The product of the factors reaches |k2| <= band = (wf - 1) + (wg - 1),
+    so its columns from band + 1 on are zero in exact arithmetic, and the
+    output keeps wo = min(band + 1, h) of them.  On rows of ``length``
+    points the product's mode k2 folds onto k2 mod length, and none lands
+    on a kept column k2' < wo other than its own once length >= band + wo.
+    The length is the smallest even 2^a 3^b of at least band + wo, capped
+    at the 3h of the column grid (the 3/2 rule, which holds for any band).
+    For full-band factors (wf = wg = h) that is 3h itself for every h >= 4,
+    so full-band forms run exactly as on the square 3m/2 grid.  A factor
+    with no column counts as one column: its product is zero all the same.
+    """
+    band = max(wf - 1, 0) + max(wg - 1, 0)
+    wo = min(band + 1, h)
+    length = 3 * h
+    step = 2  # 2 * 3^b
+    while step < length:
+        size = step
+        while size < band + wo:
+            size *= 2
+        length = min(length, size)
+        step *= 3
+    return wo, length
+
+
 def _transport(fc: np.ndarray, gc: np.ndarray | None, lattice: FrequencyLattice) -> np.ndarray:
     """Fused kernel: the half spectrum of the quadratic form of real fields.
 
@@ -196,32 +234,38 @@ def _transport(fc: np.ndarray, gc: np.ndarray | None, lattice: FrequencyLattice)
     in physical space in an order that makes the result bitwise symmetric
     in f and g.
 
-    Passes, on the 3m/2 grid: each scalar factor gets its column pass once
-    (:func:`_column_synthesis`, over the columns it occupies), and each
-    velocity component of each factor gets one, the symbol applied during
-    the copy.  The row passes run a slab of ``_SLAB_ROWS`` grid rows at a
-    time (:class:`_RowPasses`): per velocity component, the row pass of
-    every factor and velocity factor, the physical flux, and the flux's
-    row analysis into one (3m/2, m/2) flux spectrum.  So the row pass of a
-    scalar factor runs once per component: the diagonal form makes 4
-    ``c2r`` and 2 ``r2c`` row passes over the whole grid, the block form 8
-    and 2.  The flux spectrum then gets its column pass and is contracted
-    into the accumulator before the next component starts.
+    Passes, on a (3m/2, G2) grid: 3m/2 points down each column, the 3/2
+    rule, and G2 along each row, sized by the k2 band of the factors'
+    product (:func:`_flux_band`): 3m/2 for full-band factors, a few times
+    their width for factors narrow in k2, such as a modulated bump.  Each
+    scalar factor gets its column pass once (:func:`_column_synthesis`,
+    over the columns it occupies), and each velocity component of each
+    factor gets one, the symbol applied during the copy.  The row passes
+    run a slab of ``_SLAB_ROWS`` grid rows at a time (:class:`_RowPasses`):
+    per velocity component, the row pass of every factor and velocity
+    factor, the physical flux, and the flux's row analysis into one
+    (3m/2, wo) flux spectrum of the wo output columns the product reaches.
+    So the row pass of a scalar factor runs once per component: the
+    diagonal form makes 4 ``c2r`` and 2 ``r2c`` row passes over the whole
+    grid, the block form 8 and 2.  The flux spectrum then gets its column
+    pass and is contracted into the accumulator's first wo columns before
+    the next component starts; the accumulator's other columns stay exact
+    zeros, which is their value in exact arithmetic.
 
     Working set, in (3m/2, m/2) complex column arrays: a factor's column
     array is (3m/2, w) for its w occupied columns, and the flux spectrum
-    is a velocity factor's own column array when that is m/2 wide (its
-    slab's rows are read before the flux's are written).  So the diagonal
-    form holds 2 for a full-band input (theta and a velocity factor) and
-    about 1 for a narrow one (the flux spectrum), the block form 4 for
-    full-band inputs (f, g and their velocity factors).  Besides these:
-    the (m, m/2) accumulator, which is the output, the slab scratch, made
-    for each component once its velocity factors are, and the velocity
-    symbol on a run of ``_SLAB_ROWS`` lattice rows while those are made.
-    No array of the padded size (3m/2, 3m/4 + 1) is made.  The radial
-    factors are taken from the lattice's radius quadrant and the
-    coordinate factors from its 1-D frequency axis, a run of rows at a
-    time, so no m x m symbol is made.
+    is the wider velocity factor's own column array, made wo wide for it
+    (wo is at least either factor's width; a slab's rows are read before
+    the flux's are written).  So the diagonal form holds 2 for a full-band
+    input (theta and a velocity factor) and (w + wo) / (m/2) for a narrow
+    one, the block form 4 for full-band inputs (f, g and their velocity
+    factors).  Besides these: the (m, m/2) accumulator, which is the
+    output, the slab scratch, made for each component once its velocity
+    factors are, and the velocity symbol on a run of ``_SLAB_ROWS``
+    lattice rows while those are made.  No array of the padded size
+    (3m/2, 3m/4 + 1) is made.  The radial factors are taken from the
+    lattice's radius quadrant and the coordinate factors from its 1-D
+    frequency axis, a run of rows at a time, so no m x m symbol is made.
 
     The accumulator is returned as the output, its column k2 = 0 made
     exactly Hermitian and its zero mode real in place, so that differences
@@ -241,6 +285,7 @@ def _transport(fc: np.ndarray, gc: np.ndarray | None, lattice: FrequencyLattice)
     wf = _occupied_columns(fc, h)
     wg = wf if diagonal else _occupied_columns(gc, h)
     w = max(wf, wg)
+    wo, length = _flux_band(wf, wg, h)
     scalars = ((fc, wf),) if diagonal else ((fc, wf), (gc, wg))
     columns = _column_synthesis(scalars, grid)
     f, g = columns[0], columns[-1]
@@ -256,21 +301,22 @@ def _transport(fc: np.ndarray, gc: np.ndarray | None, lattice: FrequencyLattice)
         def symbol(lat, quad, velocity=velocity):
             return np.multiply(1j * _reciprocal(r[quad, :w]), velocity[lat, :w])
 
-        columns = _column_synthesis(scalars[::-1], grid, symbol)
-        ug, uf = columns[0], columns[-1]  # R^perp g, R^perp f
-        del columns
-        if wg == h or wf == h:
-            flux = ug if wg == h else uf
-        else:
-            # rows padded to an odd length, as _column_synthesis pads them
-            flux = np.empty((grid, h | 1), dtype=np.complex128)[:, :h]
-        _flux_spectrum(((f, ug),) if diagonal else ((f, ug), (g, uf)), flux)
+        # wo >= max(wf, wg): the flux spectrum is written over the wider
+        # velocity factor's column array, made wo wide for it
+        g_wider = wg >= wf
+        flux, *other = _column_synthesis(scalars[::-1] if g_wider else scalars, grid,
+                                         symbol, room=wo)
+        wide = flux[:, : max(wf, wg)]
+        other = other[0] if other else wide
+        ug, uf = (wide, other) if g_wider else (other, wide)  # R^perp g, R^perp f
+        del wide, other
+        _flux_spectrum(((f, ug),) if diagonal else ((f, ug), (g, uf)), flux, length)
         del ug, uf
         _column_analysis(flux)
         for lat, sub, quad in _padded_rows(m, grid, _SLAB_ROWS):
-            rq = r[quad]
-            np.multiply(xi_k[lat] * _reciprocal(rq * rq), flux[sub], out=flux[sub])
-            acc[lat] += flux[sub]
+            rq = r[quad, :wo]
+            np.multiply(xi_k[lat, :wo] * _reciprocal(rq * rq), flux[sub], out=flux[sub])
+            acc[lat, :wo] += flux[sub]
         del flux
     acc *= 1j if diagonal else 0.5j
     np.conjugate(acc[h - 1 : 0 : -1, 0], out=acc[h + 1 :, 0])
@@ -278,8 +324,11 @@ def _transport(fc: np.ndarray, gc: np.ndarray | None, lattice: FrequencyLattice)
     return acc
 
 
-def _flux_spectrum(pairs: tuple[tuple[np.ndarray, np.ndarray], ...], flux: np.ndarray) -> None:
-    """The row analysis of one flux component into ``flux`` (grid, m/2).
+def _flux_spectrum(
+    pairs: tuple[tuple[np.ndarray, np.ndarray], ...], flux: np.ndarray, length: int
+) -> None:
+    """The row analysis of one flux component into ``flux`` (grid, wo), on
+    rows of ``length`` points.
 
     Each pair holds the column arrays of a scalar factor and a velocity
     factor (:func:`_column_synthesis`).  A slab of ``_SLAB_ROWS`` grid rows
@@ -290,7 +339,7 @@ def _flux_spectrum(pairs: tuple[tuple[np.ndarray, np.ndarray], ...], flux: np.nd
     """
     grid = flux.shape[0]
     last = len(pairs)
-    passes = _RowPasses(grid, last + 1)
+    passes = _RowPasses(grid, length, last + 1)
     for top in range(0, grid, _SLAB_ROWS):
         slab = slice(top, top + _SLAB_ROWS)
         for i, (a, u) in enumerate(pairs):

@@ -319,8 +319,9 @@ def perturbation_solve(
     same tilde, which subtracts B[base, base] (evaluated once per solve;
     the first step, from tilde = 0, gets it as its carried term, so its
     coupled term is exactly zero).  An iteration thus evaluates the quadratic form once: 3 column
-    syntheses and 2 column analyses at the 3m/2 grid, and row passes over
-    4 + 2 grids (``bilinear._transport``).
+    syntheses and 2 column analyses of 3m/2 points, and row passes over
+    4 + 2 grids of 3m/2 rows, each as long as the band of the iterate's
+    product needs, 3m/2 points once it is full-band (``bilinear._transport``).
 
     Its Besov norms are taken only where the stopping test needs them
     (:func:`_iterate`).  Most iterations take none: coefficient sums bound

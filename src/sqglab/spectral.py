@@ -4,9 +4,10 @@ Everything downstream works on a square lattice of frequencies
 ``xi = h_xi * (k1, k2)`` with integer indices ``k_i in [-m/2, m/2)``.  The
 physical box is the torus of side ``L = 2*pi/h_xi``.  A coefficient is the
 amplitude of ``exp(i x.xi)``, so an unscaled inverse transform onto any
-``M x M`` grid holding the modes samples the field (quadrature weight
-``(L/M)**2``): the quadratic form on its padded 3m/2 grid, a Besov shell or
-a local object on the smallest grid that resolves the band of ``|g|**p``.
+``M1 x M2`` grid holding the modes samples the field (quadrature weight
+``L**2 / (M1 * M2)``): the quadratic form on 3m/2 rows of as many points as
+its product's k2 band needs, a Besov shell or a local object on the
+smallest square grid that resolves the band of ``|g|**p``.
 
 Fields are immutable; every operation returns a new field.  Fields are
 real, so a field stores only the k2 >= 0 half of its Hermitian coefficients
@@ -530,12 +531,20 @@ def _occupied_columns(c: np.ndarray, width: int) -> int:
     m/2) holds a non-zero coefficient; 0 when those columns are all zero.
 
     Column ``k2`` of a half spectrum is that frequency.  The last column is
-    tested first, so a field that fills it costs one column read.
+    tested first, so a field that fills it costs one column read; otherwise
+    the zero tail is found by halving a block ``[lo, hi)`` known to hold the
+    last non-zero column, about log2(width) block reads in all.
     """
-    for k in range(width - 1, -1, -1):
-        if c[..., k].any():
-            return k + 1
-    return 0
+    if width == 0 or c[..., width - 1].any():
+        return width
+    lo, hi = 0, width - 1  # columns from hi on are zero
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if c[..., mid:hi].any():
+            lo = mid + 1
+        else:
+            hi = mid
+    return hi
 
 
 def _padded_rows(
@@ -592,10 +601,13 @@ def _column_synthesis(
     halves: tuple[tuple[np.ndarray, int], ...],
     grid: int,
     symbol: Callable[[slice, slice], np.ndarray] | None = None,
+    room: int = 0,
 ) -> list[np.ndarray]:
-    """The column passes of ``grid x grid`` real syntheses: for each pair
+    """The column passes of real syntheses on ``grid`` rows: for each pair
     ``(c, cols)`` of a half spectrum c (m, m/2) and its leading ``cols``
-    columns, a (grid, cols) complex array.
+    columns, a (grid, cols) complex array.  The first array alone is made
+    ``max(cols, room)`` wide and returned whole, its columns from ``cols``
+    on unset: room for a wider array that the caller later writes over it.
 
     The lattice's rows are laid into their grid rows (:func:`_padded_rows`),
     the rows between them and the unpaired k = -m/2 row left zero, and the
@@ -614,7 +626,10 @@ def _column_synthesis(
     """
     m = halves[0][0].shape[-2]
     h = m // 2
-    out = [np.empty((grid, cols | 1), dtype=np.complex128)[:, :cols] for _, cols in halves]
+    widths = [cols for _, cols in halves]
+    widths[0] = max(widths[0], room)
+    made = [np.empty((grid, w | 1), dtype=np.complex128)[:, :w] for w in widths]
+    out = [a[:, :cols] for a, (_, cols) in zip(made, halves)]
     for a in out:
         a[h : grid - h + 1] = 0.0
     for src, dst, quad in _padded_rows(m, grid, _SLAB_ROWS):
@@ -626,7 +641,7 @@ def _column_synthesis(
                 np.multiply(c[src, :cols], run[:, :cols], out=a[dst])
     for a in out:
         _pocketfft.c2c(a, (0,), False, _UNSCALED, a, _FFT_WORKERS)
-    return out
+    return made
 
 
 def _column_analysis(a: np.ndarray) -> np.ndarray:
@@ -637,41 +652,44 @@ def _column_analysis(a: np.ndarray) -> np.ndarray:
 
 
 class _RowPasses:
-    """The row passes of ``grid``-point real transforms, over slabs of at
-    most ``_SLAB_ROWS`` rows, in one slab of scratch.
+    """The row passes of real transforms on a ``grid x length`` mesh (rows
+    of ``length`` points), over slabs of at most ``_SLAB_ROWS`` rows, in one
+    slab of scratch.
 
     :meth:`synthesis` completes a slab of rows left by
-    :func:`_column_synthesis` into their real samples, and :meth:`analysis`
-    takes a slab of samples back to the first columns of their
-    coefficients.  Each row is transformed on its own, so the passes over
-    every slab of a grid are bitwise the row passes of ``irfft2`` and of
-    ``rfft2`` on the whole grid, and no array of the grid's size is made.
+    :func:`_column_synthesis` (whose column pass ran at ``grid`` points)
+    into their real samples, and :meth:`analysis` takes a slab of samples
+    back to the first columns of their coefficients.  Each row is
+    transformed on its own, so the passes over every slab of a mesh are
+    bitwise the row passes of ``irfft2`` and of ``rfft2`` with
+    ``s=(grid, length)``, and no array of the mesh's size is made.
 
-    The scratch is a (``_SLAB_ROWS``, grid/2 + 1) complex slab of spectra,
-    zero beyond the columns the last synthesis copied in, so that a slab of
-    narrower rows is padded by that copy alone, and ``slots`` separate
-    (``_SLAB_ROWS``, grid + 2) real slabs in the in-place real-transform
-    layout: a row's ``grid`` samples are the first ``grid`` of its
-    ``grid + 2`` doubles, which also hold its grid/2 + 1 coefficients.  A
-    synthesis writes its samples into a slot, out of place; an analysis
-    reads them there and writes the coefficients over them.  The last two
-    doubles of every row are zero between calls, so arithmetic may run on
-    a slot's whole rows, which are contiguous: numpy would copy a strided
-    operand through buffers.
+    The scratch is a (``_SLAB_ROWS``, length/2 + 1) complex slab of
+    spectra, zero beyond the columns the last synthesis copied in, so that
+    a slab of narrower rows is padded by that copy alone, and ``slots``
+    separate (``_SLAB_ROWS``, length + 2) real slabs in the in-place
+    real-transform layout: a row's ``length`` samples are the first
+    ``length`` of its ``length + 2`` doubles, which also hold its
+    length/2 + 1 coefficients.  A synthesis writes its samples into a slot,
+    out of place; an analysis reads them there and writes the coefficients
+    over them.  The last two doubles of every row are zero between calls,
+    so arithmetic may run on a slot's whole rows, which are contiguous:
+    numpy would copy a strided operand through buffers.
     """
 
-    def __init__(self, grid: int, slots: int) -> None:
+    def __init__(self, grid: int, length: int, slots: int) -> None:
         self.grid = grid
-        self.spectra = np.zeros((_SLAB_ROWS, grid // 2 + 1), dtype=np.complex128)
+        self.length = length
+        self.spectra = np.zeros((_SLAB_ROWS, length // 2 + 1), dtype=np.complex128)
         self.live = 0  # the spectra's columns from here on are zero
-        self.slots = [np.zeros((_SLAB_ROWS, grid + 2)) for _ in range(slots)]
+        self.slots = [np.zeros((_SLAB_ROWS, length + 2)) for _ in range(slots)]
 
     def synthesis(self, rows: np.ndarray, slot: int) -> np.ndarray:
         """Synthesize the n <= ``_SLAB_ROWS`` rows whose k2 >= 0 halves begin
-        with ``rows`` (n, w) and are zero beyond into ``slot``, and return
-        the slot's first n rows, (n, grid + 2): their first ``grid``
-        columns are the samples, bitwise the row pass of ``irfft2``, and
-        their last two are zero."""
+        with ``rows`` (n, w), w <= length/2, and are zero beyond into
+        ``slot``, and return the slot's first n rows, (n, length + 2): their
+        first ``length`` columns are the samples, bitwise the row pass of
+        ``irfft2``, and their last two are zero."""
         n, w = rows.shape
         if w < self.live:
             self.spectra[:, w : self.live] = 0.0
@@ -679,22 +697,22 @@ class _RowPasses:
         spectra = self.spectra[:n]
         spectra[:, :w] = rows
         out = self.slots[slot][:n]
-        _pocketfft.c2r(spectra, (-1,), self.grid, False, _UNSCALED, out[:, : self.grid],
+        _pocketfft.c2r(spectra, (-1,), self.length, False, _UNSCALED, out[:, : self.length],
                        _FFT_WORKERS)
         return out
 
     def analysis(self, slot: int, out: np.ndarray) -> None:
         """Analyse the samples in the first n rows of ``slot`` in place and
-        write the first w columns of their coefficients, times 1/grid**2,
-        into ``out`` (n, w): bitwise the row pass of ``rfft2`` and its
-        ``norm="forward"`` factor, which ``rfft2`` applies between its
-        passes (a forward-normalised pass on each axis would differ in the
-        last bits).  The slot's rows are left zero in their last two
-        doubles."""
+        write the first w columns of their coefficients, times
+        1/(grid * length), into ``out`` (n, w): bitwise the row pass of
+        ``rfft2`` and its ``norm="forward"`` factor, which ``rfft2`` applies
+        between its passes (a forward-normalised pass on each axis would
+        differ in the last bits).  The slot's rows are left zero in their
+        last two doubles."""
         n, w = out.shape
         rows = self.slots[slot][:n]
         half = rows.view(np.complex128)
-        _pocketfft.r2c(rows[:, : self.grid], (-1,), True, _UNSCALED, half, _FFT_WORKERS)
-        rows *= 1.0 / (self.grid * self.grid)
+        _pocketfft.r2c(rows[:, : self.length], (-1,), True, _UNSCALED, half, _FFT_WORKERS)
+        rows *= 1.0 / (self.grid * self.length)
         out[...] = half[:, :w]
         half[:, -1] = 0.0

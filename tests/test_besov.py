@@ -27,6 +27,7 @@ from sqglab.besov import (
     build_partition,
     build_probe,
     lp_norm,
+    lq_aggregate,
     shell_profile,
     shell_project,
 )
@@ -379,6 +380,21 @@ def test_besov_norm_monotone_in_q(lattice128, partition128):
     n2 = besov_norm(f, idx(2.0), partition128)
     ninf = besov_norm(f, idx(math.inf), partition128)
     assert n1 >= n2 >= ninf > 0
+
+
+def test_lq_aggregate_overflows_to_inf(lattice32, partition32):
+    # float ** and math.fsum raise OverflowError where numpy reads inf; the
+    # aggregate reads inf, as the norm does where its shell quadrature
+    # overflows, and finite values keep their bits
+    assert lq_aggregate([1e160, 1.0], 2.0) == math.inf
+    assert lq_aggregate([1e308, 1e308], 1.0) == math.inf  # fsum's own overflow
+    values = [0.3, 1e-5, 2.5e80]
+    for q in (1.0, 2.0, 3.5):
+        assert lq_aggregate(values, q) == math.fsum(sorted(v**q for v in values)) ** (1.0 / q)
+    f = 1e160 * random_mean_zero_field(lattice32, np.random.default_rng(3))
+    for p in (math.inf, 4.0, 2.0):
+        with np.errstate(over="ignore"):
+            assert besov_norm(f, BesovIndex(0.0, p, 2.0), partition32) == math.inf, p
 
 
 def test_besov_norm_requires_mean_zero(lattice32, partition32):

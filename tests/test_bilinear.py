@@ -204,7 +204,10 @@ def test_quadratic_form_properties(m, seed, alpha):
 # -- syntheses over the occupied columns ---------------------------------------
 #
 # The route that synthesizes all m/2 columns of every factor is the oracle:
-# skipping only zero columns must leave every bit of the form unchanged.
+# at the same row length, skipping only zero columns must leave every bit
+# of the form unchanged.  Both routes run here on the full 3m/2 row grid;
+# the row length that the kernel sizes by the product's band is checked
+# against the padded kernel and the quadrature below.
 
 
 def in_columns(lattice, rng, columns):
@@ -239,6 +242,7 @@ def test_kernel_inputs_are_as_named():
 @pytest.mark.parametrize("first", ["bump", "narrow", "zero", "last-column"])
 def test_occupied_column_kernel_is_bitwise_the_full_column_route(first, monkeypatch):
     lat, fields = kernel_inputs()
+    monkeypatch.setattr(bilinear, "_flux_band", lambda wf, wg, h: (h, 3 * h))
     f = fields[first]
     got = [quadratic_diagonal(f)] + [bilinear_block(f, g) for g in fields.values()]
     monkeypatch.setattr(bilinear, "_occupied_columns", lambda c, width: width)
@@ -249,14 +253,51 @@ def test_occupied_column_kernel_is_bitwise_the_full_column_route(first, monkeypa
         assert np.abs(got[0].coeffs).max() > 0
 
 
+# -- the row length of the flux ------------------------------------------------
+
+
+def smooth_sizes(limit):
+    """The even 2^a 3^b up to ``limit``."""
+    return sorted(2 ** a * 3 ** b for a in range(1, 14) for b in range(9)
+                  if 2 ** a * 3 ** b <= limit)
+
+
+@pytest.mark.parametrize("m", [2 ** k for k in range(3, 13)])
+def test_full_band_flux_runs_on_the_square_grid(m):
+    # the full-band path is the 3/2 rule's square grid, so it keeps every
+    # bit of the kernel as it was before the row length followed the band
+    h = m // 2
+    assert bilinear._flux_band(h, h, h) == (h, 3 * h)
+
+
+@pytest.mark.parametrize("h", [4, 8, 32])
+def test_flux_row_length_is_the_smallest_alias_free_smooth_size(h):
+    sizes = smooth_sizes(3 * h)
+    for wf in range(h + 1):
+        for wg in range(h + 1):
+            wo, length = bilinear._flux_band(wf, wg, h)
+            band = max(wf - 1, 0) + max(wg - 1, 0)
+            assert wo == min(band + 1, h)
+            assert length == min([s for s in sizes if s >= band + wo] + [3 * h])
+            # every factor's occupied columns fit below the rows' Nyquist column
+            assert max(wf, wg) <= length // 2 and wo <= length // 2
+
+
 # -- the slab kernel against the padded kernel ---------------------------------
 #
 # oracles.padded_transport is the kernel as it was before its row passes
-# ran in slabs of 64 rows: every factor and flux synthesized and analysed
-# in a whole (3m/2, 3m/4 + 1) buffer.  The arithmetic of each coefficient
-# is the same, so the slab kernel must agree with it bit for bit, on
-# full-band and narrow inputs, with one FFT worker and with two.  The grid
-# of m = 64 has 96 rows, one full slab and one partial one.
+# ran in slabs of 64 rows on rows sized by the product's band: every factor
+# and flux synthesized and analysed in a whole (3m/2, 3m/4 + 1) buffer.
+# For full-band inputs the kernel's rows are 3m/2 long too and the
+# arithmetic of each coefficient is the same, so it must agree with the
+# padded kernel bit for bit, with one FFT worker and with two.  For inputs
+# narrow in k2 its rows are shorter: the transforms round differently, and
+# it must agree to NARROW_RTOL of the output's largest coefficient, with
+# exact zeros in the columns the product does not reach.  The grid of
+# m = 64 has 96 rows, one full slab and one partial one.
+
+# measured: at most 5.4e-15 over these inputs
+NARROW_RTOL = 1e-14
 
 
 def slab_kernel_inputs(m):
@@ -280,6 +321,13 @@ def slab_kernel_inputs(m):
     }
 
 
+def flux_band_of(lat, f, g):
+    h = lat.m // 2
+    wf = bilinear._occupied_columns(f.coeffs, h)
+    wg = wf if g is None else bilinear._occupied_columns(g.coeffs, h)
+    return bilinear._flux_band(wf, wg, h)
+
+
 @pytest.mark.parametrize("m", [8, 16, 32, 64, 128, 256])
 @pytest.mark.parametrize("workers", [1, 2])
 def test_slab_kernel_is_bitwise_the_padded_kernel(m, workers, monkeypatch):
@@ -288,5 +336,71 @@ def test_slab_kernel_is_bitwise_the_padded_kernel(m, workers, monkeypatch):
     for name, (f, g) in cases.items():
         gc = None if g is None else g.coeffs
         got = bilinear._transport(f.coeffs, gc, lat)
-        assert np.array_equal(got, padded_transport(f.coeffs, gc, lat)), name
+        want = padded_transport(f.coeffs, gc, lat)
         assert np.abs(got).max() > 0, name
+        wo, length = flux_band_of(lat, f, g)
+        if "narrow" not in name:
+            assert length == 3 * m // 2, name
+            assert np.array_equal(got, want), name
+            continue
+        assert length < 3 * m // 2, name
+        scale = np.abs(want).max()
+        assert np.abs(got - want).max() <= NARROW_RTOL * scale, name
+        assert not got[:, wo:].any(), name
+
+
+def quadrature_half(f, g):
+    h = f.lattice.m // 2
+    if g is None:
+        return bilinear._quadrature_coeffs(f, f)[:, :h]
+    return 0.5 * (bilinear._quadrature_coeffs(f, g) + bilinear._quadrature_coeffs(g, f))[:, :h]
+
+
+# the quadrature's own rounding is a few 1e-15 of its largest coefficient
+# here (up to 5.8e-15 on full-band inputs), so either kernel may land on
+# either side of the other; measured: the narrow rows at most 9.2e-16
+# farther than the padded kernel, and nearer on 8 of the 16 inputs
+QUADRATURE_SLACK = 4e-15
+
+
+@pytest.mark.parametrize("m", [8, 16, 32, 64])
+def test_narrow_rows_are_as_close_to_the_quadrature_as_the_padded_kernel(m, monkeypatch):
+    # on the longest even rows short of band + wo, the product's mode
+    # k2 = -band folds onto a kept column, wo - 2 or wo - 1, and the result
+    # leaves the quadrature: band + wo is the bound, not merely a safe one
+    lat, cases = slab_kernel_inputs(m)
+    sized = bilinear._flux_band
+
+    def short(wf, wg, h):
+        wo, _ = sized(wf, wg, h)
+        need = max(wf - 1, 0) + max(wg - 1, 0) + wo
+        return wo, need - 2 + need % 2
+
+    for name, (f, g) in cases.items():
+        if "narrow" not in name:
+            continue
+        gc = None if g is None else g.coeffs
+        want = quadrature_half(f, g)
+        scale = np.abs(want).max()
+        got = np.abs(bilinear._transport(f.coeffs, gc, lat) - want).max()
+        padded = np.abs(padded_transport(f.coeffs, gc, lat) - want).max()
+        assert got <= padded + QUADRATURE_SLACK * scale, name
+        with monkeypatch.context() as patch:
+            patch.setattr(bilinear, "_flux_band", short)
+            aliased = np.abs(bilinear._transport(f.coeffs, gc, lat) - want).max()
+        # measured: at least 3.1e-5 (the bump at m = 64, whose extreme
+        # columns are small), against a few 1e-15 without the fold
+        assert aliased > 1e-6 * scale, name
+
+
+def test_narrow_form_is_bitwise_homogeneous():
+    # step2's quadratic-homogeneity verdict reads B[f/2] against B[f]/4 and
+    # observes an exact 0: scaling by a power of two commutes with every
+    # step of the narrow route too
+    for m in (64, 256):
+        lat, cases = slab_kernel_inputs(m)
+        narrow = cases["diagonal narrow"][0]
+        assert flux_band_of(lat, narrow, None)[1] < 3 * m // 2
+        half = quadratic_diagonal(0.5 * narrow).coeffs
+        assert np.array_equal(half, 0.25 * quadratic_diagonal(narrow).coeffs)
+        assert np.abs(half).max() > 0

@@ -68,8 +68,8 @@ HALF = M * (M // 2) * 16
 # lattice's radius quadrant, cached on first use (1/4), and the velocity
 # symbol on a run of 64 lattice rows with its temporaries.  Measured at
 # m = 256 on a fresh lattice: 2.43 of these units for the diagonal form and
-# 2.83 for the block form on full-band fields, 2.62 for the diagonal form
-# on a modulated bump.  The velocity symbol on the whole lattice, held
+# 2.83 for the block form on full-band fields; on a modulated bump, whose
+# rows are shorter, the narrow guard below counts the scratch itself.  The velocity symbol on the whole lattice, held
 # while a velocity factor is copied, would add 1 unit and fail the block
 # form's guard; a padded array in place of a column array adds 0.76 and
 # fails the diagonal form's guards.  The padded kernel measured 1.16
@@ -135,16 +135,28 @@ def test_bilinear_block_peak_is_four_column_arrays(warm_pair):
 
 
 def test_narrow_quadratic_diagonal_peak_is_one_column_array(warm_pair):
-    """A modulated bump occupies 8 of the 128 columns here: theta's and the
-    velocity factors' column arrays are 8 wide, so the flux spectrum is the
-    one column array.  Measured: 0.38 units below the bound.  The padded
-    kernel held two padded arrays, theta's and the flux's, at any width, and
-    measured 2.29 units over it."""
+    """A modulated bump occupies 8 of the 128 columns here, so its product
+    reaches wo = 15 and the rows are 32 points long (``bilinear._flux_band``).
+    The form holds the accumulator, theta's 8-column array, the velocity
+    factor's array made wo wide for the flux spectrum written over it, and
+    the slab scratch at 32 points (one slab of 17 complex spectra and two of
+    34 doubles per row); besides these, half a unit for the radius quadrant
+    and the velocity symbol on a run of rows, as ``FORM_ALLOWANCE`` counts
+    them.  Measured: 1.64 units, 0.24 below the bound.  A flux spectrum of
+    all m/2 columns would add 1.3 units, the slab scratch at 3m/2 points
+    1.0, and either fails; the parent kernel, with both, measured 4.12.  The
+    padded kernel held two padded arrays, theta's and the flux's, at any
+    width."""
     lattice = warm_pair[0].lattice
     bump = modulated_bump_force(lattice, ForceSpec(variant="bump", size=2))
-    assert bilinear._occupied_columns(bump.coeffs, M // 2) == 8
+    w = bilinear._occupied_columns(bump.coeffs, M // 2)
+    wo, length = bilinear._flux_band(w, w, M // 2)
+    assert (w, wo, length) == (8, 15, 32)
     peak = traced_peak(lambda: quadratic_diagonal(bump))
-    bound = COLUMN + FORM_ALLOWANCE
+    grid = 3 * M // 2
+    columns = grid * ((w | 1) + (wo | 1)) * 16  # rows padded to an odd length
+    slabs = 64 * (length // 2 + 1) * 16 + 2 * 64 * (length + 2) * 8
+    bound = HALF + columns + slabs + HALF // 2
     assert peak <= bound, units_over(peak, bound)
 
 

@@ -10,17 +10,21 @@ coupling tensor, the Riesz velocity and its contraction) against both
 fast forms; ``constants`` at its defaults runs the samplers, the single
 shell fields and the Besov norms.  Every file a report emits is compared
 byte for byte with the copy committed under
-``tests/data/report_bytes/<verb>/``.  The copies of the benchmark
-configurations were recorded with the code as it stood before fields were
-stored as (m, m/2) half spectra, those of ``illpose-step3`` and
-``partition-check`` with the code as it stood before the block envelope
-was built on its box, and those of ``verify-identity`` and ``constants``
-with the code as it stood before fields became scalar-only and the
-lattice dropped its m x m coordinate arrays; all from the command line
-(``sqglab <verb> --config FILE --seed 0 --threads 1 --out DIR``), and
-every change since has kept them.  A change
-that moves any reported value, even in its last printed digit, fails here;
-if it is meant to, re-record the copies and say so in CHANGES.md.
+``tests/data/report_bytes/<verb>/``.  The copy of ``solve`` was recorded
+with the code as it stood before fields were stored as (m, m/2) half
+spectra, that of ``partition-check`` with the code as it stood before the
+block envelope was built on its box, and that of ``verify-identity`` with
+the code as it stood before fields became scalar-only and the lattice
+dropped its m x m coordinate arrays.  Those of ``illpose-step1``,
+``illpose-step2``, ``illpose-step3`` and ``constants`` were re-recorded
+when the quadratic form's rows began to follow the k2 band of its
+product: forms of inputs narrow in k2 round differently there, and
+their values moved by at most 6.7e-16 relative, with every verdict
+unchanged.  All were recorded from the command line (``sqglab <verb>
+--config FILE --seed 0 --threads 1 --out DIR``), and every change since
+has kept them.  A change that moves any reported value, even in its last
+printed digit, fails here; if it is meant to, re-record the copies and
+say so in CHANGES.md.
 """
 
 from pathlib import Path

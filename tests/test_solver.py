@@ -12,7 +12,7 @@ from sqglab.bilinear import bilinear_block, quadratic_diagonal
 from sqglab.forcing import ForceSpec, modulated_bump_force
 from sqglab.runner import config_from_dict, run_experiment
 from sqglab.sampling import random_mean_zero_field
-from sqglab import solver, spectral
+from sqglab import bilinear, solver, spectral
 from sqglab.solver import (
     ConstantsReport,
     SolveConfig,
@@ -76,6 +76,21 @@ def test_picard_divergence_is_a_verdict(lattice32, partition32):
     theta, trace = picard_solve(small_forcing(lattice32, 200.0), partition=partition32)
     assert trace.verdict == "diverged"
     assert np.isfinite(theta.coeffs).all()  # last finite iterate is returned
+
+
+@pytest.mark.parametrize("every_iteration", [True, False])
+def test_sup_norm_monitored_run_reports_an_overflowing_norm_as_diverged(
+    lattice32, partition32, every_iteration
+):
+    # at p = inf the shell values of a 1e160 field are finite and only
+    # their l^2 sum overflows: the loop reads that inf as divergence
+    cfg = SolveConfig(index=BesovIndex(0.0, math.inf, 2.0))
+    big = 1e160 * random_mean_zero_field(lattice32, np.random.default_rng(6))
+    theta, trace = _iterate(SpectralField.zeros(lattice32), lambda theta, quad: big,
+                            lambda theta: None, lambda theta, quad: 0.0, cfg, partition32,
+                            every_iteration=every_iteration)
+    assert trace.verdict == "diverged"
+    assert theta is big and trace.norms == [math.inf]
 
 
 def test_trace_ends_with_the_norm_of_the_returned_iterate(lattice32, partition32):
@@ -421,26 +436,40 @@ def test_carried_step_keeps_the_three_product_loop(lattice128, partition128):
 def test_perturbation_iteration_row_passes_cover_four_plus_two_grids(
     lattice32, partition32, monkeypatch
 ):
-    # one quadratic form at the 3m/2 grid.  Its row passes run a slab of
-    # rows at a time, so they are counted in points, rows x length over
-    # every c2r and r2c call of length grid: per velocity component, the
-    # row passes of theta and of the velocity factor (c2r) and of the flux
-    # (r2c), each over the whole grid once.  The padded kernel made 3 + 2:
-    # theta's row pass ran once, over a whole grid of samples.
-    theta1, theta2 = first_iterates(small_forcing(lattice32, 0.2))
+    # one quadratic form per iteration, on a grid of 3m/2 rows whose length
+    # follows the band of its product (bilinear._flux_band).  Its row passes
+    # run a slab of rows at a time, so they are counted in points, rows x
+    # length, over every c2r and r2c call the forms make, at every length:
+    # per velocity component, the row passes of theta and of the velocity
+    # factor (c2r) and of the flux (r2c), each over the whole grid once.  A
+    # full-band iterate's rows are 3m/2 long, as on the padded kernel's
+    # square grid, which made 3 + 2: theta's row pass ran once, over a
+    # whole grid of samples.  An iterate narrow in k2 runs on shorter rows,
+    # with the same 4 + 2 count.
     grid = 3 * lattice32.m // 2
     binding = spectral._pocketfft
-    points = {"c2r": 0, "r2c": 0}
+    points = {"c2r": {}, "r2c": {}}
+    in_form = [False]
 
     def counted(name, length_of):
         transform = getattr(binding, name)
 
         def run(a, *args):
-            if length_of(a, args) == grid:
-                points[name] += a.shape[-2] * grid
+            if in_form[0]:
+                length = length_of(a, args)
+                points[name][length] = points[name].get(length, 0) + a.shape[-2] * length
             return transform(a, *args)
 
         return run
+
+    transport = bilinear._transport
+
+    def form(*args):
+        in_form[0] = True
+        try:
+            return transport(*args)
+        finally:
+            in_form[0] = False
 
     # c2r(a, axes, lastsize, ...) and r2c(a, axes, ...)
     monkeypatch.setattr(spectral, "_pocketfft", SimpleNamespace(
@@ -448,15 +477,31 @@ def test_perturbation_iteration_row_passes_cover_four_plus_two_grids(
         c2r=counted("c2r", lambda a, args: args[1]),
         r2c=counted("r2c", lambda a, args: a.shape[-1]),
     ))
-    per_run = []
-    for max_iter in (1, 2):
-        points.update(c2r=0, r2c=0)
-        _, trace = perturbation_solve(theta1, theta2, SolveConfig(tol=1e-14, max_iter=max_iter),
-                                      partition=partition32)
-        assert trace.iterations == max_iter
-        per_run.append((points["c2r"], points["r2c"]))
-    (inv1, fwd1), (inv2, fwd2) = per_run
-    assert (inv2 - inv1, fwd2 - fwd1) == (4 * grid * grid, 2 * grid * grid)
+    monkeypatch.setattr(bilinear, "_transport", form)
+    # from columns k2 = 0 and 4, the iterates fill all m/2 columns at once
+    full_band = small_forcing(lattice32, 0.2)
+    narrow = 0.2 * (SpectralField.cosine(lattice32, (4, 0))
+                    + SpectralField.cosine(lattice32, (4, 1)))
+    lengths = []
+    for f in (full_band, narrow):
+        theta1, theta2 = first_iterates(f)
+        per_run = []
+        for max_iter in (1, 2):
+            points["c2r"].clear()
+            points["r2c"].clear()
+            _, trace = perturbation_solve(theta1, theta2,
+                                          SolveConfig(tol=1e-14, max_iter=max_iter),
+                                          partition=partition32)
+            assert trace.iterations == max_iter
+            per_run.append({name: dict(counts) for name, counts in points.items()})
+        first, second = per_run
+        added = {name: {n: second[name][n] - first[name].get(n, 0) for n in second[name]
+                        if second[name][n] != first[name].get(n, 0)}
+                 for name in points}
+        (length,) = added["c2r"]
+        assert added == {"c2r": {length: 4 * grid * length}, "r2c": {length: 2 * grid * length}}
+        lengths.append(length)
+    assert lengths[0] == grid and lengths[1] < grid
 
 
 def test_constants_report_checks_thresholds():

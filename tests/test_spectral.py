@@ -7,6 +7,8 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (
     analysed_half,
@@ -449,6 +451,24 @@ def test_occupied_column_synthesis_is_bitwise_the_full_route(m, columns, occupie
             assert np.array_equal(narrow, full)
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    m=st.sampled_from([8, 16, 64, 256]),
+    data=st.data(),
+)
+def test_occupied_columns_is_the_per_column_scan(m, data):
+    # the halving search against the scan it replaced: the last column, then
+    # each column from the right until one holds a non-zero coefficient
+    h = m // 2
+    columns = data.draw(st.sets(st.integers(0, h), max_size=4))
+    c = column_field(m, sorted(columns), seed=len(columns))[:, :h]
+    width = data.draw(st.integers(0, h))
+    scan = next((k + 1 for k in range(width - 1, -1, -1) if c[:, k].any()), 0)
+    assert _occupied_columns(c, width) == scan
+    stacked = np.stack([c, np.zeros_like(c)])  # leading axes are read as well
+    assert _occupied_columns(stacked, width) == scan
+
+
 def test_occupied_columns_reads_one_column_of_a_full_band_field():
     class Counting(np.ndarray):
         reads = 0
@@ -471,14 +491,19 @@ def test_occupied_columns_reads_one_column_of_a_full_band_field():
 def slab_syntheses(columns, passes):
     """The samples of the column arrays ``columns``, synthesized slab by
     slab in turn through the one ``passes`` and stacked."""
-    grid = passes.grid
-    out = [np.empty((grid, grid)) for _ in columns]
+    grid, length = passes.grid, passes.length
+    out = [np.empty((grid, length)) for _ in columns]
     for top in range(0, grid, 64):
         for a, samples in zip(columns, out):
             rows = passes.synthesis(a[top : top + 64], 0)
-            samples[top : top + 64] = rows[:, :grid]
-            assert not rows[:, grid:].any()
+            samples[top : top + 64] = rows[:, :length]
+            assert not rows[:, length:].any()
     return out
+
+
+# The row passes run on rows of the column grid's length or shorter, down
+# to twice the widest input's columns (bilinear._flux_band): m points here
+# for the m/2 columns of a full-band input.
 
 
 @pytest.mark.parametrize("m", [8, 32, 64, 256])
@@ -499,31 +524,40 @@ def test_column_and_slab_row_passes_are_bitwise_irfft2(m, with_symbol):
             assert rows.stop - rows.start <= 64
             return values[rows]
 
-    for workers in (1, 2):
+    for workers, length in ((1, grid), (2, grid), (1, m), (2, m)):
         with fft_workers(workers):
             # the narrow rows follow the wide ones through the same scratch
             columns = _column_synthesis(((wide, h), (narrow, 3)), grid, symbol)
             assert [a.shape for a in columns] == [(grid, h), (grid, 3)]
-            got = slab_syntheses(columns, _RowPasses(grid, 1))
+            got = slab_syntheses(columns, _RowPasses(grid, length, 1))
         for c, samples in zip((wide, narrow), got):
             want = scipy.fft.irfft2(padded_half(c, grid, values if with_symbol else None),
-                                    s=(grid, grid), norm="forward", workers=workers)
+                                    s=(grid, length), norm="forward", workers=workers)
             assert np.array_equal(samples, want)
+
+
+def test_column_synthesis_makes_room_in_its_first_array():
+    m, grid = 32, 48
+    c = column_field(m, [0, 1, 2], seed=5)[:, : m // 2]
+    wide, narrow = _column_synthesis(((c, 3), (c, 3)), grid, room=10)
+    assert (wide.shape, narrow.shape) == ((grid, 10), (grid, 3))
+    assert np.array_equal(wide[:, :3], narrow)
 
 
 @pytest.mark.parametrize("m", [8, 32, 64, 256])
 def test_slab_row_analysis_and_column_pass_are_bitwise_the_rfft2_crop(m):
     h, grid = m // 2, 3 * m // 2
-    samples = np.random.default_rng(m).standard_normal((grid, grid))
-    for workers in (1, 2):
-        want = scipy.fft.rfft2(samples, norm="forward", workers=workers)[:, :h]
-        passes = _RowPasses(grid, 2)
-        got = np.empty((grid, h + 1), dtype=np.complex128)[:, :h]  # as the form lays it out
-        with fft_workers(workers):
-            for top in range(0, grid, 64):
-                rows = passes.slots[1][: min(64, grid - top)]
-                rows[:, :grid] = samples[top : top + 64]
-                passes.analysis(1, got[top : top + 64])
-                assert not rows[:, grid:].any()
-            _column_analysis(got)
-        assert np.array_equal(got, want)
+    for length in (grid, m):
+        samples = np.random.default_rng(m).standard_normal((grid, length))
+        for workers in (1, 2):
+            want = scipy.fft.rfft2(samples, norm="forward", workers=workers)[:, :h]
+            passes = _RowPasses(grid, length, 2)
+            got = np.empty((grid, h + 1), dtype=np.complex128)[:, :h]  # as the form lays it out
+            with fft_workers(workers):
+                for top in range(0, grid, 64):
+                    rows = passes.slots[1][: min(64, grid - top)]
+                    rows[:, :length] = samples[top : top + 64]
+                    passes.analysis(1, got[top : top + 64])
+                    assert not rows[:, length:].any()
+                _column_analysis(got)
+            assert np.array_equal(got, want)
