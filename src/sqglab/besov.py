@@ -31,8 +31,8 @@ from .spectral import (
     _ball_box,
     _half_synthesis,
     _ifft2,
-    _mirror_slices,
     _occupied_columns,
+    _row_blocks,
 )
 
 __all__ = [
@@ -148,10 +148,10 @@ class DyadicPartition:
         """
         quadrant, m = self.ring_quadrant(j), self.lattice.m
         vals = np.zeros((m, m // 2))
-        rows = _mirror_slices(quadrant.shape[0] - 1, m)
-        cols, quadrant_cols = rows[0]  # k2 >= 0
-        for dst, src in rows:
-            vals[dst, cols] = quadrant[src, quadrant_cols]
+        rows = _row_blocks(quadrant.shape[0] - 1, m)
+        cols = rows[0][0]  # k2 >= 0
+        for dst, _, src in rows:
+            vals[dst, cols] = quadrant[src, cols]
         vals.flags.writeable = False
         return vals
 
@@ -254,26 +254,6 @@ def _even_power(x: np.ndarray, p: int) -> np.ndarray:
         base = base * base
 
 
-def _ring_box(c: np.ndarray, quadrant: np.ndarray, grid: int) -> np.ndarray:
-    """The k2 >= 0 half of ``phi_j * c`` laid out for a ``grid x grid`` real
-    transform, shape ``(grid, grid/2 + 1)``, for the ring's
-    :meth:`~DyadicPartition.ring_quadrant` and a field's half spectrum
-    ``c`` (m, m/2).
-
-    ``grid`` is at least ``2 K_j + 2`` or equal to m, so it holds every live
-    mode.  The live columns are at most ``K_j + 1`` (k2 = 0 .. K_j); the
-    ring is read from the quadrant by slicing, no gather, and the product
-    is written straight into the buffer :func:`_half_synthesis` transforms.
-    """
-    extent = quadrant.shape[0] - 1
-    box, lattice = _mirror_slices(extent, grid), _mirror_slices(extent, c.shape[-2])
-    dst2, q2 = box[0]
-    out = np.zeros((grid, grid // 2 + 1), dtype=c.dtype)
-    for (dst1, q1), (src1, _) in zip(box, lattice):
-        np.multiply(c[src1, dst2], quadrant[q1, q2], out=out[dst1, dst2])
-    return out
-
-
 def _shell_grid(extent: int, p: float, m: int) -> int:
     """Grid size on which a shell of per-axis band ``extent`` is summed.
 
@@ -367,7 +347,14 @@ def shell_profile(
     for j in partition.shells if shells is None else shells:
         extent = partition.ring_extent(j)
         grid = _shell_grid(extent, p, m)
-        proj = _ring_box(c, partition.ring_quadrant(j), grid)
+        # phi_j c into the k2 >= 0 half of a grid x grid real transform; the
+        # grid is m or above 2 K_j + 1, so it holds every mode of the box
+        quadrant = partition.ring_quadrant(j)
+        proj = np.zeros((grid, grid // 2 + 1), dtype=np.complex128)
+        blocks = _row_blocks(extent, m, grid)
+        cols = blocks[0][0]  # k2 = 0 .. K_j
+        for rows, grid_rows, quad in blocks:
+            np.multiply(c[rows, cols], quadrant[quad, cols], out=proj[grid_rows, cols])
         if not proj.any():
             out.append((j, 0.0))
             continue

@@ -28,28 +28,29 @@ whatever its carrier, and gets rows a few times its envelope's width.  A
 real transform there is two 1-D passes: a column pass down the k2
 columns, then a row pass along each of the 3m/2 rows.  Each scalar factor
 and each Riesz-velocity component gets its column pass once, into a
-(3m/2, w) column array of the w columns it occupies, the velocity symbol
-applied while the factor is copied in.  The physical flux is formed one
-velocity component at a time (for the block form the symmetrized sum is
-taken in physical space, so each component costs one analysis), 64 grid
-rows at a time: each factor's row pass, the product and the flux's row
-analysis run in one slab of scratch, and the slab's wo kept columns are
-written into a single (3m/2, wo) flux spectrum, the wider velocity
-factor's own column array, made wo wide for it.  The flux spectrum then
-gets its column pass, is contracted with ``i xi / |xi|^2`` and accumulated
-into the first wo columns of an (m, m/2) array that becomes the output
-field (fields store their k2 >= 0 half, ``spectral.SpectralField``)
-before the next component starts; its other columns stay exact zeros.
-So a scalar factor's row pass runs once per component: per form, the
-diagonal makes 4 row syntheses and 2 row analyses over the whole
-(3m/2, G2) grid, the block form 8 and 2.  In units of one (3m/2, m/2)
-complex column array, 1.5 m^2 complex numbers (the padded
-(3m/2, 3m/4 + 1) array of a whole real transform is 1.5 of them), the
-diagonal form holds 2 for a full-band input (theta and one velocity
-factor) and (w + wo) / (m/2) for a narrow one, a few hundredths for a
-modulated bump, and the block form 4 for full-band inputs (f, g and their
-velocity factors), besides the slab scratch, a few 64-row slabs of G2
-points, and (m, m/2) arrays: the accumulator, which is the output.
+(3m/2, w) column array of the w columns it occupies (a velocity
+factor's made wo wide), the velocity symbol applied while the factor is
+copied in.  The physical flux is formed one velocity component at a time
+(for the block form the symmetrized sum is taken in physical space, so
+each component costs one analysis), 64 grid rows at a time: each
+factor's row pass, the product and the flux's row analysis run in one
+slab of scratch, and the slab's wo kept columns are written into one
+(3m/2, wo) flux spectrum, over R^perp f's column array.  The flux
+spectrum then gets its column pass, is contracted with ``i xi / |xi|^2``
+and accumulated into the first wo columns of an (m, m/2) array that
+becomes the output field (fields store their k2 >= 0 half,
+``spectral.SpectralField``) before the next component starts; its other
+columns stay exact zeros.  So a scalar factor's row pass runs once per
+component: per form, the diagonal makes 4 row syntheses and 2 row
+analyses over the whole (3m/2, G2) grid, the block form 8 and 2.  In
+units of one (3m/2, m/2) complex column array, 1.5 m^2 complex numbers
+(the padded (3m/2, 3m/4 + 1) array of a whole real transform is 1.5 of
+them), the diagonal form holds 2 for a full-band input (theta and one
+velocity factor) and (w + wo) / (m/2) for a narrow one, a few hundredths
+for a modulated bump, and the block form 4 for full-band inputs (f, g
+and their velocity factors) and (wf + wg + 2 wo) / (m/2) for narrow
+ones, besides the slab scratch, a few 64-row slabs of G2 points, and
+(m, m/2) arrays: the accumulator, which is the output.
 The radial factors come from the lattice's radius quadrant and the
 coordinate factors from its 1-D frequency axis, a run of 64 lattice rows
 at a time, so no m x m symbol is made.  Every field is real by
@@ -76,9 +77,9 @@ from .spectral import (
     _column_analysis,
     _column_synthesis,
     _occupied_columns,
-    _padded_rows,
     _radial_multiply,
     _reciprocal,
+    _row_blocks,
     _RowPasses,
     _unfold,
     riesz_velocity,
@@ -252,20 +253,21 @@ def _transport(fc: np.ndarray, gc: np.ndarray | None, lattice: FrequencyLattice)
     the next component starts; the accumulator's other columns stay exact
     zeros, which is their value in exact arithmetic.
 
-    Working set, in (3m/2, m/2) complex column arrays: a factor's column
-    array is (3m/2, w) for its w occupied columns, and the flux spectrum
-    is the wider velocity factor's own column array, made wo wide for it
-    (wo is at least either factor's width; a slab's rows are read before
+    Working set, in (3m/2, m/2) complex column arrays: a scalar factor's
+    column array is (3m/2, w) for its w occupied columns, a velocity
+    factor's (3m/2, wo) (wo is at least either factor's width), and the
+    flux spectrum is written over R^perp f's (a slab's rows are read before
     the flux's are written).  So the diagonal form holds 2 for a full-band
     input (theta and a velocity factor) and (w + wo) / (m/2) for a narrow
     one, the block form 4 for full-band inputs (f, g and their velocity
-    factors).  Besides these: the (m, m/2) accumulator, which is the
-    output, the slab scratch, made for each component once its velocity
-    factors are, and the velocity symbol on a run of ``_SLAB_ROWS``
-    lattice rows while those are made.  No array of the padded size
-    (3m/2, 3m/4 + 1) is made.  The radial factors are taken from the
-    lattice's radius quadrant and the coordinate factors from its 1-D
-    frequency axis, a run of rows at a time, so no m x m symbol is made.
+    factors) and (wf + wg + 2 wo) / (m/2) for narrow ones.  Besides these:
+    the (m, m/2) accumulator, which is the output, the slab scratch, made
+    for each component once its velocity factors are, and the velocity
+    symbol on a run of ``_SLAB_ROWS`` lattice rows while those are made.
+    No array of the padded size (3m/2, 3m/4 + 1) is made.  The radial
+    factors are taken from the lattice's radius quadrant and the coordinate
+    factors from its 1-D frequency axis, a run of rows at a time
+    (:func:`~sqglab.spectral._row_blocks`), so no m x m symbol is made.
 
     The accumulator is returned as the output, its column k2 = 0 made
     exactly Hermitian and its zero mode real in place, so that differences
@@ -301,19 +303,16 @@ def _transport(fc: np.ndarray, gc: np.ndarray | None, lattice: FrequencyLattice)
         def symbol(lat, quad, velocity=velocity):
             return np.multiply(1j * _reciprocal(r[quad, :w]), velocity[lat, :w])
 
-        # wo >= max(wf, wg): the flux spectrum is written over the wider
-        # velocity factor's column array, made wo wide for it
-        g_wider = wg >= wf
-        flux, *other = _column_synthesis(scalars[::-1] if g_wider else scalars, grid,
-                                         symbol, room=wo)
-        wide = flux[:, : max(wf, wg)]
-        other = other[0] if other else wide
-        ug, uf = (wide, other) if g_wider else (other, wide)  # R^perp g, R^perp f
-        del wide, other
+        # wo >= max(wf, wg): the flux spectrum is written over R^perp f's
+        # column array, and every velocity factor's is made wo wide
+        flux, *other = _column_synthesis(scalars, grid, symbol, room=wo)
+        uf = flux[:, :wf]
+        ug = other[0][:, :wg] if other else uf
+        del other
         _flux_spectrum(((f, ug),) if diagonal else ((f, ug), (g, uf)), flux, length)
         del ug, uf
         _column_analysis(flux)
-        for lat, sub, quad in _padded_rows(m, grid, _SLAB_ROWS):
+        for lat, sub, quad in _row_blocks(h - 1, m, grid, _SLAB_ROWS):
             rq = r[quad, :wo]
             np.multiply(xi_k[lat, :wo] * _reciprocal(rq * rq), flux[sub], out=flux[sub])
             acc[lat, :wo] += flux[sub]

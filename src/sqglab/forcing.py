@@ -84,7 +84,7 @@ class ExponentMap:
         for key, val in self.entries:
             if key == n:
                 return val
-        raise KeyError(f"exponent map has no entry for n = {n}")
+        raise ValueError(f"exponent map {self.describe()} has no entry for n = {n}")
 
     def describe(self) -> dict:
         if self.kind == "square":

@@ -126,9 +126,11 @@ class ExperimentConfig:
         return self.params[key]
 
     def echo(self) -> dict:
-        """The report's config block: the verb, then every resolved value."""
+        """The report's config block: the verb, then every resolved value, as
+        a config file spells it (an exponent map by its ``describe()``)."""
         return {"experiment": self.experiment,
-                **{k: list(v) if isinstance(v, tuple) else v
+                **{k: list(v) if isinstance(v, tuple)
+                   else v.describe() if isinstance(v, ExponentMap) else v
                    for k, v in self.params.items()}}
 
 
@@ -523,9 +525,6 @@ def _run_illpose_step2(cfg: ExperimentConfig) -> ExperimentReport:
                      block_range=(k_lo, k_hi), exponents=cfg["exponent_map"])
     spec.validate(lattice)
     partition = build_partition(lattice)
-    params = {"experiment": cfg.experiment, "m": cfg["m"], "h_xi": cfg["h_xi"],
-              "delta": delta, "term_range": [k_lo, k_hi],
-              "exponent_map": spec.exponents.describe(), "seed": cfg["seed"]}
 
     # Each field is dropped after its last use, so at most three are held
     # at once (tests/test_memory.py): f serves its data norms and then
@@ -574,7 +573,7 @@ def _run_illpose_step2(cfg: ExperimentConfig) -> ExperimentReport:
         Verdict("floor-positive", floor > 0, f"{floor:.6g}",
                 "low-frequency floor strictly positive"),
     ]
-    return ExperimentReport(cfg.experiment, params, tables, verdicts)
+    return ExperimentReport(cfg.experiment, cfg.echo(), tables, verdicts)
 
 
 # ksi_max = 128 admits the 4-block band 2**6 + 2**5 of the inflation leg with

@@ -18,7 +18,7 @@ folded silently into the bilinear form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -198,31 +198,33 @@ def _iterate(
     the norm or bound of every update since.  The defect is taken once, for
     the returned iterate.  Verdict, iteration count, returned iterate and
     the last entry of each column are bitwise those of every iteration.
-    """
+
+    A step that is not finite or that raises ``FloatingPointError``, as a
+    form that overflows does, ends the loop as ``diverged`` on the last
+    iterate whose form is finite.  Without ``every_iteration`` the loop is
+    then replayed to that iterate, which takes every norm as the last."""
     trace = IterationTrace()
-    theta = start
+    theta, first = start, carried
     bound = math.inf if every_iteration else _norm_bounds(start, cfg.index, partition)[1]
-    # an update whose norm was skipped, kept until the next step is finite:
-    # if it is not, the returned iterate's entries are completed from it
-    pending = None
     for n in range(1, cfg.max_iter + 1):
-        theta_next = step(theta, carried)
-        if not _finite(theta_next):
+        try:
+            theta_next = step(theta, carried)
+            if not _finite(theta_next):
+                raise FloatingPointError
+            carried = None  # free it before the form evaluates the next term
+            with np.errstate(over="ignore"):
+                carried = quad_term(theta_next)
+        except FloatingPointError:
+            if n > 1 and not every_iteration:  # theta's skipped entries are gone
+                theta, trace = _iterate(start, step, quad_term, defect_norm,
+                                        replace(cfg, max_iter=n - 1), partition, first,
+                                        every_iteration=False)
             trace.verdict = "diverged"
-            if trace.norms and not every_iteration:
-                with np.errstate(over="ignore"):
-                    if math.isnan(trace.norms[-1]):
-                        trace.norms[-1] = besov_norm(theta, cfg.index, partition)
-                    if pending is not None:
-                        trace.residuals[-1] = besov_norm(pending, cfg.index, partition)
-                    trace.pde_residuals[-1] = defect_norm(theta, carried)
             return theta, trace
-        carried = pending = None  # free them before the form evaluates the next term
         last = n == cfg.max_iter
         # norms of a blowing-up iterate overflow to inf; that is the
         # divergence signal, not an error condition
         with np.errstate(over="ignore"):
-            carried = quad_term(theta_next)
             update_field = theta_next - theta
             theta = theta_next
             if every_iteration or last:
@@ -230,8 +232,6 @@ def _iterate(
                 update = besov_norm(update_field, cfg.index, partition)
             else:
                 norm, update, bound = _bounded_norms(theta, update_field, bound, cfg, partition)
-            if update is None:
-                pending = update_field
             del update_field
             verdict = None
             if norm is not None:
@@ -261,7 +261,8 @@ def picard_solve(
     """Iterate theta -> Lf + sign * (-Delta)^{-1} div(theta u) to a fixed point.
 
     Divergence is a verdict on the returned trace, not an exception: the
-    inflation experiments intentionally run outside the contraction regime.
+    inflation experiments intentionally run outside the contraction regime,
+    and a form that overflows inside the loop ends it (:func:`_iterate`).
     ``theta0`` defaults to zero, making the first two iterates literally
     Lf and Lf + sign*B[Lf, Lf].
 
@@ -334,6 +335,9 @@ def perturbation_solve(
     benchmark configuration (m = 256, sizes 4 and 5, 27 + 23 iterations)
     the two solves take 17 norms where that took 150.
 
+    A form that overflows ends the loop as ``diverged`` (:func:`_iterate`);
+    the three evaluated before it raise ``FloatingPointError``.
+
     The subtraction cancels: its rounding is about eps |B[base, base]|,
     against a coupled term of about 2 |B[base, tilde]|.  Measured against
     the three-product step 2 B[base, tilde] + B[tilde, tilde] on
@@ -388,8 +392,8 @@ class ConstantsReport:
     epsilon0: float
 
     def __post_init__(self) -> None:
-        if not (self.c0 > 0 and self.c1 > 0):
-            raise ValueError("constants must be positive")
+        if not (0 < self.c0 < math.inf and 0 < self.c1 < math.inf):
+            raise ValueError("constants must be positive and finite")
         if not math.isclose(self.delta0, 1.0 / (8.0 * self.c0 * self.c1), rel_tol=1e-12):
             raise ValueError("delta0 is not 1/(8 c0 c1)")
         if not math.isclose(self.epsilon0, 1.0 / (4.0 * self.c1), rel_tol=1e-12):
@@ -402,11 +406,12 @@ def bilinear_ratio(
     index: BesovIndex,
     partition: DyadicPartition,
 ) -> float:
-    """||B[f, g]|| / (||f|| ||g||) at one index, the sampled boundedness quotient."""
+    """||B[f, g]|| / (||f|| ||g||) at one index, the sampled boundedness
+    quotient; inf when the denominator is zero."""
     nf = besov_norm(f, index, partition)
     ng = besov_norm(g, index, partition)
     nb = besov_norm(bilinear_block(f, g), index, partition)
-    return nb / (nf * ng)
+    return nb / (nf * ng) if nf * ng else math.inf
 
 
 def _inner_edge_field(
@@ -447,7 +452,18 @@ def estimate_constants(
     pairs (which dominate it, the quadratic form gaining one derivative),
     smooth decaying pairs, and white-spectrum pairs.  delta0 and epsilon0
     follow by the contraction bookkeeping 1/(8 c0 c1) and 1/(4 c1).
+    A zero or non-finite quotient raises ``ValueError`` naming p and the lattice.
     """
+
+    def sampled(numerator: float, denominator: float = 1.0) -> float:
+        # every sampled field is non-zero: a Besov quadrature left the float
+        # range (a p-th power, or a weight of the lattice, under- or overflowed)
+        quotient = numerator / denominator if denominator else math.inf
+        if 0.0 < quotient < math.inf:
+            return quotient
+        raise ValueError(f"the Besov quadratures at p = {p} on {lattice!r} leave the "
+                         f"float range: a sampled quotient is {quotient}")
+
     if samples < 50:
         raise ValueError(f"need at least 50 samples for a stable estimate, got {samples}")
     if partition is None:
@@ -466,11 +482,8 @@ def estimate_constants(
             f = single_shell_field(lattice, partition, j, rng)
         if not f.coeffs.any():
             continue
-        c0 = max(
-            c0,
-            besov_norm(inverse_laplacian(f), sol, partition)
-            / besov_norm(f, dat, partition),
-        )
+        c0 = max(c0, sampled(besov_norm(inverse_laplacian(f), sol, partition),
+                             besov_norm(f, dat, partition)))
 
     low = [j for j in shells if j <= partition.j_min + 4]
     shell_pairs = [(k, l) for k in low for l in low if abs(k - l) <= 2]
@@ -489,7 +502,7 @@ def estimate_constants(
             g = random_mean_zero_field(lattice, rng)
         if not (f.coeffs.any() and g.coeffs.any()):
             continue
-        c1 = max(c1, bilinear_ratio(f, g, sol, partition))
+        c1 = max(c1, sampled(bilinear_ratio(f, g, sol, partition)))
 
     return ConstantsReport(
         c0=c0,

@@ -125,6 +125,14 @@ class FrequencyLattice:
             raise ValueError(f"m must be a power of two >= 8, got {self.m}")
         if not (self.h_xi > 0):
             raise ValueError(f"h_xi must be positive, got {self.h_xi}")
+        # every radial symbol is finite and non-zero off the origin when
+        # |xi|**2 and 1/|xi|**2 are at the smallest and the corner radius
+        corner = self.h_xi * (self.m // 2)
+        r2 = np.hypot([self.h_xi, corner], [0.0, corner]) ** 2
+        with np.errstate(all="ignore"):
+            if not np.all((r2 > 0.0) & (r2 < np.inf) & (1.0 / r2 < np.inf)):
+                raise ValueError(f"h_xi = {self.h_xi} puts |xi|**2 or 1/|xi|**2 out of the "
+                                 f"float range on the m = {self.m} lattice")
 
     @property
     def box_length(self) -> float:
@@ -169,7 +177,7 @@ class FrequencyLattice:
         Mode ``(k1, k2)`` reads ``R[|k1|, |k2|]``, bitwise
         ``hypot(xi_axis[k1], xi_axis[k2])``, since ``hypot`` ignores signs.
         A quarter of the lattice's size; radial symbols are applied from it
-        through :func:`_mirror_slices`.
+        by slicing (:func:`_row_blocks`).
         """
         xi = self.h_xi * np.arange(self.m // 2 + 1, dtype=np.int64)
         r = np.hypot(xi[:, None], xi[None, :])
@@ -404,15 +412,30 @@ def _checked(lattice: FrequencyLattice, out: np.ndarray, operator: str) -> Spect
     return SpectralField._adopt(lattice, out)
 
 
-def _mirror_slices(extent: int, n: int) -> list[tuple[slice, slice]]:
-    """``(destination, quadrant)`` slice pairs covering one axis of an ``n``-point
-    FFT layout with ``|k| <= extent``: ``k >= 0`` reads ``Q[:h]``, ``k < 0``
-    reads ``Q[h-1:0:-1]``, and the ``k = -n/2`` slot ``Q[n/2]``, if in reach."""
-    h = min(extent + 1, n // 2)
-    pieces = [(slice(0, h), slice(0, h)), (slice(n - h + 1, n), slice(h - 1, 0, -1))]
-    if extent == n // 2:
-        pieces.append((slice(h, h + 1), slice(h, h + 1)))
-    return pieces
+def _row_blocks(
+    extent: int, n: int, grid: int | None = None, run: int | None = None
+) -> tuple[tuple[slice, slice, slice], ...]:
+    """``(rows, grid rows, quadrant rows)`` slices of the indices ``|k| <=
+    extent`` of an ``n``-point FFT axis, k = 0 .. e, then k = -e .. -1
+    (e = min(extent, n/2 - 1)), then the unpaired -n/2 if ``extent``
+    reaches it: their places in that layout, at the same frequencies in a
+    ``grid``-point one (default n), and ``|k|``, the rows of a radial
+    symbol's quadrant (:attr:`FrequencyLattice.radius_quadrant`).  With
+    ``run``, each block is split into runs of at most ``run`` indices."""
+    grid = n if grid is None else grid
+    h = n // 2
+    e = min(extent, h - 1)
+    step = run or e + 1
+    out = []
+    for lo in range(0, e + 1, step):
+        hi = min(lo + step, e + 1)
+        out.append((slice(lo, hi), slice(lo, hi), slice(lo, hi)))
+    for lo in range(-e, 0, step):  # k = lo .. hi - 1
+        hi = min(lo + step, 0)
+        out.append((slice(n + lo, n + hi), slice(grid + lo, grid + hi), slice(-lo, -hi, -1)))
+    if extent >= h:
+        out.append((slice(h, h + 1), slice(grid - h, grid - h + 1), slice(h, h + 1)))
+    return tuple(out)
 
 
 def _radial_multiply(symbol: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -420,13 +443,13 @@ def _radial_multiply(symbol: np.ndarray, c: np.ndarray) -> np.ndarray:
     (shape (m/2 + 1, m/2 + 1), as :attr:`FrequencyLattice.radius_quadrant`)
     and coefficients ``c``, a half spectrum (..., m, m/2) or a full
     (..., m, m) array: each mode reads the quadrant at ``(|k1|, |k2|)``
-    through mirrored slices, so no m x m symbol is made.  Bitwise the
+    by slicing (:func:`_row_blocks`), so no m x m symbol is made.  Bitwise the
     product with the unfolded symbol."""
     out = np.empty_like(c)
-    rows = _mirror_slices(symbol.shape[0] - 1, c.shape[-2])
+    rows = _row_blocks(symbol.shape[0] - 1, c.shape[-2])
     cols = rows if c.shape[-1] == c.shape[-2] else rows[:1]
-    for dst1, src1 in rows:
-        for dst2, src2 in cols:
+    for dst1, _, src1 in rows:
+        for dst2, _, src2 in cols:
             np.multiply(symbol[src1, src2], c[..., dst1, dst2], out=out[..., dst1, dst2])
     return out
 
@@ -547,28 +570,6 @@ def _occupied_columns(c: np.ndarray, width: int) -> int:
     return hi
 
 
-def _padded_rows(
-    m: int, grid: int, run: int | None = None
-) -> tuple[tuple[slice, slice, slice], ...]:
-    """``(lattice rows, grid rows, quadrant rows)`` of the two row blocks a
-    lattice of ``m`` modes shares with a ``grid``-point transform, in FFT
-    order: k1 = 0 .. m/2 - 1, then k1 = -(m/2 - 1) .. -1, whose ``|k1|``
-    are the quadrant rows.  The unpaired k1 = -m/2 row is in neither.
-    With ``run``, each block is split into runs of at most ``run`` rows, so
-    that a symbol on a run's rows stays small."""
-    h = m // 2
-    step = run or h
-    out = []
-    for i in range(0, h, step):
-        j = min(i + step, h)
-        out.append((slice(i, j), slice(i, j), slice(i, j)))
-    for i in range(1, h, step):  # lattice row h + i is k1 = i - h
-        j = min(i + step, h)
-        out.append((slice(h + i, h + j), slice(grid - h + i, grid - h + j),
-                    slice(h - i, h - j, -1)))
-    return tuple(out)
-
-
 def _half_synthesis(half: np.ndarray, live: int) -> np.ndarray:
     """Real samples on a ``grid x grid`` mesh from the writable, C-contiguous
     k2 >= 0 half ``half`` (shape (..., grid, grid/2 + 1)) whose columns
@@ -605,20 +606,21 @@ def _column_synthesis(
 ) -> list[np.ndarray]:
     """The column passes of real syntheses on ``grid`` rows: for each pair
     ``(c, cols)`` of a half spectrum c (m, m/2) and its leading ``cols``
-    columns, a (grid, cols) complex array.  The first array alone is made
-    ``max(cols, room)`` wide and returned whole, its columns from ``cols``
-    on unset: room for a wider array that the caller later writes over it.
+    columns, a complex array of ``grid`` rows, made ``max(cols, room)``
+    wide and returned whole, its columns from ``cols`` on unset: room for a
+    wider array that the caller later writes over it.
 
-    The lattice's rows are laid into their grid rows (:func:`_padded_rows`),
+    The lattice's rows are laid into their grid rows (:func:`_row_blocks`),
     the rows between them and the unpaired k = -m/2 row left zero, and the
-    columns are transformed down axis 0 in place.  Row i of an array is
-    then the first ``cols`` entries of grid row i's k2 >= 0 half, whose
-    other entries are zero when ``cols`` covers every non-zero column of c
-    (:func:`_occupied_columns`); :meth:`_RowPasses.synthesis` completes the
-    synthesis a slab of rows at a time.  ``symbol(rows, quadrant_rows)``,
-    if given, is a lattice symbol on a run of at most ``_SLAB_ROWS`` lattice
-    rows and at least the widest ``cols`` columns; it is evaluated once per
-    run and multiplies every half during the copy.
+    first ``cols`` columns are transformed down axis 0 in place.  Row i of
+    an array then begins with the first ``cols`` entries of grid row i's
+    k2 >= 0 half, whose other entries are zero when ``cols`` covers every
+    non-zero column of c (:func:`_occupied_columns`);
+    :meth:`_RowPasses.synthesis` completes the synthesis a slab of rows at
+    a time.  ``symbol(rows, quadrant_rows)``, if given, is a lattice
+    symbol on a run of at most ``_SLAB_ROWS`` lattice rows and at least
+    the widest ``cols`` columns; it is evaluated once per run and
+    multiplies every half during the copy.
 
     Each array is a view whose rows are padded to an odd length: with a
     power-of-two row stride every entry of a column falls in the same cache
@@ -626,13 +628,12 @@ def _column_synthesis(
     """
     m = halves[0][0].shape[-2]
     h = m // 2
-    widths = [cols for _, cols in halves]
-    widths[0] = max(widths[0], room)
+    widths = [max(cols, room) for _, cols in halves]
     made = [np.empty((grid, w | 1), dtype=np.complex128)[:, :w] for w in widths]
     out = [a[:, :cols] for a, (_, cols) in zip(made, halves)]
     for a in out:
         a[h : grid - h + 1] = 0.0
-    for src, dst, quad in _padded_rows(m, grid, _SLAB_ROWS):
+    for src, dst, quad in _row_blocks(h - 1, m, grid, _SLAB_ROWS):
         run = None if symbol is None else symbol(src, quad)
         for (c, cols), a in zip(halves, out):
             if run is None:

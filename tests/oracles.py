@@ -14,8 +14,8 @@ from sqglab.spectral import (
     SpectralField,
     _half_synthesis,
     _occupied_columns,
-    _padded_rows,
     _reciprocal,
+    _row_blocks,
     _unfold,
     strip_unpaired_edge,
 )
@@ -102,6 +102,26 @@ def probe_symbol_from_rings(probe, xi1, xi2):
     return 1.0 - total
 
 
+def ring_box(c, quadrant, grid):
+    """Reference layout of a shell: the k2 >= 0 half of ``phi_j * c`` for a
+    ``grid x grid`` real transform, shape ``(grid, grid/2 + 1)``, for a
+    ring's ``ring_quadrant`` and a field's half spectrum ``c`` (m, m/2).
+
+    Row by row: each lattice row k1 with ``|k1| <= K_j`` (``np.fft.fftfreq``
+    order) is multiplied by quadrant row ``|k1|`` over the columns
+    ``k2 = 0 .. min(K_j, m/2 - 1)`` and written to grid row ``k1 mod
+    grid``.  ``grid`` is m or above ``2 K_j + 1``, as
+    ``besov._shell_grid`` picks it, so the rows stay apart."""
+    m = c.shape[-2]
+    extent = quadrant.shape[0] - 1
+    cols = min(extent + 1, m // 2)
+    out = np.zeros((grid, grid // 2 + 1), dtype=c.dtype)
+    for i, k in enumerate(np.fft.fftfreq(m, 1.0 / m).astype(int)):
+        if abs(k) <= extent:
+            out[k % grid, :cols] = c[i, :cols] * quadrant[abs(k), :cols]
+    return out
+
+
 def shift_spectrum(coeffs, steps):
     """Literal relocation of a spectrum by ``steps`` cells along axis 0, zero
     filled: centre it, shift the rows, and move it back to FFT order."""
@@ -162,7 +182,7 @@ def padded_half(c, grid, symbol=None, cols=None):
     m = c.shape[-2]
     w = m // 2 if cols is None else cols
     half = np.zeros(c.shape[:-2] + (grid, grid // 2 + 1), dtype=np.complex128)
-    for src, dst, _ in _padded_rows(m, grid):
+    for src, dst, _ in _row_blocks(m // 2 - 1, m, grid):
         if symbol is None:
             half[..., dst, :w] = c[..., src, :w]
         else:
@@ -214,7 +234,7 @@ def padded_transport(fc, gc, lattice):
     grid = 3 * h
     xi = lattice.xi_axis
     r = lattice.radius_quadrant[:, :h]
-    rows = _padded_rows(m, grid)
+    rows = _row_blocks(h - 1, m, grid)
     wf = _occupied_columns(fc, h)
     wg = wf if diagonal else _occupied_columns(gc, h)
     w = max(wf, wg)
@@ -254,9 +274,16 @@ def eager_iterate(start, step, quad_term, defect_norm, cfg, partition, carried=N
     trace = IterationTrace()
     theta = start
     for _ in range(cfg.max_iter):
-        theta_next = step(theta, carried)
-        carried = None  # free it before the defect evaluates the next one
-        if not _finite(theta_next):
+        # a step that is not finite, or a form that overflows (and raises),
+        # ends the loop on the last iterate whose form is finite
+        try:
+            theta_next = step(theta, carried)
+            if not _finite(theta_next):
+                raise FloatingPointError
+            carried = None  # free it before the form evaluates the next one
+            with np.errstate(over="ignore"):
+                carried = quad_term(theta_next)
+        except FloatingPointError:
             trace.verdict = "diverged"
             return theta, trace
         # norms of a blowing-up iterate overflow to inf; that is the
@@ -266,7 +293,6 @@ def eager_iterate(start, step, quad_term, defect_norm, cfg, partition, carried=N
             update = besov_norm(theta_next - theta, cfg.index, partition)
             trace.norms.append(norm)
             trace.residuals.append(update)
-            carried = quad_term(theta_next)
             trace.pde_residuals.append(defect_norm(theta_next, carried))
         theta = theta_next
         if not math.isfinite(norm):

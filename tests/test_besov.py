@@ -13,6 +13,7 @@ from oracles import (
     physical,
     physical_real,
     probe_symbol_from_rings,
+    ring_box,
 )
 from sqglab.besov import (
     _STEP,
@@ -21,7 +22,6 @@ from sqglab.besov import (
     _absolute_sum,
     _norm_bounds,
     _quadrature_fits,
-    _ring_box,
     _shell_grid,
     besov_norm,
     build_partition,
@@ -106,7 +106,7 @@ def irfft2_profile(f, s, p, partition):
     out = []
     for j in partition.shells:
         grid = _shell_grid(partition.ring_extent(j), p, m)
-        half = _ring_box(f.coeffs, partition.ring_quadrant(j), grid)
+        half = ring_box(f.coeffs, partition.ring_quadrant(j), grid)
         samples = scipy.fft.irfft2(half, s=(grid, grid), norm="forward")
         cell = f.lattice.box_length / grid
         out.append((j, 2.0 ** (s * j) * lp_norm(samples, p, cell * cell)))

@@ -20,9 +20,11 @@ dropped its m x m coordinate arrays.  Those of ``illpose-step1``,
 when the quadratic form's rows began to follow the k2 band of its
 product: forms of inputs narrow in k2 round differently there, and
 their values moved by at most 6.7e-16 relative, with every verdict
-unchanged.  All were recorded from the command line (``sqglab <verb>
---config FILE --seed 0 --threads 1 --out DIR``), and every change since
-has kept them.  A change that moves any reported value, even in its last
+unchanged.  That of ``illpose-step2`` was re-recorded once more when
+its config block began to be echoed from the verb table (``size_range``
+in place of ``term_range``); nothing else in it changed.  All were
+recorded from the command line (``sqglab <verb> --config FILE --seed 0
+--threads 1 --out DIR``), and every change since has kept them.  A change that moves any reported value, even in its last
 printed digit, fails here; if it is meant to, re-record the copies and
 say so in CHANGES.md.
 """

@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sqglab
@@ -269,7 +270,7 @@ def test_step3_report_bytes_independent_of_fft_workers(tmp_path):
         # quadratic_diagonal on the padded grid of a larger lattice
         ({"experiment": "illpose-step2", "m": 256, "h_xi": 0.25, "size_range": [1, 2]},
          {"experiment": "illpose-step2", "m": 256, "h_xi": 0.25, "delta": 0.01,
-          "term_range": [1, 2], "exponent_map": {"kind": "affine", "scale": 2, "shift": 0},
+          "size_range": [1, 2], "exponent_map": {"kind": "affine", "scale": 2, "shift": 0},
           "seed": 0}),
     ],
     ids=["constants", "illpose-step2"],
@@ -404,6 +405,50 @@ def test_cli_refuses_a_mistyped_value_by_name(tmp_path, capsys, verb, payload, k
     assert main([verb, "--config", cfg, "--out", str(out_dir)]) == 2
     assert f"config key {key}" in capsys.readouterr().err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "verb, payload, name",
+    [
+        # |xi|**2 overflows or underflows at some lattice radius
+        ("verify-identity", {"h_xi": 1e200}, "h_xi"),
+        ("verify-identity", {"h_xi": 1e-200}, "h_xi"),
+        ("solve", {"h_xi": 1e200}, "h_xi"),
+        # the sampled quotients' Besov quadratures leave the float range
+        ("constants", {"p": 1000}, "p = 1000"),
+        ("solve", {"p": 1000}, "p = 1000"),
+        ("constants", {"p": 200}, "p = 200"),
+        # a table exponent map without a term the sweep needs
+        ("illpose-step2", {"exponent_map": {"kind": "table", "entries": [[1, 2]]}},
+         "exponent map"),
+        ("illpose-step3", {"exponent_map": {"kind": "table", "entries": [[1, 2]]}},
+         "exponent map"),
+    ],
+    ids=lambda value: value if isinstance(value, str) else json.dumps(value),
+)
+def test_cli_refuses_a_typed_but_extreme_config_by_name(tmp_path, capsys, verb, payload, name):
+    # well typed, but nothing can be computed from it: exit 2 naming the
+    # key, never a traceback, and nothing written
+    cfg = write_cfg(tmp_path, payload)
+    out_dir = tmp_path / "runs"
+    with np.errstate(all="ignore"):
+        code = main([verb, "--config", cfg, "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    assert code == 2 and "Traceback" not in err
+    assert name in err
+    assert not out_dir.exists()
+
+
+def test_an_echoed_config_runs_again(tmp_path):
+    # the report's config block is a config: fed back, it runs the same
+    # experiment and is echoed unchanged
+    raw = {"experiment": "illpose-step2", "m": 256, "h_xi": 0.25, "size_range": [1, 2],
+           "out_dir": str(tmp_path / "a")}
+    echo = run_experiment(config_from_dict(raw)).config
+    again = run_experiment(config_from_dict({**echo, "out_dir": str(tmp_path / "b")}))
+    assert again.config == echo
+    for path in (tmp_path / "a").iterdir():
+        assert path.read_bytes() == (tmp_path / "b" / path.name).read_bytes()
 
 
 def test_cli_runs_a_besov_exponent_of_infinity(tmp_path):

@@ -351,7 +351,7 @@ def lazy_and_eager(theta1, theta2, cfg, partition, monkeypatch):
     got = perturbation_solve(theta1, theta2, cfg, partition=partition)
     taken = len(calls)
     monkeypatch.undo()
-    (args, kwargs), = loops
+    args, kwargs = loops[0]  # a loop that replays itself after a failed form calls again
     args = args[:6]  # start, step, quad_term, defect_norm, cfg, partition
     return got, eager_iterate(*args, carried=kwargs["carried"]), taken
 
@@ -395,6 +395,29 @@ def test_perturbation_loop_ends_bitwise_as_the_eager_loop(
     # the eager loop takes 3 norms per iteration; this one 3 at its exit
     # and a few where the bounds could not decide
     assert calls <= 3 + got.iterations // 3, (calls, got.iterations)
+
+
+def test_a_form_that_overflows_in_the_loop_ends_it_as_diverged(
+    lattice32, partition32, monkeypatch
+):
+    # monitored at p = inf, a field 1e3 times a random one overflows inside
+    # the quadratic form (which raises) while every norm is finite: both
+    # loops end diverged on the last iterate whose form is finite, and the
+    # route that skips norms ends as the eager loop, bit for bit
+    cfg = SolveConfig(index=BesovIndex(-1.0, math.inf, 2.0))
+    f = 1e3 * random_mean_zero_field(lattice32, np.random.default_rng(3))
+    theta, trace = picard_solve(f, cfg, partition=partition32)
+    assert trace.verdict == "diverged" and all(map(math.isfinite, trace.norms))
+    with pytest.raises(FloatingPointError), np.errstate(over="ignore"):
+        quadratic_diagonal(inverse_laplacian(f) - quadratic_diagonal(theta))
+    (got_tilde, got), (want_tilde, want), _ = lazy_and_eager(
+        *first_iterates(f), cfg, partition32, monkeypatch)
+    assert got.verdict == want.verdict == "diverged"
+    assert got.iterations == want.iterations > 1 and math.isnan(got.norms[0])
+    assert np.array_equal(got_tilde.coeffs, want_tilde.coeffs)
+    for have, full in ((got.norms, want.norms), (got.residuals, want.residuals),
+                       (got.pde_residuals, want.pde_residuals)):
+        assert same_bits(have[-1], full[-1])
 
 
 def test_perturbation_takes_exact_norms_only_near_its_exit(

@@ -30,6 +30,7 @@ from sqglab.spectral import (
     _half_synthesis,
     _occupied_columns,
     _reciprocal,
+    _row_blocks,
     _RowPasses,
     _unfold,
     dyadic_rescale,
@@ -536,12 +537,18 @@ def test_column_and_slab_row_passes_are_bitwise_irfft2(m, with_symbol):
             assert np.array_equal(samples, want)
 
 
-def test_column_synthesis_makes_room_in_its_first_array():
+def test_column_synthesis_makes_room_in_every_array():
+    # every array is max(cols, room) wide, its first cols columns the ones
+    # made without room
     m, grid = 32, 48
-    c = column_field(m, [0, 1, 2], seed=5)[:, : m // 2]
-    wide, narrow = _column_synthesis(((c, 3), (c, 3)), grid, room=10)
-    assert (wide.shape, narrow.shape) == ((grid, 10), (grid, 3))
-    assert np.array_equal(wide[:, :3], narrow)
+    c = column_field(m, [0, 1, 2, 3, 4], seed=5)[:, : m // 2]
+    halves = ((c, 3), (c, 5), (c, 12))
+    plain = _column_synthesis(halves, grid)
+    roomy = _column_synthesis(halves, grid, room=10)
+    assert [a.shape for a in plain] == [(grid, 3), (grid, 5), (grid, 12)]
+    assert [a.shape for a in roomy] == [(grid, 10), (grid, 10), (grid, 12)]
+    for a, b, (_, cols) in zip(roomy, plain, halves):
+        assert np.array_equal(a[:, :cols], b)
 
 
 @pytest.mark.parametrize("m", [8, 32, 64, 256])
@@ -561,3 +568,25 @@ def test_slab_row_analysis_and_column_pass_are_bitwise_the_rfft2_crop(m):
                     assert not rows[:, length:].any()
                 _column_analysis(got)
             assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("n", range(8, 65, 2))
+def test_row_blocks_place_every_index_at_its_frequency(n):
+    # each block's rows, read index by index, are the FFT indices |k| <=
+    # extent in the order k = 0 .. e, -e .. -1, then -n/2 when reached; each
+    # sits at k mod grid in the grid layout and at |k| in the quadrant
+    freq = np.fft.fftfreq(n, 1.0 / n).astype(int)
+    for extent in range(n // 2 + 1):
+        e = min(extent, n // 2 - 1)
+        want = [*range(e + 1), *range(-e, 0), *([-n // 2] if extent == n // 2 else [])]
+        for grid in (n, 3 * n // 2):
+            for run in (None, 3):
+                blocks = _row_blocks(extent, n, grid, run)
+                rows = [i for b in blocks for i in range(n)[b[0]]]
+                grid_rows = [i for b in blocks for i in range(grid)[b[1]]]
+                quadrant_rows = [i for b in blocks for i in range(n // 2 + 1)[b[2]]]
+                assert [freq[i] for i in rows] == want
+                assert grid_rows == [k % grid for k in want]
+                assert quadrant_rows == [abs(k) for k in want]
+                assert all(len(range(n)[b[0]]) == len(range(grid)[b[1]])
+                           == len(range(n // 2 + 1)[b[2]]) <= (run or n) for b in blocks)
