@@ -360,8 +360,16 @@ def shell_profile(
             continue
         cell = field.lattice.box_length / grid
         samples = _half_synthesis(proj, min(extent + 1, occupied))
-        out.append((j, 2.0 ** (s * j) * lp_norm(samples, p, cell * cell)))
+        out.append((j, _shell_weight(s, j) * lp_norm(samples, p, cell * cell)))
     return out
+
+
+def _shell_weight(s: float, j: int) -> float:
+    """``2**(s j)``, inf where it leaves the float range (as in :func:`lq_aggregate`)."""
+    try:
+        return 2.0 ** (s * j)
+    except OverflowError:
+        return math.inf
 
 
 def lq_aggregate(entries: list[float], q: float) -> float:
@@ -544,7 +552,7 @@ def _norm_bounds(
     half_p = 0.5 if math.isinf(p) else 0.5 * p
     lows, highs = [], []
     for j, s1, s2 in sums:
-        weight = 2.0 ** (index.s * j) * scale
+        weight = _shell_weight(index.s, j) * scale
         if s2 > 0.0 and half_p * math.log2(s2) > -_EXPONENT_ROOM:
             lows.append(weight * math.sqrt(s2) * (1.0 - _ROUNDING_ROOM))
         else:

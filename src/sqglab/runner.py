@@ -393,7 +393,7 @@ def _run_solve(cfg: ExperimentConfig) -> ExperimentReport:
     fixed_point = theta - (lf + QUADRATIC_SIGN * quadratic_diagonal(theta))
     fp_residual = besov_norm(fixed_point, solution_index, partition) / theta_norm
     pde_residual = trace.pde_residuals[-1] / f_norm
-    worst_ratio = trace.worst_ratio(skip=1)
+    worst_ratio = trace.worst_ratio()
 
     g = f * 0.7
     theta_g, _ = picard_solve(g, solve_cfg, partition=partition)

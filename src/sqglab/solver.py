@@ -1,9 +1,9 @@
 """Fixed-point machinery for the stationary balance theta = Lf + B[theta, theta].
 
-``picard_solve`` iterates the contraction map from the zero guess,
-``perturbation_solve`` solves the equation satisfied by the correction on
-top of the first two Picard iterates, and ``estimate_constants`` samples
-the operator norms that the smallness thresholds are built from.
+``picard_solve`` iterates the contraction map from the zero guess and
+``perturbation_solve`` the same map re-centred on the sum of the first two
+Picard iterates, each with one quadratic form per iterate.
+``estimate_constants`` samples the operator norms behind the thresholds.
 
 Sign convention: the physically consistent fixed point is
 
@@ -119,9 +119,9 @@ class IterationTrace:
             for a, b in zip(self.residuals, self.residuals[1:])
         ]
 
-    def worst_ratio(self, skip: int = 1) -> float:
-        """Largest contraction ratio after discarding the first ``skip``."""
-        tail = self.ratios[skip:]
+    def worst_ratio(self) -> float:
+        """Largest contraction ratio but the first, the one against the start."""
+        tail = self.ratios[1:]
         return max(tail) if tail else 0.0
 
 
@@ -178,17 +178,15 @@ def _iterate(
     defect_norm,
     cfg: SolveConfig,
     partition: DyadicPartition,
-    carried: SpectralField | None = None,
     every_iteration: bool = True,
 ) -> tuple[SpectralField, IterationTrace]:
     """Shared fixed-point loop: ``step(theta, quad)`` maps an iterate to the next.
 
     ``quad_term(theta)`` is the quadratic term of an iterate, or None, and
     ``defect_norm(theta, quad)`` the defect norm of an iterate with that
-    term.  The term is evaluated for every iterate and handed to the step
+    term.  The term is evaluated once for every iterate, ``start``
+    included, and handed to the defect of that iterate and to the step
     from it, which may use it instead of evaluating the form again.
-    ``carried`` is the term handed to the first step, from ``start``; None
-    means the step has nothing to reuse.
 
     With ``every_iteration`` the trace holds every norm.  Without it the
     loop takes the norms only where the stopping test needs them
@@ -199,25 +197,29 @@ def _iterate(
     the returned iterate.  Verdict, iteration count, returned iterate and
     the last entry of each column are bitwise those of every iteration.
 
-    A step that is not finite or that raises ``FloatingPointError``, as a
-    form that overflows does, ends the loop as ``diverged`` on the last
-    iterate whose form is finite.  Without ``every_iteration`` the loop is
-    then replayed to that iterate, which takes every norm as the last."""
+    A step that is not finite or a term that raises ``FloatingPointError``,
+    as a form that overflows does, ends the loop as ``diverged`` on the last
+    iterate whose term is finite (``start``, with an empty trace, when its
+    own term overflows).  Without ``every_iteration`` the loop is then
+    replayed to that iterate, which takes every norm as the last."""
     trace = IterationTrace()
-    theta, first = start, carried
+    theta = start
     bound = math.inf if every_iteration else _norm_bounds(start, cfg.index, partition)[1]
     for n in range(1, cfg.max_iter + 1):
         try:
-            theta_next = step(theta, carried)
-            if not _finite(theta_next):
-                raise FloatingPointError
-            carried = None  # free it before the form evaluates the next term
-            with np.errstate(over="ignore"):
-                carried = quad_term(theta_next)
+            # a form or step leaving the float range signals divergence
+            with np.errstate(over="ignore", invalid="ignore"):
+                if n == 1:
+                    quad = quad_term(start)
+                theta_next = step(theta, quad)
+                if not _finite(theta_next):
+                    raise FloatingPointError
+                quad = None  # free it before the form evaluates the next term
+                quad = quad_term(theta_next)
         except FloatingPointError:
             if n > 1 and not every_iteration:  # theta's skipped entries are gone
                 theta, trace = _iterate(start, step, quad_term, defect_norm,
-                                        replace(cfg, max_iter=n - 1), partition, first,
+                                        replace(cfg, max_iter=n - 1), partition,
                                         every_iteration=False)
             trace.verdict = "diverged"
             return theta, trace
@@ -242,7 +244,7 @@ def _iterate(
             trace.norms.append(math.nan if norm is None else norm)
             trace.residuals.append(math.nan if update is None else update)
             if every_iteration or last or verdict is not None:
-                trace.pde_residuals.append(defect_norm(theta, carried))
+                trace.pde_residuals.append(defect_norm(theta, quad))
             else:
                 trace.pde_residuals.append(math.nan)
         if verdict is not None:
@@ -267,20 +269,17 @@ def picard_solve(
     Lf and Lf + sign*B[Lf, Lf].
 
     The PDE defect of each iterate needs B[theta, theta], and so does the
-    step from that iterate; the defect's evaluation is carried into the
-    step instead of being repeated (same function, same input, same bits),
-    so a run of n iterations evaluates the quadratic form n + 1 times.
-    Every iteration takes all three norms, since ``solve`` reports them
-    all (:class:`IterationTrace`).
+    step from that iterate; :func:`_iterate` evaluates it once and hands it
+    to both, so a run of n iterations evaluates the quadratic form n + 1
+    times, the first time at theta0.  Every iteration takes all three
+    norms, since ``solve`` reports them all (:class:`IterationTrace`).
     """
     if partition is None:
         partition = build_partition(f.lattice)
     lf = inverse_laplacian(f)
     sign = float(QUADRATIC_SIGN)
 
-    def step(theta: SpectralField, quad: SpectralField | None) -> SpectralField:
-        if quad is None:
-            quad = quadratic_diagonal(theta)
+    def step(theta: SpectralField, quad: SpectralField) -> SpectralField:
         return lf + sign * quad
 
     def defect_norm(theta: SpectralField, quad: SpectralField) -> float:
@@ -301,63 +300,51 @@ def perturbation_solve(
 ) -> tuple[SpectralField, IterationTrace]:
     """Solve the correction equation on top of the first two iterates.
 
-    With B the signed quadratic form and theta2 = B[theta1, theta1], the
-    correction solves
+    With B the signed quadratic form, base = theta1 + theta2 and theta2 =
+    B[theta1, theta1], the correction solves
 
-        tilde = 2 B[theta1, theta2] + B[theta2, theta2]
-                + 2 B[theta1 + theta2, tilde] + B[tilde, tilde]
+        tilde = B[base + tilde, base + tilde] - theta2
 
-    and theta1 + theta2 + tilde satisfies the full fixed-point equation.
-    This is Picard re-centred on base = theta1 + theta2: by bilinearity the
-    coupled term ``2 B[base, tilde] + B[tilde, tilde]`` equals
-    ``B[base + tilde, base + tilde] - B[base, base]``.
+    so base + tilde solves the full fixed-point equation, whatever theta2
+    is (its choice only makes tilde small): Picard re-centred on base.
 
     The trace's last pde_residuals entry reports the stationary defect of
     the reassembled field, so convergence of the correction and correctness
-    of the splitting are monitored at once.  The loop evaluates
-    B[base + tilde, base + tilde] for every tilde, from the reassembled
-    field; the defect reads it, and it is carried into the step from the
-    same tilde, which subtracts B[base, base] (evaluated once per solve;
-    the first step, from tilde = 0, gets it as its carried term, so its
-    coupled term is exactly zero).  An iteration thus evaluates the quadratic form once: 3 column
-    syntheses and 2 column analyses of 3m/2 points, and row passes over
-    4 + 2 grids of 3m/2 rows, each as long as the band of the iterate's
-    product needs, 3m/2 points once it is full-band (``bilinear._transport``).
+    of the splitting are monitored at once.  B[base + tilde, base + tilde]
+    is evaluated once per tilde, tilde = 0 included, and both the defect
+    of that tilde and the step from it read it (:func:`_iterate`): a solve
+    of n iterations evaluates n + 1 quadratic forms
+    (``bilinear._transport``) and none besides.
 
     Its Besov norms are taken only where the stopping test needs them
-    (:func:`_iterate`).  Most iterations take none: coefficient sums bound
-    the update's norm (:func:`~sqglab.besov._norm_bounds`, no transform)
-    and a triangle-inequality chain the iterate's, far enough from the
-    stopping threshold that the test provably goes on.  The last
-    iterations take the iterate's and the update's, and the exit the
-    defect's; the returned field and every last entry of the trace are
-    bitwise those of taking all three every iteration.  At illpose-step1's
-    benchmark configuration (m = 256, sizes 4 and 5, 27 + 23 iterations)
-    the two solves take 17 norms where that took 150.
+    (:func:`_iterate`, :func:`_bounded_norms`), and the returned field and
+    every last entry of the trace are bitwise those of taking all three
+    every iteration.  At illpose-step1's benchmark configuration (m = 256,
+    sizes 4 and 5, 27 + 23 iterations) the two solves take 17 norms where
+    that took 150.
 
-    A form that overflows ends the loop as ``diverged`` (:func:`_iterate`);
-    the three evaluated before it raise ``FloatingPointError``.
+    A form that overflows ends the loop as ``diverged``, with an empty
+    trace when it is the first, B[base, base] (:func:`_iterate`).
 
-    The subtraction cancels: its rounding is about eps |B[base, base]|,
-    against a coupled term of about 2 |B[base, tilde]|.  Measured against
-    the three-product step 2 B[base, tilde] + B[tilde, tilde] on
-    illpose-step1's modulated bumps at m = 512, h_xi = 0.125, sizes 4, 5, 6
-    (carriers 2^2, 2^3, 2^4): the same verdicts and iteration counts
-    (27, 23, 17), and the largest coefficient of tilde moves by 1.2e-14,
-    7.5e-14 and 1.5e-13 relative (its Besov norm by 1.9e-15, 1.4e-14 and
-    3.0e-14), growing with the carrier.  The test suite pins the loss at
-    m = 128, h_xi = 0.25, carrier 2^3 (2.2e-13 and 5.8e-14 there).
+    The step cancels: B[base + tilde, base + tilde] is theta2 + tilde at
+    the fixed point, so its rounding is about eps |theta2|.  Measured
+    against the three-product step, 2 B[theta1, theta2] + B[theta2, theta2]
+    + 2 B[base, tilde] + B[tilde, tilde], on illpose-step1's modulated
+    bumps at m = 512, h_xi = 0.125, sizes 4, 5, 6 (carriers 2^2, 2^3, 2^4):
+    the same verdicts and iteration counts (27, 23, 17), and the largest
+    coefficient of tilde moves by 1.2e-14, 3.9e-14 and 1.6e-13 relative
+    (its Besov norm by 1.9e-15, 8.5e-15 and 3.6e-14), growing with the
+    carrier.  The test suite pins the loss at m = 128, h_xi = 0.25,
+    carrier 2^3 (2.1e-13 and 4.8e-14 there).
     """
     if partition is None:
         partition = build_partition(theta1.lattice)
     sign = float(QUADRATIC_SIGN)
     base = theta1 + theta2
-    base_quad = quadratic_diagonal(base)
-    source = sign * (2.0 * bilinear_block(theta1, theta2) + quadratic_diagonal(theta2))
     f_equiv = neg_laplacian(theta1)
 
     def step(tilde: SpectralField, quad: SpectralField) -> SpectralField:
-        return source + sign * (quad - base_quad)
+        return sign * quad - theta2
 
     def quad_term(tilde: SpectralField) -> SpectralField:
         return quadratic_diagonal(base + tilde)
@@ -368,8 +355,7 @@ def perturbation_solve(
         return besov_norm(defect, cfg.data_index, partition)
 
     zero = SpectralField.zeros(theta1.lattice)
-    return _iterate(zero, step, quad_term, defect_norm, cfg, partition, carried=base_quad,
-                    every_iteration=False)
+    return _iterate(zero, step, quad_term, defect_norm, cfg, partition, every_iteration=False)
 
 
 # ---------------------------------------------------------------------------
@@ -472,37 +458,39 @@ def estimate_constants(
     sol = BesovIndex.solution_index(p, q)
     dat = BesovIndex.data_index(p, q)
 
-    shells = list(partition.shells)
-    c0 = 0.0
-    for i in range(samples):
-        j = shells[(i // 2) % len(shells)]
-        if i % 2:
-            f = _inner_edge_field(lattice, j, rng)
-        else:
-            f = single_shell_field(lattice, partition, j, rng)
-        if not f.coeffs.any():
-            continue
-        c0 = max(c0, sampled(besov_norm(inverse_laplacian(f), sol, partition),
-                             besov_norm(f, dat, partition)))
+    # ``sampled`` refuses a quadrature that leaves the float range; numpy is quiet
+    with np.errstate(over="ignore", invalid="ignore"):
+        shells = list(partition.shells)
+        c0 = 0.0
+        for i in range(samples):
+            j = shells[(i // 2) % len(shells)]
+            if i % 2:
+                f = _inner_edge_field(lattice, j, rng)
+            else:
+                f = single_shell_field(lattice, partition, j, rng)
+            if not f.coeffs.any():
+                continue
+            c0 = max(c0, sampled(besov_norm(inverse_laplacian(f), sol, partition),
+                                 besov_norm(f, dat, partition)))
 
-    low = [j for j in shells if j <= partition.j_min + 4]
-    shell_pairs = [(k, l) for k in low for l in low if abs(k - l) <= 2]
-    c1 = 0.0
-    for i in range(samples):
-        style = i % 3
-        if style == 0 and shell_pairs:
-            k, l = shell_pairs[(i // 3) % len(shell_pairs)]
-            f = single_shell_field(lattice, partition, k, rng)
-            g = single_shell_field(lattice, partition, l, rng)
-        elif style == 1:
-            f = random_mean_zero_field(lattice, rng, decay=2.0)
-            g = random_mean_zero_field(lattice, rng, decay=2.0)
-        else:
-            f = random_mean_zero_field(lattice, rng)
-            g = random_mean_zero_field(lattice, rng)
-        if not (f.coeffs.any() and g.coeffs.any()):
-            continue
-        c1 = max(c1, sampled(bilinear_ratio(f, g, sol, partition)))
+        low = [j for j in shells if j <= partition.j_min + 4]
+        shell_pairs = [(k, l) for k in low for l in low if abs(k - l) <= 2]
+        c1 = 0.0
+        for i in range(samples):
+            style = i % 3
+            if style == 0 and shell_pairs:
+                k, l = shell_pairs[(i // 3) % len(shell_pairs)]
+                f = single_shell_field(lattice, partition, k, rng)
+                g = single_shell_field(lattice, partition, l, rng)
+            elif style == 1:
+                f = random_mean_zero_field(lattice, rng, decay=2.0)
+                g = random_mean_zero_field(lattice, rng, decay=2.0)
+            else:
+                f = random_mean_zero_field(lattice, rng)
+                g = random_mean_zero_field(lattice, rng)
+            if not (f.coeffs.any() and g.coeffs.any()):
+                continue
+            c1 = max(c1, sampled(bilinear_ratio(f, g, sol, partition)))
 
     return ConstantsReport(
         c0=c0,

@@ -265,7 +265,7 @@ def padded_transport(fc, gc, lattice):
     return acc
 
 
-def eager_iterate(start, step, quad_term, defect_norm, cfg, partition, carried=None):
+def eager_iterate(start, step, quad_term, defect_norm, cfg, partition):
     """The fixed-point loop that takes every norm: the iterate's, the
     update's and the defect's, on every iteration, with the arguments of
     ``solver._iterate``.  ``perturbation_solve``'s loop, which takes them
@@ -273,16 +273,22 @@ def eager_iterate(start, step, quad_term, defect_norm, cfg, partition, carried=N
     bit for bit."""
     trace = IterationTrace()
     theta = start
+    # a form that overflows (and raises), or a step that is not finite,
+    # ends the loop on the last iterate whose form is finite
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            quad = quad_term(start)
+    except FloatingPointError:
+        trace.verdict = "diverged"
+        return theta, trace
     for _ in range(cfg.max_iter):
-        # a step that is not finite, or a form that overflows (and raises),
-        # ends the loop on the last iterate whose form is finite
         try:
-            theta_next = step(theta, carried)
-            if not _finite(theta_next):
-                raise FloatingPointError
-            carried = None  # free it before the form evaluates the next one
-            with np.errstate(over="ignore"):
-                carried = quad_term(theta_next)
+            with np.errstate(over="ignore", invalid="ignore"):
+                theta_next = step(theta, quad)
+                if not _finite(theta_next):
+                    raise FloatingPointError
+                quad = None  # free it before the form evaluates the next one
+                quad = quad_term(theta_next)
         except FloatingPointError:
             trace.verdict = "diverged"
             return theta, trace
@@ -293,7 +299,7 @@ def eager_iterate(start, step, quad_term, defect_norm, cfg, partition, carried=N
             update = besov_norm(theta_next - theta, cfg.index, partition)
             trace.norms.append(norm)
             trace.residuals.append(update)
-            trace.pde_residuals.append(defect_norm(theta_next, carried))
+            trace.pde_residuals.append(defect_norm(theta_next, quad))
         theta = theta_next
         if not math.isfinite(norm):
             trace.verdict = "diverged"

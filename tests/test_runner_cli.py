@@ -418,6 +418,9 @@ def test_cli_refuses_a_mistyped_value_by_name(tmp_path, capsys, verb, payload, k
         ("constants", {"p": 1000}, "p = 1000"),
         ("solve", {"p": 1000}, "p = 1000"),
         ("constants", {"p": 200}, "p = 200"),
+        # a shell weight 2**(s j) leaves the float range (shells near j = -500)
+        ("constants", {"m": 32, "h_xi": 1e-150}, "h_xi=1e-150"),
+        ("solve", {"m": 32, "h_xi": 1e-150}, "h_xi=1e-150"),
         # a table exponent map without a term the sweep needs
         ("illpose-step2", {"exponent_map": {"kind": "table", "entries": [[1, 2]]}},
          "exponent map"),
@@ -437,6 +440,22 @@ def test_cli_refuses_a_typed_but_extreme_config_by_name(tmp_path, capsys, verb, 
     assert code == 2 and "Traceback" not in err
     assert name in err
     assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("p", [200, 1000])
+def test_cli_refusal_is_all_it_writes_to_stderr(tmp_path, capfd, p):
+    # the sampled quadratures overflow on the way to the refusal; a fresh
+    # interpreter, with Python's default warning filters, writes nothing
+    # to stderr but the refusal's one line
+    env = dict(os.environ, PYTHONPATH=str(Path(sqglab.__file__).parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    cfg = write_cfg(tmp_path, {"p": p})
+    done = subprocess.run([sys.executable, "-m", "sqglab.cli", "constants", "--config", cfg,
+                           "--out", str(tmp_path / "runs")], env=env, cwd=tmp_path)
+    err = capfd.readouterr().err
+    assert done.returncode == 2
+    assert err.startswith(f"error: the Besov quadratures at p = {p} ")
+    assert err.count("\n") == 1 and err.endswith("\n")
 
 
 def test_an_echoed_config_runs_again(tmp_path):
