@@ -35,22 +35,17 @@ from pathlib import Path
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from .runner import VERBS, Verb, config_from_dict, run_experiment  # noqa: E402
+from .runner import VERBS, ExperimentConfig, config_from_dict, run_experiment  # noqa: E402
 from .spectral import set_fft_workers  # noqa: E402
 
 
-def _as_config_value(default) -> str:
-    """A default as a JSON config file would spell it."""
-    if hasattr(default, "describe"):
-        default = default.describe()
-    return json.dumps(default)
-
-
-def _config_keys(verb: Verb) -> str:
-    width = max(map(len, verb.defaults))
+def _config_keys(name: str) -> str:
+    """The verb's keys and defaults, spelled as its report's config block."""
+    defaults = ExperimentConfig(name).echo()
+    del defaults["experiment"]
+    width = max(map(len, defaults))
     return "config keys (--config FILE) and their defaults:\n" + "\n".join(
-        f"  {key:<{width}}  {_as_config_value(default)}"
-        for key, default in verb.defaults.items()
+        f"  {key:<{width}}  {json.dumps(value)}" for key, value in defaults.items()
     )
 
 
@@ -62,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="experiment", required=True, metavar="experiment")
     for name, verb in VERBS.items():
         cmd = sub.add_parser(name, help=verb.help, description=verb.help,
-                             epilog=_config_keys(verb),
+                             epilog=_config_keys(name),
                              formatter_class=argparse.RawDescriptionHelpFormatter)
         cmd.add_argument("--config", type=Path, default=None,
                          help="JSON file of experiment parameters")
@@ -146,7 +141,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = config_from_dict(raw)
         report = run_experiment(cfg)
-    except (ValueError, TypeError) as err:
+    except (ValueError, TypeError, FloatingPointError) as err:
+        # an operator that left the float range is the config's doing too
         print(f"error: {err}", file=sys.stderr)
         return 2
     for line in report.summary_lines():

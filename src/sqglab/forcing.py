@@ -291,6 +291,19 @@ def shared_annulus_modes(lattice: FrequencyLattice, exponents: list[int]) -> int
     )
 
 
+def _bump_sum(lattice: FrequencyLattice, terms) -> SpectralField:
+    """The field sum over ``terms`` (s, amp) of (amp / 2) [chi-hat(xi - 2**s
+    e1) + chi-hat(xi + 2**s e1)], for a spec the caller has validated."""
+    if lattice.h_xi > 0.25:
+        raise ValueError(
+            f"lattice too coarse to resolve the unit bump: h_xi = {lattice.h_xi:g} > 1/4"
+        )
+    coeffs = np.zeros((lattice.m, lattice.m // 2), dtype=np.complex128)
+    for s, amp in terms:
+        _add_bump_pair(coeffs, lattice, 2.0**s, 0.5 * amp)
+    return SpectralField._adopt(lattice, strip_unpaired_edge(coeffs))
+
+
 def modulated_bump_force(lattice: FrequencyLattice, spec: ForceSpec) -> SpectralField:
     """Single bump carried to frequency 2**carrier along e1.
 
@@ -300,38 +313,27 @@ def modulated_bump_force(lattice: FrequencyLattice, spec: ForceSpec) -> Spectral
     if spec.variant != "bump":
         raise ValueError(f"expected a bump spec, got variant {spec.variant!r}")
     spec.validate(lattice)
-    if lattice.h_xi > 0.25:
-        raise ValueError(
-            f"lattice too coarse to resolve the unit bump: h_xi = {lattice.h_xi:g} > 1/4"
-        )
-    c = spec.carrier
-    amp = spec.delta * 2.0 ** (2.5 * c)
-    coeffs = np.zeros((lattice.m, lattice.m // 2), dtype=np.complex128)
-    _add_bump_pair(coeffs, lattice, 2.0**c, 0.5 * amp)
-    return SpectralField._adopt(lattice, strip_unpaired_edge(coeffs))
+    return _bump_sum(lattice, [(spec.carrier, spec.delta * 2.0 ** (2.5 * spec.carrier))])
+
+
+def _lacunary_terms(spec: ForceSpec) -> list[tuple[int, int, float]]:
+    """``(n, s(n), amplitude)`` of each term of a lacunary spec."""
+    log_weight = math.sqrt(math.log(spec.size))
+    return [(n, s, spec.delta * 2.0 ** (2.5 * s) / (math.sqrt(n) * log_weight))
+            for n, s in zip(spec.block_indices(), spec.block_exponents())]
 
 
 def lacunary_force(lattice: FrequencyLattice, spec: ForceSpec) -> SpectralField:
     """Sum of modulated bumps on the exponent sequence with 1/sqrt(n) weights.
 
-    Term n carries amplitude delta 2**(5 s(n)/2) / (sqrt(n) sqrt(ln size));
-    the shell-separation invariant makes the supporting annuli pairwise
-    disjoint.  The logarithm is the natural one.
+    Term n carries amplitude delta 2**(5 s(n)/2) / (sqrt(n) sqrt(ln size))
+    (:func:`_lacunary_terms`); the shell-separation invariant makes the
+    supporting annuli pairwise disjoint.  The logarithm is the natural one.
     """
     if spec.variant != "lacunary":
         raise ValueError(f"expected a lacunary spec, got variant {spec.variant!r}")
     spec.validate(lattice)
-    if lattice.h_xi > 0.25:
-        raise ValueError(
-            f"lattice too coarse to resolve the unit bump: h_xi = {lattice.h_xi:g} > 1/4"
-        )
-    log_weight = math.sqrt(math.log(spec.size))
-    coeffs = np.zeros((lattice.m, lattice.m // 2), dtype=np.complex128)
-    for n in spec.block_indices():
-        s = spec.exponents(n)
-        amp = spec.delta * 2.0 ** (2.5 * s) / (math.sqrt(n) * log_weight)
-        _add_bump_pair(coeffs, lattice, 2.0**s, 0.5 * amp)
-    return SpectralField._adopt(lattice, strip_unpaired_edge(coeffs))
+    return _bump_sum(lattice, [(s, amp) for _, s, amp in _lacunary_terms(spec)])
 
 
 def _check_translations(lattice: FrequencyLattice, stride: float, exps: list[int]) -> None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 
@@ -48,13 +48,6 @@ class Table:
             lines.append(",".join(format_value(v) for v in row))
         return "\n".join(lines) + "\n"
 
-    def to_jsonable(self) -> dict:
-        return {
-            "name": self.name,
-            "columns": list(self.columns),
-            "rows": [list(row) for row in self.rows],
-        }
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -68,14 +61,6 @@ class Verdict:
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
         return f"[{tag}] {self.name}: observed {self.observed} against {self.threshold}"
-
-    def to_jsonable(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "observed": self.observed,
-            "threshold": self.threshold,
-        }
 
 
 @dataclass
@@ -100,14 +85,12 @@ class ExperimentReport:
         return all(v.passed for v in self.verdicts)
 
     def to_jsonable(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "config": self.config,
-            "tables": [t.to_jsonable() for t in self.tables],
-            "verdicts": [v.to_jsonable() for v in self.verdicts],
-            "partial": self.partial,
-            "passed": self.passed,
-        }
+        """Every field but ``wall_seconds``, tables and verdicts as dicts of
+        their fields, then ``passed``."""
+        out = asdict(self)
+        del out["wall_seconds"]
+        out["passed"] = self.passed
+        return out
 
     def summary_lines(self) -> list[str]:
         lines = [v.line() for v in self.verdicts]

@@ -38,6 +38,17 @@ def _real_field(lattice: FrequencyLattice, coeffs: np.ndarray) -> SpectralField:
     return SpectralField._adopt(lattice, strip_unpaired_edge(half))
 
 
+def _weighted_field(lattice: FrequencyLattice, rng: np.random.Generator,
+                    weight: np.ndarray | None = None) -> SpectralField:
+    """The real field of complex Gaussian draws on the whole lattice, times
+    ``weight`` given on the radius quadrant, if any: every sample's draws."""
+    m = lattice.m
+    c = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    if weight is not None:
+        c = _radial_multiply(weight, c)
+    return _real_field(lattice, c)
+
+
 def random_mean_zero_field(
     lattice: FrequencyLattice,
     rng: np.random.Generator,
@@ -50,13 +61,33 @@ def random_mean_zero_field(
     spectrum is the rough generic case.  The damping is applied from a
     quadrant of ``|xi|^2``, so no lattice-sized coordinate array is made.
     """
-    m = lattice.m
-    c = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    weight = None
     if decay:
-        xi = lattice.h_xi * np.arange(m // 2 + 1)
+        xi = lattice.h_xi * np.arange(lattice.m // 2 + 1)
         radius_sq = xi[:, None] * xi[:, None] + xi[None, :] * xi[None, :]
-        c = _radial_multiply((1.0 + radius_sq) ** (-decay / 2.0), c)
-    return _real_field(lattice, c)
+        weight = (1.0 + radius_sq) ** (-decay / 2.0)
+    return _weighted_field(lattice, rng, weight)
+
+
+def _band_limited_field(lattice: FrequencyLattice, rng, radius: float) -> SpectralField:
+    """The white field's draws masked to |xi| <= ``radius`` before they are
+    symmetrized: a 0/1 product is exact, so as masking after, up to signed zeros."""
+    return _weighted_field(lattice, rng, lattice.radius_quadrant <= radius)
+
+
+def _inner_edge_field(lattice: FrequencyLattice, j: int, rng) -> SpectralField:
+    """Random field spectrally concentrated at the inner plateau edge of shell j.
+
+    Mass just above 0.875 * 2**j maximizes the per-mode gain (2**j / |xi|)**2
+    of the inverse Laplacian within a single shell, so these fields push the
+    sampled c0 toward the true supremum instead of its in-shell average.
+    Without a lattice mode there it is zero and draws nothing.
+    """
+    r = lattice.radius_quadrant
+    mask = (r > 0.875 * 2.0**j) & (r < 0.95 * 2.0**j)
+    if not mask.any():
+        return SpectralField.zeros(lattice)
+    return _weighted_field(lattice, rng, mask)
 
 
 def single_shell_field(
@@ -65,7 +96,8 @@ def single_shell_field(
     j: int,
     rng: np.random.Generator,
 ) -> SpectralField:
-    """Random real field spectrally supported in the ring of shell ``j``."""
+    """Random real field spectrally supported in the ring of shell ``j``
+    (the ring is not 0/1, so it multiplies the field, not the draws)."""
     if not partition.ring_quadrant(j).any():
         raise ValueError(f"shell {j} has no lattice support on {lattice!r}")
     base = random_mean_zero_field(lattice, rng)

@@ -33,14 +33,8 @@ from .besov import (
     build_partition,
 )
 from .bilinear import bilinear_block, quadratic_diagonal
-from .sampling import _real_field, random_mean_zero_field, single_shell_field
-from .spectral import (
-    FrequencyLattice,
-    SpectralField,
-    _radial_multiply,
-    inverse_laplacian,
-    neg_laplacian,
-)
+from .sampling import _inner_edge_field, random_mean_zero_field, single_shell_field
+from .spectral import FrequencyLattice, SpectralField, inverse_laplacian, neg_laplacian
 
 __all__ = [
     "QUADRATIC_SIGN",
@@ -171,6 +165,14 @@ def _bounded_norms(
     return norm, update, norm
 
 
+def _defect_norm(theta: SpectralField, quad: SpectralField, f: SpectralField,
+                 index: BesovIndex, partition: DyadicPartition) -> float:
+    """Norm of the stationary defect -Delta(theta) + div(theta u) - f, with
+    div(theta u) = (-Delta) ``quad`` recovered from the sign-free quadratic
+    form ``quad`` = B[theta, theta], so the defect itself pins the sign."""
+    return besov_norm(neg_laplacian(theta) + neg_laplacian(quad) - f, index, partition)
+
+
 def _iterate(
     start: SpectralField,
     step,
@@ -283,10 +285,7 @@ def picard_solve(
         return lf + sign * quad
 
     def defect_norm(theta: SpectralField, quad: SpectralField) -> float:
-        # -Delta(theta) + div(theta u) - f, with div(theta u) recovered from
-        # the sign-free quadratic form so the defect itself pins the sign
-        defect = neg_laplacian(theta) + neg_laplacian(quad) - f
-        return besov_norm(defect, cfg.data_index, partition)
+        return _defect_norm(theta, quad, f, cfg.data_index, partition)
 
     start = SpectralField.zeros(f.lattice) if theta0 is None else theta0
     return _iterate(start, step, quadratic_diagonal, defect_norm, cfg, partition)
@@ -350,9 +349,7 @@ def perturbation_solve(
         return quadratic_diagonal(base + tilde)
 
     def defect_norm(tilde: SpectralField, quad: SpectralField) -> float:
-        total = base + tilde
-        defect = neg_laplacian(total) + neg_laplacian(quad) - f_equiv
-        return besov_norm(defect, cfg.data_index, partition)
+        return _defect_norm(base + tilde, quad, f_equiv, cfg.data_index, partition)
 
     zero = SpectralField.zeros(theta1.lattice)
     return _iterate(zero, step, quad_term, defect_norm, cfg, partition, every_iteration=False)
@@ -398,27 +395,6 @@ def bilinear_ratio(
     ng = besov_norm(g, index, partition)
     nb = besov_norm(bilinear_block(f, g), index, partition)
     return nb / (nf * ng) if nf * ng else math.inf
-
-
-def _inner_edge_field(
-    lattice: FrequencyLattice,
-    j: int,
-    rng: np.random.Generator,
-) -> SpectralField:
-    """Random field spectrally concentrated at the inner plateau edge of shell j.
-
-    Mass just above 0.875 * 2**j maximizes the per-mode gain (2**j / |xi|)**2
-    of the inverse Laplacian within a single shell, so these fields push the
-    sampled c0 toward the true supremum instead of its in-shell average.
-    The radial mask is applied from the lattice's radius quadrant.
-    """
-    r = lattice.radius_quadrant
-    mask = (r > 0.875 * 2.0**j) & (r < 0.95 * 2.0**j)
-    if not mask.any():
-        return SpectralField.zeros(lattice)
-    shape = (lattice.m, lattice.m)
-    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return _real_field(lattice, _radial_multiply(mask, c))
 
 
 def estimate_constants(

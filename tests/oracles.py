@@ -9,11 +9,13 @@ import numpy as np
 from sqglab import spectral
 from sqglab.besov import _STEP, besov_norm
 from sqglab.profiles import SmoothStep
+from sqglab.sampling import random_mean_zero_field
 from sqglab.solver import _TINY, IterationTrace, _finite
 from sqglab.spectral import (
     SpectralField,
     _half_synthesis,
     _occupied_columns,
+    _radial_multiply,
     _reciprocal,
     _row_blocks,
     _unfold,
@@ -309,3 +311,12 @@ def eager_iterate(start, step, quad_term, defect_norm, cfg, partition):
             return theta, trace
     trace.verdict = "max_iter"
     return theta, trace
+
+
+def band_limited_field(lattice, rng, radius):
+    """The band-limited sample by its first route: a white
+    ``random_mean_zero_field``, then masked to the modes with |xi| <=
+    ``radius``.  The package masks the draws before symmetrizing instead."""
+    field = random_mean_zero_field(lattice, rng)
+    mask = lattice.radius_quadrant <= radius
+    return SpectralField._adopt(lattice, _radial_multiply(mask, field.coeffs))

@@ -45,8 +45,8 @@ from sqglab.forcing import (
     translated_block_force,
 )
 from sqglab.runner import config_from_dict, run_experiment
-from sqglab.sampling import random_mean_zero_field, single_shell_field
-from sqglab.solver import SolveConfig, _inner_edge_field, perturbation_solve
+from sqglab.sampling import _inner_edge_field, random_mean_zero_field, single_shell_field
+from sqglab.solver import SolveConfig, perturbation_solve
 from sqglab.spectral import (
     FrequencyLattice,
     SpectralField,

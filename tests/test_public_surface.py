@@ -142,3 +142,22 @@ def test_every_traced_method_is_defined_on_its_class(layer, cls_name, method):
     # that is deleted or only inherited would stop every traced run
     cls = getattr(importlib.import_module(f"sqglab.{layer}"), cls_name)
     assert method in cls.__dict__
+
+
+def _draw_sites():
+    """``(module, innermost enclosing function or None)`` of every
+    ``.standard_normal(`` call in the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = _parsed(path)
+        owner = {id(node): func.name for func in ast.walk(tree)
+                 if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "standard_normal"):
+                yield path.name, owner.get(id(node))
+
+
+def test_every_random_field_is_drawn_in_one_place():
+    # one owner of the Gaussian draw: a second one elsewhere would have to
+    # be kept in step with it by hand
+    assert set(_draw_sites()) == {("sampling.py", "_weighted_field")}

@@ -18,8 +18,10 @@ import pytest
 import sqglab
 from sqglab import runner, spectral
 from sqglab.cli import main
+from sqglab.forcing import ExponentMap, ForceSpec, lacunary_force
 from sqglab.reports import ExperimentReport, Table, Verdict, emit_report, format_value
 from sqglab.runner import ExperimentConfig, config_from_dict, run_experiment
+from sqglab.spectral import FrequencyLattice
 
 
 # -- configuration ---------------------------------------------------------
@@ -282,6 +284,39 @@ def test_report_bytes_independent_of_fft_workers(tmp_path, raw, echo):
     assert json.loads(report)["config"] == echo
 
 
+def test_step1_dominance_needs_every_perturbation_converged():
+    # at delta = 1e100 both perturbation loops diverge on their first form,
+    # leaving the zero start's norm 0, which is no evidence of dominance
+    cfg = config_from_dict({"experiment": "illpose-step1", "m": 256, "size_range": [4, 5],
+                            "delta": 1e100})
+    with np.errstate(all="ignore"):
+        report = run_experiment(cfg, write=False)
+    sweep = report.tables[0]
+    assert [row[-1] for row in sweep.rows] == ["diverged", "diverged"]
+    assert [row[5] for row in sweep.rows] == [0.0, 0.0]
+    verdict = next(v for v in report.verdicts if v.name == "second-iterate-dominates")
+    assert not verdict.passed
+    assert verdict.observed == ("0.000 (per size 0.000/0.000); perturbation not "
+                                "converged: size 4 diverged, size 5 diverged")
+
+
+def test_step2_terms_are_the_amplitudes_of_the_built_forcing():
+    # the terms table reads the law that builds the forcing: term n's bump is
+    # exactly 1 at its centre (+S, 0), so its coefficient there is half the
+    # amplitude
+    report = run_experiment(config_from_dict(
+        {"experiment": "illpose-step2", "m": 1024, "h_xi": 0.25, "delta": 0.03}), write=False)
+    lattice = FrequencyLattice(m=1024, h_xi=0.25)
+    spec = ForceSpec(variant="lacunary", delta=0.03, size=3, block_range=(1, 3),
+                     exponents=ExponentMap.affine(2, 0))
+    coeffs = lacunary_force(lattice, spec).coeffs
+    terms = next(t for t in report.tables if t.name == "terms")
+    assert [row[:2] for row in terms.rows] == [(1, 2), (2, 4), (3, 6)]
+    for _, s, amplitude in terms.rows:
+        centre = coeffs[round(2.0**s / lattice.h_xi), 0]
+        assert centre.imag == 0.0 and amplitude == 2.0 * centre.real
+
+
 def test_pipeline_validation_errors():
     with pytest.raises(ValueError, match="ball_fraction"):
         run_experiment(
@@ -395,6 +430,8 @@ def test_cli_refuses_a_key_the_verb_does_not_read(tmp_path, capsys, verb):
         ("solve", {"ball_fraction": -math.inf}, "ball_fraction"),
         ("constants", {"p": math.nan}, "p"),
         ("constants", {"q": -math.inf}, "q"),
+        # numpy's generators take no negative seed
+        *((verb, {"seed": -1}, "seed") for verb in runner.VERBS),
     ],
     ids=lambda value: value if isinstance(value, str) else json.dumps(value),
 )
@@ -426,6 +463,11 @@ def test_cli_refuses_a_mistyped_value_by_name(tmp_path, capsys, verb, payload, k
          "exponent map"),
         ("illpose-step3", {"exponent_map": {"kind": "table", "entries": [[1, 2]]}},
          "exponent map"),
+        # the second iterate's quadratic form overflows
+        ("illpose-step1", {"m": 256, "size_range": [4, 5], "delta": 1e300}, "config key delta"),
+        ("illpose-step2", {"m": 1024, "h_xi": 0.25, "delta": 1e300}, "config key delta"),
+        ("illpose-step3", {"m": 1024, "h_xi": 0.0625, "block_counts": [2, 4], "delta": 1e300},
+         "config key delta"),
     ],
     ids=lambda value: value if isinstance(value, str) else json.dumps(value),
 )
@@ -456,6 +498,19 @@ def test_cli_refusal_is_all_it_writes_to_stderr(tmp_path, capfd, p):
     assert done.returncode == 2
     assert err.startswith(f"error: the Besov quadratures at p = {p} ")
     assert err.count("\n") == 1 and err.endswith("\n")
+
+
+def test_cli_overflow_refusal_is_all_it_writes_to_stderr(tmp_path, capfd):
+    # the second iterate's form overflows on the way to the refusal
+    env = dict(os.environ, PYTHONPATH=str(Path(sqglab.__file__).parents[1]))
+    env.pop("PYTHONWARNINGS", None)
+    cfg = write_cfg(tmp_path, {"m": 256, "size_range": [4, 5], "delta": 1e300})
+    done = subprocess.run([sys.executable, "-m", "sqglab.cli", "illpose-step1", "--config", cfg,
+                           "--out", str(tmp_path / "runs")], env=env, cwd=tmp_path)
+    err = capfd.readouterr().err
+    assert done.returncode == 2
+    assert err == ("error: config key delta: the second iterate at delta = 1e+300 "
+                   "leaves the float range\n")
 
 
 def test_an_echoed_config_runs_again(tmp_path):
@@ -513,6 +568,33 @@ def test_cli_help_lists_the_verbs_keys_and_defaults(capsys, verb):
     out = capsys.readouterr().out
     listed = out.split("and their defaults:\n", 1)[1].splitlines()
     assert [line.split()[0] for line in listed] == list(runner.VERBS[verb].defaults)
+    # each value is spelled as the report's config block spells it, and
+    # given back as a config value it resolves to the default
+    echo = ExperimentConfig(verb).echo()
+    defaults = ExperimentConfig(verb).params
+    for line in listed:
+        key, value = line.split(None, 1)
+        assert json.loads(value) == echo[key]
+        assert ExperimentConfig(verb, {key: json.loads(value)})[key] == defaults[key]
+
+
+def test_cli_refuses_a_negative_seed_flag_by_name(tmp_path, capsys):
+    out_dir = tmp_path / "runs"
+    assert main(["constants", "--seed", "-2", "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: config key seed must be a non-negative integer, got -2\n"
+    assert not out_dir.exists()
+
+
+def test_cli_turns_an_escaping_overflow_into_exit_2(tmp_path, capsys, monkeypatch):
+    # an operator that leaves the float range outside every named check is
+    # still a refusal of the config, in one line
+    def overflow(cfg):
+        raise FloatingPointError("an operator produced non-finite amplitudes")
+
+    monkeypatch.setattr("sqglab.cli.run_experiment", overflow)
+    assert main(["constants", "--out", str(tmp_path / "runs")]) == 2
+    assert capsys.readouterr().err == "error: an operator produced non-finite amplitudes\n"
 
 
 def test_cli_seed_override(tmp_path, capsys):

@@ -3,15 +3,16 @@
 import numpy as np
 import pytest
 
-from oracles import coordinates, hermitian_defect, physical_real
+from oracles import band_limited_field, coordinates, hermitian_defect, physical_real
 from sqglab.besov import BesovIndex, besov_norm
 from sqglab.sampling import (
+    _band_limited_field,
+    _inner_edge_field,
     hermitian_symmetrize,
     random_mean_zero_field,
     single_shell_field,
     unit_normalize,
 )
-from sqglab.solver import _inner_edge_field
 from sqglab.spectral import FrequencyLattice, SpectralField, _unfold, strip_unpaired_edge
 
 
@@ -114,3 +115,18 @@ def test_inner_edge_field_is_bitwise_the_full_lattice_construction(j):
     assert mask.any()
     c = rng.standard_normal((64, 64)) + 1j * rng.standard_normal((64, 64))
     assert got.coeffs.tobytes() == full_lattice_sample(lattice, c, mask).tobytes()
+
+
+@pytest.mark.parametrize("m, h_xi", [(32, 0.25), (64, 0.3)])
+@pytest.mark.parametrize("fraction", [0.25, 0.5, 1.0])
+def test_band_limited_field_is_bitwise_the_masked_white_field(m, h_xi, fraction):
+    # the 0/1 mask multiplies the draws before symmetrizing, not the field
+    # after: a product by 1 or 0 is exact either way, but a zero's sign
+    # follows the signs of what it multiplied, so zeros are compared as
+    # +0 (adding +0.0 turns -0.0 into +0.0 and leaves every other value)
+    lattice = FrequencyLattice(m=m, h_xi=h_xi)
+    radius = fraction * lattice.xi_max
+    got = _band_limited_field(lattice, np.random.default_rng(59), radius)
+    want = band_limited_field(lattice, np.random.default_rng(59), radius)
+    assert (got.coeffs + 0.0).tobytes() == (want.coeffs + 0.0).tobytes()
+    assert got.nonzero_modes() > 0
