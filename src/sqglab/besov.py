@@ -255,10 +255,14 @@ def _even_power(x: np.ndarray, p: int) -> np.ndarray:
 
 
 def _shell_grid(extent: int, p: float, m: int) -> int:
-    """Grid size on which a shell of per-axis band ``extent`` is summed.
+    """Grid size along one axis on which a shell of band ``extent`` along
+    that axis is summed: its ``|k| <= extent`` (:func:`shell_profile` sizes
+    the k1 axis by the ring's extent and the k2 axis by the shell's largest
+    occupied k2).
 
     For an even integer ``p``: the smallest power of two above
-    ``p * extent``, at most ``m``.  Any other ``p``: ``m``.
+    ``p * extent``, at most ``m`` (2 for a band below 1, an empty shell).
+    Any other ``p``: ``m``.
     """
     if math.isinf(p) or p % 2:
         return m
@@ -313,25 +317,32 @@ def shell_profile(
 
     Shell j is cropped to the box ``|k| <= K_j`` on which its ring lives
     (:meth:`DyadicPartition.ring_extent`), the ring read by slicing its
-    cached quadrant, and its k2 >= 0 half is written into an
-    ``M_j x M_j`` real-transform buffer and synthesized with the staged
-    inverse transform, whose column pass runs over the columns the shell
-    can occupy: the ``K_j + 1`` columns of its box, and no further than
-    the columns the field occupies; the quadrature weight is
-    ``(L/M_j)**2``.  For an even
-    integer p, ``M_j`` is the smallest power of two above ``p * K_j``,
-    capped at m; for any other p it is the lattice's own m.  Below the cap
-    that is exact, not an approximation: with g the shell,
-    ``|g|**p = (|g|**2)**(p/2)`` is a trigonometric polynomial of
-    per-axis band ``p * K_j``, so on any grid finer than that band no
-    non-zero mode aliases onto the zero mode, and the L^p sum equals
-    ``L**2`` times that mode (Parseval), i.e. the exact integral.  At the
-    cap, where ``p * K_j >= m``, it is not: non-zero modes of ``|g|**p``
-    can fold onto the zero mode, and the sum is the quadrature on the
-    lattice's own m grid (ROADMAP item 13: +7.8% in illpose-step1's
-    largest p = 8 data norm at its defaults).  :func:`_norm_bounds` is
-    proven for that quadrature, not for the integral.  Low shells of a
-    large lattice are summed on grids of a few dozen points.
+    cached quadrant, and cut to the columns ``k2 <= k2_j``, where
+    ``k2_j = min(K_j, w - 1)`` is the shell's largest occupied k2 for a
+    field that occupies w columns (``spectral._occupied_columns``).  Its
+    k2 >= 0 half is written into an ``M_j x G_j`` real-transform buffer
+    (rows of ``G_j`` points) and synthesized with the staged inverse
+    transform, whose column pass runs over those ``k2_j + 1`` columns; the
+    quadrature weight is ``(L/M_j) * (L/G_j)``.  Each size is
+    :func:`_shell_grid` of its axis's band: ``M_j`` of ``K_j`` and ``G_j``
+    of ``k2_j``.  For an even integer p that is the smallest power of two
+    above p times the band, capped at m; for any other p both are the
+    lattice's own m.  Below the cap that is exact, not an approximation:
+    with g the shell, ``|g|**p = (|g|**2)**(p/2)`` is a trigonometric
+    polynomial of band ``p * K_j`` along k1 and ``p * k2_j`` along k2, so
+    on any grid finer than those bands no non-zero mode aliases onto the
+    zero mode, and the L^p sum equals ``L**2`` times that mode (Parseval),
+    i.e. the exact integral.  At the cap, where ``p * K_j >= m``, it is
+    not: non-zero modes of ``|g|**p`` can fold onto the zero mode along
+    k1, and the sum is the quadrature on the lattice's own m rows (ROADMAP
+    item 13: +7.8% in illpose-step1's largest p = 8 data norm at its
+    defaults).  Along k2 nothing folds while ``G_j < m``, so the m x G_j
+    sum is the m x m one up to rounding.  :func:`_norm_bounds` is proven
+    for that quadrature, not for the integral.  Low shells of a large
+    lattice are summed on grids of a few dozen points, and a field narrow
+    in k2, such as a bump modulated along k1, on rows of a few dozen.
+    A full-band field has ``G_j = M_j``, the square grid, whose weight is
+    ``cell * cell`` for ``cell = L/M_j``, bitwise.
 
     The rings are real and radial, so a real field has real shells and
     each is one real synthesis of the stored half.  No field holds anything
@@ -343,24 +354,25 @@ def shell_profile(
     c = field.coeffs
     out: list[tuple[int, float]] = []
     m = field.lattice.m
+    box = field.lattice.box_length
     occupied = _occupied_columns(c, m // 2)
     for j in partition.shells if shells is None else shells:
         extent = partition.ring_extent(j)
-        grid = _shell_grid(extent, p, m)
-        # phi_j c into the k2 >= 0 half of a grid x grid real transform; the
-        # grid is m or above 2 K_j + 1, so it holds every mode of the box
+        top = min(extent, occupied - 1)  # the shell's largest occupied k2
+        rows, cols = _shell_grid(extent, p, m), _shell_grid(top, p, m)
+        # phi_j c into the k2 >= 0 half of a rows x cols real transform; each
+        # size is m or above twice its axis's band, so it holds every mode
         quadrant = partition.ring_quadrant(j)
-        proj = np.zeros((grid, grid // 2 + 1), dtype=np.complex128)
-        blocks = _row_blocks(extent, m, grid)
-        cols = blocks[0][0]  # k2 = 0 .. K_j
-        for rows, grid_rows, quad in blocks:
-            np.multiply(c[rows, cols], quadrant[quad, cols], out=proj[grid_rows, cols])
+        proj = np.zeros((rows, cols // 2 + 1), dtype=np.complex128)
+        live = slice(0, top + 1)
+        for src, dst, quad in _row_blocks(extent, m, rows):
+            np.multiply(c[src, live], quadrant[quad, live], out=proj[dst, live])
         if not proj.any():
             out.append((j, 0.0))
             continue
-        cell = field.lattice.box_length / grid
-        samples = _half_synthesis(proj, min(extent + 1, occupied))
-        out.append((j, _shell_weight(s, j) * lp_norm(samples, p, cell * cell)))
+        samples = _half_synthesis(proj, top + 1, cols)
+        weight = (box / rows) * (box / cols)
+        out.append((j, _shell_weight(s, j) * lp_norm(samples, p, weight)))
     return out
 
 
@@ -462,18 +474,18 @@ def _full_sums(c: np.ndarray, weight: np.ndarray | None = None) -> tuple[float, 
 def _ring_sums(c: np.ndarray, quadrant: np.ndarray) -> tuple[float, float]:
     """:func:`_full_sums` of ``phi_j c`` for the ring's
     :meth:`~DyadicPartition.ring_quadrant`, over its box only: the rows
-    ``k1 = 0 .. e`` and ``k1 = -1 .. -e``, read bottom-up so that row a of
-    either block meets quadrant row a, and the columns ``0 .. e``, with
-    ``e`` the ring's extent cut to the stored columns (the unpaired
-    ``k1 = -m/2`` row is zero in every field)."""
+    ``|k1| <= e`` in the blocks of :func:`~sqglab.spectral._row_blocks`,
+    each row meeting quadrant row ``|k1|``, and the columns ``0 .. e``,
+    with ``e`` the ring's extent cut to the stored columns (so the box
+    never reaches the unpaired ``k1 = -m/2`` row, which is zero in every
+    field anyway)."""
     m, width = c.shape
     e = min(quadrant.shape[0], width) - 1
-    ring = quadrant[: e + 1, : e + 1]
-    top = _full_sums(c[: e + 1, : e + 1], ring)
-    if e == 0:
-        return top
-    bottom = _full_sums(c[m - 1 : m - e - 1 : -1, : e + 1], ring[1:])
-    return top[0] + bottom[0], top[1] + bottom[1]
+    s1 = s2 = 0.0
+    for rows, _, quad in _row_blocks(e, m):
+        a, b = _full_sums(c[rows, : e + 1], quadrant[quad, : e + 1])
+        s1, s2 = s1 + a, s2 + b
+    return s1, s2
 
 
 def _quadrature_fits(l1: float, index: BesovIndex, partition: DyadicPartition) -> bool:
@@ -518,11 +530,13 @@ def _norm_bounds(
     """Certified ``(lower, upper)`` bounds of ``besov_norm(field, index,
     partition)`` from per-shell coefficient sums, without a transform.
 
-    Shell j's samples g are summed on a grid of G x G points, weight
-    ``(L/G)**2``, total mass ``A = L**2``, on which its modes are distinct
-    (:func:`shell_profile`).  With ``S1 = sum |phi_j c|`` and
-    ``S2 = sum |phi_j c|**2`` over the whole lattice (:func:`_ring_sums`),
-    Parseval on that discrete measure gives ``sum |g|**2 (L/G)**2 = A S2``,
+    Shell j's samples g are summed on a grid of M x G points, weight
+    ``(L/M) * (L/G)``, total mass ``A = L**2`` (:func:`shell_profile`).
+    Its modes ``|k1| <= K1``, ``|k2| <= K2`` are distinct there, since
+    ``M > 2 K1`` and ``G > 2 K2`` (or the size is m, the lattice's own
+    axis).  With ``S1 = sum |phi_j c|`` and ``S2 = sum |phi_j c|**2`` over
+    the whole lattice (:func:`_ring_sums`), Parseval on that discrete
+    measure gives ``sum |g|**2 (L/M) (L/G) = A S2``,
     and every sample is at most ``S1``.  So for p >= 2 Hoelder bounds the
     quadrature's L^p norm below by ``A**(1/p - 1/2) sqrt(A S2)`` and above
     by ``(S1**(p - 2) A S2)**(1/p)`` (``sqrt(S2)`` and ``S1`` at p = inf).

@@ -18,14 +18,10 @@ import numpy as np
 __all__ = ["SmoothStep"]
 
 
-def _bump(t: np.ndarray) -> np.ndarray:
-    """exp(-1/t) for t > 0, else 0; no overflow warnings."""
-    t = np.asarray(t, dtype=np.float64)
-    out = np.zeros_like(t)
-    pos = t > 0
-    with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
-        out[pos] = np.exp(-1.0 / t[pos])
-    return out
+# The value of a / (a + b) where t is NaN, both exponentials reading 0
+# there: 0/0, the machine's default NaN.
+with np.errstate(invalid="ignore"):
+    _UNDECIDED = np.float64(0.0) / np.float64(0.0)
 
 
 @dataclass(frozen=True)
@@ -40,10 +36,23 @@ class SmoothStep:
             raise ValueError(f"need 0 < t0 < t1, got ({self.t0}, {self.t1})")
 
     def __call__(self, r: np.ndarray | float) -> np.ndarray:
+        """The step at ``r`` (a 0-d array for a scalar): with ``t = (t1 - r)
+        / (t1 - t0)``, exactly 1 where ``t >= 1``, exactly 0 where ``t <=
+        0``, NaN where t is NaN, and ``a / (a + b)`` with ``a = exp(-1/t)``
+        and ``b = exp(-1/(1 - t))`` in between (so +inf reads 0 and -inf
+        1).
+
+        The exponentials are taken only where ``0 < t < 1``, on the
+        contiguous array of those t: elsewhere one of them is 0 and the
+        quotient is exactly the level written there.
+        """
         r = np.asarray(r, dtype=np.float64)
         t = (self.t1 - r) / (self.t1 - self.t0)
-        a = _bump(t)
-        b = _bump(1.0 - t)
-        with np.errstate(invalid="ignore"):
-            out = np.where(t >= 1.0, 1.0, np.where(t <= 0.0, 0.0, a / (a + b)))
+        out = np.where(t <= 0.0, 0.0, np.where(t >= 1.0, 1.0, _UNDECIDED))
+        ramp = (t > 0.0) & (t < 1.0)
+        inner = t[ramp]
+        with np.errstate(under="ignore"):
+            a = np.exp(-1.0 / inner)
+            b = np.exp(-1.0 / (1.0 - inner))
+        out[ramp] = a / (a + b)
         return out

@@ -242,6 +242,17 @@ def _second_iterate(theta1: SpectralField, delta: float) -> SpectralField:
                          "leaves the float range") from None
 
 
+def _in_float_range(value: float, delta: float) -> float:
+    """``value``, a norm of a non-zero field that ``delta`` scales, refused
+    by that key where its quadrature left the float range: overflowed, or
+    underflowed to 0.  The caller computes it with numpy's overflow
+    warnings off, since the refusal says it."""
+    if not 0.0 < value < math.inf:
+        raise ValueError(f"config key delta: a Besov norm at delta = {delta:g} "
+                         "leaves the float range")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # Pipelines
 # ---------------------------------------------------------------------------
@@ -474,12 +485,13 @@ def _run_illpose_step1(cfg: ExperimentConfig) -> ExperimentReport:
         f = modulated_bump_force(lattice, spec)
         theta1 = inverse_laplacian(f)
         theta2 = QUADRATIC_SIGN * _second_iterate(theta1, delta)
-        data_norm = besov_norm(f, data_index, partition)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused, not warned
+            data_norm = _in_float_range(besov_norm(f, data_index, partition), delta)
+            second_norm = _in_float_range(besov_norm(theta2, solve_cfg.index, partition), delta)
         floor = low_frequency_floor(theta2, partition)
         tilde, trace = perturbation_solve(theta1, theta2, solve_cfg,
                                           partition=partition)
         tilde_norm = _final_norm(tilde, trace, solve_cfg.index, partition)
-        second_norm = besov_norm(theta2, solve_cfg.index, partition)
         rows.append((spec.size, spec.carrier, data_norm, floor / delta**2,
                      second_norm, tilde_norm, tilde_norm / second_norm,
                      trace.verdict))
@@ -547,8 +559,9 @@ def _run_illpose_step2(cfg: ExperimentConfig) -> ExperimentReport:
     f = lacunary_force(lattice, spec)
     # both data norms aggregate one profile: s = 2/p - 3 does not depend on q
     data_index = BesovIndex.data_index(4.0, 2.0)
-    shells = besov_profile(f, data_index.s, data_index.p, partition)
-    norm_rows = [(q, lq_aggregate(shells, q)) for q in (2.0, 4.0)]
+    with np.errstate(over="ignore", invalid="ignore"):  # refused, not warned
+        shells = besov_profile(f, data_index.s, data_index.p, partition)
+    norm_rows = [(q, _in_float_range(lq_aggregate(shells, q), delta)) for q in (2.0, 4.0)]
     # theta2 is the second iterate -B[Lf, Lf] without its sign: negation is
     # exact, and the homogeneity defect and the floor read magnitudes only
     theta2 = _second_iterate(inverse_laplacian(f), delta)
@@ -686,10 +699,11 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
         # the second iterate up to its sign: the probes read |theta2| only
         theta2 = _second_iterate(theta1, delta)
         del theta1
-        values = [value for _, _, value in inflation_profile(theta2, spec, partition)]
+        with np.errstate(over="ignore", invalid="ignore"):  # refused, not warned
+            values = [value for _, _, value in inflation_profile(theta2, spec, partition)]
         del theta2
-        l1 = lq_aggregate(values, 1.0)
-        l2 = lq_aggregate(values, 2.0)
+        l1 = _in_float_range(lq_aggregate(values, 1.0), delta)
+        l2 = _in_float_range(lq_aggregate(values, 2.0), delta)
         ratio_by_count[count] = l1 / l2
         infl_rows.append((count, carrier, l1, l2, l1 / l2, ""))
     growth_errs = []

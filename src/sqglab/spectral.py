@@ -570,28 +570,30 @@ def _occupied_columns(c: np.ndarray, width: int) -> int:
     return hi
 
 
-def _half_synthesis(half: np.ndarray, live: int) -> np.ndarray:
-    """Real samples on a ``grid x grid`` mesh from the writable, C-contiguous
-    k2 >= 0 half ``half`` (shape (..., grid, grid/2 + 1)) whose columns
-    from ``live`` on are zero, computed in place.
+def _half_synthesis(half: np.ndarray, live: int, length: int | None = None) -> np.ndarray:
+    """Real samples on a ``grid x length`` mesh (rows of ``length`` points;
+    ``length`` defaults to ``grid``) from the writable, C-contiguous k2 >= 0
+    half ``half`` (shape (..., grid, length/2 + 1)) whose columns from
+    ``live`` on are zero, computed in place.
 
     Two 1-D passes, as ``irfft2`` makes them: a complex transform down
     axis -2 of the live columns only, then real transforms of length
-    ``grid`` along axis -1, which supply the conjugate half.  Both write
+    ``length`` along axis -1, which supply the conjugate half.  Both write
     into ``half``: the real pass in the in-place layout of FFTW and
-    pocketfft, where row i's ``grid`` samples overwrite the first ``grid``
-    of that row's ``grid + 2`` doubles.  The result is that strided view,
-    ``half.view(float64)[..., :grid]``, and bitwise ``irfft2`` of
-    ``half``; the columns known to be zero are not transformed, and no
-    array of the grid's size is made.  A sum over the samples must be
-    taken over a contiguous array (the view's elementwise powers are
-    one), since numpy sums a strided view in another order.
+    pocketfft, where row i's ``length`` samples overwrite the first
+    ``length`` of that row's ``length + 2`` doubles.  The result is that
+    strided view, ``half.view(float64)[..., :length]``, and bitwise
+    ``irfft2`` of ``half`` with ``s=(grid, length)``; the columns known to
+    be zero are not transformed, and no array of the mesh's size is made.
+    A sum over the samples must be taken over a contiguous array (the
+    view's elementwise powers are one), since numpy sums a strided view in
+    another order.
     """
     cols = half[..., :live]
     _pocketfft.c2c(cols, (-2,), False, _UNSCALED, cols, _FFT_WORKERS)
-    grid = half.shape[-2]
-    samples = half.view(np.float64)[..., :grid]
-    return _pocketfft.c2r(half, (-1,), grid, False, _UNSCALED, samples, _FFT_WORKERS)
+    length = half.shape[-2] if length is None else length
+    samples = half.view(np.float64)[..., :length]
+    return _pocketfft.c2r(half, (-1,), length, False, _UNSCALED, samples, _FFT_WORKERS)
 
 
 # Rows per slab of the quadratic form's row passes (:class:`_RowPasses`).

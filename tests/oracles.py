@@ -84,6 +84,29 @@ def hermitian_defect(field):
     return float(np.max(np.abs(reflected - np.conj(c))))
 
 
+def smooth_step(step, r):
+    """The step ``step`` (a :class:`SmoothStep`) at ``r``, as it was first
+    written: both exponentials over the whole input, 0 where their
+    argument is not positive, the ramp ``a / (a + b)`` taken everywhere,
+    and the levels 1 at ``t >= 1`` and 0 at ``t <= 0`` chosen by
+    ``np.where``.  The package takes the exponentials only where
+    ``0 < t < 1`` and must agree with this bitwise."""
+
+    def bump(t):
+        out = np.zeros_like(t)
+        pos = t > 0
+        with np.errstate(divide="ignore", invalid="ignore", under="ignore"):
+            out[pos] = np.exp(-1.0 / t[pos])
+        return out
+
+    r = np.asarray(r, dtype=np.float64)
+    t = (step.t1 - r) / (step.t1 - step.t0)
+    a = bump(t)
+    b = bump(1.0 - t)
+    with np.errstate(invalid="ignore"):
+        return np.where(t >= 1.0, 1.0, np.where(t <= 0.0, 0.0, a / (a + b)))
+
+
 def probe_symbol_from_rings(probe, xi1, xi2):
     """Definitional probe symbol: 1 minus the ring sum from shell j - gap up.
 
@@ -104,22 +127,27 @@ def probe_symbol_from_rings(probe, xi1, xi2):
     return 1.0 - total
 
 
-def ring_box(c, quadrant, grid):
+def ring_box(c, quadrant, grid, width=None):
     """Reference layout of a shell: the k2 >= 0 half of ``phi_j * c`` for a
-    ``grid x grid`` real transform, shape ``(grid, grid/2 + 1)``, for a
-    ring's ``ring_quadrant`` and a field's half spectrum ``c`` (m, m/2).
+    ``grid x width`` real transform (rows of ``width`` points, default
+    ``grid``), shape ``(grid, width/2 + 1)``, for a ring's
+    ``ring_quadrant`` and a field's half spectrum ``c`` (m, m/2).
 
     Row by row: each lattice row k1 with ``|k1| <= K_j`` (``np.fft.fftfreq``
     order) is multiplied by quadrant row ``|k1|`` over the columns
-    ``k2 = 0 .. min(K_j, m/2 - 1)`` and written to grid row ``k1 mod
-    grid``.  ``grid`` is m or above ``2 K_j + 1``, as
-    ``besov._shell_grid`` picks it, so the rows stay apart."""
+    ``k2 = 0 .. min(K_j, m/2 - 1, width/2)`` and written to grid row ``k1
+    mod grid``.  ``grid`` is m or above ``2 K_j + 1``, as
+    ``besov._shell_grid`` picks it, so the rows stay apart; the columns
+    past ``width/2`` that the box would reach must hold nothing."""
     m = c.shape[-2]
+    width = grid if width is None else width
     extent = quadrant.shape[0] - 1
-    cols = min(extent + 1, m // 2)
-    out = np.zeros((grid, grid // 2 + 1), dtype=c.dtype)
+    box = min(extent + 1, m // 2)
+    cols = min(box, width // 2 + 1)
+    out = np.zeros((grid, width // 2 + 1), dtype=c.dtype)
     for i, k in enumerate(np.fft.fftfreq(m, 1.0 / m).astype(int)):
         if abs(k) <= extent:
+            assert not c[i, cols:box].any(), "the cut columns hold coefficients"
             out[k % grid, :cols] = c[i, :cols] * quadrant[abs(k), :cols]
     return out
 

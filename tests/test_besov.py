@@ -14,7 +14,9 @@ from oracles import (
     physical_real,
     probe_symbol_from_rings,
     ring_box,
+    smooth_step,
 )
+from sqglab import besov
 from sqglab.besov import (
     _STEP,
     BesovIndex,
@@ -31,7 +33,7 @@ from sqglab.besov import (
     shell_profile,
     shell_project,
 )
-from sqglab.forcing import ForceSpec, modulated_bump_force
+from sqglab.forcing import ExponentMap, ForceSpec, lacunary_force, modulated_bump_force
 from sqglab.sampling import random_mean_zero_field, single_shell_field
 from sqglab.spectral import FrequencyLattice, SpectralField, strip_unpaired_edge
 
@@ -100,28 +102,40 @@ def test_shell_profile_matches_complex_transform_loop(lattice256, partition256, 
         assert norm == pytest.approx(ref, rel=1e-13)
 
 
-def irfft2_profile(f, s, p, partition):
-    """Each shell's whole k2 >= 0 half through the two-axis ``irfft2``."""
+def irfft2_profile(f, s, p, partition, narrow=True):
+    """Each shell's whole k2 >= 0 half through the two-axis ``irfft2``, on
+    ``M_j`` rows of ``G_j`` points: ``M_j`` sized by the ring's extent K_j
+    and, with ``narrow``, ``G_j`` by the largest k2 at which the field's
+    shell box holds a coefficient (read off the coefficients here), else
+    ``G_j = M_j``, the square grid every shell was once summed on."""
     m = f.lattice.m
     out = []
     for j in partition.shells:
-        grid = _shell_grid(partition.ring_extent(j), p, m)
-        half = ring_box(f.coeffs, partition.ring_quadrant(j), grid)
-        samples = scipy.fft.irfft2(half, s=(grid, grid), norm="forward")
-        cell = f.lattice.box_length / grid
-        out.append((j, 2.0 ** (s * j) * lp_norm(samples, p, cell * cell)))
+        extent = partition.ring_extent(j)
+        rows = _shell_grid(extent, p, m)
+        held = np.flatnonzero(f.coeffs[:, : extent + 1].any(axis=0))
+        cols = _shell_grid(int(held.max(initial=-1)), p, m) if narrow else rows
+        half = ring_box(f.coeffs, partition.ring_quadrant(j), rows, cols)
+        samples = scipy.fft.irfft2(half, s=(rows, cols), norm="forward")
+        weight = (f.lattice.box_length / rows) * (f.lattice.box_length / cols)
+        out.append((j, 2.0 ** (s * j) * lp_norm(samples, p, weight)))
     return out
 
 
-@pytest.mark.parametrize("p", [4.0, math.inf])
+@pytest.mark.parametrize("p", [3.0, 4.0, math.inf])
 def test_shell_profile_is_bitwise_the_irfft2_route(lattice256, partition256, p):
     # the staged synthesis transforms only each shell's K_j + 1 live
-    # columns; the two-axis route over the whole half is the oracle
+    # columns; the two-axis route over the whole half is the oracle.  A
+    # full-band field occupies every column, so each shell is summed on
+    # the square grid: bitwise the route that always summed there
     f = random_mean_zero_field(lattice256, np.random.default_rng(5))
     m = lattice256.m
     extents = [partition256.ring_extent(j) for j in partition256.shells]
-    assert any(2 * k + 2 < _shell_grid(k, p, m) for k in extents)
-    assert shell_profile(f, -0.5, p, partition256) == irfft2_profile(f, -0.5, p, partition256)
+    if p == 4.0:
+        assert any(2 * k + 2 < _shell_grid(k, p, m) for k in extents)
+    got = shell_profile(f, -0.5, p, partition256)
+    assert got == irfft2_profile(f, -0.5, p, partition256, narrow=False)
+    assert got == irfft2_profile(f, -0.5, p, partition256)
 
 
 def narrow_field(lattice, columns, edge, seed):
@@ -150,15 +164,100 @@ def narrow_field(lattice, columns, edge, seed):
 def test_shell_profile_over_occupied_columns_is_bitwise(
     lattice256, partition256, p, columns, edge
 ):
+    # each shell is summed on rows as long as its occupied k2 band needs at
+    # even p (bitwise the irfft2 route on that grid), and on the square
+    # m x m grid at p = inf, bitwise the route that always summed there
     f = narrow_field(lattice256, columns, edge, seed=len(columns) + 10 * edge)
     assert hermitian_defect(f) == 0.0
     top = partition256.j_max
     assert partition256.ring_extent(top) == lattice256.m // 2
     got = shell_profile(f, -0.5, p, partition256)
     assert got == irfft2_profile(f, -0.5, p, partition256)
+    if math.isinf(p):
+        assert got == irfft2_profile(f, -0.5, p, partition256, narrow=False)
     # the stripped edge column leaves nothing for the profile to see
     if not columns:
         assert all(v == 0.0 for _, v in got)
+
+
+def narrow_fields(lattice, partition):
+    """Fields that occupy a few k2 columns, by name: modulated bumps, step2's
+    lacunary forcing, a few columns of a white field, and two columns of a
+    single shell that reaches the lattice's edge."""
+    fields = {}
+    for size, carrier in ((4, 2), (5, 3)):
+        spec = ForceSpec(variant="bump", delta=0.01, size=size, carrier_exponent=carrier)
+        fields[f"bump {size}"] = modulated_bump_force(lattice, spec)
+    # step2's forcing at its default exponent map, terms n = 1 .. 2
+    spec = ForceSpec(variant="lacunary", delta=0.01, size=2, block_range=(1, 2),
+                     exponents=ExponentMap.affine(2, 0))
+    fields["lacunary"] = lacunary_force(lattice, spec)
+    for columns in ([0], [1], [3], [0, 1, 2]):
+        fields[f"columns {columns}"] = narrow_field(lattice, columns, False, seed=7)
+    # the highest shell that meets the k2 = 0 and 1 columns, whose box
+    # reaches the lattice's edge (at the cap for every p >= 2), cut to them
+    j = partition.j_max - 1
+    assert partition.ring_extent(j) == lattice.m // 2
+    top = single_shell_field(lattice, partition, j, np.random.default_rng(2))
+    fields["edge shell, 2 columns"] = SpectralField(
+        lattice, np.where(np.abs(lattice.k2) <= 1, full(top), 0.0))
+    return fields
+
+
+@pytest.fixture(scope="module")
+def desk256():
+    """The lattice of step2's desk runs (m = 256, h_xi = 1/4), its partition,
+    and :func:`narrow_fields` on it."""
+    lattice = FrequencyLattice(m=256, h_xi=0.25)
+    partition = build_partition(lattice)
+    return lattice, partition, narrow_fields(lattice, partition)
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 8.0])
+def test_narrow_shells_match_the_square_grid(desk256, p):
+    # a field a few columns wide is summed on rows of a few dozen points;
+    # along k2 nothing folds on either grid, so each shell is the square
+    # grid's sum up to rounding, at the m cap too (where both grids share
+    # the m rows whose folding ROADMAP item 13 describes)
+    lattice, partition, fields = desk256
+    m = lattice.m
+    for name, f in fields.items():
+        got = shell_profile(f, -0.5, p, partition)
+        want = irfft2_profile(f, -0.5, p, partition, narrow=False)
+        assert [j for j, _ in got] == [j for j, _ in want], name
+        live = 0
+        for (j, a), (_, b) in zip(got, want):
+            assert abs(a - b) <= 1e-14 * b, (name, j, a, b)
+            live += b > 0.0
+        assert live, name
+        occupied = int(np.flatnonzero(f.coeffs.any(axis=0)).max()) + 1
+        assert _shell_grid(occupied - 1, p, m) < m, name  # summed on short rows
+    # the wide bump reaches the cap at p = 8 and still agrees above
+    capped = [j for j, v in shell_profile(fields["bump 5"], 0.0, 8.0, partition)
+              if v > 0.0 and _shell_grid(partition.ring_extent(j), 8.0, m) == m]
+    assert capped
+
+
+def test_narrow_shells_are_summed_on_short_rows(desk256, monkeypatch):
+    # the grids the profile transforms on: M_j x G_j for even p, m x m for
+    # any other p, read off the transforms themselves
+    lattice, partition, fields = desk256
+    f, m = fields["bump 4"], lattice.m
+    synthesis, shapes = besov._half_synthesis, []
+
+    def recorded(half, live, length=None):
+        shapes.append((half.shape[0], half.shape[0] if length is None else length))
+        return synthesis(half, live, length)
+
+    monkeypatch.setattr(besov, "_half_synthesis", recorded)
+    for p, square in ((4.0, False), (3.0, True), (math.inf, True)):
+        shapes.clear()
+        shell_profile(f, -0.5, p, partition)
+        assert shapes
+        if square:
+            assert shapes == [(m, m)] * len(shapes)
+        else:
+            assert all(cols < rows for rows, cols in shapes), shapes
 
 
 def test_shell_grids_are_band_sized(lattice256, partition256):
@@ -176,7 +275,8 @@ def test_shell_grids_are_band_sized(lattice256, partition256):
         assert ring[reach == extent].any()
 
 
-@pytest.mark.parametrize("m, h_xi", [(32, 0.25), (64, 1.0), (128, 0.125), (256, 0.125)])
+@pytest.mark.parametrize(
+    "m, h_xi", [(32, 0.25), (64, 1.0), (128, 0.125), (256, 0.125), (1024, 0.25)])
 def test_ring_quadrants_unfold_to_the_closed_form_bitwise(m, h_xi):
     lattice = FrequencyLattice(m=m, h_xi=h_xi)
     partition = build_partition(lattice)
@@ -185,7 +285,8 @@ def test_ring_quadrants_unfold_to_the_closed_form_bitwise(m, h_xi):
     reach = np.maximum(np.abs(lattice.k1), np.abs(lattice.k2))
     extents = []
     for j in partition.shells:
-        want = _STEP(r * 2.0 ** (-j)) - _STEP(r * 2.0 ** (1 - j))
+        # the step as first written, both exponentials over the whole radius
+        want = smooth_step(_STEP, r * 2.0 ** (-j)) - smooth_step(_STEP, r * 2.0 ** (1 - j))
         ring = partition.ring_values(j)
         assert ring.shape == (m, m // 2)
         assert np.array_equal(ring, want[:, : m // 2])
@@ -469,6 +570,11 @@ def bound_fields(lattice, partition):
     for size, carrier in ((4, 2), (5, 3)):
         spec = ForceSpec(variant="bump", delta=0.01, size=size, carrier_exponent=carrier)
         fields[f"bump {size}"] = modulated_bump_force(lattice, spec)
+    # step2's lacunary forcing, its map shifted down one octave so that
+    # two terms (carriers 2**1 and 2**3) fit this lattice
+    spec = ForceSpec(variant="lacunary", delta=0.01, size=2, block_range=(1, 2),
+                     exponents=ExponentMap.affine(2, -1))
+    fields["lacunary"] = lacunary_force(lattice, spec)
     return fields
 
 

@@ -28,10 +28,12 @@ import pytest
 
 from sqglab import bilinear, diagnostics, solver, spectral
 from sqglab.besov import (
+    BesovIndex,
     DyadicPartition,
     _absolute_sum,
     _check_mean_zero,
     _norm_bounds,
+    besov_profile,
     build_partition,
     shell_project,
 )
@@ -411,3 +413,21 @@ def test_norm_bounds_allocate_no_half_sized_temporary():
                        ("absolute sum", lambda: _absolute_sum(field))):
         peak = traced_peak(call)
         assert peak < 0.2 * unit, f"{name}: {peak / unit:.2f} units"
+
+
+def test_narrow_profile_allocates_no_square_shell_grid():
+    """A modulated bump occupies 8 of the 256 stored columns at m = 512, so
+    each even-p shell is summed on M_j rows of at most 32 points
+    (``besov.shell_profile``): its transform buffer and the powers of its
+    samples stay far below one M_j x M_j array of doubles, 2 MiB for the
+    top shells, whose M_j is m.  Measured: 0.17 of that array, with the
+    rings cached.  Square M_j x M_j grids measured 2.26."""
+    lattice = FrequencyLattice(m=512, h_xi=0.25)
+    partition = build_partition(lattice)
+    bump = modulated_bump_force(lattice, ForceSpec(variant="bump", size=2))
+    assert spectral._occupied_columns(bump.coeffs, lattice.m // 2) == 8
+    index = BesovIndex.data_index(4.0, 2.0)
+    besov_profile(bump, index.s, index.p, partition)  # cache the rings
+    square = lattice.m * lattice.m * 8
+    peak = traced_peak(lambda: besov_profile(bump, index.s, index.p, partition))
+    assert peak < 0.25 * square, f"{peak / square:.2f} of an m x m array"

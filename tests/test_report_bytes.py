@@ -30,6 +30,11 @@ B[base + tilde, base + tilde] - B[base, base]: the two are equal in exact
 arithmetic and round differently, and only the size-4 row's
 ``perturbation_norm`` and ``perturbation_over_second`` moved, by 4.5e-16
 and 4.7e-16 relative, with every verdict and iteration count unchanged.
+That of ``illpose-step2`` was re-recorded once more when even-p Besov
+shells began to be summed on rows as long as the field's k2 band needs
+(M_j x G_j grids in place of M_j x M_j): the q = 4 data norm moved from
+1.2236825213178855 to 1.2236825213178852 (2.4e-16 relative), the one
+value that changed, with every verdict unchanged.
 All were recorded from the command line (``sqglab <verb> --config FILE
 --seed 0 --threads 1 --out DIR``), and every change since has kept them.  A
 change that moves any reported value, even in its last printed digit,

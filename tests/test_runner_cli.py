@@ -1,6 +1,7 @@
 """Experiment configs, deterministic report emission, CLI exit codes."""
 
 import ctypes
+import functools
 import inspect
 import json
 import math
@@ -21,6 +22,7 @@ from sqglab.cli import main
 from sqglab.forcing import ExponentMap, ForceSpec, lacunary_force
 from sqglab.reports import ExperimentReport, Table, Verdict, emit_report, format_value
 from sqglab.runner import ExperimentConfig, config_from_dict, run_experiment
+from sqglab.solver import SolveConfig
 from sqglab.spectral import FrequencyLattice
 
 
@@ -284,20 +286,24 @@ def test_report_bytes_independent_of_fft_workers(tmp_path, raw, echo):
     assert json.loads(report)["config"] == echo
 
 
-def test_step1_dominance_needs_every_perturbation_converged():
-    # at delta = 1e100 both perturbation loops diverge on their first form,
-    # leaving the zero start's norm 0, which is no evidence of dominance
+def test_step1_dominance_needs_every_perturbation_converged(monkeypatch):
+    # one perturbation step at delta = 1e-3 stops both loops at max_iter
+    # with norms far below the second iterate's: a ratio that would pass,
+    # but an unfinished loop's norm is no evidence of dominance.  (A
+    # divergence on the first form, which left the zero start's norm 0,
+    # needed delta = 1e100, whose data norms now leave the float range and
+    # are refused.)
+    monkeypatch.setattr(runner, "SolveConfig", functools.partial(SolveConfig, max_iter=1))
     cfg = config_from_dict({"experiment": "illpose-step1", "m": 256, "size_range": [4, 5],
-                            "delta": 1e100})
-    with np.errstate(all="ignore"):
-        report = run_experiment(cfg, write=False)
+                            "delta": 1e-3})
+    report = run_experiment(cfg, write=False)
     sweep = report.tables[0]
-    assert [row[-1] for row in sweep.rows] == ["diverged", "diverged"]
-    assert [row[5] for row in sweep.rows] == [0.0, 0.0]
+    assert [row[-1] for row in sweep.rows] == ["max_iter", "max_iter"]
+    assert all(0.0 < row[6] < 0.2 for row in sweep.rows)
     verdict = next(v for v in report.verdicts if v.name == "second-iterate-dominates")
     assert not verdict.passed
-    assert verdict.observed == ("0.000 (per size 0.000/0.000); perturbation not "
-                                "converged: size 4 diverged, size 5 diverged")
+    assert verdict.observed.endswith(
+        "; perturbation not converged: size 4 max_iter, size 5 max_iter")
 
 
 def test_step2_terms_are_the_amplitudes_of_the_built_forcing():
@@ -468,6 +474,16 @@ def test_cli_refuses_a_mistyped_value_by_name(tmp_path, capsys, verb, payload, k
         ("illpose-step2", {"m": 1024, "h_xi": 0.25, "delta": 1e300}, "config key delta"),
         ("illpose-step3", {"m": 1024, "h_xi": 0.0625, "block_counts": [2, 4], "delta": 1e300},
          "config key delta"),
+        # the form fits, but a Besov quadrature of the data or of the second
+        # iterate overflows, or underflows to 0
+        ("illpose-step1", {"m": 256, "size_range": [4, 5], "delta": 1e100}, "config key delta"),
+        ("illpose-step1", {"m": 256, "size_range": [4, 5], "delta": 1e-60}, "config key delta"),
+        ("illpose-step2", {"m": 1024, "h_xi": 0.25, "delta": 1e100}, "config key delta"),
+        ("illpose-step2", {"m": 1024, "h_xi": 0.25, "delta": 1e-100}, "config key delta"),
+        ("illpose-step3", {"m": 1024, "h_xi": 0.0625, "block_counts": [2, 4], "delta": 1e100},
+         "config key delta"),
+        ("illpose-step3", {"m": 1024, "h_xi": 0.0625, "block_counts": [2, 4], "delta": 1e-100},
+         "config key delta"),
     ],
     ids=lambda value: value if isinstance(value, str) else json.dumps(value),
 )
@@ -500,17 +516,33 @@ def test_cli_refusal_is_all_it_writes_to_stderr(tmp_path, capfd, p):
     assert err.count("\n") == 1 and err.endswith("\n")
 
 
-def test_cli_overflow_refusal_is_all_it_writes_to_stderr(tmp_path, capfd):
-    # the second iterate's form overflows on the way to the refusal
+def step1_refusal_stderr(tmp_path, capfd, delta):
+    """What a fresh interpreter, with Python's default warning filters,
+    writes to stderr running illpose-step1 at m = 256 and this ``delta``,
+    which must be refused: exit 2 and nothing written."""
     env = dict(os.environ, PYTHONPATH=str(Path(sqglab.__file__).parents[1]))
     env.pop("PYTHONWARNINGS", None)
-    cfg = write_cfg(tmp_path, {"m": 256, "size_range": [4, 5], "delta": 1e300})
+    cfg = write_cfg(tmp_path, {"m": 256, "size_range": [4, 5], "delta": delta})
     done = subprocess.run([sys.executable, "-m", "sqglab.cli", "illpose-step1", "--config", cfg,
                            "--out", str(tmp_path / "runs")], env=env, cwd=tmp_path)
-    err = capfd.readouterr().err
     assert done.returncode == 2
-    assert err == ("error: config key delta: the second iterate at delta = 1e+300 "
-                   "leaves the float range\n")
+    assert not (tmp_path / "runs").exists()
+    return capfd.readouterr().err
+
+
+def test_cli_overflow_refusal_is_all_it_writes_to_stderr(tmp_path, capfd):
+    # the second iterate's form overflows on the way to the refusal
+    assert step1_refusal_stderr(tmp_path, capfd, 1e300) == (
+        "error: config key delta: the second iterate at delta = 1e+300 "
+        "leaves the float range\n")
+
+
+def test_cli_norm_overflow_refusal_is_all_it_writes_to_stderr(tmp_path, capfd):
+    # the form fits; the eighth powers of the p = 8 data norm overflow on
+    # the way to the refusal
+    assert step1_refusal_stderr(tmp_path, capfd, 1e100) == (
+        "error: config key delta: a Besov norm at delta = 1e+100 "
+        "leaves the float range\n")
 
 
 def test_an_echoed_config_runs_again(tmp_path):
