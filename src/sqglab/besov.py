@@ -32,6 +32,7 @@ from .spectral import (
     _half_synthesis,
     _ifft2,
     _occupied_columns,
+    _occupied_rows,
     _row_blocks,
 )
 
@@ -118,17 +119,22 @@ class DyadicPartition:
         edge as ``|k| = m/2``, and modes outside the box read 0.  The step
         is evaluated on the lattice's radius quadrant up to index
         ``min(m/2, floor(t1 2**j / h_xi) + 1)``, past which the ring
-        vanishes, and cropped to its live extent ``K_j``.  Values are
-        bitwise those of the full-lattice evaluation, since ``hypot``
-        ignores signs.
+        vanishes, and cropped to its live extent ``K_j``.  The inner step
+        ``step(2**(1-j) |xi|)`` is evaluated only on its own box, up to
+        index ``floor(t1 2**(j-1) / h_xi) + 1``, past which it is exactly 0,
+        and subtracted in that corner.  Values are bitwise those of the
+        full-lattice evaluation, since ``hypot`` ignores signs and ``x - 0``
+        is ``x``.
         """
         cached = self._quadrants.get(j)
         if cached is not None:
             return cached
         lat = self.lattice
         top = min(lat.m // 2, math.floor(_STEP.t1 * 2.0**j / lat.h_xi) + 1)
-        r = lat.radius_quadrant[: top + 1, : top + 1]
-        vals = _STEP(r * 2.0 ** (-j)) - _STEP(r * 2.0 ** (1 - j))
+        inner = min(top, math.floor(_STEP.t1 * 2.0 ** (j - 1) / lat.h_xi) + 1)
+        r = lat.radius_quadrant
+        vals = _STEP(r[: top + 1, : top + 1] * 2.0 ** (-j))
+        vals[: inner + 1, : inner + 1] -= _STEP(r[: inner + 1, : inner + 1] * 2.0 ** (1 - j))
         # symmetric in (a, b), so the live rows give the extent on both axes
         extent = int(np.flatnonzero(vals.any(axis=1)).max(initial=0))
         quadrant = vals[: extent + 1, : extent + 1].copy()
@@ -232,7 +238,10 @@ def lp_norm(samples: np.ndarray, p: float, cell_area: float) -> float:
     than a float ``pow`` per sample.
     """
     if math.isinf(p):
-        return float(np.abs(samples).max())
+        if np.iscomplexobj(samples):
+            return float(np.abs(samples).max())
+        # real samples: max |x| from two reductions, with no |x| temporary
+        return float(max(samples.max(), -samples.min()))
     if p % 2 == 0 and not np.iscomplexobj(samples):
         powered = _even_power(samples, int(p))
     else:
@@ -290,10 +299,18 @@ def box_lp_norm(coeffs: np.ndarray, lattice: FrequencyLattice, p: float) -> floa
 
 
 def _check_mean_zero(field: SpectralField) -> None:
-    # max(|Re|, |Im|) as SpectralField's realness check measures scale: read
-    # by reductions over the real and imaginary views, no half-sized temporary
+    """Refuse a field whose mean is not zero to 1e-12 of its scale.
+
+    The scale is max(|Re|, |Im|), as SpectralField's realness check measures
+    it, read over the field's occupied columns only
+    (``spectral._occupied_columns``; the others are exact zeros) by
+    reductions over their real and imaginary views, no half-sized temporary.
+    """
     c0 = abs(field.mean_coefficient())
-    c = field.coeffs
+    width = _occupied_columns(field.coeffs, field.lattice.m // 2)
+    if width == 0:  # the zero field
+        return
+    c = field.coeffs[:, :width]
     scale = float(max(c.real.max(), -c.real.min(), c.imag.max(), -c.imag.min()))
     if c0 > 1e-12 * max(scale, 1e-300):
         raise ValueError(
@@ -349,14 +366,36 @@ def shell_profile(
     on the unpaired k = -m/2 row or column (:class:`SpectralField`), so a
     shell reaching ``|k| = m/2`` reads nothing there.
 
-    Zero shells are reported as exact zeros without a transform.
+    Zero shells are reported as exact zeros without a transform, judged on
+    the blocks of the buffer that the shell's coefficients were written
+    into.  A shell the field cannot reach is one, and is read as 0.0 before
+    its ring is evaluated or looked up: the field lives on the box
+    ``|k1| <= K1``, ``k2 <= w - 1`` of its occupied rows and columns
+    (``spectral._occupied_rows``, ``spectral._occupied_columns``), every
+    mode of which has radius at most ``R = radius_quadrant[K1, w - 1]``,
+    and ``phi_j`` is exactly 1 - 1 = 0 below its inner edge ``t0 2**(j-1)``
+    (:class:`~sqglab.profiles.SmoothStep` is exactly 1 on ``[0, t0]``).
+    So shell j is skipped when ``R (1 + 1e-12) < t0 2**(j-1)``, a narrow
+    field's high shells, once the box is known to be finite: a NaN or
+    infinite coefficient skips nothing, so such a field reads the same
+    non-finite shells as without the skip.
     """
     c = field.coeffs
     out: list[tuple[int, float]] = []
-    m = field.lattice.m
-    box = field.lattice.box_length
+    lattice = field.lattice
+    m, box = lattice.m, lattice.box_length
     occupied = _occupied_columns(c, m // 2)
+    k1 = max(_occupied_rows(c, occupied) - 1, 0)
+    reach = lattice.radius_quadrant[k1, max(occupied - 1, 0)]  # R
+    finite = None  # whether the box is finite, read at the first skip
     for j in partition.shells if shells is None else shells:
+        if reach * (1.0 + 1e-12) < _STEP.t0 * 2.0 ** (j - 1):
+            if finite is None:
+                finite = all(np.isfinite(c[rows, :occupied]).all()
+                             for rows, _, _ in _row_blocks(k1, m))
+            if finite:
+                out.append((j, 0.0))
+                continue
         extent = partition.ring_extent(j)
         top = min(extent, occupied - 1)  # the shell's largest occupied k2
         rows, cols = _shell_grid(extent, p, m), _shell_grid(top, p, m)
@@ -365,9 +404,11 @@ def shell_profile(
         quadrant = partition.ring_quadrant(j)
         proj = np.zeros((rows, cols // 2 + 1), dtype=np.complex128)
         live = slice(0, top + 1)
-        for src, dst, quad in _row_blocks(extent, m, rows):
+        written = [
             np.multiply(c[src, live], quadrant[quad, live], out=proj[dst, live])
-        if not proj.any():
+            for src, dst, quad in _row_blocks(extent, m, rows)
+        ]
+        if not any(block.any() for block in written):
             out.append((j, 0.0))
             continue
         samples = _half_synthesis(proj, top + 1, cols)

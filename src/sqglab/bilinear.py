@@ -73,12 +73,12 @@ from .spectral import (
     FrequencyLattice,
     SpectralField,
     _centred_coordinates,
-    _checked,
     _column_analysis,
     _column_synthesis,
     _occupied_columns,
     _radial_multiply,
     _reciprocal,
+    _refuse_non_finite,
     _row_blocks,
     _RowPasses,
     _unfold,
@@ -226,7 +226,12 @@ def _flux_band(wf: int, wg: int, h: int) -> tuple[int, int]:
     return wo, length
 
 
-def _transport(fc: np.ndarray, gc: np.ndarray | None, lattice: FrequencyLattice) -> np.ndarray:
+def _transport(
+    fc: np.ndarray,
+    gc: np.ndarray | None,
+    lattice: FrequencyLattice,
+    operator: str | None = None,
+) -> np.ndarray:
     """Fused kernel: the half spectrum of the quadratic form of real fields.
 
     ``fc`` and ``gc`` are half spectra (m, m/2) of real fields.  With ``gc``
@@ -272,8 +277,11 @@ def _transport(fc: np.ndarray, gc: np.ndarray | None, lattice: FrequencyLattice)
     The accumulator is returned as the output, its column k2 = 0 made
     exactly Hermitian and its zero mode real in place, so that differences
     of nearly equal outputs stay real fields instead of showing their
-    rounding as an imaginary part.  Non-finite values are left to the
-    caller's check.
+    rounding as an imaginary part.  The closing factor of i and, with
+    ``operator``, the finiteness check (a non-finite amplitude raises
+    ``FloatingPointError`` naming it, ``spectral._refuse_non_finite``) read
+    the wo live columns only; without ``operator`` non-finite values are
+    left to the caller.
     """
     diagonal = gc is None
     if diagonal:
@@ -317,9 +325,11 @@ def _transport(fc: np.ndarray, gc: np.ndarray | None, lattice: FrequencyLattice)
             np.multiply(xi_k[lat, :wo] * _reciprocal(rq * rq), flux[sub], out=flux[sub])
             acc[lat, :wo] += flux[sub]
         del flux
-    acc *= 1j if diagonal else 0.5j
+    acc[:, :wo] *= 1j if diagonal else 0.5j
     np.conjugate(acc[h - 1 : 0 : -1, 0], out=acc[h + 1 :, 0])
     acc[0, 0] = acc[0, 0].real
+    if operator is not None:
+        _refuse_non_finite(lattice, acc[:, :wo], operator)
     return acc
 
 
@@ -361,10 +371,11 @@ def bilinear_block(f: SpectralField, g: SpectralField) -> SpectralField:
     against the quadrature.  Symmetric in f and g bit for bit.
     """
     lattice = _shared_lattice(f, g)
-    return _checked(lattice, _transport(f.coeffs, g.coeffs, lattice), "bilinear_block")
+    out = _transport(f.coeffs, g.coeffs, lattice, "bilinear_block")
+    return SpectralField._adopt(lattice, out)
 
 
 def quadratic_diagonal(theta: SpectralField) -> SpectralField:
     """(-Delta)^{-1} div(theta u) with u the Riesz velocity of theta."""
-    out = _transport(theta.coeffs, None, theta.lattice)
-    return _checked(theta.lattice, out, "quadratic_diagonal")
+    out = _transport(theta.coeffs, None, theta.lattice, "quadratic_diagonal")
+    return SpectralField._adopt(theta.lattice, out)

@@ -75,7 +75,13 @@ from .solver import (
     perturbation_solve,
     picard_solve,
 )
-from .spectral import FrequencyLattice, SpectralField, _unfold, inverse_laplacian
+from .spectral import (
+    FrequencyLattice,
+    SpectralField,
+    _occupied_columns,
+    _unfold,
+    inverse_laplacian,
+)
 
 __all__ = ["VERBS", "ExperimentConfig", "Verb", "run_experiment"]
 
@@ -568,12 +574,15 @@ def _run_illpose_step2(cfg: ExperimentConfig) -> ExperimentReport:
     del f
     theta2_half = _second_iterate(
         inverse_laplacian(lacunary_force(lattice, replace(spec, delta=delta / 2.0))), delta)
-    defect = theta2_half.coeffs * 4.0
+    # both are forms of inputs of one band: their columns past the occupied
+    # ones are exact zeros, whose defect and modulus are 0, so not read
+    width = max(_occupied_columns(t.coeffs, lattice.m // 2) for t in (theta2, theta2_half))
+    defect = theta2_half.coeffs[:, :width] * 4.0
     del theta2_half
-    defect -= theta2.coeffs
-    homogeneity = float(np.abs(defect).max())
+    defect -= theta2.coeffs[:, :width]
+    homogeneity = float(np.abs(defect).max(initial=0.0))
     del defect
-    scale2 = float(np.abs(theta2.coeffs).max())
+    scale2 = float(np.abs(theta2.coeffs[:, :width]).max(initial=0.0))
     homogeneity = homogeneity / scale2 if scale2 else 0.0
 
     overlap = shared_annulus_modes(lattice, spec.block_exponents())

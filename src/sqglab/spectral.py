@@ -398,17 +398,21 @@ def _reciprocal(symbol: np.ndarray) -> np.ndarray:
     return np.divide(1.0, symbol, out=np.zeros_like(symbol), where=symbol > 0.0)
 
 
-def _checked(lattice: FrequencyLattice, out: np.ndarray, operator: str) -> SpectralField:
-    """Wrap an operator's fresh output, refusing non-finite amplitudes.
-
-    A non-finite amplitude means the operator blew up on this lattice
-    (a symbol against near-zero frequencies, or a product overflowing).
-    """
+def _refuse_non_finite(lattice: FrequencyLattice, out: np.ndarray, operator: str) -> None:
+    """Raise ``FloatingPointError`` naming ``operator`` if ``out`` holds a
+    non-finite amplitude: the operator blew up on this lattice (a symbol
+    against near-zero frequencies, or a product overflowing)."""
     if not np.all(np.isfinite(out)):
         raise FloatingPointError(
             f"{operator} produced non-finite amplitudes; lattice {lattice} "
             "cannot resolve it"
         )
+
+
+def _checked(lattice: FrequencyLattice, out: np.ndarray, operator: str) -> SpectralField:
+    """Wrap an operator's fresh output, refusing non-finite amplitudes
+    (:func:`_refuse_non_finite`)."""
+    _refuse_non_finite(lattice, out, operator)
     return SpectralField._adopt(lattice, out)
 
 
@@ -438,14 +442,18 @@ def _row_blocks(
     return tuple(out)
 
 
-def _radial_multiply(symbol: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _radial_multiply(
+    symbol: np.ndarray, c: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """``symbol * c`` for a radial symbol given on the whole quadrant
     (shape (m/2 + 1, m/2 + 1), as :attr:`FrequencyLattice.radius_quadrant`)
     and coefficients ``c``, a half spectrum (..., m, m/2) or a full
     (..., m, m) array: each mode reads the quadrant at ``(|k1|, |k2|)``
     by slicing (:func:`_row_blocks`), so no m x m symbol is made.  Bitwise the
-    product with the unfolded symbol."""
-    out = np.empty_like(c)
+    product with the unfolded symbol.  For the leading w columns of a half
+    spectrum, ``c[..., :w]``, the quadrant's first w columns suffice.
+    Written into ``out`` if given, else into a new array."""
+    out = np.empty_like(c) if out is None else out
     rows = _row_blocks(symbol.shape[0] - 1, c.shape[-2])
     cols = rows if c.shape[-1] == c.shape[-2] else rows[:1]
     for dst1, _, src1 in rows:
@@ -455,10 +463,21 @@ def _radial_multiply(symbol: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 
 def inverse_laplacian(field: SpectralField) -> SpectralField:
-    """Coefficientwise division by |xi|^2, zero mode annihilated."""
-    r = field.lattice.radius_quadrant
-    out = _radial_multiply(_reciprocal(r * r), field.coeffs)
-    return _checked(field.lattice, out, "inverse_laplacian")
+    """Coefficientwise division by |xi|^2, zero mode annihilated.
+
+    Reads the field's w occupied columns (:func:`_occupied_columns`) only:
+    the symbol is made on the radius quadrant's first w columns, the output
+    is written and checked there, and its other columns are exact zeros,
+    as the product with the zero coefficients there is.
+    """
+    lat, c = field.lattice, field.coeffs
+    h = lat.m // 2
+    w = _occupied_columns(c, h)
+    r = lat.radius_quadrant[:, :w]
+    out = np.empty_like(c) if w == h else np.zeros_like(c)
+    _radial_multiply(_reciprocal(r * r), c[:, :w], out[:, :w])
+    _refuse_non_finite(lat, out[:, :w], "inverse_laplacian")
+    return SpectralField._adopt(lat, out)
 
 
 def neg_laplacian(field: SpectralField) -> SpectralField:
@@ -564,6 +583,38 @@ def _occupied_columns(c: np.ndarray, width: int) -> int:
     while lo < hi:
         mid = (lo + hi) // 2
         if c[..., mid:hi].any():
+            lo = mid + 1
+        else:
+            hi = mid
+    return hi
+
+
+def _occupied_rows(c: np.ndarray, width: int) -> int:
+    """1 + the largest ``|k1|`` at which the first ``width`` columns of ``c``
+    (..., m, m/2) hold a non-zero coefficient; 0 when they are all zero.
+    The unpaired k1 = -m/2 row, zero in every field, is not read.
+
+    The k1 twin of :func:`_occupied_columns`: the rows ``|k1| = m/2 - 1``
+    are tested first, k1 > 0 before k1 < 0, so a field that fills the
+    first of them costs one row read; otherwise the zero rows are found by
+    halving a band ``lo <= |k1| < hi`` known to hold the last non-zero one,
+    two row blocks per step.
+    """
+    m = c.shape[-2]
+    h = m // 2
+
+    def live(lo: int, hi: int) -> bool:  # a non-zero at lo <= |k1| < hi
+        return bool(c[..., lo:hi, :width].any()
+                    or c[..., m - hi + 1 : m - lo + 1, :width].any())
+
+    if width == 0:
+        return 0
+    if live(h - 1, h):
+        return h
+    lo, hi = 0, h - 1  # rows from |k1| = hi on are zero
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if live(mid, hi):
             lo = mid + 1
         else:
             hi = mid

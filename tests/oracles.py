@@ -7,7 +7,7 @@ from typing import NamedTuple
 import numpy as np
 
 from sqglab import spectral
-from sqglab.besov import _STEP, besov_norm
+from sqglab.besov import _STEP, _shell_grid, _shell_weight, besov_norm, lp_norm
 from sqglab.profiles import SmoothStep
 from sqglab.sampling import random_mean_zero_field
 from sqglab.solver import _TINY, IterationTrace, _finite
@@ -348,3 +348,62 @@ def band_limited_field(lattice, rng, radius):
     field = random_mean_zero_field(lattice, rng)
     mask = lattice.radius_quadrant <= radius
     return SpectralField._adopt(lattice, _radial_multiply(mask, field.coeffs))
+
+
+# -- whole-lattice routes of the passes sized by a field's occupied box -----
+
+
+def occupied_box(c):
+    """``(rows, columns)`` of a half spectrum (m, m/2) by direct search: 1 +
+    the largest ``|k1|`` and 1 + the largest k2 holding a non-zero
+    coefficient, (0, 0) for the zero array."""
+    k1 = np.abs(np.fft.fftfreq(c.shape[0], 1.0 / c.shape[0]).astype(int))
+    held = c != 0
+    rows = int(k1[held.any(axis=1)].max(initial=-1)) + 1
+    cols = int(np.flatnonzero(held.any(axis=0)).max(initial=-1)) + 1
+    return rows, cols
+
+
+def whole_shell_profile(field, s, p, partition, shells=None):
+    """``besov.shell_profile`` as it was before it sized its passes by the
+    field's occupied box: every shell's ring evaluated and multiplied in,
+    emptiness read off the whole transform buffer, the sup norm as
+    ``max |x|`` of the samples."""
+    c = field.coeffs
+    m, box = field.lattice.m, field.lattice.box_length
+    occupied = _occupied_columns(c, m // 2)
+    out = []
+    for j in partition.shells if shells is None else shells:
+        extent = partition.ring_extent(j)
+        top = min(extent, occupied - 1)
+        rows, cols = _shell_grid(extent, p, m), _shell_grid(top, p, m)
+        quadrant = partition.ring_quadrant(j)
+        proj = np.zeros((rows, cols // 2 + 1), dtype=np.complex128)
+        live = slice(0, top + 1)
+        for src, dst, quad in _row_blocks(extent, m, rows):
+            np.multiply(c[src, live], quadrant[quad, live], out=proj[dst, live])
+        if not proj.any():
+            out.append((j, 0.0))
+            continue
+        samples = _half_synthesis(proj, top + 1, cols)
+        weight = (box / rows) * (box / cols)
+        if math.isinf(p):
+            value = float(np.abs(samples).max())
+        else:
+            value = lp_norm(samples, p, weight)
+        out.append((j, _shell_weight(s, j) * value))
+    return out
+
+
+def whole_inverse_laplacian(field):
+    """The coefficients of ``inverse_laplacian`` with its symbol made on the
+    whole radius quadrant and every column multiplied."""
+    r = field.lattice.radius_quadrant
+    return _radial_multiply(_reciprocal(r * r), field.coeffs)
+
+
+def whole_scale(field):
+    """max(|Re|, |Im|) over every stored coefficient: the scale that the
+    mean-zero check compares the mean with."""
+    c = field.coeffs
+    return float(max(c.real.max(), -c.real.min(), c.imag.max(), -c.imag.min()))

@@ -431,3 +431,35 @@ def test_narrow_profile_allocates_no_square_shell_grid():
     square = lattice.m * lattice.m * 8
     peak = traced_peak(lambda: besov_profile(bump, index.s, index.p, partition))
     assert peak < 0.25 * square, f"{peak / square:.2f} of an m x m array"
+
+
+def test_step2_forcing_profile_caches_no_ring_it_cannot_reach():
+    """step2's forcing at m = 1024, h_xi = 1/4 reaches |xi| of about 71, so
+    shells 7 and 8, whose rings start at t0 2**6 = 80 and 160, read 0
+    without their 513 x 513 quadrants being made (``besov.shell_profile``):
+    the partition's cache ends at shell 6."""
+    lattice = FrequencyLattice(m=1024, h_xi=0.25)
+    partition = build_partition(lattice)
+    spec = ForceSpec(variant="lacunary", delta=0.01, size=3, block_range=(1, 3),
+                     exponents=ExponentMap.affine(2, 0))
+    index = BesovIndex.data_index(4.0, 2.0)
+    profile = besov_profile(lacunary_force(lattice, spec), index.s, index.p, partition)
+    assert partition.j_max == 8 and profile[-2:] == [0.0, 0.0]
+    assert max(partition._quadrants) == 6
+
+
+def test_narrow_inverse_laplacian_allocates_no_radius_quadrant():
+    """The symbol is made on the quadrant's occupied columns only, 8 of 257
+    here (``spectral.inverse_laplacian``), so besides its (m, m/2) output
+    the call allocates a few of those columns and numpy's fixed-size buffer
+    for the strided reads of ``_occupied_columns``, with the lattice's
+    radius quadrant cached beforehand.  Measured: 0.22 of the quadrant at
+    m = 512; the symbol made on the whole quadrant, with its square, and
+    the finiteness check over every column measured 1.25."""
+    lattice = FrequencyLattice(m=512, h_xi=0.25)
+    bump = modulated_bump_force(lattice, ForceSpec(variant="bump", size=2))
+    assert spectral._occupied_columns(bump.coeffs, lattice.m // 2) == 8
+    output = bump.coeffs.nbytes
+    quadrant = lattice.radius_quadrant.nbytes
+    peak = traced_peak(lambda: inverse_laplacian(bump))
+    assert peak - output < 0.5 * quadrant, f"{(peak - output) / quadrant:.2f} of the quadrant"
