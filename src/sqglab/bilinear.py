@@ -226,12 +226,7 @@ def _flux_band(wf: int, wg: int, h: int) -> tuple[int, int]:
     return wo, length
 
 
-def _transport(
-    fc: np.ndarray,
-    gc: np.ndarray | None,
-    lattice: FrequencyLattice,
-    operator: str | None = None,
-) -> np.ndarray:
+def _transport(fc: np.ndarray, gc: np.ndarray | None, lattice: FrequencyLattice) -> np.ndarray:
     """Fused kernel: the half spectrum of the quadratic form of real fields.
 
     ``fc`` and ``gc`` are half spectra (m, m/2) of real fields.  With ``gc``
@@ -277,11 +272,10 @@ def _transport(
     The accumulator is returned as the output, its column k2 = 0 made
     exactly Hermitian and its zero mode real in place, so that differences
     of nearly equal outputs stay real fields instead of showing their
-    rounding as an imaginary part.  The closing factor of i and, with
-    ``operator``, the finiteness check (a non-finite amplitude raises
-    ``FloatingPointError`` naming it, ``spectral._refuse_non_finite``) read
-    the wo live columns only; without ``operator`` non-finite values are
-    left to the caller.
+    rounding as an imaginary part.  The closing factor of i and the
+    finiteness check (a non-finite amplitude raises ``FloatingPointError``
+    naming the form, ``quadratic_diagonal`` or ``bilinear_block``;
+    ``spectral._refuse_non_finite``) read the wo live columns only.
     """
     diagonal = gc is None
     if diagonal:
@@ -328,8 +322,8 @@ def _transport(
     acc[:, :wo] *= 1j if diagonal else 0.5j
     np.conjugate(acc[h - 1 : 0 : -1, 0], out=acc[h + 1 :, 0])
     acc[0, 0] = acc[0, 0].real
-    if operator is not None:
-        _refuse_non_finite(lattice, acc[:, :wo], operator)
+    operator = "quadratic_diagonal" if diagonal else "bilinear_block"
+    _refuse_non_finite(lattice, acc[:, :wo], operator)
     return acc
 
 
@@ -371,11 +365,11 @@ def bilinear_block(f: SpectralField, g: SpectralField) -> SpectralField:
     against the quadrature.  Symmetric in f and g bit for bit.
     """
     lattice = _shared_lattice(f, g)
-    out = _transport(f.coeffs, g.coeffs, lattice, "bilinear_block")
+    out = _transport(f.coeffs, g.coeffs, lattice)
     return SpectralField._adopt(lattice, out)
 
 
 def quadratic_diagonal(theta: SpectralField) -> SpectralField:
     """(-Delta)^{-1} div(theta u) with u the Riesz velocity of theta."""
-    out = _transport(theta.coeffs, None, theta.lattice, "quadratic_diagonal")
+    out = _transport(theta.coeffs, None, theta.lattice)
     return SpectralField._adopt(theta.lattice, out)

@@ -592,33 +592,21 @@ def _occupied_columns(c: np.ndarray, width: int) -> int:
 def _occupied_rows(c: np.ndarray, width: int) -> int:
     """1 + the largest ``|k1|`` at which the first ``width`` columns of ``c``
     (..., m, m/2) hold a non-zero coefficient; 0 when they are all zero.
-    The unpaired k1 = -m/2 row, zero in every field, is not read.
 
-    The k1 twin of :func:`_occupied_columns`: the rows ``|k1| = m/2 - 1``
-    are tested first, k1 > 0 before k1 < 0, so a field that fills the
-    first of them costs one row read; otherwise the zero rows are found by
-    halving a band ``lo <= |k1| < hi`` known to hold the last non-zero one,
-    two row blocks per step.
+    The k1 twin of :func:`_occupied_columns`: the row ``k1 = m/2 - 1`` is
+    tested first, so a field that fills it costs one row read; otherwise
+    the rows of the first ``width`` columns are read once and folded onto
+    ``|k1|``, the same data a halving search would read in both signs.
     """
     m = c.shape[-2]
     h = m // 2
-
-    def live(lo: int, hi: int) -> bool:  # a non-zero at lo <= |k1| < hi
-        return bool(c[..., lo:hi, :width].any()
-                    or c[..., m - hi + 1 : m - lo + 1, :width].any())
-
     if width == 0:
         return 0
-    if live(h - 1, h):
+    if c[..., h - 1 : h, :width].any():
         return h
-    lo, hi = 0, h - 1  # rows from |k1| = hi on are zero
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if live(mid, hi):
-            lo = mid + 1
-        else:
-            hi = mid
-    return hi
+    held = c[..., :width].any(axis=-1).reshape(-1, m).any(axis=0)
+    k = np.flatnonzero(held)
+    return int(np.minimum(k, m - k).max(initial=-1)) + 1
 
 
 def _half_synthesis(half: np.ndarray, live: int, length: int | None = None) -> np.ndarray:
