@@ -31,8 +31,6 @@ from .spectral import (
     _ball_box,
     _half_synthesis,
     _ifft2,
-    _occupied_columns,
-    _occupied_rows,
     _row_blocks,
 )
 
@@ -303,11 +301,11 @@ def _check_mean_zero(field: SpectralField) -> None:
 
     The scale is max(|Re|, |Im|), as SpectralField's realness check measures
     it, read over the field's occupied columns only
-    (``spectral._occupied_columns``; the others are exact zeros) by
+    (:attr:`SpectralField.occupied`; the others are exact zeros) by
     reductions over their real and imaginary views, no half-sized temporary.
     """
     c0 = abs(field.mean_coefficient())
-    width = _occupied_columns(field.coeffs, field.lattice.m // 2)
+    width = field.occupied[1]
     if width == 0:  # the zero field
         return
     c = field.coeffs[:, :width]
@@ -336,7 +334,7 @@ def shell_profile(
     (:meth:`DyadicPartition.ring_extent`), the ring read by slicing its
     cached quadrant, and cut to the columns ``k2 <= k2_j``, where
     ``k2_j = min(K_j, w - 1)`` is the shell's largest occupied k2 for a
-    field that occupies w columns (``spectral._occupied_columns``).  Its
+    field that occupies w columns (:attr:`SpectralField.occupied`).  Its
     k2 >= 0 half is written into an ``M_j x G_j`` real-transform buffer
     (rows of ``G_j`` points) and synthesized with the staged inverse
     transform, whose column pass runs over those ``k2_j + 1`` columns; the
@@ -370,10 +368,10 @@ def shell_profile(
     the blocks of the buffer that the shell's coefficients were written
     into.  A shell the field cannot reach is one, and is read as 0.0 before
     its ring is evaluated or looked up: the field lives on the box
-    ``|k1| <= K1``, ``k2 <= w - 1`` of its occupied rows and columns
-    (``spectral._occupied_rows``, ``spectral._occupied_columns``), every
-    mode of which has radius at most ``R = radius_quadrant[K1, w - 1]``,
-    and ``phi_j`` is exactly 1 - 1 = 0 below its inner edge ``t0 2**(j-1)``
+    ``|k1| <= K1``, ``k2 <= w - 1`` it occupies
+    (:attr:`SpectralField.occupied`), every mode of which has radius at
+    most ``R = radius_quadrant[K1, w - 1]``, and ``phi_j`` is exactly
+    1 - 1 = 0 below its inner edge ``t0 2**(j-1)``
     (:class:`~sqglab.profiles.SmoothStep` is exactly 1 on ``[0, t0]``).
     So shell j is skipped when ``R (1 + 1e-12) < t0 2**(j-1)``, a narrow
     field's high shells, once the box is known to be finite: a NaN or
@@ -384,8 +382,8 @@ def shell_profile(
     out: list[tuple[int, float]] = []
     lattice = field.lattice
     m, box = lattice.m, lattice.box_length
-    occupied = _occupied_columns(c, m // 2)
-    k1 = max(_occupied_rows(c, occupied) - 1, 0)
+    occupied = field.occupied[1]
+    k1 = max(field.occupied[0] - 1, 0)  # K1
     reach = lattice.radius_quadrant[k1, max(occupied - 1, 0)]  # R
     finite = None  # whether the box is finite, read at the first skip
     for j in partition.shells if shells is None else shells:

@@ -75,7 +75,6 @@ from .spectral import (
     _centred_coordinates,
     _column_analysis,
     _column_synthesis,
-    _occupied_columns,
     _radial_multiply,
     _reciprocal,
     _refuse_non_finite,
@@ -226,11 +225,10 @@ def _flux_band(wf: int, wg: int, h: int) -> tuple[int, int]:
     return wo, length
 
 
-def _transport(fc: np.ndarray, gc: np.ndarray | None, lattice: FrequencyLattice) -> np.ndarray:
+def _transport(f: SpectralField, g: SpectralField | None) -> np.ndarray:
     """Fused kernel: the half spectrum of the quadratic form of real fields.
 
-    ``fc`` and ``gc`` are half spectra (m, m/2) of real fields.  With ``gc``
-    None this is (-Delta)^{-1} div(f R^perp f); otherwise
+    With ``g`` None this is (-Delta)^{-1} div(f R^perp f); otherwise
     (1/2) (-Delta)^{-1} div(f R^perp g + g R^perp f), whose flux is summed
     in physical space in an order that makes the result bitwise symmetric
     in f and g.
@@ -240,12 +238,13 @@ def _transport(fc: np.ndarray, gc: np.ndarray | None, lattice: FrequencyLattice)
     product (:func:`_flux_band`): 3m/2 for full-band factors, a few times
     their width for factors narrow in k2, such as a modulated bump.  Each
     scalar factor gets its column pass once (:func:`_column_synthesis`,
-    over the columns it occupies), and each velocity component of each
-    factor gets one, the symbol applied during the copy.  The row passes
-    run a slab of ``_SLAB_ROWS`` grid rows at a time (:class:`_RowPasses`):
-    per velocity component, the row pass of every factor and velocity
-    factor, the physical flux, and the flux's row analysis into one
-    (3m/2, wo) flux spectrum of the wo output columns the product reaches.
+    over the columns it occupies, :attr:`SpectralField.occupied`), and each
+    velocity component of each factor gets one, the symbol applied during
+    the copy.  The row passes run a slab of ``_SLAB_ROWS`` grid rows at a
+    time (:class:`_RowPasses`): per velocity component, the row pass of
+    every factor and velocity factor, the physical flux, and the flux's row
+    analysis into one (3m/2, wo) flux spectrum of the wo output columns the
+    product reaches.
     So the row pass of a scalar factor runs once per component: the
     diagonal form makes 4 ``c2r`` and 2 ``r2c`` row passes over the whole
     grid, the block form 8 and 2.  The flux spectrum then gets its column
@@ -277,22 +276,22 @@ def _transport(fc: np.ndarray, gc: np.ndarray | None, lattice: FrequencyLattice)
     naming the form, ``quadratic_diagonal`` or ``bilinear_block``;
     ``spectral._refuse_non_finite``) read the wo live columns only.
     """
-    diagonal = gc is None
+    diagonal = g is None
     if diagonal:
-        gc = fc
+        g = f
+    lattice = f.lattice
     m = lattice.m
     h = m // 2
     grid = 3 * h
     xi = lattice.xi_axis
     r = lattice.radius_quadrant[:, :h]  # |xi| at (|k1|, k2), k2 < m/2
     # zero columns k2 >= w of a factor are neither copied nor transformed
-    wf = _occupied_columns(fc, h)
-    wg = wf if diagonal else _occupied_columns(gc, h)
+    wf, wg = f.occupied[1], g.occupied[1]
     w = max(wf, wg)
     wo, length = _flux_band(wf, wg, h)
-    scalars = ((fc, wf),) if diagonal else ((fc, wf), (gc, wg))
+    scalars = ((f.coeffs, wf),) if diagonal else ((f.coeffs, wf), (g.coeffs, wg))
     columns = _column_synthesis(scalars, grid)
-    f, g = columns[0], columns[-1]
+    f_cols, g_cols = columns[0], columns[-1]
     del columns
     acc = np.zeros((m, h), dtype=np.complex128)
     # Riesz velocity (-xi_2, xi_1) i / |xi|; component k of the flux is
@@ -311,7 +310,8 @@ def _transport(fc: np.ndarray, gc: np.ndarray | None, lattice: FrequencyLattice)
         uf = flux[:, :wf]
         ug = other[0][:, :wg] if other else uf
         del other
-        _flux_spectrum(((f, ug),) if diagonal else ((f, ug), (g, uf)), flux, length)
+        _flux_spectrum(((f_cols, ug),) if diagonal else ((f_cols, ug), (g_cols, uf)), flux,
+                       length)
         del ug, uf
         _column_analysis(flux)
         for lat, sub, quad in _row_blocks(h - 1, m, grid, _SLAB_ROWS):
@@ -365,11 +365,9 @@ def bilinear_block(f: SpectralField, g: SpectralField) -> SpectralField:
     against the quadrature.  Symmetric in f and g bit for bit.
     """
     lattice = _shared_lattice(f, g)
-    out = _transport(f.coeffs, g.coeffs, lattice)
-    return SpectralField._adopt(lattice, out)
+    return SpectralField._adopt(lattice, _transport(f, g))
 
 
 def quadratic_diagonal(theta: SpectralField) -> SpectralField:
     """(-Delta)^{-1} div(theta u) with u the Riesz velocity of theta."""
-    out = _transport(theta.coeffs, None, theta.lattice)
-    return SpectralField._adopt(theta.lattice, out)
+    return SpectralField._adopt(theta.lattice, _transport(theta, None))

@@ -78,7 +78,6 @@ from .solver import (
 from .spectral import (
     FrequencyLattice,
     SpectralField,
-    _occupied_columns,
     _unfold,
     inverse_laplacian,
 )
@@ -552,6 +551,11 @@ def _run_illpose_step1(cfg: ExperimentConfig) -> ExperimentReport:
 def _run_illpose_step2(cfg: ExperimentConfig) -> ExperimentReport:
     delta = cfg["delta"]
     k_lo, k_hi = cfg["size_range"]
+    if not 1 <= k_lo <= k_hi or k_hi < 2:
+        raise ValueError(
+            f"config key size_range {(k_lo, k_hi)} must satisfy 1 <= lo <= hi and "
+            "hi >= 2; the lacunary sum's amplitude carries a log(hi) factor"
+        )
     lattice = FrequencyLattice(m=cfg["m"], h_xi=cfg["h_xi"])
     spec = ForceSpec(variant="lacunary", delta=delta, size=k_hi,
                      block_range=(k_lo, k_hi), exponents=cfg["exponent_map"])
@@ -576,7 +580,7 @@ def _run_illpose_step2(cfg: ExperimentConfig) -> ExperimentReport:
         inverse_laplacian(lacunary_force(lattice, replace(spec, delta=delta / 2.0))), delta)
     # both are forms of inputs of one band: their columns past the occupied
     # ones are exact zeros, whose defect and modulus are 0, so not read
-    width = max(_occupied_columns(t.coeffs, lattice.m // 2) for t in (theta2, theta2_half))
+    width = max(theta2.occupied[1], theta2_half.occupied[1])
     defect = theta2_half.coeffs[:, :width] * 4.0
     del theta2_half
     defect -= theta2.coeffs[:, :width]

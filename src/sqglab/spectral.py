@@ -343,6 +343,20 @@ class SpectralField:
         """Non-zero coefficients of the stored k2 >= 0 half."""
         return int(np.count_nonzero(self.coeffs))
 
+    @cached_property
+    def occupied(self) -> tuple[int, int]:
+        """``(rows, columns)`` of the box the field occupies: 1 + the largest
+        ``|k1|`` and 1 + the largest k2 holding a non-zero coefficient, (0, 0)
+        for the zero field (:func:`_occupied_columns`, :func:`_occupied_rows`).
+
+        Every coefficient outside the box ``|k1| <= rows - 1``,
+        ``k2 <= columns - 1`` is an exact zero, so the passes sized by it
+        read the box only.  Read once per field: the coefficients are
+        read-only.
+        """
+        columns = _occupied_columns(self.coeffs, self.lattice.m // 2)
+        return _occupied_rows(self.coeffs, columns), columns
+
     # -- algebra -----------------------------------------------------------
 
     def _check_compatible(self, other: "SpectralField") -> None:
@@ -465,16 +479,15 @@ def _radial_multiply(
 def inverse_laplacian(field: SpectralField) -> SpectralField:
     """Coefficientwise division by |xi|^2, zero mode annihilated.
 
-    Reads the field's w occupied columns (:func:`_occupied_columns`) only:
-    the symbol is made on the radius quadrant's first w columns, the output
-    is written and checked there, and its other columns are exact zeros,
-    as the product with the zero coefficients there is.
+    Reads the field's w occupied columns (:attr:`SpectralField.occupied`)
+    only: the symbol is made on the radius quadrant's first w columns, the
+    output is written and checked there, and its other columns are exact
+    zeros, as the product with the zero coefficients there is.
     """
     lat, c = field.lattice, field.coeffs
-    h = lat.m // 2
-    w = _occupied_columns(c, h)
+    w = field.occupied[1]
     r = lat.radius_quadrant[:, :w]
-    out = np.empty_like(c) if w == h else np.zeros_like(c)
+    out = np.empty_like(c) if w == lat.m // 2 else np.zeros_like(c)
     _radial_multiply(_reciprocal(r * r), c[:, :w], out[:, :w])
     _refuse_non_finite(lat, out[:, :w], "inverse_laplacian")
     return SpectralField._adopt(lat, out)
@@ -656,7 +669,7 @@ def _column_synthesis(
     first ``cols`` columns are transformed down axis 0 in place.  Row i of
     an array then begins with the first ``cols`` entries of grid row i's
     k2 >= 0 half, whose other entries are zero when ``cols`` covers every
-    non-zero column of c (:func:`_occupied_columns`);
+    non-zero column of c (its field's :attr:`SpectralField.occupied`);
     :meth:`_RowPasses.synthesis` completes the synthesis a slab of rows at
     a time.  ``symbol(rows, quadrant_rows)``, if given, is a lattice
     symbol on a run of at most ``_SLAB_ROWS`` lattice rows and at least

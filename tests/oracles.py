@@ -407,3 +407,12 @@ def whole_scale(field):
     mean-zero check compares the mean with."""
     c = field.coeffs
     return float(max(c.real.max(), -c.real.min(), c.imag.max(), -c.imag.min()))
+
+
+def whole_homogeneity(theta2, theta2_half):
+    """illpose-step2's quadratic-homogeneity value read over every stored
+    column: max |4 theta2_half - theta2| over max |theta2|, 0 for a zero
+    theta2."""
+    defect = float(np.abs(theta2_half.coeffs * 4.0 - theta2.coeffs).max())
+    scale = float(np.abs(theta2.coeffs).max())
+    return defect / scale if scale else 0.0

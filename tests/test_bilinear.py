@@ -233,7 +233,7 @@ def kernel_inputs():
 def test_kernel_inputs_are_as_named():
     lat, fields = kernel_inputs()
     h = lat.m // 2
-    widths = {name: bilinear._occupied_columns(f.coeffs, h) for name, f in fields.items()}
+    widths = {name: f.occupied[1] for name, f in fields.items()}
     assert widths == {"bump": 8, "narrow": 6, "zero": 0, "last-column": 32, "full": 32}
     for name, f in fields.items():
         assert hermitian_defect(f) == 0.0, name
@@ -245,7 +245,8 @@ def test_occupied_column_kernel_is_bitwise_the_full_column_route(first, monkeypa
     monkeypatch.setattr(bilinear, "_flux_band", lambda wf, wg, h: (h, 3 * h))
     f = fields[first]
     got = [quadratic_diagonal(f)] + [bilinear_block(f, g) for g in fields.values()]
-    monkeypatch.setattr(bilinear, "_occupied_columns", lambda c, width: width)
+    whole = property(lambda field: (field.lattice.m // 2, field.lattice.m // 2))
+    monkeypatch.setattr(SpectralField, "occupied", whole)
     want = [quadratic_diagonal(f)] + [bilinear_block(f, g) for g in fields.values()]
     for a, b in zip(got, want):
         assert np.array_equal(a.coeffs, b.coeffs)
@@ -322,10 +323,9 @@ def slab_kernel_inputs(m):
 
 
 def flux_band_of(lat, f, g):
-    h = lat.m // 2
-    wf = bilinear._occupied_columns(f.coeffs, h)
-    wg = wf if g is None else bilinear._occupied_columns(g.coeffs, h)
-    return bilinear._flux_band(wf, wg, h)
+    wf = f.occupied[1]
+    wg = wf if g is None else g.occupied[1]
+    return bilinear._flux_band(wf, wg, lat.m // 2)
 
 
 @pytest.mark.parametrize("m", [8, 16, 32, 64, 128, 256])
@@ -335,7 +335,7 @@ def test_slab_kernel_is_bitwise_the_padded_kernel(m, workers, monkeypatch):
     lat, cases = slab_kernel_inputs(m)
     for name, (f, g) in cases.items():
         gc = None if g is None else g.coeffs
-        got = bilinear._transport(f.coeffs, gc, lat)
+        got = bilinear._transport(f, g)
         want = padded_transport(f.coeffs, gc, lat)
         assert np.abs(got).max() > 0, name
         wo, length = flux_band_of(lat, f, g)
@@ -382,12 +382,12 @@ def test_narrow_rows_are_as_close_to_the_quadrature_as_the_padded_kernel(m, monk
         gc = None if g is None else g.coeffs
         want = quadrature_half(f, g)
         scale = np.abs(want).max()
-        got = np.abs(bilinear._transport(f.coeffs, gc, lat) - want).max()
+        got = np.abs(bilinear._transport(f, g) - want).max()
         padded = np.abs(padded_transport(f.coeffs, gc, lat) - want).max()
         assert got <= padded + QUADRATURE_SLACK * scale, name
         with monkeypatch.context() as patch:
             patch.setattr(bilinear, "_flux_band", short)
-            aliased = np.abs(bilinear._transport(f.coeffs, gc, lat) - want).max()
+            aliased = np.abs(bilinear._transport(f, g) - want).max()
         # measured: at least 3.1e-5 (the bump at m = 64, whose extreme
         # columns are small), against a few 1e-15 without the fold
         assert aliased > 1e-6 * scale, name

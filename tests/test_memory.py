@@ -151,7 +151,7 @@ def test_narrow_quadratic_diagonal_peak_is_one_column_array(warm_pair):
     width."""
     lattice = warm_pair[0].lattice
     bump = modulated_bump_force(lattice, ForceSpec(variant="bump", size=2))
-    w = bilinear._occupied_columns(bump.coeffs, M // 2)
+    w = spectral._occupied_columns(bump.coeffs, M // 2)
     wo, length = bilinear._flux_band(w, w, M // 2)
     assert (w, wo, length) == (8, 15, 32)
     peak = traced_peak(lambda: quadratic_diagonal(bump))

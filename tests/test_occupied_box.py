@@ -1,7 +1,8 @@
 """Passes sized by a field's occupied box, against their whole-lattice routes.
 
 A field occupies the box ``|k1| <= K1``, ``k2 <= w - 1`` of its occupied
-rows and columns (``spectral._occupied_rows``, ``spectral._occupied_columns``).
+rows and columns (``SpectralField.occupied``, read once per field from
+``spectral._occupied_rows`` and ``spectral._occupied_columns``).
 Outside it every coefficient is an exact zero, so the Besov shells its box
 cannot reach, the inverse Laplacian, the mean-zero check, the forms'
 closing factor of i and step2's homogeneity defect read the box only.  Each
@@ -16,7 +17,7 @@ import numpy as np
 import pytest
 
 import oracles
-from sqglab import bilinear, runner
+from sqglab import besov, bilinear, runner, spectral
 from sqglab.besov import (
     _STEP,
     BesovIndex,
@@ -103,6 +104,9 @@ def test_occupied_box_is_the_direct_search(desk, blocks):
         arrays[f"single {i, j}"] = c
     for name, c in arrays.items():
         assert box_of(c) == oracles.occupied_box(c), name
+    for name, f in fields.items():
+        assert f.occupied == oracles.occupied_box(f.coeffs), name
+    assert SpectralField.zeros(blocks[0]).occupied == (0, 0)
     # columns past the width are not read
     c = arrays["single (40, 5)"]
     assert _occupied_rows(c, 5) == 0 and _occupied_rows(c, 6) == 25
@@ -135,7 +139,7 @@ def test_shell_profile_is_bitwise_the_whole_route(desk, blocks, p):
         shells = range(part.j_min, part.j_max + 2)  # one shell above the window too
         got = shell_profile(f, -0.5, p, part, shells)
         assert got == oracles.whole_shell_profile(f, -0.5, p, part, shells), name
-        rows, cols = box_of(f.coeffs)
+        rows, cols = f.occupied
         reach = f.lattice.radius_quadrant[rows - 1, cols - 1]
         skipped += sum(reach < _STEP.t0 * 2.0 ** (j - 1) for j in shells)
     assert skipped
@@ -266,11 +270,10 @@ def test_forms_leave_the_columns_past_their_band_as_the_whole_multiply_does(desk
     for name in ("bump theta1", "lacunary theta1", "full band"):
         f = fields[name]
         for g, factor in ((None, 1j), (fields["bump theta1"], 0.5j)):
-            gc = None if g is None else g.coeffs
-            wf = _occupied_columns(f.coeffs, h)
-            wg = wf if g is None else _occupied_columns(gc, h)
+            wf = f.occupied[1]
+            wg = wf if g is None else g.occupied[1]
             wo, _ = bilinear._flux_band(wf, wg, h)
-            out = bilinear._transport(f.coeffs, gc, lattice)
+            out = bilinear._transport(f, g)
             rest = out[:, wo:]
             assert rest.tobytes() == (np.zeros(rest.shape, dtype=complex) * factor).tobytes()
             form = quadratic_diagonal(f) if g is None else bilinear_block(f, g)
@@ -286,11 +289,64 @@ def test_a_narrow_form_that_overflows_is_refused_by_name(desk, operator):
             quadratic_diagonal(f) if operator == "quadratic_diagonal" else bilinear_block(f, f)
 
 
+STEP2_DESK = {"experiment": "illpose-step2", "m": 256, "h_xi": 0.25, "size_range": [1, 2]}
+
+
+def step2_homogeneity(monkeypatch, off_box):
+    """The reported homogeneity value of step2's desk run and the value
+    read over every column of its two second iterates.  With ``off_box``
+    the delta/2 iterate gains a mode two columns past the other's box."""
+    iterates = []
+    second = runner._second_iterate
+
+    def recorded(theta1, delta):
+        theta = second(theta1, delta)
+        if off_box and iterates:
+            w = iterates[0].occupied[1]
+            amplitude = 1e-3 * np.abs(theta.coeffs).max()
+            theta = theta + SpectralField.cosine(theta.lattice, (1, w + 2), amplitude)
+        iterates.append(theta)
+        return theta
+
+    monkeypatch.setattr(runner, "_second_iterate", recorded)
+    report = run_experiment(config_from_dict(STEP2_DESK), write=False).to_jsonable()
+    theta2, theta2_half = iterates
+    assert max(theta2.occupied[1], theta2_half.occupied[1]) < 128  # columns were skipped
+    verdict, = (v for v in report["verdicts"] if v["name"] == "quadratic-homogeneity")
+    return verdict["observed"], oracles.whole_homogeneity(theta2, theta2_half)
+
+
 def test_step2_homogeneity_defect_is_bitwise_the_whole_route(monkeypatch):
-    # the defect and the scale read the iterates' occupied columns; read
-    # over every column, the report is the same
-    desk = config_from_dict({"experiment": "illpose-step2", "m": 256, "h_xi": 0.25,
-                             "size_range": [1, 2]})
-    got = run_experiment(desk, write=False).to_jsonable()
-    monkeypatch.setattr(runner, "_occupied_columns", lambda c, width: width)
-    assert run_experiment(desk, write=False).to_jsonable() == got
+    # the defect and the scale read the iterates' occupied columns; the
+    # reported value is the one read over every column
+    got, want = step2_homogeneity(monkeypatch, off_box=False)
+    assert got == f"{want:.3e}" and want == 0.0
+
+
+def test_step2_homogeneity_defect_reads_both_iterates_boxes(monkeypatch):
+    # a mode past the full-delta iterate's box is read: the verdict then
+    # fails on the value read over every column
+    got, want = step2_homogeneity(monkeypatch, off_box=True)
+    assert got == f"{want:.3e}" and want > 0.0
+
+
+def test_step2_scans_no_array_twice(monkeypatch):
+    # each field's occupied box is read once, however many passes read it;
+    # the scanned arrays are kept, so that no id is reused within the run
+    scans, scanned = {}, []
+
+    def counted(name, helper):
+        def scan(c, width):
+            scanned.append(c)
+            scans[name, id(c)] = scans.get((name, id(c)), 0) + 1
+            return helper(c, width)
+        return scan
+
+    helpers = {name: getattr(spectral, name) for name in ("_occupied_columns", "_occupied_rows")}
+    for module in (spectral, besov, bilinear, runner):
+        for name, helper in helpers.items():
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted(name, helper))
+    run_experiment(config_from_dict(STEP2_DESK), write=False)
+    assert len(scans) >= 8  # f, the delta/2 forcing and their iterates
+    assert max(scans.values()) == 1, {key: n for key, n in scans.items() if n > 1}

@@ -144,20 +144,30 @@ def test_every_traced_method_is_defined_on_its_class(layer, cls_name, method):
     assert method in cls.__dict__
 
 
-def _draw_sites():
-    """``(module, innermost enclosing function or None)`` of every
-    ``.standard_normal(`` call in the package."""
+def _call_sites(*names: str):
+    """``(module, innermost enclosing function or None)`` of every call in
+    the package of a function or method named one of ``names``."""
     for path in sorted(PACKAGE.glob("*.py")):
         tree = _parsed(path)
         owner = {id(node): func.name for func in ast.walk(tree)
                  if isinstance(func, ast.FunctionDef) for node in ast.walk(func)}
         for node in ast.walk(tree):
-            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "standard_normal"):
-                yield path.name, owner.get(id(node))
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if called in names:
+                    yield path.name, owner.get(id(node))
 
 
 def test_every_random_field_is_drawn_in_one_place():
     # one owner of the Gaussian draw: a second one elsewhere would have to
     # be kept in step with it by hand
-    assert set(_draw_sites()) == {("sampling.py", "_weighted_field")}
+    assert set(_call_sites("standard_normal")) == {("sampling.py", "_weighted_field")}
+
+
+def test_every_occupied_box_is_read_by_the_field():
+    # a field's box is read once, by SpectralField.occupied, and every pass
+    # sized by it reads the property: a pass that scanned the array itself
+    # would read the same field again
+    sites = list(_call_sites("_occupied_columns", "_occupied_rows"))
+    assert sites and set(sites) == {("spectral.py", "occupied")}

@@ -418,6 +418,9 @@ def test_cli_refuses_a_key_the_verb_does_not_read(tmp_path, capsys, verb):
         ("solve", {"m": 64.0}, "m"),
         ("constants", {"p": True}, "p"),
         ("illpose-step1", {"size_range": [4]}, "size_range"),
+        ("illpose-step2", {"size_range": [3, 1]}, "size_range"),
+        ("illpose-step2", {"size_range": [0, 2]}, "size_range"),
+        ("illpose-step2", {"size_range": [1, 1]}, "size_range"),
         ("illpose-step3", {"m": 256, "h_xi": 0.0625, "block_counts": [2, 4], "probe_gap": 2},
          "probe_gap"),
         ("illpose-step3", {"equal_shell": 40}, "equal_shell"),
