@@ -407,11 +407,13 @@ def shell_profile(
             for src, dst, quad in _row_blocks(extent, m, rows)
         ]
         if not any(block.any() for block in written):
+            del proj, written  # before the next shell's buffer
             out.append((j, 0.0))
             continue
         samples = _half_synthesis(proj, top + 1, cols)
         weight = (box / rows) * (box / cols)
         out.append((j, _shell_weight(s, j) * lp_norm(samples, p, weight)))
+        del proj, written, samples  # views of one buffer, freed before the next
     return out
 
 

@@ -416,9 +416,12 @@ def _run_solve(cfg: ExperimentConfig) -> ExperimentReport:
     theta_b, trace_b = picard_solve(f, solve_cfg, theta0=lf, partition=partition)
     theta_norm = _final_norm(theta, trace, solution_index, partition)
     start_gap = besov_norm(theta - theta_b, solution_index, partition) / theta_norm
+    del theta_b
 
     fixed_point = theta - (lf + QUADRATIC_SIGN * quadratic_diagonal(theta))
+    del lf
     fp_residual = besov_norm(fixed_point, solution_index, partition) / theta_norm
+    del fixed_point  # each field is dropped before the Lipschitz solve
     pde_residual = trace.pde_residuals[-1] / f_norm
     worst_ratio = trace.worst_ratio()
 
@@ -465,10 +468,12 @@ def _run_solve(cfg: ExperimentConfig) -> ExperimentReport:
 def _run_illpose_step1(cfg: ExperimentConfig) -> ExperimentReport:
     p, delta = cfg["p"], cfg["delta"]
     lo, hi = cfg["size_range"]
+    if lo < 1:
+        raise ValueError(f"config key size_range {(lo, hi)} must start at a size >= 1")
     if hi <= lo:
         raise ValueError(
-            f"size_range {(lo, hi)} must span at least two sizes; the slope "
-            "and floor verdicts compare across the sweep"
+            f"config key size_range {(lo, hi)} must span at least two sizes; the "
+            "slope and floor verdicts compare across the sweep"
         )
     lattice = FrequencyLattice(m=cfg["m"], h_xi=cfg["h_xi"])
     specs = [
@@ -477,7 +482,11 @@ def _run_illpose_step1(cfg: ExperimentConfig) -> ExperimentReport:
         for n in range(lo, hi + 1)
     ]
     for spec in specs:
-        spec.validate(lattice)
+        try:
+            spec.validate(lattice)
+        except ValueError as err:
+            raise ValueError(f"config keys size_range and carrier_offset (carrier "
+                             f"exponent = size + carrier_offset): {err}") from None
     partition = build_partition(lattice)
     data_index = BesovIndex.data_index(p, cfg["q"])
     # the data-norm trend runs at the requested (p, q); the perturbation
@@ -486,17 +495,22 @@ def _run_illpose_step1(cfg: ExperimentConfig) -> ExperimentReport:
 
     rows = []
     norms, floors, tilde_norms, second_norms = [], [], [], []
+    # Each size's fields are dropped after their last use, so neither f
+    # through the solve nor any field of one size into the next.
     for spec in specs:
         f = modulated_bump_force(lattice, spec)
         theta1 = inverse_laplacian(f)
         theta2 = QUADRATIC_SIGN * _second_iterate(theta1, delta)
         with np.errstate(over="ignore", invalid="ignore"):  # refused, not warned
             data_norm = _in_float_range(besov_norm(f, data_index, partition), delta)
+            del f
             second_norm = _in_float_range(besov_norm(theta2, solve_cfg.index, partition), delta)
         floor = low_frequency_floor(theta2, partition)
         tilde, trace = perturbation_solve(theta1, theta2, solve_cfg,
                                           partition=partition)
+        del theta1, theta2
         tilde_norm = _final_norm(tilde, trace, solve_cfg.index, partition)
+        del tilde
         rows.append((spec.size, spec.carrier, data_norm, floor / delta**2,
                      second_norm, tilde_norm, tilde_norm / second_norm,
                      trace.verdict))
@@ -562,36 +576,40 @@ def _run_illpose_step2(cfg: ExperimentConfig) -> ExperimentReport:
     spec.validate(lattice)
     partition = build_partition(lattice)
 
-    # Each field is dropped after its last use, so at most three are held
-    # at once (tests/test_memory.py): f serves its data norms and then
-    # theta2, the delta/2 forcing only its own form, theta2_half only the
-    # homogeneity check.
+    # Each field is dropped after its last use, so at most two are held at
+    # once (tests/test_memory.py): f serves its data norms and its inverse
+    # Laplacian, that Laplacian only its form, theta2 its profile and its
+    # occupied columns, which the homogeneity check reads, and the delta/2
+    # forcing only its own form.
     f = lacunary_force(lattice, spec)
     # both data norms aggregate one profile: s = 2/p - 3 does not depend on q
     data_index = BesovIndex.data_index(4.0, 2.0)
     with np.errstate(over="ignore", invalid="ignore"):  # refused, not warned
         shells = besov_profile(f, data_index.s, data_index.p, partition)
     norm_rows = [(q, _in_float_range(lq_aggregate(shells, q), delta)) for q in (2.0, 4.0)]
+    lf = inverse_laplacian(f)
+    del f
     # theta2 is the second iterate -B[Lf, Lf] without its sign: negation is
     # exact, and the homogeneity defect and the floor read magnitudes only
-    theta2 = _second_iterate(inverse_laplacian(f), delta)
-    del f
-    theta2_half = _second_iterate(
-        inverse_laplacian(lacunary_force(lattice, replace(spec, delta=delta / 2.0))), delta)
-    # both are forms of inputs of one band: their columns past the occupied
-    # ones are exact zeros, whose defect and modulus are 0, so not read
-    width = max(theta2.occupied[1], theta2_half.occupied[1])
-    defect = theta2_half.coeffs[:, :width] * 4.0
-    del theta2_half
-    defect -= theta2.coeffs[:, :width]
-    homogeneity = float(np.abs(defect).max(initial=0.0))
-    del defect
-    scale2 = float(np.abs(theta2.coeffs[:, :width]).max(initial=0.0))
-    homogeneity = homogeneity / scale2 if scale2 else 0.0
-
+    theta2 = _second_iterate(lf, delta)
+    del lf
     overlap = shared_annulus_modes(lattice, spec.block_exponents())
     profile = low_frequency_profile(theta2, partition)
     floor = max((value for _, value in profile), default=0.0)
+    # both are forms of inputs of one band: their columns past the occupied
+    # ones are exact zeros, whose defect and modulus are 0, so not read
+    theta2_cols = theta2.coeffs[:, :theta2.occupied[1]].copy()
+    del theta2
+    theta2_half = _second_iterate(
+        inverse_laplacian(lacunary_force(lattice, replace(spec, delta=delta / 2.0))), delta)
+    width = max(theta2_cols.shape[1], theta2_half.occupied[1])
+    defect = theta2_half.coeffs[:, :width] * 4.0
+    del theta2_half
+    defect[:, :theta2_cols.shape[1]] -= theta2_cols
+    homogeneity = float(np.abs(defect).max(initial=0.0))
+    del defect
+    scale2 = float(np.abs(theta2_cols).max(initial=0.0))
+    homogeneity = homogeneity / scale2 if scale2 else 0.0
 
     tables = [
         Table("terms", ("n", "carrier_exponent", "amplitude"), tuple(_lacunary_terms(spec))),

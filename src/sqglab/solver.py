@@ -444,10 +444,10 @@ def estimate_constants(
                 f = _inner_edge_field(lattice, j, rng)
             else:
                 f = single_shell_field(lattice, partition, j, rng)
-            if not f.coeffs.any():
-                continue
-            c0 = max(c0, sampled(besov_norm(inverse_laplacian(f), sol, partition),
-                                 besov_norm(f, dat, partition)))
+            if f.coeffs.any():
+                c0 = max(c0, sampled(besov_norm(inverse_laplacian(f), sol, partition),
+                                     besov_norm(f, dat, partition)))
+            del f  # before the next sample is drawn
 
         low = [j for j in shells if j <= partition.j_min + 4]
         shell_pairs = [(k, l) for k in low for l in low if abs(k - l) <= 2]
@@ -464,9 +464,9 @@ def estimate_constants(
             else:
                 f = random_mean_zero_field(lattice, rng)
                 g = random_mean_zero_field(lattice, rng)
-            if not (f.coeffs.any() and g.coeffs.any()):
-                continue
-            c1 = max(c1, sampled(bilinear_ratio(f, g, sol, partition)))
+            if f.coeffs.any() and g.coeffs.any():
+                c1 = max(c1, sampled(bilinear_ratio(f, g, sol, partition)))
+            del f, g  # before the next sample is drawn
 
     return ConstantsReport(
         c0=c0,

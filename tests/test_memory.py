@@ -1,5 +1,6 @@
 """Deterministic memory guards for the quadratic form, one perturbation
-iteration, ``illpose-step2`` and the translated-block forcing.
+iteration, the live fields of ``illpose-step1`` and ``illpose-step2``, the
+Besov shells and the translated-block forcing.
 
 Sizes are counted in two units, at lattice size m:
 
@@ -19,14 +20,13 @@ to, so they count every array allocated while the measured call runs
 """
 
 import tracemalloc
-import weakref
 from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sqglab import bilinear, diagnostics, solver, spectral
+from sqglab import bilinear, diagnostics, runner, solver, spectral
 from sqglab.besov import (
     BesovIndex,
     DyadicPartition,
@@ -79,6 +79,7 @@ HALF = M * (M // 2) * 16
 FORM_ALLOWANCE = 3 * HALF
 
 STEP2_DESK = {"experiment": "illpose-step2", "m": M, "h_xi": 0.25, "size_range": [1, 2]}
+STEP1_DESK = {"experiment": "illpose-step1", "m": M, "size_range": [4, 5]}
 
 
 def traced_peak(call) -> int:
@@ -195,40 +196,52 @@ def test_forms_transform_no_padded_array(form, monkeypatch):
         assert shape != (grid, grid // 2 + 1)
 
 
-def test_step2_holds_at_most_three_fields(monkeypatch):
-    """Live SpectralFields are counted as they are made and freed: the forcing
-    and its iterates are dropped after their last use (runner)."""
-    live = [0, 0]  # now, most
-
-    def freed():
-        live[0] -= 1
-
-    freeze = SpectralField._freeze
-
-    def counted(self, c):
-        freeze(self, c)
-        live[0] += 1
-        live[1] = max(live[1], live[0])
-        weakref.finalize(self, freed)
-
-    monkeypatch.setattr(SpectralField, "_freeze", counted)
+def test_step2_holds_at_most_two_fields(live_fields):
+    """Live SpectralFields are counted as they are made and freed: the forcing,
+    its inverse Laplacian and the second iterate are each dropped after their
+    last use (runner), so a form's input and its output are all that is ever
+    held.  Holding the forcing through its Laplacian's form made three."""
     run_experiment(config_from_dict(STEP2_DESK), write=False)
-    assert live[1] <= 3
+    assert live_fields.most <= 2
 
 
-def test_step2_peak_is_three_fields_and_one_form():
-    """At its peak step2 is inside a quadratic form of a narrow input (the
-    forcing's inverse Laplacian), holding the form's input and one other
-    field, two half fields, and the partition's cached ring quadrants, one
-    more unit.  The form holds one column array, its flux spectrum, since
-    its factors occupy a few columns, and its allowance, which covers its
-    accumulator (the output).  Measured at this config: 0.36 units below
-    the bound as the first run in a process, 0.6 after the tests above.
-    The padded kernel held two padded arrays, 2 column arrays more, and
-    measured 2.31 and 2.07 units over it."""
+def test_step2_peak_is_two_fields_and_one_form():
+    """At its peak step2 is inside the quadratic form of the delta/2
+    forcing's inverse Laplacian, holding that input and the form's output,
+    two half fields, and the partition's cached ring quadrants, less than
+    one more unit.  The form's factors occupy a few columns, so its column
+    arrays, slab scratch, radius quadrant and velocity symbol fit in half a
+    unit, as in the narrow form's guard above.  Measured at this config:
+    3.04 units after the tests above, 3.28 as the first run in a process.
+    Holding the forcing through the form of its inverse Laplacian measured
+    3.92 and 4.16; the padded kernel held two padded arrays, 2 column
+    arrays more."""
     peak = traced_peak(lambda: run_experiment(config_from_dict(STEP2_DESK), write=False))
-    bound = 3 * HALF + COLUMN + FORM_ALLOWANCE
+    bound = 3 * HALF + HALF // 2
     assert peak <= bound, units_over(peak, bound)
+
+
+def test_step1_drops_each_size_before_the_next(live_fields, monkeypatch):
+    """step1 drops its forcing after the data norm and every field of a size
+    before the next size's are made (runner): no field made up to the end of
+    one size's perturbation solve is alive when the next solve starts.  At
+    its peak, inside the first solve, the run holds 11 fields: the solve's
+    own working set and the two iterates it was handed.  Holding the forcing
+    through the solve and the last size's correction into the next made 13."""
+    ends, stale = [], []
+    solve = runner.perturbation_solve
+
+    def watched(*args, **kwargs):
+        if ends:
+            stale.extend(order for order in live_fields.alive() if order < ends[-1])
+        out = solve(*args, **kwargs)
+        ends.append(live_fields.made)
+        return out
+
+    monkeypatch.setattr(runner, "perturbation_solve", watched)
+    run_experiment(config_from_dict(STEP1_DESK), write=False)
+    assert len(ends) == 2 and not stale
+    assert live_fields.most <= 11
 
 
 def test_perturbation_iteration_working_set(monkeypatch):
@@ -431,6 +444,24 @@ def test_narrow_profile_allocates_no_square_shell_grid():
     square = lattice.m * lattice.m * 8
     peak = traced_peak(lambda: besov_profile(bump, index.s, index.p, partition))
     assert peak < 0.25 * square, f"{peak / square:.2f} of an m x m array"
+
+
+def test_profile_holds_one_shell_buffer_at_a_time():
+    """``besov.shell_profile`` frees shell j's transform buffer before shell
+    j + 1's is made.  At p = inf every shell is synthesized on the m x m
+    grid, into an (m, m/2 + 1) complex buffer, and a full-band field at
+    m = 256, h_xi = 1/8 fills the three shells -3 .. -1 of
+    ``low_frequency_profile``.  Measured, with the rings cached: 1.13
+    buffers.  Holding the last shell's buffer while the next is made
+    measured 2.01."""
+    lattice = FrequencyLattice(m=M, h_xi=0.125)
+    partition = build_partition(lattice)
+    field = random_mean_zero_field(lattice, np.random.default_rng(0))
+    profile = diagnostics.low_frequency_profile(field, partition)  # cache the rings
+    assert [j for j, value in profile if value > 0] == [-3, -2, -1]
+    buffer = M * (M // 2 + 1) * 16
+    peak = traced_peak(lambda: diagnostics.low_frequency_profile(field, partition))
+    assert peak < 1.5 * buffer, f"{peak / buffer:.2f} shell buffers"
 
 
 def test_step2_forcing_profile_caches_no_ring_it_cannot_reach():

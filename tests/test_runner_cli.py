@@ -418,6 +418,9 @@ def test_cli_refuses_a_key_the_verb_does_not_read(tmp_path, capsys, verb):
         ("solve", {"m": 64.0}, "m"),
         ("constants", {"p": True}, "p"),
         ("illpose-step1", {"size_range": [4]}, "size_range"),
+        ("illpose-step1", {"m": 256, "size_range": [0, 1]}, "size_range"),
+        ("illpose-step1", {"m": 256, "size_range": [-3, 1]}, "size_range"),
+        ("illpose-step1", {"m": 256, "size_range": [5, 4]}, "size_range"),
         ("illpose-step2", {"size_range": [3, 1]}, "size_range"),
         ("illpose-step2", {"size_range": [0, 2]}, "size_range"),
         ("illpose-step2", {"size_range": [1, 1]}, "size_range"),
@@ -472,6 +475,12 @@ def test_cli_refuses_a_mistyped_value_by_name(tmp_path, capsys, verb, payload, k
          "exponent map"),
         ("illpose-step3", {"exponent_map": {"kind": "table", "entries": [[1, 2]]}},
          "exponent map"),
+        # a bump carrier 2**(size + carrier_offset) too close to frequency 0,
+        # or past the lattice Nyquist
+        ("illpose-step1", {"m": 256, "size_range": [1, 2]},
+         "config keys size_range and carrier_offset"),
+        ("illpose-step1", {"m": 256, "size_range": [4, 5], "carrier_offset": 3},
+         "config keys size_range and carrier_offset"),
         # the second iterate's quadratic form overflows
         ("illpose-step1", {"m": 256, "size_range": [4, 5], "delta": 1e300}, "config key delta"),
         ("illpose-step2", {"m": 1024, "h_xi": 0.25, "delta": 1e300}, "config key delta"),
