@@ -32,6 +32,7 @@ from .spectral import (
     _half_synthesis,
     _ifft2,
     _row_blocks,
+    _slab_samples,
 )
 
 __all__ = [
@@ -359,6 +360,15 @@ def shell_profile(
     A full-band field has ``G_j = M_j``, the square grid, whose weight is
     ``cell * cell`` for ``cell = L/M_j``, bitwise.
 
+    At p = inf both sizes are m, and no (m, m/2 + 1) buffer is made: the
+    shell is written into an (m, k2_j + 1) array of its live columns, whose
+    column pass runs in place, and its row passes run a slab of 64 rows at
+    a time (:func:`~sqglab.spectral._slab_samples`, through the forms'
+    slab engine).  The sup of each slab is folded with numpy's ``max``,
+    which keeps a NaN, so the value is bitwise the sup over the whole
+    synthesis, a NaN or infinite sample included: a maximum does not depend
+    on order.  A sum does, so every other p keeps the whole synthesis.
+
     The rings are real and radial, so a real field has real shells and
     each is one real synthesis of the stored half.  No field holds anything
     on the unpaired k = -m/2 row or column (:class:`SpectralField`), so a
@@ -386,6 +396,7 @@ def shell_profile(
     k1 = max(field.occupied[0] - 1, 0)  # K1
     reach = lattice.radius_quadrant[k1, max(occupied - 1, 0)]  # R
     finite = None  # whether the box is finite, read at the first skip
+    sup = math.isinf(p)
     for j in partition.shells if shells is None else shells:
         if reach * (1.0 + 1e-12) < _STEP.t0 * 2.0 ** (j - 1):
             if finite is None:
@@ -398,10 +409,15 @@ def shell_profile(
         top = min(extent, occupied - 1)  # the shell's largest occupied k2
         rows, cols = _shell_grid(extent, p, m), _shell_grid(top, p, m)
         # phi_j c into the k2 >= 0 half of a rows x cols real transform; each
-        # size is m or above twice its axis's band, so it holds every mode
+        # size is m or above twice its axis's band, so it holds every mode.
+        # The sup norm holds the live columns only, rows padded to an odd
+        # stride as the forms' column arrays are (spectral._column_synthesis).
         quadrant = partition.ring_quadrant(j)
-        proj = np.zeros((rows, cols // 2 + 1), dtype=np.complex128)
         live = slice(0, top + 1)
+        if sup:
+            proj = np.zeros((rows, (top + 1) | 1), dtype=np.complex128)[:, live]
+        else:
+            proj = np.zeros((rows, cols // 2 + 1), dtype=np.complex128)
         written = [
             np.multiply(c[src, live], quadrant[quad, live], out=proj[dst, live])
             for src, dst, quad in _row_blocks(extent, m, rows)
@@ -410,10 +426,12 @@ def shell_profile(
             del proj, written  # before the next shell's buffer
             out.append((j, 0.0))
             continue
-        samples = _half_synthesis(proj, top + 1, cols)
-        weight = (box / rows) * (box / cols)
-        out.append((j, _shell_weight(s, j) * lp_norm(samples, p, weight)))
-        del proj, written, samples  # views of one buffer, freed before the next
+        if sup:  # max |x| of each slab, folded with NaN kept (Python's max drops it)
+            value = float(np.max([lp_norm(slab, p, 0.0) for slab in _slab_samples(proj, cols)]))
+        else:
+            value = lp_norm(_half_synthesis(proj, top + 1, cols), p, (box / rows) * (box / cols))
+        out.append((j, _shell_weight(s, j) * value))
+        del proj, written  # views of one buffer, freed before the next
     return out
 
 

@@ -225,8 +225,8 @@ def _flux_band(wf: int, wg: int, h: int) -> tuple[int, int]:
     return wo, length
 
 
-def _transport(f: SpectralField, g: SpectralField | None) -> np.ndarray:
-    """Fused kernel: the half spectrum of the quadratic form of real fields.
+def _transport(f: SpectralField, g: SpectralField | None) -> SpectralField:
+    """Fused kernel: the quadratic form of real fields.
 
     With ``g`` None this is (-Delta)^{-1} div(f R^perp f); otherwise
     (1/2) (-Delta)^{-1} div(f R^perp g + g R^perp f), whose flux is summed
@@ -268,7 +268,8 @@ def _transport(f: SpectralField, g: SpectralField | None) -> np.ndarray:
     factors from its 1-D frequency axis, a run of rows at a time
     (:func:`~sqglab.spectral._row_blocks`), so no m x m symbol is made.
 
-    The accumulator is returned as the output, its column k2 = 0 made
+    The accumulator is adopted as the output, with wo as its column bound
+    (:meth:`SpectralField._adopt`), its column k2 = 0 made
     exactly Hermitian and its zero mode real in place, so that differences
     of nearly equal outputs stay real fields instead of showing their
     rounding as an imaginary part.  The closing factor of i and the
@@ -324,7 +325,7 @@ def _transport(f: SpectralField, g: SpectralField | None) -> np.ndarray:
     acc[0, 0] = acc[0, 0].real
     operator = "quadratic_diagonal" if diagonal else "bilinear_block"
     _refuse_non_finite(lattice, acc[:, :wo], operator)
-    return acc
+    return SpectralField._adopt(lattice, acc, wo)
 
 
 def _flux_spectrum(
@@ -364,10 +365,10 @@ def bilinear_block(f: SpectralField, g: SpectralField) -> SpectralField:
     not just a per-block one; the suite verifies that numerically
     against the quadrature.  Symmetric in f and g bit for bit.
     """
-    lattice = _shared_lattice(f, g)
-    return SpectralField._adopt(lattice, _transport(f, g))
+    _shared_lattice(f, g)
+    return _transport(f, g)
 
 
 def quadratic_diagonal(theta: SpectralField) -> SpectralField:
     """(-Delta)^{-1} div(theta u) with u the Riesz velocity of theta."""
-    return SpectralField._adopt(theta.lattice, _transport(theta, None))
+    return _transport(theta, None)

@@ -131,10 +131,12 @@ def low_frequency_profile(
 
     The effective witness of the low-frequency floor is usually the top
     shell j = -1; the whole profile is reported so the drift across j is
-    visible.  Each shell is the real staged synthesis of
-    :func:`~sqglab.besov.shell_profile` at s = -1, p = inf, on the m x m
-    grid; shells above the partition window read 0, and a non-zero mean
-    is accepted, since every ring vanishes at the origin.
+    visible.  Each shell is :func:`~sqglab.besov.shell_profile` at s = -1,
+    p = inf: sampled on the m x m grid a slab of 64 rows at a time, from
+    an (m, k2_j + 1) array of the shell's live columns, so no
+    lattice-sized buffer is made.  Shells above the partition window read
+    0, and a non-zero mean is accepted, since every ring vanishes at the
+    origin.
     """
     if partition.j_min > -1:
         raise ValueError(

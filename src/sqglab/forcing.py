@@ -249,9 +249,9 @@ _BUMP_PROFILE = SmoothStep(1.0, 2.0)
 
 
 def _add_bump_pair(out: np.ndarray, lattice: FrequencyLattice, carrier: float,
-                   amp: float) -> None:
+                   amp: float) -> int:
     """Add amp [chi-hat(xi - c e1) + chi-hat(xi + c e1)] into the half
-    spectrum ``out`` (m, m/2).
+    spectrum ``out`` (m, m/2), and return 1 + the last column written.
 
     A bump vanishes from radius 2 on, so each is evaluated only on the
     k2 >= 0 columns of its ball's box (:func:`~sqglab.spectral._ball_box`),
@@ -259,10 +259,13 @@ def _add_bump_pair(out: np.ndarray, lattice: FrequencyLattice, carrier: float,
     those of the formula evaluated on every mode, scaled and added.
     """
     h = lattice.m // 2
+    columns = 0
     for centre in (carrier, -carrier):
         rows, cols, r = _ball_box(lattice, (centre, 0.0), 2.0)
         keep = cols < h
         out[np.ix_(rows, cols[keep])] += amp * _BUMP_PROFILE(r[:, keep])
+        columns = max(columns, int(cols[keep].max(initial=-1)) + 1)
+    return columns
 
 
 def shared_annulus_modes(lattice: FrequencyLattice, exponents: list[int]) -> int:
@@ -299,9 +302,9 @@ def _bump_sum(lattice: FrequencyLattice, terms) -> SpectralField:
             f"lattice too coarse to resolve the unit bump: h_xi = {lattice.h_xi:g} > 1/4"
         )
     coeffs = np.zeros((lattice.m, lattice.m // 2), dtype=np.complex128)
-    for s, amp in terms:
-        _add_bump_pair(coeffs, lattice, 2.0**s, 0.5 * amp)
-    return SpectralField._adopt(lattice, strip_unpaired_edge(coeffs))
+    columns = max((_add_bump_pair(coeffs, lattice, 2.0**s, 0.5 * amp) for s, amp in terms),
+                  default=0)
+    return SpectralField._adopt(lattice, strip_unpaired_edge(coeffs), columns)
 
 
 def modulated_bump_force(lattice: FrequencyLattice, spec: ForceSpec) -> SpectralField:
@@ -424,7 +427,7 @@ def translated_block_force(lattice: FrequencyLattice, spec: ForceSpec,
     out = np.zeros((lattice.m, lattice.m // 2), dtype=np.complex128)
     for centre in (steps, lattice.m - steps):  # rows +S and -S in FFT order
         out[centre - extent : centre + extent + 1, : extent + 1] += box
-    return SpectralField._adopt(lattice, strip_unpaired_edge(out))
+    return SpectralField._adopt(lattice, strip_unpaired_edge(out), extent + 1)
 
 
 def envelope_l4_norm(lattice: FrequencyLattice, spec: ForceSpec,

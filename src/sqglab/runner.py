@@ -496,19 +496,21 @@ def _run_illpose_step1(cfg: ExperimentConfig) -> ExperimentReport:
     rows = []
     norms, floors, tilde_norms, second_norms = [], [], [], []
     # Each size's fields are dropped after their last use, so neither f
-    # through the solve nor any field of one size into the next.
+    # through the solve nor any field of one size into the next.  theta1 is
+    # handed to the solve from a list, so that no name here holds it and the
+    # solve frees it before its loop.
     for spec in specs:
         f = modulated_bump_force(lattice, spec)
-        theta1 = inverse_laplacian(f)
-        theta2 = QUADRATIC_SIGN * _second_iterate(theta1, delta)
+        theta1 = [inverse_laplacian(f)]
+        theta2 = QUADRATIC_SIGN * _second_iterate(theta1[0], delta)
         with np.errstate(over="ignore", invalid="ignore"):  # refused, not warned
             data_norm = _in_float_range(besov_norm(f, data_index, partition), delta)
             del f
             second_norm = _in_float_range(besov_norm(theta2, solve_cfg.index, partition), delta)
         floor = low_frequency_floor(theta2, partition)
-        tilde, trace = perturbation_solve(theta1, theta2, solve_cfg,
+        tilde, trace = perturbation_solve(theta1.pop(), theta2, solve_cfg,
                                           partition=partition)
-        del theta1, theta2
+        del theta2
         tilde_norm = _final_norm(tilde, trace, solve_cfg.index, partition)
         del tilde
         rows.append((spec.size, spec.carrier, data_norm, floor / delta**2,

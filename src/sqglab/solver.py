@@ -325,6 +325,11 @@ def perturbation_solve(
     A form that overflows ends the loop as ``diverged``, with an empty
     trace when it is the first, B[base, base] (:func:`_iterate`).
 
+    theta1 is read by base and the forcing only, and dropped before the
+    loop: a caller that holds no other reference to it has it freed there
+    (illpose-step1 hands it over from a list), one half field fewer for
+    the whole solve.
+
     The step cancels: B[base + tilde, base + tilde] is theta2 + tilde at
     the fixed point, so its rounding is about eps |theta2|.  Measured
     against the three-product step, 2 B[theta1, theta2] + B[theta2, theta2]
@@ -341,6 +346,8 @@ def perturbation_solve(
     sign = float(QUADRATIC_SIGN)
     base = theta1 + theta2
     f_equiv = neg_laplacian(theta1)
+    zero = SpectralField.zeros(theta1.lattice)
+    del theta1  # its last use
 
     def step(tilde: SpectralField, quad: SpectralField) -> SpectralField:
         return sign * quad - theta2
@@ -351,7 +358,6 @@ def perturbation_solve(
     def defect_norm(tilde: SpectralField, quad: SpectralField) -> float:
         return _defect_norm(base + tilde, quad, f_equiv, cfg.data_index, partition)
 
-    zero = SpectralField.zeros(theta1.lattice)
     return _iterate(zero, step, quad_term, defect_norm, cfg, partition, every_iteration=False)
 
 

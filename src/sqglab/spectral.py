@@ -19,8 +19,9 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -245,7 +246,10 @@ class SpectralField:
     anything else raises ``ValueError``) and keeps the half.
     Operators adopt the halves they build, so realness holds by
     construction; routes that need the whole lattice unfold a half with
-    :func:`_unfold`.  A field has no m x m physical view (module docstring).
+    :func:`_unfold`.  A field keeps a column bound, ``_columns``: every
+    column from it on is zero.  It is m/2 unless the operator that made the
+    field knew a smaller one (:meth:`_adopt`).  A field has no m x m
+    physical view (module docstring).
     Fields compare and hash by identity: an array has no single truth
     value, so equality of coefficients is not what ``==`` could report.
     """
@@ -277,16 +281,23 @@ class SpectralField:
             )
         # a copy: the caller may still hold (and later write to) its array
         self._freeze(np.array(c[:, :h]))
+        object.__setattr__(self, "_columns", h)
 
     @classmethod
-    def _adopt(cls, lattice: FrequencyLattice, half: np.ndarray) -> "SpectralField":
+    def _adopt(
+        cls, lattice: FrequencyLattice, half: np.ndarray, columns: int | None = None
+    ) -> "SpectralField":
         """Wrap a fresh half spectrum that no caller holds, without copying it.
 
         For operators that build their output array themselves, in the
         layout of the class docstring; the array is made read-only in place.
+        ``columns``, at most m/2, is a bound the operator knows from its
+        own construction: every column from it on is zero, so
+        :attr:`occupied` searches below it only.
         """
         field = object.__new__(cls)
         object.__setattr__(field, "lattice", lattice)
+        object.__setattr__(field, "_columns", lattice.m // 2 if columns is None else columns)
         field._freeze(np.asarray(half, dtype=np.complex128))
         return field
 
@@ -304,7 +315,7 @@ class SpectralField:
 
     @classmethod
     def zeros(cls, lattice: FrequencyLattice) -> "SpectralField":
-        return cls._adopt(lattice, np.zeros((lattice.m, lattice.m // 2), dtype=np.complex128))
+        return cls._adopt(lattice, np.zeros((lattice.m, lattice.m // 2), dtype=np.complex128), 0)
 
     @classmethod
     def from_modes(
@@ -339,10 +350,6 @@ class SpectralField:
     def mean_coefficient(self) -> complex:
         return complex(self.coeffs[0, 0])
 
-    def nonzero_modes(self) -> int:
-        """Non-zero coefficients of the stored k2 >= 0 half."""
-        return int(np.count_nonzero(self.coeffs))
-
     @cached_property
     def occupied(self) -> tuple[int, int]:
         """``(rows, columns)`` of the box the field occupies: 1 + the largest
@@ -352,9 +359,10 @@ class SpectralField:
         Every coefficient outside the box ``|k1| <= rows - 1``,
         ``k2 <= columns - 1`` is an exact zero, so the passes sized by it
         read the box only.  Read once per field: the coefficients are
-        read-only.
+        read-only.  The search starts at the column bound the field was made
+        with (:meth:`_adopt`), so a field that fills it costs one column read.
         """
-        columns = _occupied_columns(self.coeffs, self.lattice.m // 2)
+        columns = _occupied_columns(self.coeffs, self._columns)
         return _occupied_rows(self.coeffs, columns), columns
 
     # -- algebra -----------------------------------------------------------
@@ -367,21 +375,27 @@ class SpectralField:
 
     def __add__(self, other: "SpectralField") -> "SpectralField":
         self._check_compatible(other)
-        return SpectralField._adopt(self.lattice, self.coeffs + other.coeffs)
+        return SpectralField._adopt(self.lattice, self.coeffs + other.coeffs,
+                                    max(self._columns, other._columns))
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
         self._check_compatible(other)
-        return SpectralField._adopt(self.lattice, self.coeffs - other.coeffs)
+        return SpectralField._adopt(self.lattice, self.coeffs - other.coeffs,
+                                    max(self._columns, other._columns))
 
     def __mul__(self, scalar: float) -> "SpectralField":
         if np.iscomplexobj(scalar):
             raise TypeError("a field times a complex number is not a real field")
-        return SpectralField._adopt(self.lattice, self.coeffs * float(scalar))
+        scalar = float(scalar)
+        # 0 times a non-finite scalar is NaN: the zero columns are kept only
+        # by a finite one
+        return SpectralField._adopt(self.lattice, self.coeffs * scalar,
+                                    self._columns if math.isfinite(scalar) else None)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SpectralField":
-        return SpectralField._adopt(self.lattice, -self.coeffs)
+        return SpectralField._adopt(self.lattice, -self.coeffs, self._columns)
 
 
 def _unfold(half: np.ndarray) -> np.ndarray:
@@ -490,7 +504,7 @@ def inverse_laplacian(field: SpectralField) -> SpectralField:
     out = np.empty_like(c) if w == lat.m // 2 else np.zeros_like(c)
     _radial_multiply(_reciprocal(r * r), c[:, :w], out[:, :w])
     _refuse_non_finite(lat, out[:, :w], "inverse_laplacian")
-    return SpectralField._adopt(lat, out)
+    return SpectralField._adopt(lat, out, w)
 
 
 def neg_laplacian(field: SpectralField) -> SpectralField:
@@ -648,7 +662,8 @@ def _half_synthesis(half: np.ndarray, live: int, length: int | None = None) -> n
     return _pocketfft.c2r(half, (-1,), length, False, _UNSCALED, samples, _FFT_WORKERS)
 
 
-# Rows per slab of the quadratic form's row passes (:class:`_RowPasses`).
+# Rows per slab of the row passes (:class:`_RowPasses`): the quadratic
+# form's and the sup-norm shells' (:func:`_slab_samples`).
 _SLAB_ROWS = 64
 
 
@@ -771,3 +786,22 @@ class _RowPasses:
         rows *= 1.0 / (self.grid * self.length)
         out[...] = half[:, :w]
         half[:, -1] = 0.0
+
+
+def _slab_samples(cols: np.ndarray, length: int) -> Iterator[np.ndarray]:
+    """The real samples of a ``grid x length`` mesh, grid = ``cols.shape[0]``,
+    a slab of at most ``_SLAB_ROWS`` rows at a time, from the leading
+    columns ``cols`` (grid, w), w <= length/2, of its k2 >= 0 half, whose
+    other columns are zero.
+
+    The column pass runs in place in ``cols``, and the row passes through
+    one :class:`_RowPasses` slot, so each (n, length) slab yielded is a view
+    that the next overwrites.  The slabs in order are bitwise the rows of
+    :func:`_half_synthesis` of that half, with no array of the mesh's size
+    made.
+    """
+    grid = cols.shape[0]
+    _pocketfft.c2c(cols, (0,), False, _UNSCALED, cols, _FFT_WORKERS)
+    passes = _RowPasses(grid, length, 1)
+    for top in range(0, grid, _SLAB_ROWS):
+        yield passes.synthesis(cols[top : top + _SLAB_ROWS], 0)[:, :length]

@@ -240,16 +240,22 @@ def test_narrow_shells_match_the_square_grid(desk256, p):
 
 def test_narrow_shells_are_summed_on_short_rows(desk256, monkeypatch):
     # the grids the profile transforms on: M_j x G_j for even p, m x m for
-    # any other p, read off the transforms themselves
+    # any other p, read off the transforms themselves (the whole-shell
+    # synthesis, and at p = inf the slabs of the sup norm)
     lattice, partition, fields = desk256
     f, m = fields["bump 4"], lattice.m
-    synthesis, shapes = besov._half_synthesis, []
+    synthesis, slabs, shapes = besov._half_synthesis, besov._slab_samples, []
 
     def recorded(half, live, length=None):
         shapes.append((half.shape[0], half.shape[0] if length is None else length))
         return synthesis(half, live, length)
 
+    def recorded_slabs(cols, length):
+        shapes.append((cols.shape[0], length))
+        return slabs(cols, length)
+
     monkeypatch.setattr(besov, "_half_synthesis", recorded)
+    monkeypatch.setattr(besov, "_slab_samples", recorded_slabs)
     for p, square in ((4.0, False), (3.0, True), (math.inf, True)):
         shapes.clear()
         shell_profile(f, -0.5, p, partition)
@@ -462,7 +468,7 @@ def test_besov_norm_single_shell_closed_form(lattice128, partition128):
     base = random_mean_zero_field(lattice128, rng)
     r = coordinates(lattice128).radius
     f = SpectralField(lattice128, np.where((r >= lo) & (r <= hi), full(base), 0.0))
-    assert f.nonzero_modes() > 0
+    assert f.coeffs.any()
     for p, q in ((4.0, 2.0), (8.0, 2.0), (math.inf, math.inf)):
         idx = BesovIndex.data_index(p, q)
         want = 2.0 ** (idx.s * j) * lp_norm(

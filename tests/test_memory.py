@@ -20,6 +20,7 @@ to, so they count every array allocated while the measured call runs
 """
 
 import tracemalloc
+import weakref
 from functools import cached_property
 from types import SimpleNamespace
 
@@ -225,23 +226,47 @@ def test_step1_drops_each_size_before_the_next(live_fields, monkeypatch):
     """step1 drops its forcing after the data norm and every field of a size
     before the next size's are made (runner): no field made up to the end of
     one size's perturbation solve is alive when the next solve starts.  At
-    its peak, inside the first solve, the run holds 11 fields: the solve's
-    own working set and the two iterates it was handed.  Holding the forcing
-    through the solve and the last size's correction into the next made 13."""
+    its peak, inside the first solve, the run holds 10 fields: the solve's
+    own working set and theta2.  theta1 is handed over from a list, and the
+    solve frees it once its base and forcing are made; a solve that held it
+    through its loop made 11.  Holding the forcing through the solve and
+    the last size's correction into the next made 13."""
     ends, stale = [], []
     solve = runner.perturbation_solve
 
-    def watched(*args, **kwargs):
+    def watched(theta1, theta2, cfg, partition):
         if ends:
             stale.extend(order for order in live_fields.alive() if order < ends[-1])
-        out = solve(*args, **kwargs)
+        handed = [theta1]
+        del theta1  # handed over as the runner hands it, so that the solve can free it
+        out = solve(handed.pop(), theta2, cfg, partition=partition)
         ends.append(live_fields.made)
         return out
 
     monkeypatch.setattr(runner, "perturbation_solve", watched)
     run_experiment(config_from_dict(STEP1_DESK), write=False)
     assert len(ends) == 2 and not stale
-    assert live_fields.most <= 11
+    assert live_fields.most <= 10
+
+
+def test_perturbation_solve_frees_theta1_before_its_loop(monkeypatch):
+    """``perturbation_solve`` reads theta1 for its base and its forcing only
+    and drops it before the loop (``solver._iterate``), so a theta1 handed
+    over with no other reference, as step1 hands it, is freed by then."""
+    theta1, theta2 = (0.01 * f for f in full_band_pair(32))
+    partition = build_partition(theta1.lattice)
+    iterate, alive = solver._iterate, []
+
+    def watched(*args, **kwargs):
+        alive.append(held() is not None)
+        return iterate(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_iterate", watched)
+    held = weakref.ref(theta1)
+    handed = [theta1]
+    del theta1
+    perturbation_solve(handed.pop(), theta2, SolveConfig(max_iter=1), partition)
+    assert alive == [False]
 
 
 def test_perturbation_iteration_working_set(monkeypatch):
@@ -447,13 +472,16 @@ def test_narrow_profile_allocates_no_square_shell_grid():
 
 
 def test_profile_holds_one_shell_buffer_at_a_time():
-    """``besov.shell_profile`` frees shell j's transform buffer before shell
-    j + 1's is made.  At p = inf every shell is synthesized on the m x m
-    grid, into an (m, m/2 + 1) complex buffer, and a full-band field at
-    m = 256, h_xi = 1/8 fills the three shells -3 .. -1 of
-    ``low_frequency_profile``.  Measured, with the rings cached: 1.13
-    buffers.  Holding the last shell's buffer while the next is made
-    measured 2.01."""
+    """``besov.shell_profile`` frees shell j's buffers before shell j + 1's
+    are made.  At p = inf every shell is synthesized on the m x m grid from
+    its live columns, a slab of 64 rows at a time (``spectral._slab_samples``):
+    one (64, m/2 + 1) complex slab of spectra and one (64, m + 2) real slab
+    of samples, half an (m, m/2 + 1) complex buffer together at m = 256.  A
+    full-band field at m = 256, h_xi = 1/8 fills the three shells -3 .. -1
+    of ``low_frequency_profile``.  Measured, with the rings cached: 0.67
+    buffers.  The whole-shell synthesis into one (m, m/2 + 1) buffer per
+    shell measured 1.13, and 2.01 when it held the last shell's buffer
+    while the next was made."""
     lattice = FrequencyLattice(m=M, h_xi=0.125)
     partition = build_partition(lattice)
     field = random_mean_zero_field(lattice, np.random.default_rng(0))
@@ -461,7 +489,29 @@ def test_profile_holds_one_shell_buffer_at_a_time():
     assert [j for j, value in profile if value > 0] == [-3, -2, -1]
     buffer = M * (M // 2 + 1) * 16
     peak = traced_peak(lambda: diagnostics.low_frequency_profile(field, partition))
-    assert peak < 1.5 * buffer, f"{peak / buffer:.2f} shell buffers"
+    assert peak < 0.9 * buffer, f"{peak / buffer:.2f} shell buffers"
+
+
+def test_sup_shells_allocate_no_lattice_sized_buffer():
+    """At p = inf a shell is written into an (m, k2_j + 1) array of its live
+    columns and synthesized a slab of 64 rows at a time
+    (``besov.shell_profile``), so ``low_frequency_profile`` of step2's
+    second iterate at m = 512, which occupies 15 columns, allocates the slab
+    scratch, a quarter of one (m, m/2 + 1) complex buffer, and a few
+    columns.  Measured, with the rings cached: 0.30 of that buffer.  The
+    whole-shell synthesis, which wrote every shell into such a buffer,
+    measured 1.03."""
+    lattice = FrequencyLattice(m=512, h_xi=0.25)
+    partition = build_partition(lattice)
+    spec = ForceSpec(variant="lacunary", delta=0.01, size=2, block_range=(1, 2),
+                     exponents=ExponentMap.affine(2, 0))
+    theta2 = quadratic_diagonal(inverse_laplacian(lacunary_force(lattice, spec)))
+    assert theta2.occupied[1] == 15
+    profile = diagnostics.low_frequency_profile(theta2, partition)  # cache the rings
+    assert any(value > 0 for _, value in profile)
+    buffer = lattice.m * (lattice.m // 2 + 1) * 16
+    peak = traced_peak(lambda: diagnostics.low_frequency_profile(theta2, partition))
+    assert peak < 0.5 * buffer, f"{peak / buffer:.2f} of an (m, m/2 + 1) buffer"
 
 
 def test_step2_forcing_profile_caches_no_ring_it_cannot_reach():

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import oracles
+from test_memory import operator_outputs
 from sqglab import besov, bilinear, runner, spectral
 from sqglab.besov import (
     _STEP,
@@ -212,6 +213,58 @@ def test_a_non_finite_coefficient_is_not_skipped(desk, bad, where):
     assert not math.isfinite(norm)
 
 
+def test_sup_shells_keep_a_non_finite_sample_in_any_slab(desk):
+    # two modes of about 1e308 overflow the samples near the row their phase
+    # puts the peak on: at row 100 shell 0's samples are infinite in the
+    # first 64-row slab and NaN in the second, where max over the slabs'
+    # sups by Python's max would keep the inf and drop the NaN; (4, 0) and
+    # (4, 1) give infinite samples and no NaN
+    lattice, partition, _ = desk
+    m = lattice.m
+    values = []
+    for modes in (((3, 1), (4, 1)), ((4, 0), (4, 1))):
+        c = np.zeros((m, m // 2), dtype=np.complex128)
+        for a, b in modes:
+            c[a, b] = 1e308 * np.exp(-2j * np.pi * a * 100 / m)
+        f = SpectralField._adopt(lattice, c)
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = [v for _, v in shell_profile(f, -1.0, math.inf, partition)]
+            want = [v for _, v in oracles.whole_shell_profile(f, -1.0, math.inf, partition)]
+        assert np.array_equal(got, want, equal_nan=True), modes
+        values += got
+    assert any(math.isnan(v) for v in values) and math.inf in values
+
+
+def test_a_column_bound_leaves_the_box_unchanged(desk, blocks):
+    # an operator passes the columns it knows to be zero from on
+    # (SpectralField._adopt); the box searched below that bound is the
+    # unbounded search's, and nothing is held from the bound on
+    lattice, _, fields = desk
+    bump, lacunary, full = fields["bump"], fields["lacunary"], fields["full band"]
+    outputs = dict(fields, blocks=blocks[2])
+    outputs.update((f"m = 64 {name}", f)
+                   for name, f in operator_outputs(FrequencyLattice(m=64, h_xi=0.25)).items())
+    outputs.update({
+        "sum": bump + lacunary, "difference": lacunary - bump, "mixed": bump + full,
+        "multiple": 0.5 * fields["bump theta2"], "negation": -fields["lacunary theta1"],
+        "zero plus": SpectralField.zeros(lattice) + bump,
+        "block form": bilinear_block(fields["bump theta1"], fields["lacunary theta1"]),
+    })
+    for name, f in outputs.items():
+        c, bound = f.coeffs, f._columns
+        assert not c[:, bound:].any(), name
+        assert f.occupied == box_of(c) == oracles.occupied_box(c), name
+    narrow = [name for name, f in outputs.items() if f._columns < lattice.m // 2]
+    assert {"bump", "lacunary", "bump theta1", "bump theta2", "blocks", "sum", "multiple",
+            "block form"} <= set(narrow)
+    # 0 times a non-finite scalar is NaN in every column: no bound is kept
+    with np.errstate(invalid="ignore"):
+        for scalar in (math.nan, math.inf):
+            f = scalar * bump
+            assert f._columns == lattice.m // 2
+            assert f.occupied == box_of(f.coeffs) == (lattice.m // 2, lattice.m // 2)
+
+
 def test_a_loop_whose_iterate_goes_non_finite_in_its_mean_ends_diverged(desk):
     lattice, partition, fields = desk
     f = fields["bump theta1"]
@@ -273,7 +326,7 @@ def test_forms_leave_the_columns_past_their_band_as_the_whole_multiply_does(desk
             wf = f.occupied[1]
             wg = wf if g is None else g.occupied[1]
             wo, _ = bilinear._flux_band(wf, wg, h)
-            out = bilinear._transport(f, g)
+            out = bilinear._transport(f, g).coeffs
             rest = out[:, wo:]
             assert rest.tobytes() == (np.zeros(rest.shape, dtype=complex) * factor).tobytes()
             form = quadratic_diagonal(f) if g is None else bilinear_block(f, g)

@@ -112,7 +112,7 @@ SURFACE = list(_surface())
 
 def test_the_guard_sees_the_package():
     labels = {label for label, *_ in SURFACE}
-    assert {"runner.run_experiment", "spectral.SpectralField.nonzero_modes"} <= labels
+    assert {"runner.run_experiment", "spectral.SpectralField.mean_coefficient"} <= labels
 
 
 def test_every_public_name_has_a_caller_beyond_its_unit_test():

@@ -69,7 +69,7 @@ def test_single_shell_support(lattice32, partition32):
     f = single_shell_field(lattice32, partition32, 1, rng)
     ring = partition32.ring_values(1)
     assert np.all((f.coeffs != 0) <= (ring > 0))
-    assert f.nonzero_modes() > 0
+    assert f.coeffs.any()
     with pytest.raises(ValueError, match="no lattice support"):
         single_shell_field(lattice32, partition32, -8, rng)
 
@@ -129,4 +129,4 @@ def test_band_limited_field_is_bitwise_the_masked_white_field(m, h_xi, fraction)
     got = _band_limited_field(lattice, np.random.default_rng(59), radius)
     want = band_limited_field(lattice, np.random.default_rng(59), radius)
     assert (got.coeffs + 0.0).tobytes() == (want.coeffs + 0.0).tobytes()
-    assert got.nonzero_modes() > 0
+    assert got.coeffs.any()

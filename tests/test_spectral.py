@@ -269,7 +269,7 @@ def test_rescale_moves_modes_with_amplitude():
     # mode (8, -4) is stored as its conjugate partner (-8, 4)
     assert full(g)[8, (-4) % 64] == pytest.approx(0.5 * 64.0)
     assert g.coeffs[(-8) % 64, 4] == pytest.approx(0.5 * 64.0)
-    assert g.nonzero_modes() == 1
+    assert np.count_nonzero(g.coeffs) == 1
 
 
 # -- transforms ----------------------------------------------------------------
