@@ -26,6 +26,7 @@ import numpy as np
 
 from .profiles import SmoothStep
 from .spectral import (
+    _SLAB_ROWS,
     FrequencyLattice,
     SpectralField,
     _ball_box,
@@ -121,9 +122,11 @@ class DyadicPartition:
         vanishes, and cropped to its live extent ``K_j``.  The inner step
         ``step(2**(1-j) |xi|)`` is evaluated only on its own box, up to
         index ``floor(t1 2**(j-1) / h_xi) + 1``, past which it is exactly 0,
-        and subtracted in that corner.  Values are bitwise those of the
-        full-lattice evaluation, since ``hypot`` ignores signs and ``x - 0``
-        is ``x``.
+        and subtracted in that corner.  Both steps are evaluated
+        ``_SLAB_ROWS`` rows at a time into the output, so their temporaries
+        are a slab's size, not the box's.  Values are bitwise those of the
+        full-lattice evaluation, since the step is elementwise, ``hypot``
+        ignores signs and ``x - 0`` is ``x``.
         """
         cached = self._quadrants.get(j)
         if cached is not None:
@@ -132,11 +135,16 @@ class DyadicPartition:
         top = min(lat.m // 2, math.floor(_STEP.t1 * 2.0**j / lat.h_xi) + 1)
         inner = min(top, math.floor(_STEP.t1 * 2.0 ** (j - 1) / lat.h_xi) + 1)
         r = lat.radius_quadrant
-        vals = _STEP(r[: top + 1, : top + 1] * 2.0 ** (-j))
-        vals[: inner + 1, : inner + 1] -= _STEP(r[: inner + 1, : inner + 1] * 2.0 ** (1 - j))
+        vals = np.empty((top + 1, top + 1))
+        for lo in range(0, top + 1, _SLAB_ROWS):
+            hi = min(lo + _SLAB_ROWS, top + 1)
+            vals[lo:hi] = _STEP(r[lo:hi, : top + 1] * 2.0 ** (-j))
+            cut = min(hi, inner + 1)
+            if lo < cut:
+                vals[lo:cut, : inner + 1] -= _STEP(r[lo:cut, : inner + 1] * 2.0 ** (1 - j))
         # symmetric in (a, b), so the live rows give the extent on both axes
         extent = int(np.flatnonzero(vals.any(axis=1)).max(initial=0))
-        quadrant = vals[: extent + 1, : extent + 1].copy()
+        quadrant = vals if extent == top else vals[: extent + 1, : extent + 1].copy()
         quadrant.flags.writeable = False
         if len(self._quadrants) < 32:
             self._quadrants[j] = quadrant
@@ -144,7 +152,8 @@ class DyadicPartition:
 
     def ring_values(self, j: int) -> np.ndarray:
         """Values of ``phi_j`` on the k2 >= 0 half of the lattice, the layout
-        of a field's coefficients (real, read-only ``(m, m/2)`` array): mode
+        of a full-band field's coefficients (real, read-only ``(m, m/2)``
+        array; a narrower field's are its first columns): mode
         ``(k1, k2)`` reads :meth:`ring_quadrant` at ``(|k1|, k2)``, zero
         outside its box.
 
@@ -221,12 +230,14 @@ def build_partition(lattice: FrequencyLattice) -> DyadicPartition:
 
 
 def shell_project(field: SpectralField, partition: DyadicPartition, j: int) -> SpectralField:
-    """Multiply coefficients by the ring ``phi_j`` (free-space mollifier)."""
+    """Multiply coefficients by the ring ``phi_j`` (free-space mollifier);
+    the projection stores the field's columns."""
     if not (partition.j_min <= j <= partition.j_max):
         raise ValueError(
             f"shell {j} outside the partition window [{partition.j_min}, {partition.j_max}]"
         )
-    return SpectralField._adopt(field.lattice, field.coeffs * partition.ring_values(j))
+    c = field.coeffs
+    return SpectralField._adopt(field.lattice, c * partition.ring_values(j)[:, : c.shape[1]])
 
 
 def lp_norm(samples: np.ndarray, p: float, cell_area: float) -> float:
@@ -510,13 +521,16 @@ _ROUNDING_ROOM = 1e-6
 
 def _full_sums(c: np.ndarray, weight: np.ndarray | None = None) -> tuple[float, float]:
     """``(sum |w c|, sum |w c|**2)`` over the whole lattice of the half
-    spectrum ``c`` (rows, width) times a real, non-negative ``weight`` of the
-    same shape (1 if None), a run of rows at a time.
+    spectrum ``c`` (rows, width), a field's stored columns or some of them,
+    times a real, non-negative ``weight`` of the same shape (1 if None), a
+    run of rows at a time.
 
     A k2 > 0 column stands for its conjugate mirror too, so it counts twice;
     column k2 = 0 holds both halves of its mirror pairs itself.
     """
     s1 = s2 = 0.0
+    if not c.shape[1]:  # the zero field
+        return s1, s2
     run = np.empty((min(_SUM_ROWS, c.shape[0]), c.shape[1]))
     for lo in range(0, c.shape[0], _SUM_ROWS):
         rows = c[lo : lo + _SUM_ROWS]
@@ -534,15 +548,16 @@ def _ring_sums(c: np.ndarray, quadrant: np.ndarray) -> tuple[float, float]:
     """:func:`_full_sums` of ``phi_j c`` for the ring's
     :meth:`~DyadicPartition.ring_quadrant`, over its box only: the rows
     ``|k1| <= e`` in the blocks of :func:`~sqglab.spectral._row_blocks`,
-    each row meeting quadrant row ``|k1|``, and the columns ``0 .. e``,
-    with ``e`` the ring's extent cut to the stored columns (so the box
-    never reaches the unpaired ``k1 = -m/2`` row, which is zero in every
-    field anyway)."""
+    each row meeting quadrant row ``|k1|``, with ``e`` the ring's extent
+    cut to m/2 - 1 (so the box never reaches the unpaired ``k1 = -m/2``
+    row, which is zero in every field anyway), and the columns ``0 .. e``
+    that ``c``, a field's stored columns, holds."""
     m, width = c.shape
-    e = min(quadrant.shape[0], width) - 1
+    e = min(quadrant.shape[0], m // 2) - 1
+    cols = min(e + 1, width)
     s1 = s2 = 0.0
     for rows, _, quad in _row_blocks(e, m):
-        a, b = _full_sums(c[rows, : e + 1], quadrant[quad, : e + 1])
+        a, b = _full_sums(c[rows, :cols], quadrant[quad, :cols])
         s1, s2 = s1 + a, s2 + b
     return s1, s2
 

@@ -37,11 +37,10 @@ factor's row pass, the product and the flux's row analysis run in one
 slab of scratch, and the slab's wo kept columns are written into one
 (3m/2, wo) flux spectrum, over R^perp f's column array.  The flux
 spectrum then gets its column pass, is contracted with ``i xi / |xi|^2``
-and accumulated into the first wo columns of an (m, m/2) array that
-becomes the output field (fields store their k2 >= 0 half,
-``spectral.SpectralField``) before the next component starts; its other
-columns stay exact zeros.  So a scalar factor's row pass runs once per
-component: per form, the diagonal makes 4 row syntheses and 2 row
+and accumulated into an (m, wo) array that becomes the output field
+(fields store the first columns of their k2 >= 0 half,
+``spectral.SpectralField``) before the next component starts.  So a
+scalar factor's row pass runs once per component: per form, the diagonal makes 4 row syntheses and 2 row
 analyses over the whole (3m/2, G2) grid, the block form 8 and 2.  In
 units of one (3m/2, m/2) complex column array, 1.5 m^2 complex numbers
 (the padded (3m/2, 3m/4 + 1) array of a whole real transform is 1.5 of
@@ -49,8 +48,8 @@ them), the diagonal form holds 2 for a full-band input (theta and one
 velocity factor) and (w + wo) / (m/2) for a narrow one, a few hundredths
 for a modulated bump, and the block form 4 for full-band inputs (f, g
 and their velocity factors) and (wf + wg + 2 wo) / (m/2) for narrow
-ones, besides the slab scratch, a few 64-row slabs of G2 points, and
-(m, m/2) arrays: the accumulator, which is the output.
+ones, besides the slab scratch, a few 64-row slabs of G2 points, and the
+(m, wo) accumulator, which is the output.
 The radial factors come from the lattice's radius quadrant and the
 coordinate factors from its 1-D frequency axis, a run of 64 lattice rows
 at a time, so no m x m symbol is made.  Every field is real by
@@ -197,9 +196,9 @@ def bilinear_quadrature(f: SpectralField, g: SpectralField) -> SpectralField:
 
 
 def _flux_band(wf: int, wg: int, h: int) -> tuple[int, int]:
-    """``(wo, length)`` for factors occupying ``wf`` and ``wg`` columns of an
-    (m, m/2) half spectrum, h = m/2: the flux's kept output columns and the
-    length of its row passes.
+    """``(wo, length)`` for factors occupying ``wf`` and ``wg`` columns of a
+    half spectrum of h = m/2 columns: the flux's kept output columns, which
+    the form stores, and the length of its row passes.
 
     The product of the factors reaches |k2| <= band = (wf - 1) + (wg - 1),
     so its columns from band + 1 on are zero in exact arithmetic, and the
@@ -249,8 +248,9 @@ def _transport(f: SpectralField, g: SpectralField | None) -> SpectralField:
     diagonal form makes 4 ``c2r`` and 2 ``r2c`` row passes over the whole
     grid, the block form 8 and 2.  The flux spectrum then gets its column
     pass and is contracted into the accumulator's first wo columns before
-    the next component starts; the accumulator's other columns stay exact
-    zeros, which is their value in exact arithmetic.
+    the next component starts.  The accumulator has those wo columns only:
+    the others are zero in exact arithmetic, and the output leaves them
+    implicit (:class:`~sqglab.spectral.SpectralField`).
 
     Working set, in (3m/2, m/2) complex column arrays: a scalar factor's
     column array is (3m/2, w) for its w occupied columns, a velocity
@@ -260,7 +260,7 @@ def _transport(f: SpectralField, g: SpectralField | None) -> SpectralField:
     input (theta and a velocity factor) and (w + wo) / (m/2) for a narrow
     one, the block form 4 for full-band inputs (f, g and their velocity
     factors) and (wf + wg + 2 wo) / (m/2) for narrow ones.  Besides these:
-    the (m, m/2) accumulator, which is the output, the slab scratch, made
+    the (m, wo) accumulator, which is the output, the slab scratch, made
     for each component once its velocity factors are, and the velocity
     symbol on a run of ``_SLAB_ROWS`` lattice rows while those are made.
     No array of the padded size (3m/2, 3m/4 + 1) is made.  The radial
@@ -268,14 +268,13 @@ def _transport(f: SpectralField, g: SpectralField | None) -> SpectralField:
     factors from its 1-D frequency axis, a run of rows at a time
     (:func:`~sqglab.spectral._row_blocks`), so no m x m symbol is made.
 
-    The accumulator is adopted as the output, with wo as its column bound
-    (:meth:`SpectralField._adopt`), its column k2 = 0 made
-    exactly Hermitian and its zero mode real in place, so that differences
-    of nearly equal outputs stay real fields instead of showing their
-    rounding as an imaginary part.  The closing factor of i and the
-    finiteness check (a non-finite amplitude raises ``FloatingPointError``
-    naming the form, ``quadratic_diagonal`` or ``bilinear_block``;
-    ``spectral._refuse_non_finite``) read the wo live columns only.
+    The accumulator is adopted as the output (:meth:`SpectralField._adopt`),
+    its column k2 = 0 made exactly Hermitian and its zero mode real in
+    place, so that differences of nearly equal outputs stay real fields
+    instead of showing their rounding as an imaginary part.  A non-finite
+    amplitude raises ``FloatingPointError`` naming the form,
+    ``quadratic_diagonal`` or ``bilinear_block``
+    (``spectral._refuse_non_finite``).
     """
     diagonal = g is None
     if diagonal:
@@ -294,7 +293,7 @@ def _transport(f: SpectralField, g: SpectralField | None) -> SpectralField:
     columns = _column_synthesis(scalars, grid)
     f_cols, g_cols = columns[0], columns[-1]
     del columns
-    acc = np.zeros((m, h), dtype=np.complex128)
+    acc = np.zeros((m, wo), dtype=np.complex128)
     # Riesz velocity (-xi_2, xi_1) i / |xi|; component k of the flux is
     # contracted with xi_k / |xi|^2 (the i goes on at the end).  The
     # radial factors are taken from the quadrant a run of rows at a time.
@@ -318,14 +317,14 @@ def _transport(f: SpectralField, g: SpectralField | None) -> SpectralField:
         for lat, sub, quad in _row_blocks(h - 1, m, grid, _SLAB_ROWS):
             rq = r[quad, :wo]
             np.multiply(xi_k[lat, :wo] * _reciprocal(rq * rq), flux[sub], out=flux[sub])
-            acc[lat, :wo] += flux[sub]
+            acc[lat] += flux[sub]
         del flux
-    acc[:, :wo] *= 1j if diagonal else 0.5j
+    acc *= 1j if diagonal else 0.5j
     np.conjugate(acc[h - 1 : 0 : -1, 0], out=acc[h + 1 :, 0])
     acc[0, 0] = acc[0, 0].real
     operator = "quadratic_diagonal" if diagonal else "bilinear_block"
-    _refuse_non_finite(lattice, acc[:, :wo], operator)
-    return SpectralField._adopt(lattice, acc, wo)
+    _refuse_non_finite(lattice, acc, operator)
+    return SpectralField._adopt(lattice, acc)
 
 
 def _flux_spectrum(

@@ -163,12 +163,15 @@ def inflation_profile(
     probe projection of theta2; a shell whose probe has empty lattice
     support raises (the probe ball shrinks like 2**(j - gap), so shells
     too close to the lattice floor cannot be probed).  The projection lives
-    on the probe's box and is normed there (:func:`~sqglab.besov.box_lp_norm`).
+    on the probe's box and is normed there (:func:`~sqglab.besov.box_lp_norm`);
+    the box's columns past theta2's stored ones read its implicit zeros.
     """
     lat = theta2.lattice
     entries = []
     for n, shell in zip(spec.block_indices(), spec.block_shells()):
         rows, cols, values = build_probe(lat, shell, gap=spec.probe_gap).box
-        piece = theta2.coeffs[np.ix_(rows, cols)] * values
+        stored = cols < theta2.coeffs.shape[1]
+        piece = np.zeros(values.shape, dtype=np.complex128)
+        piece[:, stored] = theta2.coeffs[np.ix_(rows, cols[stored])] * values[:, stored]
         entries.append((n, shell, 2.0 ** (-0.5 * shell) * box_lp_norm(piece, lat, 4.0)))
     return entries

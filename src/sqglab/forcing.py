@@ -12,9 +12,10 @@ along e1:
   envelope, modulated by a single carrier.
 
 Every envelope exists only on its box, which is added into one zero
-(m, m/2) half spectrum: a bump on its ball's box, the block envelope on
-the box of its widest ring (``_envelope_box``), placed at the rows of +-the
-carrier.  ``envelope_l4_norm`` sums the block envelope on that box.
+array of a half spectrum's first columns, as many as the boxes reach: a
+bump on its ball's box, the block envelope on the box of its widest ring
+(``_envelope_box``), placed at the rows of +-the carrier.
+``envelope_l4_norm`` sums the block envelope on that box.
 
 Exponent maps are configurable.  The quadratic map (carrier exponents
 n**2) that motivates the constructions outruns any feasible lattice almost
@@ -248,24 +249,15 @@ class ForceSpec:
 _BUMP_PROFILE = SmoothStep(1.0, 2.0)
 
 
-def _add_bump_pair(out: np.ndarray, lattice: FrequencyLattice, carrier: float,
-                   amp: float) -> int:
-    """Add amp [chi-hat(xi - c e1) + chi-hat(xi + c e1)] into the half
-    spectrum ``out`` (m, m/2), and return 1 + the last column written.
-
-    A bump vanishes from radius 2 on, so each is evaluated only on the
-    k2 >= 0 columns of its ball's box (:func:`~sqglab.spectral._ball_box`),
-    which the spec's validation keeps disjoint; the values are bitwise
-    those of the formula evaluated on every mode, scaled and added.
-    """
+def _bump_boxes(lattice: FrequencyLattice, carrier: float):
+    """The k2 >= 0 boxes (rows, columns, offset radius) of the balls of
+    radius 2 around +-``carrier`` e1 (:func:`~sqglab.spectral._ball_box`),
+    outside of which chi-hat(xi -+ carrier e1) vanishes."""
     h = lattice.m // 2
-    columns = 0
     for centre in (carrier, -carrier):
         rows, cols, r = _ball_box(lattice, (centre, 0.0), 2.0)
         keep = cols < h
-        out[np.ix_(rows, cols[keep])] += amp * _BUMP_PROFILE(r[:, keep])
-        columns = max(columns, int(cols[keep].max(initial=-1)) + 1)
-    return columns
+        yield rows, cols[keep], r[:, keep]
 
 
 def shared_annulus_modes(lattice: FrequencyLattice, exponents: list[int]) -> int:
@@ -296,15 +288,23 @@ def shared_annulus_modes(lattice: FrequencyLattice, exponents: list[int]) -> int
 
 def _bump_sum(lattice: FrequencyLattice, terms) -> SpectralField:
     """The field sum over ``terms`` (s, amp) of (amp / 2) [chi-hat(xi - 2**s
-    e1) + chi-hat(xi + 2**s e1)], for a spec the caller has validated."""
+    e1) + chi-hat(xi + 2**s e1)], for a spec the caller has validated.
+
+    Each bump is evaluated only on its ball's box (:func:`_bump_boxes`),
+    which the spec's validation keeps disjoint, and added in term order
+    into an array as wide as the boxes' columns; the values are bitwise
+    those of the formula evaluated on every mode, scaled and added.
+    """
     if lattice.h_xi > 0.25:
         raise ValueError(
             f"lattice too coarse to resolve the unit bump: h_xi = {lattice.h_xi:g} > 1/4"
         )
-    coeffs = np.zeros((lattice.m, lattice.m // 2), dtype=np.complex128)
-    columns = max((_add_bump_pair(coeffs, lattice, 2.0**s, 0.5 * amp) for s, amp in terms),
-                  default=0)
-    return SpectralField._adopt(lattice, strip_unpaired_edge(coeffs), columns)
+    boxes = [(0.5 * amp, box) for s, amp in terms for box in _bump_boxes(lattice, 2.0**s)]
+    width = max((int(cols.max(initial=-1)) + 1 for _, (_, cols, _) in boxes), default=0)
+    coeffs = np.zeros((lattice.m, width), dtype=np.complex128)
+    for amp, (rows, cols, r) in boxes:
+        coeffs[np.ix_(rows, cols)] += amp * _BUMP_PROFILE(r)
+    return SpectralField._adopt(lattice, strip_unpaired_edge(coeffs))
 
 
 def modulated_bump_force(lattice: FrequencyLattice, spec: ForceSpec) -> SpectralField:
@@ -401,7 +401,7 @@ def translated_block_force(lattice: FrequencyLattice, spec: ForceSpec,
     cos(2**c x1), with amp = delta 2**(5c/2) / (size**(1/4) ln(size)).
 
     The modulation is an exact spectral shift: the envelope's box
-    (:func:`_envelope_box`) is added into a zero half spectrum at rows
+    (:func:`_envelope_box`) is added into a zero (m, K + 1) array at rows
     +-S, S = 2**c / h_xi carrier steps, so the forcing's band
     [2**c - B, 2**c + B] (B the envelope bandwidth) is exact.  The box's
     extent K is that of a ring at shell at most ``top`` (the top block
@@ -424,10 +424,10 @@ def translated_block_force(lattice: FrequencyLattice, spec: ForceSpec,
         )
     amp = spec.delta * 2.0 ** (2.5 * spec.carrier) / (spec.size**0.25 * math.log(spec.size))
     box *= 0.5 * amp
-    out = np.zeros((lattice.m, lattice.m // 2), dtype=np.complex128)
+    out = np.zeros((lattice.m, extent + 1), dtype=np.complex128)
     for centre in (steps, lattice.m - steps):  # rows +S and -S in FFT order
-        out[centre - extent : centre + extent + 1, : extent + 1] += box
-    return SpectralField._adopt(lattice, strip_unpaired_edge(out), extent + 1)
+        out[centre - extent : centre + extent + 1] += box
+    return SpectralField._adopt(lattice, strip_unpaired_edge(out))
 
 
 def envelope_l4_norm(lattice: FrequencyLattice, spec: ForceSpec,

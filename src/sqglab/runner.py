@@ -294,7 +294,7 @@ def _run_partition_check(cfg: ExperimentConfig) -> ExperimentReport:
     total = SpectralField.zeros(lattice)
     for j in partition.shells:
         total = total + shell_project(band, partition, j)
-    recon = band.coeffs - total.coeffs
+    recon = (band - total).coeffs
     scale = float(np.abs(band.coeffs).max())
     recon_err = float(np.abs(recon).max()) / scale if scale else 0.0
 
@@ -600,12 +600,13 @@ def _run_illpose_step2(cfg: ExperimentConfig) -> ExperimentReport:
     floor = max((value for _, value in profile), default=0.0)
     # both are forms of inputs of one band: their columns past the occupied
     # ones are exact zeros, whose defect and modulus are 0, so not read
-    theta2_cols = theta2.coeffs[:, :theta2.occupied[1]].copy()
+    theta2_cols = theta2.coeffs[:, :theta2.occupied[1]]
     del theta2
     theta2_half = _second_iterate(
         inverse_laplacian(lacunary_force(lattice, replace(spec, delta=delta / 2.0))), delta)
-    width = max(theta2_cols.shape[1], theta2_half.occupied[1])
-    defect = theta2_half.coeffs[:, :width] * 4.0
+    half_width = theta2_half.occupied[1]
+    defect = np.zeros((lattice.m, max(theta2_cols.shape[1], half_width)), dtype=np.complex128)
+    np.multiply(theta2_half.coeffs[:, :half_width], 4.0, out=defect[:, :half_width])
     del theta2_half
     defect[:, :theta2_cols.shape[1]] -= theta2_cols
     homogeneity = float(np.abs(defect).max(initial=0.0))

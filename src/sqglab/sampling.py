@@ -41,11 +41,12 @@ def _real_field(lattice: FrequencyLattice, coeffs: np.ndarray) -> SpectralField:
 def _weighted_field(lattice: FrequencyLattice, rng: np.random.Generator,
                     weight: np.ndarray | None = None) -> SpectralField:
     """The real field of complex Gaussian draws on the whole lattice, times
-    ``weight`` given on the radius quadrant, if any: every sample's draws."""
+    ``weight`` given on the radius quadrant, if any, applied in place: every
+    sample's draws."""
     m = lattice.m
     c = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     if weight is not None:
-        c = _radial_multiply(weight, c)
+        _radial_multiply(weight, c, out=c)
     return _real_field(lattice, c)
 
 

@@ -10,9 +10,10 @@ its product's k2 band needs, a Besov shell or a local object on the
 smallest square grid that resolves the band of ``|g|**p``.
 
 Fields are immutable; every operation returns a new field.  Fields are
-real, so a field stores only the k2 >= 0 half of its Hermitian coefficients
-(:class:`SpectralField`), rows in FFT index order (0, 1, ..., m/2-1, -m/2,
-..., -1).
+real, so a field stores only the k2 >= 0 half of its Hermitian coefficients,
+and of that half only the first columns, as many as the operator that made
+it knows may be non-zero (:class:`SpectralField`); rows are in FFT index
+order (0, 1, ..., m/2-1, -m/2, ..., -1).
 """
 
 from __future__ import annotations
@@ -227,29 +228,31 @@ _REAL_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class SpectralField:
-    """Immutable real field on a :class:`FrequencyLattice`, stored as its
-    k2 >= 0 half spectrum.
+    """Immutable real field on a :class:`FrequencyLattice`, stored as the
+    first columns of its k2 >= 0 half spectrum.
 
     A real field's coefficients are Hermitian, ``c(-k) = conj(c(k))``, so
-    the columns k2 = 0 .. m/2 - 1 hold them all: ``coeffs`` has shape
-    (m, m/2), rows in FFT order, the layout of a real transform's half
-    without its last column.  Column k2 = 0 holds both ``c(k1, 0)`` and its
-    conjugate ``c(-k1, 0)``, and the zero mode is real.  The unpaired
-    k = -m/2 row and column have no partner inside the box: the row is zero
-    and the column has no slot.  Every field is a scalar, as the unknown,
-    the forcing and the quadratic form are; a velocity is a pair of fields
-    (:func:`riesz_velocity`).
+    the columns k2 = 0 .. m/2 - 1 hold them all, rows in FFT order, the
+    layout of a real transform's half without its last column.  A field
+    stores the first w of those columns, ``coeffs`` of shape (m, w) with
+    0 <= w <= m/2; the columns from w on are implicit zeros.  The operator
+    that makes a field chooses w from its construction (a modulated bump
+    occupies a few columns whatever its carrier, and a form of such
+    fields a few more), and a full-band field has w = m/2.  Column k2 = 0
+    holds both ``c(k1, 0)`` and its conjugate ``c(-k1, 0)``, and the zero
+    mode is real.  The unpaired k = -m/2 row and column have no partner
+    inside the box: the row is zero and the column has no slot.  Every
+    field is a scalar, as the unknown, the forcing and the quadratic form
+    are; a velocity is a pair of fields (:func:`riesz_velocity`).
 
     ``SpectralField(lattice, full)`` takes the full (m, m) coefficients,
     checks once that they are a real field (an anti-Hermitian part of at
     most 1e-12 of their largest component, nothing on the unpaired edge;
-    anything else raises ``ValueError``) and keeps the half.
-    Operators adopt the halves they build, so realness holds by
-    construction; routes that need the whole lattice unfold a half with
-    :func:`_unfold`.  A field keeps a column bound, ``_columns``: every
-    column from it on is zero.  It is m/2 unless the operator that made the
-    field knew a smaller one (:meth:`_adopt`).  A field has no m x m
-    physical view (module docstring).
+    anything else raises ``ValueError``) and keeps the whole half, w = m/2.
+    Operators adopt the arrays they build (:meth:`_adopt`), so realness
+    holds by construction; routes that need the whole lattice unfold the
+    stored columns with :func:`_unfold`.  A field has no m x m physical
+    view (module docstring).
     Fields compare and hash by identity: an array has no single truth
     value, so equality of coefficients is not what ``==`` could report.
     """
@@ -281,32 +284,28 @@ class SpectralField:
             )
         # a copy: the caller may still hold (and later write to) its array
         self._freeze(np.array(c[:, :h]))
-        object.__setattr__(self, "_columns", h)
 
     @classmethod
-    def _adopt(
-        cls, lattice: FrequencyLattice, half: np.ndarray, columns: int | None = None
-    ) -> "SpectralField":
-        """Wrap a fresh half spectrum that no caller holds, without copying it.
+    def _adopt(cls, lattice: FrequencyLattice, half: np.ndarray) -> "SpectralField":
+        """Wrap a fresh (m, w) array of a half spectrum's first w columns
+        that no caller holds, without copying it.
 
         For operators that build their output array themselves, in the
-        layout of the class docstring; the array is made read-only in place.
-        ``columns``, at most m/2, is a bound the operator knows from its
-        own construction: every column from it on is zero, so
-        :attr:`occupied` searches below it only.
+        layout of the class docstring, as wide as their construction needs:
+        every column from w on is zero.  The array is made read-only in
+        place.
         """
         field = object.__new__(cls)
         object.__setattr__(field, "lattice", lattice)
-        object.__setattr__(field, "_columns", lattice.m // 2 if columns is None else columns)
         field._freeze(np.asarray(half, dtype=np.complex128))
         return field
 
     def _freeze(self, c: np.ndarray) -> None:
         m = self.lattice.m
-        if c.shape != (m, m // 2):
+        if c.ndim != 2 or c.shape[0] != m or c.shape[1] > m // 2:
             raise ValueError(
                 f"half-spectrum shape {c.shape} does not match lattice m={m} "
-                "(expected (m,m/2))"
+                "(expected (m, w) with w <= m/2)"
             )
         c.flags.writeable = False
         object.__setattr__(self, "coeffs", c)
@@ -315,7 +314,7 @@ class SpectralField:
 
     @classmethod
     def zeros(cls, lattice: FrequencyLattice) -> "SpectralField":
-        return cls._adopt(lattice, np.zeros((lattice.m, lattice.m // 2), dtype=np.complex128), 0)
+        return cls._adopt(lattice, np.zeros((lattice.m, 0), dtype=np.complex128))
 
     @classmethod
     def from_modes(
@@ -348,7 +347,7 @@ class SpectralField:
     # -- basic queries -----------------------------------------------------
 
     def mean_coefficient(self) -> complex:
-        return complex(self.coeffs[0, 0])
+        return complex(self.coeffs[0, 0]) if self.coeffs.shape[1] else 0j
 
     @cached_property
     def occupied(self) -> tuple[int, int]:
@@ -359,10 +358,10 @@ class SpectralField:
         Every coefficient outside the box ``|k1| <= rows - 1``,
         ``k2 <= columns - 1`` is an exact zero, so the passes sized by it
         read the box only.  Read once per field: the coefficients are
-        read-only.  The search starts at the column bound the field was made
-        with (:meth:`_adopt`), so a field that fills it costs one column read.
+        read-only.  The search starts at the last stored column, so a field
+        that fills its columns costs one column read.
         """
-        columns = _occupied_columns(self.coeffs, self._columns)
+        columns = _occupied_columns(self.coeffs, self.coeffs.shape[1])
         return _occupied_rows(self.coeffs, columns), columns
 
     # -- algebra -----------------------------------------------------------
@@ -373,41 +372,54 @@ class SpectralField:
                 f"incompatible lattices: {self.lattice} vs {other.lattice}"
             )
 
-    def __add__(self, other: "SpectralField") -> "SpectralField":
+    def _combine(self, other: "SpectralField", ufunc: np.ufunc) -> "SpectralField":
+        """``ufunc`` (add or subtract) of the two fields, as wide as the wider:
+        their shared columns combined, and the wider one's other columns
+        combined with the other's implicit zeros, so every column is the
+        one the operands padded to the same width give."""
         self._check_compatible(other)
-        return SpectralField._adopt(self.lattice, self.coeffs + other.coeffs,
-                                    max(self._columns, other._columns))
+        a, b = self.coeffs, other.coeffs
+        shared = min(a.shape[1], b.shape[1])
+        out = np.empty((a.shape[0], max(a.shape[1], b.shape[1])), dtype=np.complex128)
+        ufunc(a[:, :shared], b[:, :shared], out=out[:, :shared])
+        if a.shape[1] > shared:
+            ufunc(a[:, shared:], 0.0, out=out[:, shared:])
+        else:
+            ufunc(0.0, b[:, shared:], out=out[:, shared:])
+        return SpectralField._adopt(self.lattice, out)
+
+    def __add__(self, other: "SpectralField") -> "SpectralField":
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "SpectralField") -> "SpectralField":
-        self._check_compatible(other)
-        return SpectralField._adopt(self.lattice, self.coeffs - other.coeffs,
-                                    max(self._columns, other._columns))
+        return self._combine(other, np.subtract)
 
     def __mul__(self, scalar: float) -> "SpectralField":
         if np.iscomplexobj(scalar):
             raise TypeError("a field times a complex number is not a real field")
         scalar = float(scalar)
-        # 0 times a non-finite scalar is NaN: the zero columns are kept only
-        # by a finite one
-        return SpectralField._adopt(self.lattice, self.coeffs * scalar,
-                                    self._columns if math.isfinite(scalar) else None)
+        c = self.coeffs
+        if not math.isfinite(scalar):  # 0 times it is NaN, in every column
+            c = np.zeros((c.shape[0], self.lattice.m // 2), dtype=np.complex128)
+            c[:, : self.coeffs.shape[1]] = self.coeffs
+        return SpectralField._adopt(self.lattice, c * scalar)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "SpectralField":
-        return SpectralField._adopt(self.lattice, -self.coeffs, self._columns)
+        return SpectralField._adopt(self.lattice, -self.coeffs)
 
 
 def _unfold(half: np.ndarray) -> np.ndarray:
-    """The full (..., m, m) Hermitian coefficients of a stored half (..., m,
-    m/2): the k2 < 0 columns are the conjugates ``c(-k)`` of the stored ones
-    and the unpaired k2 = -m/2 column is zero."""
-    m, h = half.shape[-2:]
-    out = np.empty(half.shape[:-2] + (m, m), dtype=np.complex128)
-    out[..., :h] = half
-    out[..., h] = 0.0
-    np.conjugate(half[..., :1, h - 1 : 0 : -1], out=out[..., :1, h + 1 :])
-    np.conjugate(half[..., :0:-1, h - 1 : 0 : -1], out=out[..., 1:, h + 1 :])
+    """The full (..., m, m) Hermitian coefficients of a stored half's first
+    columns (..., m, w): the half is padded to its m/2 columns, the k2 < 0
+    columns are the conjugates ``c(-k)`` of those and the unpaired
+    k2 = -m/2 column is zero."""
+    m, h = half.shape[-2], half.shape[-2] // 2
+    out = np.zeros(half.shape[:-2] + (m, m), dtype=np.complex128)
+    out[..., : half.shape[-1]] = half
+    np.conjugate(out[..., :1, h - 1 : 0 : -1], out=out[..., :1, h + 1 :])
+    np.conjugate(out[..., :0:-1, h - 1 : 0 : -1], out=out[..., 1:, h + 1 :])
     return out
 
 
@@ -475,15 +487,16 @@ def _radial_multiply(
 ) -> np.ndarray:
     """``symbol * c`` for a radial symbol given on the whole quadrant
     (shape (m/2 + 1, m/2 + 1), as :attr:`FrequencyLattice.radius_quadrant`)
-    and coefficients ``c``, a half spectrum (..., m, m/2) or a full
-    (..., m, m) array: each mode reads the quadrant at ``(|k1|, |k2|)``
-    by slicing (:func:`_row_blocks`), so no m x m symbol is made.  Bitwise the
-    product with the unfolded symbol.  For the leading w columns of a half
-    spectrum, ``c[..., :w]``, the quadrant's first w columns suffice.
-    Written into ``out`` if given, else into a new array."""
+    and coefficients ``c``, the first w columns of a half spectrum
+    (..., m, w), w <= m/2, or a full (..., m, m) array: each mode reads the
+    quadrant at ``(|k1|, |k2|)`` by slicing (:func:`_row_blocks`), so no
+    m x m symbol is made.  Bitwise the product with the unfolded symbol.
+    For w columns the quadrant's first w columns suffice.  Written into
+    ``out`` if given, which may be ``c`` itself, else into a new array."""
     out = np.empty_like(c) if out is None else out
     rows = _row_blocks(symbol.shape[0] - 1, c.shape[-2])
-    cols = rows if c.shape[-1] == c.shape[-2] else rows[:1]
+    w = c.shape[-1]
+    cols = rows if w == c.shape[-2] else ((slice(0, w), None, slice(0, w)),)
     for dst1, _, src1 in rows:
         for dst2, _, src2 in cols:
             np.multiply(symbol[src1, src2], c[..., dst1, dst2], out=out[..., dst1, dst2])
@@ -494,21 +507,18 @@ def inverse_laplacian(field: SpectralField) -> SpectralField:
     """Coefficientwise division by |xi|^2, zero mode annihilated.
 
     Reads the field's w occupied columns (:attr:`SpectralField.occupied`)
-    only: the symbol is made on the radius quadrant's first w columns, the
-    output is written and checked there, and its other columns are exact
-    zeros, as the product with the zero coefficients there is.
+    only, and stores as many: the symbol is made on the radius quadrant's
+    first w columns and the output is an (m, w) array, checked there.
     """
-    lat, c = field.lattice, field.coeffs
+    lat = field.lattice
     w = field.occupied[1]
     r = lat.radius_quadrant[:, :w]
-    out = np.empty_like(c) if w == lat.m // 2 else np.zeros_like(c)
-    _radial_multiply(_reciprocal(r * r), c[:, :w], out[:, :w])
-    _refuse_non_finite(lat, out[:, :w], "inverse_laplacian")
-    return SpectralField._adopt(lat, out, w)
+    return _checked(lat, _radial_multiply(_reciprocal(r * r), field.coeffs[:, :w]),
+                    "inverse_laplacian")
 
 
 def neg_laplacian(field: SpectralField) -> SpectralField:
-    r = field.lattice.radius_quadrant
+    r = field.lattice.radius_quadrant[:, : field.coeffs.shape[1]]
     return _checked(field.lattice, _radial_multiply(r * r, field.coeffs), "neg_laplacian")
 
 
@@ -518,11 +528,13 @@ def riesz_velocity(theta: SpectralField) -> tuple[SpectralField, SpectralField]:
 
     The symbol is odd and imaginary, so each component is a real field.
     Mode for mode an isometry: |u_hat(xi)| = |theta_hat(xi)| for xi != 0.
+    Each component stores theta's columns.
     """
     lat = theta.lattice
     xi = lat.xi_axis
-    lifted = _radial_multiply(1j * _reciprocal(lat.radius_quadrant), theta.coeffs)
-    u1 = _checked(lat, -xi[None, : lat.m // 2] * lifted, "riesz_velocity")
+    w = theta.coeffs.shape[1]
+    lifted = _radial_multiply(1j * _reciprocal(lat.radius_quadrant[:, :w]), theta.coeffs)
+    u1 = _checked(lat, -xi[None, :w] * lifted, "riesz_velocity")
     return u1, _checked(lat, xi[:, None] * lifted, "riesz_velocity")
 
 
@@ -540,7 +552,8 @@ def dyadic_rescale(
     ``amplitude_power=1`` is the solution-side scaling (``lam*f(lam x)``),
     ``amplitude_power=3`` the forcing-side one.  Downscaling requires every
     active mode to sit on the coarser sublattice; anything else would land
-    off-lattice and raises.
+    off-lattice and raises.  The output stores the columns up to its last
+    active mode's.
     """
     lam_pow = int(exponent)
     if lam_pow == 0:
@@ -549,9 +562,8 @@ def dyadic_rescale(
     half = m // 2
     c = field.coeffs
     idx1, idx2 = np.nonzero(c)
-    out = np.zeros_like(c)
     if idx1.size == 0:
-        return SpectralField._adopt(field.lattice, out)
+        return SpectralField.zeros(field.lattice)
     # the stored columns are k2 = 0 .. m/2 - 1, and a rescale keeps k2 >= 0
     k1 = np.where(idx1 < half, idx1, idx1 - m).astype(np.int64)
     k2 = idx2.astype(np.int64)
@@ -571,6 +583,7 @@ def dyadic_rescale(
             f"max index {max(np.max(np.abs(n1)), np.max(np.abs(n2)))} vs {half - 1}"
         )
     amp = 2.0 ** (lam_pow * amplitude_power)
+    out = np.zeros((m, int(n2.max()) + 1), dtype=np.complex128)
     out[n1 % m, n2] = amp * c[idx1, idx2]
     return SpectralField._adopt(field.lattice, out)
 
@@ -597,7 +610,7 @@ def strip_unpaired_edge(c: np.ndarray) -> np.ndarray:
 
 def _occupied_columns(c: np.ndarray, width: int) -> int:
     """1 + the largest column index below ``width`` at which ``c`` (..., m,
-    m/2) holds a non-zero coefficient; 0 when those columns are all zero.
+    w) holds a non-zero coefficient; 0 when those columns are all zero.
 
     Column ``k2`` of a half spectrum is that frequency.  The last column is
     tested first, so a field that fills it costs one column read; otherwise
@@ -618,7 +631,7 @@ def _occupied_columns(c: np.ndarray, width: int) -> int:
 
 def _occupied_rows(c: np.ndarray, width: int) -> int:
     """1 + the largest ``|k1|`` at which the first ``width`` columns of ``c``
-    (..., m, m/2) hold a non-zero coefficient; 0 when they are all zero.
+    (..., m, w) hold a non-zero coefficient; 0 when they are all zero.
 
     The k1 twin of :func:`_occupied_columns`: the row ``k1 = m/2 - 1`` is
     tested first, so a field that fills it costs one row read; otherwise
@@ -674,10 +687,10 @@ def _column_synthesis(
     room: int = 0,
 ) -> list[np.ndarray]:
     """The column passes of real syntheses on ``grid`` rows: for each pair
-    ``(c, cols)`` of a half spectrum c (m, m/2) and its leading ``cols``
-    columns, a complex array of ``grid`` rows, made ``max(cols, room)``
-    wide and returned whole, its columns from ``cols`` on unset: room for a
-    wider array that the caller later writes over it.
+    ``(c, cols)`` of a field's stored columns c (m, w) and its leading
+    ``cols <= w`` columns, a complex array of ``grid`` rows, made
+    ``max(cols, room)`` wide and returned whole, its columns from ``cols``
+    on unset: room for a wider array that the caller later writes over it.
 
     The lattice's rows are laid into their grid rows (:func:`_row_blocks`),
     the rows between them and the unpaired k = -m/2 row left zero, and the

@@ -23,10 +23,21 @@ from sqglab.spectral import (
 )
 
 
+def padded(field):
+    """The whole k2 >= 0 half of ``field``, (m, m/2): the columns it stores,
+    then zeros for the columns it leaves implicit.  Fields of any widths
+    are compared, and whole-half routes fed, through this one helper."""
+    c = field.coeffs
+    m = c.shape[0]
+    out = np.zeros((m, m // 2), dtype=np.complex128)
+    out[:, : c.shape[1]] = c
+    return out
+
+
 def full(field):
     """The whole lattice's coefficients of ``field``, (m, m) in FFT order,
-    unfolded from the k2 >= 0 half it stores."""
-    return _unfold(field.coeffs)
+    unfolded from its whole k2 >= 0 half (:func:`padded`)."""
+    return _unfold(padded(field))
 
 
 class Coordinates(NamedTuple):
@@ -251,7 +262,8 @@ def analysed_half(half, m):
 
 
 def padded_transport(fc, gc, lattice):
-    """The half spectrum of the quadratic form as the padded kernel made it:
+    """The whole (m, m/2) half spectrum of the quadratic form of the whole
+    halves ``fc`` and ``gc`` (:func:`padded`) as the padded kernel made it:
     ``bilinear._transport``'s contract, with every synthesis and analysis
     run in place in a whole (3m/2, 3m/4 + 1) buffer.  Transforms: 3
     syntheses + 2 analyses for the diagonal (``gc`` None), 6 + 2 for the
@@ -347,7 +359,7 @@ def band_limited_field(lattice, rng, radius):
     ``radius``.  The package masks the draws before symmetrizing instead."""
     field = random_mean_zero_field(lattice, rng)
     mask = lattice.radius_quadrant <= radius
-    return SpectralField._adopt(lattice, _radial_multiply(mask, field.coeffs))
+    return SpectralField._adopt(lattice, _radial_multiply(mask, padded(field)))
 
 
 # -- whole-lattice routes of the passes sized by a field's occupied box -----
@@ -368,8 +380,8 @@ def whole_shell_profile(field, s, p, partition, shells=None):
     """``besov.shell_profile`` as it was before it sized its passes by the
     field's occupied box: every shell's ring evaluated and multiplied in,
     emptiness read off the whole transform buffer, the sup norm as
-    ``max |x|`` of the samples."""
-    c = field.coeffs
+    ``max |x|`` of the samples, on the field's whole half (:func:`padded`)."""
+    c = padded(field)
     m, box = field.lattice.m, field.lattice.box_length
     occupied = _occupied_columns(c, m // 2)
     out = []
@@ -395,24 +407,53 @@ def whole_shell_profile(field, s, p, partition, shells=None):
     return out
 
 
+def whole_box_ring_quadrant(partition, j):
+    """``DyadicPartition.ring_quadrant`` as it was before its steps ran a slab
+    of rows at a time: the outer step over its whole box, the inner step
+    over its own whole box subtracted in that corner, cropped to the live
+    extent."""
+    lat = partition.lattice
+    top = min(lat.m // 2, math.floor(_STEP.t1 * 2.0**j / lat.h_xi) + 1)
+    inner = min(top, math.floor(_STEP.t1 * 2.0 ** (j - 1) / lat.h_xi) + 1)
+    r = lat.radius_quadrant
+    vals = _STEP(r[: top + 1, : top + 1] * 2.0 ** (-j))
+    vals[: inner + 1, : inner + 1] -= _STEP(r[: inner + 1, : inner + 1] * 2.0 ** (1 - j))
+    extent = int(np.flatnonzero(vals.any(axis=1)).max(initial=0))
+    return vals[: extent + 1, : extent + 1]
+
+
+def whole_dyadic_rescale(field, exponent, amplitude_power):
+    """``dyadic_rescale`` on the whole half (:func:`padded`): every non-zero
+    coefficient moved from (k1, k2) to 2**exponent (k1, k2) and scaled by
+    2**(exponent * amplitude_power), in an (m, m/2) array of zeros."""
+    c = padded(field)
+    m = c.shape[0]
+    out = np.zeros_like(c)
+    idx1, idx2 = np.nonzero(c)
+    k1 = np.fft.fftfreq(m, 1.0 / m).astype(int)[idx1]
+    n1, n2 = k1 * 2.0**exponent, idx2 * 2.0**exponent
+    out[n1.astype(int) % m, n2.astype(int)] = 2.0 ** (exponent * amplitude_power) * c[idx1, idx2]
+    return out
+
+
 def whole_inverse_laplacian(field):
     """The coefficients of ``inverse_laplacian`` with its symbol made on the
-    whole radius quadrant and every column multiplied."""
+    whole radius quadrant and every column of the whole half multiplied."""
     r = field.lattice.radius_quadrant
-    return _radial_multiply(_reciprocal(r * r), field.coeffs)
+    return _radial_multiply(_reciprocal(r * r), padded(field))
 
 
 def whole_scale(field):
-    """max(|Re|, |Im|) over every stored coefficient: the scale that the
-    mean-zero check compares the mean with."""
-    c = field.coeffs
+    """max(|Re|, |Im|) over the whole half: the scale that the mean-zero
+    check compares the mean with."""
+    c = padded(field)
     return float(max(c.real.max(), -c.real.min(), c.imag.max(), -c.imag.min()))
 
 
 def whole_homogeneity(theta2, theta2_half):
-    """illpose-step2's quadratic-homogeneity value read over every stored
-    column: max |4 theta2_half - theta2| over max |theta2|, 0 for a zero
-    theta2."""
-    defect = float(np.abs(theta2_half.coeffs * 4.0 - theta2.coeffs).max())
-    scale = float(np.abs(theta2.coeffs).max())
+    """illpose-step2's quadratic-homogeneity value read over every column of
+    the whole half: max |4 theta2_half - theta2| over max |theta2|, 0 for a
+    zero theta2."""
+    defect = float(np.abs(padded(theta2_half) * 4.0 - padded(theta2)).max())
+    scale = float(np.abs(padded(theta2)).max())
     return defect / scale if scale else 0.0

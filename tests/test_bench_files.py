@@ -5,7 +5,8 @@ A record holds, for every run of ``perfbench/run.py`` it reports, the run's
 workload, seed, side (``parent`` or ``change``) and place in the order of
 runs, with the ``fingerprint`` line and the final JSON that run printed.
 Every (workload, seed) pair is run on both sides, so each claim rests on
-alternated pairs of runs and not on one side's numbers alone.
+alternated pairs of runs and not on one side's numbers alone.  Workloads
+and end-to-end metrics are the ones ``BENCHMARK.json`` declares.
 """
 
 import json
@@ -17,7 +18,13 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 RECORDS = sorted(ROOT.glob("BENCH_*.json"))
 SIDES = {"parent", "change"}
-METRICS = {"setup_s", "verdict_s", "peak_rss_mb", "ok_share"}
+BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
+WORKLOADS = {workload["name"] for workload in BENCHMARK["workloads"]}
+METRICS = {metric["name"] for metric in BENCHMARK["end_to_end"]}
+
+
+def test_the_benchmark_declares_workloads_and_metrics():
+    assert WORKLOADS and METRICS
 
 
 def test_a_record_is_committed():
@@ -32,6 +39,7 @@ def test_a_record_holds_both_sides_of_every_pair(path):
     assert [run["order"] for run in runs] == list(range(1, len(runs) + 1))
     for run in runs:
         assert run["side"] in SIDES, run["order"]
+        assert run["workload"] in WORKLOADS, run["order"]
         assert isinstance(run["seed"], int) and isinstance(run["fingerprint"], dict)
         result = run["result"]
         assert isinstance(result["correct"], bool), run["order"]
@@ -42,5 +50,6 @@ def test_a_record_holds_both_sides_of_every_pair(path):
     for workload, seed, _ in pairs:
         assert all(pairs[workload, seed, side] == 1 for side in SIDES), (workload, seed)
     claimed = record["claim"]
+    assert claimed["workload"] in WORKLOADS
     assert any(run["workload"] == claimed["workload"] for run in runs)
     assert claimed["metric"] in METRICS

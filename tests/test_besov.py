@@ -10,11 +10,13 @@ from oracles import (
     coordinates,
     full,
     hermitian_defect,
+    padded,
     physical,
     physical_real,
     probe_symbol_from_rings,
     ring_box,
     smooth_step,
+    whole_box_ring_quadrant,
 )
 from sqglab import besov
 from sqglab.besov import (
@@ -108,14 +110,14 @@ def irfft2_profile(f, s, p, partition, narrow=True):
     and, with ``narrow``, ``G_j`` by the largest k2 at which the field's
     shell box holds a coefficient (read off the coefficients here), else
     ``G_j = M_j``, the square grid every shell was once summed on."""
-    m = f.lattice.m
+    m, c = f.lattice.m, padded(f)
     out = []
     for j in partition.shells:
         extent = partition.ring_extent(j)
         rows = _shell_grid(extent, p, m)
-        held = np.flatnonzero(f.coeffs[:, : extent + 1].any(axis=0))
+        held = np.flatnonzero(c[:, : extent + 1].any(axis=0))
         cols = _shell_grid(int(held.max(initial=-1)), p, m) if narrow else rows
-        half = ring_box(f.coeffs, partition.ring_quadrant(j), rows, cols)
+        half = ring_box(c, partition.ring_quadrant(j), rows, cols)
         samples = scipy.fft.irfft2(half, s=(rows, cols), norm="forward")
         weight = (f.lattice.box_length / rows) * (f.lattice.box_length / cols)
         out.append((j, 2.0 ** (s * j) * lp_norm(samples, p, weight)))
@@ -302,6 +304,16 @@ def test_ring_quadrants_unfold_to_the_closed_form_bitwise(m, h_xi):
         extents.append(extent)
     # the top shells reach the -m/2 edge
     assert extents[-1] == m // 2
+
+
+@pytest.mark.parametrize("m, h_xi", [(64, 1.0), (256, 0.125), (1024, 0.25), (2048, 0.125)])
+def test_ring_quadrants_are_bitwise_the_whole_box_evaluation(m, h_xi):
+    # both steps run 64 rows at a time: the top shells' boxes span up to 17
+    # slabs, and the inner step's box ends inside one of them
+    partition = build_partition(FrequencyLattice(m=m, h_xi=h_xi))
+    for j in partition.shells:
+        got, want = partition.ring_quadrant(j), whole_box_ring_quadrant(partition, j)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), j
 
 
 def test_partition_holds_no_full_lattice_ring(lattice128):

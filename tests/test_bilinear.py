@@ -9,6 +9,7 @@ from oracles import (
     coordinates,
     full,
     hermitian_defect,
+    padded,
     padded_transport,
     physical_coordinates,
     physical_real,
@@ -47,11 +48,11 @@ def test_closed_form_cosine_pair(lattice32):
         lattice32, (0, 8)
     )
     want = 0.1 * (
-        SpectralField.cosine(lattice32, (4, -8)).coeffs
-        - SpectralField.cosine(lattice32, (4, 8)).coeffs
+        padded(SpectralField.cosine(lattice32, (4, -8)))
+        - padded(SpectralField.cosine(lattice32, (4, 8)))
     )
     got = quadratic_diagonal(theta)
-    assert np.max(np.abs(got.coeffs - want)) <= 1e-12
+    assert np.max(np.abs(padded(got) - want)) <= 1e-12
 
 
 def test_closed_form_velocity(lattice32):
@@ -69,12 +70,12 @@ def test_three_routes_agree(lattice32):
     slow = bilinear_quadrature(f, g)
     fast = bilinear_block(f, g)
     scale = np.max(np.abs(slow.coeffs))
-    assert np.max(np.abs(fast.coeffs - slow.coeffs)) <= 1e-12 * scale
+    assert np.max(np.abs(padded(fast) - padded(slow))) <= 1e-12 * scale
 
     diag = quadratic_diagonal(f)
     slow_diag = bilinear_quadrature(f, f)
     scale = np.max(np.abs(slow_diag.coeffs))
-    assert np.max(np.abs(diag.coeffs - slow_diag.coeffs)) <= 1e-12 * scale
+    assert np.max(np.abs(padded(diag) - padded(slow_diag))) <= 1e-12 * scale
 
 
 def test_block_form_is_symmetric(lattice32):
@@ -245,11 +246,14 @@ def test_occupied_column_kernel_is_bitwise_the_full_column_route(first, monkeypa
     monkeypatch.setattr(bilinear, "_flux_band", lambda wf, wg, h: (h, 3 * h))
     f = fields[first]
     got = [quadratic_diagonal(f)] + [bilinear_block(f, g) for g in fields.values()]
+    # the same fields stored and synthesized with all m/2 columns
+    wide = {name: SpectralField._adopt(lat, padded(g)) for name, g in fields.items()}
     whole = property(lambda field: (field.lattice.m // 2, field.lattice.m // 2))
     monkeypatch.setattr(SpectralField, "occupied", whole)
-    want = [quadratic_diagonal(f)] + [bilinear_block(f, g) for g in fields.values()]
+    f = wide[first]
+    want = [quadratic_diagonal(f)] + [bilinear_block(f, g) for g in wide.values()]
     for a, b in zip(got, want):
-        assert np.array_equal(a.coeffs, b.coeffs)
+        assert np.array_equal(padded(a), padded(b))
     if first != "zero":
         assert np.abs(got[0].coeffs).max() > 0
 
@@ -334,9 +338,9 @@ def test_slab_kernel_is_bitwise_the_padded_kernel(m, workers, monkeypatch):
     monkeypatch.setattr(spectral, "_FFT_WORKERS", workers)
     lat, cases = slab_kernel_inputs(m)
     for name, (f, g) in cases.items():
-        gc = None if g is None else g.coeffs
-        got = bilinear._transport(f, g).coeffs
-        want = padded_transport(f.coeffs, gc, lat)
+        gc = None if g is None else padded(g)
+        got = padded(bilinear._transport(f, g))
+        want = padded_transport(padded(f), gc, lat)
         assert np.abs(got).max() > 0, name
         wo, length = flux_band_of(lat, f, g)
         if "narrow" not in name:
@@ -379,15 +383,15 @@ def test_narrow_rows_are_as_close_to_the_quadrature_as_the_padded_kernel(m, monk
     for name, (f, g) in cases.items():
         if "narrow" not in name:
             continue
-        gc = None if g is None else g.coeffs
+        gc = None if g is None else padded(g)
         want = quadrature_half(f, g)
         scale = np.abs(want).max()
-        got = np.abs(bilinear._transport(f, g).coeffs - want).max()
-        padded = np.abs(padded_transport(f.coeffs, gc, lat) - want).max()
-        assert got <= padded + QUADRATURE_SLACK * scale, name
+        got = np.abs(padded(bilinear._transport(f, g)) - want).max()
+        kernel = np.abs(padded_transport(padded(f), gc, lat) - want).max()
+        assert got <= kernel + QUADRATURE_SLACK * scale, name
         with monkeypatch.context() as patch:
             patch.setattr(bilinear, "_flux_band", short)
-            aliased = np.abs(bilinear._transport(f, g).coeffs - want).max()
+            aliased = np.abs(padded(bilinear._transport(f, g)) - want).max()
         # measured: at least 3.1e-5 (the bump at m = 64, whose extreme
         # columns are small), against a few 1e-15 without the fold
         assert aliased > 1e-6 * scale, name

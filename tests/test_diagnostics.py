@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import coordinates, full, physical
+from oracles import coordinates, full, padded, physical
 from sqglab import besov
 from sqglab.besov import ProbeFunction, build_partition, build_probe, lp_norm, lq_aggregate
 from sqglab.bilinear import quadratic_diagonal
@@ -64,7 +64,7 @@ def complex_route_profile(theta2, partition, shells):
     """2**(-j) sup |phi_j theta2| through the complex m x m synthesis."""
     out = []
     for j in shells:
-        piece = SpectralField._adopt(theta2.lattice, theta2.coeffs * partition.ring_values(j))
+        piece = SpectralField._adopt(theta2.lattice, padded(theta2) * partition.ring_values(j))
         out.append((j, 2.0 ** (-j) * float(np.max(np.abs(physical(piece))))))
     return out
 

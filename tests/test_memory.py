@@ -10,9 +10,10 @@ Sizes are counted in two units, at lattice size m:
   columns) or a flux component after its row analysis; the padded
   (3m/2, 3m/4 + 1) array of a whole real transform, which the form no
   longer makes, is 1.5 of these;
-* an (m, m/2) complex array, 8 m**2 bytes: what every field stores, its
-  k2 >= 0 half spectrum (``spectral.SpectralField``).  A field that stored
-  all m x m coefficients would be two of these units.
+* an (m, m/2) complex array, 8 m**2 bytes: what a full-band field stores,
+  its k2 >= 0 half spectrum (``spectral.SpectralField``).  A field that
+  stores its first w columns costs w/(m/2) of these units, and one that
+  stored all m x m coefficients would cost two.
 
 Peaks are read with ``tracemalloc``, which numpy reports its array buffers
 to, so they count every array allocated while the measured call runs
@@ -141,26 +142,28 @@ def test_bilinear_block_peak_is_four_column_arrays(warm_pair):
 def test_narrow_quadratic_diagonal_peak_is_one_column_array(warm_pair):
     """A modulated bump occupies 8 of the 128 columns here, so its product
     reaches wo = 15 and the rows are 32 points long (``bilinear._flux_band``).
-    The form holds the accumulator, theta's 8-column array, the velocity
-    factor's array made wo wide for the flux spectrum written over it, and
-    the slab scratch at 32 points (one slab of 17 complex spectra and two of
-    34 doubles per row); besides these, half a unit for the radius quadrant
-    and the velocity symbol on a run of rows, as ``FORM_ALLOWANCE`` counts
-    them.  Measured: 1.64 units, 0.24 below the bound.  A flux spectrum of
-    all m/2 columns would add 1.3 units, the slab scratch at 3m/2 points
-    1.0, and either fails; the parent kernel, with both, measured 4.12.  The
-    padded kernel held two padded arrays, theta's and the flux's, at any
-    width."""
+    The form holds the (m, wo) accumulator, which is its output, theta's
+    8-column array, the velocity factor's array made wo wide for the flux
+    spectrum written over it, and the slab scratch at 32 points (one slab of
+    17 complex spectra and two of 34 doubles per row), 0.50 units together;
+    besides these, the lattice's radius quadrant, a quarter unit cached on
+    first use, and the velocity symbol on a run of rows.  Measured: 0.76
+    units, so 0.35 units are allowed for the quadrant and the symbol, 0.09
+    above what they took.  An (m, m/2) accumulator would add 0.94 units, a
+    flux spectrum of all m/2 columns 1.3, the slab scratch at 3m/2 points
+    1.0, and each fails; the kernel with an (m, m/2) accumulator measured
+    1.64, and the one before it, with all three, 4.12.  The padded kernel
+    held two padded arrays, theta's and the flux's, at any width."""
     lattice = warm_pair[0].lattice
     bump = modulated_bump_force(lattice, ForceSpec(variant="bump", size=2))
-    w = spectral._occupied_columns(bump.coeffs, M // 2)
+    w = bump.occupied[1]
     wo, length = bilinear._flux_band(w, w, M // 2)
     assert (w, wo, length) == (8, 15, 32)
     peak = traced_peak(lambda: quadratic_diagonal(bump))
     grid = 3 * M // 2
     columns = grid * ((w | 1) + (wo | 1)) * 16  # rows padded to an odd length
     slabs = 64 * (length // 2 + 1) * 16 + 2 * 64 * (length + 2) * 8
-    bound = HALF + columns + slabs + HALF // 2
+    bound = M * wo * 16 + columns + slabs + int(0.35 * HALF)
     assert peak <= bound, units_over(peak, bound)
 
 
@@ -207,18 +210,21 @@ def test_step2_holds_at_most_two_fields(live_fields):
 
 
 def test_step2_peak_is_two_fields_and_one_form():
-    """At its peak step2 is inside the quadratic form of the delta/2
-    forcing's inverse Laplacian, holding that input and the form's output,
-    two half fields, and the partition's cached ring quadrants, less than
-    one more unit.  The form's factors occupy a few columns, so its column
-    arrays, slab scratch, radius quadrant and velocity symbol fit in half a
-    unit, as in the narrow form's guard above.  Measured at this config:
-    3.04 units after the tests above, 3.28 as the first run in a process.
-    Holding the forcing through the form of its inverse Laplacian measured
-    3.92 and 4.16; the padded kernel held two padded arrays, 2 column
-    arrays more."""
+    """Every field of step2 occupies a few of the 128 columns here and
+    stores only those: the forcing, its inverse Laplacian and the second
+    iterate 8 to 15 columns each, a tenth of a unit together.  What is left
+    is the partition's ring quadrants, cached as the Besov profiles read
+    them (each evaluated a slab of rows at a time), the lattice's radius
+    quadrant, and a form's column arrays and slab scratch, as in the narrow
+    form's guard above.  Measured at this config: 1.32 units after the
+    tests above, 1.56 as the first run in a process, so the bound leaves
+    0.19 units above the higher.  Fields that stored all m/2 columns
+    measured 3.04 and 3.28 (about one unit for each of the two half fields
+    held at the peak, and one for the form's accumulator), and holding the
+    forcing through the form of its inverse Laplacian besides measured 3.92
+    and 4.16."""
     peak = traced_peak(lambda: run_experiment(config_from_dict(STEP2_DESK), write=False))
-    bound = 3 * HALF + HALF // 2
+    bound = int(1.75 * HALF)
     assert peak <= bound, units_over(peak, bound)
 
 
@@ -325,12 +331,27 @@ def operator_outputs(lattice):
     }
 
 
-def test_every_operator_output_stores_the_half_spectrum():
+NARROW_OUTPUTS = {"zeros", "dyadic_rescale", "modulated_bump_force", "lacunary_force",
+                  "translated_block_force", "inverse_laplacian_of_a_bump", "form_of_a_bump"}
+
+
+def test_every_operator_output_stores_its_own_columns():
+    """Each output is an (m, w) array of its first w <= m/2 columns that
+    owns its buffer: no view of a wider array keeps that array alive.
+    The narrow constructions store fewer than m/2 columns; full-band
+    fields all m/2 (``tests/test_storage.py`` pins the values)."""
     lattice = FrequencyLattice(m=64, h_xi=0.25)
-    half = (lattice.m, lattice.m // 2)
-    for name, field in operator_outputs(lattice).items():
-        assert field.coeffs.shape == half, name
-        assert field.coeffs.nbytes == 8 * lattice.m**2, name
+    outputs = operator_outputs(lattice)
+    bump = outputs["modulated_bump_force"]
+    outputs["inverse_laplacian_of_a_bump"] = inverse_laplacian(bump)
+    outputs["form_of_a_bump"] = quadratic_diagonal(outputs["inverse_laplacian_of_a_bump"])
+    for name, field in outputs.items():
+        c = field.coeffs
+        assert c.ndim == 2 and c.shape[0] == lattice.m and c.shape[1] <= lattice.m // 2, name
+        assert owned_elements(c) == c.size, name
+        assert (c.shape[1] < lattice.m // 2) == (name in NARROW_OUTPUTS), name
+    assert outputs["zeros"].coeffs.shape == (lattice.m, 0)
+    assert bump.coeffs.shape == (lattice.m, 8)
     small = FrequencyLattice(m=16, h_xi=0.5)
     f = SpectralField.cosine(small, (1, 2))
     assert bilinear_quadrature(f, f).coeffs.shape == (16, 8)
@@ -405,15 +426,16 @@ def step3_blocks(monkeypatch):
 
 
 def test_translated_block_force_peak_is_its_output(step3_blocks):
-    """The forcing is its one (m, m/2) output; the envelope lives on the box
-    of its widest ring (57 x 29 here), so a quarter unit covers it, the
-    ring quadrants and the lattice's axis.  Measured: 1.0 units.  An
-    envelope built on the whole lattice and shifted as a second array
-    measured 3.5."""
+    """The forcing is its one (m, K + 1) output, 0.055 units for the K = 28
+    of the widest ring's box (57 x 29 here), on which the envelope lives
+    with the ring quadrants and the lattice's axis.  Measured: 0.075 units,
+    so the bound leaves 0.075 above it.  An (m, m/2) output measured 1.03,
+    and an envelope built on the whole lattice and shifted as a second
+    array 3.5."""
     lattice, spec, partition = step3_blocks
     unit = lattice.m * (lattice.m // 2) * 16
     peak = traced_peak(lambda: translated_block_force(lattice, spec, partition))
-    assert peak <= 1.25 * unit, f"{peak / unit:.2f} units"
+    assert peak <= 0.15 * unit, f"{peak / unit:.3f} units"
 
 
 def test_envelope_l4_norm_allocates_no_lattice_sized_array(step3_blocks):
@@ -463,7 +485,7 @@ def test_narrow_profile_allocates_no_square_shell_grid():
     lattice = FrequencyLattice(m=512, h_xi=0.25)
     partition = build_partition(lattice)
     bump = modulated_bump_force(lattice, ForceSpec(variant="bump", size=2))
-    assert spectral._occupied_columns(bump.coeffs, lattice.m // 2) == 8
+    assert bump.coeffs.shape[1] == bump.occupied[1] == 8
     index = BesovIndex.data_index(4.0, 2.0)
     besov_profile(bump, index.s, index.p, partition)  # cache the rings
     square = lattice.m * lattice.m * 8
@@ -514,6 +536,23 @@ def test_sup_shells_allocate_no_lattice_sized_buffer():
     assert peak < 0.5 * buffer, f"{peak / buffer:.2f} of an (m, m/2 + 1) buffer"
 
 
+def test_ring_quadrant_steps_run_a_slab_of_rows_at_a_time():
+    """``DyadicPartition.ring_quadrant`` evaluates both steps 64 rows at a
+    time into its output, so besides that (top + 1)^2 array and its crop to
+    the ring's extent only a slab's temporaries are made.  At m = 1024,
+    h_xi = 1/4, with the radius quadrant cached: shell 6 measured 2.01 of
+    its cropped quadrant (the uncropped array is 1.31 of it), shells 7 and
+    8, which need no crop, 1.68 and 1.52.  The steps over the whole box
+    measured 4.87 to 5.13."""
+    lattice = FrequencyLattice(m=1024, h_xi=0.25)
+    lattice.radius_quadrant
+    partition = build_partition(lattice)
+    for j in (6, 7, 8):
+        peak = traced_peak(lambda: partition.ring_quadrant(j))
+        quadrant = partition.ring_quadrant(j).nbytes
+        assert peak < 2.5 * quadrant, f"shell {j}: {peak / quadrant:.2f} quadrants"
+
+
 def test_step2_forcing_profile_caches_no_ring_it_cannot_reach():
     """step2's forcing at m = 1024, h_xi = 1/4 reaches |xi| of about 71, so
     shells 7 and 8, whose rings start at t0 2**6 = 80 and 160, read 0
@@ -531,16 +570,17 @@ def test_step2_forcing_profile_caches_no_ring_it_cannot_reach():
 
 def test_narrow_inverse_laplacian_allocates_no_radius_quadrant():
     """The symbol is made on the quadrant's occupied columns only, 8 of 257
-    here (``spectral.inverse_laplacian``), so besides its (m, m/2) output
-    the call allocates a few of those columns and numpy's fixed-size buffer
-    for the strided reads of ``_occupied_columns``, with the lattice's
-    radius quadrant cached beforehand.  Measured: 0.22 of the quadrant at
-    m = 512; the symbol made on the whole quadrant, with its square, and
-    the finiteness check over every column measured 1.25."""
+    here (``spectral.inverse_laplacian``), so besides its (m, 8) output the
+    call allocates a few of those columns, with the lattice's radius
+    quadrant cached and the field's box read beforehand.  Measured: 0.10 of
+    the quadrant at m = 512, so the bound leaves 0.10 above it (with an
+    (m, m/2) output and the box read inside the call, 0.22); the symbol
+    made on the whole quadrant, with its square, and the finiteness check
+    over every column measured 1.25."""
     lattice = FrequencyLattice(m=512, h_xi=0.25)
     bump = modulated_bump_force(lattice, ForceSpec(variant="bump", size=2))
-    assert spectral._occupied_columns(bump.coeffs, lattice.m // 2) == 8
+    assert bump.coeffs.shape[1] == bump.occupied[1] == 8
     output = bump.coeffs.nbytes
     quadrant = lattice.radius_quadrant.nbytes
     peak = traced_peak(lambda: inverse_laplacian(bump))
-    assert peak - output < 0.5 * quadrant, f"{(peak - output) / quadrant:.2f} of the quadrant"
+    assert peak - output < 0.2 * quadrant, f"{(peak - output) / quadrant:.2f} of the quadrant"

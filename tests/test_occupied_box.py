@@ -50,7 +50,7 @@ from sqglab.spectral import (
 
 
 def box_of(c):
-    w = _occupied_columns(c, c.shape[0] // 2)
+    w = _occupied_columns(c, c.shape[1])
     return _occupied_rows(c, w), w
 
 
@@ -106,7 +106,7 @@ def test_occupied_box_is_the_direct_search(desk, blocks):
     for name, c in arrays.items():
         assert box_of(c) == oracles.occupied_box(c), name
     for name, f in fields.items():
-        assert f.occupied == oracles.occupied_box(f.coeffs), name
+        assert f.occupied == oracles.occupied_box(oracles.padded(f)), name
     assert SpectralField.zeros(blocks[0]).occupied == (0, 0)
     # columns past the width are not read
     c = arrays["single (40, 5)"]
@@ -236,9 +236,8 @@ def test_sup_shells_keep_a_non_finite_sample_in_any_slab(desk):
 
 
 def test_a_column_bound_leaves_the_box_unchanged(desk, blocks):
-    # an operator passes the columns it knows to be zero from on
-    # (SpectralField._adopt); the box searched below that bound is the
-    # unbounded search's, and nothing is held from the bound on
+    # a field stores the columns its operator may fill (SpectralField), and
+    # the box searched in them is the search over the whole half
     lattice, _, fields = desk
     bump, lacunary, full = fields["bump"], fields["lacunary"], fields["full band"]
     outputs = dict(fields, blocks=blocks[2])
@@ -251,17 +250,16 @@ def test_a_column_bound_leaves_the_box_unchanged(desk, blocks):
         "block form": bilinear_block(fields["bump theta1"], fields["lacunary theta1"]),
     })
     for name, f in outputs.items():
-        c, bound = f.coeffs, f._columns
-        assert not c[:, bound:].any(), name
-        assert f.occupied == box_of(c) == oracles.occupied_box(c), name
-    narrow = [name for name, f in outputs.items() if f._columns < lattice.m // 2]
+        whole = oracles.padded(f)
+        assert f.occupied == box_of(f.coeffs) == oracles.occupied_box(whole), name
+    narrow = [name for name, f in outputs.items() if f.coeffs.shape[1] < lattice.m // 2]
     assert {"bump", "lacunary", "bump theta1", "bump theta2", "blocks", "sum", "multiple",
             "block form"} <= set(narrow)
-    # 0 times a non-finite scalar is NaN in every column: no bound is kept
+    # 0 times a non-finite scalar is NaN in every column: all are stored
     with np.errstate(invalid="ignore"):
         for scalar in (math.nan, math.inf):
             f = scalar * bump
-            assert f._columns == lattice.m // 2
+            assert f.coeffs.shape == (lattice.m, lattice.m // 2)
             assert f.occupied == box_of(f.coeffs) == (lattice.m // 2, lattice.m // 2)
 
 
@@ -289,7 +287,7 @@ def test_inverse_laplacian_is_bitwise_the_whole_route(desk, blocks):
     cases["blocks"] = blocks[2]
     cases["zero"] = SpectralField.zeros(blocks[0])
     for name, f in cases.items():
-        got = inverse_laplacian(f).coeffs
+        got = oracles.padded(inverse_laplacian(f))
         assert got.tobytes() == oracles.whole_inverse_laplacian(f).tobytes(), name
 
 
@@ -315,20 +313,20 @@ def test_mean_zero_check_reads_the_whole_scale(desk, blocks):
                 _check_mean_zero(g)
 
 
-def test_forms_leave_the_columns_past_their_band_as_the_whole_multiply_does(desk):
-    # the closing factor of i multiplies the wo live columns only; the whole
-    # route multiplied the other columns' zeros too, which gives +0 + 0j
+def test_forms_store_the_columns_of_their_band(desk):
+    # the product reaches wo columns (bilinear._flux_band), and the form
+    # stores exactly those: the columns past them are zero in exact
+    # arithmetic and left implicit
     lattice, _, fields = desk
     h = lattice.m // 2
     for name in ("bump theta1", "lacunary theta1", "full band"):
         f = fields[name]
-        for g, factor in ((None, 1j), (fields["bump theta1"], 0.5j)):
+        for g in (None, fields["bump theta1"]):
             wf = f.occupied[1]
             wg = wf if g is None else g.occupied[1]
             wo, _ = bilinear._flux_band(wf, wg, h)
             out = bilinear._transport(f, g).coeffs
-            rest = out[:, wo:]
-            assert rest.tobytes() == (np.zeros(rest.shape, dtype=complex) * factor).tobytes()
+            assert out.shape == (lattice.m, wo), name
             form = quadratic_diagonal(f) if g is None else bilinear_block(f, g)
             assert form.coeffs.tobytes() == out.tobytes(), name
 

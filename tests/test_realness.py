@@ -22,7 +22,7 @@ from sqglab.forcing import (
     translated_block_force,
 )
 from sqglab.sampling import random_mean_zero_field, single_shell_field
-from oracles import full
+from oracles import full, padded
 from sqglab.spectral import (
     FrequencyLattice,
     SpectralField,
@@ -48,7 +48,7 @@ def drawn(lattice, seed, decay=0.0):
 def check_real(field, source):
     """The field's unfolded coefficients construct it again, half unchanged."""
     again = SpectralField(field.lattice, full(field))
-    assert again.coeffs.tobytes() == field.coeffs.tobytes(), source
+    assert again.coeffs.tobytes() == padded(field).tobytes(), source
 
 
 @settings(max_examples=30, deadline=None)
@@ -126,11 +126,11 @@ def test_dyadic_rescale_round_trips(m, seed, exponent, amplitude_power):
     low = SpectralField(lattice, np.where(reach < m >> (exponent + 1), full(f), 0.0))
     up = dyadic_rescale(low, exponent, amplitude_power)
     check_real(up, "dyadic_rescale")
-    assert np.array_equal(dyadic_rescale(up, -exponent, amplitude_power).coeffs, low.coeffs)
+    assert np.array_equal(padded(dyadic_rescale(up, -exponent, amplitude_power)), padded(low))
     # down then up: a spectrum on the 2**exponent-coarser sublattice
     q = 1 << exponent
     coarse = (lattice.k1 % q == 0) & (lattice.k2 % q == 0)
     sub = SpectralField(lattice, np.where(coarse, full(f), 0.0))
     down = dyadic_rescale(sub, -exponent, amplitude_power)
     check_real(down, "dyadic_rescale")
-    assert np.array_equal(dyadic_rescale(down, exponent, amplitude_power).coeffs, sub.coeffs)
+    assert np.array_equal(padded(dyadic_rescale(down, exponent, amplitude_power)), padded(sub))
