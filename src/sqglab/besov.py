@@ -502,10 +502,6 @@ def besov_norm(
 # Certified bounds without a transform
 # ---------------------------------------------------------------------------
 
-# Rows per run of the coefficient sums below, so that their temporaries are
-# a few runs of rows, never a field's size.
-_SUM_ROWS = 64
-
 # Binary exponent that no power, sum or l^q term of a bounded quadrature may
 # reach (the largest double is just below 2**1024, the smallest normal one
 # 2**-1022): room for the rounding of every bounded step.
@@ -523,7 +519,8 @@ def _full_sums(c: np.ndarray, weight: np.ndarray | None = None) -> tuple[float, 
     """``(sum |w c|, sum |w c|**2)`` over the whole lattice of the half
     spectrum ``c`` (rows, width), a field's stored columns or some of them,
     times a real, non-negative ``weight`` of the same shape (1 if None), a
-    run of rows at a time.
+    slab of ``_SLAB_ROWS`` rows at a time, so that its temporaries are a
+    few slabs, never a field's size.
 
     A k2 > 0 column stands for its conjugate mirror too, so it counts twice;
     column k2 = 0 holds both halves of its mirror pairs itself.
@@ -531,12 +528,12 @@ def _full_sums(c: np.ndarray, weight: np.ndarray | None = None) -> tuple[float, 
     s1 = s2 = 0.0
     if not c.shape[1]:  # the zero field
         return s1, s2
-    run = np.empty((min(_SUM_ROWS, c.shape[0]), c.shape[1]))
-    for lo in range(0, c.shape[0], _SUM_ROWS):
-        rows = c[lo : lo + _SUM_ROWS]
+    run = np.empty((min(_SLAB_ROWS, c.shape[0]), c.shape[1]))
+    for lo in range(0, c.shape[0], _SLAB_ROWS):
+        rows = c[lo : lo + _SLAB_ROWS]
         amp = np.abs(rows, out=run[: rows.shape[0]])
         if weight is not None:
-            amp *= weight[lo : lo + _SUM_ROWS]
+            amp *= weight[lo : lo + _SLAB_ROWS]
         s1 += 2.0 * float(amp.sum()) - float(amp[:, 0].sum())
         with np.errstate(over="ignore"):  # read as a non-finite sum
             amp *= amp

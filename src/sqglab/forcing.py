@@ -17,10 +17,11 @@ bump on its ball's box, the block envelope on the box of its widest ring
 (``_envelope_box``), placed at the rows of +-the carrier.
 ``envelope_l4_norm`` sums the block envelope on that box.
 
-Exponent maps are configurable.  The quadratic map (carrier exponents
-n**2) that motivates the constructions outruns any feasible lattice almost
-immediately, so desk-scale runs use gentler maps while keeping the
-structural invariants: exponent sequences strictly increasing with gaps of
+The paper's constructions place term n at the carrier exponent n**2.  That
+law outruns any feasible lattice almost immediately (the fourth term's
+carrier alone is 2**16), so the lab runs affine laws s(n) = scale*n + shift
+(:class:`ExponentMap`), which keep the structural invariants the
+constructions rely on: exponent sequences strictly increasing with gaps of
 at least 2, carriers separated from envelope bands, every generated
 frequency inside the lattice.  Reports echo the exponent maps they ran
 with (:meth:`ExponentMap.describe`).
@@ -29,7 +30,7 @@ with (:meth:`ExponentMap.describe`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -51,56 +52,33 @@ __all__ = [
 
 @dataclass(frozen=True)
 class ExponentMap:
-    """Integer exponent sequence s(n), serializable for report embedding.
+    """The integer exponent law s(n) = scale*n + shift, serializable for
+    report embedding; built by :meth:`affine`.
 
-    ``square`` is s(n) = n**2; ``affine`` is s(n) = scale*n + shift (scale
-    >= 2 keeps the shell-separation invariant); ``table`` holds explicit
-    (n, s) pairs for hand-tuned desk runs.
+    The paper's n**2 law puts its fourth carrier at 2**16, past any
+    feasible lattice; an affine law with scale >= 2 keeps the gaps of at
+    least 2 that the shell separation needs (:meth:`ForceSpec.validate`
+    checks them).
     """
 
-    kind: str = "square"
-    scale: int = 2
-    shift: int = 0
-    entries: tuple[tuple[int, int], ...] = ()
+    scale: int
+    shift: int
 
     def __post_init__(self) -> None:
-        if self.kind not in ("square", "affine", "table"):
-            raise ValueError(f"unknown exponent map kind {self.kind!r}")
-        if self.kind == "table" and not self.entries:
-            raise ValueError("table exponent map needs entries")
-        numbers = (self.scale, self.shift, *(v for entry in self.entries for v in entry))
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in numbers):
-            raise ValueError(f"exponent map scale, shift and entries must be integers, "
-                             f"got {self.scale!r}, {self.shift!r} and {self.entries!r}")
-        if self.kind != "affine" and (self.scale, self.shift) != (2, 0):
-            raise ValueError(f"scale and shift apply to the affine kind, not {self.kind!r}")
-        if self.kind != "table" and self.entries:
-            raise ValueError(f"entries apply to the table kind, not {self.kind!r}")
+        if not all(isinstance(v, int) and not isinstance(v, bool)
+                   for v in (self.scale, self.shift)):
+            raise ValueError(f"exponent map scale and shift must be integers, "
+                             f"got {self.scale!r} and {self.shift!r}")
 
     def __call__(self, n: int) -> int:
-        if self.kind == "square":
-            return n * n
-        if self.kind == "affine":
-            return self.scale * n + self.shift
-        for key, val in self.entries:
-            if key == n:
-                return val
-        raise ValueError(f"exponent map {self.describe()} has no entry for n = {n}")
+        return self.scale * n + self.shift
 
     def describe(self) -> dict:
-        if self.kind == "square":
-            return {"kind": "square"}
-        if self.kind == "affine":
-            return {"kind": "affine", "scale": self.scale, "shift": self.shift}
-        return {"kind": "table", "entries": [list(e) for e in self.entries]}
+        return {"kind": "affine", "scale": self.scale, "shift": self.shift}
 
     @classmethod
     def affine(cls, scale: int, shift: int = 0) -> "ExponentMap":
-        return cls(kind="affine", scale=scale, shift=shift)
-
-    @classmethod
-    def from_table(cls, mapping: dict[int, int]) -> "ExponentMap":
-        return cls(kind="table", entries=tuple(sorted(mapping.items())))
+        return cls(scale, shift)
 
 
 _VARIANTS = ("bump", "lacunary", "blocks")
@@ -127,7 +105,7 @@ class ForceSpec:
     delta: float = 0.01
     size: int = 4
     carrier_exponent: int | None = None
-    exponents: ExponentMap = field(default_factory=ExponentMap)
+    exponents: ExponentMap = ExponentMap.affine(2, 0)
     block_range: tuple[int, int] | None = None
     stride: float | None = None
     equal_shell: int | None = None

@@ -69,6 +69,7 @@ from .forcing import (
 from .reports import ExperimentReport, Table, Verdict, emit_report
 from .sampling import _band_limited_field, random_mean_zero_field, unit_normalize
 from .solver import (
+    _MIN_SAMPLES,
     QUADRATIC_SIGN,
     SolveConfig,
     estimate_constants,
@@ -215,17 +216,26 @@ def _checked(key: str, value, default):
 
 
 def _exponent_map(spec) -> ExponentMap:
-    """The map a config's ``exponent_map`` object describes, or an error naming the key."""
+    """The map a config's ``exponent_map`` object describes, as
+    :meth:`ExponentMap.describe` echoes it, or an error naming the key."""
     try:
         spec = dict(spec)
-        if spec.get("kind") == "table":
-            entries = spec.pop("entries", ())
-            if set(spec) != {"kind"}:
-                raise TypeError(f"a table map takes only kind and entries, got {sorted(spec)}")
-            return ExponentMap.from_table(dict(entries))
-        return ExponentMap(**spec)
+        kind = spec.pop("kind", None)
+        if kind != "affine":
+            raise ValueError(f"kind must be 'affine', got {kind!r}")
+        return ExponentMap.affine(**spec)
     except (TypeError, ValueError) as err:
         raise ValueError(f"config key exponent_map: {err}") from None
+
+
+def _constant_samples(cfg: ExperimentConfig) -> int:
+    """The ``samples`` of a verb that estimates the constants, refused by
+    that key below the count :func:`~sqglab.solver.estimate_constants` takes."""
+    samples = cfg["samples"]
+    if samples < _MIN_SAMPLES:
+        raise ValueError(f"config key samples must be at least {_MIN_SAMPLES} for a stable "
+                         f"estimate of the constants, got {samples}")
+    return samples
 
 
 def _final_norm(theta: SpectralField, trace, index: BesovIndex, partition) -> float:
@@ -364,8 +374,9 @@ def _run_verify_identity(cfg: ExperimentConfig) -> ExperimentReport:
 @_verb("constants", "sample operator constants and smallness thresholds",
        m=128, h_xi=0.25, samples=64, p=4.0, q=2.0, seed=0)
 def _run_constants(cfg: ExperimentConfig) -> ExperimentReport:
+    samples = _constant_samples(cfg)
     lattice = FrequencyLattice(m=cfg["m"], h_xi=cfg["h_xi"])
-    report = estimate_constants(lattice, samples=cfg["samples"], p=cfg["p"], q=cfg["q"],
+    report = estimate_constants(lattice, samples=samples, p=cfg["p"], q=cfg["q"],
                                 seed=cfg["seed"])
     tables = [Table(
         "constants",
@@ -391,6 +402,7 @@ def _run_constants(cfg: ExperimentConfig) -> ExperimentReport:
        ball_fraction=0.5, seed=0)
 def _run_solve(cfg: ExperimentConfig) -> ExperimentReport:
     p, q, max_iter, fraction = cfg["p"], cfg["q"], cfg["max_iter"], cfg["ball_fraction"]
+    samples = _constant_samples(cfg)
     if not 0 < fraction <= 1.0:
         raise ValueError(f"ball_fraction must lie in (0, 1], got {fraction}")
     lattice = FrequencyLattice(m=cfg["m"], h_xi=cfg["h_xi"])
@@ -399,7 +411,7 @@ def _run_solve(cfg: ExperimentConfig) -> ExperimentReport:
     data_index = BesovIndex.data_index(p, q)
     solve_cfg = SolveConfig(index=solution_index, tol=cfg["solve_tol"], max_iter=max_iter)
 
-    constants = estimate_constants(lattice, samples=cfg["samples"], p=p, q=q,
+    constants = estimate_constants(lattice, samples=samples, p=p, q=q,
                                    seed=cfg["seed"], partition=partition)
     rng = np.random.default_rng(cfg["seed"] + 1)
     f = random_mean_zero_field(lattice, rng, decay=2.0)

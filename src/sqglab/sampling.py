@@ -22,32 +22,36 @@ __all__ = [
 ]
 
 
-def hermitian_symmetrize(coeffs: np.ndarray) -> np.ndarray:
-    """The k2 >= 0 half (m, m/2) of the average of an FFT-ordered (m, m)
-    coefficient array with its mirrored conjugate, ``(c(k) + conj(c(-k))) / 2``."""
+def hermitian_symmetrize(coeffs: np.ndarray, width: int | None = None) -> np.ndarray:
+    """The first ``width`` columns (all m/2 by default) of the k2 >= 0 half
+    of the average of an FFT-ordered (m, m) coefficient array with its
+    mirrored conjugate, ``(c(k) + conj(c(-k))) / 2``."""
     m = coeffs.shape[-1]
+    width = m // 2 if width is None else width
     mirror = -np.arange(m) % m
-    return 0.5 * (coeffs[:, : m // 2] + np.conj(coeffs[np.ix_(mirror, mirror[: m // 2])]))
-
-
-def _real_field(lattice: FrequencyLattice, coeffs: np.ndarray) -> SpectralField:
-    """The real field of :func:`hermitian_symmetrize` of ``coeffs``, with its
-    mean and its unpaired k1 = -m/2 row removed."""
-    half = hermitian_symmetrize(coeffs)
-    half[0, 0] = 0.0
-    return SpectralField._adopt(lattice, strip_unpaired_edge(half))
+    return 0.5 * (coeffs[:, :width] + np.conj(coeffs[np.ix_(mirror, mirror[:width])]))
 
 
 def _weighted_field(lattice: FrequencyLattice, rng: np.random.Generator,
-                    weight: np.ndarray | None = None) -> SpectralField:
+                    weight: np.ndarray | None = None, width: int | None = None) -> SpectralField:
     """The real field of complex Gaussian draws on the whole lattice, times
     ``weight`` given on the radius quadrant, if any, applied in place: every
-    sample's draws."""
+    sample's draws.  Its mean and its unpaired k1 = -m/2 row are removed.
+
+    It stores its first ``width`` columns (all m/2 by default), for a
+    caller that keeps none past them, and none past the weight's last
+    non-zero column.  The draws are taken whole either way, so the
+    generator's stream does not depend on the width.
+    """
     m = lattice.m
+    width = m // 2 if width is None else width
     c = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     if weight is not None:
         _radial_multiply(weight, c, out=c)
-    return _real_field(lattice, c)
+        width = min(width, int(np.flatnonzero(weight.any(axis=0)).max(initial=-1)) + 1)
+    half = hermitian_symmetrize(c, width)
+    half[:1, :1] = 0.0
+    return SpectralField._adopt(lattice, strip_unpaired_edge(half))
 
 
 def random_mean_zero_field(
@@ -98,11 +102,14 @@ def single_shell_field(
     rng: np.random.Generator,
 ) -> SpectralField:
     """Random real field spectrally supported in the ring of shell ``j``
-    (the ring is not 0/1, so it multiplies the field, not the draws)."""
-    if not partition.ring_quadrant(j).any():
+    (the ring is not 0/1, so it multiplies the field, not the draws),
+    stored in the columns the ring reaches."""
+    quadrant = partition.ring_quadrant(j)
+    if not quadrant.any():
         raise ValueError(f"shell {j} has no lattice support on {lattice!r}")
-    base = random_mean_zero_field(lattice, rng)
-    return SpectralField._adopt(lattice, base.coeffs * partition.ring_values(j))
+    width = min(quadrant.shape[1], lattice.m // 2)
+    base = _weighted_field(lattice, rng, width=width)
+    return SpectralField._adopt(lattice, base.coeffs * partition.ring_values(j)[:, :width])
 
 
 def unit_normalize(

@@ -49,6 +49,10 @@ __all__ = [
 
 _TINY = 1e-300
 
+# Fewest samples of each constant that :func:`estimate_constants` takes as
+# a stable estimate.
+_MIN_SAMPLES = 50
+
 # Sign of the quadratic term in theta = Lf + sign * B[theta, theta]; the
 # PDE defect of every iterate pins it (see the module docstring).
 QUADRATIC_SIGN = -1
@@ -432,8 +436,9 @@ def estimate_constants(
         raise ValueError(f"the Besov quadratures at p = {p} on {lattice!r} leave the "
                          f"float range: a sampled quotient is {quotient}")
 
-    if samples < 50:
-        raise ValueError(f"need at least 50 samples for a stable estimate, got {samples}")
+    if samples < _MIN_SAMPLES:
+        raise ValueError(f"need at least {_MIN_SAMPLES} samples for a stable estimate, "
+                         f"got {samples}")
     if partition is None:
         partition = build_partition(lattice)
     rng = np.random.default_rng(seed)

@@ -614,19 +614,12 @@ def _occupied_columns(c: np.ndarray, width: int) -> int:
 
     Column ``k2`` of a half spectrum is that frequency.  The last column is
     tested first, so a field that fills it costs one column read; otherwise
-    the zero tail is found by halving a block ``[lo, hi)`` known to hold the
-    last non-zero column, about log2(width) block reads in all.
+    the first ``width`` columns are read once and folded onto ``k2``.
     """
     if width == 0 or c[..., width - 1].any():
         return width
-    lo, hi = 0, width - 1  # columns from hi on are zero
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if c[..., mid:hi].any():
-            lo = mid + 1
-        else:
-            hi = mid
-    return hi
+    held = c[..., :width].any(axis=-2).reshape(-1, width).any(axis=0)
+    return int(np.flatnonzero(held).max(initial=-1)) + 1
 
 
 def _occupied_rows(c: np.ndarray, width: int) -> int:
@@ -636,7 +629,7 @@ def _occupied_rows(c: np.ndarray, width: int) -> int:
     The k1 twin of :func:`_occupied_columns`: the row ``k1 = m/2 - 1`` is
     tested first, so a field that fills it costs one row read; otherwise
     the rows of the first ``width`` columns are read once and folded onto
-    ``|k1|``, the same data a halving search would read in both signs.
+    ``|k1|``.
     """
     m = c.shape[-2]
     h = m // 2
@@ -676,7 +669,8 @@ def _half_synthesis(half: np.ndarray, live: int, length: int | None = None) -> n
 
 
 # Rows per slab of the row passes (:class:`_RowPasses`): the quadratic
-# form's and the sup-norm shells' (:func:`_slab_samples`).
+# form's and the sup-norm shells' (:func:`_slab_samples`); the Besov ring
+# steps and coefficient sums run slabs of as many rows.
 _SLAB_ROWS = 64
 
 

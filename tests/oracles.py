@@ -5,6 +5,7 @@ import math
 from typing import NamedTuple
 
 import numpy as np
+import scipy.fft
 
 from sqglab import spectral
 from sqglab.besov import _STEP, _shell_grid, _shell_weight, besov_norm, lp_norm
@@ -380,10 +381,13 @@ def whole_shell_profile(field, s, p, partition, shells=None):
     """``besov.shell_profile`` as it was before it sized its passes by the
     field's occupied box: every shell's ring evaluated and multiplied in,
     emptiness read off the whole transform buffer, the sup norm as
-    ``max |x|`` of the samples, on the field's whole half (:func:`padded`)."""
+    ``max |x|`` of the samples, on the field's whole half (:func:`padded`).
+    The occupied width is folded with numpy and the shells synthesized by
+    ``scipy.fft.irfft2`` (bitwise the package's in-place synthesis), not by
+    the helpers of the code this judges."""
     c = padded(field)
     m, box = field.lattice.m, field.lattice.box_length
-    occupied = _occupied_columns(c, m // 2)
+    occupied = int(np.flatnonzero(c.any(axis=0)).max(initial=-1)) + 1
     out = []
     for j in partition.shells if shells is None else shells:
         extent = partition.ring_extent(j)
@@ -397,7 +401,8 @@ def whole_shell_profile(field, s, p, partition, shells=None):
         if not proj.any():
             out.append((j, 0.0))
             continue
-        samples = _half_synthesis(proj, top + 1, cols)
+        samples = scipy.fft.irfft2(proj, s=(rows, cols), norm="forward",
+                                   workers=spectral._FFT_WORKERS)
         weight = (box / rows) * (box / cols)
         if math.isinf(p):
             value = float(np.abs(samples).max())

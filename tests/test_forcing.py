@@ -36,27 +36,16 @@ from sqglab.spectral import FrequencyLattice
 
 
 def test_exponent_maps():
-    assert ExponentMap()(3) == 9
     aff = ExponentMap.affine(2, -4)
     assert [aff(n) for n in (1, 2, 3)] == [-2, 0, 2]
     assert aff.describe() == {"kind": "affine", "scale": 2, "shift": -4}
-    tab = ExponentMap.from_table({1: 3, 2: 7})
-    assert tab(2) == 7
-    with pytest.raises(ValueError, match=r"exponent map \{'kind': 'table'.* n = 5"):
-        tab(5)
-    with pytest.raises(ValueError, match="unknown exponent map"):
-        ExponentMap(kind="cubic")
-    with pytest.raises(ValueError, match="needs entries"):
-        ExponentMap(kind="table")
-    # a field the kind does not use, or a non-integer step, is refused
+    assert ExponentMap.affine(3)(2) == 6
+    assert ForceSpec(variant="lacunary", block_range=(1, 2)).exponents == ExponentMap.affine(2, 0)
+    # a non-integer step is refused
     with pytest.raises(ValueError, match="must be integers"):
         ExponentMap.affine(2.5)
     with pytest.raises(ValueError, match="must be integers"):
-        ExponentMap.from_table({1: 2.5})
-    with pytest.raises(ValueError, match="apply to the affine kind"):
-        ExponentMap(scale=3)
-    with pytest.raises(ValueError, match="apply to the table kind"):
-        ExponentMap(kind="affine", entries=((1, 2),))
+        ExponentMap.affine(2, True)
 
 
 def test_force_spec_field_validation():

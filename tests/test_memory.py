@@ -331,8 +331,9 @@ def operator_outputs(lattice):
     }
 
 
-NARROW_OUTPUTS = {"zeros", "dyadic_rescale", "modulated_bump_force", "lacunary_force",
-                  "translated_block_force", "inverse_laplacian_of_a_bump", "form_of_a_bump"}
+NARROW_OUTPUTS = {"zeros", "dyadic_rescale", "single_shell_field", "inner_edge_field",
+                  "modulated_bump_force", "lacunary_force", "translated_block_force",
+                  "inverse_laplacian_of_a_bump", "form_of_a_bump"}
 
 
 def test_every_operator_output_stores_its_own_columns():
@@ -491,6 +492,23 @@ def test_narrow_profile_allocates_no_square_shell_grid():
     square = lattice.m * lattice.m * 8
     peak = traced_peak(lambda: besov_profile(bump, index.s, index.p, partition))
     assert peak < 0.25 * square, f"{peak / square:.2f} of an m x m array"
+
+
+def test_full_band_profile_peak_is_three_half_fields():
+    """A full-band field's top shells at p = 4 are summed on the m x m grid
+    (``besov.shell_profile``): the shell's (m, m/2 + 1) complex buffer, in
+    which its samples are synthesized, and the two m x m float powers of
+    them, x * x and its square, one (m, m/2) unit each.  Measured at
+    m = 256, h_xi = 1/8, with the rings cached: 3.01 units (3.00 at m = 512
+    and 1024)."""
+    lattice = FrequencyLattice(m=M, h_xi=0.125)
+    partition = build_partition(lattice)
+    field = random_mean_zero_field(lattice, np.random.default_rng(0))
+    assert field.occupied == (M // 2, M // 2)
+    index = BesovIndex.data_index(4.0, 2.0)
+    besov_profile(field, index.s, index.p, partition)  # cache the rings
+    peak = traced_peak(lambda: besov_profile(field, index.s, index.p, partition))
+    assert peak <= 3.1 * HALF, f"{peak / HALF:.2f} units"
 
 
 def test_profile_holds_one_shell_buffer_at_a_time():

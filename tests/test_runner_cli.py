@@ -415,6 +415,9 @@ def test_cli_refuses_a_key_the_verb_does_not_read(tmp_path, capsys, verb):
         ("verify-identity", {"samples": 0}, "samples"),
         ("verify-identity", {"samples": -3}, "samples"),
         ("constants", {"samples": 0}, "samples"),
+        # the constants take at least 50 samples for a stable estimate
+        ("constants", {"samples": 10}, "samples"),
+        ("solve", {"samples": 10}, "samples"),
         ("solve", {"m": 64.0}, "m"),
         ("constants", {"p": True}, "p"),
         ("illpose-step1", {"size_range": [4]}, "size_range"),
@@ -430,9 +433,11 @@ def test_cli_refuses_a_key_the_verb_does_not_read(tmp_path, capsys, verb):
         ("illpose-step2", {"exponent_map": {"kind": "afine"}}, "exponent_map"),
         ("illpose-step2", {"exponent_map": {"kind": "affine", "scael": 3}}, "exponent_map"),
         ("illpose-step3", {"exponent_map": {"kind": "affine", "scale": 2.5}}, "exponent_map"),
-        ("illpose-step3", {"exponent_map": {"scale": 3}}, "exponent_map"),
-        ("illpose-step2", {"exponent_map": {"kind": "table", "entries": [[1, 2], [2, 4.5]]}},
-         "exponent_map"),
+        # the affine object is the only map: another kind, or a key it lacks, is refused
+        *((verb, {"exponent_map": spec}, "exponent_map")
+          for verb in ("illpose-step2", "illpose-step3")
+          for spec in ({"kind": "square"}, {"kind": "table", "entries": [[1, 2]]},
+                       {"scale": 3}, {"kind": "affine", "entries": []})),
         # JSON's Infinity and NaN parse as floats; only p and q may be +inf
         ("partition-check", {"m": 64, "h_xi": math.inf}, "h_xi"),
         ("partition-check", {"tolerance": math.nan}, "tolerance"),
@@ -470,11 +475,6 @@ def test_cli_refuses_a_mistyped_value_by_name(tmp_path, capsys, verb, payload, k
         # a shell weight 2**(s j) leaves the float range (shells near j = -500)
         ("constants", {"m": 32, "h_xi": 1e-150}, "h_xi=1e-150"),
         ("solve", {"m": 32, "h_xi": 1e-150}, "h_xi=1e-150"),
-        # a table exponent map without a term the sweep needs
-        ("illpose-step2", {"exponent_map": {"kind": "table", "entries": [[1, 2]]}},
-         "exponent map"),
-        ("illpose-step3", {"exponent_map": {"kind": "table", "entries": [[1, 2]]}},
-         "exponent map"),
         # a bump carrier 2**(size + carrier_offset) too close to frequency 0,
         # or past the lattice Nyquist
         ("illpose-step1", {"m": 256, "size_range": [1, 2]},

@@ -459,8 +459,8 @@ def test_occupied_column_synthesis_is_bitwise_the_full_route(m, columns, occupie
     data=st.data(),
 )
 def test_occupied_columns_is_the_per_column_scan(m, data):
-    # the halving search against the scan it replaced: the last column, then
-    # each column from the right until one holds a non-zero coefficient
+    # the fold against a per-column scan: the last column, then each column
+    # from the right until one holds a non-zero coefficient
     h = m // 2
     columns = data.draw(st.sets(st.integers(0, h), max_size=4))
     c = column_field(m, sorted(columns), seed=len(columns))[:, :h]
