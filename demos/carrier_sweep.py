@@ -7,14 +7,13 @@ second iterate refuses to follow it down.  The production run lives in
 finish in seconds and shows the same mechanism through the library API.
 """
 
-from sqglab.besov import BesovIndex, besov_norm, build_partition
+from sqglab.besov import BesovIndex, besov_norm
 from sqglab.bilinear import quadratic_diagonal
 from sqglab.diagnostics import low_frequency_floor
 from sqglab.forcing import ForceSpec, modulated_bump_force
 from sqglab.spectral import FrequencyLattice, inverse_laplacian
 
 lat = FrequencyLattice(m=512, h_xi=0.125)
-part = build_partition(lat)
 data_index = BesovIndex.data_index(8.0, 2.0)
 delta = 0.01
 
@@ -27,8 +26,8 @@ for size in (4, 5, 6):
     force = modulated_bump_force(lat, spec)
     theta1 = inverse_laplacian(force)
     theta2 = quadratic_diagonal(theta1)
-    norm = besov_norm(force, data_index, part)
-    floor = low_frequency_floor(theta2, part)
+    norm = besov_norm(force, data_index)
+    floor = low_frequency_floor(theta2)
     step = "" if previous is None else f"  (x {norm / previous:.4f})"
     print(f"{size:4d}  {size - 2:7d}  {norm:<12.6g}  {floor / delta**2:<12.6g}{step}")
     norms.append(norm)

@@ -7,12 +7,10 @@ the same forcing scaled far outside the ball, which the solver reports
 as divergence instead of raising.
 """
 
-from sqglab.besov import build_partition
 from sqglab.solver import SolveConfig, picard_solve
 from sqglab.spectral import FrequencyLattice, SpectralField
 
 lat = FrequencyLattice(m=64, h_xi=0.25)
-part = build_partition(lat)
 cfg = SolveConfig(max_iter=40)
 
 forcing = 0.01 * (
@@ -20,7 +18,7 @@ forcing = 0.01 * (
 )
 
 for amplitude, label in ((1.0, "inside the ball"), (20000.0, "far outside")):
-    theta, trace = picard_solve(amplitude * forcing, cfg, partition=part)
+    theta, trace = picard_solve(amplitude * forcing, cfg)
     print(f"\n{label}: verdict {trace.verdict!r} after {len(trace.norms)} steps")
     print("  step   norm           ratio      pde residual")
     for i, norm in enumerate(trace.norms):

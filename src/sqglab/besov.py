@@ -18,6 +18,7 @@ and every shell is synthesized from that half.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable
@@ -39,7 +40,6 @@ from .spectral import (
 __all__ = [
     "BesovIndex",
     "DyadicPartition",
-    "build_partition",
     "shell_project",
     "lp_norm",
     "box_lp_norm",
@@ -87,7 +87,8 @@ class DyadicPartition:
 
     The window ``j_min .. j_max`` spans every ring whose (open) support
     interval meets a non-zero lattice radius, so the telescoped ring sum
-    equals 1 at every non-zero mode.
+    equals 1 at every non-zero mode.  A lattice's rings are read through
+    :attr:`FrequencyLattice.partition`, which builds its one partition.
     """
 
     def __init__(self, lattice: FrequencyLattice) -> None:
@@ -101,10 +102,22 @@ class DyadicPartition:
         j_max = math.floor(math.log2(2.0 * r_hi / t0))
         while t0 / 2.0 * 2.0**j_max >= r_hi:
             j_max -= 1
-        self.lattice = lattice
+        self._lattice = weakref.ref(lattice)
         self.j_min = j_min
         self.j_max = j_max
         self._quadrants: dict[int, np.ndarray] = {}
+
+    @property
+    def lattice(self) -> FrequencyLattice:
+        """The lattice the rings live on, held weakly: the lattice holds its
+        partition (:attr:`FrequencyLattice.partition`), and a strong
+        reference back would make a cycle that keeps both alive until the
+        garbage collector runs."""
+        lattice = self._lattice()
+        if lattice is None:
+            raise ReferenceError("the partition's lattice was freed; hold the lattice "
+                                 "and read its rings through lattice.partition")
+        return lattice
 
     @property
     def shells(self) -> range:
@@ -213,13 +226,14 @@ class DyadicPartition:
 
     def __repr__(self) -> str:
         return (
-            f"DyadicPartition(lattice={self.lattice!r}, "
+            f"DyadicPartition(lattice={self._lattice()!r}, "
             f"j_min={self.j_min}, j_max={self.j_max})"
         )
 
 
 def build_partition(lattice: FrequencyLattice) -> DyadicPartition:
-    """The ring system on a lattice, checked to cover every non-zero mode."""
+    """The ring system on a lattice, checked to cover every non-zero mode:
+    what :attr:`FrequencyLattice.partition` builds on its first read."""
     partition = DyadicPartition(lattice)
     if not partition._covers_lattice():
         raise ValueError(
@@ -229,9 +243,10 @@ def build_partition(lattice: FrequencyLattice) -> DyadicPartition:
     return partition
 
 
-def shell_project(field: SpectralField, partition: DyadicPartition, j: int) -> SpectralField:
-    """Multiply coefficients by the ring ``phi_j`` (free-space mollifier);
-    the projection stores the field's columns."""
+def shell_project(field: SpectralField, j: int) -> SpectralField:
+    """Multiply coefficients by the ring ``phi_j`` of the field's lattice
+    (free-space mollifier); the projection stores the field's columns."""
+    partition = field.lattice.partition
     if not (partition.j_min <= j <= partition.j_max):
         raise ValueError(
             f"shell {j} outside the partition window [{partition.j_min}, {partition.j_max}]"
@@ -333,10 +348,10 @@ def shell_profile(
     field: SpectralField,
     s: float,
     p: float,
-    partition: DyadicPartition,
     shells: Iterable[int] | None = None,
 ) -> list[tuple[int, float]]:
-    """Per-shell weighted norms ``(j, 2**(s j) * ||phi_j * f||_p)``.
+    """Per-shell weighted norms ``(j, 2**(s j) * ||phi_j * f||_p)``, with
+    the rings of the field's lattice (:attr:`FrequencyLattice.partition`).
 
     Over ``shells``, by default the partition's window; a shell above the
     window, whose ring vanishes on the lattice, reads 0.  Every ring
@@ -402,6 +417,7 @@ def shell_profile(
     c = field.coeffs
     out: list[tuple[int, float]] = []
     lattice = field.lattice
+    partition = lattice.partition
     m, box = lattice.m, lattice.box_length
     occupied = field.occupied[1]
     k1 = max(field.occupied[0] - 1, 0)  # K1
@@ -471,12 +487,7 @@ def lq_aggregate(entries: list[float], q: float) -> float:
         return math.inf
 
 
-def besov_profile(
-    field: SpectralField,
-    s: float,
-    p: float,
-    partition: DyadicPartition,
-) -> list[float]:
+def besov_profile(field: SpectralField, s: float, p: float) -> list[float]:
     """The per-shell values a Besov norm of regularity s and integrability p
     aggregates, one per shell of the window; every ``l^q`` norm of the
     same (s, p) is :func:`lq_aggregate` of this one list.
@@ -485,17 +496,13 @@ def besov_profile(
     mean is rejected rather than silently truncated.
     """
     _check_mean_zero(field)
-    return [v for _, v in shell_profile(field, s, p, partition)]
+    return [v for _, v in shell_profile(field, s, p)]
 
 
-def besov_norm(
-    field: SpectralField,
-    index: BesovIndex,
-    partition: DyadicPartition,
-) -> float:
+def besov_norm(field: SpectralField, index: BesovIndex) -> float:
     """Homogeneous Besov norm by shellwise L^p quadrature and an l^q sum
     (:func:`besov_profile` and :func:`lq_aggregate`)."""
-    return lq_aggregate(besov_profile(field, index.s, index.p, partition), index.q)
+    return lq_aggregate(besov_profile(field, index.s, index.p), index.q)
 
 
 # ---------------------------------------------------------------------------
@@ -559,11 +566,11 @@ def _ring_sums(c: np.ndarray, quadrant: np.ndarray) -> tuple[float, float]:
     return s1, s2
 
 
-def _quadrature_fits(l1: float, index: BesovIndex, partition: DyadicPartition) -> bool:
-    """Whether :func:`besov_norm` of any field on the partition's lattice
-    whose coefficients sum in modulus to at most ``l1`` (over the whole
-    lattice) stays clear of overflow in every step: its samples, their p-th
-    powers and their sum, the weighted shell values and their ``l^q`` terms.
+def _quadrature_fits(l1: float, index: BesovIndex, lattice: FrequencyLattice) -> bool:
+    """Whether :func:`besov_norm` of any field on ``lattice`` whose
+    coefficients sum in modulus to at most ``l1`` (over the whole lattice)
+    stays clear of overflow in every step: its samples, their p-th powers
+    and their sum, the weighted shell values and their ``l^q`` terms.
 
     Every sample is at most the coefficients' absolute sum, so each step is
     bounded by a power of ``l1``; its binary exponent must stay below
@@ -573,7 +580,6 @@ def _quadrature_fits(l1: float, index: BesovIndex, partition: DyadicPartition) -
         return True
     if not math.isfinite(l1):
         return False
-    lattice = partition.lattice
     p, q = index.p, index.q
     exponent = math.log2(l1)
     log_area = 2.0 * math.log2(lattice.box_length)
@@ -581,10 +587,11 @@ def _quadrature_fits(l1: float, index: BesovIndex, partition: DyadicPartition) -
         if p * exponent + max(2.0 * math.log2(lattice.m), log_area) >= _EXPONENT_ROOM:
             return False
         exponent += log_area / p
-    exponent += max(index.s * j for j in partition.shells)
+    shells = lattice.partition.shells
+    exponent += max(index.s * j for j in shells)
     if math.isinf(q):
         return exponent < _EXPONENT_ROOM
-    return q * exponent + math.log2(len(partition.shells)) < _EXPONENT_ROOM
+    return q * exponent + math.log2(len(shells)) < _EXPONENT_ROOM
 
 
 def _absolute_sum(field: SpectralField) -> float:
@@ -593,13 +600,9 @@ def _absolute_sum(field: SpectralField) -> float:
     return _full_sums(field.coeffs)[0]
 
 
-def _norm_bounds(
-    field: SpectralField,
-    index: BesovIndex,
-    partition: DyadicPartition,
-) -> tuple[float, float]:
-    """Certified ``(lower, upper)`` bounds of ``besov_norm(field, index,
-    partition)`` from per-shell coefficient sums, without a transform.
+def _norm_bounds(field: SpectralField, index: BesovIndex) -> tuple[float, float]:
+    """Certified ``(lower, upper)`` bounds of ``besov_norm(field, index)``
+    from per-shell coefficient sums, without a transform.
 
     Shell j's samples g are summed on a grid of M x G points, weight
     ``(L/M) * (L/G)``, total mass ``A = L**2`` (:func:`shell_profile`).
@@ -627,9 +630,10 @@ def _norm_bounds(
     p = index.p
     if p < 2.0:
         return 0.0, math.inf
+    partition = field.lattice.partition
     sums = [(j, *_ring_sums(field.coeffs, partition.ring_quadrant(j))) for j in partition.shells]
     if not (
-        _quadrature_fits(max(s1 for _, s1, _ in sums), index, partition)
+        _quadrature_fits(max(s1 for _, s1, _ in sums), index, field.lattice)
         and all(math.isfinite(s2) for _, _, s2 in sums)
     ):
         return 0.0, math.inf

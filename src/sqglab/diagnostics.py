@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .besov import DyadicPartition, box_lp_norm, build_probe, shell_profile
+from .besov import box_lp_norm, build_probe, shell_profile
 from .forcing import ForceSpec
 from .spectral import SpectralField, _centred_coordinates, _unfold
 
@@ -123,10 +123,7 @@ def second_iterate_split(
     return samples
 
 
-def low_frequency_profile(
-    theta2: SpectralField,
-    partition: DyadicPartition,
-) -> list[tuple[int, float]]:
+def low_frequency_profile(theta2: SpectralField) -> list[tuple[int, float]]:
     """Per-shell values 2**(-j) sup |phi_j theta2| over the shells j_min .. -1.
 
     The effective witness of the low-frequency floor is usually the top
@@ -134,29 +131,27 @@ def low_frequency_profile(
     visible.  Each shell is :func:`~sqglab.besov.shell_profile` at s = -1,
     p = inf: sampled on the m x m grid a slab of 64 rows at a time, from
     an (m, k2_j + 1) array of the shell's live columns, so no
-    lattice-sized buffer is made.  Shells above the partition window read
-    0, and a non-zero mean is accepted, since every ring vanishes at the
+    lattice-sized buffer is made.  Shells above the window of the field's
+    lattice (:attr:`~sqglab.spectral.FrequencyLattice.partition`) read 0,
+    and a non-zero mean is accepted, since every ring vanishes at the
     origin.
     """
+    partition = theta2.lattice.partition
     if partition.j_min > -1:
         raise ValueError(
             f"the partition window starts at shell {partition.j_min}; the "
             "low-frequency floor looks at shells j <= -1, and there are none"
         )
-    return shell_profile(theta2, -1.0, math.inf, partition, range(partition.j_min, 0))
+    return shell_profile(theta2, -1.0, math.inf, range(partition.j_min, 0))
 
 
-def low_frequency_floor(theta2: SpectralField, partition: DyadicPartition) -> float:
+def low_frequency_floor(theta2: SpectralField) -> float:
     """Sup over low shells of 2**(-j) sup |phi_j theta2| (zero field gives 0)."""
-    profile = low_frequency_profile(theta2, partition)
+    profile = low_frequency_profile(theta2)
     return max((value for _, value in profile), default=0.0)
 
 
-def inflation_profile(
-    theta2: SpectralField,
-    spec: ForceSpec,
-    partition: DyadicPartition,
-) -> list[tuple[int, int, float]]:
+def inflation_profile(theta2: SpectralField, spec: ForceSpec) -> list[tuple[int, int, float]]:
     """Probe theta2 at every block shell: one ``(n, shell, value)`` entry per block.
 
     Entry for block n at shell j is 2**(-j/2) times the L4 norm of the

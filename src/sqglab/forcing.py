@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .besov import DyadicPartition, box_lp_norm
+from .besov import box_lp_norm
 from .profiles import SmoothStep
 from .spectral import FrequencyLattice, SpectralField, _ball_box, strip_unpaired_edge
 
@@ -332,8 +332,7 @@ def _check_translations(lattice: FrequencyLattice, stride: float, exps: list[int
                 )
 
 
-def _envelope_box(lattice: FrequencyLattice, spec: ForceSpec,
-                  partition: DyadicPartition) -> np.ndarray:
+def _envelope_box(lattice: FrequencyLattice, spec: ForceSpec) -> np.ndarray:
     """The block envelope sum_k 2**(-3 j(k)/2) phi_{j(k)}(x - stride*s(k) e1)
     on its box: complex (2K+1, K+1), entry ``[K + k1, k2]`` the coefficient
     at mode (k1, k2), rows k1 = -K .. K and columns k2 = 0 .. K, with K the
@@ -342,12 +341,13 @@ def _envelope_box(lattice: FrequencyLattice, spec: ForceSpec,
     The shell j(k) is the exponent s(k), or the shared ``equal_shell``
     when set; the weight makes every block carry the same L4 mass (the
     block at shell j scales like 2**(2j) in height and 2**(-j) in width).
-    Each block is its :meth:`~DyadicPartition.ring_quadrant` mirrored onto
-    its rows, cast to complex, twisted by the translation phase exp(-i xi1
-    stride s) and added in block order: the per-mode operations of the
-    same sum taken over the whole lattice.  The envelope never touches the
-    carrier, so only the stride geometry and the shell window are checked
-    here; the carrier checks belong to :func:`translated_block_force`.
+    Each block is the :meth:`~sqglab.besov.DyadicPartition.ring_quadrant`
+    of the lattice's partition, mirrored onto its rows, cast to complex,
+    twisted by the translation phase exp(-i xi1 stride s) and added in
+    block order: the per-mode operations of the same sum taken over the
+    whole lattice.  The envelope never touches the carrier, so only the
+    stride geometry and the shell window are checked here; the carrier
+    checks belong to :func:`translated_block_force`.
     """
     if spec.variant != "blocks":
         raise ValueError(f"expected a blocks spec, got variant {spec.variant!r}")
@@ -355,6 +355,7 @@ def _envelope_box(lattice: FrequencyLattice, spec: ForceSpec,
         raise ValueError("block envelope needs a stride; run calibrate_stride first")
     _check_translations(lattice, spec.stride, spec.block_exponents())
     shells = spec.block_shells()
+    partition = lattice.partition
     for j in shells:
         if not (partition.j_min <= j <= partition.j_max):
             raise ValueError(
@@ -373,8 +374,7 @@ def _envelope_box(lattice: FrequencyLattice, spec: ForceSpec,
     return box
 
 
-def translated_block_force(lattice: FrequencyLattice, spec: ForceSpec,
-                           partition: DyadicPartition) -> SpectralField:
+def translated_block_force(lattice: FrequencyLattice, spec: ForceSpec) -> SpectralField:
     """The block envelope modulated by the carrier: amp * envelope(x)
     cos(2**c x1), with amp = delta 2**(5c/2) / (size**(1/4) ln(size)).
 
@@ -392,7 +392,7 @@ def translated_block_force(lattice: FrequencyLattice, spec: ForceSpec,
     overlap.  Rows that would cross are refused, never wrapped.
     """
     spec.validate(lattice)
-    box = _envelope_box(lattice, spec, partition)
+    box = _envelope_box(lattice, spec)
     extent = box.shape[1] - 1
     steps = int(round(2.0**spec.carrier / lattice.h_xi))
     if not extent < steps < lattice.m // 2 - extent:
@@ -408,23 +408,18 @@ def translated_block_force(lattice: FrequencyLattice, spec: ForceSpec,
     return SpectralField._adopt(lattice, strip_unpaired_edge(out))
 
 
-def envelope_l4_norm(lattice: FrequencyLattice, spec: ForceSpec,
-                     partition: DyadicPartition) -> float:
+def envelope_l4_norm(lattice: FrequencyLattice, spec: ForceSpec) -> float:
     """L4 norm of the block envelope of ``spec``, summed by
     :func:`~sqglab.besov.box_lp_norm` on its box (:func:`_envelope_box`),
     completed with the k2 < 0 columns, the conjugates of the stored
     ``c(-k)``."""
-    box = _envelope_box(lattice, spec, partition)
+    box = _envelope_box(lattice, spec)
     extent = box.shape[1] - 1
     return box_lp_norm(np.concatenate((np.conj(box[::-1, extent:0:-1]), box), axis=1),
                        lattice, 4.0)
 
 
-def calibrate_stride(
-    lattice: FrequencyLattice,
-    spec: ForceSpec,
-    partition: DyadicPartition,
-) -> float:
+def calibrate_stride(lattice: FrequencyLattice, spec: ForceSpec) -> float:
     """Smallest doubling-search stride giving near-disjoint block L4 masses.
 
     Doubles the stride from one grid cell until the envelope's L4 norm to
@@ -443,7 +438,7 @@ def calibrate_stride(
     for n, j in zip(spec.block_indices(), spec.block_shells()):
         if j not in masses:
             one = replace(spec, block_range=(n, n), stride=lattice.dx)
-            masses[j] = envelope_l4_norm(lattice, one, partition) ** 4
+            masses[j] = envelope_l4_norm(lattice, one) ** 4
         target += masses[j]
 
     stride = lattice.dx
@@ -456,7 +451,7 @@ def calibrate_stride(
         except ValueError:
             stride *= 2.0
             continue
-        mass = envelope_l4_norm(lattice, replace(spec, stride=stride), partition) ** 4
+        mass = envelope_l4_norm(lattice, replace(spec, stride=stride)) ** 4
         if abs(mass - target) <= 0.05 * target:
             return stride
         stride *= 2.0

@@ -37,7 +37,6 @@ import numpy as np
 
 from .besov import (
     BesovIndex,
-    build_partition,
     build_probe,
     besov_norm,
     besov_profile,
@@ -238,13 +237,26 @@ def _constant_samples(cfg: ExperimentConfig) -> int:
     return samples
 
 
-def _final_norm(theta: SpectralField, trace, index: BesovIndex, partition) -> float:
+def _lattice(cfg: ExperimentConfig) -> FrequencyLattice:
+    """The verb's lattice, of config keys ``m`` and ``h_xi``, with its ring
+    system read up front (:attr:`FrequencyLattice.partition`): a lattice
+    that cannot be built, or whose rings cannot cover it, is refused by
+    those keys before anything runs."""
+    try:
+        lattice = FrequencyLattice(m=cfg["m"], h_xi=cfg["h_xi"])
+        lattice.partition
+    except ValueError as err:
+        raise ValueError(f"config keys m and h_xi: {err}") from None
+    return lattice
+
+
+def _final_norm(theta: SpectralField, trace, index: BesovIndex) -> float:
     """Monitoring norm of the iterate a fixed-point loop returned.
 
     The loop recorded it last, on every exit; only a run whose first step
     went non-finite, returning its start unrecorded, has it computed here.
     """
-    return trace.norms[-1] if trace.norms else besov_norm(theta, index, partition)
+    return trace.norms[-1] if trace.norms else besov_norm(theta, index)
 
 
 def _second_iterate(theta1: SpectralField, delta: float) -> SpectralField:
@@ -277,8 +289,8 @@ def _in_float_range(value: float, delta: float) -> float:
        m=1024, h_xi=0.125, seed=0, tolerance=1e-12)
 def _run_partition_check(cfg: ExperimentConfig) -> ExperimentReport:
     tol = cfg["tolerance"]
-    lattice = FrequencyLattice(m=cfg["m"], h_xi=cfg["h_xi"])
-    partition = build_partition(lattice)
+    lattice = _lattice(cfg)
+    partition = lattice.partition
 
     # a radial ring on the radius quadrant holds every lattice value
     rows = []
@@ -303,7 +315,7 @@ def _run_partition_check(cfg: ExperimentConfig) -> ExperimentReport:
     band = _band_limited_field(lattice, rng, radius=lattice.xi_max / 2.0)
     total = SpectralField.zeros(lattice)
     for j in partition.shells:
-        total = total + shell_project(band, partition, j)
+        total = total + shell_project(band, j)
     recon = (band - total).coeffs
     scale = float(np.abs(band.coeffs).max())
     recon_err = float(np.abs(recon).max()) / scale if scale else 0.0
@@ -341,10 +353,10 @@ def _run_verify_identity(cfg: ExperimentConfig) -> ExperimentReport:
     m, samples, tol = cfg["m"], cfg["samples"], cfg["tolerance"]
     if m > QUADRATURE_SIZE_LIMIT:
         raise ValueError(
-            f"verify-identity runs the direct quadrature, which is "
+            f"config key m: verify-identity runs the direct quadrature, which is "
             f"O(m^4): m = {m} exceeds the size limit {QUADRATURE_SIZE_LIMIT}"
         )
-    lattice = FrequencyLattice(m=m, h_xi=cfg["h_xi"])
+    lattice = _lattice(cfg)
     rng = np.random.default_rng(cfg["seed"])
     rows = []
     worst = 0.0
@@ -375,7 +387,7 @@ def _run_verify_identity(cfg: ExperimentConfig) -> ExperimentReport:
        m=128, h_xi=0.25, samples=64, p=4.0, q=2.0, seed=0)
 def _run_constants(cfg: ExperimentConfig) -> ExperimentReport:
     samples = _constant_samples(cfg)
-    lattice = FrequencyLattice(m=cfg["m"], h_xi=cfg["h_xi"])
+    lattice = _lattice(cfg)
     report = estimate_constants(lattice, samples=samples, p=cfg["p"], q=cfg["q"],
                                 seed=cfg["seed"])
     tables = [Table(
@@ -404,43 +416,41 @@ def _run_solve(cfg: ExperimentConfig) -> ExperimentReport:
     p, q, max_iter, fraction = cfg["p"], cfg["q"], cfg["max_iter"], cfg["ball_fraction"]
     samples = _constant_samples(cfg)
     if not 0 < fraction <= 1.0:
-        raise ValueError(f"ball_fraction must lie in (0, 1], got {fraction}")
-    lattice = FrequencyLattice(m=cfg["m"], h_xi=cfg["h_xi"])
-    partition = build_partition(lattice)
+        raise ValueError(f"config key ball_fraction must lie in (0, 1], got {fraction}")
+    lattice = _lattice(cfg)
     solution_index = BesovIndex.solution_index(p, q)
     data_index = BesovIndex.data_index(p, q)
     solve_cfg = SolveConfig(index=solution_index, tol=cfg["solve_tol"], max_iter=max_iter)
 
-    constants = estimate_constants(lattice, samples=samples, p=p, q=q,
-                                   seed=cfg["seed"], partition=partition)
+    constants = estimate_constants(lattice, samples=samples, p=p, q=q, seed=cfg["seed"])
     rng = np.random.default_rng(cfg["seed"] + 1)
     f = random_mean_zero_field(lattice, rng, decay=2.0)
-    f = unit_normalize(f, data_index, partition) * (fraction * constants.delta0)
-    f_norm = besov_norm(f, data_index, partition)
+    f = unit_normalize(f, data_index) * (fraction * constants.delta0)
+    f_norm = besov_norm(f, data_index)
 
-    theta, trace = picard_solve(f, solve_cfg, partition=partition)
+    theta, trace = picard_solve(f, solve_cfg)
     lf = inverse_laplacian(f)
     # start_gap reads exactly 0 by construction: from Lf (or -Lf, B being
     # even) Picard repeats the zero start's iterates one step later.  A truly
     # different start, 0.5 Lf, gave 3.9e-13 to 7.3e-12 at seeds 0, 4, ..., 36,
     # near the benchmark's 1e-11 absolute cell tolerance, so changing the
     # start is left to a change of the benchmark.
-    theta_b, trace_b = picard_solve(f, solve_cfg, theta0=lf, partition=partition)
-    theta_norm = _final_norm(theta, trace, solution_index, partition)
-    start_gap = besov_norm(theta - theta_b, solution_index, partition) / theta_norm
+    theta_b, trace_b = picard_solve(f, solve_cfg, theta0=lf)
+    theta_norm = _final_norm(theta, trace, solution_index)
+    start_gap = besov_norm(theta - theta_b, solution_index) / theta_norm
     del theta_b
 
     fixed_point = theta - (lf + QUADRATIC_SIGN * quadratic_diagonal(theta))
     del lf
-    fp_residual = besov_norm(fixed_point, solution_index, partition) / theta_norm
+    fp_residual = besov_norm(fixed_point, solution_index) / theta_norm
     del fixed_point  # each field is dropped before the Lipschitz solve
     pde_residual = trace.pde_residuals[-1] / f_norm
     worst_ratio = trace.worst_ratio()
 
     g = f * 0.7
-    theta_g, _ = picard_solve(g, solve_cfg, partition=partition)
-    lhs = besov_norm(theta - theta_g, solution_index, partition)
-    rhs = 2.0 * constants.c0 * besov_norm(f - g, data_index, partition)
+    theta_g, _ = picard_solve(g, solve_cfg)
+    lhs = besov_norm(theta - theta_g, solution_index)
+    rhs = 2.0 * constants.c0 * besov_norm(f - g, data_index)
 
     tables = [
         Table("constants", ("c0", "c1", "delta0", "epsilon0"),
@@ -487,7 +497,7 @@ def _run_illpose_step1(cfg: ExperimentConfig) -> ExperimentReport:
             f"config key size_range {(lo, hi)} must span at least two sizes; the "
             "slope and floor verdicts compare across the sweep"
         )
-    lattice = FrequencyLattice(m=cfg["m"], h_xi=cfg["h_xi"])
+    lattice = _lattice(cfg)
     specs = [
         ForceSpec(variant="bump", delta=delta, size=n,
                   carrier_exponent=n + cfg["carrier_offset"])
@@ -499,7 +509,6 @@ def _run_illpose_step1(cfg: ExperimentConfig) -> ExperimentReport:
         except ValueError as err:
             raise ValueError(f"config keys size_range and carrier_offset (carrier "
                              f"exponent = size + carrier_offset): {err}") from None
-    partition = build_partition(lattice)
     data_index = BesovIndex.data_index(p, cfg["q"])
     # the data-norm trend runs at the requested (p, q); the perturbation
     # equation is monitored at the endpoint index the solver defaults to
@@ -516,14 +525,13 @@ def _run_illpose_step1(cfg: ExperimentConfig) -> ExperimentReport:
         theta1 = [inverse_laplacian(f)]
         theta2 = QUADRATIC_SIGN * _second_iterate(theta1[0], delta)
         with np.errstate(over="ignore", invalid="ignore"):  # refused, not warned
-            data_norm = _in_float_range(besov_norm(f, data_index, partition), delta)
+            data_norm = _in_float_range(besov_norm(f, data_index), delta)
             del f
-            second_norm = _in_float_range(besov_norm(theta2, solve_cfg.index, partition), delta)
-        floor = low_frequency_floor(theta2, partition)
-        tilde, trace = perturbation_solve(theta1.pop(), theta2, solve_cfg,
-                                          partition=partition)
+            second_norm = _in_float_range(besov_norm(theta2, solve_cfg.index), delta)
+        floor = low_frequency_floor(theta2)
+        tilde, trace = perturbation_solve(theta1.pop(), theta2, solve_cfg)
         del theta2
-        tilde_norm = _final_norm(tilde, trace, solve_cfg.index, partition)
+        tilde_norm = _final_norm(tilde, trace, solve_cfg.index)
         del tilde
         rows.append((spec.size, spec.carrier, data_norm, floor / delta**2,
                      second_norm, tilde_norm, tilde_norm / second_norm,
@@ -584,11 +592,13 @@ def _run_illpose_step2(cfg: ExperimentConfig) -> ExperimentReport:
             f"config key size_range {(k_lo, k_hi)} must satisfy 1 <= lo <= hi and "
             "hi >= 2; the lacunary sum's amplitude carries a log(hi) factor"
         )
-    lattice = FrequencyLattice(m=cfg["m"], h_xi=cfg["h_xi"])
+    lattice = _lattice(cfg)
     spec = ForceSpec(variant="lacunary", delta=delta, size=k_hi,
                      block_range=(k_lo, k_hi), exponents=cfg["exponent_map"])
-    spec.validate(lattice)
-    partition = build_partition(lattice)
+    try:
+        spec.validate(lattice)
+    except ValueError as err:
+        raise ValueError(f"config keys size_range, exponent_map, m and h_xi: {err}") from None
 
     # Each field is dropped after its last use, so at most two are held at
     # once (tests/test_memory.py): f serves its data norms and its inverse
@@ -599,7 +609,7 @@ def _run_illpose_step2(cfg: ExperimentConfig) -> ExperimentReport:
     # both data norms aggregate one profile: s = 2/p - 3 does not depend on q
     data_index = BesovIndex.data_index(4.0, 2.0)
     with np.errstate(over="ignore", invalid="ignore"):  # refused, not warned
-        shells = besov_profile(f, data_index.s, data_index.p, partition)
+        shells = besov_profile(f, data_index.s, data_index.p)
     norm_rows = [(q, _in_float_range(lq_aggregate(shells, q), delta)) for q in (2.0, 4.0)]
     lf = inverse_laplacian(f)
     del f
@@ -608,7 +618,7 @@ def _run_illpose_step2(cfg: ExperimentConfig) -> ExperimentReport:
     theta2 = _second_iterate(lf, delta)
     del lf
     overlap = shared_annulus_modes(lattice, spec.block_exponents())
-    profile = low_frequency_profile(theta2, partition)
+    profile = low_frequency_profile(theta2)
     floor = max((value for _, value in profile), default=0.0)
     # both are forms of inputs of one band: their columns past the occupied
     # ones are exact zeros, whose defect and modulus are 0, so not read
@@ -656,15 +666,15 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
         raise ValueError(f"config key probe_gap must be at least 3, got {gap}: a probe "
                          "closer to its ring cannot stay inside the ring's plateau")
     if len(counts) < 2 or counts[0] < 2 or any(b <= a for a, b in zip(counts, counts[1:])):
-        raise ValueError(f"block_counts {counts} must be increasing from at least 2, "
-                         "length >= 2")
+        raise ValueError(f"config key block_counts {counts} must be increasing from "
+                         "at least 2, length >= 2")
 
     # L4 additivity leg: equal-shape blocks on a small lattice.
     l4_m = 1024
     l4_h = 0.125
     equal_shell = cfg["equal_shell"]
     l4_lattice = FrequencyLattice(m=l4_m, h_xi=l4_h)
-    l4_partition = build_partition(l4_lattice)
+    l4_partition = l4_lattice.partition
     if not l4_partition.j_min <= equal_shell <= l4_partition.j_max:
         raise ValueError(
             f"config key equal_shell: shell {equal_shell} falls outside the L4 leg's "
@@ -674,7 +684,7 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
 
     # Inflation leg: one shell per block, probed at its own frequency.
     m, h_xi, infl_map = cfg["m"], cfg["h_xi"], cfg["exponent_map"]
-    lattice = FrequencyLattice(m=m, h_xi=h_xi)
+    lattice = _lattice(cfg)
     params = {"experiment": cfg.experiment, "delta": delta,
               "block_counts": list(counts), "probe_gap": gap,
               "l4_leg": {"m": l4_m, "h_xi": l4_h, "equal_shell": equal_shell,
@@ -689,7 +699,7 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
                          block_range=(1, count), exponents=l4_map,
                          equal_shell=equal_shell, probe_gap=gap)
         try:
-            stride = calibrate_stride(l4_lattice, spec, l4_partition)
+            stride = calibrate_stride(l4_lattice, spec)
         except ValueError:
             raise ValueError(
                 f"config keys equal_shell and block_counts: {count} blocks at shell "
@@ -697,7 +707,7 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
                 f"(fixed lattice m={l4_m}, h_xi={l4_h}); use a larger equal_shell, "
                 "whose blocks are narrower, or fewer blocks"
             ) from None
-        l4 = envelope_l4_norm(l4_lattice, replace(spec, stride=stride), l4_partition)
+        l4 = envelope_l4_norm(l4_lattice, replace(spec, stride=stride))
         l4_values[count] = l4
         l4_rows.append((count, stride, l4, l4 / count**0.25))
     l4_ratios = [
@@ -729,7 +739,6 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
     common_carrier = max(min_specs[count].carrier for count in feasible) if feasible else None
     params["inflation_leg"]["carrier_exponent"] = common_carrier
 
-    partition = build_partition(lattice)
     infl_rows, ratio_by_count = [], {}
     for count in counts:
         if count in failures:
@@ -739,14 +748,14 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
         carrier = common_carrier
         spec = replace(min_specs[count], carrier_exponent=carrier)
         spec.validate(lattice)
-        forcing = translated_block_force(lattice, spec, partition)
+        forcing = translated_block_force(lattice, spec)
         theta1 = inverse_laplacian(forcing)
         del forcing
         # the second iterate up to its sign: the probes read |theta2| only
         theta2 = _second_iterate(theta1, delta)
         del theta1
         with np.errstate(over="ignore", invalid="ignore"):  # refused, not warned
-            values = [value for _, _, value in inflation_profile(theta2, spec, partition)]
+            values = [value for _, _, value in inflation_profile(theta2, spec)]
         del theta2
         l1 = _in_float_range(lq_aggregate(values, 1.0), delta)
         l2 = _in_float_range(lq_aggregate(values, 2.0), delta)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .besov import BesovIndex, DyadicPartition, besov_norm
+from .besov import BesovIndex, besov_norm
 from .spectral import FrequencyLattice, SpectralField, _radial_multiply, strip_unpaired_edge
 
 __all__ = [
@@ -97,13 +97,13 @@ def _inner_edge_field(lattice: FrequencyLattice, j: int, rng) -> SpectralField:
 
 def single_shell_field(
     lattice: FrequencyLattice,
-    partition: DyadicPartition,
     j: int,
     rng: np.random.Generator,
 ) -> SpectralField:
-    """Random real field spectrally supported in the ring of shell ``j``
-    (the ring is not 0/1, so it multiplies the field, not the draws),
-    stored in the columns the ring reaches."""
+    """Random real field spectrally supported in the lattice's ring of
+    shell ``j`` (the ring is not 0/1, so it multiplies the field, not the
+    draws), stored in the columns the ring reaches."""
+    partition = lattice.partition
     quadrant = partition.ring_quadrant(j)
     if not quadrant.any():
         raise ValueError(f"shell {j} has no lattice support on {lattice!r}")
@@ -112,11 +112,9 @@ def single_shell_field(
     return SpectralField._adopt(lattice, base.coeffs * partition.ring_values(j)[:, :width])
 
 
-def unit_normalize(
-    field: SpectralField, index: BesovIndex, partition: DyadicPartition
-) -> SpectralField:
+def unit_normalize(field: SpectralField, index: BesovIndex) -> SpectralField:
     """Scale a field to unit Besov norm at the given index."""
-    n = besov_norm(field, index, partition)
+    n = besov_norm(field, index)
     if n == 0.0:
         raise ValueError("cannot normalize the zero field")
     return (1.0 / n) * field

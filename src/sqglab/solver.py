@@ -24,13 +24,11 @@ import numpy as np
 
 from .besov import (
     BesovIndex,
-    DyadicPartition,
     _absolute_sum,
     _check_mean_zero,
     _norm_bounds,
     _quadrature_fits,
     besov_norm,
-    build_partition,
 )
 from .bilinear import bilinear_block, quadratic_diagonal
 from .sampling import _inner_edge_field, random_mean_zero_field, single_shell_field
@@ -139,7 +137,6 @@ def _bounded_norms(
     update_field: SpectralField,
     bound: float,
     cfg: SolveConfig,
-    partition: DyadicPartition,
 ) -> tuple[float | None, float | None, float]:
     """The norms of an iterate and of its update that the stopping test
     cannot do without, None for each one it can, and the new upper bound of
@@ -154,27 +151,27 @@ def _bounded_norms(
     non-zero mean is refused all the same, as :func:`besov_norm` refuses it.
     """
     _check_mean_zero(theta)
-    if _quadrature_fits(_absolute_sum(theta), cfg.index, partition):
-        low, high = _norm_bounds(update_field, cfg.index, partition)
+    if _quadrature_fits(_absolute_sum(theta), cfg.index, theta.lattice):
+        low, high = _norm_bounds(update_field, cfg.index)
         if _continues(low, bound + high, cfg.tol):
             return None, None, bound + high
-        update = besov_norm(update_field, cfg.index, partition)
+        update = besov_norm(update_field, cfg.index)
         if _continues(update, bound + update, cfg.tol):
             return None, update, bound + update
     else:
         update = None
-    norm = besov_norm(theta, cfg.index, partition)
+    norm = besov_norm(theta, cfg.index)
     if update is None:
-        update = besov_norm(update_field, cfg.index, partition)
+        update = besov_norm(update_field, cfg.index)
     return norm, update, norm
 
 
 def _defect_norm(theta: SpectralField, quad: SpectralField, f: SpectralField,
-                 index: BesovIndex, partition: DyadicPartition) -> float:
+                 index: BesovIndex) -> float:
     """Norm of the stationary defect -Delta(theta) + div(theta u) - f, with
     div(theta u) = (-Delta) ``quad`` recovered from the sign-free quadratic
     form ``quad`` = B[theta, theta], so the defect itself pins the sign."""
-    return besov_norm(neg_laplacian(theta) + neg_laplacian(quad) - f, index, partition)
+    return besov_norm(neg_laplacian(theta) + neg_laplacian(quad) - f, index)
 
 
 def _iterate(
@@ -183,7 +180,6 @@ def _iterate(
     quad_term,
     defect_norm,
     cfg: SolveConfig,
-    partition: DyadicPartition,
     every_iteration: bool = True,
 ) -> tuple[SpectralField, IterationTrace]:
     """Shared fixed-point loop: ``step(theta, quad)`` maps an iterate to the next.
@@ -210,7 +206,7 @@ def _iterate(
     replayed to that iterate, which takes every norm as the last."""
     trace = IterationTrace()
     theta = start
-    bound = math.inf if every_iteration else _norm_bounds(start, cfg.index, partition)[1]
+    bound = math.inf if every_iteration else _norm_bounds(start, cfg.index)[1]
     for n in range(1, cfg.max_iter + 1):
         try:
             # a form or step leaving the float range signals divergence
@@ -225,8 +221,7 @@ def _iterate(
         except FloatingPointError:
             if n > 1 and not every_iteration:  # theta's skipped entries are gone
                 theta, trace = _iterate(start, step, quad_term, defect_norm,
-                                        replace(cfg, max_iter=n - 1), partition,
-                                        every_iteration=False)
+                                        replace(cfg, max_iter=n - 1), every_iteration=False)
             trace.verdict = "diverged"
             return theta, trace
         last = n == cfg.max_iter
@@ -236,10 +231,10 @@ def _iterate(
             update_field = theta_next - theta
             theta = theta_next
             if every_iteration or last:
-                norm = besov_norm(theta, cfg.index, partition)
-                update = besov_norm(update_field, cfg.index, partition)
+                norm = besov_norm(theta, cfg.index)
+                update = besov_norm(update_field, cfg.index)
             else:
-                norm, update, bound = _bounded_norms(theta, update_field, bound, cfg, partition)
+                norm, update, bound = _bounded_norms(theta, update_field, bound, cfg)
             del update_field
             verdict = None
             if norm is not None:
@@ -264,7 +259,6 @@ def picard_solve(
     f: SpectralField,
     cfg: SolveConfig = SolveConfig(),
     theta0: SpectralField | None = None,
-    partition: DyadicPartition | None = None,
 ) -> tuple[SpectralField, IterationTrace]:
     """Iterate theta -> Lf + sign * (-Delta)^{-1} div(theta u) to a fixed point.
 
@@ -280,8 +274,6 @@ def picard_solve(
     times, the first time at theta0.  Every iteration takes all three
     norms, since ``solve`` reports them all (:class:`IterationTrace`).
     """
-    if partition is None:
-        partition = build_partition(f.lattice)
     lf = inverse_laplacian(f)
     sign = float(QUADRATIC_SIGN)
 
@@ -289,17 +281,16 @@ def picard_solve(
         return lf + sign * quad
 
     def defect_norm(theta: SpectralField, quad: SpectralField) -> float:
-        return _defect_norm(theta, quad, f, cfg.data_index, partition)
+        return _defect_norm(theta, quad, f, cfg.data_index)
 
     start = SpectralField.zeros(f.lattice) if theta0 is None else theta0
-    return _iterate(start, step, quadratic_diagonal, defect_norm, cfg, partition)
+    return _iterate(start, step, quadratic_diagonal, defect_norm, cfg)
 
 
 def perturbation_solve(
     theta1: SpectralField,
     theta2: SpectralField,
     cfg: SolveConfig = SolveConfig(),
-    partition: DyadicPartition | None = None,
 ) -> tuple[SpectralField, IterationTrace]:
     """Solve the correction equation on top of the first two iterates.
 
@@ -345,8 +336,6 @@ def perturbation_solve(
     carrier.  The test suite pins the loss at m = 128, h_xi = 0.25,
     carrier 2^3 (2.1e-13 and 4.8e-14 there).
     """
-    if partition is None:
-        partition = build_partition(theta1.lattice)
     sign = float(QUADRATIC_SIGN)
     base = theta1 + theta2
     f_equiv = neg_laplacian(theta1)
@@ -360,9 +349,9 @@ def perturbation_solve(
         return quadratic_diagonal(base + tilde)
 
     def defect_norm(tilde: SpectralField, quad: SpectralField) -> float:
-        return _defect_norm(base + tilde, quad, f_equiv, cfg.data_index, partition)
+        return _defect_norm(base + tilde, quad, f_equiv, cfg.data_index)
 
-    return _iterate(zero, step, quad_term, defect_norm, cfg, partition, every_iteration=False)
+    return _iterate(zero, step, quad_term, defect_norm, cfg, every_iteration=False)
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +386,12 @@ def bilinear_ratio(
     f: SpectralField,
     g: SpectralField,
     index: BesovIndex,
-    partition: DyadicPartition,
 ) -> float:
     """||B[f, g]|| / (||f|| ||g||) at one index, the sampled boundedness
     quotient; inf when the denominator is zero."""
-    nf = besov_norm(f, index, partition)
-    ng = besov_norm(g, index, partition)
-    nb = besov_norm(bilinear_block(f, g), index, partition)
+    nf = besov_norm(f, index)
+    ng = besov_norm(g, index)
+    nb = besov_norm(bilinear_block(f, g), index)
     return nb / (nf * ng) if nf * ng else math.inf
 
 
@@ -413,7 +401,6 @@ def estimate_constants(
     p: float = 4.0,
     q: float = 2.0,
     seed: int = 0,
-    partition: DyadicPartition | None = None,
 ) -> ConstantsReport:
     """Sample the linear and bilinear constants at one integrability pair.
 
@@ -439,8 +426,7 @@ def estimate_constants(
     if samples < _MIN_SAMPLES:
         raise ValueError(f"need at least {_MIN_SAMPLES} samples for a stable estimate, "
                          f"got {samples}")
-    if partition is None:
-        partition = build_partition(lattice)
+    partition = lattice.partition
     rng = np.random.default_rng(seed)
     sol = BesovIndex.solution_index(p, q)
     dat = BesovIndex.data_index(p, q)
@@ -454,10 +440,10 @@ def estimate_constants(
             if i % 2:
                 f = _inner_edge_field(lattice, j, rng)
             else:
-                f = single_shell_field(lattice, partition, j, rng)
+                f = single_shell_field(lattice, j, rng)
             if f.coeffs.any():
-                c0 = max(c0, sampled(besov_norm(inverse_laplacian(f), sol, partition),
-                                     besov_norm(f, dat, partition)))
+                c0 = max(c0, sampled(besov_norm(inverse_laplacian(f), sol),
+                                     besov_norm(f, dat)))
             del f  # before the next sample is drawn
 
         low = [j for j in shells if j <= partition.j_min + 4]
@@ -467,8 +453,8 @@ def estimate_constants(
             style = i % 3
             if style == 0 and shell_pairs:
                 k, l = shell_pairs[(i // 3) % len(shell_pairs)]
-                f = single_shell_field(lattice, partition, k, rng)
-                g = single_shell_field(lattice, partition, l, rng)
+                f = single_shell_field(lattice, k, rng)
+                g = single_shell_field(lattice, l, rng)
             elif style == 1:
                 f = random_mean_zero_field(lattice, rng, decay=2.0)
                 g = random_mean_zero_field(lattice, rng, decay=2.0)
@@ -476,7 +462,7 @@ def estimate_constants(
                 f = random_mean_zero_field(lattice, rng)
                 g = random_mean_zero_field(lattice, rng)
             if f.coeffs.any() and g.coeffs.any():
-                c1 = max(c1, sampled(bilinear_ratio(f, g, sol, partition)))
+                c1 = max(c1, sampled(bilinear_ratio(f, g, sol)))
             del f, g  # before the next sample is drawn
 
     return ConstantsReport(

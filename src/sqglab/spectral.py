@@ -186,6 +186,21 @@ class FrequencyLattice:
         r.flags.writeable = False
         return r
 
+    @cached_property
+    def partition(self):
+        """The lattice's dyadic ring system, a
+        :class:`~sqglab.besov.DyadicPartition` checked to cover every
+        non-zero mode, built on first read and kept for the lattice's life.
+
+        Every route that reads rings reads them here, so a field's norms
+        are always taken with its own lattice's rings.  The partition
+        refers back to the lattice weakly, so the two are freed together
+        when the lattice's last reference goes, with no cycle to collect.
+        """
+        from .besov import build_partition  # besov builds on this module
+
+        return build_partition(self)
+
     def __repr__(self) -> str:  # keep reports compact
         return f"FrequencyLattice(m={self.m}, h_xi={self.h_xi})"
 

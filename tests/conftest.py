@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from sqglab import spectral
-from sqglab.besov import build_partition
 from sqglab.sampling import random_mean_zero_field
 from sqglab.spectral import FrequencyLattice, SpectralField
 
@@ -16,18 +15,8 @@ def lattice32():
 
 
 @pytest.fixture(scope="session")
-def partition32(lattice32):
-    return build_partition(lattice32)
-
-
-@pytest.fixture(scope="session")
 def lattice128():
     return FrequencyLattice(m=128, h_xi=0.25)
-
-
-@pytest.fixture(scope="session")
-def partition128(lattice128):
-    return build_partition(lattice128)
 
 
 @pytest.fixture

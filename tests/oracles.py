@@ -14,8 +14,6 @@ from sqglab.sampling import random_mean_zero_field
 from sqglab.solver import _TINY, IterationTrace, _finite
 from sqglab.spectral import (
     SpectralField,
-    _half_synthesis,
-    _occupied_columns,
     _radial_multiply,
     _reciprocal,
     _row_blocks,
@@ -206,8 +204,19 @@ def translated_block_force(lattice, spec):
 #
 # The kernel ``bilinear._transport`` runs its row passes a slab of rows at
 # a time and never makes an array of the padded size.  Its predecessor,
-# below, transformed every factor and flux in a whole (grid, grid/2 + 1)
-# half-spectrum buffer; the slab kernel must agree with it bit for bit.
+# below, transformed every factor and flux on the whole padded grid; the
+# slab kernel must agree with it bit for bit.  Here the transforms are
+# scipy's two-axis ones and the rows are placed by their frequencies, so
+# the referee shares no helper with the kernel it judges.
+
+
+def lattice_rows(m, grid):
+    """``(row, grid row)`` of every lattice row ``|k1| <= m/2 - 1``: its
+    place in the FFT order of ``m`` points and in that of ``grid`` points,
+    ``k1 mod grid``.  The unpaired k1 = -m/2 row has no place."""
+    k = np.fft.fftfreq(m, 1.0 / m).astype(int)
+    rows = np.flatnonzero(np.abs(k) < m // 2)
+    return rows, k[rows] % grid
 
 
 def padded_half(c, grid, symbol=None, cols=None):
@@ -217,58 +226,51 @@ def padded_half(c, grid, symbol=None, cols=None):
     whose first m/2 columns are read; the result has shape
     (..., grid, grid/2 + 1).  With ``symbol``, the k2 >= 0 half of a
     lattice symbol, shape (m, w) for some w >= ``cols`` (its row m/2 is not
-    read), each coefficient is multiplied by it during the copy.  Only the
-    first ``cols`` columns (default m/2) are copied, the rest left zero;
-    the unpaired k = -m/2 row and column are left out.
+    read), each coefficient is multiplied by it.  Only the first ``cols``
+    columns (default m/2) are copied, the rest left zero; each row is
+    placed at its frequency (:func:`lattice_rows`), so the unpaired
+    k = -m/2 row and column are left out.
     """
     m = c.shape[-2]
     w = m // 2 if cols is None else cols
     half = np.zeros(c.shape[:-2] + (grid, grid // 2 + 1), dtype=np.complex128)
-    for src, dst, _ in _row_blocks(m // 2 - 1, m, grid):
-        if symbol is None:
-            half[..., dst, :w] = c[..., src, :w]
-        else:
-            np.multiply(c[..., src, :w], symbol[src, :w], out=half[..., dst, :w])
+    rows, placed = lattice_rows(m, grid)
+    copied = c[..., rows, :w]
+    half[..., placed, :w] = copied if symbol is None else copied * symbol[rows, :w]
     return half
 
 
 def real_synthesis(c, grid, symbol=None, cols=None):
     """Real samples on a ``grid x grid`` mesh of Hermitian coefficients ``c``
-    (times ``symbol``), from their k2 >= 0 half as :func:`padded_half`
-    lays it out, returned as ``spectral._half_synthesis`` returns them: a
-    view into that half.  ``cols`` is the number of leading columns that
-    may be non-zero (default all m/2); only those are copied and
-    transformed down axis -2."""
-    live = c.shape[-2] // 2 if cols is None else cols
-    return _half_synthesis(padded_half(c, grid, symbol, live), live)
+    (times ``symbol``): ``scipy.fft.irfft2`` of their k2 >= 0 half as
+    :func:`padded_half` lays it out, unscaled (``norm="forward"``).  Only
+    the first ``cols`` columns (default all m/2) are copied."""
+    return scipy.fft.irfft2(padded_half(c, grid, symbol, cols), s=(grid, grid),
+                            norm="forward")
 
 
 def analysed_half(half, m):
     """The k2 = 0 .. m/2 - 1 columns of the coefficients of the real samples
     held in the real view ``half.view(float64)[..., :grid]`` of the
-    C-contiguous (..., grid, grid/2 + 1) complex buffer ``half``, analysed
-    in place into ``half`` and returned as a (..., grid, m/2) view of it:
-    the column crop of ``rfft2(samples, norm="forward")``.  Two 1-D passes,
-    real transforms along axis -1, then, on the kept columns only, the
-    1/grid**2 factor and a complex transform down axis -2."""
+    (..., grid, grid/2 + 1) complex buffer ``half``, the in-place layout of
+    a real transform: the column crop of ``rfft2(samples, norm="forward")``,
+    written over the samples into ``half`` and returned as a
+    (..., grid, m/2) view of it."""
     grid = half.shape[-2]
-    samples = half.view(np.float64)[..., :grid]
-    workers = spectral._FFT_WORKERS
-    spectral._pocketfft.r2c(samples, (-1,), True, spectral._UNSCALED, half, workers)
     cols = half[..., : m // 2]
-    scaled = cols.view(np.float64)
-    scaled *= 1.0 / (grid * grid)
-    spectral._pocketfft.c2c(cols, (-2,), True, spectral._UNSCALED, cols, workers)
+    cols[...] = scipy.fft.rfft2(half.view(np.float64)[..., :grid], norm="forward")[..., : m // 2]
     return cols
 
 
 def padded_transport(fc, gc, lattice):
     """The whole (m, m/2) half spectrum of the quadratic form of the whole
     halves ``fc`` and ``gc`` (:func:`padded`) as the padded kernel made it:
-    ``bilinear._transport``'s contract, with every synthesis and analysis
-    run in place in a whole (3m/2, 3m/4 + 1) buffer.  Transforms: 3
-    syntheses + 2 analyses for the diagonal (``gc`` None), 6 + 2 for the
-    block form, each synthesis over the columns its factor occupies."""
+    ``bilinear._transport``'s contract, every factor and flux synthesized
+    and analysed on the whole (3m/2, 3m/2) grid by ``scipy.fft``
+    (:func:`real_synthesis`, ``rfft2``), each factor copied over the
+    columns it occupies (:func:`occupied_box`).  Symbols are the literal
+    ones on the whole lattice (:func:`coordinates`), with 1/|xi| and
+    1/|xi|**2 zero at the origin."""
     diagonal = gc is None
     if diagonal:
         gc = fc
@@ -276,10 +278,13 @@ def padded_transport(fc, gc, lattice):
     h = m // 2
     grid = 3 * h
     xi = lattice.xi_axis
-    r = lattice.radius_quadrant[:, :h]
-    rows = _row_blocks(h - 1, m, grid)
-    wf = _occupied_columns(fc, h)
-    wg = wf if diagonal else _occupied_columns(gc, h)
+    r = coordinates(lattice).radius[:, :h]
+    inverse = np.divide(1.0, r, out=np.zeros_like(r), where=r > 0.0)
+    r2 = r * r
+    inverse_sq = np.divide(1.0, r2, out=np.zeros_like(r2), where=r2 > 0.0)
+    rows, placed = lattice_rows(m, grid)
+    wf = occupied_box(fc)[1]
+    wg = wf if diagonal else occupied_box(gc)[1]
     w = max(wf, wg)
     fp = real_synthesis(fc, grid, cols=wf)
     gp = fp if diagonal else real_synthesis(gc, grid, cols=wg)
@@ -287,28 +292,22 @@ def padded_transport(fc, gc, lattice):
     for xi_k, velocity in ((xi[:, None], -xi[None, :h]), (xi[None, :h], xi[:, None])):
         velocity = np.broadcast_to(velocity, (m, h))
         xi_k = np.broadcast_to(xi_k, (m, h))
-        symbol = np.empty((m, w), dtype=np.complex128)
-        for lat, _, quad in rows:
-            np.multiply(1j * _reciprocal(r[quad, :w]), velocity[lat, :w], out=symbol[lat])
-        buf = padded_half(gc, grid, symbol, wg)
-        flux = _half_synthesis(buf, wg)
+        symbol = (1j * inverse[:, :w]) * velocity[:, :w]
+        flux = real_synthesis(gc, grid, symbol, wg)
         flux *= fp
         if not diagonal:
             u = real_synthesis(fc, grid, symbol, wf)
             u *= gp
             flux += u
-        cols = analysed_half(buf, m)
-        for lat, sub, quad in rows:
-            rq = r[quad]
-            np.multiply(xi_k[lat] * _reciprocal(rq * rq), cols[sub], out=cols[sub])
-            acc[lat] += cols[sub]
+        cols = scipy.fft.rfft2(flux, norm="forward")[:, :h]
+        acc[rows] += (xi_k[rows] * inverse_sq[rows]) * cols[placed]
     acc *= 1j if diagonal else 0.5j
     np.conjugate(acc[h - 1 : 0 : -1, 0], out=acc[h + 1 :, 0])
     acc[0, 0] = acc[0, 0].real
     return acc
 
 
-def eager_iterate(start, step, quad_term, defect_norm, cfg, partition):
+def eager_iterate(start, step, quad_term, defect_norm, cfg):
     """The fixed-point loop that takes every norm: the iterate's, the
     update's and the defect's, on every iteration, with the arguments of
     ``solver._iterate``.  ``perturbation_solve``'s loop, which takes them
@@ -338,8 +337,8 @@ def eager_iterate(start, step, quad_term, defect_norm, cfg, partition):
         # norms of a blowing-up iterate overflow to inf; that is the
         # divergence signal, not an error condition
         with np.errstate(over="ignore"):
-            norm = besov_norm(theta_next, cfg.index, partition)
-            update = besov_norm(theta_next - theta, cfg.index, partition)
+            norm = besov_norm(theta_next, cfg.index)
+            update = besov_norm(theta_next - theta, cfg.index)
             trace.norms.append(norm)
             trace.residuals.append(update)
             trace.pde_residuals.append(defect_norm(theta_next, quad))
@@ -377,7 +376,7 @@ def occupied_box(c):
     return rows, cols
 
 
-def whole_shell_profile(field, s, p, partition, shells=None):
+def whole_shell_profile(field, s, p, shells=None):
     """``besov.shell_profile`` as it was before it sized its passes by the
     field's occupied box: every shell's ring evaluated and multiplied in,
     emptiness read off the whole transform buffer, the sup norm as
@@ -387,6 +386,7 @@ def whole_shell_profile(field, s, p, partition, shells=None):
     the helpers of the code this judges."""
     c = padded(field)
     m, box = field.lattice.m, field.lattice.box_length
+    partition = field.lattice.partition
     occupied = int(np.flatnonzero(c.any(axis=0)).max(initial=-1)) + 1
     out = []
     for j in partition.shells if shells is None else shells:

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from oracles import full, padded
-from sqglab.besov import BesovIndex, build_partition, besov_norm
+from sqglab.besov import BesovIndex, besov_norm
 from sqglab.bilinear import quadratic_diagonal
 from sqglab.diagnostics import second_iterate_split
 from sqglab.forcing import ForceSpec, modulated_bump_force
@@ -80,21 +80,20 @@ def test_criterion_04_critical_norm_scale_invariance():
     (integer winding redistributes an integral norm but never the peak).
     """
     lat = FrequencyLattice(m=256, h_xi=0.25)
-    part = build_partition(lat)
     rng = np.random.default_rng(3)
-    base = single_shell_field(lat, part, 2, rng)
+    base = single_shell_field(lat, 2, rng)
     mask = (lat.k1 % 4 == 0) & (lat.k2 % 4 == 0)
     field = SpectralField(lat, np.where(mask, np.abs(full(base)), 0.0))
     assert field.coeffs.any()
 
     sol = BesovIndex.solution_index(math.inf, math.inf)
     dat = BesovIndex.data_index(math.inf, math.inf)
-    n_sol = besov_norm(field, sol, part)
-    n_dat = besov_norm(field, dat, part)
+    n_sol = besov_norm(field, sol)
+    n_dat = besov_norm(field, dat)
     worst_sol = worst_dat = 0.0
     for exponent in (-2, -1, 0, 1, 2):
-        rel_sol = abs(besov_norm(dyadic_rescale(field, exponent, 1), sol, part) / n_sol - 1.0)
-        rel_dat = abs(besov_norm(dyadic_rescale(field, exponent, 3), dat, part) / n_dat - 1.0)
+        rel_sol = abs(besov_norm(dyadic_rescale(field, exponent, 1), sol) / n_sol - 1.0)
+        rel_dat = abs(besov_norm(dyadic_rescale(field, exponent, 3), dat) / n_dat - 1.0)
         print(f"criterion 4 [scale 2**{exponent}]: solution {rel_sol:.3e}, data {rel_dat:.3e}")
         worst_sol = max(worst_sol, rel_sol)
         worst_dat = max(worst_dat, rel_dat)
@@ -142,7 +141,6 @@ def test_criterion_07_quadratic_cubic_homogeneity():
     """Second iterate scales exactly as delta**2 (bitwise at a halving);
     the correction norm scales as delta**3 within 20% over a halving."""
     lat = FrequencyLattice(m=256, h_xi=0.125)
-    part = build_partition(lat)
     solve_cfg = SolveConfig()
 
     def pieces(delta):
@@ -157,11 +155,11 @@ def test_criterion_07_quadratic_cubic_homogeneity():
     assert np.array_equal(4.0 * theta2_b.coeffs, theta2_a.coeffs)
     print("criterion 7: second iterate rescales by exactly 4 at a delta halving")
 
-    tilde_a, trace_a = perturbation_solve(theta1_a, theta2_a, solve_cfg, partition=part)
-    tilde_b, trace_b = perturbation_solve(theta1_b, theta2_b, solve_cfg, partition=part)
+    tilde_a, trace_a = perturbation_solve(theta1_a, theta2_a, solve_cfg)
+    tilde_b, trace_b = perturbation_solve(theta1_b, theta2_b, solve_cfg)
     assert trace_a.verdict == trace_b.verdict == "converged"
-    norm_a = besov_norm(tilde_a, solve_cfg.index, part)
-    norm_b = besov_norm(tilde_b, solve_cfg.index, part)
+    norm_a = besov_norm(tilde_a, solve_cfg.index)
+    norm_b = besov_norm(tilde_b, solve_cfg.index)
     ratio = norm_a / norm_b
     print(f"criterion 7: correction norms {norm_a:.6g} / {norm_b:.6g}, "
           f"ratio {ratio:.5f} vs 8 ({abs(ratio / 8.0 - 1.0):.1%} off)")
@@ -211,7 +209,6 @@ def test_criterion_09_constant_stability_vs_growth():
     assert drift <= 0.10
 
     lat = FrequencyLattice(m=512, h_xi=0.125)
-    part = build_partition(lat)
     idx8 = BesovIndex.solution_index(8.0, 2.0)
     idx4 = BesovIndex.solution_index(4.0, 2.0)
     r8, r4 = [], []
@@ -219,8 +216,8 @@ def test_criterion_09_constant_stability_vs_growth():
         spec = ForceSpec(variant="bump", delta=0.01, size=n, carrier_exponent=n - 2)
         spec.validate(lat)
         theta1 = inverse_laplacian(modulated_bump_force(lat, spec))
-        r8.append(bilinear_ratio(theta1, theta1, idx8, part))
-        r4.append(bilinear_ratio(theta1, theta1, idx4, part))
+        r8.append(bilinear_ratio(theta1, theta1, idx8))
+        r4.append(bilinear_ratio(theta1, theta1, idx4))
     growth = [b / a for a, b in zip(r8, r8[1:])]
     print(f"criterion 9 [growth at (8,2)]: {[f'{v:.6g}' for v in r8]}, "
           f"factors {[f'{g:.4f}' for g in growth]}")

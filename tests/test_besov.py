@@ -1,6 +1,8 @@
 """Dyadic rings, Besov norms and probes."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -28,7 +30,6 @@ from sqglab.besov import (
     _quadrature_fits,
     _shell_grid,
     besov_norm,
-    build_partition,
     build_probe,
     lp_norm,
     lq_aggregate,
@@ -47,8 +48,9 @@ def test_indices():
     assert idx.s == pytest.approx(-0.5)
 
 
-def reference_shell_profile(field, s, p, partition):
+def reference_shell_profile(field, s, p):
     """One full complex inverse transform per shell, then the L^p sum."""
+    partition = field.lattice.partition
     out = []
     area = field.lattice.dx ** 2
     for j in partition.shells:
@@ -73,14 +75,9 @@ def lattice256():
     return FrequencyLattice(m=256, h_xi=0.125)
 
 
-@pytest.fixture(scope="module")
-def partition256(lattice256):
-    return build_partition(lattice256)
-
-
 @pytest.mark.parametrize("p", [2.0, 3.0, 4.0, 6.0, 8.0, math.inf])
 @pytest.mark.parametrize("hermitian", [True, False])
-def test_shell_profile_matches_complex_transform_loop(lattice256, partition256, p, hermitian):
+def test_shell_profile_matches_complex_transform_loop(lattice256, p, hermitian):
     # even p sums low shells on band-sized grids; p = 3 and inf stay on m x m.
     # A field that is not real cannot reach the profile or the norm: its
     # construction is refused
@@ -91,8 +88,8 @@ def test_shell_profile_matches_complex_transform_loop(lattice256, partition256, 
             complex_mean_zero_field(lattice256, rng)
         return
     f = random_mean_zero_field(lattice256, rng)
-    got = shell_profile(f, s, p, partition256)
-    want = reference_shell_profile(f, s, p, partition256)
+    got = shell_profile(f, s, p)
+    want = reference_shell_profile(f, s, p)
     assert [j for j, _ in got] == [j for j, _ in want]
     for (_, a), (_, b) in zip(got, want):
         assert b > 0.0
@@ -100,17 +97,17 @@ def test_shell_profile_matches_complex_transform_loop(lattice256, partition256, 
     for q in (2.0, math.inf):
         vals = [v for _, v in want]
         ref = max(vals) if math.isinf(q) else math.fsum(v**q for v in vals) ** (1.0 / q)
-        norm = besov_norm(f, BesovIndex(s, p, q), partition256)
+        norm = besov_norm(f, BesovIndex(s, p, q))
         assert norm == pytest.approx(ref, rel=1e-13)
 
 
-def irfft2_profile(f, s, p, partition, narrow=True):
+def irfft2_profile(f, s, p, narrow=True):
     """Each shell's whole k2 >= 0 half through the two-axis ``irfft2``, on
     ``M_j`` rows of ``G_j`` points: ``M_j`` sized by the ring's extent K_j
     and, with ``narrow``, ``G_j`` by the largest k2 at which the field's
     shell box holds a coefficient (read off the coefficients here), else
     ``G_j = M_j``, the square grid every shell was once summed on."""
-    m, c = f.lattice.m, padded(f)
+    m, c, partition = f.lattice.m, padded(f), f.lattice.partition
     out = []
     for j in partition.shells:
         extent = partition.ring_extent(j)
@@ -125,19 +122,19 @@ def irfft2_profile(f, s, p, partition, narrow=True):
 
 
 @pytest.mark.parametrize("p", [3.0, 4.0, math.inf])
-def test_shell_profile_is_bitwise_the_irfft2_route(lattice256, partition256, p):
+def test_shell_profile_is_bitwise_the_irfft2_route(lattice256, p):
     # the staged synthesis transforms only each shell's K_j + 1 live
     # columns; the two-axis route over the whole half is the oracle.  A
     # full-band field occupies every column, so each shell is summed on
     # the square grid: bitwise the route that always summed there
     f = random_mean_zero_field(lattice256, np.random.default_rng(5))
     m = lattice256.m
-    extents = [partition256.ring_extent(j) for j in partition256.shells]
+    extents = [lattice256.partition.ring_extent(j) for j in lattice256.partition.shells]
     if p == 4.0:
         assert any(2 * k + 2 < _shell_grid(k, p, m) for k in extents)
-    got = shell_profile(f, -0.5, p, partition256)
-    assert got == irfft2_profile(f, -0.5, p, partition256, narrow=False)
-    assert got == irfft2_profile(f, -0.5, p, partition256)
+    got = shell_profile(f, -0.5, p)
+    assert got == irfft2_profile(f, -0.5, p, narrow=False)
+    assert got == irfft2_profile(f, -0.5, p)
 
 
 def narrow_field(lattice, columns, edge, seed):
@@ -164,28 +161,29 @@ def narrow_field(lattice, columns, edge, seed):
      ([5], True)],
 )
 def test_shell_profile_over_occupied_columns_is_bitwise(
-    lattice256, partition256, p, columns, edge
+    lattice256, p, columns, edge
 ):
     # each shell is summed on rows as long as its occupied k2 band needs at
     # even p (bitwise the irfft2 route on that grid), and on the square
     # m x m grid at p = inf, bitwise the route that always summed there
     f = narrow_field(lattice256, columns, edge, seed=len(columns) + 10 * edge)
     assert hermitian_defect(f) == 0.0
-    top = partition256.j_max
-    assert partition256.ring_extent(top) == lattice256.m // 2
-    got = shell_profile(f, -0.5, p, partition256)
-    assert got == irfft2_profile(f, -0.5, p, partition256)
+    top = lattice256.partition.j_max
+    assert lattice256.partition.ring_extent(top) == lattice256.m // 2
+    got = shell_profile(f, -0.5, p)
+    assert got == irfft2_profile(f, -0.5, p)
     if math.isinf(p):
-        assert got == irfft2_profile(f, -0.5, p, partition256, narrow=False)
+        assert got == irfft2_profile(f, -0.5, p, narrow=False)
     # the stripped edge column leaves nothing for the profile to see
     if not columns:
         assert all(v == 0.0 for _, v in got)
 
 
-def narrow_fields(lattice, partition):
+def narrow_fields(lattice):
     """Fields that occupy a few k2 columns, by name: modulated bumps, step2's
     lacunary forcing, a few columns of a white field, and two columns of a
     single shell that reaches the lattice's edge."""
+    partition = lattice.partition
     fields = {}
     for size, carrier in ((4, 2), (5, 3)):
         spec = ForceSpec(variant="bump", delta=0.01, size=size, carrier_exponent=carrier)
@@ -200,7 +198,7 @@ def narrow_fields(lattice, partition):
     # reaches the lattice's edge (at the cap for every p >= 2), cut to them
     j = partition.j_max - 1
     assert partition.ring_extent(j) == lattice.m // 2
-    top = single_shell_field(lattice, partition, j, np.random.default_rng(2))
+    top = single_shell_field(lattice, j, np.random.default_rng(2))
     fields["edge shell, 2 columns"] = SpectralField(
         lattice, np.where(np.abs(lattice.k2) <= 1, full(top), 0.0))
     return fields
@@ -208,11 +206,10 @@ def narrow_fields(lattice, partition):
 
 @pytest.fixture(scope="module")
 def desk256():
-    """The lattice of step2's desk runs (m = 256, h_xi = 1/4), its partition,
-    and :func:`narrow_fields` on it."""
+    """The lattice of step2's desk runs (m = 256, h_xi = 1/4) and
+    :func:`narrow_fields` on it."""
     lattice = FrequencyLattice(m=256, h_xi=0.25)
-    partition = build_partition(lattice)
-    return lattice, partition, narrow_fields(lattice, partition)
+    return lattice, narrow_fields(lattice)
 
 
 @pytest.mark.parametrize("p", [2.0, 4.0, 6.0, 8.0])
@@ -221,11 +218,11 @@ def test_narrow_shells_match_the_square_grid(desk256, p):
     # along k2 nothing folds on either grid, so each shell is the square
     # grid's sum up to rounding, at the m cap too (where both grids share
     # the m rows whose folding ROADMAP item 13 describes)
-    lattice, partition, fields = desk256
+    lattice, fields = desk256
     m = lattice.m
     for name, f in fields.items():
-        got = shell_profile(f, -0.5, p, partition)
-        want = irfft2_profile(f, -0.5, p, partition, narrow=False)
+        got = shell_profile(f, -0.5, p)
+        want = irfft2_profile(f, -0.5, p, narrow=False)
         assert [j for j, _ in got] == [j for j, _ in want], name
         live = 0
         for (j, a), (_, b) in zip(got, want):
@@ -235,8 +232,8 @@ def test_narrow_shells_match_the_square_grid(desk256, p):
         occupied = int(np.flatnonzero(f.coeffs.any(axis=0)).max()) + 1
         assert _shell_grid(occupied - 1, p, m) < m, name  # summed on short rows
     # the wide bump reaches the cap at p = 8 and still agrees above
-    capped = [j for j, v in shell_profile(fields["bump 5"], 0.0, 8.0, partition)
-              if v > 0.0 and _shell_grid(partition.ring_extent(j), 8.0, m) == m]
+    capped = [j for j, v in shell_profile(fields["bump 5"], 0.0, 8.0)
+              if v > 0.0 and _shell_grid(lattice.partition.ring_extent(j), 8.0, m) == m]
     assert capped
 
 
@@ -244,7 +241,7 @@ def test_narrow_shells_are_summed_on_short_rows(desk256, monkeypatch):
     # the grids the profile transforms on: M_j x G_j for even p, m x m for
     # any other p, read off the transforms themselves (the whole-shell
     # synthesis, and at p = inf the slabs of the sup norm)
-    lattice, partition, fields = desk256
+    lattice, fields = desk256
     f, m = fields["bump 4"], lattice.m
     synthesis, slabs, shapes = besov._half_synthesis, besov._slab_samples, []
 
@@ -260,7 +257,7 @@ def test_narrow_shells_are_summed_on_short_rows(desk256, monkeypatch):
     monkeypatch.setattr(besov, "_slab_samples", recorded_slabs)
     for p, square in ((4.0, False), (3.0, True), (math.inf, True)):
         shapes.clear()
-        shell_profile(f, -0.5, p, partition)
+        shell_profile(f, -0.5, p)
         assert shapes
         if square:
             assert shapes == [(m, m)] * len(shapes)
@@ -268,16 +265,16 @@ def test_narrow_shells_are_summed_on_short_rows(desk256, monkeypatch):
             assert all(cols < rows for rows, cols in shapes), shapes
 
 
-def test_shell_grids_are_band_sized(lattice256, partition256):
-    extents = [partition256.ring_extent(j) for j in partition256.shells]
+def test_shell_grids_are_band_sized(lattice256):
+    extents = [lattice256.partition.ring_extent(j) for j in lattice256.partition.shells]
     grids = [_shell_grid(k, 4.0, lattice256.m) for k in extents]
     assert grids == [8, 16, 32, 64, 128, 256, 256, 256, 256]
     assert [_shell_grid(k, 3.0, lattice256.m) for k in extents] == [256] * 9
     assert [_shell_grid(k, math.inf, lattice256.m) for k in extents] == [256] * 9
     # the band is read off the ring: nothing outside |k| <= K, something on it
     k1, k2 = lattice256.k1[:, :128], lattice256.k2[:, :128]
-    for j, extent in zip(partition256.shells, extents):
-        ring = partition256.ring_values(j)
+    for j, extent in zip(lattice256.partition.shells, extents):
+        ring = lattice256.partition.ring_values(j)
         reach = np.maximum(np.abs(k1), np.abs(k2))
         assert not ring[reach > extent].any()
         assert ring[reach == extent].any()
@@ -287,7 +284,7 @@ def test_shell_grids_are_band_sized(lattice256, partition256):
     "m, h_xi", [(32, 0.25), (64, 1.0), (128, 0.125), (256, 0.125), (1024, 0.25)])
 def test_ring_quadrants_unfold_to_the_closed_form_bitwise(m, h_xi):
     lattice = FrequencyLattice(m=m, h_xi=h_xi)
-    partition = build_partition(lattice)
+    partition = lattice.partition
     r = coordinates(lattice).radius
     # |k| per axis in FFT order, the unpaired -m/2 slot read as m/2
     reach = np.maximum(np.abs(lattice.k1), np.abs(lattice.k2))
@@ -310,19 +307,57 @@ def test_ring_quadrants_unfold_to_the_closed_form_bitwise(m, h_xi):
 def test_ring_quadrants_are_bitwise_the_whole_box_evaluation(m, h_xi):
     # both steps run 64 rows at a time: the top shells' boxes span up to 17
     # slabs, and the inner step's box ends inside one of them
-    partition = build_partition(FrequencyLattice(m=m, h_xi=h_xi))
+    lattice = FrequencyLattice(m=m, h_xi=h_xi)
+    partition = lattice.partition
     for j in partition.shells:
         got, want = partition.ring_quadrant(j), whole_box_ring_quadrant(partition, j)
         assert got.shape == want.shape and got.tobytes() == want.tobytes(), j
 
 
+def test_a_lattice_holds_one_partition_and_frees_it_with_itself():
+    # the rings of a field are its lattice's, built once; the partition
+    # refers back weakly, so no cycle keeps either alive once the lattice's
+    # last reference goes, without the garbage collector's help
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        lattice = FrequencyLattice(m=64, h_xi=0.25)
+        field = random_mean_zero_field(lattice, np.random.default_rng(7))
+        besov_norm(field, BesovIndex(-0.5, 4.0, 2.0))  # caches the rings
+        partition = lattice.partition
+        assert partition._quadrants and partition is lattice.partition
+        assert partition.lattice is lattice
+        freed = weakref.ref(partition)
+        del field, lattice
+        assert freed() is not None  # held here
+        with pytest.raises(ReferenceError, match="lattice was freed"):
+            partition.coverage()
+        del partition
+        assert freed() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def test_a_field_is_normed_with_its_own_lattices_rings():
+    # equal lattices are distinct objects with one partition each; a field's
+    # norm reads its own, and lattices still compare and hash by (m, h_xi)
+    a, b = FrequencyLattice(m=128, h_xi=0.25), FrequencyLattice(m=128, h_xi=0.25)
+    assert a == b and hash(a) == hash(b) and a.partition is not b.partition
+    assert a != FrequencyLattice(m=128, h_xi=0.125)
+    field = random_mean_zero_field(a, np.random.default_rng(8))
+    index = BesovIndex(0.5, 4.0, 2.0)
+    twin = SpectralField._adopt(b, field.coeffs.copy())
+    assert besov_norm(field, index) == besov_norm(twin, index)
+
+
 def test_partition_holds_no_full_lattice_ring(lattice128):
-    partition = build_partition(lattice128)
+    partition = lattice128.partition
     f = random_mean_zero_field(lattice128, np.random.default_rng(31))
-    besov_norm(f, BesovIndex(s=-0.5, p=4.0, q=2.0), partition)
-    besov_norm(f, BesovIndex(s=-0.5, p=math.inf, q=2.0), partition)
+    besov_norm(f, BesovIndex(s=-0.5, p=4.0, q=2.0))
+    besov_norm(f, BesovIndex(s=-0.5, p=math.inf, q=2.0))
     for j in partition.shells:
-        shell_project(f, partition, j)
+        shell_project(f, j)
         partition.ring_values(j)
 
     def arrays(obj):
@@ -344,15 +379,15 @@ def test_partition_holds_no_full_lattice_ring(lattice128):
     assert sum(a.size for a in held) <= budget
 
 
-def test_ring_arrays_are_read_only(partition32):
-    ring = partition32.ring_values(1)
+def test_ring_arrays_are_read_only(lattice32):
+    ring = lattice32.partition.ring_values(1)
     assert not ring.flags.writeable
     with pytest.raises(ValueError):
         ring[0, 1] = 2.0
-    assert not partition32.ring_quadrant(1).flags.writeable
+    assert not lattice32.partition.ring_quadrant(1).flags.writeable
     # each call unfolds afresh; the values do not change
-    assert partition32.ring_values(1) is not ring
-    assert np.array_equal(partition32.ring_values(1), ring)
+    assert lattice32.partition.ring_values(1) is not ring
+    assert np.array_equal(lattice32.partition.ring_values(1), ring)
 
 
 @pytest.mark.parametrize("p", [2, 4, 6, 8])
@@ -364,11 +399,11 @@ def test_lp_norm_even_powers_match_float_pow(p):
     assert lp_norm(x, float(p), 0.5) == pytest.approx(want, rel=1e-14)
 
 
-def test_coverage_is_the_telescoped_closed_form(lattice128, partition128):
-    cov = partition128.coverage()
+def test_coverage_is_the_telescoped_closed_form(lattice128):
+    cov = lattice128.partition.coverage()
     assert not cov.flags.writeable
     assert cov.shape == (65, 65)
-    j_min, j_max = partition128.j_min, partition128.j_max
+    j_min, j_max = lattice128.partition.j_min, lattice128.partition.j_max
     # on the radius quadrant, mode (k1, k2) reading [|k1|, |k2|] is the
     # closed form on the whole lattice, bit for bit
     r = coordinates(lattice128).radius
@@ -377,12 +412,12 @@ def test_coverage_is_the_telescoped_closed_form(lattice128, partition128):
     # the window is the one ring system: every ring that meets a non-zero
     # lattice radius, and no other
     total = np.zeros_like(cov)
-    for j in partition128.shells:
-        quadrant = partition128.ring_quadrant(j)
+    for j in lattice128.partition.shells:
+        quadrant = lattice128.partition.ring_quadrant(j)
         total[: quadrant.shape[0], : quadrant.shape[1]] += quadrant
     assert np.max(np.abs(total - cov)) <= 1e-15
     for j in (j_min - 1, j_max + 1):
-        lo, hi = partition128.support_interval(j)
+        lo, hi = lattice128.partition.support_interval(j)
         assert not ((r > lo) & (r < hi) & (r > 0)).any()
 
 
@@ -392,14 +427,14 @@ def test_auto_window_leaves_no_mode_outside(m):
     # at the origin, entry [0, 0] of the radius quadrant, and the
     # two-radius judgement agrees
     lattice = FrequencyLattice(m=m, h_xi=0.25)
-    partition = build_partition(lattice)
+    partition = lattice.partition
     cov = partition.coverage()
     assert np.array_equal(np.argwhere(cov < 1.0 - 1e-9), [[0, 0]])
     assert partition._covers_lattice()
 
 
 def test_auto_window_is_judged_without_the_telescoped_sum(monkeypatch):
-    # build_partition checks that its window covers every nonzero mode
+    # a lattice's partition checks that its window covers every nonzero mode
     # from two radii, not from an m x m sum, and the two agree
     for m in (8, 32, 256, 1024):
         for h_xi in (1.0 / 256.0, 0.1, 0.125, 0.25, 0.3, 1.0):
@@ -409,56 +444,56 @@ def test_auto_window_is_judged_without_the_telescoped_sum(monkeypatch):
                     raise AssertionError("the telescoped sum was evaluated")
 
                 patch.setattr(DyadicPartition, "coverage", refuse)
-                partition = build_partition(lattice)
+                partition = lattice.partition
             if m <= 256:
                 cov = partition.coverage()
                 assert np.array_equal(np.argwhere(cov < 1.0), [[0, 0]])
     monkeypatch.setattr(DyadicPartition, "_covers_lattice", lambda self: False)
     with pytest.raises(ValueError, match="does not cover every non-zero mode"):
-        build_partition(FrequencyLattice(m=32, h_xi=0.25))
+        FrequencyLattice(m=32, h_xi=0.25).partition
 
 
-def test_partition_of_unity(lattice128, partition128):
-    cov = partition128.coverage()
+def test_partition_of_unity(lattice128):
+    cov = lattice128.partition.coverage()
     r = lattice128.radius_quadrant
     assert np.max(np.abs(cov[r > 0] - 1.0)) <= 1e-12
 
 
-def test_ring_support_is_exact(lattice128, partition128):
+def test_ring_support_is_exact(lattice128):
     r = coordinates(lattice128).radius[:, :64]
-    for j in partition128.shells:
-        lo, hi = partition128.support_interval(j)
-        ring = partition128.ring_values(j)
+    for j in lattice128.partition.shells:
+        lo, hi = lattice128.partition.support_interval(j)
+        ring = lattice128.partition.ring_values(j)
         outside = (r <= lo) | (r >= hi)
         assert np.max(np.abs(ring[outside])) == 0.0
 
 
-def test_ring_plateau_is_one(lattice128, partition128):
+def test_ring_plateau_is_one(lattice128):
     r = coordinates(lattice128).radius[:, :64]
-    for j in partition128.shells:
-        lo, hi = partition128.plateau_interval(j)
+    for j in lattice128.partition.shells:
+        lo, hi = lattice128.partition.plateau_interval(j)
         sel = (r >= lo) & (r <= hi)
         if sel.any():
-            assert np.max(np.abs(partition128.ring_values(j)[sel] - 1.0)) <= 1e-12
+            assert np.max(np.abs(lattice128.partition.ring_values(j)[sel] - 1.0)) <= 1e-12
 
 
-def test_shell_reconstruction(lattice128, partition128):
+def test_shell_reconstruction(lattice128):
     rng = np.random.default_rng(21)
     f = random_mean_zero_field(lattice128, rng)
     # band-limit to half the Nyquist radius so every active mode is covered
     band = np.where(coordinates(lattice128).radius < lattice128.xi_max / 2, full(f), 0.0)
     f = SpectralField(lattice128, band)
     total = SpectralField.zeros(lattice128)
-    for j in partition128.shells:
-        total = total + shell_project(f, partition128, j)
+    for j in lattice128.partition.shells:
+        total = total + shell_project(f, j)
     scale = np.max(np.abs(f.coeffs))
     assert np.max(np.abs(total.coeffs - f.coeffs)) <= 1e-12 * scale
 
 
-def test_shell_project_rejects_outside_window(lattice32, partition32):
+def test_shell_project_rejects_outside_window(lattice32):
     f = SpectralField.zeros(lattice32)
     with pytest.raises(ValueError, match="outside the partition window"):
-        shell_project(f, partition32, partition32.j_max + 1)
+        shell_project(f, lattice32.partition.j_max + 1)
 
 
 def test_lp_norm_of_cosine(lattice32):
@@ -471,11 +506,11 @@ def test_lp_norm_of_cosine(lattice32):
     assert lp_norm(physical_real(f), math.inf, 1.0) == pytest.approx(1.0)
 
 
-def test_besov_norm_single_shell_closed_form(lattice128, partition128):
+def test_besov_norm_single_shell_closed_form(lattice128):
     # a field whose spectrum sits inside one plateau sees exactly one ring
     # at value 1, so the norm is 2**(s j) times its own L^p norm
     j = 2
-    lo, hi = partition128.plateau_interval(j)
+    lo, hi = lattice128.partition.plateau_interval(j)
     rng = np.random.default_rng(22)
     base = random_mean_zero_field(lattice128, rng)
     r = coordinates(lattice128).radius
@@ -486,22 +521,22 @@ def test_besov_norm_single_shell_closed_form(lattice128, partition128):
         want = 2.0 ** (idx.s * j) * lp_norm(
             physical(f), p, lattice128.dx ** 2
         )
-        assert besov_norm(f, idx, partition128) == pytest.approx(want, rel=1e-12)
+        assert besov_norm(f, idx) == pytest.approx(want, rel=1e-12)
 
 
-def test_besov_norm_monotone_in_q(lattice128, partition128):
+def test_besov_norm_monotone_in_q(lattice128):
     rng = np.random.default_rng(23)
     f = random_mean_zero_field(lattice128, rng, decay=2.0)
     band = np.where(coordinates(lattice128).radius < lattice128.xi_max / 2, full(f), 0.0)
     f = SpectralField(lattice128, band)
     idx = lambda q: BesovIndex(s=-0.5, p=4.0, q=q)
-    n1 = besov_norm(f, idx(1.0), partition128)
-    n2 = besov_norm(f, idx(2.0), partition128)
-    ninf = besov_norm(f, idx(math.inf), partition128)
+    n1 = besov_norm(f, idx(1.0))
+    n2 = besov_norm(f, idx(2.0))
+    ninf = besov_norm(f, idx(math.inf))
     assert n1 >= n2 >= ninf > 0
 
 
-def test_lq_aggregate_overflows_to_inf(lattice32, partition32):
+def test_lq_aggregate_overflows_to_inf(lattice32):
     # float ** and math.fsum raise OverflowError where numpy reads inf; the
     # aggregate reads inf, as the norm does where its shell quadrature
     # overflows, and finite values keep their bits
@@ -513,19 +548,19 @@ def test_lq_aggregate_overflows_to_inf(lattice32, partition32):
     f = 1e160 * random_mean_zero_field(lattice32, np.random.default_rng(3))
     for p in (math.inf, 4.0, 2.0):
         with np.errstate(over="ignore"):
-            assert besov_norm(f, BesovIndex(0.0, p, 2.0), partition32) == math.inf, p
+            assert besov_norm(f, BesovIndex(0.0, p, 2.0)) == math.inf, p
 
 
-def test_besov_norm_requires_mean_zero(lattice32, partition32):
+def test_besov_norm_requires_mean_zero(lattice32):
     f = SpectralField.from_modes(lattice32, {(0, 0): 0.5})
     with pytest.raises(ValueError, match="mean-zero"):
-        besov_norm(f, BesovIndex(s=-0.5, p=4.0, q=2.0), partition32)
+        besov_norm(f, BesovIndex(s=-0.5, p=4.0, q=2.0))
 
 
-def test_shell_profile_reports_zero_shells(lattice128, partition128):
+def test_shell_profile_reports_zero_shells(lattice128):
     rng = np.random.default_rng(25)
-    f = single_shell_field(lattice128, partition128, 1, rng)
-    prof = dict(shell_profile(f, -0.5, 4.0, partition128))
+    f = single_shell_field(lattice128, 1, rng)
+    prof = dict(shell_profile(f, -0.5, 4.0))
     live = {j for j, v in prof.items() if v > 0}
     # ring overlap: a single-ring field can spill into both neighbors
     assert live <= {0, 1, 2}
@@ -535,9 +570,9 @@ def test_shell_profile_reports_zero_shells(lattice128, partition128):
 # -- probes --------------------------------------------------------------
 
 
-def test_probe_reproducing_property(lattice128, partition128):
+def test_probe_reproducing_property(lattice128):
     rows, cols, vals = build_probe(lattice128, 2).box
-    ring = partition128.ring_values(2)[np.ix_(rows, cols)]
+    ring = lattice128.partition.ring_values(2)[np.ix_(rows, cols)]
     # psi_j = phi_j * psi_j: the ring equals 1 on the probe's support
     sel = vals > 0
     assert np.max(np.abs(ring[sel] - 1.0)) <= 1e-12
@@ -576,14 +611,15 @@ BOUND_INDICES = [
 ]
 
 
-def bound_fields(lattice, partition):
+def bound_fields(lattice):
     """Fields of every shape the bounds must enclose, by name."""
+    partition = lattice.partition
     rng = np.random.default_rng(31)
     fields = {
         "full band": random_mean_zero_field(lattice, rng),
         "decaying": random_mean_zero_field(lattice, rng, decay=1.5),
-        "bottom shell": single_shell_field(lattice, partition, partition.j_min, rng),
-        "top shell": single_shell_field(lattice, partition, partition.j_max, rng),
+        "bottom shell": single_shell_field(lattice, partition.j_min, rng),
+        "top shell": single_shell_field(lattice, partition.j_max, rng),
     }
     for size, carrier in ((4, 2), (5, 3)):
         spec = ForceSpec(variant="bump", delta=0.01, size=size, carrier_exponent=carrier)
@@ -596,55 +632,55 @@ def bound_fields(lattice, partition):
     return fields
 
 
-def test_the_capped_bump_is_summed_on_an_aliasing_grid(lattice128, partition128):
+def test_the_capped_bump_is_summed_on_an_aliasing_grid(lattice128):
     # the carrier 2**3 sits 32 lattice steps out on this lattice, so the
     # bump's top shells reach p K >= m at p = 8 and are summed on the m grid
     # itself, where harmonics of |g|**8 fold onto the zero mode (ROADMAP
     # item 13): the bounds must hold for that discrete quadrature too
-    bump = bound_fields(lattice128, partition128)["bump 5"]
-    live = [j for j, v in shell_profile(bump, 0.0, 8.0, partition128) if v > 0.0]
-    capped = [j for j in live if 8 * partition128.ring_extent(j) >= lattice128.m]
-    assert capped and all(_shell_grid(partition128.ring_extent(j), 8.0, 128) == 128
+    bump = bound_fields(lattice128)["bump 5"]
+    live = [j for j, v in shell_profile(bump, 0.0, 8.0) if v > 0.0]
+    capped = [j for j in live if 8 * lattice128.partition.ring_extent(j) >= lattice128.m]
+    assert capped and all(_shell_grid(lattice128.partition.ring_extent(j), 8.0, 128) == 128
                           for j in capped)
 
 
 @pytest.mark.parametrize("index", BOUND_INDICES, ids=str)
-def test_norm_bounds_enclose_the_norm(lattice128, partition128, index):
-    for name, field in bound_fields(lattice128, partition128).items():
-        lower, upper = _norm_bounds(field, index, partition128)
-        norm = besov_norm(field, index, partition128)
+def test_norm_bounds_enclose_the_norm(lattice128, index):
+    for name, field in bound_fields(lattice128).items():
+        lower, upper = _norm_bounds(field, index)
+        norm = besov_norm(field, index)
         assert 0.0 < lower <= norm <= upper < math.inf, name
         if index.p == 2.0:  # Parseval: both bounds are the norm itself
             assert upper <= norm * (1.0 + 1e-5) and lower >= norm * (1.0 - 1e-5), name
 
 
-def test_norm_bounds_need_p_at_least_two(lattice32, partition32):
+def test_norm_bounds_need_p_at_least_two(lattice32):
     field = random_mean_zero_field(lattice32, np.random.default_rng(3))
-    assert _norm_bounds(field, BesovIndex(0.0, 1.5, 2.0), partition32) == (0.0, math.inf)
+    assert _norm_bounds(field, BesovIndex(0.0, 1.5, 2.0)) == (0.0, math.inf)
 
 
-def test_norm_bounds_refuse_a_mean_as_the_norm_does(lattice32, partition32):
+def test_norm_bounds_refuse_a_mean_as_the_norm_does(lattice32):
     f = SpectralField.from_modes(lattice32, {(0, 0): 0.5, (1, 2): 1.0})
     index = BesovIndex(-0.5, 4.0, 2.0)
     with pytest.raises(ValueError, match="mean-zero") as refused:
-        _norm_bounds(f, index, partition32)
+        _norm_bounds(f, index)
     with pytest.raises(ValueError, match="mean-zero") as reference:
-        besov_norm(f, index, partition32)
+        besov_norm(f, index)
     assert str(refused.value) == str(reference.value)
 
 
-def test_norm_bounds_hold_at_the_ends_of_the_float_range(lattice32, partition32):
+def test_norm_bounds_hold_at_the_ends_of_the_float_range(lattice32):
     # every sample is at most the coefficients' absolute sum; past 2**(960/p)
     # no bound is claimed, so a skipped norm cannot hide an overflow
     index = BesovIndex(-0.5, 4.0, 2.0)
     field = random_mean_zero_field(lattice32, np.random.default_rng(5))
-    assert _quadrature_fits(_absolute_sum(field), index, partition32)
+    assert _quadrature_fits(_absolute_sum(field), index, lattice32)
     huge = 1e80 * field
-    assert not _quadrature_fits(_absolute_sum(huge), index, partition32)
-    assert _norm_bounds(huge, index, partition32) == (0.0, math.inf)
+    assert not _quadrature_fits(_absolute_sum(huge), index, lattice32)
+    assert _norm_bounds(huge, index) == (0.0, math.inf)
     # where the p-th powers or the squares underflow, the quadrature reads
     # less than the integral, down to 0; the bounds still enclose it
     for scale in (1e-100, 1e-200):
         tiny = scale * field
-        lower, upper = _norm_bounds(tiny, index, partition32)
-        assert lower == 0.0 <= besov_norm(tiny, index, partition32) <= upper < math.inf
+        lower, upper = _norm_bounds(tiny, index)
+        assert lower == 0.0 <= besov_norm(tiny, index) <= upper < math.inf

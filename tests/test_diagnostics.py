@@ -8,7 +8,7 @@ import pytest
 
 from oracles import coordinates, full, padded, physical
 from sqglab import besov
-from sqglab.besov import ProbeFunction, build_partition, build_probe, lp_norm, lq_aggregate
+from sqglab.besov import ProbeFunction, build_probe, lp_norm, lq_aggregate
 from sqglab.bilinear import quadratic_diagonal
 from sqglab.diagnostics import (
     inflation_profile,
@@ -60,72 +60,71 @@ def test_split_probe_validation(carrier_setup):
     assert second_iterate_split(theta1, [(4, 0)])
 
 
-def complex_route_profile(theta2, partition, shells):
+def complex_route_profile(theta2, shells):
     """2**(-j) sup |phi_j theta2| through the complex m x m synthesis."""
     out = []
     for j in shells:
-        piece = SpectralField._adopt(theta2.lattice, padded(theta2) * partition.ring_values(j))
+        ring = theta2.lattice.partition.ring_values(j)
+        piece = SpectralField._adopt(theta2.lattice, padded(theta2) * ring)
         out.append((j, 2.0 ** (-j) * float(np.max(np.abs(physical(piece))))))
     return out
 
 
 def test_low_frequency_profile_values(carrier_setup):
     lat, _, theta2 = carrier_setup
-    partition = build_partition(lat)
-    profile = low_frequency_profile(theta2, partition)
+    partition = lat.partition
+    profile = low_frequency_profile(theta2)
     assert [j for j, _ in profile] == list(range(partition.j_min, 0))
     values = dict(profile)
-    for (j, value), (_, want) in zip(profile, complex_route_profile(theta2, partition, values)):
+    for (j, value), (_, want) in zip(profile, complex_route_profile(theta2, values)):
         assert want > 0.0
         assert abs(value - want) <= 1e-14 * want
-    assert low_frequency_floor(theta2, partition) == max(values.values())
+    assert low_frequency_floor(theta2) == max(values.values())
 
 
 def test_low_frequency_profile_above_the_window_and_with_a_mean():
     # at m = 8, h_xi = 1/256 the window stops below shell -1; the shells
     # above it read 0, and the mean, on which every ring vanishes, is no error
     lat = FrequencyLattice(m=8, h_xi=1.0 / 256.0)
-    partition = build_partition(lat)
+    partition = lat.partition
     assert partition.j_max < -1
     rng = np.random.default_rng(3)
     c = hermitian_symmetrize(rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8)))
     assert c[0, 0] != 0.0
     field = SpectralField._adopt(lat, strip_unpaired_edge(c))
-    profile = low_frequency_profile(field, partition)
+    profile = low_frequency_profile(field)
     values = dict(profile)
     assert list(values) == list(range(partition.j_min, 0))
     assert all(values[j] == 0.0 for j in range(partition.j_max + 1, 0))
     live = range(partition.j_min, partition.j_max + 1)
-    wants = complex_route_profile(field, partition, live)
+    wants = complex_route_profile(field, live)
     # a shell that met the lattice only on the stripped edge reads 0 both ways
     assert any(want > 0.0 for _, want in wants)
     for j, want in wants:
         assert abs(values[j] - want) <= 1e-14 * want
     meanless = SpectralField._adopt(lat, np.where(coordinates(lat).radius[:, :4] > 0, c, 0.0))
-    assert low_frequency_profile(meanless, partition) == profile
+    assert low_frequency_profile(meanless) == profile
 
 
 def test_low_frequency_profile_range_checks():
     # at h_xi = 4 the smallest radius is 4, so the window has no shell j <= -1
     lat = FrequencyLattice(m=8, h_xi=4.0)
-    partition = build_partition(lat)
+    partition = lat.partition
     assert partition.j_min > -1
     field = SpectralField.cosine(lat, (1, 0))
     with pytest.raises(ValueError, match="there are none"):
-        low_frequency_profile(field, partition)
+        low_frequency_profile(field)
     with pytest.raises(ValueError, match="there are none"):
-        low_frequency_floor(field, partition)
+        low_frequency_floor(field)
 
 
 def test_floor_of_zero_field():
     lat = FrequencyLattice(m=32, h_xi=0.25)
-    partition = build_partition(lat)
-    assert low_frequency_floor(SpectralField.zeros(lat), partition) == 0.0
+    assert low_frequency_floor(SpectralField.zeros(lat)) == 0.0
 
 
 def blocks_setup():
     lat = FrequencyLattice(m=256, h_xi=0.25)
-    partition = build_partition(lat)
     spec = ForceSpec(
         variant="blocks",
         delta=0.01,
@@ -136,14 +135,14 @@ def blocks_setup():
         stride=lat.box_length / 4.0,
     )
     spec.validate(lat)
-    forcing = translated_block_force(lat, spec, partition)
+    forcing = translated_block_force(lat, spec)
     theta2 = -1.0 * quadratic_diagonal(inverse_laplacian(forcing))
-    return lat, partition, spec, theta2
+    return lat, spec, theta2
 
 
 def test_inflation_profile_entries_and_aggregates():
-    lat, partition, spec, theta2 = blocks_setup()
-    entries = inflation_profile(theta2, spec, partition)
+    lat, spec, theta2 = blocks_setup()
+    entries = inflation_profile(theta2, spec)
     assert [(n, shell) for n, shell, _ in entries] == [(1, 0), (2, 2)]
     values = [v for _, _, v in entries]
     assert all(v > 0 for v in values)
@@ -168,19 +167,18 @@ def desk_step3():
     [2, 4]: only 2 blocks fit, at carrier 2, and theta2 is built as the
     pipeline builds it."""
     lat = FrequencyLattice(m=256, h_xi=1.0 / 16.0)
-    partition = build_partition(lat)
     spec = ForceSpec(variant="blocks", delta=0.01, size=2, block_range=(1, 2),
                      exponents=ExponentMap.affine(2, -4), carrier_exponent=2,
                      stride=lat.box_length / 4.0)
-    forcing = translated_block_force(lat, spec, partition)
-    return lat, partition, spec, -quadratic_diagonal(inverse_laplacian(forcing))
+    forcing = translated_block_force(lat, spec)
+    return lat, spec, -quadratic_diagonal(inverse_laplacian(forcing))
 
 
 @pytest.mark.parametrize("gap, feasible", [(3, [-2, 0, 2]), (4, [0, 2])])
 def test_probe_boxes_match_the_full_lattice(desk_step3, gap, feasible):
     # the shells -2, 0, 2 and 4 of block counts 2 and 4; a shell is
     # feasible exactly when the closed form touches a lattice mode
-    lat, partition, spec, theta2 = desk_step3
+    lat, spec, theta2 = desk_step3
     seen = []
     for n in range(1, 5):
         shell = spec.exponents(n)
@@ -199,7 +197,7 @@ def test_probe_boxes_match_the_full_lattice(desk_step3, gap, feasible):
         on_box[np.ix_(rows, cols)] = values
         assert np.array_equal(on_box, closed)
         single = replace(spec, block_range=(n, n), probe_gap=gap)
-        [(_, _, got)] = inflation_profile(theta2, single, partition)
+        [(_, _, got)] = inflation_profile(theta2, single)
         piece = np.fft.ifft2(full(theta2) * closed, norm="forward")
         want = 2.0 ** (-0.5 * shell) * lp_norm(np.abs(piece), 4.0, lat.dx ** 2)
         assert want > 0.0
@@ -208,7 +206,7 @@ def test_probe_boxes_match_the_full_lattice(desk_step3, gap, feasible):
 
 
 def test_probes_run_no_lattice_sized_transform(desk_step3, transform_sizes, monkeypatch):
-    lat, partition, spec, theta2 = desk_step3
+    lat, spec, theta2 = desk_step3
     spec = replace(spec, block_range=(1, 3))  # shells -2, 0 and 2
     points = []
     profile = besov._STEP
@@ -224,7 +222,7 @@ def test_probes_run_no_lattice_sized_transform(desk_step3, transform_sizes, monk
     assert transform_sizes == []
     assert sum(points) <= boxes < 1e-2 * lat.m**2
     points.clear()
-    inflation_profile(theta2, spec, partition)
+    inflation_profile(theta2, spec)
     # one complex transform per probe, on a grid below the lattice's
     assert len(transform_sizes) == len(probes)
     assert max(transform_sizes) < lat.m

@@ -20,7 +20,7 @@ from oracles import (
     physical_real,
 )
 from sqglab import forcing
-from sqglab.besov import box_lp_norm, build_partition, lp_norm
+from sqglab.besov import box_lp_norm, lp_norm
 from sqglab.forcing import (
     ExponentMap,
     ForceSpec,
@@ -278,11 +278,11 @@ def blocks_spec(stride=None, equal_shell=None):
     )
 
 
-def test_block_envelope_checks(lattice128, partition128):
+def test_block_envelope_checks(lattice128):
     with pytest.raises(ValueError, match="needs a stride"):
-        envelope_l4_norm(lattice128, blocks_spec(), partition128)
+        envelope_l4_norm(lattice128, blocks_spec())
     with pytest.raises(ValueError, match="expected a blocks spec"):
-        envelope_l4_norm(lattice128, ForceSpec(variant="bump", size=3), partition128)
+        envelope_l4_norm(lattice128, ForceSpec(variant="bump", size=3))
     sick = ForceSpec(
         variant="blocks",
         size=2,
@@ -292,27 +292,27 @@ def test_block_envelope_checks(lattice128, partition128):
         stride=1.0,
     )
     with pytest.raises(ValueError, match="outside the partition window"):
-        envelope_l4_norm(lattice128, sick, partition128)
+        envelope_l4_norm(lattice128, sick)
 
 
-def test_equal_shell_reuses_one_ring(lattice128, partition128):
+def test_equal_shell_reuses_one_ring(lattice128):
     spec = blocks_spec(stride=2.0, equal_shell=0)
     assert spec.block_shells() == [0, 0]
-    box = forcing._envelope_box(lattice128, spec, partition128)
+    box = forcing._envelope_box(lattice128, spec)
     # both blocks are copies of the shell-0 ring, so the box is that ring's
     # box and its support is exactly the ring's support
-    quadrant = partition128.ring_quadrant(0)
+    quadrant = lattice128.partition.ring_quadrant(0)
     extent = quadrant.shape[0] - 1
     assert box.shape == (2 * extent + 1, extent + 1)
     ring = np.concatenate((quadrant[:0:-1], quadrant))
     assert np.all((box != 0) <= (ring > 0))
 
 
-def test_modulation_is_exact_cosine(lattice128, partition128):
+def test_modulation_is_exact_cosine(lattice128):
     # a fixed stride is fine here: the cosine identity does not require
     # the blocks to be well separated, only the band checks to pass
     spec = blocks_spec(stride=2.0)
-    forcing = translated_block_force(lattice128, spec, partition128)
+    forcing = translated_block_force(lattice128, spec)
     amp = 0.01 * 2.0 ** (2.5 * 3) / (2.0**0.25 * math.log(2.0))
     x1 = physical_coordinates(lattice128)[0]
     want = amp * physical_real(oracles.block_envelope(lattice128, spec)) * np.cos(8.0 * x1)
@@ -339,15 +339,15 @@ def box_case(m, h_xi, exponents, block_range, equal_shell):
                      exponents=exponents, equal_shell=equal_shell,
                      stride=lat.box_length / (2 * block_range[1]) + 0.37)
     top = max(spec.block_shells())
-    return lat, build_partition(lat), replace(spec, carrier_exponent=top + 2)
+    return lat, replace(spec, carrier_exponent=top + 2)
 
 
 @pytest.mark.parametrize("case", BOX_CASES)
 def test_envelope_box_is_bitwise_the_full_lattice_oracle(case):
-    lat, part, spec = box_case(*case)
-    box = forcing._envelope_box(lat, spec, part)
+    lat, spec = box_case(*case)
+    box = forcing._envelope_box(lat, spec)
     extent = box.shape[1] - 1
-    assert extent == min(max(map(part.ring_extent, spec.block_shells())), lat.m // 2 - 1)
+    assert extent == min(max(map(lat.partition.ring_extent, spec.block_shells())), lat.m // 2 - 1)
     want = oracles.block_envelope(lat, spec).coeffs
     k = np.arange(-extent, extent + 1)
     assert box.tobytes() == want[np.ix_(k % lat.m, k[extent:])].tobytes()
@@ -357,31 +357,30 @@ def test_envelope_box_is_bitwise_the_full_lattice_oracle(case):
     # the L4 norm is that of the oracle cropped to the box, bit for bit
     crop = np.concatenate((np.conj(want[np.ix_(-k % lat.m, -k[:extent])]),
                            want[np.ix_(k % lat.m, k[extent:])]), axis=1)
-    assert envelope_l4_norm(lat, spec, part) == box_lp_norm(crop, lat, 4.0)
+    assert envelope_l4_norm(lat, spec) == box_lp_norm(crop, lat, 4.0)
 
 
 @pytest.mark.parametrize("case", FORCE_CASES)
 def test_block_force_is_bitwise_the_two_shifted_spectra(case):
-    lat, part, spec = box_case(*case)
-    got = translated_block_force(lat, spec, part)
+    lat, spec = box_case(*case)
+    got = translated_block_force(lat, spec)
     assert padded(got).tobytes() == oracles.translated_block_force(lat, spec).coeffs.tobytes()
 
 
-def test_block_force_refuses_rows_that_would_wrap(lattice128, partition128, monkeypatch):
+def test_block_force_refuses_rows_that_would_wrap(lattice128, monkeypatch):
     # ForceSpec.validate rules these carriers out; past it, the shift must
     # raise rather than wrap the envelope round the box
     monkeypatch.setattr(ForceSpec, "validate", lambda self, lattice: None)
     for carrier in (-2, 6):  # rows across the origin, rows past +-m/2
         with pytest.raises(ValueError, match="cross the origin or the k = -64 edge"):
             translated_block_force(lattice128, replace(blocks_spec(stride=2.0),
-                                                       carrier_exponent=carrier), partition128)
+                                                       carrier_exponent=carrier))
 
 
 def test_calibrated_stride_is_two_sided():
     # shell-0 blocks are too wide for the m=128 box (the search correctly
     # reports that); shell-2 blocks on a 256 lattice do separate
     lat = FrequencyLattice(m=256, h_xi=0.25)
-    part = build_partition(lat)
     area = lat.dx ** 2
 
     def spec_at(stride=None):
@@ -404,7 +403,7 @@ def test_calibrated_stride_is_two_sided():
     block = oracles.block_envelope(lat, replace(spec_at(lat.dx), block_range=(1, 1)))
     target = 2.0 * float(area * np.sum(np.abs(physical(block)) ** 4))
 
-    stride = calibrate_stride(lat, spec_at(), part)
+    stride = calibrate_stride(lat, spec_at())
     assert abs(l4_mass(spec_at(stride)) - target) <= 0.05 * target
     # nearly coincident blocks overshoot the target coherently, which is
     # why the acceptance bound has to be two-sided
@@ -416,32 +415,30 @@ def test_calibrate_stride_measures_blocks_as_the_envelope_builds_them():
     # edge, which the envelope strips: a target that kept it would differ
     # from the one block's own mass by 21% and no stride would pass
     lat = FrequencyLattice(m=1024, h_xi=0.125)
-    part = build_partition(lat)
-    assert part.ring_extent(7) == lat.m // 2
+    assert lat.partition.ring_extent(7) == lat.m // 2
     spec = ForceSpec(variant="blocks", size=2, block_range=(1, 1),
                      exponents=ExponentMap.affine(2, 0), equal_shell=7)
-    assert calibrate_stride(lat, spec, part) == lat.dx
+    assert calibrate_stride(lat, spec) == lat.dx
 
 
-def test_calibrate_stride_reports_impossible_geometry(lattice128, partition128):
+def test_calibrate_stride_reports_impossible_geometry(lattice128):
     # shell -2 blocks span a quarter of the m=128 box; no translation
     # separates their tails to 5 percent
     with pytest.raises(ValueError, match="no stride reaches near-disjoint"):
-        calibrate_stride(lattice128, blocks_spec(), partition128)
+        calibrate_stride(lattice128, blocks_spec())
 
 
-def test_calibrate_stride_rejects_wrong_variant(lattice128, partition128):
+def test_calibrate_stride_rejects_wrong_variant(lattice128):
     with pytest.raises(ValueError, match="expected a blocks spec"):
         calibrate_stride(
-            lattice128, ForceSpec(variant="bump", size=3), partition128
+            lattice128, ForceSpec(variant="bump", size=3)
         )
 
 
 @pytest.fixture(scope="module")
 def l4_leg():
-    """The lattice and partition of illpose-step3's L4 leg."""
-    lat = FrequencyLattice(m=1024, h_xi=0.125)
-    return lat, build_partition(lat)
+    """The lattice of illpose-step3's L4 leg."""
+    return FrequencyLattice(m=1024, h_xi=0.125)
 
 
 def l4_spec(count):
@@ -451,11 +448,11 @@ def l4_spec(count):
 
 @pytest.mark.parametrize("count", [2, 4, 8])
 def test_envelope_l4_norm_matches_the_full_lattice(l4_leg, count):
-    lat, part = l4_leg
-    stride = calibrate_stride(lat, l4_spec(count), part)
+    lat = l4_leg
+    stride = calibrate_stride(lat, l4_spec(count))
     assert stride == math.pi / 2.0
     spec = replace(l4_spec(count), stride=stride)
-    got = envelope_l4_norm(lat, spec, part)
+    got = envelope_l4_norm(lat, spec)
     want = lp_norm(physical_real(oracles.block_envelope(lat, spec)), 4.0, lat.dx ** 2)
     assert abs(got - want) <= 1e-13 * want
 
@@ -465,17 +462,16 @@ def test_calibrate_stride_runs_no_lattice_sized_transform(transform_sizes, monke
     # evaluated once for the one distinct shell, and every mass is summed
     # with one transform below m
     lat = FrequencyLattice(m=256, h_xi=0.25)
-    part = build_partition(lat)
     spec = ForceSpec(variant="blocks", size=4, block_range=(1, 4),
                      exponents=ExponentMap.affine(2, -4), equal_shell=2)
     calls = []
 
-    def counted(lattice, spec, partition):
+    def counted(lattice, spec):
         calls.append(spec)
-        return envelope_l4_norm(lattice, spec, partition)
+        return envelope_l4_norm(lattice, spec)
 
     monkeypatch.setattr(forcing, "envelope_l4_norm", counted)
-    stride = calibrate_stride(lat, spec, part)
+    stride = calibrate_stride(lat, spec)
     assert [s.block_range for s in calls] == [(1, 1)] + [(1, 4)] * (len(calls) - 1)
     assert calls[-1].stride == stride
     assert len(transform_sizes) == len(calls)

@@ -36,7 +36,6 @@ from sqglab.besov import (
     _check_mean_zero,
     _norm_bounds,
     besov_profile,
-    build_partition,
     shell_project,
 )
 from sqglab.bilinear import bilinear_block, bilinear_quadrature, quadratic_diagonal
@@ -240,12 +239,12 @@ def test_step1_drops_each_size_before_the_next(live_fields, monkeypatch):
     ends, stale = [], []
     solve = runner.perturbation_solve
 
-    def watched(theta1, theta2, cfg, partition):
+    def watched(theta1, theta2, cfg):
         if ends:
             stale.extend(order for order in live_fields.alive() if order < ends[-1])
         handed = [theta1]
         del theta1  # handed over as the runner hands it, so that the solve can free it
-        out = solve(handed.pop(), theta2, cfg, partition=partition)
+        out = solve(handed.pop(), theta2, cfg)
         ends.append(live_fields.made)
         return out
 
@@ -260,7 +259,6 @@ def test_perturbation_solve_frees_theta1_before_its_loop(monkeypatch):
     and drops it before the loop (``solver._iterate``), so a theta1 handed
     over with no other reference, as step1 hands it, is freed by then."""
     theta1, theta2 = (0.01 * f for f in full_band_pair(32))
-    partition = build_partition(theta1.lattice)
     iterate, alive = solver._iterate, []
 
     def watched(*args, **kwargs):
@@ -271,7 +269,7 @@ def test_perturbation_solve_frees_theta1_before_its_loop(monkeypatch):
     held = weakref.ref(theta1)
     handed = [theta1]
     del theta1
-    perturbation_solve(handed.pop(), theta2, SolveConfig(max_iter=1), partition)
+    perturbation_solve(handed.pop(), theta2, SolveConfig(max_iter=1))
     assert alive == [False]
 
 
@@ -285,8 +283,7 @@ def test_perturbation_iteration_working_set(monkeypatch):
     units below the bound; fields storing all m x m coefficients hold three
     more units."""
     theta1, theta2 = (0.01 * f for f in full_band_pair(M))
-    partition = build_partition(theta1.lattice)
-    perturbation_solve(theta1, theta2, SolveConfig(max_iter=2), partition)  # warm caches
+    perturbation_solve(theta1, theta2, SolveConfig(max_iter=2))  # warm caches
     iterate, peaks = solver._iterate, []
 
     def measured(*args, **kwargs):
@@ -295,7 +292,7 @@ def test_perturbation_iteration_working_set(monkeypatch):
         return out[0]
 
     monkeypatch.setattr(solver, "_iterate", measured)
-    _, trace = perturbation_solve(theta1, theta2, SolveConfig(max_iter=2), partition)
+    _, trace = perturbation_solve(theta1, theta2, SolveConfig(max_iter=2))
     assert trace.iterations == 2
     bound = 3 * HALF + 2 * COLUMN + FORM_ALLOWANCE
     assert peaks[0] <= bound, units_over(peaks[0], bound)
@@ -304,7 +301,6 @@ def test_perturbation_iteration_working_set(monkeypatch):
 def operator_outputs(lattice):
     """Every way the package makes a scalar field, by name, on ``lattice``."""
     rng = np.random.default_rng(1)
-    partition = build_partition(lattice)
     f, g = random_mean_zero_field(lattice, rng), random_mean_zero_field(lattice, rng, decay=1.0)
     blocks = ForceSpec(variant="blocks", size=2, block_range=(1, 2),
                        exponents=ExponentMap.affine(2, -4), carrier_exponent=2, stride=3.0)
@@ -322,12 +318,12 @@ def operator_outputs(lattice):
         "dyadic_rescale": dyadic_rescale(SpectralField.cosine(lattice, (2, 3)), 1),
         "quadratic_diagonal": quadratic_diagonal(f),
         "bilinear_block": bilinear_block(f, g),
-        "shell_project": shell_project(f, partition, 0),
-        "single_shell_field": single_shell_field(lattice, partition, 0, rng),
+        "shell_project": shell_project(f, 0),
+        "single_shell_field": single_shell_field(lattice, 0, rng),
         "inner_edge_field": _inner_edge_field(lattice, 1, rng),
         "modulated_bump_force": modulated_bump_force(lattice, ForceSpec(variant="bump", size=2)),
         "lacunary_force": lacunary_force(lattice, lacunary),
-        "translated_block_force": translated_block_force(lattice, blocks, partition),
+        "translated_block_force": translated_block_force(lattice, blocks),
     }
 
 
@@ -370,14 +366,22 @@ def owned_elements(array: np.ndarray) -> int:
 
 def test_lattice_caches_no_array_larger_than_its_radius_quadrant():
     # the coordinates are one frequency axis (with k1 and k2 broadcast from
-    # it) and the radius quadrant; no cached array owns m x m elements
+    # it) and the radius quadrant, and the partition caches ring quadrants,
+    # the widest (its top shell's) no larger; no cached array owns m x m elements
     lattice = FrequencyLattice(m=64, h_xi=0.25)
     cached = [name for name, attr in vars(FrequencyLattice).items()
               if isinstance(attr, cached_property)]
-    assert {"k1", "k2", "xi_axis", "radius_quadrant"} <= set(cached)
+    assert {"k1", "k2", "xi_axis", "radius_quadrant", "partition"} <= set(cached)
     for name in cached:
         value = getattr(lattice, name)
-        assert owned_elements(value) <= (lattice.m // 2 + 1) ** 2, name
+        if name == "partition":
+            value.ring_quadrant(value.j_max)
+            arrays = list(value._quadrants.values())
+            assert arrays, name
+        else:
+            arrays = [value]
+        for array in arrays:
+            assert owned_elements(array) <= (lattice.m // 2 + 1) ** 2, name
 
 
 def refuse_coordinate_arrays(monkeypatch):
@@ -423,7 +427,7 @@ def step3_blocks(monkeypatch):
                      exponents=ExponentMap.affine(2, -4), carrier_exponent=2,
                      stride=lattice.box_length / 4.0)
     lattice.radius_quadrant
-    return lattice, spec, build_partition(lattice)
+    return lattice, spec
 
 
 def test_translated_block_force_peak_is_its_output(step3_blocks):
@@ -433,18 +437,18 @@ def test_translated_block_force_peak_is_its_output(step3_blocks):
     so the bound leaves 0.075 above it.  An (m, m/2) output measured 1.03,
     and an envelope built on the whole lattice and shifted as a second
     array 3.5."""
-    lattice, spec, partition = step3_blocks
+    lattice, spec = step3_blocks
     unit = lattice.m * (lattice.m // 2) * 16
-    peak = traced_peak(lambda: translated_block_force(lattice, spec, partition))
+    peak = traced_peak(lambda: translated_block_force(lattice, spec))
     assert peak <= 0.15 * unit, f"{peak / unit:.3f} units"
 
 
 def test_envelope_l4_norm_allocates_no_lattice_sized_array(step3_blocks):
     # the envelope's box, completed to its k2 < 0 columns, and the small
     # grid box_lp_norm sums it on; a full-lattice envelope measured 28 MiB
-    lattice, spec, partition = step3_blocks
+    lattice, spec = step3_blocks
     unit = lattice.m * (lattice.m // 2) * 16
-    peak = traced_peak(lambda: envelope_l4_norm(lattice, spec, partition))
+    peak = traced_peak(lambda: envelope_l4_norm(lattice, spec))
     assert peak < unit, f"{peak / unit:.2f} units"
 
 
@@ -465,12 +469,11 @@ def test_norm_bounds_allocate_no_half_sized_temporary():
     # units for the run buffer, plus numpy's fixed-size ufunc buffer for
     # strided operands (8192 elements), 0.06 units at this size
     lattice = FrequencyLattice(m=512, h_xi=0.25)
-    partition = build_partition(lattice)
     field = random_mean_zero_field(lattice, np.random.default_rng(0))
     unit = lattice.m * (lattice.m // 2) * 16
     index = SolveConfig().index
-    _norm_bounds(field, index, partition)  # cache the rings
-    for name, call in (("bounds", lambda: _norm_bounds(field, index, partition)),
+    _norm_bounds(field, index)  # cache the rings
+    for name, call in (("bounds", lambda: _norm_bounds(field, index)),
                        ("absolute sum", lambda: _absolute_sum(field))):
         peak = traced_peak(call)
         assert peak < 0.2 * unit, f"{name}: {peak / unit:.2f} units"
@@ -484,13 +487,12 @@ def test_narrow_profile_allocates_no_square_shell_grid():
     top shells, whose M_j is m.  Measured: 0.17 of that array, with the
     rings cached.  Square M_j x M_j grids measured 2.26."""
     lattice = FrequencyLattice(m=512, h_xi=0.25)
-    partition = build_partition(lattice)
     bump = modulated_bump_force(lattice, ForceSpec(variant="bump", size=2))
     assert bump.coeffs.shape[1] == bump.occupied[1] == 8
     index = BesovIndex.data_index(4.0, 2.0)
-    besov_profile(bump, index.s, index.p, partition)  # cache the rings
+    besov_profile(bump, index.s, index.p)  # cache the rings
     square = lattice.m * lattice.m * 8
-    peak = traced_peak(lambda: besov_profile(bump, index.s, index.p, partition))
+    peak = traced_peak(lambda: besov_profile(bump, index.s, index.p))
     assert peak < 0.25 * square, f"{peak / square:.2f} of an m x m array"
 
 
@@ -502,12 +504,11 @@ def test_full_band_profile_peak_is_three_half_fields():
     m = 256, h_xi = 1/8, with the rings cached: 3.01 units (3.00 at m = 512
     and 1024)."""
     lattice = FrequencyLattice(m=M, h_xi=0.125)
-    partition = build_partition(lattice)
     field = random_mean_zero_field(lattice, np.random.default_rng(0))
     assert field.occupied == (M // 2, M // 2)
     index = BesovIndex.data_index(4.0, 2.0)
-    besov_profile(field, index.s, index.p, partition)  # cache the rings
-    peak = traced_peak(lambda: besov_profile(field, index.s, index.p, partition))
+    besov_profile(field, index.s, index.p)  # cache the rings
+    peak = traced_peak(lambda: besov_profile(field, index.s, index.p))
     assert peak <= 3.1 * HALF, f"{peak / HALF:.2f} units"
 
 
@@ -523,12 +524,11 @@ def test_profile_holds_one_shell_buffer_at_a_time():
     shell measured 1.13, and 2.01 when it held the last shell's buffer
     while the next was made."""
     lattice = FrequencyLattice(m=M, h_xi=0.125)
-    partition = build_partition(lattice)
     field = random_mean_zero_field(lattice, np.random.default_rng(0))
-    profile = diagnostics.low_frequency_profile(field, partition)  # cache the rings
+    profile = diagnostics.low_frequency_profile(field)  # cache the rings
     assert [j for j, value in profile if value > 0] == [-3, -2, -1]
     buffer = M * (M // 2 + 1) * 16
-    peak = traced_peak(lambda: diagnostics.low_frequency_profile(field, partition))
+    peak = traced_peak(lambda: diagnostics.low_frequency_profile(field))
     assert peak < 0.9 * buffer, f"{peak / buffer:.2f} shell buffers"
 
 
@@ -542,15 +542,14 @@ def test_sup_shells_allocate_no_lattice_sized_buffer():
     whole-shell synthesis, which wrote every shell into such a buffer,
     measured 1.03."""
     lattice = FrequencyLattice(m=512, h_xi=0.25)
-    partition = build_partition(lattice)
     spec = ForceSpec(variant="lacunary", delta=0.01, size=2, block_range=(1, 2),
                      exponents=ExponentMap.affine(2, 0))
     theta2 = quadratic_diagonal(inverse_laplacian(lacunary_force(lattice, spec)))
     assert theta2.occupied[1] == 15
-    profile = diagnostics.low_frequency_profile(theta2, partition)  # cache the rings
+    profile = diagnostics.low_frequency_profile(theta2)  # cache the rings
     assert any(value > 0 for _, value in profile)
     buffer = lattice.m * (lattice.m // 2 + 1) * 16
-    peak = traced_peak(lambda: diagnostics.low_frequency_profile(theta2, partition))
+    peak = traced_peak(lambda: diagnostics.low_frequency_profile(theta2))
     assert peak < 0.5 * buffer, f"{peak / buffer:.2f} of an (m, m/2 + 1) buffer"
 
 
@@ -564,7 +563,7 @@ def test_ring_quadrant_steps_run_a_slab_of_rows_at_a_time():
     measured 4.87 to 5.13."""
     lattice = FrequencyLattice(m=1024, h_xi=0.25)
     lattice.radius_quadrant
-    partition = build_partition(lattice)
+    partition = lattice.partition
     for j in (6, 7, 8):
         peak = traced_peak(lambda: partition.ring_quadrant(j))
         quadrant = partition.ring_quadrant(j).nbytes
@@ -577,11 +576,11 @@ def test_step2_forcing_profile_caches_no_ring_it_cannot_reach():
     without their 513 x 513 quadrants being made (``besov.shell_profile``):
     the partition's cache ends at shell 6."""
     lattice = FrequencyLattice(m=1024, h_xi=0.25)
-    partition = build_partition(lattice)
+    partition = lattice.partition
     spec = ForceSpec(variant="lacunary", delta=0.01, size=3, block_range=(1, 3),
                      exponents=ExponentMap.affine(2, 0))
     index = BesovIndex.data_index(4.0, 2.0)
-    profile = besov_profile(lacunary_force(lattice, spec), index.s, index.p, partition)
+    profile = besov_profile(lacunary_force(lattice, spec), index.s, index.p)
     assert partition.j_max == 8 and profile[-2:] == [0.0, 0.0]
     assert max(partition._quadrants) == 6
 

@@ -25,7 +25,6 @@ from sqglab.besov import (
     DyadicPartition,
     _check_mean_zero,
     besov_norm,
-    build_partition,
     shell_profile,
 )
 from sqglab.bilinear import bilinear_block, quadratic_diagonal
@@ -62,7 +61,6 @@ def desk():
     5 = t0 2**2, exactly on the inner edge of shell 3, where phi_3 is
     1 - 1 = 0, and (20, 4) at radius 5.1, inside shell 3, where it is not."""
     lattice = FrequencyLattice(m=256, h_xi=0.25)
-    partition = build_partition(lattice)
     bump = modulated_bump_force(
         lattice, ForceSpec(variant="bump", delta=0.01, size=4, carrier_exponent=2))
     lacunary = lacunary_force(lattice, ForceSpec(
@@ -75,7 +73,7 @@ def desk():
     for name in ("bump", "lacunary"):
         fields[f"{name} theta1"] = inverse_laplacian(fields[name])
         fields[f"{name} theta2"] = quadratic_diagonal(fields[f"{name} theta1"])
-    return lattice, partition, fields
+    return lattice, lattice.partition, fields
 
 
 @pytest.fixture(scope="module")
@@ -83,11 +81,10 @@ def blocks():
     """Step3's two translated blocks (shells -2 and 0, carrier 2**2) at
     m = 256, h_xi = 1/16."""
     lattice = FrequencyLattice(m=256, h_xi=1.0 / 16.0)
-    partition = build_partition(lattice)
     spec = ForceSpec(variant="blocks", size=2, block_range=(1, 2),
                      exponents=ExponentMap.affine(2, -4), carrier_exponent=2,
                      stride=lattice.box_length / 4.0)
-    return lattice, partition, translated_block_force(lattice, spec, partition)
+    return lattice, lattice.partition, translated_block_force(lattice, spec)
 
 
 def test_occupied_box_is_the_direct_search(desk, blocks):
@@ -138,8 +135,8 @@ def test_shell_profile_is_bitwise_the_whole_route(desk, blocks, p):
     skipped = 0
     for name, f, part in cases:
         shells = range(part.j_min, part.j_max + 2)  # one shell above the window too
-        got = shell_profile(f, -0.5, p, part, shells)
-        assert got == oracles.whole_shell_profile(f, -0.5, p, part, shells), name
+        got = shell_profile(f, -0.5, p, shells)
+        assert got == oracles.whole_shell_profile(f, -0.5, p, shells), name
         rows, cols = f.occupied
         reach = f.lattice.radius_quadrant[rows - 1, cols - 1]
         skipped += sum(reach < _STEP.t0 * 2.0 ** (j - 1) for j in shells)
@@ -150,9 +147,9 @@ def test_low_frequency_profile_is_bitwise_the_whole_route(desk):
     _, partition, fields = desk
     for name in ("bump theta2", "lacunary theta2", "full band"):
         f = fields[name]
-        want = oracles.whole_shell_profile(f, -1.0, math.inf, partition,
+        want = oracles.whole_shell_profile(f, -1.0, math.inf,
                                            range(partition.j_min, 0))
-        assert low_frequency_profile(f, partition) == want, name
+        assert low_frequency_profile(f) == want, name
 
 
 def evaluated_rings(monkeypatch):
@@ -176,21 +173,23 @@ def test_the_skip_starts_past_the_inner_edge(desk, monkeypatch):
     lattice, _, fields = desk
     assert lattice.radius_quadrant[12, 16] == _STEP.t0 * 2.0**2
     for name, zero_at_3 in (("edge mode", True), ("inside mode", False)):
-        partition = build_partition(lattice)
+        cold = FrequencyLattice(m=lattice.m, h_xi=lattice.h_xi)  # no ring cached yet
+        field = SpectralField._adopt(cold, fields[name].coeffs.copy())
+        partition = cold.partition
         seen = evaluated_rings(monkeypatch)
-        got = dict(shell_profile(fields[name], -0.5, 4.0, partition))
+        got = dict(shell_profile(field, -0.5, 4.0))
         assert seen == list(range(partition.j_min, 4)), name
         assert sorted(partition._quadrants) == list(range(partition.j_min, 4)), name
         assert all(got[j] == 0.0 for j in partition.shells if j >= 4), name
         assert (got[3] == 0.0) == zero_at_3, name
-        assert got == dict(oracles.whole_shell_profile(fields[name], -0.5, 4.0, partition))
+        assert got == dict(oracles.whole_shell_profile(field, -0.5, 4.0))
 
 
 def test_a_full_band_field_skips_nothing(desk, monkeypatch):
     lattice, _, fields = desk
-    partition = build_partition(lattice)
+    partition = lattice.partition
     seen = evaluated_rings(monkeypatch)
-    shell_profile(fields["full band"], -0.5, 4.0, partition)
+    shell_profile(fields["full band"], -0.5, 4.0)
     assert seen == list(partition.shells)
 
 
@@ -200,16 +199,16 @@ def test_a_non_finite_coefficient_is_not_skipped(desk, bad, where):
     # a field whose only non-zero coefficient is a non-finite mean occupies
     # the box of the origin alone, so the skip would read every shell as 0;
     # the whole route multiplies it by each ring's 0 there and reads NaN
-    lattice, partition, fields = desk
+    lattice, _, fields = desk
     c = (fields["bump"].coeffs * (where != "mean of zero")).copy()
     c[(0, 0) if where.startswith("mean") else (3, 2)] = bad
     f = SpectralField._adopt(lattice, c)
     with np.errstate(invalid="ignore"):  # inf times a ring's 0
         for p in (4.0, math.inf):
-            got = [v for _, v in shell_profile(f, -0.5, p, partition)]
-            want = [v for _, v in oracles.whole_shell_profile(f, -0.5, p, partition)]
+            got = [v for _, v in shell_profile(f, -0.5, p)]
+            want = [v for _, v in oracles.whole_shell_profile(f, -0.5, p)]
             assert np.array_equal(got, want, equal_nan=True)
-        norm = besov_norm(f, BesovIndex.data_index(4.0, 2.0), partition)
+        norm = besov_norm(f, BesovIndex.data_index(4.0, 2.0))
     assert not math.isfinite(norm)
 
 
@@ -219,7 +218,7 @@ def test_sup_shells_keep_a_non_finite_sample_in_any_slab(desk):
     # first 64-row slab and NaN in the second, where max over the slabs'
     # sups by Python's max would keep the inf and drop the NaN; (4, 0) and
     # (4, 1) give infinite samples and no NaN
-    lattice, partition, _ = desk
+    lattice, _, _ = desk
     m = lattice.m
     values = []
     for modes in (((3, 1), (4, 1)), ((4, 0), (4, 1))):
@@ -228,8 +227,8 @@ def test_sup_shells_keep_a_non_finite_sample_in_any_slab(desk):
             c[a, b] = 1e308 * np.exp(-2j * np.pi * a * 100 / m)
         f = SpectralField._adopt(lattice, c)
         with np.errstate(over="ignore", invalid="ignore"):
-            got = [v for _, v in shell_profile(f, -1.0, math.inf, partition)]
-            want = [v for _, v in oracles.whole_shell_profile(f, -1.0, math.inf, partition)]
+            got = [v for _, v in shell_profile(f, -1.0, math.inf)]
+            want = [v for _, v in oracles.whole_shell_profile(f, -1.0, math.inf)]
         assert np.array_equal(got, want, equal_nan=True), modes
         values += got
     assert any(math.isnan(v) for v in values) and math.inf in values
@@ -264,7 +263,7 @@ def test_a_column_bound_leaves_the_box_unchanged(desk, blocks):
 
 
 def test_a_loop_whose_iterate_goes_non_finite_in_its_mean_ends_diverged(desk):
-    lattice, partition, fields = desk
+    lattice, _, fields = desk
     f = fields["bump theta1"]
 
     def step(theta, carried):
@@ -277,7 +276,7 @@ def test_a_loop_whose_iterate_goes_non_finite_in_its_mean_ends_diverged(desk):
     for every_iteration in (True, False):
         steps = []
         _, trace = _iterate(f, step, lambda theta: None, lambda theta, quad: 0.0,
-                            SolveConfig(), partition, every_iteration=every_iteration)
+                            SolveConfig(), every_iteration=every_iteration)
         assert trace.verdict == "diverged"
 
 

@@ -171,3 +171,17 @@ def test_every_occupied_box_is_read_by_the_field():
     # would read the same field again
     sites = list(_call_sites("_occupied_columns", "_occupied_rows"))
     assert sites and set(sites) == {("spectral.py", "occupied")}
+
+
+def test_no_function_takes_a_partition():
+    # every route reads the rings of its own lattice (``lattice.partition``);
+    # a partition passed beside a field could belong to another lattice
+    takers = [
+        f"{path.name}:{getattr(node, 'name', 'lambda')}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(_parsed(path))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for arg in (*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs)
+        if arg.arg == "partition"
+    ]
+    assert takers == []

@@ -13,7 +13,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sqglab.besov import build_partition, shell_project
+from sqglab.besov import shell_project
 from sqglab.forcing import (
     ExponentMap,
     ForceSpec,
@@ -65,11 +65,11 @@ def test_multipliers_return_real_fields(lattice, seed, decay):
 @settings(max_examples=30, deadline=None)
 @given(lattice=lattices, seed=seeds, data=st.data())
 def test_shell_pieces_are_real_fields(lattice, seed, data):
-    partition = build_partition(lattice)
+    partition = lattice.partition
     live = [j for j in partition.shells if partition.ring_quadrant(j).any()]
     j = data.draw(st.sampled_from(live), label="shell")
-    check_real(shell_project(drawn(lattice, seed), partition, j), "shell_project")
-    field = single_shell_field(lattice, partition, j, np.random.default_rng(seed))
+    check_real(shell_project(drawn(lattice, seed), j), "shell_project")
+    field = single_shell_field(lattice, j, np.random.default_rng(seed))
     check_real(field, "single_shell_field")
 
 
@@ -106,8 +106,7 @@ def test_translated_block_force_is_real(delta, stride, blocks, equal_shell):
     spec = ForceSpec(variant="blocks", delta=delta, size=2, block_range=blocks,
                      exponents=ExponentMap.affine(2, -4), carrier_exponent=2,
                      stride=stride, equal_shell=equal_shell)
-    partition = build_partition(FORCING_LATTICE)
-    check_real(translated_block_force(FORCING_LATTICE, spec, partition), "translated_block_force")
+    check_real(translated_block_force(FORCING_LATTICE, spec), "translated_block_force")
 
 
 @settings(max_examples=30, deadline=None)

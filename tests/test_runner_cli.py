@@ -18,6 +18,7 @@ import pytest
 
 import sqglab
 from sqglab import runner, spectral
+from sqglab.besov import DyadicPartition
 from sqglab.cli import main
 from sqglab.forcing import ExponentMap, ForceSpec, lacunary_force
 from sqglab.reports import ExperimentReport, Table, Verdict, emit_report, format_value
@@ -346,6 +347,28 @@ def test_pipeline_validation_errors():
         )
 
 
+@pytest.mark.parametrize(
+    "payload, lattices",
+    [
+        ({"experiment": "illpose-step2", "m": 256, "h_xi": 0.25, "size_range": [1, 2]}, 1),
+        # the L4 leg's fixed lattice and the inflation leg's
+        ({"experiment": "illpose-step3", "m": 256, "h_xi": 0.0625, "block_counts": [2, 4]}, 2),
+    ],
+    ids=lambda value: value.get("experiment") if isinstance(value, dict) else str(value),
+)
+def test_a_run_builds_one_partition_per_lattice(monkeypatch, payload, lattices):
+    built = []
+    init = DyadicPartition.__init__
+
+    def counted(self, lattice):
+        built.append(lattice)
+        init(self, lattice)
+
+    monkeypatch.setattr(DyadicPartition, "__init__", counted)
+    run_experiment(config_from_dict(payload), write=False)
+    assert len(built) == len(set(map(id, built))) == lattices
+
+
 # -- command line -----------------------------------------------------------
 
 
@@ -496,6 +519,14 @@ def test_cli_refuses_a_mistyped_value_by_name(tmp_path, capsys, verb, payload, k
          "config key delta"),
         ("illpose-step3", {"m": 1024, "h_xi": 0.0625, "block_counts": [2, 4], "delta": 1e-100},
          "config key delta"),
+        # every verb builds its lattice, and reads its ring system, in one place
+        ("constants", {"m": 100}, "config keys m and h_xi: m must be a power of two"),
+        ("partition-check", {"h_xi": -1.0}, "config keys m and h_xi: h_xi must be positive"),
+        ("solve", {"ball_fraction": 1.5}, "config key ball_fraction"),
+        ("illpose-step3", {"block_counts": [4, 2]}, "config key block_counts"),
+        ("verify-identity", {"m": 128}, "config key m: "),
+        ("illpose-step2", {"m": 128},
+         "config keys size_range, exponent_map, m and h_xi: lacunary carrier"),
     ],
     ids=lambda value: value if isinstance(value, str) else json.dumps(value),
 )
@@ -509,6 +540,20 @@ def test_cli_refuses_a_typed_but_extreme_config_by_name(tmp_path, capsys, verb, 
     err = capsys.readouterr().err
     assert code == 2 and "Traceback" not in err
     assert name in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("verb", runner.VERBS)
+def test_cli_refuses_a_lattice_its_rings_cannot_cover(tmp_path, capsys, monkeypatch, verb):
+    # the ring system is built on first read of lattice.partition; every verb
+    # reads it with its lattice, so the refusal still comes before anything
+    # runs (step3's fixed L4 lattice, m = 1024, is covered)
+    monkeypatch.setattr(DyadicPartition, "_covers_lattice", lambda self: self.lattice.m != 64)
+    cfg = write_cfg(tmp_path, {"m": 64})
+    out_dir = tmp_path / "runs"
+    assert main([verb, "--config", cfg, "--out", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "config keys m and h_xi: the shell window" in err and "Traceback" not in err
     assert not out_dir.exists()
 
 

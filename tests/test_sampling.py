@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import band_limited_field, coordinates, hermitian_defect, padded, physical_real
-from sqglab.besov import BesovIndex, besov_norm, build_partition
+from sqglab.besov import BesovIndex, besov_norm
 from sqglab.sampling import (
     _band_limited_field,
     _inner_edge_field,
@@ -64,24 +64,24 @@ def test_random_field_reproducible(lattice32):
     assert np.array_equal(a.coeffs, b.coeffs)
 
 
-def test_single_shell_support(lattice32, partition32):
+def test_single_shell_support(lattice32):
     rng = np.random.default_rng(55)
-    f = single_shell_field(lattice32, partition32, 1, rng)
-    ring = partition32.ring_values(1)
+    f = single_shell_field(lattice32, 1, rng)
+    ring = lattice32.partition.ring_values(1)
     assert np.all((padded(f) != 0) <= (ring > 0))
     assert f.coeffs.any()
     with pytest.raises(ValueError, match="no lattice support"):
-        single_shell_field(lattice32, partition32, -8, rng)
+        single_shell_field(lattice32, -8, rng)
 
 
-def test_unit_normalize(lattice32, partition32):
+def test_unit_normalize(lattice32):
     rng = np.random.default_rng(56)
     f = random_mean_zero_field(lattice32, rng, decay=1.0)
     idx = BesovIndex.solution_index(4.0, 2.0)
-    g = unit_normalize(f, idx, partition32)
-    assert besov_norm(g, idx, partition32) == pytest.approx(1.0, rel=1e-12)
+    g = unit_normalize(f, idx)
+    assert besov_norm(g, idx) == pytest.approx(1.0, rel=1e-12)
     with pytest.raises(ValueError, match="zero field"):
-        unit_normalize(SpectralField.zeros(lattice32), idx, partition32)
+        unit_normalize(SpectralField.zeros(lattice32), idx)
 
 
 def full_lattice_sample(lattice, c, weight):
@@ -143,9 +143,9 @@ def test_samplers_store_only_the_columns_they_occupy():
     # at constants' defaults the shell -2 sample occupies 2 columns, where
     # storing every m/2 = 64 of them would hold 62 zero columns
     lattice = FrequencyLattice(m=128, h_xi=0.25)
-    partition = build_partition(lattice)
+    partition = lattice.partition
     rng = np.random.default_rng(60)
-    samples = {f"shell {j}": single_shell_field(lattice, partition, j, rng)
+    samples = {f"shell {j}": single_shell_field(lattice, j, rng)
                for j in partition.shells}
     samples |= {f"inner edge {j}": _inner_edge_field(lattice, j, rng)
                 for j in partition.shells}

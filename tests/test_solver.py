@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from oracles import eager_iterate
-from sqglab.besov import BesovIndex, besov_norm, build_partition
+from sqglab.besov import BesovIndex, besov_norm
 from sqglab.bilinear import bilinear_block, quadratic_diagonal
 from sqglab.forcing import ForceSpec, modulated_bump_force
 from sqglab.runner import config_from_dict, run_experiment
@@ -39,8 +39,8 @@ def test_config_validation():
     assert cfg.data_index.s == cfg.index.s - 2.0
 
 
-def test_picard_small_data_converges(lattice32, partition32):
-    theta, trace = picard_solve(small_forcing(lattice32), partition=partition32)
+def test_picard_small_data_converges(lattice32):
+    theta, trace = picard_solve(small_forcing(lattice32))
     assert trace.verdict == "converged"
     assert trace.worst_ratio() < 0.55
     assert trace.pde_residuals[-1] <= 1e-9 * trace.norms[-1]
@@ -49,51 +49,51 @@ def test_picard_small_data_converges(lattice32, partition32):
 
     lf = inverse_laplacian(small_forcing(lattice32))
     step = lf - quadratic_diagonal(theta)
-    err = besov_norm(step - theta, SolveConfig().index, partition32)
+    err = besov_norm(step - theta, SolveConfig().index)
     assert err <= 1e-9 * trace.norms[-1]
 
 
-def test_picard_two_starts_agree(lattice32, partition32):
+def test_picard_two_starts_agree(lattice32):
     f = small_forcing(lattice32)
     cfg = SolveConfig(tol=1e-12)
-    a, ta = picard_solve(f, cfg, partition=partition32)
+    a, ta = picard_solve(f, cfg)
     rng = np.random.default_rng(41)
     bump = 0.001 * SpectralField.cosine(lattice32, (8, 0))
-    b, tb = picard_solve(f, cfg, theta0=a + bump, partition=partition32)
+    b, tb = picard_solve(f, cfg, theta0=a + bump)
     assert ta.verdict == tb.verdict == "converged"
-    gap = besov_norm(a - b, cfg.index, partition32)
+    gap = besov_norm(a - b, cfg.index)
     assert gap <= 1e-9 * max(ta.norms[-1], 1e-300)
 
 
-def test_picard_zero_forcing(lattice32, partition32):
-    theta, trace = picard_solve(SpectralField.zeros(lattice32), partition=partition32)
+def test_picard_zero_forcing(lattice32):
+    theta, trace = picard_solve(SpectralField.zeros(lattice32))
     assert trace.verdict == "converged"
     assert trace.norms == [0.0]
     assert not theta.coeffs.any()
 
 
-def test_picard_divergence_is_a_verdict(lattice32, partition32):
-    theta, trace = picard_solve(small_forcing(lattice32, 200.0), partition=partition32)
+def test_picard_divergence_is_a_verdict(lattice32):
+    theta, trace = picard_solve(small_forcing(lattice32, 200.0))
     assert trace.verdict == "diverged"
     assert np.isfinite(theta.coeffs).all()  # last finite iterate is returned
 
 
 @pytest.mark.parametrize("every_iteration", [True, False])
 def test_sup_norm_monitored_run_reports_an_overflowing_norm_as_diverged(
-    lattice32, partition32, every_iteration
+    lattice32, every_iteration
 ):
     # at p = inf the shell values of a 1e160 field are finite and only
     # their l^2 sum overflows: the loop reads that inf as divergence
     cfg = SolveConfig(index=BesovIndex(0.0, math.inf, 2.0))
     big = 1e160 * random_mean_zero_field(lattice32, np.random.default_rng(6))
     theta, trace = _iterate(SpectralField.zeros(lattice32), lambda theta, quad: big,
-                            lambda theta: None, lambda theta, quad: 0.0, cfg, partition32,
+                            lambda theta: None, lambda theta, quad: 0.0, cfg,
                             every_iteration=every_iteration)
     assert trace.verdict == "diverged"
     assert theta is big and trace.norms == [math.inf]
 
 
-def test_trace_ends_with_the_norm_of_the_returned_iterate(lattice32, partition32):
+def test_trace_ends_with_the_norm_of_the_returned_iterate(lattice32):
     # solve's solution norm and illpose-step1's perturbation norm are read
     # from the trace instead of being recomputed: bitwise the same number
     from sqglab.runner import _final_norm
@@ -102,12 +102,11 @@ def test_trace_ends_with_the_norm_of_the_returned_iterate(lattice32, partition32
     f = small_forcing(lattice32)
     theta1 = inverse_laplacian(f)
     runs = {
-        "converged": picard_solve(f, cfg, partition=partition32),
-        "max_iter": picard_solve(f, SolveConfig(max_iter=3), partition=partition32),
-        "perturbation": perturbation_solve(theta1, -quadratic_diagonal(theta1), cfg,
-                                           partition=partition32),
+        "converged": picard_solve(f, cfg),
+        "max_iter": picard_solve(f, SolveConfig(max_iter=3)),
+        "perturbation": perturbation_solve(theta1, -quadratic_diagonal(theta1), cfg),
         # the norm overflows: the overflowing iterate is returned
-        "diverged": picard_solve(small_forcing(lattice32, 200.0), partition=partition32),
+        "diverged": picard_solve(small_forcing(lattice32, 200.0)),
     }
 
     # the step goes non-finite: the iterate before it is returned
@@ -123,7 +122,7 @@ def test_trace_ends_with_the_norm_of_the_returned_iterate(lattice32, partition32
         for every_iteration in (True, False):
             steps = []
             runs[f"non-finite at {last}, {every_iteration}"] = _iterate(
-                f, step, lambda theta: None, lambda theta, quad: 0.0, cfg, partition32,
+                f, step, lambda theta: None, lambda theta, quad: 0.0, cfg,
                 every_iteration=every_iteration,
             )
     verdicts = {name: trace.verdict for name, (_, trace) in runs.items()}
@@ -140,21 +139,21 @@ def test_trace_ends_with_the_norm_of_the_returned_iterate(lattice32, partition32
     assert math.isnan(lazy.norms[0]) and not math.isnan(lazy.residuals[-1])
     with np.errstate(over="ignore"):
         for name, (theta, trace) in runs.items():
-            want = besov_norm(theta, cfg.index, partition32)
-            assert _final_norm(theta, trace, cfg.index, partition32) == want, name
+            want = besov_norm(theta, cfg.index)
+            assert _final_norm(theta, trace, cfg.index) == want, name
             if trace.norms:
                 assert trace.norms[-1] == want, name
 
 
-def test_quadratic_sign_is_pinned_by_the_pde(lattice32, partition32, monkeypatch):
+def test_quadratic_sign_is_pinned_by_the_pde(lattice32, monkeypatch):
     # the stationary defect of a converged run vanishes only for the
     # physical sign; the flipped sign still converges (same smallness)
     # but to a field that does not solve the equation
     f = small_forcing(lattice32)
     assert solver.QUADRATIC_SIGN == -1
-    _, good = picard_solve(f, partition=partition32)
+    _, good = picard_solve(f)
     monkeypatch.setattr(solver, "QUADRATIC_SIGN", 1)
-    _, bad = picard_solve(f, partition=partition32)
+    _, bad = picard_solve(f)
     assert good.verdict == bad.verdict == "converged"
     assert good.pde_residuals[-1] <= 1e-9 * good.norms[-1]
     assert bad.pde_residuals[-1] > 1e-3 * bad.norms[-1]
@@ -172,26 +171,26 @@ def test_trace_csv_layout():
     assert float(rows[1][3]) == float(rows[1][2]) / float(rows[0][2])
 
 
-def test_perturbation_reassembles_the_fixed_point(lattice32, partition32):
+def test_perturbation_reassembles_the_fixed_point(lattice32):
     f = small_forcing(lattice32)
     cfg = SolveConfig(tol=1e-12)
-    full, ft = picard_solve(f, cfg, partition=partition32)
+    full, ft = picard_solve(f, cfg)
     assert ft.verdict == "converged"
 
     from sqglab.spectral import inverse_laplacian
 
     theta1 = inverse_laplacian(f)
     theta2 = -1.0 * quadratic_diagonal(theta1)
-    tilde, tt = perturbation_solve(theta1, theta2, cfg, partition=partition32)
+    tilde, tt = perturbation_solve(theta1, theta2, cfg)
     assert tt.verdict == "converged"
     assert tt.pde_residuals[-1] <= 1e-9 * ft.norms[-1]
-    gap = besov_norm(theta1 + theta2 + tilde - full, cfg.index, partition32)
+    gap = besov_norm(theta1 + theta2 + tilde - full, cfg.index)
     assert gap <= 1e-9 * ft.norms[-1]
     # the correction is quadratically small against the leading term
-    assert besov_norm(tilde, cfg.index, partition32) < 0.01 * ft.norms[-1]
+    assert besov_norm(tilde, cfg.index) < 0.01 * ft.norms[-1]
 
 
-def test_picard_trace_is_bitwise_the_recomputing_loop(lattice32, partition32, monkeypatch):
+def test_picard_trace_is_bitwise_the_recomputing_loop(lattice32, monkeypatch):
     # the carried quadratic term must give the very bits of a loop that
     # evaluates B[theta, theta] afresh in both the step and the defect
     f = small_forcing(lattice32, 0.2)
@@ -203,10 +202,10 @@ def test_picard_trace_is_bitwise_the_recomputing_loop(lattice32, partition32, mo
 
     def defect_norm(theta, _quad):
         defect = neg_laplacian(theta) + neg_laplacian(quadratic_diagonal(theta)) - f
-        return besov_norm(defect, cfg.data_index, partition32)
+        return besov_norm(defect, cfg.data_index)
 
     start = SpectralField.zeros(lattice32)
-    want_theta, want = _iterate(start, step, lambda theta: None, defect_norm, cfg, partition32)
+    want_theta, want = _iterate(start, step, lambda theta: None, defect_norm, cfg)
     evaluations = []
 
     def counted(theta):
@@ -214,7 +213,7 @@ def test_picard_trace_is_bitwise_the_recomputing_loop(lattice32, partition32, mo
         return quadratic_diagonal(theta)
 
     monkeypatch.setattr(solver, "quadratic_diagonal", counted)
-    got_theta, got = picard_solve(f, cfg, partition=partition32)
+    got_theta, got = picard_solve(f, cfg)
     assert want.verdict == got.verdict == "converged"
     assert got.iterations == want.iterations > 5
     assert len(evaluations) == got.iterations + 1
@@ -224,7 +223,7 @@ def test_picard_trace_is_bitwise_the_recomputing_loop(lattice32, partition32, mo
     assert np.array_equal(got_theta.coeffs, want_theta.coeffs)
 
 
-def test_iterate_hands_each_step_the_defects_term(lattice32, partition32):
+def test_iterate_hands_each_step_the_defects_term(lattice32):
     # every step, the first included, gets the term the loop evaluated for
     # the very iterate the step starts from, the one its defect reads
     cfg = SolveConfig(max_iter=4)
@@ -239,7 +238,7 @@ def test_iterate_hands_each_step_the_defects_term(lattice32, partition32):
         returned[id(theta)] = 0.5 * theta
         return returned[id(theta)]
 
-    _iterate(start, step, quad_term, lambda theta, quad: 0.0, cfg, partition32)
+    _iterate(start, step, quad_term, lambda theta, quad: 0.0, cfg)
     assert len(handed) == 4 and handed[0][0] is start
     for theta, quad in handed:
         assert quad is returned[id(theta)]
@@ -261,7 +260,7 @@ def first_iterates(f):
     return theta1, -1.0 * quadratic_diagonal(theta1)
 
 
-def three_product_loop(theta1, theta2, cfg, partition):
+def three_product_loop(theta1, theta2, cfg):
     """perturbation_solve's equation stepped with its three products,
     source + 2 B[base, t] + B[t, t], nothing handed from the defect."""
     base = theta1 + theta2
@@ -274,10 +273,10 @@ def three_product_loop(theta1, theta2, cfg, partition):
     def defect_norm(tilde, _quad):
         total = base + tilde
         defect = neg_laplacian(total) + neg_laplacian(quadratic_diagonal(total)) - f_equiv
-        return besov_norm(defect, cfg.data_index, partition)
+        return besov_norm(defect, cfg.data_index)
 
     return _iterate(SpectralField.zeros(theta1.lattice), step, lambda tilde: None, defect_norm,
-                    cfg, partition)
+                    cfg)
 
 
 def assert_filled_norms_close(got, want, rel):
@@ -291,19 +290,19 @@ def assert_filled_norms_close(got, want, rel):
             assert a == pytest.approx(b, rel=rel, abs=0.0)
 
 
-def test_perturbation_keeps_verdict_and_iterations(lattice32, partition32):
+def test_perturbation_keeps_verdict_and_iterations(lattice32):
     cfg = SolveConfig(tol=1e-12)
     theta1, theta2 = first_iterates(small_forcing(lattice32, 0.2))
-    want_tilde, want = three_product_loop(theta1, theta2, cfg, partition32)
-    got_tilde, got = perturbation_solve(theta1, theta2, cfg, partition=partition32)
+    want_tilde, want = three_product_loop(theta1, theta2, cfg)
+    got_tilde, got = perturbation_solve(theta1, theta2, cfg)
     assert want.verdict == got.verdict == "converged"
     assert got.iterations == want.iterations > 5
-    scale = besov_norm(want_tilde, cfg.index, partition32)
-    assert besov_norm(got_tilde - want_tilde, cfg.index, partition32) <= 1e-12 * scale
+    scale = besov_norm(want_tilde, cfg.index)
+    assert besov_norm(got_tilde - want_tilde, cfg.index) <= 1e-12 * scale
     assert_filled_norms_close(got, want, rel=1e-10)
 
 
-def test_perturbation_evaluates_one_form_per_iteration(lattice32, partition32, monkeypatch):
+def test_perturbation_evaluates_one_form_per_iteration(lattice32, monkeypatch):
     # the defect's B[base + tilde, base + tilde] is the step's quadratic
     # term, for every tilde from 0 on; a solve evaluates no form besides
     theta1, theta2 = first_iterates(small_forcing(lattice32, 0.2))
@@ -318,7 +317,7 @@ def test_perturbation_evaluates_one_form_per_iteration(lattice32, partition32, m
 
     for name, form in (("quadratic_diagonal", quadratic_diagonal), ("bilinear_block", bilinear_block)):
         monkeypatch.setattr(solver, name, counted(name, form))
-    _, trace = perturbation_solve(theta1, theta2, SolveConfig(tol=1e-12), partition=partition32)
+    _, trace = perturbation_solve(theta1, theta2, SolveConfig(tol=1e-12))
     assert trace.verdict == "converged"
     assert trace.iterations > 5
     assert counts == {"quadratic_diagonal": trace.iterations + 1, "bilinear_block": 0}
@@ -328,7 +327,7 @@ def same_bits(a, b):
     return np.array_equal(np.array([a]).view(np.int64), np.array([b]).view(np.int64))
 
 
-def lazy_and_eager(theta1, theta2, cfg, partition, monkeypatch):
+def lazy_and_eager(theta1, theta2, cfg, monkeypatch):
     """``perturbation_solve`` with its ``besov_norm`` calls counted, and the
     very closures it hands its loop run through the eager loop
     (``oracles.eager_iterate``)."""
@@ -345,7 +344,7 @@ def lazy_and_eager(theta1, theta2, cfg, partition, monkeypatch):
 
     monkeypatch.setattr(solver, "_iterate", recording)
     monkeypatch.setattr(solver, "besov_norm", counted)
-    got = perturbation_solve(theta1, theta2, cfg, partition=partition)
+    got = perturbation_solve(theta1, theta2, cfg)
     taken = len(calls)
     monkeypatch.undo()
     args, _ = loops[0]  # a loop that replays itself after a failed form calls again
@@ -366,7 +365,7 @@ def bump_iterates(lattice, size, carrier_exponent):
     ("large forcing", SolveConfig(), "diverged"),
 ], ids=lambda v: str(v).replace(" ", "-") if isinstance(v, str) else None)
 def test_perturbation_loop_ends_bitwise_as_the_eager_loop(
-    lattice128, partition128, monkeypatch, case, cfg, verdict
+    lattice128, monkeypatch, case, cfg, verdict
 ):
     # illpose-step1's bumps (carrier 2**(size - 2)) on a desk lattice, and a
     # forcing large enough that the iterate's norm overflows.  The route
@@ -379,7 +378,7 @@ def test_perturbation_loop_ends_bitwise_as_the_eager_loop(
         size = int(case.split()[1])
         theta1, theta2 = bump_iterates(lattice128, size, size - 2)
     (got_tilde, got), (want_tilde, want), calls = lazy_and_eager(
-        theta1, theta2, cfg, partition128, monkeypatch)
+        theta1, theta2, cfg, monkeypatch)
     assert got.verdict == want.verdict == verdict
     assert got.iterations == want.iterations
     assert np.array_equal(got_tilde.coeffs, want_tilde.coeffs)
@@ -394,7 +393,7 @@ def test_perturbation_loop_ends_bitwise_as_the_eager_loop(
 
 
 def test_a_form_that_overflows_in_the_loop_ends_it_as_diverged(
-    lattice32, partition32, monkeypatch
+    lattice32, monkeypatch
 ):
     # monitored at p = inf, a field 1e3 times a random one overflows inside
     # the quadratic form (which raises) while every norm is finite: both
@@ -402,12 +401,12 @@ def test_a_form_that_overflows_in_the_loop_ends_it_as_diverged(
     # route that skips norms ends as the eager loop, bit for bit
     cfg = SolveConfig(index=BesovIndex(-1.0, math.inf, 2.0))
     f = 1e3 * random_mean_zero_field(lattice32, np.random.default_rng(3))
-    theta, trace = picard_solve(f, cfg, partition=partition32)
+    theta, trace = picard_solve(f, cfg)
     assert trace.verdict == "diverged" and all(map(math.isfinite, trace.norms))
     with pytest.raises(FloatingPointError), np.errstate(over="ignore"):
         quadratic_diagonal(inverse_laplacian(f) - quadratic_diagonal(theta))
     (got_tilde, got), (want_tilde, want), _ = lazy_and_eager(
-        *first_iterates(f), cfg, partition32, monkeypatch)
+        *first_iterates(f), cfg, monkeypatch)
     assert got.verdict == want.verdict == "diverged"
     assert got.iterations == want.iterations > 1 and math.isnan(got.norms[0])
     assert np.array_equal(got_tilde.coeffs, want_tilde.coeffs)
@@ -417,7 +416,7 @@ def test_a_form_that_overflows_in_the_loop_ends_it_as_diverged(
 
 
 def test_a_perturbation_whose_first_form_overflows_ends_diverged_at_once(
-    lattice32, partition32, monkeypatch
+    lattice32, monkeypatch
 ):
     # theta1 and theta2 = B[theta1, theta1] are finite, but B[base, base]
     # overflows inside the form (which raises): the loop ends diverged on
@@ -427,7 +426,7 @@ def test_a_perturbation_whose_first_form_overflows_ends_diverged_at_once(
     with pytest.raises(FloatingPointError), np.errstate(over="ignore", invalid="ignore"):
         quadratic_diagonal(theta1 + theta2)
     (got_tilde, got), (want_tilde, want), calls = lazy_and_eager(
-        theta1, theta2, SolveConfig(), partition32, monkeypatch)
+        theta1, theta2, SolveConfig(), monkeypatch)
     assert got.verdict == want.verdict == "diverged"
     assert got.norms == got.residuals == got.pde_residuals == [] and want.iterations == 0
     assert not got_tilde.coeffs.any() and not want_tilde.coeffs.any()
@@ -435,14 +434,14 @@ def test_a_perturbation_whose_first_form_overflows_ends_diverged_at_once(
 
 
 def test_perturbation_takes_exact_norms_only_near_its_exit(
-    lattice128, partition128, monkeypatch
+    lattice128, monkeypatch
 ):
     # step1's size-4 bump: 12 iterations and 5 norms, where the eager loop
     # takes 36: the iterate's and the update's in the last two iterations,
     # and the defect at the exit
     theta1, theta2 = bump_iterates(lattice128, 4, 2)
     (_, got), (_, want), calls = lazy_and_eager(
-        theta1, theta2, SolveConfig(), partition128, monkeypatch)
+        theta1, theta2, SolveConfig(), monkeypatch)
     assert got.iterations == want.iterations == 12
     assert calls == 5
     taken = [n for n, v in enumerate(got.norms) if not math.isnan(v)]
@@ -450,7 +449,7 @@ def test_perturbation_takes_exact_norms_only_near_its_exit(
     assert [math.isnan(v) for v in got.pde_residuals] == [True] * 11 + [False]
 
 
-def test_carried_step_keeps_the_three_product_loop(lattice128, partition128):
+def test_carried_step_keeps_the_three_product_loop(lattice128):
     # the step subtracts theta2 from B[base + tilde, base + tilde], which
     # cancels; at the largest carrier this lattice admits (2**3, Nyquist 16)
     # the loss measured 4.8e-14 in the Besov norm of tilde and 2.1e-13 in
@@ -458,19 +457,19 @@ def test_carried_step_keeps_the_three_product_loop(lattice128, partition128):
     cfg = SolveConfig()
     spec = ForceSpec(variant="bump", delta=0.01, size=5, carrier_exponent=3)
     theta1, theta2 = first_iterates(modulated_bump_force(lattice128, spec))
-    want_tilde, want = three_product_loop(theta1, theta2, cfg, partition128)
-    got_tilde, got = perturbation_solve(theta1, theta2, cfg, partition=partition128)
+    want_tilde, want = three_product_loop(theta1, theta2, cfg)
+    got_tilde, got = perturbation_solve(theta1, theta2, cfg)
     assert want.verdict == got.verdict == "converged"
     assert got.iterations == want.iterations > 5
-    scale = besov_norm(want_tilde, cfg.index, partition128)
-    assert besov_norm(got_tilde - want_tilde, cfg.index, partition128) <= 1e-12 * scale
+    scale = besov_norm(want_tilde, cfg.index)
+    assert besov_norm(got_tilde - want_tilde, cfg.index) <= 1e-12 * scale
     peak = np.max(np.abs(want_tilde.coeffs))
     assert np.max(np.abs(got_tilde.coeffs - want_tilde.coeffs)) <= 2e-12 * peak
     assert_filled_norms_close(got, want, rel=1e-13)
 
 
 def test_perturbation_iteration_row_passes_cover_four_plus_two_grids(
-    lattice32, partition32, monkeypatch
+    lattice32, monkeypatch
 ):
     # one quadratic form per iteration, on a grid of 3m/2 rows whose length
     # follows the band of its product (bilinear._flux_band).  Its row passes
@@ -526,8 +525,7 @@ def test_perturbation_iteration_row_passes_cover_four_plus_two_grids(
             points["c2r"].clear()
             points["r2c"].clear()
             _, trace = perturbation_solve(theta1, theta2,
-                                          SolveConfig(tol=1e-14, max_iter=max_iter),
-                                          partition=partition32)
+                                          SolveConfig(tol=1e-14, max_iter=max_iter))
             assert trace.iterations == max_iter
             per_run.append({name: dict(counts) for name, counts in points.items()})
         first, second = per_run
@@ -554,19 +552,19 @@ def test_estimate_constants_sample_floor(lattice32):
         estimate_constants(lattice32, samples=16)
 
 
-def test_estimate_constants_deterministic(lattice32, partition32):
-    a = estimate_constants(lattice32, samples=50, seed=7, partition=partition32)
-    b = estimate_constants(lattice32, samples=50, seed=7, partition=partition32)
+def test_estimate_constants_deterministic(lattice32):
+    a = estimate_constants(lattice32, samples=50, seed=7)
+    b = estimate_constants(lattice32, samples=50, seed=7)
     assert (a.c0, a.c1) == (b.c0, b.c1)
     assert a.c0 > 0 and a.c1 > 0
     assert a.delta0 == 1.0 / (8.0 * a.c0 * a.c1)
     assert a.epsilon0 == 1.0 / (4.0 * a.c1)
-    c = estimate_constants(lattice32, samples=50, seed=8, partition=partition32)
+    c = estimate_constants(lattice32, samples=50, seed=8)
     assert (a.c0, a.c1) != (c.c0, c.c1)
 
 
-def test_estimate_constants_monotone_in_samples(lattice32, partition32):
+def test_estimate_constants_monotone_in_samples(lattice32):
     # the estimate is a running max, so more samples can only increase it
-    a = estimate_constants(lattice32, samples=50, seed=7, partition=partition32)
-    b = estimate_constants(lattice32, samples=100, seed=7, partition=partition32)
+    a = estimate_constants(lattice32, samples=50, seed=7)
+    b = estimate_constants(lattice32, samples=100, seed=7)
     assert b.c0 >= a.c0 and b.c1 >= a.c1

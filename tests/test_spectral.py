@@ -242,11 +242,11 @@ def test_velocity_of_cosine():
 # -- dyadic rescaling --------------------------------------------------------
 
 
-def test_rescale_roundtrip_is_identity(lattice128, partition128):
+def test_rescale_roundtrip_is_identity(lattice128):
     from sqglab.sampling import single_shell_field
 
     rng = np.random.default_rng(7)
-    f = single_shell_field(lattice128, partition128, 1, rng)
+    f = single_shell_field(lattice128, 1, rng)
     back = dyadic_rescale(dyadic_rescale(f, 2), -2)
     assert np.max(np.abs(padded(back) - padded(f))) == 0.0
 

@@ -18,7 +18,7 @@ import pytest
 import oracles
 from oracles import padded, padded_transport
 from sqglab import bilinear
-from sqglab.besov import build_partition, shell_project
+from sqglab.besov import shell_project
 from sqglab.bilinear import bilinear_block, quadratic_diagonal
 from sqglab.forcing import ExponentMap, ForceSpec, lacunary_force, modulated_bump_force
 from sqglab.sampling import random_mean_zero_field
@@ -121,11 +121,11 @@ def test_dyadic_rescale(fields):
 
 def test_shell_projections(fields):
     lattice, fs = fields
-    partition = build_partition(lattice)
+    partition = lattice.partition
     for f in fs.values():
         for j in partition.shells:
             want = padded(f) * partition.ring_values(j)
-            assert_full_route(shell_project(f, partition, j), want)
+            assert_full_route(shell_project(f, j), want)
 
 
 @pytest.mark.parametrize("form", ["diagonal", "block"])
