@@ -20,7 +20,6 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -47,8 +46,7 @@ __all__ = [
     "lq_aggregate",
     "besov_profile",
     "besov_norm",
-    "ProbeFunction",
-    "build_probe",
+    "probe_box",
 ]
 
 DIAGONAL = (1.0 / math.sqrt(2.0), 1.0 / math.sqrt(2.0))
@@ -86,9 +84,10 @@ class DyadicPartition:
     """Lattice realization of the dyadic ring system.
 
     The window ``j_min .. j_max`` spans every ring whose (open) support
-    interval meets a non-zero lattice radius, so the telescoped ring sum
-    equals 1 at every non-zero mode.  A lattice's rings are read through
-    :attr:`FrequencyLattice.partition`, which builds its one partition.
+    interval meets a non-zero lattice radius, and a window whose telescoped
+    ring sum is not 1 at every non-zero mode is refused here, judged by
+    :meth:`_covers_lattice`.  A lattice's rings are read through
+    :attr:`FrequencyLattice.partition`, the one place that builds them.
     """
 
     def __init__(self, lattice: FrequencyLattice) -> None:
@@ -106,6 +105,11 @@ class DyadicPartition:
         self.j_min = j_min
         self.j_max = j_max
         self._quadrants: dict[int, np.ndarray] = {}
+        if not self._covers_lattice():
+            raise ValueError(
+                f"the shell window [{j_min}, {j_max}] does not "
+                f"cover every non-zero mode of {lattice!r}"
+            )
 
     @property
     def lattice(self) -> FrequencyLattice:
@@ -229,18 +233,6 @@ class DyadicPartition:
             f"DyadicPartition(lattice={self._lattice()!r}, "
             f"j_min={self.j_min}, j_max={self.j_max})"
         )
-
-
-def build_partition(lattice: FrequencyLattice) -> DyadicPartition:
-    """The ring system on a lattice, checked to cover every non-zero mode:
-    what :attr:`FrequencyLattice.partition` builds on its first read."""
-    partition = DyadicPartition(lattice)
-    if not partition._covers_lattice():
-        raise ValueError(
-            f"the shell window [{partition.j_min}, {partition.j_max}] does not "
-            f"cover every non-zero mode of {lattice!r}"
-        )
-    return partition
 
 
 def shell_project(field: SpectralField, j: int) -> SpectralField:
@@ -660,62 +652,36 @@ def _norm_bounds(field: SpectralField, index: BesovIndex) -> tuple[float, float]
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ProbeFunction:
-    """Small bump at ``2**j * DIAGONAL`` that the ring ``phi_j`` reproduces.
+def probe_box(
+    lattice: FrequencyLattice, j: int, gap: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Small bump at ``2**j * DIAGONAL`` that the ring ``phi_j`` reproduces,
+    as the rows, columns and values of its ball box
+    (:func:`~sqglab.spectral._ball_box`); it is zero at every other mode.
 
-    ``gap`` controls the radius ``~2**(j-gap)``; at least 3 keeps the support
-    inside the plateau of shell ``j``, which is what makes the probe satisfy
-    ``psi_j = phi_j * psi_j`` identically.
+    Its symbol is the step profile at the offset ``rho = |xi - centre|``
+    rescaled, ``step(rho * 2**(gap + 1 - j))``, which vanishes from the
+    radius ``t1 * 2**(j - gap - 1)`` on.  A ``gap`` of at least 3 keeps the
+    support inside the plateau of shell ``j``, which is what makes the probe
+    satisfy ``psi_j = phi_j * psi_j`` identically.  The radius is below the
+    centre's coordinates, so the rows and columns are consecutive modes
+    k > 0, as :func:`box_lp_norm` reads them.
+
+    An empty support means the bump misses every lattice point, and is
+    refused: a finer ``h_xi`` or a smaller gap (not below 3) fixes that.
     """
-
-    lattice: FrequencyLattice
-    j: int
-    gap: int = 3
-
-    def __post_init__(self) -> None:
-        if self.gap < 3:
-            raise ValueError(
-                f"probe gap {self.gap} < 3 cannot keep the bump inside the "
-                "ring plateau"
-            )
-
-    @property
-    def center(self) -> tuple[float, float]:
-        scale = 2.0**self.j
-        return (scale * DIAGONAL[0], scale * DIAGONAL[1])
-
-    @property
-    def radius(self) -> float:
-        """Radius outside of which the symbol vanishes."""
-        return _STEP.t1 * 2.0 ** (self.j - self.gap - 1)
-
-    def symbol(self, rho: np.ndarray) -> np.ndarray:
-        """Closed-form symbol: the step profile at the offset ``rho = |xi - center|``, rescaled."""
-        return _STEP(rho * 2.0 ** (self.gap + 1 - self.j))
-
-    @cached_property
-    def box(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows, columns and :meth:`symbol` values of the probe's ball box
-        (:func:`~sqglab.spectral._ball_box`), zero at every other mode.  The
-        radius is below the centre's coordinates, so the rows and columns
-        are consecutive modes k > 0, as :func:`box_lp_norm` reads them."""
-        rows, cols, rho = _ball_box(self.lattice, self.center, self.radius)
-        return rows, cols, self.symbol(rho)
-
-
-def build_probe(lattice: FrequencyLattice, j: int, gap: int = 3) -> ProbeFunction:
-    """Build a probe, rejecting shells the lattice cannot see.
-
-    An empty support means the bump of radius ``~2**(j-gap)`` around
-    ``2**j * DIAGONAL`` misses every lattice point; a finer ``h_xi`` or a
-    smaller gap (not below 3) fixes that.
-    """
-    probe = ProbeFunction(lattice, j, gap=gap)
-    if not probe.box[2].any():
+    if gap < 3:
+        raise ValueError(
+            f"probe gap {gap} < 3 cannot keep the bump inside the ring plateau"
+        )
+    centre = (2.0**j * DIAGONAL[0], 2.0**j * DIAGONAL[1])
+    radius = _STEP.t1 * 2.0 ** (j - gap - 1)
+    rows, cols, rho = _ball_box(lattice, centre, radius)
+    values = _STEP(rho * 2.0 ** (gap + 1 - j))
+    if not values.any():
         raise ValueError(
             f"probe at shell {j} (gap {gap}) has empty support on {lattice!r}: "
-            f"no lattice point within {probe.radius:.3e} of {probe.center}; "
+            f"no lattice point within {radius:.3e} of {centre}; "
             "use a finer h_xi or a smaller gap"
         )
-    return probe
+    return rows, cols, values

@@ -71,6 +71,7 @@ from .spectral import (
     _SLAB_ROWS,
     FrequencyLattice,
     SpectralField,
+    _aligned_mirror,
     _centred_coordinates,
     _column_analysis,
     _column_synthesis,
@@ -145,26 +146,16 @@ def coupling_tensor(
 
     eta1, eta2, r_eta = _centred_coordinates(lat)
 
-    # 3m-wide zero frame so the xi - eta lookup is a reversed slice
-    big_a = np.zeros((3 * m, 3 * m), dtype=np.complex128)
-    big_a[m : 2 * m, m : 2 * m] = a
-    big_r = np.zeros((3 * m, 3 * m))
-    big_r[m : 2 * m, m : 2 * m] = r_eta
-
     out = np.zeros((2, 2, m, m), dtype=np.complex128)
     # centered index 0 is the unpaired k = -m/2 edge, excluded from the output
     for i1 in range(1, m):
         xi1 = eta1[i1, 0]
-        s1 = i1 + h + 1
         for i2 in range(1, m):
             xi2 = eta2[0, i2]
-            s2 = i2 + h + 1
-            a_slice = big_a[s1 : s1 + m, s2 : s2 + m][::-1, ::-1]
-            r_slice = big_r[s1 : s1 + m, s2 : s2 + m][::-1, ::-1]
-            sigma = r_eta + r_slice
+            sigma = r_eta + _aligned_mirror(r_eta, i1 - h, i2 - h)
             inv = np.where(sigma > 0.0, 0.5, 0.0) / np.where(sigma > 0.0, sigma, 1.0)
             sym = np.stack(((xi1 - 2.0 * eta1) * inv, (xi2 - 2.0 * eta2) * inv))
-            prod = a_slice * v
+            prod = _aligned_mirror(a, i1 - h, i2 - h) * v
             out[:, :, i1, i2] = np.einsum("kij,lij->kl", sym, prod)
 
     return np.fft.ifftshift(out, axes=(-2, -1))

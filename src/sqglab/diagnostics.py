@@ -16,9 +16,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .besov import box_lp_norm, build_probe, shell_profile
+from .besov import box_lp_norm, probe_box, shell_profile
 from .forcing import ForceSpec
-from .spectral import SpectralField, _centred_coordinates, _unfold
+from .spectral import SpectralField, _aligned_mirror, _centred_coordinates, _unfold
 
 __all__ = [
     "SplitSample",
@@ -49,22 +49,6 @@ class SplitSample:
     @property
     def total(self) -> complex:
         return self.main + self.cross + self.perp
-
-
-def _aligned_mirror(arr: np.ndarray, a: int, b: int) -> np.ndarray:
-    """arr sampled at xi - eta, as an array over centered eta indices.
-
-    Reverse both axes and shift by (a + 1, b + 1) with zero fill; entries
-    whose xi - eta falls outside the box are zero, matching the plane
-    truncation of the quadrature bilinear form.
-    """
-    m = arr.shape[-1]
-    rev = arr[::-1, ::-1]
-    out = np.zeros_like(arr)
-    lo1, hi1 = max(0, a + 1), min(m, m + a + 1)
-    lo2, hi2 = max(0, b + 1), min(m, m + b + 1)
-    out[lo1:hi1, lo2:hi2] = rev[lo1 - (a + 1) : hi1 - (a + 1), lo2 - (b + 1) : hi2 - (b + 1)]
-    return out
 
 
 def second_iterate_split(
@@ -151,11 +135,15 @@ def low_frequency_floor(theta2: SpectralField) -> float:
     return max((value for _, value in profile), default=0.0)
 
 
-def inflation_profile(theta2: SpectralField, spec: ForceSpec) -> list[tuple[int, int, float]]:
-    """Probe theta2 at every block shell: one ``(n, shell, value)`` entry per block.
+def inflation_profile(
+    theta2: SpectralField, spec: ForceSpec, gap: int
+) -> list[tuple[int, int, float]]:
+    """Probe theta2 at every block shell of ``spec``: one ``(n, shell,
+    value)`` entry per block.
 
     Entry for block n at shell j is 2**(-j/2) times the L4 norm of the
-    probe projection of theta2; a shell whose probe has empty lattice
+    projection of theta2 on the probe of shell j and gap ``gap``
+    (:func:`~sqglab.besov.probe_box`); a shell whose probe has empty lattice
     support raises (the probe ball shrinks like 2**(j - gap), so shells
     too close to the lattice floor cannot be probed).  The projection lives
     on the probe's box and is normed there (:func:`~sqglab.besov.box_lp_norm`);
@@ -164,7 +152,7 @@ def inflation_profile(theta2: SpectralField, spec: ForceSpec) -> list[tuple[int,
     lat = theta2.lattice
     entries = []
     for n, shell in zip(spec.block_indices(), spec.block_shells()):
-        rows, cols, values = build_probe(lat, shell, gap=spec.probe_gap).box
+        rows, cols, values = probe_box(lat, shell, gap)
         stored = cols < theta2.coeffs.shape[1]
         piece = np.zeros(values.shape, dtype=np.complex128)
         piece[:, stored] = theta2.coeffs[np.ix_(rows, cols[stored])] * values[:, stored]

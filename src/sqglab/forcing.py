@@ -98,7 +98,9 @@ class ForceSpec:
     ``equal_shell`` set, every block of the blocks variant uses that one
     partition shell (equal shapes; translations still follow the exponent
     map), the degenerate family whose L4 mass is exactly additive once the
-    translations separate.
+    translations separate.  The probes that read a blocks forcing's second
+    iterate are no part of it: their gap is an argument of
+    :func:`~sqglab.diagnostics.inflation_profile`.
     """
 
     variant: str
@@ -109,7 +111,6 @@ class ForceSpec:
     block_range: tuple[int, int] | None = None
     stride: float | None = None
     equal_shell: int | None = None
-    probe_gap: int = 3
 
     def __post_init__(self) -> None:
         if self.variant not in _VARIANTS:

@@ -37,10 +37,10 @@ import numpy as np
 
 from .besov import (
     BesovIndex,
-    build_probe,
     besov_norm,
     besov_profile,
     lq_aggregate,
+    probe_box,
     shell_project,
 )
 from .bilinear import (
@@ -697,7 +697,7 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
     for count in counts:
         spec = ForceSpec(variant="blocks", delta=delta, size=count,
                          block_range=(1, count), exponents=l4_map,
-                         equal_shell=equal_shell, probe_gap=gap)
+                         equal_shell=equal_shell)
         try:
             stride = calibrate_stride(l4_lattice, spec)
         except ValueError:
@@ -726,12 +726,12 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
         exps = [infl_map(k) for k in range(1, count + 1)]
         spec = min_specs[count] = ForceSpec(
             variant="blocks", delta=delta, size=count, block_range=(1, count),
-            exponents=infl_map, carrier_exponent=max(exps) + 2, probe_gap=gap,
+            exponents=infl_map, carrier_exponent=max(exps) + 2,
             stride=lattice.box_length / (2 * count))
         try:
             spec.validate(lattice)
             for shell in spec.block_shells():
-                build_probe(lattice, shell, gap=gap)
+                probe_box(lattice, shell, gap)
         except ValueError as err:
             failures[count] = str(err)
             partial = True
@@ -755,7 +755,7 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
         theta2 = _second_iterate(theta1, delta)
         del theta1
         with np.errstate(over="ignore", invalid="ignore"):  # refused, not warned
-            values = [value for _, _, value in inflation_profile(theta2, spec)]
+            values = [value for _, _, value in inflation_profile(theta2, spec, gap)]
         del theta2
         l1 = _in_float_range(lq_aggregate(values, 1.0), delta)
         l2 = _in_float_range(lq_aggregate(values, 2.0), delta)

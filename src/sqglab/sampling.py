@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .besov import BesovIndex, besov_norm
+from .besov import BesovIndex, besov_norm, shell_project
 from .spectral import FrequencyLattice, SpectralField, _radial_multiply, strip_unpaired_edge
 
 __all__ = [
@@ -103,13 +103,11 @@ def single_shell_field(
     """Random real field spectrally supported in the lattice's ring of
     shell ``j`` (the ring is not 0/1, so it multiplies the field, not the
     draws), stored in the columns the ring reaches."""
-    partition = lattice.partition
-    quadrant = partition.ring_quadrant(j)
+    quadrant = lattice.partition.ring_quadrant(j)
     if not quadrant.any():
         raise ValueError(f"shell {j} has no lattice support on {lattice!r}")
     width = min(quadrant.shape[1], lattice.m // 2)
-    base = _weighted_field(lattice, rng, width=width)
-    return SpectralField._adopt(lattice, base.coeffs * partition.ring_values(j)[:, :width])
+    return shell_project(_weighted_field(lattice, rng, width=width), j)
 
 
 def unit_normalize(field: SpectralField, index: BesovIndex) -> SpectralField:

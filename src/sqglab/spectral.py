@@ -197,9 +197,9 @@ class FrequencyLattice:
         refers back to the lattice weakly, so the two are freed together
         when the lattice's last reference goes, with no cycle to collect.
         """
-        from .besov import build_partition  # besov builds on this module
+        from .besov import DyadicPartition  # besov builds on this module
 
-        return build_partition(self)
+        return DyadicPartition(self)
 
     def __repr__(self) -> str:  # keep reports compact
         return f"FrequencyLattice(m={self.m}, h_xi={self.h_xi})"
@@ -219,6 +219,24 @@ def _centred_coordinates(
     eta1 = np.broadcast_to(wave[:, None], (m, m))
     eta2 = np.broadcast_to(wave[None, :], (m, m))
     return eta1, eta2, np.hypot(eta1, eta2)
+
+
+def _aligned_mirror(arr: np.ndarray, a: int, b: int) -> np.ndarray:
+    """``arr`` in centred order sampled at ``xi - eta``, as an array over the
+    centred eta indices, for ``xi`` at wavenumbers ``(a, b)``: the (xi - eta)
+    lookup of the two whole-lattice quadratures.
+
+    Reverse both axes and shift by (a + 1, b + 1) with zero fill; entries
+    whose xi - eta falls outside the box are zero, matching the plane
+    truncation of the quadrature bilinear form.
+    """
+    m = arr.shape[-1]
+    rev = arr[::-1, ::-1]
+    out = np.zeros_like(arr)
+    lo1, hi1 = max(0, a + 1), min(m, m + a + 1)
+    lo2, hi2 = max(0, b + 1), min(m, m + b + 1)
+    out[lo1:hi1, lo2:hi2] = rev[lo1 - (a + 1) : hi1 - (a + 1), lo2 - (b + 1) : hi2 - (b + 1)]
+    return out
 
 
 def _ball_box(

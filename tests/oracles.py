@@ -9,7 +9,6 @@ import scipy.fft
 
 from sqglab import spectral
 from sqglab.besov import _STEP, _shell_grid, _shell_weight, besov_norm, lp_norm
-from sqglab.profiles import SmoothStep
 from sqglab.sampling import random_mean_zero_field
 from sqglab.solver import _TINY, IterationTrace, _finite
 from sqglab.spectral import (
@@ -117,24 +116,55 @@ def smooth_step(step, r):
         return np.where(t >= 1.0, 1.0, np.where(t <= 0.0, 0.0, a / (a + b)))
 
 
-def probe_symbol_from_rings(probe, xi1, xi2):
-    """Definitional probe symbol: 1 minus the ring sum from shell j - gap up.
+class _Step(NamedTuple):
+    """The transition interval of a smooth step, all that :func:`smooth_step`
+    reads of one."""
+
+    t0: float
+    t1: float
+
+
+# The ring and probe profile, written down here rather than read from the package.
+_PROBE_STEP = _Step(1.25, 1.75)
+
+
+def _probe_centre(j):
+    """``2**j * (1/sqrt(2), 1/sqrt(2))``, the diagonal point of shell ``j``."""
+    return 2.0**j * (1.0 / math.sqrt(2.0))
+
+
+def probe_symbol_from_rings(j, gap, xi1, xi2):
+    """Definitional symbol of the probe of shell ``j`` and gap ``gap`` at the
+    points ``(xi1, xi2)``: 1 minus the ring sum from shell j - gap up, in the
+    offset ``|xi - centre|`` from the diagonal point of shell j.
 
     The tail is summed until the rings vanish on the given points, so this
     is the literal construction rather than the closed form
-    :meth:`~sqglab.besov.ProbeFunction.symbol` evaluates.
+    :func:`probe_symbol_closed_form` evaluates.
     """
-    step = SmoothStep(1.25, 1.75)
-    cx, cy = probe.center
-    rho = np.hypot(xi1 - cx, xi2 - cy)
+    centre = _probe_centre(j)
+    rho = np.hypot(xi1 - centre, xi2 - centre)
     r_top = float(np.max(rho))
-    k_top = probe.j - probe.gap
-    while step.t0 / 2.0 * 2.0**k_top < r_top:
+    k_top = j - gap
+    while _PROBE_STEP.t0 / 2.0 * 2.0**k_top < r_top:
         k_top += 1
     total = np.zeros_like(rho)
-    for k in range(probe.j - probe.gap, k_top + 1):
-        total = total + (step(rho * 2.0 ** (-k)) - step(rho * 2.0 ** (1 - k)))
+    for k in range(j - gap, k_top + 1):
+        total = total + (smooth_step(_PROBE_STEP, rho * 2.0 ** (-k))
+                         - smooth_step(_PROBE_STEP, rho * 2.0 ** (1 - k)))
     return 1.0 - total
+
+
+def probe_symbol_closed_form(m, h_xi, j, gap):
+    """Closed-form symbol of the probe of shell ``j`` and gap ``gap`` on the
+    whole ``m x m`` lattice of spacing ``h_xi``, in FFT order: the step at
+    ``|xi - centre| * 2**(gap + 1 - j)``, with the coordinates built from
+    ``np.fft.fftfreq`` and no part of the package called."""
+    k = np.fft.fftfreq(m, 1.0 / m)
+    xi = h_xi * k
+    centre = _probe_centre(j)
+    rho = np.hypot(xi[:, None] - centre, xi[None, :] - centre)
+    return smooth_step(_PROBE_STEP, rho * 2.0 ** (gap + 1 - j))
 
 
 def ring_box(c, quadrant, grid, width=None):

@@ -15,6 +15,7 @@ from oracles import (
     padded,
     physical,
     physical_real,
+    probe_symbol_closed_form,
     probe_symbol_from_rings,
     ring_box,
     smooth_step,
@@ -30,9 +31,9 @@ from sqglab.besov import (
     _quadrature_fits,
     _shell_grid,
     besov_norm,
-    build_probe,
     lp_norm,
     lq_aggregate,
+    probe_box,
     shell_profile,
     shell_project,
 )
@@ -451,6 +452,10 @@ def test_auto_window_is_judged_without_the_telescoped_sum(monkeypatch):
     monkeypatch.setattr(DyadicPartition, "_covers_lattice", lambda self: False)
     with pytest.raises(ValueError, match="does not cover every non-zero mode"):
         FrequencyLattice(m=32, h_xi=0.25).partition
+    # the class checks its own window, so no partition is built around the check
+    with pytest.raises(ValueError, match=r"the shell window \[-2, 3\] does not cover "
+                       r"every non-zero mode of FrequencyLattice\(m=32, h_xi=0.25\)"):
+        DyadicPartition(FrequencyLattice(m=32, h_xi=0.25))
 
 
 def test_partition_of_unity(lattice128):
@@ -571,31 +576,38 @@ def test_shell_profile_reports_zero_shells(lattice128):
 
 
 def test_probe_reproducing_property(lattice128):
-    rows, cols, vals = build_probe(lattice128, 2).box
+    rows, cols, vals = probe_box(lattice128, 2, 3)
     ring = lattice128.partition.ring_values(2)[np.ix_(rows, cols)]
     # psi_j = phi_j * psi_j: the ring equals 1 on the probe's support
     sel = vals > 0
     assert np.max(np.abs(ring[sel] - 1.0)) <= 1e-12
 
 
-def test_probe_closed_form_matches_ring_construction(lattice128):
-    probe = build_probe(lattice128, 1)
-    cx, cy = probe.center
-    xi1, xi2, *_ = coordinates(lattice128)
-    a = probe.symbol(np.hypot(xi1 - cx, xi2 - cy))
-    b = probe_symbol_from_rings(probe, xi1, xi2)
-    assert np.max(np.abs(a - b)) <= 1e-12
+@pytest.mark.parametrize("j, gap", [(1, 3), (2, 3), (3, 4)])
+def test_probe_box_matches_both_definitions(lattice128, j, gap):
+    # the shipped box, laid on the whole lattice, is the closed form there
+    # (zero off the box) and the literal ring construction to rounding
+    rows, cols, vals = probe_box(lattice128, j, gap)
+    on_lattice = np.zeros((lattice128.m, lattice128.m))
+    on_lattice[np.ix_(rows, cols)] = vals
+    closed = probe_symbol_closed_form(lattice128.m, lattice128.h_xi, j, gap)
+    assert closed.any()
+    assert np.array_equal(on_lattice, closed)
+    xi = lattice128.h_xi * np.fft.fftfreq(lattice128.m, 1.0 / lattice128.m)
+    rings = probe_symbol_from_rings(j, gap, xi[:, None], xi[None, :])
+    assert np.max(np.abs(on_lattice - rings)) <= 1e-12
 
 
 def test_probe_rejects_empty_support():
     coarse = FrequencyLattice(m=32, h_xi=1.0)
+    assert not probe_symbol_closed_form(32, 1.0, -3, 3).any()
     with pytest.raises(ValueError, match="empty support"):
-        build_probe(coarse, -3)
+        probe_box(coarse, -3, 3)
 
 
 def test_probe_rejects_small_gap(lattice128):
-    with pytest.raises(ValueError, match="gap"):
-        build_probe(lattice128, 2, gap=2)
+    with pytest.raises(ValueError, match="probe gap 2 < 3"):
+        probe_box(lattice128, 2, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from oracles import coordinates, full, padded, physical
+from oracles import (
+    coordinates,
+    full,
+    padded,
+    physical,
+    probe_symbol_closed_form,
+    probe_symbol_from_rings,
+)
 from sqglab import besov
-from sqglab.besov import ProbeFunction, build_probe, lp_norm, lq_aggregate
+from sqglab.besov import lp_norm, lq_aggregate, probe_box
 from sqglab.bilinear import quadratic_diagonal
 from sqglab.diagnostics import (
     inflation_profile,
@@ -142,15 +149,12 @@ def blocks_setup():
 
 def test_inflation_profile_entries_and_aggregates():
     lat, spec, theta2 = blocks_setup()
-    entries = inflation_profile(theta2, spec)
+    entries = inflation_profile(theta2, spec, 3)
     assert [(n, shell) for n, shell, _ in entries] == [(1, 0), (2, 2)]
     values = [v for _, _, v in entries]
     assert all(v > 0 for v in values)
     # recompute one entry by hand: probe projection, weighted L4 norm
-    probe = build_probe(lat, 0, gap=spec.probe_gap)
-    cx, cy = probe.center
-    xi1, xi2, *_ = coordinates(lat)
-    symbol = probe.symbol(np.hypot(xi1 - cx, xi2 - cy))
+    symbol = probe_symbol_closed_form(lat.m, lat.h_xi, 0, 3)
     # the probe projection is a complex field: synthesized from its full array
     piece = np.fft.ifft2(full(theta2) * symbol, norm="forward")
     want = lp_norm(np.abs(piece), 4.0, lat.dx ** 2)
@@ -179,25 +183,25 @@ def test_probe_boxes_match_the_full_lattice(desk_step3, gap, feasible):
     # the shells -2, 0, 2 and 4 of block counts 2 and 4; a shell is
     # feasible exactly when the closed form touches a lattice mode
     lat, spec, theta2 = desk_step3
+    xi = lat.h_xi * np.fft.fftfreq(lat.m, 1.0 / lat.m)
     seen = []
     for n in range(1, 5):
         shell = spec.exponents(n)
-        probe = ProbeFunction(lat, shell, gap=gap)
-        cx, cy = probe.center
-        xi1, xi2, *_ = coordinates(lat)
-        closed = probe.symbol(np.hypot(xi1 - cx, xi2 - cy))
+        closed = probe_symbol_closed_form(lat.m, lat.h_xi, shell, gap)
         if not closed.any():
             with pytest.raises(ValueError, match="empty support"):
-                build_probe(lat, shell, gap=gap)
+                probe_box(lat, shell, gap)
             continue
         seen.append(shell)
-        rows, cols, values = build_probe(lat, shell, gap=gap).box
+        rows, cols, values = probe_box(lat, shell, gap)
         assert np.count_nonzero(values) == np.count_nonzero(closed)
         on_box = np.zeros_like(closed)
         on_box[np.ix_(rows, cols)] = values
         assert np.array_equal(on_box, closed)
-        single = replace(spec, block_range=(n, n), probe_gap=gap)
-        [(_, _, got)] = inflation_profile(theta2, single)
+        rings = probe_symbol_from_rings(shell, gap, xi[:, None], xi[None, :])
+        assert np.max(np.abs(on_box - rings)) <= 1e-12
+        single = replace(spec, block_range=(n, n))
+        [(_, _, got)] = inflation_profile(theta2, single, gap)
         piece = np.fft.ifft2(full(theta2) * closed, norm="forward")
         want = 2.0 ** (-0.5 * shell) * lp_norm(np.abs(piece), 4.0, lat.dx ** 2)
         assert want > 0.0
@@ -217,12 +221,12 @@ def test_probes_run_no_lattice_sized_transform(desk_step3, transform_sizes, monk
 
     step.t0, step.t1 = profile.t0, profile.t1
     monkeypatch.setattr(besov, "_STEP", step)
-    probes = [build_probe(lat, shell, gap=spec.probe_gap) for shell in spec.block_shells()]
-    boxes = sum(len(p.box[0]) * len(p.box[1]) for p in probes)
+    probes = [probe_box(lat, shell, 3) for shell in spec.block_shells()]
+    boxes = sum(len(rows) * len(cols) for rows, cols, _ in probes)
     assert transform_sizes == []
     assert sum(points) <= boxes < 1e-2 * lat.m**2
     points.clear()
-    inflation_profile(theta2, spec)
+    inflation_profile(theta2, spec, 3)
     # one complex transform per probe, on a grid below the lattice's
     assert len(transform_sizes) == len(probes)
     assert max(transform_sizes) < lat.m

@@ -165,6 +165,12 @@ def test_every_random_field_is_drawn_in_one_place():
     assert set(_call_sites("standard_normal")) == {("sampling.py", "_weighted_field")}
 
 
+def test_every_partition_is_built_by_its_lattice():
+    # one builder of the ring system: the lattice's cached property, so
+    # every route reads the one partition of its lattice
+    assert set(_call_sites("DyadicPartition")) == {("spectral.py", "partition")}
+
+
 def test_every_occupied_box_is_read_by_the_field():
     # a field's box is read once, by SpectralField.occupied, and every pass
     # sized by it reads the property: a pass that scanned the array itself
