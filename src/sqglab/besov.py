@@ -18,7 +18,6 @@ and every shell is synthesized from that half.
 from __future__ import annotations
 
 import math
-import weakref
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -88,6 +87,10 @@ class DyadicPartition:
     ring sum is not 1 at every non-zero mode is refused here, judged by
     :meth:`_covers_lattice`.  A lattice's rings are read through
     :attr:`FrequencyLattice.partition`, the one place that builds them.
+
+    It keeps its lattice's ``m``, ``h_xi`` and radius quadrant (the same
+    array), not the lattice, so nothing refers back: both are freed with
+    the lattice's last reference, and a partition outlives its lattice.
     """
 
     def __init__(self, lattice: FrequencyLattice) -> None:
@@ -101,7 +104,8 @@ class DyadicPartition:
         j_max = math.floor(math.log2(2.0 * r_hi / t0))
         while t0 / 2.0 * 2.0**j_max >= r_hi:
             j_max -= 1
-        self._lattice = weakref.ref(lattice)
+        self.m, self.h_xi = lattice.m, lattice.h_xi
+        self.radius_quadrant = lattice.radius_quadrant
         self.j_min = j_min
         self.j_max = j_max
         self._quadrants: dict[int, np.ndarray] = {}
@@ -110,18 +114,6 @@ class DyadicPartition:
                 f"the shell window [{j_min}, {j_max}] does not "
                 f"cover every non-zero mode of {lattice!r}"
             )
-
-    @property
-    def lattice(self) -> FrequencyLattice:
-        """The lattice the rings live on, held weakly: the lattice holds its
-        partition (:attr:`FrequencyLattice.partition`), and a strong
-        reference back would make a cycle that keeps both alive until the
-        garbage collector runs."""
-        lattice = self._lattice()
-        if lattice is None:
-            raise ReferenceError("the partition's lattice was freed; hold the lattice "
-                                 "and read its rings through lattice.partition")
-        return lattice
 
     @property
     def shells(self) -> range:
@@ -148,10 +140,9 @@ class DyadicPartition:
         cached = self._quadrants.get(j)
         if cached is not None:
             return cached
-        lat = self.lattice
-        top = min(lat.m // 2, math.floor(_STEP.t1 * 2.0**j / lat.h_xi) + 1)
-        inner = min(top, math.floor(_STEP.t1 * 2.0 ** (j - 1) / lat.h_xi) + 1)
-        r = lat.radius_quadrant
+        top = min(self.m // 2, math.floor(_STEP.t1 * 2.0**j / self.h_xi) + 1)
+        inner = min(top, math.floor(_STEP.t1 * 2.0 ** (j - 1) / self.h_xi) + 1)
+        r = self.radius_quadrant
         vals = np.empty((top + 1, top + 1))
         for lo in range(0, top + 1, _SLAB_ROWS):
             hi = min(lo + _SLAB_ROWS, top + 1)
@@ -177,7 +168,7 @@ class DyadicPartition:
         Unfolded on every call and not cached, so a partition never holds a
         lattice-sized ring.
         """
-        quadrant, m = self.ring_quadrant(j), self.lattice.m
+        quadrant, m = self.ring_quadrant(j), self.m
         vals = np.zeros((m, m // 2))
         rows = _row_blocks(quadrant.shape[0] - 1, m)
         cols = rows[0][0]  # k2 >= 0
@@ -208,21 +199,18 @@ class DyadicPartition:
         lattice's :attr:`~FrequencyLattice.radius_quadrant`: mode
         ``(k1, k2)`` reads ``[|k1|, |k2|]`` (read-only ``(m/2 + 1, m/2 + 1)``
         array, evaluated on every call)."""
-        r = self.lattice.radius_quadrant
+        r = self.radius_quadrant
         cov = _STEP(r * 2.0 ** (-self.j_max)) - _STEP(r * 2.0 ** (1 - self.j_min))
         cov.flags.writeable = False
         return cov
 
     def _covers_lattice(self) -> bool:
         """Whether the telescoped sum is 1 at every non-zero mode, judged at
-        the smallest non-zero and the corner radius, computed as
-        :attr:`FrequencyLattice.radius_quadrant` computes them: the step is
-        monotone, so it is 0 at the first's bottom-shell argument and 1 at
-        the second's top-shell argument exactly when every non-zero mode is
-        covered."""
-        lat = self.lattice
-        k1, k2 = np.array([1, lat.m // 2]), np.array([0, lat.m // 2])
-        r_lo, r_hi = np.hypot(lat.h_xi * k1, lat.h_xi * k2)
+        the smallest non-zero and the corner radius, read off the radius
+        quadrant: the step is monotone, so it is 0 at the first's
+        bottom-shell argument and 1 at the second's top-shell argument
+        exactly when every non-zero mode is covered."""
+        r_lo, r_hi = self.radius_quadrant[1, 0], self.radius_quadrant[-1, -1]
         return bool(
             _STEP(r_lo * 2.0 ** (1 - self.j_min)) == 0.0
             and _STEP(r_hi * 2.0 ** (-self.j_max)) == 1.0
@@ -230,7 +218,7 @@ class DyadicPartition:
 
     def __repr__(self) -> str:
         return (
-            f"DyadicPartition(lattice={self._lattice()!r}, "
+            f"DyadicPartition(m={self.m}, h_xi={self.h_xi}, "
             f"j_min={self.j_min}, j_max={self.j_max})"
         )
 

@@ -420,8 +420,10 @@ def envelope_l4_norm(lattice: FrequencyLattice, spec: ForceSpec) -> float:
                        lattice, 4.0)
 
 
-def calibrate_stride(lattice: FrequencyLattice, spec: ForceSpec) -> float:
-    """Smallest doubling-search stride giving near-disjoint block L4 masses.
+def calibrate_stride(lattice: FrequencyLattice, spec: ForceSpec) -> tuple[float, float]:
+    """Smallest doubling-search stride giving near-disjoint block L4 masses,
+    and the envelope's L4 norm at that stride: ``(stride, l4)``, with ``l4``
+    bitwise ``envelope_l4_norm(lattice, replace(spec, stride=stride))``.
 
     Doubles the stride from one grid cell until the envelope's L4 norm to
     the fourth power agrees with the sum of the isolated blocks' fourth
@@ -452,9 +454,9 @@ def calibrate_stride(lattice: FrequencyLattice, spec: ForceSpec) -> float:
         except ValueError:
             stride *= 2.0
             continue
-        mass = envelope_l4_norm(lattice, replace(spec, stride=stride)) ** 4
-        if abs(mass - target) <= 0.05 * target:
-            return stride
+        l4 = envelope_l4_norm(lattice, replace(spec, stride=stride))
+        if abs(l4**4 - target) <= 0.05 * target:
+            return stride, l4
         stride *= 2.0
     raise ValueError(
         "no stride reaches near-disjoint blocks inside the box: the block "

@@ -59,7 +59,6 @@ from .forcing import (
     ForceSpec,
     _lacunary_terms,
     calibrate_stride,
-    envelope_l4_norm,
     lacunary_force,
     modulated_bump_force,
     shared_annulus_modes,
@@ -383,6 +382,13 @@ def _run_verify_identity(cfg: ExperimentConfig) -> ExperimentReport:
     return ExperimentReport(cfg.experiment, cfg.echo(), tables, verdicts)
 
 
+def _constants_table(constants) -> Table:
+    """The sampled constants as the one-row table that ``constants`` and
+    ``solve`` both write."""
+    return Table("constants", ("c0", "c1", "delta0", "epsilon0"),
+                 ((constants.c0, constants.c1, constants.delta0, constants.epsilon0),))
+
+
 @_verb("constants", "sample operator constants and smallness thresholds",
        m=128, h_xi=0.25, samples=64, p=4.0, q=2.0, seed=0)
 def _run_constants(cfg: ExperimentConfig) -> ExperimentReport:
@@ -390,11 +396,7 @@ def _run_constants(cfg: ExperimentConfig) -> ExperimentReport:
     lattice = _lattice(cfg)
     report = estimate_constants(lattice, samples=samples, p=cfg["p"], q=cfg["q"],
                                 seed=cfg["seed"])
-    tables = [Table(
-        "constants",
-        ("c0", "c1", "delta0", "epsilon0"),
-        ((report.c0, report.c1, report.delta0, report.epsilon0),),
-    )]
+    tables = [_constants_table(report)]
     verdicts = [
         Verdict("delta0-consistency",
                 math.isclose(report.delta0, 1.0 / (8.0 * report.c0 * report.c1),
@@ -453,8 +455,7 @@ def _run_solve(cfg: ExperimentConfig) -> ExperimentReport:
     rhs = 2.0 * constants.c0 * besov_norm(f - g, data_index)
 
     tables = [
-        Table("constants", ("c0", "c1", "delta0", "epsilon0"),
-              ((constants.c0, constants.c1, constants.delta0, constants.epsilon0),)),
+        _constants_table(constants),
         Table("iterations",
               ("iteration", "norm", "residual", "ratio", "pde_residual"),
               tuple((i + 1, trace.norms[i], trace.residuals[i],
@@ -515,7 +516,6 @@ def _run_illpose_step1(cfg: ExperimentConfig) -> ExperimentReport:
     solve_cfg = SolveConfig()
 
     rows = []
-    norms, floors, tilde_norms, second_norms = [], [], [], []
     # Each size's fields are dropped after their last use, so neither f
     # through the solve nor any field of one size into the next.  theta1 is
     # handed to the solve from a list, so that no name here holds it and the
@@ -536,10 +536,7 @@ def _run_illpose_step1(cfg: ExperimentConfig) -> ExperimentReport:
         rows.append((spec.size, spec.carrier, data_norm, floor / delta**2,
                      second_norm, tilde_norm, tilde_norm / second_norm,
                      trace.verdict))
-        norms.append(data_norm)
-        floors.append(floor / delta**2)
-        tilde_norms.append(tilde_norm)
-        second_norms.append(second_norm)
+    _, _, norms, floors, second_norms, tilde_norms, _, _ = zip(*rows)
 
     step = 2.0 ** (2.0 / p - 0.5)
     ratios = [b / a for a, b in zip(norms, norms[1:])]
@@ -693,13 +690,13 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
                                 "exponent_map": infl_map.describe()},
               "seed": cfg["seed"]}
 
-    l4_rows, l4_values = [], {}
+    l4_rows = []
     for count in counts:
         spec = ForceSpec(variant="blocks", delta=delta, size=count,
                          block_range=(1, count), exponents=l4_map,
                          equal_shell=equal_shell)
         try:
-            stride = calibrate_stride(l4_lattice, spec)
+            stride, l4 = calibrate_stride(l4_lattice, spec)
         except ValueError:
             raise ValueError(
                 f"config keys equal_shell and block_counts: {count} blocks at shell "
@@ -707,12 +704,10 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
                 f"(fixed lattice m={l4_m}, h_xi={l4_h}); use a larger equal_shell, "
                 "whose blocks are narrower, or fewer blocks"
             ) from None
-        l4 = envelope_l4_norm(l4_lattice, replace(spec, stride=stride))
-        l4_values[count] = l4
         l4_rows.append((count, stride, l4, l4 / count**0.25))
     l4_ratios = [
-        (l4_values[b] / l4_values[a]) / (b / a) ** 0.25
-        for a, b in zip(counts, counts[1:])
+        (l4_b / l4_a) / (b / a) ** 0.25
+        for (a, _, l4_a, _), (b, _, l4_b, _) in zip(l4_rows, l4_rows[1:])
     ]
     l4_err = max(abs(r - 1.0) for r in l4_ratios) if l4_ratios else 0.0
 
@@ -721,7 +716,6 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
     # minima).  Letting the carrier move with the count would fold a
     # modulation effect into what should be a pure block-count comparison.
     min_specs, failures = {}, {}
-    partial = False
     for count in counts:
         exps = [infl_map(k) for k in range(1, count + 1)]
         spec = min_specs[count] = ForceSpec(
@@ -734,7 +728,6 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
                 probe_box(lattice, shell, gap)
         except ValueError as err:
             failures[count] = str(err)
-            partial = True
     feasible = [count for count in counts if count not in failures]
     common_carrier = max(min_specs[count].carrier for count in feasible) if feasible else None
     params["inflation_leg"]["carrier_exponent"] = common_carrier
@@ -786,7 +779,7 @@ def _run_illpose_step3(cfg: ExperimentConfig) -> ExperimentReport:
                 "l1/l2 aggregate ratio growth within 30% of (#blocks)^(1/2) "
                 "for every requested block count"),
     ]
-    return ExperimentReport(cfg.experiment, params, tables, verdicts, partial=partial)
+    return ExperimentReport(cfg.experiment, params, tables, verdicts, partial=bool(failures))
 
 
 def run_experiment(cfg: ExperimentConfig, write: bool = True) -> ExperimentReport:

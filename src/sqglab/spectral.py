@@ -193,9 +193,10 @@ class FrequencyLattice:
         non-zero mode, built on first read and kept for the lattice's life.
 
         Every route that reads rings reads them here, so a field's norms
-        are always taken with its own lattice's rings.  The partition
-        refers back to the lattice weakly, so the two are freed together
-        when the lattice's last reference goes, with no cycle to collect.
+        are always taken with its own lattice's rings.  The partition keeps
+        the lattice's ``m``, ``h_xi`` and radius quadrant, not the lattice,
+        so nothing refers back: the two are freed together when the
+        lattice's last reference goes, with no cycle to collect.
         """
         from .besov import DyadicPartition  # besov builds on this module
 

@@ -447,10 +447,9 @@ def whole_box_ring_quadrant(partition, j):
     of rows at a time: the outer step over its whole box, the inner step
     over its own whole box subtracted in that corner, cropped to the live
     extent."""
-    lat = partition.lattice
-    top = min(lat.m // 2, math.floor(_STEP.t1 * 2.0**j / lat.h_xi) + 1)
-    inner = min(top, math.floor(_STEP.t1 * 2.0 ** (j - 1) / lat.h_xi) + 1)
-    r = lat.radius_quadrant
+    top = min(partition.m // 2, math.floor(_STEP.t1 * 2.0**j / partition.h_xi) + 1)
+    inner = min(top, math.floor(_STEP.t1 * 2.0 ** (j - 1) / partition.h_xi) + 1)
+    r = partition.radius_quadrant
     vals = _STEP(r[: top + 1, : top + 1] * 2.0 ** (-j))
     vals[: inner + 1, : inner + 1] -= _STEP(r[: inner + 1, : inner + 1] * 2.0 ** (1 - j))
     extent = int(np.flatnonzero(vals.any(axis=1)).max(initial=0))

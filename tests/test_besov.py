@@ -316,9 +316,9 @@ def test_ring_quadrants_are_bitwise_the_whole_box_evaluation(m, h_xi):
 
 
 def test_a_lattice_holds_one_partition_and_frees_it_with_itself():
-    # the rings of a field are its lattice's, built once; the partition
-    # refers back weakly, so no cycle keeps either alive once the lattice's
-    # last reference goes, without the garbage collector's help
+    # the rings of a field are its lattice's, built once; the partition does
+    # not refer back, so no cycle keeps either alive once the lattice's last
+    # reference goes, without the garbage collector's help
     enabled = gc.isenabled()
     gc.disable()
     try:
@@ -327,17 +327,27 @@ def test_a_lattice_holds_one_partition_and_frees_it_with_itself():
         besov_norm(field, BesovIndex(-0.5, 4.0, 2.0))  # caches the rings
         partition = lattice.partition
         assert partition._quadrants and partition is lattice.partition
-        assert partition.lattice is lattice
-        freed = weakref.ref(partition)
+        assert partition.radius_quadrant is lattice.radius_quadrant
+        freed, lattice_freed = weakref.ref(partition), weakref.ref(lattice)
         del field, lattice
+        assert lattice_freed() is None
         assert freed() is not None  # held here
-        with pytest.raises(ReferenceError, match="lattice was freed"):
-            partition.coverage()
         del partition
         assert freed() is None
     finally:
         if enabled:
             gc.enable()
+
+
+def test_a_partition_outlives_its_lattice():
+    # the partition keeps the lattice's numbers, not the lattice: read off a
+    # lattice nobody holds, it still unfolds rings and sums its window, with
+    # the values of a held lattice's partition
+    partition = FrequencyLattice(m=64, h_xi=0.25).partition
+    held = FrequencyLattice(m=64, h_xi=0.25)
+    assert np.array_equal(partition.ring_values(0), held.partition.ring_values(0))
+    assert np.array_equal(partition.coverage(), held.partition.coverage())
+    assert repr(partition) == "DyadicPartition(m=64, h_xi=0.25, j_min=-2, j_max=4)"
 
 
 def test_a_field_is_normed_with_its_own_lattices_rings():
@@ -371,8 +381,8 @@ def test_partition_holds_no_full_lattice_ring(lattice128):
             for value in obj:
                 yield from arrays(value)
 
-    # the lattice's own coordinate arrays are not the partition's storage
-    held = [a for key, value in vars(partition).items() if key != "lattice"
+    # the lattice's radius quadrant is shared with it, not the partition's storage
+    held = [a for key, value in vars(partition).items() if key != "radius_quadrant"
             for a in arrays(value)]
     m = lattice128.m
     assert held and all(a.size < m * m for a in held)

@@ -403,7 +403,7 @@ def test_calibrated_stride_is_two_sided():
     block = oracles.block_envelope(lat, replace(spec_at(lat.dx), block_range=(1, 1)))
     target = 2.0 * float(area * np.sum(np.abs(physical(block)) ** 4))
 
-    stride = calibrate_stride(lat, spec_at())
+    stride, _ = calibrate_stride(lat, spec_at())
     assert abs(l4_mass(spec_at(stride)) - target) <= 0.05 * target
     # nearly coincident blocks overshoot the target coherently, which is
     # why the acceptance bound has to be two-sided
@@ -418,7 +418,8 @@ def test_calibrate_stride_measures_blocks_as_the_envelope_builds_them():
     assert lat.partition.ring_extent(7) == lat.m // 2
     spec = ForceSpec(variant="blocks", size=2, block_range=(1, 1),
                      exponents=ExponentMap.affine(2, 0), equal_shell=7)
-    assert calibrate_stride(lat, spec) == lat.dx
+    stride, _ = calibrate_stride(lat, spec)
+    assert stride == lat.dx
 
 
 def test_calibrate_stride_reports_impossible_geometry(lattice128):
@@ -449,12 +450,20 @@ def l4_spec(count):
 @pytest.mark.parametrize("count", [2, 4, 8])
 def test_envelope_l4_norm_matches_the_full_lattice(l4_leg, count):
     lat = l4_leg
-    stride = calibrate_stride(lat, l4_spec(count))
+    stride, _ = calibrate_stride(lat, l4_spec(count))
     assert stride == math.pi / 2.0
     spec = replace(l4_spec(count), stride=stride)
     got = envelope_l4_norm(lat, spec)
     want = lp_norm(physical_real(oracles.block_envelope(lat, spec)), 4.0, lat.dx ** 2)
     assert abs(got - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("count", [2, 4])
+def test_calibrate_stride_returns_the_norm_it_accepted(l4_leg, count):
+    # illpose-step3 tabulates this norm: it is the envelope's at the
+    # returned stride, bit for bit, with no second evaluation
+    stride, l4 = calibrate_stride(l4_leg, l4_spec(count))
+    assert l4 == envelope_l4_norm(l4_leg, replace(l4_spec(count), stride=stride))
 
 
 def test_calibrate_stride_runs_no_lattice_sized_transform(transform_sizes, monkeypatch):
@@ -471,7 +480,7 @@ def test_calibrate_stride_runs_no_lattice_sized_transform(transform_sizes, monke
         return envelope_l4_norm(lattice, spec)
 
     monkeypatch.setattr(forcing, "envelope_l4_norm", counted)
-    stride = calibrate_stride(lat, spec)
+    stride, _ = calibrate_stride(lat, spec)
     assert [s.block_range for s in calls] == [(1, 1)] + [(1, 4)] * (len(calls) - 1)
     assert calls[-1].stride == stride
     assert len(transform_sizes) == len(calls)

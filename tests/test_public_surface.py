@@ -13,6 +13,7 @@ class, so that deleting one fails here rather than in a traced run.
 
 import ast
 import importlib
+import weakref
 from pathlib import Path
 
 import pytest
@@ -169,6 +170,15 @@ def test_every_partition_is_built_by_its_lattice():
     # one builder of the ring system: the lattice's cached property, so
     # every route reads the one partition of its lattice
     assert set(_call_sites("DyadicPartition")) == {("spectral.py", "partition")}
+
+
+def test_a_partition_holds_no_lattice():
+    # the lattice holds its partition; a partition that held the lattice
+    # back, strongly or weakly, would tie its life to the lattice's again
+    spectral = importlib.import_module("sqglab.spectral")
+    held = vars(spectral.FrequencyLattice(m=32, h_xi=0.25).partition).values()
+    assert not any(isinstance(value, (spectral.FrequencyLattice, weakref.ReferenceType))
+                   for value in held)
 
 
 def test_every_occupied_box_is_read_by_the_field():

@@ -548,7 +548,7 @@ def test_cli_refuses_a_lattice_its_rings_cannot_cover(tmp_path, capsys, monkeypa
     # the ring system is built on first read of lattice.partition; every verb
     # reads it with its lattice, so the refusal still comes before anything
     # runs (step3's fixed L4 lattice, m = 1024, is covered)
-    monkeypatch.setattr(DyadicPartition, "_covers_lattice", lambda self: self.lattice.m != 64)
+    monkeypatch.setattr(DyadicPartition, "_covers_lattice", lambda self: self.m != 64)
     cfg = write_cfg(tmp_path, {"m": 64})
     out_dir = tmp_path / "runs"
     assert main([verb, "--config", cfg, "--out", str(out_dir)]) == 2
